@@ -1,16 +1,12 @@
-//! Benchmarks of the extension modules: forecasting, thermal fixed point,
-//! battery stepping, aging/wear reports, staleness analysis, and the
-//! in-situ profiling run.
+//! Benchmarks of the extension modules: forecasting, battery stepping,
+//! aging/wear reports, staleness analysis, and the in-situ profiling run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use iscope::prelude::*;
 use iscope::InSituConfig;
 use iscope_dcsim::SimDuration;
 use iscope_energy::{smooth_against_demand, Battery, PersistenceForecast, SolarFarm};
-use iscope_pvmodel::{
-    AgingModel, DvfsConfig, Fleet, OperatingPlan, PowerModel, ThermalModel, VariationParams,
-    WearReport,
-};
+use iscope_pvmodel::{AgingModel, DvfsConfig, Fleet, OperatingPlan, VariationParams, WearReport};
 use iscope_scanner::{analyse_staleness, ScannerConfig, TestKind};
 use iscope_sched::Scheme;
 use std::hint::black_box;
@@ -26,27 +22,6 @@ fn bench_forecast(c: &mut Criterion) {
         b.iter(|| black_box(model.horizon_average(500_000.0, SimDuration::from_hours(6))))
     });
     g.finish();
-}
-
-fn bench_thermal(c: &mut Criterion) {
-    let dvfs = DvfsConfig::paper_default();
-    let fleet = Fleet::generate(64, dvfs.clone(), &VariationParams::default(), 3);
-    let pm = PowerModel::new(&dvfs);
-    let m = ThermalModel::default();
-    c.bench_function("thermal_fixed_point_64_chips", |b| {
-        b.iter(|| {
-            let top = fleet.dvfs.max_level();
-            let total: f64 = fleet
-                .chips
-                .iter()
-                .map(|chip| {
-                    m.operating_point(&pm, chip, &fleet.dvfs, top, fleet.dvfs.v_nom(top))
-                        .power_w
-                })
-                .sum();
-            black_box(total)
-        })
-    });
 }
 
 fn bench_battery(c: &mut Criterion) {
@@ -123,6 +98,6 @@ fn bench_in_situ(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_forecast, bench_thermal, bench_battery, bench_wear, bench_in_situ
+    targets = bench_forecast, bench_battery, bench_wear, bench_in_situ
 );
 criterion_main!(benches);

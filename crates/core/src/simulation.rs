@@ -457,16 +457,7 @@ impl SimDriver {
         let (site, rp) = SiteState::restore_from(input, 0, snapshot, fork)?;
         let sim = SingleSite { site };
         let mut engine = Engine::new().with_step_budget(200_000_000);
-        // Re-priming the live events in their serialized (time, seq)
-        // order hands them consecutive fresh sequence numbers, so
-        // equal-time ties replay exactly; events scheduled after the
-        // resume point draw higher numbers, as they would have in the
-        // uninterrupted run.
-        for (at, ev) in &rp.pending {
-            engine.prime(*at, *ev);
-        }
-        engine.advance_to(rp.now);
-        engine.set_steps(rp.steps);
+        rp.prime(&mut engine);
         Ok(SimDriver {
             sim,
             engine,
@@ -666,11 +657,7 @@ impl<S: JobSource> StreamDriver<S> {
         }
         let sim = SingleSite { site };
         let mut engine = Engine::new().with_step_budget(200_000_000);
-        for (at, ev) in &rp.pending {
-            engine.prime(*at, *ev);
-        }
-        engine.advance_to(rp.now);
-        engine.set_steps(rp.steps);
+        rp.prime(&mut engine);
         Ok(StreamDriver {
             sim,
             engine,

@@ -27,9 +27,12 @@ use crate::simulation::{
     AuditConfig, DeferralConfig, DvfsMode, FaultInjectionConfig, InSituConfig, PhaseTimers,
     SimInput, SurplusSignal,
 };
-use crate::snapshot::{self, SnapshotError, Val, SNAPSHOT_VERSION};
+use crate::snapshot::{
+    self, optional_section, persist_struct, save_all, section, Persist, Section, SnapshotError,
+    Val, SNAPSHOT_VERSION,
+};
 use crate::telemetry::{self};
-use iscope_dcsim::{Ctx, RngSnapshot, RowSampler, Sampler, SimDuration, SimRng, SimTime};
+use iscope_dcsim::{Ctx, Engine, RowSampler, Sampler, SimDuration, SimRng, SimTime};
 use iscope_energy::{BatteryState, CostMeter, CostSplit, EnergyLedger, Supply};
 use iscope_pvmodel::{
     microwatts_to_watts, speed_factor, watts_to_microwatts, ChipId, CoolingModel, Fleet, FreqLevel,
@@ -2545,421 +2548,515 @@ impl SiteState {
 // A snapshot serializes the *mutable* simulation state; everything that is
 // a pure function of the run inputs (configs, supply traces, placement
 // policies, scanner machinery) is rebuilt by `SiteState::new` on restore
-// and cross-checked against the snapshot header. Derived caches
-// (chain lengths, demand aggregates, chip indexes) are rebuilt from the
-// restored ground truth — all integer arithmetic, so the rebuild is
-// indistinguishable from having maintained them incrementally.
+// and cross-checked against the snapshot header. Each serialized field is
+// declared once, in the `section!` / `persist_struct!` lists below; capture
+// and restore both expand from them. Derived caches (chain lengths, demand
+// aggregates, chip indexes) are not serialized: `rebuild_derived` recomputes
+// them from the restored ground truth — all integer arithmetic, so the
+// rebuild is indistinguishable from having maintained them incrementally.
 // ===========================================================================
 
-fn v_u(n: u64) -> Val {
-    Val::Int(n as i128)
+/// Header key of the format version. Read before anything else, so a
+/// document of another version is refused before its layout is parsed.
+const VERSION_KEY: &str = "version";
+
+/// Sections outside the site's field list: the header first, then the
+/// pending events; the trace identities close the document.
+const HEADER: &str = "header";
+const EVENTS: &str = "events";
+const TRACES: &str = "traces";
+
+/// The header besides the version and the presence flags.
+struct Header {
+    scheme: String,
+    seed: u64,
+    site_id: u32,
+    now: SimTime,
+    steps: u64,
+    admitted: usize,
+    fleet_len: usize,
+    num_levels: usize,
 }
 
-fn v_us(n: usize) -> Val {
-    Val::Int(n as i128)
-}
+persist_struct!(Header {
+    "scheme" => scheme,
+    "seed" => seed,
+    "site_id" => site_id,
+    "now_ms" => now,
+    "steps" => steps,
+    "admitted" => admitted,
+    "fleet_len" => fleet_len,
+    "num_levels" => num_levels,
+});
 
-fn v_time(t: SimTime) -> Val {
-    Val::Int(t.as_millis() as i128)
-}
+/// One header presence flag: its key, whether the live site carries the
+/// component, and whether a run built from an input will. Capture writes
+/// the first, restore compares it with the second.
+type Presence = (&'static str, fn(&SiteState) -> bool, fn(&SimInput) -> bool);
 
-fn time_of(v: &Val, what: &str) -> Result<SimTime, SnapshotError> {
-    Ok(SimTime::from_millis(v.as_u64(what)?))
-}
-
-fn f64s_val(xs: &[f64], what: &str) -> Result<Val, SnapshotError> {
-    Ok(Val::Arr(
-        xs.iter()
-            .map(|&x| Val::float(x, what))
-            .collect::<Result<_, _>>()?,
-    ))
-}
-
-fn f64s_of(v: &Val, what: &str) -> Result<Vec<f64>, SnapshotError> {
-    v.as_arr(what)?.iter().map(|x| x.as_f64(what)).collect()
-}
-
-fn bools_val(xs: &[bool]) -> Val {
-    Val::Arr(xs.iter().map(|&b| Val::Bool(b)).collect())
-}
-
-fn bools_of(v: &Val, what: &str) -> Result<Vec<bool>, SnapshotError> {
-    v.as_arr(what)?.iter().map(|x| x.as_bool(what)).collect()
-}
-
-fn usizes_val(xs: &[usize]) -> Val {
-    Val::Arr(xs.iter().map(|&n| v_us(n)).collect())
-}
-
-/// Decodes an index list, rejecting entries at or past `bound`.
-fn indexes_of(v: &Val, what: &str, bound: usize) -> Result<Vec<usize>, SnapshotError> {
-    let out: Vec<usize> = v
-        .as_arr(what)?
-        .iter()
-        .map(|x| x.as_usize(what))
-        .collect::<Result<_, _>>()?;
-    if let Some(&bad) = out.iter().find(|&&i| i >= bound) {
-        return Err(SnapshotError::Mismatch(format!(
-            "{what}: index {bad} out of range (bound {bound})"
-        )));
-    }
-    Ok(out)
-}
-
-fn u64s_of(v: &Val, what: &str) -> Result<Vec<u64>, SnapshotError> {
-    v.as_arr(what)?.iter().map(|x| x.as_u64(what)).collect()
-}
-
-fn rng_val(rng: &SimRng, what: &str) -> Result<Val, SnapshotError> {
-    let s = rng.snapshot();
-    Ok(Val::Obj(vec![
-        (
-            "words".to_string(),
-            Val::Arr(s.words.iter().map(|&w| v_u(w)).collect()),
-        ),
-        (
-            "spare".to_string(),
-            match s.spare_normal {
-                Some(z) => Val::float(z, what)?,
-                None => Val::Null,
-            },
-        ),
-    ]))
-}
-
-fn rng_of(v: &Val, what: &str) -> Result<SimRng, SnapshotError> {
-    let word_vals = v.get("words")?.as_arr(what)?;
-    if word_vals.len() != 4 {
-        return Err(SnapshotError::Parse(format!(
-            "{what}: expected 4 state words, found {}",
-            word_vals.len()
-        )));
-    }
-    let mut words = [0u64; 4];
-    for (slot, wv) in words.iter_mut().zip(word_vals) {
-        *slot = wv.as_u64(what)?;
-    }
-    if words == [0; 4] {
-        return Err(SnapshotError::Mismatch(format!(
-            "{what}: all-zero xoshiro state is invalid"
-        )));
-    }
-    let spare_v = v.get("spare")?;
-    let spare_normal = if spare_v.is_null() {
-        None
-    } else {
-        Some(spare_v.as_f64(what)?)
-    };
-    Ok(SimRng::restore(&RngSnapshot {
-        words,
-        spare_normal,
-    }))
-}
-
-fn sampler_val(s: &Sampler) -> Result<Val, SnapshotError> {
-    let (name, interval, next_tick, current, values) = s.parts();
-    Ok(Val::Obj(vec![
-        ("name".to_string(), Val::Str(name.to_string())),
-        ("interval_ms".to_string(), v_u(interval.as_millis())),
-        ("next_tick_ms".to_string(), v_time(next_tick)),
-        (
-            "current".to_string(),
-            Val::float(current, "sampler current")?,
-        ),
-        ("values".to_string(), f64s_val(values, "sampler values")?),
-    ]))
-}
-
-fn sampler_of(v: &Val) -> Result<Sampler, SnapshotError> {
-    let interval = SimDuration::from_millis(v.get("interval_ms")?.as_u64("sampler interval")?);
-    if interval.is_zero() {
-        return Err(SnapshotError::Mismatch(
-            "sampler interval must be positive".to_string(),
-        ));
-    }
-    Ok(Sampler::from_parts(
-        v.get("name")?.as_str("sampler name")?,
-        interval,
-        time_of(v.get("next_tick_ms")?, "sampler next tick")?,
-        v.get("current")?.as_f64("sampler current")?,
-        f64s_of(v.get("values")?, "sampler values")?,
-    ))
-}
-
-fn meter_val(m: &iscope_energy::SignalMeter, what: &str) -> Result<Val, SnapshotError> {
-    Ok(Val::Obj(vec![
-        ("seg_value".to_string(), Val::float(m.seg_value, what)?),
-        ("seg_j".to_string(), Val::float(m.seg_j, what)?),
-        ("total".to_string(), Val::float(m.total, what)?),
-    ]))
-}
-
-fn meter_restore(
-    m: &mut iscope_energy::SignalMeter,
-    v: &Val,
-    what: &str,
-) -> Result<(), SnapshotError> {
-    m.set_parts(
-        v.get("seg_value")?.as_f64(what)?,
-        v.get("seg_j")?.as_f64(what)?,
-        v.get("total")?.as_f64(what)?,
-    );
-    Ok(())
-}
+#[rustfmt::skip]
+const PRESENCE: [Presence; 8] = [
+    ("has_faults", |s| s.faults.is_some(), |i| i.fault_injection.is_some()),
+    ("has_audit", |s| s.audit.is_some(), |i| i.audit.is_some()),
+    ("has_telemetry", |s| s.telemetry.is_some(), |i| i.telemetry.is_some()),
+    ("has_samplers", |s| s.samplers.is_some(), |i| i.trace_interval.is_some()),
+    ("has_carbon", |s| s.carbon.is_some(), |i| i.carbon.as_ref().is_some_and(CarbonConfig::active)),
+    ("has_price_trace", |s| s.supply.utility_price.is_some(), |i| i.supply.utility_price.is_some()),
+    ("has_carbon_trace", |s| s.supply.carbon.is_some(), |i| i.supply.carbon.is_some()),
+    ("has_battery", |s| s.battery.is_some(), |i| i.supply.battery.is_some()),
+];
 
 /// Identity of a price/carbon signal trace: enough to reject a resume
 /// against a different signal without serializing the whole trace (the
 /// trace itself is a run input, rebuilt from the new `SimInput`).
-fn trace_identity(t: Option<&iscope_energy::SignalTrace>) -> Val {
-    match t {
-        None => Val::Null,
-        Some(tr) => Val::Obj(vec![
-            ("interval_ms".to_string(), v_u(tr.interval.as_millis())),
-            ("len".to_string(), v_us(tr.len())),
-            ("fingerprint".to_string(), v_u(tr.fingerprint())),
-        ]),
-    }
+#[derive(PartialEq)]
+struct TraceId {
+    interval: SimDuration,
+    len: usize,
+    fingerprint: u64,
 }
 
-fn check_trace_identity(
-    t: Option<&iscope_energy::SignalTrace>,
-    v: &Val,
-    what: &str,
-) -> Result<(), SnapshotError> {
-    match (t, v.is_null()) {
-        (None, true) => Ok(()),
-        (Some(tr), false) => {
-            let interval = SimDuration::from_millis(v.get("interval_ms")?.as_u64(what)?);
-            let len = v.get("len")?.as_usize(what)?;
-            let fp = v.get("fingerprint")?.as_u64(what)?;
-            if interval != tr.interval || len != tr.len() || fp != tr.fingerprint() {
-                return Err(SnapshotError::Mismatch(format!(
-                    "snapshot was taken under a different {what} trace"
-                )));
+persist_struct!(TraceId {
+    "interval_ms" => interval,
+    "len" => len,
+    "fingerprint" => fingerprint,
+});
+
+struct Traces {
+    price: Option<TraceId>,
+    carbon: Option<TraceId>,
+}
+
+persist_struct!(Traces {
+    "price" => price,
+    "carbon" => carbon,
+});
+
+impl Traces {
+    fn of(supply: &Supply) -> Traces {
+        let id = |t: &iscope_energy::SignalTrace| TraceId {
+            interval: t.interval,
+            len: t.len(),
+            fingerprint: t.fingerprint(),
+        };
+        Traces {
+            price: supply.utility_price.as_ref().map(id),
+            carbon: supply.carbon.as_ref().map(id),
+        }
+    }
+
+    /// Like the wind trace, the price/carbon signals are run inputs: a
+    /// resume against different ones would silently rewrite history, so
+    /// only forks may swap them.
+    fn check(&self, input: &Traces) -> Result<(), SnapshotError> {
+        for (what, snap, live) in [
+            ("utility price", &self.price, &input.price),
+            ("carbon intensity", &self.carbon, &input.carbon),
+        ] {
+            match (snap, live) {
+                (None, None) => {}
+                (Some(a), Some(b)) if a == b => {}
+                (Some(_), Some(_)) => {
+                    return Err(SnapshotError::Mismatch(format!(
+                        "snapshot was taken under a different {what} trace"
+                    )))
+                }
+                _ => {
+                    return Err(SnapshotError::Mismatch(format!(
+                        "snapshot {what} trace presence differs from input"
+                    )))
+                }
             }
-            Ok(())
-        }
-        _ => Err(SnapshotError::Mismatch(format!(
-            "snapshot {what} trace presence differs from input"
-        ))),
-    }
-}
-
-fn event_val(t: SimTime, ev: &SiteEv) -> Val {
-    let body = match ev {
-        SiteEv::Arrival(i) => vec![Val::Str("arrival".into()), v_us(*i)],
-        SiteEv::Completion { job, gen } => {
-            vec![Val::Str("completion".into()), v_us(*job), v_u(*gen)]
-        }
-        SiteEv::WindSample => vec![Val::Str("wind".into())],
-        SiteEv::ProfilingCheck => vec![Val::Str("profiling_check".into())],
-        SiteEv::ProfilingDone { chip } => {
-            vec![Val::Str("profiling_done".into()), v_u(*chip as u64)]
-        }
-        SiteEv::TimingFailure { job, attempt, chip } => vec![
-            Val::Str("timing_failure".into()),
-            v_us(*job),
-            v_u(*attempt as u64),
-            v_u(*chip as u64),
-        ],
-        SiteEv::Retry { job } => vec![Val::Str("retry".into()), v_us(*job)],
-        SiteEv::ReprofileCheck => vec![Val::Str("reprofile_check".into())],
-        SiteEv::ReprofileDone { chip } => {
-            vec![Val::Str("reprofile_done".into()), v_u(*chip as u64)]
-        }
-        SiteEv::CarbonSample => vec![Val::Str("carbon".into())],
-    };
-    Val::Arr(vec![v_time(t), Val::Arr(body)])
-}
-
-fn event_of(v: &Val) -> Result<(SimTime, SiteEv), SnapshotError> {
-    let pair = v.as_arr("event")?;
-    if pair.len() != 2 {
-        return Err(SnapshotError::Parse("event must be [time, body]".into()));
-    }
-    let t = time_of(&pair[0], "event time")?;
-    let body = pair[1].as_arr("event body")?;
-    let tag = body
-        .first()
-        .ok_or_else(|| SnapshotError::Parse("empty event body".into()))?
-        .as_str("event tag")?;
-    let want_args = |n: usize| -> Result<(), SnapshotError> {
-        if body.len() != n + 1 {
-            return Err(SnapshotError::Parse(format!(
-                "event {tag:?}: expected {n} argument(s), found {}",
-                body.len() - 1
-            )));
         }
         Ok(())
-    };
-    let ev = match tag {
-        "arrival" => {
-            want_args(1)?;
-            SiteEv::Arrival(body[1].as_usize("arrival index")?)
-        }
-        "completion" => {
-            want_args(2)?;
-            SiteEv::Completion {
-                job: body[1].as_usize("completion job")?,
-                gen: body[2].as_u64("completion gen")?,
-            }
-        }
-        "wind" => {
-            want_args(0)?;
-            SiteEv::WindSample
-        }
-        "profiling_check" => {
-            want_args(0)?;
-            SiteEv::ProfilingCheck
-        }
-        "profiling_done" => {
-            want_args(1)?;
-            SiteEv::ProfilingDone {
-                chip: body[1].as_u32("profiling_done chip")?,
-            }
-        }
-        "timing_failure" => {
-            want_args(3)?;
-            SiteEv::TimingFailure {
-                job: body[1].as_usize("timing_failure job")?,
-                attempt: body[2].as_u32("timing_failure attempt")?,
-                chip: body[3].as_u32("timing_failure chip")?,
-            }
-        }
-        "retry" => {
-            want_args(1)?;
-            SiteEv::Retry {
-                job: body[1].as_usize("retry job")?,
-            }
-        }
-        "reprofile_check" => {
-            want_args(0)?;
-            SiteEv::ReprofileCheck
-        }
-        "reprofile_done" => {
-            want_args(1)?;
-            SiteEv::ReprofileDone {
-                chip: body[1].as_u32("reprofile_done chip")?,
-            }
-        }
-        "carbon" => {
-            want_args(0)?;
-            SiteEv::CarbonSample
-        }
-        other => return Err(SnapshotError::Parse(format!("unknown event tag {other:?}"))),
-    };
-    Ok((t, ev))
-}
-
-/// Serializes one [`JobState`] as a positional array (see `job_of` for the
-/// field order). Positional keeps the document compact — the jobs section
-/// dominates snapshot size.
-fn job_val(js: &JobState) -> Result<Val, SnapshotError> {
-    let j = &js.job;
-    Ok(Val::Arr(vec![
-        v_u(j.id.0 as u64),
-        v_time(j.submit),
-        v_u(j.cpus as u64),
-        v_u(j.runtime_at_fmax.as_millis()),
-        Val::float(j.gamma.value(), "job gamma")?,
-        v_time(j.deadline),
-        Val::Str(
-            match j.urgency {
-                Urgency::High => "high",
-                Urgency::Low => "low",
-            }
-            .to_string(),
-        ),
-        Val::Arr(js.chips.iter().map(|c| v_u(c.0 as u64)).collect()),
-        Val::Str(
-            match js.phase {
-                Phase::Waiting => "waiting",
-                Phase::Running => "running",
-                Phase::Done => "done",
-            }
-            .to_string(),
-        ),
-        v_u(js.level.0 as u64),
-        Val::float(js.remaining_nominal_s, "job remaining work")?,
-        v_time(js.last_progress),
-        v_time(js.started_at),
-        v_u(js.gen),
-        v_time(js.sched_end),
-        Val::Arr(
-            js.power_uw_at
-                .iter()
-                .map(|&p| Val::Int(p as i128))
-                .collect(),
-        ),
-        v_time(js.chain_limit),
-        v_u(js.starts as u64),
-        Val::float(js.attempt_energy_j, "job attempt energy")?,
-    ]))
-}
-
-fn job_of(v: &Val, fleet_len: usize, num_levels: usize) -> Result<JobState, SnapshotError> {
-    let a = v.as_arr("job")?;
-    if a.len() != 19 {
-        return Err(SnapshotError::Parse(format!(
-            "job record must have 19 fields, found {}",
-            a.len()
-        )));
     }
-    let chips: Vec<ChipId> = a[7]
-        .as_arr("job chips")?
-        .iter()
-        .map(|c| c.as_u32("job chip id").map(ChipId))
-        .collect::<Result<_, _>>()?;
-    if let Some(bad) = chips.iter().find(|c| c.0 as usize >= fleet_len) {
+}
+
+/// Pending events as `[tag, args...]` arrays. Each variant's tag and
+/// argument order are declared once and drive both directions.
+macro_rules! event_codec {
+    ($($tag:literal => $var:ident $(($($t:ident),*))? $({$($f:ident),*})?),* $(,)?) => {
+        impl Persist for SiteEv {
+            fn save(&self, what: &str) -> Result<Val, SnapshotError> {
+                Ok(Val::Arr(match self {
+                    $(SiteEv::$var $(($($t),*))? $({$($f),*})? => vec![
+                        Val::Str($tag.to_string()),
+                        $($($t.save(what)?,)*)?
+                        $($($f.save(what)?,)*)?
+                    ],)*
+                }))
+            }
+
+            fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
+                let body = v.as_arr(what)?;
+                let tag = body
+                    .first()
+                    .ok_or_else(|| SnapshotError::Parse("empty event body".into()))?
+                    .as_str("event tag")?;
+                let mut args = body[1..].iter();
+                let mut arg = || {
+                    args.next().ok_or_else(|| {
+                        SnapshotError::Parse(format!("event {tag:?}: too few arguments"))
+                    })
+                };
+                let ev = match tag {
+                    $($tag => SiteEv::$var
+                        $(($({ let $t = Persist::load(arg()?, $tag)?; $t }),*))?
+                        $({$($f: Persist::load(arg()?, $tag)?),*})?,)*
+                    other => {
+                        return Err(SnapshotError::Parse(format!("unknown event tag {other:?}")))
+                    }
+                };
+                if args.next().is_some() {
+                    return Err(SnapshotError::Parse(format!(
+                        "event {tag:?}: too many arguments"
+                    )));
+                }
+                Ok(ev)
+            }
+        }
+    };
+}
+
+event_codec! {
+    "arrival" => Arrival(job),
+    "completion" => Completion { job, gen },
+    "wind" => WindSample,
+    "profiling_check" => ProfilingCheck,
+    "profiling_done" => ProfilingDone { chip },
+    "timing_failure" => TimingFailure { job, attempt, chip },
+    "retry" => Retry { job },
+    "reprofile_check" => ReprofileCheck,
+    "reprofile_done" => ReprofileDone { chip },
+    "carbon" => CarbonSample,
+}
+
+/// The job an event targets, if any.
+fn event_job(ev: &SiteEv) -> Option<usize> {
+    match *ev {
+        SiteEv::Arrival(i) => Some(i),
+        SiteEv::Completion { job, .. }
+        | SiteEv::TimingFailure { job, .. }
+        | SiteEv::Retry { job } => Some(job),
+        _ => None,
+    }
+}
+
+/// Fieldless enums as strings, each variant's name declared once.
+macro_rules! persist_str_enum {
+    ($ty:ident { $($var:ident => $s:literal),* $(,)? }) => {
+        impl Persist for $ty {
+            fn save(&self, _what: &str) -> Result<Val, SnapshotError> {
+                Ok(Val::Str(match self { $($ty::$var => $s,)* }.to_string()))
+            }
+
+            fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
+                match v.as_str(what)? {
+                    $($s => Ok($ty::$var),)*
+                    other => Err(SnapshotError::Parse(format!("unknown {what} {other:?}"))),
+                }
+            }
+        }
+    };
+}
+
+persist_str_enum!(Urgency { High => "high", Low => "low" });
+persist_str_enum!(Phase { Waiting => "waiting", Running => "running", Done => "done" });
+
+/// Single-field tuple structs as their inner value.
+macro_rules! persist_newtype {
+    ($($ty:ident($inner:ty)),*) => {$(
+        impl Persist for $ty {
+            fn save(&self, what: &str) -> Result<Val, SnapshotError> {
+                self.0.save(what)
+            }
+
+            fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
+                <$inner>::load(v, what).map($ty)
+            }
+        }
+    )*};
+}
+
+persist_newtype!(JobId(u32), ChipId(u32), FreqLevel(u8));
+
+impl Persist for iscope_pvmodel::CpuBoundness {
+    fn save(&self, what: &str) -> Result<Val, SnapshotError> {
+        self.value().save(what)
+    }
+
+    fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
+        f64::load(v, what).map(Self::new)
+    }
+}
+
+/// Declares the positional job record once: the [`Job`] fields, then the
+/// [`JobState`] fields, in record order. Positional keeps the document
+/// compact — the jobs section dominates snapshot size.
+macro_rules! job_record {
+    ($($g:ident),* ; $($f:ident),* $(,)?) => {
+        impl Persist for JobState {
+            fn save(&self, what: &str) -> Result<Val, SnapshotError> {
+                Ok(Val::Arr(vec![
+                    $(self.job.$g.save(what)?,)*
+                    $(self.$f.save(what)?,)*
+                ]))
+            }
+
+            fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
+                const NAMES: &[&str] = &[$(stringify!($g),)* $(stringify!($f),)*];
+                let a = v.as_arr(what)?;
+                if a.len() != NAMES.len() {
+                    return Err(SnapshotError::Parse(format!(
+                        "{what} record must have {} fields, found {}",
+                        NAMES.len(),
+                        a.len()
+                    )));
+                }
+                let mut fields = a.iter().zip(NAMES);
+                let mut next = || fields.next().expect("length checked above");
+                Ok(JobState {
+                    job: Job {
+                        $($g: { let (x, name) = next(); Persist::load(x, name)? },)*
+                    },
+                    $($f: { let (x, name) = next(); Persist::load(x, name)? },)*
+                })
+            }
+        }
+    };
+}
+
+job_record!(
+    id, submit, cpus, runtime_at_fmax, gamma, deadline, urgency;
+    chips, phase, level, remaining_nominal_s, last_progress, started_at, gen, sched_end,
+    power_uw_at, chain_limit, starts, attempt_energy_j,
+);
+
+/// Rejects a job record whose chips or level fall outside the fleet.
+fn check_job(js: &JobState, fleet_len: usize, num_levels: usize) -> Result<(), SnapshotError> {
+    if let Some(bad) = js.chips.iter().find(|c| c.0 as usize >= fleet_len) {
         return Err(SnapshotError::Mismatch(format!(
             "job chip {} out of range (fleet {fleet_len})",
             bad.0
         )));
     }
-    let level = a[9].as_u64("job level")?;
-    if level as usize >= num_levels {
+    if js.level.0 as usize >= num_levels {
         return Err(SnapshotError::Mismatch(format!(
-            "job level {level} out of range ({num_levels} levels)"
+            "job level {} out of range ({num_levels} levels)",
+            js.level.0
         )));
     }
-    let power_uw_at: Vec<i64> = a[15]
-        .as_arr("job power row")?
-        .iter()
-        .map(|p| p.as_i64("job power row"))
-        .collect::<Result<_, _>>()?;
-    Ok(JobState {
-        job: Job {
-            id: JobId(a[0].as_u32("job id")?),
-            submit: time_of(&a[1], "job submit")?,
-            cpus: a[2].as_u32("job cpus")?,
-            runtime_at_fmax: SimDuration::from_millis(a[3].as_u64("job runtime")?),
-            gamma: iscope_pvmodel::CpuBoundness::new(a[4].as_f64("job gamma")?),
-            deadline: time_of(&a[5], "job deadline")?,
-            urgency: match a[6].as_str("job urgency")? {
-                "high" => Urgency::High,
-                "low" => Urgency::Low,
-                other => return Err(SnapshotError::Parse(format!("unknown urgency {other:?}"))),
-            },
-        },
-        chips,
-        phase: match a[8].as_str("job phase")? {
-            "waiting" => Phase::Waiting,
-            "running" => Phase::Running,
-            "done" => Phase::Done,
-            other => return Err(SnapshotError::Parse(format!("unknown phase {other:?}"))),
-        },
-        level: FreqLevel(level as u8),
-        remaining_nominal_s: a[10].as_f64("job remaining work")?,
-        last_progress: time_of(&a[11], "job last progress")?,
-        started_at: time_of(&a[12], "job started at")?,
-        gen: a[13].as_u64("job gen")?,
-        sched_end: time_of(&a[14], "job sched end")?,
-        power_uw_at,
-        chain_limit: time_of(&a[16], "job chain limit")?,
-        starts: a[17].as_u32("job starts")?,
-        attempt_energy_j: a[18].as_f64("job attempt energy")?,
-    })
+    Ok(())
 }
+
+/// The operating plan's rows (they carry re-profile refreshes).
+struct PlanRows {
+    voltages: Vec<Vec<f64>>,
+    est_power: Vec<Vec<f64>>,
+}
+
+persist_struct!(PlanRows {
+    "voltages" => voltages,
+    "est_power" => est_power,
+});
+
+impl Section for OperatingPlan {
+    fn save_section(&self, what: &str) -> Result<Val, SnapshotError> {
+        let (voltages, est_power) = self.rows();
+        PlanRows {
+            voltages: voltages.to_vec(),
+            est_power: est_power.to_vec(),
+        }
+        .save(what)
+    }
+
+    fn restore(&mut self, v: &Val, what: &str) -> Result<(), SnapshotError> {
+        let rows = PlanRows::load(v, what)?;
+        if rows.voltages.len() != self.len() || rows.est_power.len() != self.len() {
+            return Err(SnapshotError::Mismatch(format!(
+                "plan covers {} chips, fleet has {}",
+                rows.voltages.len(),
+                self.len()
+            )));
+        }
+        *self = OperatingPlan::from_rows(rows.voltages, rows.est_power);
+        Ok(())
+    }
+}
+
+/// Per-core Min Vdd drift only happens under fault injection (the aging
+/// model); fault-free fleets are exactly their input fleet, so their wear
+/// section is `null`.
+fn save_wear(s: &SiteState) -> Result<Val, SnapshotError> {
+    if s.faults.is_none() {
+        return Ok(Val::Null);
+    }
+    let chips = s.fleet.chips.iter();
+    Ok(Val::Arr(
+        chips
+            .map(|chip| save_all(chip.cores.iter().map(|core| &core.vmin), "core vmin"))
+            .collect::<Result<_, _>>()?,
+    ))
+}
+
+fn restore_wear(s: &mut SiteState, v: &Val) -> Result<(), SnapshotError> {
+    let Some(wear) = Option::<Vec<Vec<Vec<f64>>>>::load(v, "wear")? else {
+        return Ok(());
+    };
+    let fleet_len = s.fleet.len();
+    if wear.len() != fleet_len {
+        return Err(SnapshotError::Mismatch(format!(
+            "wear covers {} chips, fleet has {fleet_len}",
+            wear.len()
+        )));
+    }
+    for (ci, (chip, cores)) in s.fleet.chips.iter_mut().zip(wear).enumerate() {
+        if cores.len() != chip.cores.len() {
+            return Err(SnapshotError::Mismatch(format!(
+                "wear for chip {ci} covers {} cores, chip has {}",
+                cores.len(),
+                chip.cores.len()
+            )));
+        }
+        for (k, (core, vmin)) in chip.cores.iter_mut().zip(cores).enumerate() {
+            if vmin.len() != core.vmin.len() {
+                return Err(SnapshotError::Mismatch(format!(
+                    "vmin for chip {ci} core {k} has {} levels, expected {}",
+                    vmin.len(),
+                    core.vmin.len()
+                )));
+            }
+            core.vmin = vmin;
+        }
+    }
+    Ok(())
+}
+
+section!(FaultState, |f| {
+    "rng" => f.rng,
+    "scan_rng" => f.scan_rng,
+    "stress_hours" => f.stress_hours,
+    "suspect" => f.suspect,
+    "draining" => f.draining,
+    "scanning" => f.scanning,
+    "pending_vmin" => f.pending_vmin,
+    "min_in_service" => f.min_in_service,
+    "reprofile_power_w" => f.reprofile_power_w,
+    "reprofile_energy_j" => f.reprofile_energy_j,
+    "timing_failures" => f.timing_failures,
+    "retries" => f.retries,
+    "failed_jobs" => f.failed_jobs,
+    "wasted_j" => f.wasted_j,
+    "chips_rescanned" => f.chips_rescanned,
+    "rescan_downtime_ms" => f.rescan_downtime,
+});
+
+section!(AuditState, |a| {
+    "demand_w" => a.demand_w,
+    // The auditor's own meters, inline as `price_meter`/`carbon_meter`.
+    ..a.costs,
+    "wind_j" => a.wind_j,
+    "utility_j" => a.utility_j,
+    "busy_ms" => a.busy_ms,
+    "deadline_misses" => a.deadline_misses,
+    "intervals" => a.intervals,
+    "demand_checks" => a.demand_checks,
+    "violations" => a.violations,
+    "suppressed" => a.suppressed,
+});
+
+section!(CarbonState, |c| {
+    "deferrals" => c.deferrals,
+    "suspensions" => c.suspensions,
+    "wasted_j" => c.wasted_j,
+});
+
+/// The telemetry recorder's sampler mid-stream.
+struct RowParts {
+    interval: SimDuration,
+    next_tick: SimTime,
+    current: Vec<f64>,
+    rows: Vec<(SimTime, Vec<f64>)>,
+}
+
+persist_struct!(RowParts {
+    "interval_ms" => interval,
+    "next_tick_ms" => next_tick,
+    "current" => current,
+    "rows" => rows,
+});
+
+impl Section for TelemetryState {
+    fn save_section(&self, what: &str) -> Result<Val, SnapshotError> {
+        let (interval, next_tick, current, rows) = self.sampler.parts();
+        RowParts {
+            interval,
+            next_tick,
+            current: current.to_vec(),
+            rows: rows.to_vec(),
+        }
+        .save(what)
+    }
+
+    fn restore(&mut self, v: &Val, what: &str) -> Result<(), SnapshotError> {
+        let p = RowParts::load(v, what)?;
+        if p.interval.is_zero() {
+            return Err(SnapshotError::Mismatch(
+                "telemetry interval must be positive".to_string(),
+            ));
+        }
+        // The input built the row buffer at this run's channel count.
+        let channels = self.row_scratch.len();
+        let rows = std::iter::once(&p.current).chain(p.rows.iter().map(|(_, row)| row));
+        if let Some(bad) = rows.map(Vec::len).find(|&n| n != channels) {
+            return Err(SnapshotError::Mismatch(format!(
+                "telemetry rows have {bad} channels, this run needs {channels}"
+            )));
+        }
+        self.sampler = RowSampler::from_parts(p.interval, p.next_tick, p.current, p.rows);
+        Ok(())
+    }
+}
+
+optional_section!(TelemetryState);
+
+// The site's snapshot document: every section after the header and the
+// pending events, in document order.
+section!(SiteState, |s| {
+    "site" => {
+        "expect_more" => s.expect_more,
+        "migrated_out" => s.migrated_out,
+        "done_count" => s.done_count,
+        "deadline_misses" => s.deadline_misses,
+        "last_account_ms" => s.last_account,
+        "current_demand_w" => s.current_demand_w,
+        "makespan_ms" => s.makespan,
+        "placements" => s.placements,
+        "queued_jobs" => s.queued_jobs,
+        // Rebuilt like the other derived caches; the stored count is
+        // cross-checked against the restored queues.
+        "busy_queues" => s.busy_queues,
+        "avail_dirty" => s.avail_dirty,
+        "rng" => s.rng,
+    },
+    "jobs" => s.jobs,
+    "queues" => s.queues,
+    "usage" => s.usage,
+    "avail" => s.avail,
+    "running" => s.running,
+    "running_at_level" => s.running_at_level,
+    "deferred" => s.deferred,
+    "ledger" => s.ledger,
+    "samplers" => s.samplers,
+    "plan" => s.plan,
+    "wear" => [save_wear, restore_wear],
+    "faults" => s.faults,
+    "audit" => s.audit,
+    "telemetry" => s.telemetry,
+    "costs" => s.costs,
+    "carbon" => s.carbon,
+    "battery" => s.battery,
+});
 
 /// Where a restored run resumes: the engine state that lives outside the
 /// [`SiteState`] (clock, step counter, admission cursor, pending events).
@@ -2968,6 +3065,21 @@ pub(crate) struct ResumePoint {
     pub(crate) steps: u64,
     pub(crate) admitted: usize,
     pub(crate) pending: Vec<(SimTime, SiteEv)>,
+}
+
+impl ResumePoint {
+    /// Re-primes a fresh engine to this point. Priming the live events in
+    /// their serialized (time, seq) order hands them consecutive fresh
+    /// sequence numbers, so equal-time ties replay exactly; events
+    /// scheduled after the resume point draw higher numbers, as they would
+    /// have in the uninterrupted run.
+    pub(crate) fn prime(&self, engine: &mut Engine<SiteEv>) {
+        for (at, ev) in &self.pending {
+            engine.prime(*at, *ev);
+        }
+        engine.advance_to(self.now);
+        engine.set_steps(self.steps);
+    }
 }
 
 impl SiteState {
@@ -2998,291 +3110,30 @@ impl SiteState {
                 "per-core operating plans are not serialized in snapshot v1".to_string(),
             ));
         }
-        let header = Val::Obj(vec![
-            ("version".to_string(), Val::Int(SNAPSHOT_VERSION as i128)),
-            ("scheme".to_string(), Val::Str(self.scheme_name.clone())),
-            ("seed".to_string(), v_u(seed)),
-            ("site_id".to_string(), v_u(self.site_id as u64)),
-            ("now_ms".to_string(), v_time(now)),
-            ("steps".to_string(), v_u(steps)),
-            ("admitted".to_string(), v_us(admitted)),
-            ("fleet_len".to_string(), v_us(self.fleet.len())),
-            ("num_levels".to_string(), v_us(self.fleet.dvfs.num_levels())),
-            ("has_faults".to_string(), Val::Bool(self.faults.is_some())),
-            ("has_audit".to_string(), Val::Bool(self.audit.is_some())),
-            (
-                "has_telemetry".to_string(),
-                Val::Bool(self.telemetry.is_some()),
-            ),
-            (
-                "has_samplers".to_string(),
-                Val::Bool(self.samplers.is_some()),
-            ),
-            ("has_carbon".to_string(), Val::Bool(self.carbon.is_some())),
-            (
-                "has_price_trace".to_string(),
-                Val::Bool(self.supply.utility_price.is_some()),
-            ),
-            (
-                "has_carbon_trace".to_string(),
-                Val::Bool(self.supply.carbon.is_some()),
-            ),
-            ("has_battery".to_string(), Val::Bool(self.battery.is_some())),
-        ]);
-        let events = Val::Arr(pending.iter().map(|(t, ev)| event_val(*t, ev)).collect());
-        let site = Val::Obj(vec![
-            ("expect_more".to_string(), Val::Bool(self.expect_more)),
-            ("migrated_out".to_string(), v_u(self.migrated_out)),
-            ("done_count".to_string(), v_us(self.done_count)),
-            ("deadline_misses".to_string(), v_us(self.deadline_misses)),
-            ("last_account_ms".to_string(), v_time(self.last_account)),
-            (
-                "current_demand_w".to_string(),
-                Val::float(self.current_demand_w, "current demand")?,
-            ),
-            ("makespan_ms".to_string(), v_time(self.makespan)),
-            ("placements".to_string(), v_u(self.placements)),
-            ("queued_jobs".to_string(), v_u(self.queued_jobs)),
-            ("busy_queues".to_string(), v_us(self.busy_queues)),
-            ("avail_dirty".to_string(), Val::Bool(self.avail_dirty)),
-            ("rng".to_string(), rng_val(&self.rng, "simulation rng")?),
-        ]);
-        let jobs = Val::Arr(self.jobs.iter().map(job_val).collect::<Result<_, _>>()?);
-        let queues = Val::Arr(
-            self.queues
+        let header = Header {
+            scheme: self.scheme_name.clone(),
+            seed,
+            site_id: self.site_id,
+            now,
+            steps,
+            admitted,
+            fleet_len: self.fleet.len(),
+            num_levels: self.fleet.dvfs.num_levels(),
+        };
+        let mut head = vec![(VERSION_KEY.to_string(), Val::Int(SNAPSHOT_VERSION as i128))];
+        head.extend(header.save(HEADER)?.into_fields());
+        head.extend(
+            PRESENCE
                 .iter()
-                .map(|q| Val::Arr(q.iter().map(|&i| v_us(i)).collect()))
-                .collect(),
+                .map(|(key, live, _)| (key.to_string(), Val::Bool(live(self)))),
         );
-        let usage = Val::Arr(self.usage.iter().map(|u| v_u(u.as_millis())).collect());
-        let avail = Val::Arr(self.avail.iter().map(|&t| v_time(t)).collect());
-        let ledger = Val::Obj(vec![
-            (
-                "wind_j".to_string(),
-                Val::float(self.ledger.wind_j, "ledger wind")?,
-            ),
-            (
-                "utility_j".to_string(),
-                Val::float(self.ledger.utility_j, "ledger utility")?,
-            ),
-        ]);
-        let samplers = match &self.samplers {
-            None => Val::Null,
-            Some(ss) => Val::Arr(ss.iter().map(sampler_val).collect::<Result<_, _>>()?),
-        };
-        let (voltages, est_power) = self.plan.rows();
-        let plan = Val::Obj(vec![
-            (
-                "voltages".to_string(),
-                Val::Arr(
-                    voltages
-                        .iter()
-                        .map(|row| f64s_val(row, "plan voltages"))
-                        .collect::<Result<_, _>>()?,
-                ),
-            ),
-            (
-                "est_power".to_string(),
-                Val::Arr(
-                    est_power
-                        .iter()
-                        .map(|row| f64s_val(row, "plan est power"))
-                        .collect::<Result<_, _>>()?,
-                ),
-            ),
-        ]);
-        // Per-core Min Vdd drift only happens under fault injection (the
-        // aging model); fault-free fleets are exactly their input fleet.
-        let wear = if self.faults.is_some() {
-            Val::Arr(
-                self.fleet
-                    .chips
-                    .iter()
-                    .map(|chip| -> Result<Val, SnapshotError> {
-                        Ok(Val::Arr(
-                            chip.cores
-                                .iter()
-                                .map(|core| f64s_val(&core.vmin, "core vmin"))
-                                .collect::<Result<_, _>>()?,
-                        ))
-                    })
-                    .collect::<Result<_, _>>()?,
-            )
-        } else {
-            Val::Null
-        };
-        let faults = match &self.faults {
-            None => Val::Null,
-            Some(f) => Val::Obj(vec![
-                ("rng".to_string(), rng_val(&f.rng, "fault rng")?),
-                (
-                    "scan_rng".to_string(),
-                    rng_val(&f.scan_rng, "re-profiling rng")?,
-                ),
-                (
-                    "stress_hours".to_string(),
-                    f64s_val(&f.stress_hours, "stress hours")?,
-                ),
-                ("suspect".to_string(), bools_val(&f.suspect)),
-                ("draining".to_string(), bools_val(&f.draining)),
-                ("scanning".to_string(), bools_val(&f.scanning)),
-                (
-                    "pending_vmin".to_string(),
-                    Val::Arr(
-                        f.pending_vmin
-                            .iter()
-                            .map(|p| match p {
-                                None => Ok(Val::Null),
-                                Some(v) => f64s_val(v, "pending vmin"),
-                            })
-                            .collect::<Result<_, _>>()?,
-                    ),
-                ),
-                ("min_in_service".to_string(), v_us(f.min_in_service)),
-                (
-                    "reprofile_power_w".to_string(),
-                    Val::float(f.reprofile_power_w, "re-profile power")?,
-                ),
-                (
-                    "reprofile_energy_j".to_string(),
-                    Val::float(f.reprofile_energy_j, "re-profile energy")?,
-                ),
-                ("timing_failures".to_string(), v_u(f.timing_failures)),
-                ("retries".to_string(), v_u(f.retries)),
-                ("failed_jobs".to_string(), v_us(f.failed_jobs)),
-                (
-                    "wasted_j".to_string(),
-                    Val::float(f.wasted_j, "wasted energy")?,
-                ),
-                ("chips_rescanned".to_string(), v_u(f.chips_rescanned)),
-                (
-                    "rescan_downtime_ms".to_string(),
-                    v_u(f.rescan_downtime.as_millis()),
-                ),
-            ]),
-        };
-        let audit = match &self.audit {
-            None => Val::Null,
-            Some(a) => Val::Obj(vec![
-                (
-                    "demand_w".to_string(),
-                    Val::float(a.demand_w, "audit demand")?,
-                ),
-                (
-                    "price_meter".to_string(),
-                    meter_val(&a.costs.price, "audit price meter")?,
-                ),
-                (
-                    "carbon_meter".to_string(),
-                    meter_val(&a.costs.carbon, "audit carbon meter")?,
-                ),
-                ("wind_j".to_string(), Val::float(a.wind_j, "audit wind")?),
-                (
-                    "utility_j".to_string(),
-                    Val::float(a.utility_j, "audit utility")?,
-                ),
-                (
-                    "busy_ms".to_string(),
-                    Val::Arr(a.busy_ms.iter().map(|&ms| v_u(ms)).collect()),
-                ),
-                ("deadline_misses".to_string(), v_us(a.deadline_misses)),
-                ("intervals".to_string(), v_u(a.intervals)),
-                ("demand_checks".to_string(), v_u(a.demand_checks)),
-                (
-                    "violations".to_string(),
-                    Val::Arr(a.violations.iter().map(|s| Val::Str(s.clone())).collect()),
-                ),
-                ("suppressed".to_string(), v_u(a.suppressed)),
-            ]),
-        };
-        let telem = match &self.telemetry {
-            None => Val::Null,
-            Some(t) => {
-                let (interval, next_tick, current, rows) = t.sampler.parts();
-                Val::Obj(vec![
-                    ("interval_ms".to_string(), v_u(interval.as_millis())),
-                    ("next_tick_ms".to_string(), v_time(next_tick)),
-                    (
-                        "current".to_string(),
-                        f64s_val(current, "telemetry current")?,
-                    ),
-                    (
-                        "rows".to_string(),
-                        Val::Arr(
-                            rows.iter()
-                                .map(|(at, row)| -> Result<Val, SnapshotError> {
-                                    Ok(Val::Arr(vec![v_time(*at), f64s_val(row, "telemetry row")?]))
-                                })
-                                .collect::<Result<_, _>>()?,
-                        ),
-                    ),
-                ])
-            }
-        };
-        let costs = Val::Obj(vec![
-            (
-                "price_meter".to_string(),
-                meter_val(&self.costs.price, "price meter")?,
-            ),
-            (
-                "carbon_meter".to_string(),
-                meter_val(&self.costs.carbon, "carbon meter")?,
-            ),
-        ]);
-        let carbon = match &self.carbon {
-            None => Val::Null,
-            Some(c) => Val::Obj(vec![
-                ("deferrals".to_string(), v_u(c.deferrals)),
-                ("suspensions".to_string(), v_u(c.suspensions)),
-                (
-                    "wasted_j".to_string(),
-                    Val::float(c.wasted_j, "carbon waste")?,
-                ),
-            ]),
-        };
-        let battery = match &self.battery {
-            None => Val::Null,
-            Some(b) => Val::Obj(vec![(
-                "stored_j".to_string(),
-                Val::float(b.stored_j, "battery charge")?,
-            )]),
-        };
-        let traces = Val::Obj(vec![
-            (
-                "price".to_string(),
-                trace_identity(self.supply.utility_price.as_ref()),
-            ),
-            (
-                "carbon".to_string(),
-                trace_identity(self.supply.carbon.as_ref()),
-            ),
-        ]);
-        Ok(snapshot::encode_lines(&[
-            ("header", header),
-            ("events", events),
-            ("site", site),
-            ("jobs", jobs),
-            ("queues", queues),
-            ("usage", usage),
-            ("avail", avail),
-            (
-                "running",
-                Val::Arr(self.running.iter().map(|&i| v_us(i)).collect()),
-            ),
-            ("running_at_level", usizes_val(&self.running_at_level)),
-            ("deferred", usizes_val(&self.deferred)),
-            ("ledger", ledger),
-            ("samplers", samplers),
-            ("plan", plan),
-            ("wear", wear),
-            ("faults", faults),
-            ("audit", audit),
-            ("telemetry", telem),
-            ("costs", costs),
-            ("carbon", carbon),
-            ("battery", battery),
-            ("traces", traces),
-        ]))
+        let mut sections = vec![
+            (HEADER.to_string(), Val::Obj(head)),
+            (EVENTS.to_string(), save_all(pending, EVENTS)?),
+        ];
+        sections.extend(self.save_section("snapshot")?.into_fields());
+        sections.push((TRACES.to_string(), Traces::of(&self.supply).save(TRACES)?));
+        Ok(snapshot::encode_lines(&sections))
     }
 
     /// Rebuilds a site mid-run from a snapshot document, returning the
@@ -3312,507 +3163,167 @@ impl SiteState {
                 "cannot restore into a per-core operating plan (snapshot v1)".to_string(),
             ));
         }
-        let sections = snapshot::decode_lines(text)?;
-        let header = snapshot::section(&sections, "header")?;
-        let version = header.get("version")?.as_i64("snapshot version")?;
+        let doc = snapshot::decode_lines(text)?;
+        let head = doc.get(HEADER)?;
+        let version = head.get(VERSION_KEY)?.as_i64("snapshot version")?;
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::Mismatch(format!(
                 "snapshot version {version} (this build reads {SNAPSHOT_VERSION})"
             )));
         }
+        let header = Header::load(head, HEADER)?;
+        if !fork && header.scheme != input.scheme_name {
+            return Err(SnapshotError::Mismatch(format!(
+                "snapshot was taken under scheme {:?}, input is {:?} (use fork to branch)",
+                header.scheme, input.scheme_name
+            )));
+        }
+        if !fork && header.seed != input.seed {
+            return Err(SnapshotError::Mismatch(format!(
+                "snapshot was taken with seed {}, input has {} (use fork to branch)",
+                header.seed, input.seed
+            )));
+        }
         let fleet_len = input.fleet.len();
+        if header.fleet_len != fleet_len {
+            return Err(SnapshotError::Mismatch(format!(
+                "snapshot fleet has {} chips, input has {fleet_len}",
+                header.fleet_len
+            )));
+        }
         let num_levels = input.fleet.dvfs.num_levels();
-        let check = |name: &str, want: bool, got: bool| -> Result<(), SnapshotError> {
-            if want != got {
-                return Err(SnapshotError::Mismatch(format!(
-                    "snapshot {name} = {got}, input has {want}"
-                )));
-            }
-            Ok(())
-        };
-        if !fork {
-            let scheme = header.get("scheme")?.as_str("snapshot scheme")?;
-            if scheme != input.scheme_name {
-                return Err(SnapshotError::Mismatch(format!(
-                    "snapshot was taken under scheme {scheme:?}, input is {:?} \
-                     (use fork to branch)",
-                    input.scheme_name
-                )));
-            }
-            let seed = header.get("seed")?.as_u64("snapshot seed")?;
-            if seed != input.seed {
-                return Err(SnapshotError::Mismatch(format!(
-                    "snapshot was taken with seed {seed}, input has {} (use fork to branch)",
-                    input.seed
-                )));
-            }
-        }
-        let snap_fleet = header.get("fleet_len")?.as_usize("snapshot fleet size")?;
-        if snap_fleet != fleet_len {
+        if header.num_levels != num_levels {
             return Err(SnapshotError::Mismatch(format!(
-                "snapshot fleet has {snap_fleet} chips, input has {fleet_len}"
+                "snapshot has {} DVFS levels, input has {num_levels}",
+                header.num_levels
             )));
         }
-        let snap_levels = header.get("num_levels")?.as_usize("snapshot levels")?;
-        if snap_levels != num_levels {
-            return Err(SnapshotError::Mismatch(format!(
-                "snapshot has {snap_levels} DVFS levels, input has {num_levels}"
-            )));
+        for (key, _, wanted) in PRESENCE {
+            let (got, want) = (bool::load(head.get(key)?, key)?, wanted(&input));
+            if got != want {
+                return Err(SnapshotError::Mismatch(format!(
+                    "snapshot {key} = {got}, input has {want}"
+                )));
+            }
         }
-        check(
-            "has_faults",
-            input.fault_injection.is_some(),
-            header.get("has_faults")?.as_bool("has_faults")?,
-        )?;
-        check(
-            "has_audit",
-            input.audit.is_some(),
-            header.get("has_audit")?.as_bool("has_audit")?,
-        )?;
-        check(
-            "has_telemetry",
-            input.telemetry.is_some(),
-            header.get("has_telemetry")?.as_bool("has_telemetry")?,
-        )?;
-        check(
-            "has_samplers",
-            input.trace_interval.is_some(),
-            header.get("has_samplers")?.as_bool("has_samplers")?,
-        )?;
-        check(
-            "has_carbon",
-            input.carbon.filter(CarbonConfig::active).is_some(),
-            header.get("has_carbon")?.as_bool("has_carbon")?,
-        )?;
-        check(
-            "has_price_trace",
-            input.supply.utility_price.is_some(),
-            header.get("has_price_trace")?.as_bool("has_price_trace")?,
-        )?;
-        check(
-            "has_carbon_trace",
-            input.supply.carbon.is_some(),
-            header
-                .get("has_carbon_trace")?
-                .as_bool("has_carbon_trace")?,
-        )?;
-        check(
-            "has_battery",
-            input.supply.battery.is_some(),
-            header.get("has_battery")?.as_bool("has_battery")?,
-        )?;
-        // Like the wind trace, the price/carbon signals are run inputs: a
-        // resume against different ones would silently rewrite history, so
-        // only forks may swap them.
         if !fork {
-            let trv = snapshot::section(&sections, "traces")?;
-            check_trace_identity(
-                input.supply.utility_price.as_ref(),
-                trv.get("price")?,
-                "utility price",
-            )?;
-            check_trace_identity(
-                input.supply.carbon.as_ref(),
-                trv.get("carbon")?,
-                "carbon intensity",
-            )?;
+            Traces::load(doc.get(TRACES)?, TRACES)?.check(&Traces::of(&input.supply))?;
         }
-        let now = time_of(header.get("now_ms")?, "snapshot clock")?;
-        let steps = header.get("steps")?.as_u64("snapshot steps")?;
-        let admitted = header.get("admitted")?.as_usize("snapshot admitted")?;
-        let pending: Vec<(SimTime, SiteEv)> = snapshot::section(&sections, "events")?
-            .as_arr("events")?
-            .iter()
-            .map(event_of)
-            .collect::<Result<_, _>>()?;
+        let pending: Vec<(SimTime, SiteEv)> = Persist::load(doc.get(EVENTS)?, EVENTS)?;
 
         let (mut site, _workload) = SiteState::new(input, site_id, false, None);
-
-        // --- jobs ---
-        let jobs_v = snapshot::section(&sections, "jobs")?.as_arr("jobs")?;
-        site.jobs = jobs_v
-            .iter()
-            .map(|v| job_of(v, fleet_len, num_levels))
-            .collect::<Result<_, _>>()?;
-        let num_jobs = site.jobs.len();
-        for (t, ev) in &pending {
-            let idx = match *ev {
-                SiteEv::Arrival(i) => Some(i),
-                SiteEv::Completion { job, .. } => Some(job),
-                SiteEv::TimingFailure { job, .. } => Some(job),
-                SiteEv::Retry { job } => Some(job),
-                _ => None,
-            };
-            if let Some(i) = idx {
-                if i >= num_jobs {
-                    return Err(SnapshotError::Mismatch(format!(
-                        "pending event at {} targets job {i}, table has {num_jobs}",
-                        t.as_millis()
-                    )));
-                }
-            }
-        }
-
-        // --- flat site scalars ---
-        let sv = snapshot::section(&sections, "site")?;
-        site.expect_more = sv.get("expect_more")?.as_bool("expect_more")?;
-        site.migrated_out = sv.get("migrated_out")?.as_u64("migrated_out")?;
-        site.done_count = sv.get("done_count")?.as_usize("done_count")?;
-        if site.done_count > num_jobs {
-            return Err(SnapshotError::Mismatch(format!(
-                "done_count {} exceeds job table size {num_jobs}",
-                site.done_count
-            )));
-        }
-        site.deadline_misses = sv.get("deadline_misses")?.as_usize("deadline_misses")?;
-        site.last_account = time_of(sv.get("last_account_ms")?, "last account")?;
-        site.current_demand_w = sv.get("current_demand_w")?.as_f64("current demand")?;
-        site.makespan = time_of(sv.get("makespan_ms")?, "makespan")?;
-        site.placements = sv.get("placements")?.as_u64("placements")?;
-        site.queued_jobs = sv.get("queued_jobs")?.as_u64("queued_jobs")?;
-        site.avail_dirty = sv.get("avail_dirty")?.as_bool("avail_dirty")?;
-        site.rng = rng_of(sv.get("rng")?, "simulation rng")?;
-
-        // --- queues / usage / avail / running sets ---
-        let queues_v = snapshot::section(&sections, "queues")?.as_arr("queues")?;
-        if queues_v.len() != fleet_len {
-            return Err(SnapshotError::Mismatch(format!(
-                "snapshot has {} chip queues, fleet has {fleet_len}",
-                queues_v.len()
-            )));
-        }
-        site.queues = queues_v
-            .iter()
-            .map(|q| {
-                Ok(indexes_of(q, "queue entry", num_jobs)?
-                    .into_iter()
-                    .collect())
-            })
-            .collect::<Result<Vec<VecDeque<usize>>, SnapshotError>>()?;
-        let usage_ms = u64s_of(snapshot::section(&sections, "usage")?, "usage")?;
-        if usage_ms.len() != fleet_len {
-            return Err(SnapshotError::Mismatch(format!(
-                "snapshot has {} usage entries, fleet has {fleet_len}",
-                usage_ms.len()
-            )));
-        }
-        site.usage = usage_ms
-            .iter()
-            .map(|&ms| SimDuration::from_millis(ms))
-            .collect();
-        let avail_v = snapshot::section(&sections, "avail")?.as_arr("avail")?;
-        if avail_v.len() != fleet_len {
-            return Err(SnapshotError::Mismatch(format!(
-                "snapshot has {} avail entries, fleet has {fleet_len}",
-                avail_v.len()
-            )));
-        }
-        site.avail = avail_v
-            .iter()
-            .map(|t| time_of(t, "avail"))
-            .collect::<Result<_, _>>()?;
-        site.running = indexes_of(
-            snapshot::section(&sections, "running")?,
-            "running job",
-            num_jobs,
-        )?;
-        let ral = u64s_of(
-            snapshot::section(&sections, "running_at_level")?,
-            "running_at_level",
-        )?;
-        if ral.len() != num_levels {
-            return Err(SnapshotError::Mismatch(format!(
-                "running_at_level has {} entries, fleet has {num_levels} levels",
-                ral.len()
-            )));
-        }
-        site.running_at_level = ral.iter().map(|&n| n as usize).collect();
-        site.deferred = indexes_of(
-            snapshot::section(&sections, "deferred")?,
-            "deferred job",
-            num_jobs,
-        )?;
-
-        // --- ledger ---
-        let lv = snapshot::section(&sections, "ledger")?;
-        site.ledger.wind_j = lv.get("wind_j")?.as_f64("ledger wind")?;
-        site.ledger.utility_j = lv.get("utility_j")?.as_f64("ledger utility")?;
-
-        // --- samplers ---
-        let samplers_v = snapshot::section(&sections, "samplers")?;
-        if !samplers_v.is_null() {
-            let ss = samplers_v.as_arr("samplers")?;
-            if ss.len() != 4 {
-                return Err(SnapshotError::Mismatch(format!(
-                    "snapshot has {} power samplers, expected 4",
-                    ss.len()
-                )));
-            }
-            let mut restored = ss.iter().map(sampler_of);
-            // Length checked above, so the four unwraps cannot miss.
-            site.samplers = Some([
-                restored.next().unwrap()?,
-                restored.next().unwrap()?,
-                restored.next().unwrap()?,
-                restored.next().unwrap()?,
-            ]);
-        }
-
-        // --- operating plan (carries re-profile refreshes) ---
-        let pv = snapshot::section(&sections, "plan")?;
-        let voltages: Vec<Vec<f64>> = pv
-            .get("voltages")?
-            .as_arr("plan voltages")?
-            .iter()
-            .map(|row| f64s_of(row, "plan voltages"))
-            .collect::<Result<_, _>>()?;
-        let est_power: Vec<Vec<f64>> = pv
-            .get("est_power")?
-            .as_arr("plan est power")?
-            .iter()
-            .map(|row| f64s_of(row, "plan est power"))
-            .collect::<Result<_, _>>()?;
-        if voltages.len() != fleet_len || est_power.len() != fleet_len {
-            return Err(SnapshotError::Mismatch(format!(
-                "plan covers {} chips, fleet has {fleet_len}",
-                voltages.len()
-            )));
-        }
-        site.plan = OperatingPlan::from_rows(voltages, est_power);
-
-        // --- fleet wear (per-core Min Vdd drift under fault injection) ---
-        let wear_v = snapshot::section(&sections, "wear")?;
-        if !wear_v.is_null() {
-            let chips = wear_v.as_arr("wear")?;
-            if chips.len() != fleet_len {
-                return Err(SnapshotError::Mismatch(format!(
-                    "wear covers {} chips, fleet has {fleet_len}",
-                    chips.len()
-                )));
-            }
-            for (ci, chip_v) in chips.iter().enumerate() {
-                let cores = chip_v.as_arr("wear chip")?;
-                let chip = &mut site.fleet.chips[ci];
-                if cores.len() != chip.cores.len() {
-                    return Err(SnapshotError::Mismatch(format!(
-                        "wear for chip {ci} covers {} cores, chip has {}",
-                        cores.len(),
-                        chip.cores.len()
-                    )));
-                }
-                for (k, core_v) in cores.iter().enumerate() {
-                    let vmin = f64s_of(core_v, "core vmin")?;
-                    if vmin.len() != chip.cores[k].vmin.len() {
-                        return Err(SnapshotError::Mismatch(format!(
-                            "vmin for chip {ci} core {k} has {} levels, expected {}",
-                            vmin.len(),
-                            chip.cores[k].vmin.len()
-                        )));
-                    }
-                    chip.cores[k].vmin = vmin;
-                }
-            }
-        }
-
-        // --- fault machinery ---
-        let fv = snapshot::section(&sections, "faults")?;
-        if let Some(f) = site.faults.as_mut() {
-            let per_chip = |v: &Vec<bool>, what: &str| -> Result<(), SnapshotError> {
-                if v.len() != fleet_len {
-                    return Err(SnapshotError::Mismatch(format!(
-                        "{what} covers {} chips, fleet has {fleet_len}",
-                        v.len()
-                    )));
-                }
-                Ok(())
-            };
-            f.rng = rng_of(fv.get("rng")?, "fault rng")?;
-            f.scan_rng = rng_of(fv.get("scan_rng")?, "re-profiling rng")?;
-            f.stress_hours = f64s_of(fv.get("stress_hours")?, "stress hours")?;
-            if f.stress_hours.len() != fleet_len {
-                return Err(SnapshotError::Mismatch(format!(
-                    "stress hours cover {} chips, fleet has {fleet_len}",
-                    f.stress_hours.len()
-                )));
-            }
-            f.suspect = bools_of(fv.get("suspect")?, "suspect set")?;
-            per_chip(&f.suspect, "suspect set")?;
-            f.draining = bools_of(fv.get("draining")?, "draining set")?;
-            per_chip(&f.draining, "draining set")?;
-            f.scanning = bools_of(fv.get("scanning")?, "scanning set")?;
-            per_chip(&f.scanning, "scanning set")?;
-            f.pending_vmin = fv
-                .get("pending_vmin")?
-                .as_arr("pending vmin")?
-                .iter()
-                .map(|p| {
-                    if p.is_null() {
-                        Ok(None)
-                    } else {
-                        f64s_of(p, "pending vmin").map(Some)
-                    }
-                })
-                .collect::<Result<_, _>>()?;
-            if f.pending_vmin.len() != fleet_len {
-                return Err(SnapshotError::Mismatch(format!(
-                    "pending vmin covers {} chips, fleet has {fleet_len}",
-                    f.pending_vmin.len()
-                )));
-            }
-            f.min_in_service = fv.get("min_in_service")?.as_usize("min in service")?;
-            f.reprofile_power_w = fv.get("reprofile_power_w")?.as_f64("re-profile power")?;
-            f.reprofile_energy_j = fv.get("reprofile_energy_j")?.as_f64("re-profile energy")?;
-            f.timing_failures = fv.get("timing_failures")?.as_u64("timing failures")?;
-            f.retries = fv.get("retries")?.as_u64("retries")?;
-            f.failed_jobs = fv.get("failed_jobs")?.as_usize("failed jobs")?;
-            f.wasted_j = fv.get("wasted_j")?.as_f64("wasted energy")?;
-            f.chips_rescanned = fv.get("chips_rescanned")?.as_u64("chips rescanned")?;
-            f.rescan_downtime =
-                SimDuration::from_millis(fv.get("rescan_downtime_ms")?.as_u64("rescan downtime")?);
-        }
-
-        // --- audit shadow books ---
-        let av = snapshot::section(&sections, "audit")?;
-        if let Some(a) = site.audit.as_mut() {
-            a.demand_w = av.get("demand_w")?.as_f64("audit demand")?;
-            a.wind_j = av.get("wind_j")?.as_f64("audit wind")?;
-            a.utility_j = av.get("utility_j")?.as_f64("audit utility")?;
-            a.busy_ms = u64s_of(av.get("busy_ms")?, "audit busy time")?;
-            if a.busy_ms.len() != fleet_len {
-                return Err(SnapshotError::Mismatch(format!(
-                    "audit busy time covers {} chips, fleet has {fleet_len}",
-                    a.busy_ms.len()
-                )));
-            }
-            a.deadline_misses = av.get("deadline_misses")?.as_usize("audit misses")?;
-            a.intervals = av.get("intervals")?.as_u64("audit intervals")?;
-            a.demand_checks = av.get("demand_checks")?.as_u64("audit checks")?;
-            meter_restore(
-                &mut a.costs.price,
-                av.get("price_meter")?,
-                "audit price meter",
-            )?;
-            meter_restore(
-                &mut a.costs.carbon,
-                av.get("carbon_meter")?,
-                "audit carbon meter",
-            )?;
-            a.violations = av
-                .get("violations")?
-                .as_arr("audit violations")?
-                .iter()
-                .map(|s| s.as_str("audit violation").map(str::to_string))
-                .collect::<Result<_, _>>()?;
-            a.suppressed = av.get("suppressed")?.as_u64("audit suppressed")?;
-        }
-
-        // --- telemetry recorder ---
-        let tv = snapshot::section(&sections, "telemetry")?;
-        if site.telemetry.is_some() {
-            let channels = telemetry::CHANNELS_BEFORE_LEVELS + num_levels + 3;
-            let interval =
-                SimDuration::from_millis(tv.get("interval_ms")?.as_u64("telemetry interval")?);
-            if interval.is_zero() {
-                return Err(SnapshotError::Mismatch(
-                    "telemetry interval must be positive".to_string(),
-                ));
-            }
-            let next_tick = time_of(tv.get("next_tick_ms")?, "telemetry next tick")?;
-            let current = f64s_of(tv.get("current")?, "telemetry current")?;
-            if current.len() != channels {
-                return Err(SnapshotError::Mismatch(format!(
-                    "telemetry rows have {} channels, this run needs {channels}",
-                    current.len()
-                )));
-            }
-            let rows: Vec<(SimTime, Vec<f64>)> = tv
-                .get("rows")?
-                .as_arr("telemetry rows")?
-                .iter()
-                .map(|r| {
-                    let pair = r.as_arr("telemetry row")?;
-                    if pair.len() != 2 {
-                        return Err(SnapshotError::Parse(
-                            "telemetry row must be [time, values]".to_string(),
-                        ));
-                    }
-                    let row = f64s_of(&pair[1], "telemetry row")?;
-                    if row.len() != channels {
-                        return Err(SnapshotError::Mismatch(format!(
-                            "telemetry row has {} channels, this run needs {channels}",
-                            row.len()
-                        )));
-                    }
-                    Ok((time_of(&pair[0], "telemetry row time")?, row))
-                })
-                .collect::<Result<_, _>>()?;
-            site.telemetry = Some(TelemetryState {
-                sampler: RowSampler::from_parts(interval, next_tick, current, rows),
-                row_scratch: vec![0.0; channels],
-            });
-        }
-
-        // --- cost/carbon meters, policy counters, battery charge ---
-        let cv = snapshot::section(&sections, "costs")?;
-        meter_restore(&mut site.costs.price, cv.get("price_meter")?, "price meter")?;
-        meter_restore(
-            &mut site.costs.carbon,
-            cv.get("carbon_meter")?,
-            "carbon meter",
-        )?;
-        let carbon_v = snapshot::section(&sections, "carbon")?;
-        if let Some(c) = site.carbon.as_mut() {
-            c.deferrals = carbon_v.get("deferrals")?.as_u64("carbon deferrals")?;
-            c.suspensions = carbon_v.get("suspensions")?.as_u64("carbon suspensions")?;
-            c.wasted_j = carbon_v.get("wasted_j")?.as_f64("carbon waste")?;
-        }
-        let battery_v = snapshot::section(&sections, "battery")?;
-        if let Some(b) = site.battery.as_mut() {
-            b.stored_j = battery_v.get("stored_j")?.as_f64("battery charge")?;
-        }
-
-        // --- derived caches, rebuilt from the restored ground truth ---
-        let mut chain_len_ms = vec![0u64; fleet_len];
-        for (c, q) in site.queues.iter().enumerate() {
-            chain_len_ms[c] = q
-                .iter()
-                .skip(1)
-                .map(|&i| site.jobs[i].job.runtime_at_fmax.as_millis())
-                .sum();
-        }
-        site.chain_len_ms = chain_len_ms;
-        let busy_queues = site.queues.iter().filter(|q| !q.is_empty()).count();
-        let snap_busy = sv.get("busy_queues")?.as_usize("busy_queues")?;
-        if busy_queues != snap_busy {
-            return Err(SnapshotError::Mismatch(format!(
-                "snapshot records {snap_busy} busy queues but its queues hold {busy_queues}"
-            )));
-        }
-        site.busy_queues = busy_queues;
-        site.rebuild_demand_aggregates();
-        // The chip indexes are keyed on packed (ms, id) integers whose
-        // ranges debug-builds assert; a snapshot is external input, so the
-        // restore path promotes those to checked errors (satellite of
-        // ISSUE 9) before any key is packed.
-        site.chip_index.set_ranking(site.plan.ranking());
-        for ci in 0..fleet_len {
-            validate_key_range(site.usage[ci].as_millis(), ci as u32)?;
-            validate_key_range(site.avail[ci].as_millis(), ci as u32)?;
-            site.chip_index.set_usage(ChipId(ci as u32), site.usage[ci]);
-        }
-        let queues = &site.queues;
-        site.chip_index
-            .rebuild_avail(&site.avail, |i| !queues[i].is_empty());
-
+        site.restore(&doc, "snapshot")?;
+        site.check_restored(&pending)?;
+        site.rebuild_derived()?;
         Ok((
             site,
             ResumePoint {
-                now,
-                steps,
-                admitted,
+                now: header.now,
+                steps: header.steps,
+                admitted: header.admitted,
                 pending,
             },
         ))
+    }
+
+    /// Checks restored state against the fleet and the job table before
+    /// any derived cache is built from it. A snapshot is outside input, so
+    /// every index and length is a checked error, never a panic.
+    fn check_restored(&self, pending: &[(SimTime, SiteEv)]) -> Result<(), SnapshotError> {
+        let fleet_len = self.fleet.len();
+        let num_levels = self.fleet.dvfs.num_levels();
+        let num_jobs = self.jobs.len();
+        for js in &self.jobs {
+            check_job(js, fleet_len, num_levels)?;
+        }
+        for (t, ev) in pending {
+            if let Some(i) = event_job(ev).filter(|&i| i >= num_jobs) {
+                return Err(SnapshotError::Mismatch(format!(
+                    "pending event at {} targets job {i}, table has {num_jobs}",
+                    t.as_millis()
+                )));
+            }
+        }
+        if self.done_count > num_jobs {
+            return Err(SnapshotError::Mismatch(format!(
+                "done_count {} exceeds job table size {num_jobs}",
+                self.done_count
+            )));
+        }
+        let mut per_chip = vec![
+            ("chip queues", self.queues.len()),
+            ("usage", self.usage.len()),
+            ("avail", self.avail.len()),
+        ];
+        if let Some(f) = &self.faults {
+            per_chip.extend([
+                ("stress hours", f.stress_hours.len()),
+                ("suspect set", f.suspect.len()),
+                ("draining set", f.draining.len()),
+                ("scanning set", f.scanning.len()),
+                ("pending vmin", f.pending_vmin.len()),
+            ]);
+        }
+        if let Some(a) = &self.audit {
+            per_chip.push(("audit busy time", a.busy_ms.len()));
+        }
+        if let Some((what, n)) = per_chip.into_iter().find(|&(_, n)| n != fleet_len) {
+            return Err(SnapshotError::Mismatch(format!(
+                "{what} covers {n} chips, fleet has {fleet_len}"
+            )));
+        }
+        if self.running_at_level.len() != num_levels {
+            return Err(SnapshotError::Mismatch(format!(
+                "running_at_level has {} entries, fleet has {num_levels} levels",
+                self.running_at_level.len()
+            )));
+        }
+        let indexes = self.queues.iter().flatten().chain(&self.running);
+        if let Some(bad) = indexes.chain(&self.deferred).find(|&&i| i >= num_jobs) {
+            return Err(SnapshotError::Mismatch(format!(
+                "job index {bad} out of range (table has {num_jobs})"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Rebuilds the caches a snapshot does not carry — chain lengths, the
+    /// busy-queue count, demand aggregates, chip indexes — from the
+    /// restored ground truth.
+    fn rebuild_derived(&mut self) -> Result<(), SnapshotError> {
+        let jobs = &self.jobs;
+        self.chain_len_ms = self
+            .queues
+            .iter()
+            .map(|q| {
+                q.iter()
+                    .skip(1)
+                    .map(|&i| jobs[i].job.runtime_at_fmax.as_millis())
+                    .sum()
+            })
+            .collect();
+        let busy_queues = self.queues.iter().filter(|q| !q.is_empty()).count();
+        if busy_queues != self.busy_queues {
+            return Err(SnapshotError::Mismatch(format!(
+                "snapshot records {} busy queues but its queues hold {busy_queues}",
+                self.busy_queues
+            )));
+        }
+        self.rebuild_demand_aggregates();
+        // The chip indexes are keyed on packed (ms, id) integers whose
+        // ranges debug builds assert; a snapshot is outside input, so the
+        // restore path promotes those to checked errors before any key is
+        // packed.
+        self.chip_index.set_ranking(self.plan.ranking());
+        for (ci, (usage, avail)) in self.usage.iter().zip(&self.avail).enumerate() {
+            validate_key_range(usage.as_millis(), ci as u32)?;
+            validate_key_range(avail.as_millis(), ci as u32)?;
+            self.chip_index.set_usage(ChipId(ci as u32), *usage);
+        }
+        let queues = &self.queues;
+        self.chip_index
+            .rebuild_avail(&self.avail, |i| !queues[i].is_empty());
+        Ok(())
     }
 }
 
@@ -3825,6 +3336,14 @@ mod snapshot_tests {
         let mut s = String::new();
         snapshot::render(v, &mut s);
         s
+    }
+
+    /// Decodes a job record and bounds-checks it against a 64-chip,
+    /// 8-level fleet, as restore does.
+    fn load_job(doc: &str) -> Result<JobState, SnapshotError> {
+        let js = JobState::load(&snapshot::parse(doc)?, "job")?;
+        check_job(&js, 64, 8)?;
+        Ok(js)
     }
 
     fn arb_time() -> impl Strategy<Value = SimTime> {
@@ -3851,8 +3370,8 @@ mod snapshot_tests {
         ]
     }
 
-    /// Job states over a 64-chip, 8-level fleet — the bounds `job_of` is
-    /// asked to enforce in the roundtrip below.
+    /// Job states over a 64-chip, 8-level fleet — the bounds `load_job`
+    /// enforces in the roundtrip below.
     fn arb_job_state() -> impl Strategy<Value = JobState> {
         let finite = any::<f64>().prop_filter("finite", |f| f.is_finite());
         (
@@ -3922,20 +3441,21 @@ mod snapshot_tests {
         /// Pending events: encode → decode → encode is byte-stable.
         #[test]
         fn prop_event_roundtrip(t in arb_time(), ev in arb_event()) {
-            let first = render(&event_val(t, &ev));
-            let (t2, ev2) = event_of(&snapshot::parse(&first).unwrap()).unwrap();
+            let first = render(&(t, ev).save("event").unwrap());
+            let (t2, ev2) =
+                <(SimTime, SiteEv)>::load(&snapshot::parse(&first).unwrap(), "event").unwrap();
             prop_assert_eq!(t2, t);
             prop_assert_eq!(ev2, ev);
-            prop_assert_eq!(render(&event_val(t2, &ev2)), first);
+            prop_assert_eq!(render(&(t2, ev2).save("event").unwrap()), first);
         }
 
         /// Job states: encode → decode → encode is byte-stable (floats
         /// bit-exact, times/ids/rows integer-exact).
         #[test]
         fn prop_job_roundtrip(js in arb_job_state()) {
-            let first = render(&job_val(&js).unwrap());
-            let back = job_of(&snapshot::parse(&first).unwrap(), 64, 8).unwrap();
-            prop_assert_eq!(render(&job_val(&back).unwrap()), first);
+            let first = render(&js.save("job").unwrap());
+            let back = load_job(&first).unwrap();
+            prop_assert_eq!(render(&back.save("job").unwrap()), first);
         }
 
         /// RNG streams: the captured state resumes at exactly the next
@@ -3950,9 +3470,9 @@ mod snapshot_tests {
                 // Leave a Box–Muller spare pending.
                 rng.std_normal();
             }
-            let first = render(&rng_val(&rng, "test rng").unwrap());
-            let mut back = rng_of(&snapshot::parse(&first).unwrap(), "test rng").unwrap();
-            prop_assert_eq!(render(&rng_val(&back, "test rng").unwrap()), first.clone());
+            let first = render(&rng.save("test rng").unwrap());
+            let mut back = SimRng::load(&snapshot::parse(&first).unwrap(), "test rng").unwrap();
+            prop_assert_eq!(render(&back.save("test rng").unwrap()), first.clone());
             // The restored stream continues bit-identically.
             for _ in 0..8 {
                 prop_assert_eq!(back.std_normal().to_bits(), rng.std_normal().to_bits());
@@ -3975,16 +3495,16 @@ mod snapshot_tests {
                 current,
                 values,
             );
-            let first = render(&sampler_val(&s).unwrap());
-            let back = sampler_of(&snapshot::parse(&first).unwrap()).unwrap();
-            prop_assert_eq!(render(&sampler_val(&back).unwrap()), first);
+            let first = render(&s.save("sampler").unwrap());
+            let back = Sampler::load(&snapshot::parse(&first).unwrap(), "sampler").unwrap();
+            prop_assert_eq!(render(&back.save("sampler").unwrap()), first);
         }
     }
 
     #[test]
     fn event_decoder_rejects_unknown_tags() {
         let v = snapshot::parse("[5,[\"explode\"]]").unwrap();
-        assert!(event_of(&v).is_err());
+        assert!(<(SimTime, SiteEv)>::load(&v, "event").is_err());
     }
 
     #[test]
@@ -4012,19 +3532,17 @@ mod snapshot_tests {
             starts: 1,
             attempt_energy_j: 0.0,
         };
-        let doc = render(&job_val(&js).unwrap());
-        let v = snapshot::parse(&doc).unwrap();
-        assert!(job_of(&v, 64, 8).is_err(), "chip 99 must be rejected");
+        let doc = render(&js.save("job").unwrap());
+        assert!(load_job(&doc).is_err(), "chip 99 must be rejected");
         js.chips = vec![ChipId(1)];
         js.level = FreqLevel(12);
-        let doc = render(&job_val(&js).unwrap());
-        let v = snapshot::parse(&doc).unwrap();
-        assert!(job_of(&v, 64, 8).is_err(), "level 12 must be rejected");
+        let doc = render(&js.save("job").unwrap());
+        assert!(load_job(&doc).is_err(), "level 12 must be rejected");
     }
 
     #[test]
     fn rng_decoder_rejects_all_zero_state() {
         let v = snapshot::parse("{\"words\":[0,0,0,0],\"spare\":null}").unwrap();
-        assert!(rng_of(&v, "test rng").is_err());
+        assert!(SimRng::load(&v, "test rng").is_err());
     }
 }

@@ -9,18 +9,24 @@
 //!
 //! The vendored `serde_json` stand-in can render but not parse
 //! (vendor/README.md), so both directions are hand-rolled here around a
-//! small JSON value tree ([`Val`]). Floats are written with `Display`'s
-//! shortest-round-trip decimal form (the same idiom the telemetry codec
-//! uses), which parses back to the identical bits — encode → decode →
-//! encode is byte-stable, and the property tests below pin that.
+//! small JSON value tree ([`Val`]), which the telemetry JSONL codec
+//! shares. Floats are written with `Display`'s shortest-round-trip
+//! decimal form, which parses back to the identical bits — encode →
+//! decode → encode is byte-stable, and the property tests below pin that.
 //!
 //! Document layout: one JSON object per line, `{"section":"<name>",
 //! "data":<value>}`. The first section is always `header` (version,
 //! scheme, seed, clock, step and admission counters); the remaining
-//! sections are produced and consumed by `SiteState::capture` /
-//! `SiteState::restore_parts` in `site.rs`, which owns the field-level
-//! schema. Section order is fixed, so equal states produce equal bytes.
+//! sections follow the field lists in `site.rs`, which own the
+//! field-level schema. Each field is declared once, in a `section!` or
+//! `persist_struct!` list built on the [`Persist`] / [`Section`] traits
+//! below; `SiteState::capture` and `SiteState::restore_from` both expand
+//! from those lists. Section order is fixed, so equal states produce
+//! equal bytes.
 
+use iscope_dcsim::{RngSnapshot, Sampler, SimDuration, SimRng, SimTime};
+use iscope_energy::{BatteryState, CostMeter, EnergyLedger, SignalMeter};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Current snapshot document version. Bumped on any schema change; the
@@ -136,16 +142,6 @@ impl Val {
             .map_err(|_| SnapshotError::Mismatch(format!("{what} out of u64 range")))
     }
 
-    pub(crate) fn as_u32(&self, what: &str) -> Result<u32, SnapshotError> {
-        u32::try_from(self.as_int(what)?)
-            .map_err(|_| SnapshotError::Mismatch(format!("{what} out of u32 range")))
-    }
-
-    pub(crate) fn as_usize(&self, what: &str) -> Result<usize, SnapshotError> {
-        usize::try_from(self.as_int(what)?)
-            .map_err(|_| SnapshotError::Mismatch(format!("{what} out of usize range")))
-    }
-
     pub(crate) fn as_f64(&self, what: &str) -> Result<f64, SnapshotError> {
         match self {
             Val::Float(v) => Ok(*v),
@@ -177,11 +173,418 @@ impl Val {
     pub(crate) fn is_null(&self) -> bool {
         matches!(self, Val::Null)
     }
+
+    /// The key/value pairs of an object built by a field list.
+    pub(crate) fn into_fields(self) -> Vec<(String, Val)> {
+        match self {
+            Val::Obj(fields) => fields,
+            other => unreachable!("field lists build objects, not {}", other.kind()),
+        }
+    }
 }
 
 fn type_err(what: &str, want: &str, got: &Val) -> SnapshotError {
     SnapshotError::Parse(format!("{what}: expected {want}, found {}", got.kind()))
 }
+
+// ---------------------------------------------------------------------------
+// Field-list persistence
+//
+// Every serialized field is declared exactly once, in a `"key" => field`
+// list (`section!` / `persist_struct!`); capture and restore both expand
+// from that list, so the two directions cannot drift apart.
+// ---------------------------------------------------------------------------
+
+/// A value that round-trips through a [`Val`]: leaf types and containers
+/// of them. `what` labels errors (it is the field's key).
+pub(crate) trait Persist: Sized {
+    fn save(&self, what: &str) -> Result<Val, SnapshotError>;
+    fn load(v: &Val, what: &str) -> Result<Self, SnapshotError>;
+}
+
+/// State restored *in place*: a component rebuilt from the run input
+/// whose snapshot fields are then overwritten, keeping whatever the input
+/// configures and the snapshot does not carry (a meter's flat rate, a
+/// component's config). Every [`Persist`] value is a `Section` that
+/// restores by replacement.
+pub(crate) trait Section {
+    fn save_section(&self, what: &str) -> Result<Val, SnapshotError>;
+    fn restore(&mut self, v: &Val, what: &str) -> Result<(), SnapshotError>;
+}
+
+impl<T: Persist> Section for T {
+    fn save_section(&self, what: &str) -> Result<Val, SnapshotError> {
+        self.save(what)
+    }
+
+    fn restore(&mut self, v: &Val, what: &str) -> Result<(), SnapshotError> {
+        *self = T::load(v, what)?;
+        Ok(())
+    }
+}
+
+/// Declares a component's snapshot object as one `"key" => place` list
+/// and derives [`Section`] for it and for `Option<T>` (see
+/// [`optional_section!`]). A value may be a nested `{ ... }` list (an
+/// inline object of the same component) or `[save_fn, restore_fn]` for a
+/// section computed from several fields; `..place` splices another
+/// component's fields into this object.
+/// Expects `Val`, `SnapshotError` and `Section` in scope.
+macro_rules! section {
+    ($ty:ty, |$s:ident| { $($body:tt)* }) => {
+        impl Section for $ty {
+            // The list expands to one push per entry.
+            #[allow(clippy::vec_init_then_push)]
+            fn save_section(&self, _what: &str) -> Result<Val, SnapshotError> {
+                let $s = self;
+                let mut fields = Vec::new();
+                $crate::snapshot::section!(@save $s fields $($body)*);
+                Ok(Val::Obj(fields))
+            }
+
+            fn restore(&mut self, v: &Val, _what: &str) -> Result<(), SnapshotError> {
+                let $s = self;
+                $crate::snapshot::section!(@restore $s v $($body)*);
+                Ok(())
+            }
+        }
+
+        $crate::snapshot::optional_section!($ty);
+    };
+    (@save $s:ident $out:ident) => {};
+    (@save $s:ident $out:ident .. $e:expr $(, $($rest:tt)*)?) => {
+        $out.extend(Section::save_section(&$e, "")?.into_fields());
+        $crate::snapshot::section!(@save $s $out $($($rest)*)?);
+    };
+    (@save $s:ident $out:ident $key:literal => { $($inner:tt)* } $(, $($rest:tt)*)?) => {
+        let mut inner = Vec::new();
+        $crate::snapshot::section!(@save $s inner $($inner)*);
+        $out.push(($key.to_string(), Val::Obj(inner)));
+        $crate::snapshot::section!(@save $s $out $($($rest)*)?);
+    };
+    (@save $s:ident $out:ident $key:literal => [$save:path, $restore:path]
+        $(, $($rest:tt)*)?) => {
+        $out.push(($key.to_string(), $save($s)?));
+        $crate::snapshot::section!(@save $s $out $($($rest)*)?);
+    };
+    (@save $s:ident $out:ident $key:literal => $e:expr $(, $($rest:tt)*)?) => {
+        $out.push(($key.to_string(), Section::save_section(&$e, $key)?));
+        $crate::snapshot::section!(@save $s $out $($($rest)*)?);
+    };
+    (@restore $s:ident $v:ident) => {};
+    (@restore $s:ident $v:ident .. $e:expr $(, $($rest:tt)*)?) => {
+        Section::restore(&mut $e, $v, "")?;
+        $crate::snapshot::section!(@restore $s $v $($($rest)*)?);
+    };
+    (@restore $s:ident $v:ident $key:literal => { $($inner:tt)* } $(, $($rest:tt)*)?) => {
+        let inner = $v.get($key)?;
+        $crate::snapshot::section!(@restore $s inner $($inner)*);
+        $crate::snapshot::section!(@restore $s $v $($($rest)*)?);
+    };
+    (@restore $s:ident $v:ident $key:literal => [$save:path, $restore:path]
+        $(, $($rest:tt)*)?) => {
+        $restore($s, $v.get($key)?)?;
+        $crate::snapshot::section!(@restore $s $v $($($rest)*)?);
+    };
+    (@restore $s:ident $v:ident $key:literal => $e:expr $(, $($rest:tt)*)?) => {
+        Section::restore(&mut $e, $v.get($key)?, $key)?;
+        $crate::snapshot::section!(@restore $s $v $($($rest)*)?);
+    };
+}
+pub(crate) use section;
+
+/// Derives [`Section`] for an optional component: `None` saves as `null`
+/// and restores nothing (the header's presence flags have already matched
+/// the input against the snapshot).
+macro_rules! optional_section {
+    ($ty:ty) => {
+        impl Section for Option<$ty> {
+            fn save_section(&self, what: &str) -> Result<Val, SnapshotError> {
+                self.as_ref()
+                    .map_or(Ok(Val::Null), |c| c.save_section(what))
+            }
+
+            fn restore(&mut self, v: &Val, what: &str) -> Result<(), SnapshotError> {
+                self.as_mut().map_or(Ok(()), |c| c.restore(v, what))
+            }
+        }
+    };
+}
+pub(crate) use optional_section;
+
+/// Declares a plain value struct's snapshot object as one
+/// `"key" => field` list and derives [`Persist`] for it (every field is
+/// listed, so `load` builds the struct outright). Expects `Val`,
+/// `SnapshotError` and `Persist` in scope.
+macro_rules! persist_struct {
+    ($ty:ident { $($key:literal => $field:ident),* $(,)? }) => {
+        impl Persist for $ty {
+            fn save(&self, _what: &str) -> Result<Val, SnapshotError> {
+                Ok(Val::Obj(vec![$(($key.to_string(), self.$field.save($key)?)),*]))
+            }
+
+            fn load(v: &Val, _what: &str) -> Result<Self, SnapshotError> {
+                Ok($ty {
+                    $($field: Persist::load(v.get($key)?, $key)?,)*
+                })
+            }
+        }
+    };
+}
+pub(crate) use persist_struct;
+
+macro_rules! persist_int {
+    ($($t:ty),*) => {$(
+        impl Persist for $t {
+            fn save(&self, _what: &str) -> Result<Val, SnapshotError> {
+                Ok(Val::Int(*self as i128))
+            }
+
+            fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
+                <$t>::try_from(v.as_int(what)?).map_err(|_| {
+                    SnapshotError::Mismatch(format!(
+                        "{what} out of {} range",
+                        stringify!($t)
+                    ))
+                })
+            }
+        }
+    )*};
+}
+persist_int!(u8, u32, u64, usize, i64);
+
+impl Persist for bool {
+    fn save(&self, _what: &str) -> Result<Val, SnapshotError> {
+        Ok(Val::Bool(*self))
+    }
+
+    fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
+        v.as_bool(what)
+    }
+}
+
+impl Persist for f64 {
+    fn save(&self, what: &str) -> Result<Val, SnapshotError> {
+        Val::float(*self, what)
+    }
+
+    fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
+        v.as_f64(what)
+    }
+}
+
+impl Persist for String {
+    fn save(&self, _what: &str) -> Result<Val, SnapshotError> {
+        Ok(Val::Str(self.clone()))
+    }
+
+    fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
+        v.as_str(what).map(str::to_string)
+    }
+}
+
+// Times and durations as integer milliseconds.
+macro_rules! persist_millis {
+    ($($t:ident),*) => {$(
+        impl Persist for $t {
+            fn save(&self, _what: &str) -> Result<Val, SnapshotError> {
+                Ok(Val::Int(self.as_millis() as i128))
+            }
+
+            fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
+                Ok($t::from_millis(v.as_u64(what)?))
+            }
+        }
+    )*};
+}
+persist_millis!(SimTime, SimDuration);
+
+/// Saves a sequence as a JSON array.
+pub(crate) fn save_all<'a, T: Persist + 'a>(
+    items: impl IntoIterator<Item = &'a T>,
+    what: &str,
+) -> Result<Val, SnapshotError> {
+    Ok(Val::Arr(
+        items
+            .into_iter()
+            .map(|x| x.save(what))
+            .collect::<Result<_, _>>()?,
+    ))
+}
+
+fn load_all<T: Persist, C: FromIterator<T>>(v: &Val, what: &str) -> Result<C, SnapshotError> {
+    v.as_arr(what)?.iter().map(|x| T::load(x, what)).collect()
+}
+
+macro_rules! persist_seq {
+    ($($seq:ident),*) => {$(
+        impl<T: Persist> Persist for $seq<T> {
+            fn save(&self, what: &str) -> Result<Val, SnapshotError> {
+                save_all(self, what)
+            }
+
+            fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
+                load_all(v, what)
+            }
+        }
+    )*};
+}
+persist_seq!(Vec, VecDeque);
+
+/// A fixed-length array; any other length is a mismatch.
+impl<T: Persist, const N: usize> Persist for [T; N] {
+    fn save(&self, what: &str) -> Result<Val, SnapshotError> {
+        save_all(self, what)
+    }
+
+    fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
+        let items: Vec<T> = load_all(v, what)?;
+        let found = items.len();
+        items.try_into().map_err(|_| {
+            SnapshotError::Mismatch(format!("{what}: expected {N} entries, found {found}"))
+        })
+    }
+}
+
+/// `None` is `null`.
+impl<T: Persist> Persist for Option<T> {
+    fn save(&self, what: &str) -> Result<Val, SnapshotError> {
+        self.as_ref().map_or(Ok(Val::Null), |x| x.save(what))
+    }
+
+    fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
+        if v.is_null() {
+            Ok(None)
+        } else {
+            T::load(v, what).map(Some)
+        }
+    }
+}
+
+/// A pair is a two-element array.
+impl<A: Persist, B: Persist> Persist for (A, B) {
+    fn save(&self, what: &str) -> Result<Val, SnapshotError> {
+        Ok(Val::Arr(vec![self.0.save(what)?, self.1.save(what)?]))
+    }
+
+    fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
+        match v.as_arr(what)? {
+            [a, b] => Ok((A::load(a, what)?, B::load(b, what)?)),
+            _ => Err(SnapshotError::Parse(format!("{what} must be a pair"))),
+        }
+    }
+}
+
+/// The xoshiro state words plus the pending Box–Muller spare.
+struct RngParts {
+    words: Vec<u64>,
+    spare: Option<f64>,
+}
+
+persist_struct!(RngParts {
+    "words" => words,
+    "spare" => spare,
+});
+
+impl Persist for SimRng {
+    fn save(&self, what: &str) -> Result<Val, SnapshotError> {
+        let s = self.snapshot();
+        RngParts {
+            words: s.words.to_vec(),
+            spare: s.spare_normal,
+        }
+        .save(what)
+    }
+
+    fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
+        let parts = RngParts::load(v, what)?;
+        let words: [u64; 4] = parts.words.as_slice().try_into().map_err(|_| {
+            SnapshotError::Parse(format!(
+                "{what}: expected 4 state words, found {}",
+                parts.words.len()
+            ))
+        })?;
+        if words == [0; 4] {
+            return Err(SnapshotError::Mismatch(format!(
+                "{what}: all-zero xoshiro state is invalid"
+            )));
+        }
+        Ok(SimRng::restore(&RngSnapshot {
+            words,
+            spare_normal: parts.spare,
+        }))
+    }
+}
+
+/// A power sampler mid-stream.
+struct SamplerParts {
+    name: String,
+    interval: SimDuration,
+    next_tick: SimTime,
+    current: f64,
+    values: Vec<f64>,
+}
+
+persist_struct!(SamplerParts {
+    "name" => name,
+    "interval_ms" => interval,
+    "next_tick_ms" => next_tick,
+    "current" => current,
+    "values" => values,
+});
+
+impl Persist for Sampler {
+    fn save(&self, what: &str) -> Result<Val, SnapshotError> {
+        let (name, interval, next_tick, current, values) = self.parts();
+        SamplerParts {
+            name: name.to_string(),
+            interval,
+            next_tick,
+            current,
+            values: values.to_vec(),
+        }
+        .save(what)
+    }
+
+    fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
+        let p = SamplerParts::load(v, what)?;
+        if p.interval.is_zero() {
+            return Err(SnapshotError::Mismatch(format!(
+                "{what}: sampler interval must be positive"
+            )));
+        }
+        Ok(Sampler::from_parts(
+            p.name,
+            p.interval,
+            p.next_tick,
+            p.current,
+            p.values,
+        ))
+    }
+}
+
+// A cost meter's open segment and total; its flat rate comes from the
+// run input (a fork may change it).
+section!(SignalMeter, |m| {
+    "seg_value" => m.seg_value,
+    "seg_j" => m.seg_j,
+    "total" => m.total,
+});
+
+section!(CostMeter, |c| {
+    "price_meter" => c.price,
+    "carbon_meter" => c.carbon,
+});
+
+persist_struct!(EnergyLedger {
+    "wind_j" => wind_j,
+    "utility_j" => utility_j,
+});
+
+// The battery's charge; its ratings come from the run input.
+section!(BatteryState, |b| {
+    "stored_j" => b.stored_j,
+});
 
 /// Renders a value as compact JSON (no whitespace). Deterministic: object
 /// keys stay in authoring order, floats use the shortest decimal that
@@ -524,37 +927,40 @@ impl<'a> Parser<'a> {
 
 /// Renders named sections as the snapshot JSONL document (one
 /// `{"section":name,"data":value}` object per line, trailing newline).
-pub(crate) fn encode_lines(sections: &[(&str, Val)]) -> String {
+pub(crate) fn encode_lines(sections: &[(String, Val)]) -> String {
     let mut out = String::new();
     for (name, data) in sections {
-        let line = Val::Obj(vec![
-            ("section".to_string(), Val::Str((*name).to_string())),
-            ("data".to_string(), data.clone()),
-        ]);
-        render(&line, &mut out);
-        out.push('\n');
+        out.push_str("{\"section\":");
+        render_string(name, &mut out);
+        out.push_str(",\"data\":");
+        render(data, &mut out);
+        out.push_str("}\n");
     }
     out
 }
 
-/// Parses a snapshot JSONL document back into its named sections. Blank
-/// lines are skipped; section names must be unique.
-pub(crate) fn decode_lines(text: &str) -> Result<Vec<(String, Val)>, SnapshotError> {
+/// Parses a snapshot JSONL document back into one object keyed by section
+/// name. Blank lines are skipped; section names must be unique.
+pub(crate) fn decode_lines(text: &str) -> Result<Val, SnapshotError> {
     let mut sections: Vec<(String, Val)> = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let v = parse(line).map_err(|e| SnapshotError::Parse(format!("line {}: {e}", i + 1)))?;
+        let at_line = |e: SnapshotError| SnapshotError::Parse(format!("line {}: {e}", i + 1));
+        let v = parse(line).map_err(at_line)?;
         let name = v
             .get("section")
             .and_then(|s| s.as_str("section"))
-            .map_err(|e| SnapshotError::Parse(format!("line {}: {e}", i + 1)))?
+            .map_err(at_line)?
             .to_string();
-        let data = v
-            .get("data")
-            .map_err(|e| SnapshotError::Parse(format!("line {}: {e}", i + 1)))?
-            .clone();
+        let Val::Obj(fields) = v else {
+            unreachable!("`get` found a key, so the line is an object")
+        };
+        let data = fields
+            .into_iter()
+            .find_map(|(k, d)| (k == "data").then_some(d))
+            .ok_or_else(|| at_line(SnapshotError::Parse("missing key \"data\"".into())))?;
         if sections.iter().any(|(n, _)| *n == name) {
             return Err(SnapshotError::Parse(format!(
                 "line {}: duplicate section {name:?}",
@@ -566,19 +972,7 @@ pub(crate) fn decode_lines(text: &str) -> Result<Vec<(String, Val)>, SnapshotErr
     if sections.is_empty() {
         return Err(SnapshotError::Parse("empty snapshot document".into()));
     }
-    Ok(sections)
-}
-
-/// Finds a named section in a decoded document.
-pub(crate) fn section<'a>(
-    sections: &'a [(String, Val)],
-    name: &str,
-) -> Result<&'a Val, SnapshotError> {
-    sections
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v)
-        .ok_or_else(|| SnapshotError::Parse(format!("missing section {name:?}")))
+    Ok(Val::Obj(sections))
 }
 
 #[cfg(test)]
@@ -713,20 +1107,27 @@ mod tests {
 
     #[test]
     fn document_sections_round_trip() {
-        let doc = encode_lines(&[
-            ("header", Val::Obj(vec![("version".into(), Val::Int(1))])),
-            ("events", Val::Arr(vec![Val::Int(3)])),
-        ]);
+        let sections = vec![
+            (
+                "header".to_string(),
+                Val::Obj(vec![("version".into(), Val::Int(1))]),
+            ),
+            ("events".to_string(), Val::Arr(vec![Val::Int(3)])),
+        ];
+        let doc = encode_lines(&sections);
         assert_eq!(doc.lines().count(), 2);
         let back = decode_lines(&doc).unwrap();
-        assert_eq!(back.len(), 2);
         assert_eq!(
-            section(&back, "header").unwrap().get("version").unwrap(),
+            back.get("header").unwrap().get("version").unwrap(),
             &Val::Int(1)
         );
-        assert!(section(&back, "missing").is_err());
+        assert!(back.get("missing").is_err());
+        let Val::Obj(back) = back else {
+            panic!("a document decodes to an object")
+        };
+        assert_eq!(back, sections);
         assert_eq!(
-            encode_lines(&[("header", back[0].1.clone()), ("events", back[1].1.clone()),]),
+            encode_lines(&back),
             doc,
             "encode -> decode -> encode is byte-stable"
         );
@@ -734,7 +1135,7 @@ mod tests {
 
     #[test]
     fn duplicate_sections_are_rejected() {
-        let doc = encode_lines(&[("a", Val::Null), ("a", Val::Null)]);
+        let doc = encode_lines(&[("a".into(), Val::Null), ("a".into(), Val::Null)]);
         assert!(decode_lines(&doc).is_err());
     }
 

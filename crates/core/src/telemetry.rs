@@ -13,11 +13,12 @@
 //!
 //! The records travel to disk as JSONL (one object per line). The vendored
 //! `serde_json` stand-in can render but not parse (vendor/README.md), so
-//! both directions are hand-rolled here — [`render_jsonl`] and
-//! [`parse_jsonl`] — against the fixed schema documented in
-//! EXPERIMENTS.md. The serde derives remain so real serde round-trips the
-//! records once available.
+//! both directions — [`render_jsonl`] and [`parse_jsonl`] — run on the
+//! snapshot module's JSON codec ([`crate::snapshot`]) against the fixed
+//! schema documented in EXPERIMENTS.md. The serde derives remain so real
+//! serde round-trips the records once available.
 
+use crate::snapshot::{self, Val};
 use iscope_dcsim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -102,34 +103,30 @@ pub(crate) fn record_from_row(
     }
 }
 
-fn render_f64(v: f64) -> String {
-    debug_assert!(v.is_finite(), "telemetry values must be finite");
-    // `Display` for f64 prints the shortest decimal that parses back to
-    // the same bits, so the JSONL round-trip below is exact.
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') {
-        s
-    } else {
-        format!("{s}.0")
-    }
-}
-
 /// Renders one record as a single JSON line (no trailing newline).
 pub fn render_line(r: &TelemetryRecord) -> String {
-    let levels: Vec<String> = r.level_jobs.iter().map(|v| v.to_string()).collect();
-    format!(
-        "{{\"site\":{},\"t_s\":{},\"supply_w\":{},\"demand_w\":{},\"utility_w\":{},\"queue_depth\":{},\"level_jobs\":[{}],\"quarantined\":{},\"gco2\":{},\"cost_usd\":{}}}",
-        r.site,
-        render_f64(r.t_s),
-        render_f64(r.supply_w),
-        render_f64(r.demand_w),
-        render_f64(r.utility_w),
-        r.queue_depth,
-        levels.join(","),
-        r.quarantined,
-        render_f64(r.gco2),
-        render_f64(r.cost_usd),
-    )
+    let int = |n: u64| Val::Int(n as i128);
+    let fields = [
+        ("site", int(r.site)),
+        ("t_s", Val::Float(r.t_s)),
+        ("supply_w", Val::Float(r.supply_w)),
+        ("demand_w", Val::Float(r.demand_w)),
+        ("utility_w", Val::Float(r.utility_w)),
+        ("queue_depth", int(r.queue_depth)),
+        (
+            "level_jobs",
+            Val::Arr(r.level_jobs.iter().map(|&n| int(n)).collect()),
+        ),
+        ("quarantined", int(r.quarantined)),
+        ("gco2", Val::Float(r.gco2)),
+        ("cost_usd", Val::Float(r.cost_usd)),
+    ];
+    let mut out = String::new();
+    snapshot::render(
+        &Val::Obj(fields.map(|(k, v)| (k.to_string(), v)).to_vec()),
+        &mut out,
+    );
+    out
 }
 
 /// Renders records as JSONL: one object per line, trailing newline.
@@ -155,11 +152,9 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TelemetryRecord>, String> {
 
 /// Parses one JSON object line into a record.
 pub fn parse_line(line: &str) -> Result<TelemetryRecord, String> {
-    let body = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or("record is not a JSON object")?;
+    let Val::Obj(fields) = snapshot::parse(line).map_err(|e| e.to_string())? else {
+        return Err("record is not a JSON object".into());
+    };
     let mut r = TelemetryRecord {
         site: 0, // absent in pre-federation JSONL: those streams were site 0
         t_s: f64::NAN,
@@ -173,28 +168,31 @@ pub fn parse_line(line: &str) -> Result<TelemetryRecord, String> {
         cost_usd: 0.0, // absent in pre-carbon JSONL: nothing was booked
     };
     let mut seen_levels = false;
-    for (key, value) in split_fields(body)? {
-        match key {
-            "site" => r.site = parse_int(value)?,
-            "gco2" => r.gco2 = parse_num(value)?,
-            "cost_usd" => r.cost_usd = parse_num(value)?,
-            "t_s" => r.t_s = parse_num(value)?,
-            "supply_w" => r.supply_w = parse_num(value)?,
-            "demand_w" => r.demand_w = parse_num(value)?,
-            "utility_w" => r.utility_w = parse_num(value)?,
-            "queue_depth" => r.queue_depth = parse_int(value)?,
-            "quarantined" => r.quarantined = parse_int(value)?,
+    for (key, value) in &fields {
+        let int = |v: &Val| v.as_u64(key).map_err(|e| e.to_string());
+        // A float channel also accepts an integer literal (`"t_s":0`).
+        let num = || match value {
+            Val::Float(x) => Ok(*x),
+            Val::Int(n) => Ok(*n as f64),
+            _ => Err(format!("{key} is not a number")),
+        };
+        match key.as_str() {
+            "site" => r.site = int(value)?,
+            "gco2" => r.gco2 = num()?,
+            "cost_usd" => r.cost_usd = num()?,
+            "t_s" => r.t_s = num()?,
+            "supply_w" => r.supply_w = num()?,
+            "demand_w" => r.demand_w = num()?,
+            "utility_w" => r.utility_w = num()?,
+            "queue_depth" => r.queue_depth = int(value)?,
+            "quarantined" => r.quarantined = int(value)?,
             "level_jobs" => {
-                let inner = value
-                    .strip_prefix('[')
-                    .and_then(|s| s.strip_suffix(']'))
-                    .ok_or("level_jobs is not an array")?;
-                if !inner.trim().is_empty() {
-                    r.level_jobs = inner
-                        .split(',')
-                        .map(parse_int)
-                        .collect::<Result<Vec<u64>, String>>()?;
-                }
+                r.level_jobs = value
+                    .as_arr(key)
+                    .map_err(|e| e.to_string())?
+                    .iter()
+                    .map(int)
+                    .collect::<Result<_, _>>()?;
                 seen_levels = true;
             }
             other => return Err(format!("unknown key {other:?}")),
@@ -211,57 +209,6 @@ pub fn parse_line(line: &str) -> Result<TelemetryRecord, String> {
         return Err("record is missing required keys".into());
     }
     Ok(r)
-}
-
-/// Splits a flat JSON object body into `(key, raw value)` pairs. Values
-/// are numbers or number arrays, so the only nesting to respect is one
-/// level of brackets (keys never contain commas or colons).
-fn split_fields(body: &str) -> Result<Vec<(&str, &str)>, String> {
-    let mut fields = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    let bytes = body.as_bytes();
-    for (i, &b) in bytes.iter().enumerate() {
-        match b {
-            b'[' => depth += 1,
-            b']' => depth = depth.checked_sub(1).ok_or("unbalanced brackets")?,
-            b',' if depth == 0 => {
-                fields.push(&body[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if depth != 0 {
-        return Err("unbalanced brackets".into());
-    }
-    if !body[start..].trim().is_empty() {
-        fields.push(&body[start..]);
-    }
-    fields
-        .into_iter()
-        .map(|f| {
-            let (k, v) = f.split_once(':').ok_or("field without a colon")?;
-            let key = k
-                .trim()
-                .strip_prefix('"')
-                .and_then(|s| s.strip_suffix('"'))
-                .ok_or("key is not a string")?;
-            Ok((key, v.trim()))
-        })
-        .collect()
-}
-
-fn parse_num(s: &str) -> Result<f64, String> {
-    s.trim()
-        .parse::<f64>()
-        .map_err(|e| format!("bad number {s:?}: {e}"))
-}
-
-fn parse_int(s: &str) -> Result<u64, String> {
-    s.trim()
-        .parse::<u64>()
-        .map_err(|e| format!("bad integer {s:?}: {e}"))
 }
 
 #[cfg(test)]
@@ -293,6 +240,18 @@ mod tests {
     }
 
     #[test]
+    fn line_bytes_are_pinned() {
+        // The JSONL schema EXPERIMENTS.md documents: key order, integral
+        // floats with a `.0` suffix, integers bare, no whitespace.
+        assert_eq!(
+            render_line(&record(600.0)),
+            "{\"site\":0,\"t_s\":600.0,\"supply_w\":12500.25,\"demand_w\":9800.0,\
+             \"utility_w\":0.0,\"queue_depth\":7,\"level_jobs\":[0,1,0,3,9],\
+             \"quarantined\":2,\"gco2\":1234.5,\"cost_usd\":0.875}"
+        );
+    }
+
+    #[test]
     fn round_trip_is_bit_exact_for_awkward_floats() {
         let mut r = record(0.1);
         r.supply_w = 1.0 / 3.0;
@@ -317,6 +276,21 @@ mod tests {
             "unknown key must be rejected"
         );
         assert!(parse_jsonl("{\"t_s\":oops}\n").is_err());
+    }
+
+    #[test]
+    fn integer_literals_parse_in_float_fields() {
+        let line = "{\"t_s\":0,\"supply_w\":1,\"demand_w\":1.5,\"utility_w\":0,\
+                    \"queue_depth\":0,\"level_jobs\":[0],\"quarantined\":0,\"gco2\":2}";
+        let r = parse_line(line).unwrap();
+        assert_eq!(
+            (r.t_s, r.supply_w, r.utility_w, r.gco2),
+            (0.0, 1.0, 0.0, 2.0)
+        );
+        assert!(
+            parse_line(&line.replace("\"queue_depth\":0", "\"queue_depth\":0.5")).is_err(),
+            "an integer channel still rejects a float"
+        );
     }
 
     #[test]

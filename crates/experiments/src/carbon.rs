@@ -230,7 +230,7 @@ pub fn smoke() {
         );
     }
 
-    // 3. Bit-identity of the carbon-off path: whole-report JSON and
+    // 3. Bit-identity of the carbon-off path: whole-report Debug text and
     //    telemetry bytes against (a) a neutral config, (b) a constant
     //    price trace holding the flat book price.
     let bare = || {
@@ -252,9 +252,9 @@ pub fn smoke() {
         .run();
     for (other, label) in [(&neutral, "neutral config"), (&priced, "constant price")] {
         assert_eq!(
-            serde_json::to_string(&plain).expect("render"),
-            serde_json::to_string(other).expect("render"),
-            "carbon-smoke: {label} diverged from carbon-off (report JSON)"
+            format!("{plain:?}"),
+            format!("{other:?}"),
+            "carbon-smoke: {label} diverged from carbon-off (whole report)"
         );
         assert_eq!(
             render_jsonl(plain.telemetry.as_deref().unwrap_or(&[])),

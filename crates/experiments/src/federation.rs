@@ -286,8 +286,8 @@ pub fn smoke() {
     });
     let site = &fed.sites[0];
     assert_eq!(
-        serde_json::to_string(site).expect("site report serializes"),
-        serde_json::to_string(&plain).expect("plain report serializes"),
+        format!("{site:?}"),
+        format!("{plain:?}"),
         "fed-smoke: 1-site federation diverged from the plain run"
     );
     println!(

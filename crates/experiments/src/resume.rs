@@ -58,9 +58,11 @@ fn input(sim: &GreenDatacenterSim) -> SimInput {
 }
 
 fn assert_bytes_identical(unbroken: &RunReport, resumed: &RunReport, label: &str) {
-    let a = serde_json::to_string(unbroken).expect("render unbroken report");
-    let b = serde_json::to_string(resumed).expect("render resumed report");
-    assert_eq!(a, b, "resume-smoke: {label}: reports diverge");
+    assert_eq!(
+        format!("{unbroken:?}"),
+        format!("{resumed:?}"),
+        "resume-smoke: {label}: reports diverge"
+    );
     let a_jsonl = iscope::telemetry::render_jsonl(unbroken.telemetry.as_deref().unwrap_or(&[]));
     let b_jsonl = iscope::telemetry::render_jsonl(resumed.telemetry.as_deref().unwrap_or(&[]));
     assert_eq!(

@@ -32,7 +32,6 @@ pub mod params;
 pub mod plan;
 pub mod population;
 pub mod power;
-pub mod thermal;
 
 pub use aging::{AgingModel, WearReport};
 pub use binning::{Bin, BinId, Binning, OpteronBin, OPTERON_6300_BINS};
@@ -47,4 +46,3 @@ pub use plan::{
 };
 pub use population::Fleet;
 pub use power::PowerModel;
-pub use thermal::{ThermalModel, ThermalOperatingPoint};

@@ -44,12 +44,15 @@ fn hybrid() -> Supply {
     Supply::hybrid_farm(&WindFarm::default(), SimDuration::from_hours(96), 1.0, 7)
 }
 
-/// Whole-report and telemetry byte identity (strict: the serializer
-/// covers every field, so nothing drifts silently).
+/// Whole-report and telemetry byte identity (strict: the `Debug`
+/// rendering covers every field, and f64 `Debug` output round-trips
+/// exactly, so nothing drifts silently).
 fn assert_bytes_equal(a: &RunReport, b: &RunReport, label: &str) {
-    let aj = serde_json::to_string(a).expect("render a");
-    let bj = serde_json::to_string(b).expect("render b");
-    assert_eq!(aj, bj, "{label}: report JSON diverged");
+    assert_eq!(
+        format!("{a:?}"),
+        format!("{b:?}"),
+        "{label}: report diverged"
+    );
     let at = render_jsonl(a.telemetry.as_deref().unwrap_or(&[]));
     let bt = render_jsonl(b.telemetry.as_deref().unwrap_or(&[]));
     assert_eq!(at, bt, "{label}: telemetry bytes diverged");

@@ -93,11 +93,14 @@ fn assert_identical(plain: &RunReport, fed: &RunReport, label: &str) {
     let plain_jsonl = render_jsonl(plain.telemetry.as_deref().unwrap_or(&[]));
     let fed_jsonl = render_jsonl(fed.telemetry.as_deref().unwrap_or(&[]));
     assert_eq!(plain_jsonl, fed_jsonl, "{label}: telemetry JSONL bytes");
-    // The whole-report comparison via the serializer catches any field
-    // the asserts above forgot (audit numbers, power series, profiling).
-    let a = serde_json::to_string(plain).expect("render plain");
-    let b = serde_json::to_string(fed).expect("render federated");
-    assert_eq!(a, b, "{label}: serialized reports diverge");
+    // The whole-report `Debug` comparison catches any field the asserts
+    // above forgot (audit numbers, power series, profiling); f64 `Debug`
+    // output round-trips exactly, so equal text means equal bits.
+    assert_eq!(
+        format!("{plain:?}"),
+        format!("{fed:?}"),
+        "{label}: whole reports diverge"
+    );
 }
 
 #[test]

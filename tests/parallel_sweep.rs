@@ -122,3 +122,33 @@ fn panicking_cell_propagates_sequentially_too() {
     });
     assert!(result.is_err());
 }
+
+/// Regression for a lock-order deadlock in the work-stealing loop: two
+/// idle workers stealing from each other must never wait on each other's
+/// deque locks. Many tiny sweeps at 2–8 workers maximise idle stealing;
+/// the sweeps run on a spawned thread so a hang fails this test after the
+/// timeout instead of stalling the whole suite.
+#[test]
+fn many_tiny_sweeps_never_deadlock() {
+    let (done, finished) = std::sync::mpsc::channel();
+    let sweeps = std::thread::spawn(move || {
+        for round in 0..200u64 {
+            for threads in 2..=8 {
+                let xs: Vec<u64> = (0..(round % 13)).map(|x| x + round).collect();
+                let seq: Vec<u64> = xs.iter().map(|&x| mix(x)).collect();
+                let par: Vec<u64> =
+                    pool(threads).install(|| xs.par_iter().map(|&x| mix(x)).collect());
+                assert_eq!(par, seq, "round {round}, {threads} threads");
+            }
+        }
+        done.send(())
+            .expect("watchdog receiver outlives the sweeps");
+    });
+    match finished.recv_timeout(std::time::Duration::from_secs(120)) {
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("work-stealing sweeps deadlocked: no result within the watchdog timeout")
+        }
+        // Finished, or panicked before sending: joining surfaces the panic.
+        _ => sweeps.join().expect("sweep thread panicked"),
+    }
+}

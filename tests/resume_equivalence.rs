@@ -85,11 +85,14 @@ fn assert_identical(unbroken: &RunReport, resumed: &RunReport, label: &str) {
     let a_jsonl = render_jsonl(unbroken.telemetry.as_deref().unwrap_or(&[]));
     let b_jsonl = render_jsonl(resumed.telemetry.as_deref().unwrap_or(&[]));
     assert_eq!(a_jsonl, b_jsonl, "{label}: telemetry JSONL bytes");
-    // The whole-report comparison via the serializer catches any field
-    // the asserts above forgot (audit numbers, power series, profiling).
-    let a = serde_json::to_string(unbroken).expect("render unbroken");
-    let b = serde_json::to_string(resumed).expect("render resumed");
-    assert_eq!(a, b, "{label}: serialized reports diverge");
+    // The whole-report `Debug` comparison catches any field the asserts
+    // above forgot (audit numbers, power series, profiling); f64 `Debug`
+    // output round-trips exactly, so equal text means equal bits.
+    assert_eq!(
+        format!("{unbroken:?}"),
+        format!("{resumed:?}"),
+        "{label}: whole reports diverge"
+    );
 }
 
 /// Runs `sim` uninterrupted, then again with a pause/snapshot/resume at
@@ -450,4 +453,60 @@ fn streaming_matches_preadmitted_on_the_same_jobs() {
         .build()
         .run();
     assert_identical(&preadmitted, &streamed, "streaming vs preadmitted");
+}
+
+/// 64-bit FNV-1a: a stable, dependency-free fingerprint of a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Golden snapshot bytes: a fixed-seed run with every optional v1 section
+/// populated (faults and wear, strict audit, telemetry, power samplers,
+/// a carbon policy, price and carbon traces, a battery), paused mid-run
+/// with gangs running, arrivals deferred and timing failures booked.
+/// Resume parity alone cannot see a change to the document itself, so
+/// this pins its exact bytes; any schema or encoding change must bump
+/// `SNAPSHOT_VERSION` and re-record these constants deliberately.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    let (carbon, price) = carbon_signals();
+    let sim = base(Scheme::ScanFair, 42)
+        .fleet_size(24)
+        .synthetic_trace(SyntheticTrace {
+            num_jobs: 60,
+            max_cpus: 8,
+            ..SyntheticTrace::default()
+        })
+        .supply(
+            Supply::hybrid_farm(&WindFarm::default(), SimDuration::from_hours(96), 1.0, 7)
+                .with_carbon(carbon)
+                .with_utility_price(price)
+                .with_battery(iscope_energy::battery::Battery::sized_for(2_000.0, 2.0)),
+        )
+        .carbon(carbon_policy())
+        .fault_injection(FaultInjectionConfig {
+            model: FailureModel {
+                time_acceleration: 5000.0,
+                ..faults().model
+            },
+            ..faults()
+        })
+        .trace_interval(SimDuration::from_mins(15));
+    let mut paused = SimDriver::new(input(&sim));
+    paused.run_until(hours(14));
+    let snapshot = paused.snapshot().expect("capture");
+    for line in snapshot.lines() {
+        assert!(
+            !line.ends_with("\"data\":null}"),
+            "every v1 section must be populated: {}",
+            &line[..line.len().min(60)]
+        );
+    }
+    assert_eq!(
+        (snapshot.len(), fnv1a(snapshot.as_bytes())),
+        (37_665, 0x1469_4f96_8093_f76b),
+        "snapshot bytes changed"
+    );
 }
