@@ -325,6 +325,42 @@ impl Model<SiteEv> for SingleSite {
     }
 }
 
+impl SingleSite {
+    /// Runs `engine` dry, checks that the run ended cleanly, and closes
+    /// the books. `start` is when the driver began timing the run.
+    fn finish(
+        mut self,
+        mut engine: Engine<SiteEv>,
+        start: std::time::Instant,
+    ) -> (RunReport, RunStats) {
+        let stop = engine.run(&mut self);
+        assert_eq!(
+            stop,
+            StopReason::Quiescent,
+            "simulation exhausted its step budget"
+        );
+        assert_eq!(
+            self.site.done_count,
+            self.site.jobs.len(),
+            "simulation ended with unfinished jobs"
+        );
+        let events = engine.steps();
+        let outcome = self.site.finalize();
+        let stats = RunStats {
+            events,
+            placements: outcome.placements,
+            wall: start.elapsed(),
+            phases: outcome.phases,
+        };
+        (outcome.report, stats)
+    }
+}
+
+/// A fresh engine with the step budget every single-site driver runs under.
+fn new_engine() -> Engine<SiteEv> {
+    Engine::new().with_step_budget(200_000_000)
+}
+
 /// Runs one simulation to completion and returns the report.
 pub fn run_simulation(input: SimInput) -> RunReport {
     run_simulation_instrumented(input).0
@@ -332,36 +368,7 @@ pub fn run_simulation(input: SimInput) -> RunReport {
 
 /// [`run_simulation`] plus runtime counters for the performance harness.
 pub fn run_simulation_instrumented(input: SimInput) -> (RunReport, RunStats) {
-    let start = std::time::Instant::now();
-    let (site, workload) = SiteState::new(input, 0, true, None);
-    let mut sim = SingleSite { site };
-    let mut engine = Engine::new().with_step_budget(200_000_000);
-    for (i, j) in workload.jobs().iter().enumerate() {
-        engine.prime(j.submit, SiteEv::Arrival(i));
-    }
-    for (at, ev) in sim.site.initial_events() {
-        engine.prime(at, ev);
-    }
-    let stop = engine.run(&mut sim);
-    assert_eq!(
-        stop,
-        StopReason::Quiescent,
-        "simulation exhausted its step budget"
-    );
-    assert_eq!(
-        sim.site.done_count,
-        sim.site.jobs.len(),
-        "simulation ended with unfinished jobs"
-    );
-    let events = engine.steps();
-    let outcome = sim.site.finalize();
-    let stats = RunStats {
-        events,
-        placements: outcome.placements,
-        wall: start.elapsed(),
-        phases: outcome.phases,
-    };
-    (outcome.report, stats)
+    SimDriver::new(input).finish()
 }
 
 /// Interactive single-site driver: the same run [`run_simulation`]
@@ -386,7 +393,9 @@ impl SimDriver {
         let start = std::time::Instant::now();
         let (site, workload) = SiteState::new(input, 0, true, None);
         let sim = SingleSite { site };
-        let mut engine = Engine::new().with_step_budget(200_000_000);
+        let mut engine = new_engine();
+        // Arrivals before the periodic events: equal-time ties fire in
+        // priming (sequence) order.
         for (i, j) in workload.jobs().iter().enumerate() {
             engine.prime(j.submit, SiteEv::Arrival(i));
         }
@@ -456,7 +465,7 @@ impl SimDriver {
         let start = std::time::Instant::now();
         let (site, rp) = SiteState::restore_from(input, 0, snapshot, fork)?;
         let sim = SingleSite { site };
-        let mut engine = Engine::new().with_step_budget(200_000_000);
+        let mut engine = new_engine();
         rp.prime(&mut engine);
         Ok(SimDriver {
             sim,
@@ -471,27 +480,8 @@ impl SimDriver {
     /// plus runtime counters. Counters span this driver's lifetime only
     /// (a resumed run reports post-resume wall time but cumulative event
     /// counts).
-    pub fn finish(mut self) -> (RunReport, RunStats) {
-        let stop = self.engine.run(&mut self.sim);
-        assert_eq!(
-            stop,
-            StopReason::Quiescent,
-            "simulation exhausted its step budget"
-        );
-        assert_eq!(
-            self.sim.site.done_count,
-            self.sim.site.jobs.len(),
-            "simulation ended with unfinished jobs"
-        );
-        let events = self.engine.steps();
-        let outcome = self.sim.site.finalize();
-        let stats = RunStats {
-            events,
-            placements: outcome.placements,
-            wall: self.start.elapsed(),
-            phases: outcome.phases,
-        };
-        (outcome.report, stats)
+    pub fn finish(self) -> (RunReport, RunStats) {
+        self.sim.finish(self.engine, self.start)
     }
 }
 
@@ -562,7 +552,7 @@ impl<S: JobSource> StreamDriver<S> {
         let max_gang = gang_clamp(&input);
         let (site, _workload) = SiteState::new(input, 0, false, Some(max_gang));
         let sim = SingleSite { site };
-        let mut engine = Engine::new().with_step_budget(200_000_000);
+        let mut engine = new_engine();
         for (at, ev) in sim.site.initial_events() {
             engine.prime(at, ev);
         }
@@ -656,7 +646,7 @@ impl<S: JobSource> StreamDriver<S> {
                 })?;
         }
         let sim = SingleSite { site };
-        let mut engine = Engine::new().with_step_budget(200_000_000);
+        let mut engine = new_engine();
         rp.prime(&mut engine);
         Ok(StreamDriver {
             sim,
@@ -672,30 +662,12 @@ impl<S: JobSource> StreamDriver<S> {
     pub fn run(mut self) -> Result<(RunReport, RunStats, StreamStats), SourceError> {
         self.run_until(SimTime::MAX)?;
         self.sim.site.expect_more = false;
-        let stop = self.engine.run(&mut self.sim);
-        assert_eq!(
-            stop,
-            StopReason::Quiescent,
-            "simulation exhausted its step budget"
-        );
-        assert_eq!(
-            self.sim.site.done_count,
-            self.sim.site.jobs.len(),
-            "simulation ended with unfinished jobs"
-        );
-        let events = self.engine.steps();
         let stream = StreamStats {
             emitted: self.source.emitted(),
             peak_buffered: self.source.peak_buffered(),
         };
-        let outcome = self.sim.site.finalize();
-        let stats = RunStats {
-            events,
-            placements: outcome.placements,
-            wall: self.start.elapsed(),
-            phases: outcome.phases,
-        };
-        Ok((outcome.report, stats, stream))
+        let (report, stats) = self.sim.finish(self.engine, self.start);
+        Ok((report, stats, stream))
     }
 }
 

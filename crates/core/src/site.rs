@@ -35,8 +35,8 @@ use crate::telemetry::{self};
 use iscope_dcsim::{Ctx, Engine, RowSampler, Sampler, SimDuration, SimRng, SimTime};
 use iscope_energy::{BatteryState, CostMeter, CostSplit, EnergyLedger, Supply};
 use iscope_pvmodel::{
-    microwatts_to_watts, speed_factor, watts_to_microwatts, ChipId, CoolingModel, Fleet, FreqLevel,
-    OperatingPlan,
+    microwatts_to_watts, speed_factor, watts_to_microwatts, ChipId, CoolingModel, DvfsConfig,
+    Fleet, FreqLevel, OperatingPlan,
 };
 use iscope_scanner::{ProfilingRecords, Scanner, VoltageGrid};
 use iscope_sched::{
@@ -213,10 +213,13 @@ pub(crate) struct SiteState {
     pub(crate) deferred: Vec<usize>,
     pub(crate) in_situ: Option<InSituState>,
     pub(crate) faults: Option<FaultState>,
-    /// Scratch for the merged blocked view (in-situ isolation plus the
-    /// fault machinery's drained/scanning/suspect sets) handed to the
-    /// placement policy when fault injection is active.
-    pub(crate) fault_blocked_scratch: Vec<bool>,
+    /// The blocked view handed to the placement policy: `true` while a
+    /// chip is out of service (`chip_out_of_service`). Derived from the
+    /// in-situ and fault sets by `sync_service` at each of their
+    /// transitions; not serialized (`rebuild_derived` recomputes it).
+    pub(crate) out_of_service: Vec<bool>,
+    /// Number of `false` entries in `out_of_service`.
+    pub(crate) in_service: usize,
     pub(crate) surplus_signal: SurplusSignal,
     /// Placement decisions taken (one per job, counting deferred jobs
     /// once, when finally placed). Reported through
@@ -262,7 +265,7 @@ pub(crate) struct SiteState {
     /// chain-limit tightening in `place_job`.
     pub(crate) chain_len_ms: Vec<u64>,
     /// Number of chips with a non-empty queue, maintained at the two queue
-    /// transition points (`place_job` push, `finish_job` pop) so the
+    /// transition points (`place_job` push, `release_chips` pop) so the
     /// in-situ profiling check stops recounting the fleet per event.
     pub(crate) busy_queues: usize,
     /// Chips that are simultaneously idle, unprofiled, and unblocked — the
@@ -441,6 +444,14 @@ pub(crate) struct FaultState {
     chips_rescanned: u64,
     /// Summed per-chip downtime spent in re-scans.
     rescan_downtime: SimDuration,
+}
+
+impl FaultState {
+    /// Whether the fault machinery holds chip `i` out of service:
+    /// draining toward a re-scan, under re-scan, or quarantined.
+    fn holds(&self, i: usize) -> bool {
+        self.scanning[i] || self.draining[i] || self.suspect[i]
+    }
 }
 
 impl SiteState {
@@ -636,7 +647,8 @@ impl SiteState {
             battery: input.supply.battery.map(BatteryState::empty),
             phase_ns: PhaseTimers::default(),
             faults,
-            fault_blocked_scratch: Vec::with_capacity(n),
+            out_of_service: vec![false; n],
+            in_service: n,
             in_situ: input.in_situ.map(|config| {
                 let grid = VoltageGrid::from_dvfs(
                     &input.fleet.dvfs,
@@ -780,6 +792,36 @@ impl SiteState {
             .map(|&c| self.plan.true_power(&self.fleet, c, level))
             .sum();
         self.cooling.facility_power(it)
+    }
+
+    /// The per-level facility power row (integer µW) a job freezes while
+    /// running: `job_power` at every level on its chips under the plan.
+    fn power_row(&self, idx: usize) -> Vec<i64> {
+        self.fleet
+            .dvfs
+            .levels()
+            .map(|l| watts_to_microwatts(self.job_power(&self.jobs[idx], l)))
+            .collect()
+    }
+
+    /// Facility power of chip `ci` under test: a scan runs its stress
+    /// workload at nominal voltage and full clock.
+    fn scan_power_w(&self, ci: usize) -> f64 {
+        let top = self.fleet.dvfs.max_level();
+        self.cooling
+            .facility_power(self.fleet.power_model().chip_power(
+                &self.fleet.chips[ci],
+                &self.fleet.dvfs,
+                top,
+                self.fleet.dvfs.v_nom(top),
+            ))
+    }
+
+    /// Whether work remains that keeps the periodic event chains alive:
+    /// unfinished local jobs, or (in a federation) work that may still be
+    /// routed here.
+    fn live(&self) -> bool {
+        self.done_count < self.jobs.len() || self.expect_more
     }
 
     /// Integrates energy up to `now` at the current demand, splitting the
@@ -973,26 +1015,14 @@ impl SiteState {
         // Overhead draw recomputed from the out-of-service sets, not the
         // incrementally add/subtracted running totals.
         let mut overhead_w = 0.0;
-        let top = self.fleet.dvfs.max_level();
-        let pm = self.fleet.power_model();
         if let Some(insitu) = &self.in_situ {
             for (ci, _) in insitu.blocked.iter().enumerate().filter(|(_, &b)| b) {
-                overhead_w += self.cooling.facility_power(pm.chip_power(
-                    &self.fleet.chips[ci],
-                    &self.fleet.dvfs,
-                    top,
-                    self.fleet.dvfs.v_nom(top),
-                ));
+                overhead_w += self.scan_power_w(ci);
             }
         }
         if let Some(faults) = &self.faults {
             for (ci, _) in faults.scanning.iter().enumerate().filter(|(_, &s)| s) {
-                overhead_w += self.cooling.facility_power(pm.chip_power(
-                    &self.fleet.chips[ci],
-                    &self.fleet.dvfs,
-                    top,
-                    self.fleet.dvfs.v_nom(top),
-                ));
+                overhead_w += self.scan_power_w(ci);
             }
         }
         let audit_demand = microwatts_to_watts(running_uw) + overhead_w;
@@ -1096,9 +1126,6 @@ impl SiteState {
             "busy-queue counter diverged from the queues"
         );
         let busy = self.busy_queues;
-        // Count every out-of-service chip (in-situ isolation plus the
-        // fault machinery); reduces to `blocked_count` without faults.
-        let out = self.out_of_service_count();
         let Some(insitu) = &mut self.in_situ else {
             return;
         };
@@ -1106,7 +1133,9 @@ impl SiteState {
         if utilization >= insitu.config.utilization_threshold {
             return; // stage 1: only profile at low utilization
         }
-        let available_now = n - out;
+        // Every out-of-service chip counts against the floor: in-situ
+        // isolation and the fault machinery alike.
+        let available_now = self.in_service;
         let min_available = (n as f64 * insitu.config.min_available_fraction).ceil() as usize;
         let mut may_take = available_now.saturating_sub(min_available);
         may_take = may_take.min(insitu.scanner.config().domain_size);
@@ -1128,39 +1157,31 @@ impl SiteState {
             let pool: Vec<u32> = self.idle_unprofiled.iter().copied().collect();
             debug_assert_eq!(pool, replay, "idle-unprofiled pool diverged");
         }
+        // The pool tracks idle/unprofiled/unblocked only; the fault
+        // machinery's out-of-service chips are filtered here.
         let candidates: Vec<u32> = self
             .idle_unprofiled
             .iter()
             .copied()
-            .filter(|&c| {
-                // The pool tracks idle/unprofiled/unblocked only; the fault
-                // machinery's out-of-service chips are filtered here.
-                !self.faults.as_ref().is_some_and(|f| {
-                    f.scanning[c as usize] || f.draining[c as usize] || f.suspect[c as usize]
-                })
-            })
+            .filter(|&c| !self.out_of_service[c as usize])
             .take(may_take)
             .collect();
         for c in candidates {
+            let ci = c as usize;
+            let power = self.scan_power_w(ci);
+            let insitu = self.in_situ.as_mut().expect("checked above");
             // Stages 3-6 run against the hidden silicon now; the chip is
             // out of service for the resulting test time.
-            let chip = &self.fleet.chips[c as usize];
-            let duration = insitu
-                .scanner
-                .profile_chip(chip, &mut insitu.records, &mut insitu.rng);
-            insitu.blocked[c as usize] = true;
+            let duration = insitu.scanner.profile_chip(
+                &self.fleet.chips[ci],
+                &mut insitu.records,
+                &mut insitu.rng,
+            );
+            insitu.blocked[ci] = true;
             insitu.blocked_count += 1;
+            insitu.profiling_power_w += power;
             self.idle_unprofiled.remove(&c);
-            // A chip under test runs its stress workload at nominal
-            // voltage and full clock.
-            let top = self.fleet.dvfs.max_level();
-            let pm = self.fleet.power_model();
-            insitu.profiling_power_w += self.cooling.facility_power(pm.chip_power(
-                chip,
-                &self.fleet.dvfs,
-                top,
-                self.fleet.dvfs.v_nom(top),
-            ));
+            self.sync_service(ci);
             ctx.schedule(now + duration, SiteEv::ProfilingDone { chip: c });
         }
     }
@@ -1169,38 +1190,32 @@ impl SiteState {
     /// operating point (the plan upgrade that makes `Scan*` scheduling
     /// possible chip by chip).
     fn profiling_done(&mut self, chip_idx: u32, now: SimTime) {
+        let ci = chip_idx as usize;
+        let scan_power = self.scan_power_w(ci);
         let Some(insitu) = &mut self.in_situ else {
             return;
         };
-        insitu.blocked[chip_idx as usize] = false;
+        insitu.blocked[ci] = false;
         insitu.blocked_count -= 1;
-        insitu.profiled[chip_idx as usize] = true;
+        insitu.profiled[ci] = true;
         insitu.profiled_count += 1;
         // A profiled chip never re-enters the scan pool; it was removed
         // when blocked and stays out.
-        let top = self.fleet.dvfs.max_level();
+        insitu.profiling_power_w = (insitu.profiling_power_w - scan_power).max(0.0);
+        let measured = measured_vmin(&self.fleet.dvfs, &insitu.records, ChipId(chip_idx));
+        self.sync_service(ci);
+        self.apply_scan(chip_idx, measured, now);
+    }
+
+    /// A scan of `chip` completed (in-situ or re-profile): its plan entry
+    /// becomes the measured Min Vdd plus the scan guardband, with power
+    /// estimates at those voltages, and the running jobs' rows follow.
+    fn apply_scan(&mut self, chip: u32, measured_vmin: Vec<f64>, now: SimTime) {
         let pm = self.fleet.power_model();
-        let chip = &self.fleet.chips[chip_idx as usize];
-        insitu.profiling_power_w -= self.cooling.facility_power(pm.chip_power(
-            chip,
-            &self.fleet.dvfs,
-            top,
-            self.fleet.dvfs.v_nom(top),
-        ));
-        insitu.profiling_power_w = insitu.profiling_power_w.max(0.0);
-        // Build the chip's scanned voltages and estimates.
-        let chip_id = iscope_pvmodel::ChipId(chip_idx);
-        let voltages: Vec<f64> = self
-            .fleet
-            .dvfs
-            .levels()
-            .map(|l| {
-                insitu
-                    .records
-                    .measured_vmin_chip(chip_id, l)
-                    .unwrap_or_else(|| self.fleet.dvfs.v_nom(l))
-                    + iscope_pvmodel::SCAN_GUARDBAND_V
-            })
+        let c = &self.fleet.chips[chip as usize];
+        let voltages: Vec<f64> = measured_vmin
+            .iter()
+            .map(|&v| v + iscope_pvmodel::SCAN_GUARDBAND_V)
             .collect();
         let est: Vec<f64> = self
             .fleet
@@ -1208,14 +1223,14 @@ impl SiteState {
             .levels()
             .map(|l| {
                 pm.power(
-                    chip.alpha,
-                    chip.beta,
+                    c.alpha,
+                    c.beta,
                     self.fleet.dvfs.freq_ghz(l),
                     voltages[l.0 as usize],
                 )
             })
             .collect();
-        self.plan.update_chip(chip_id, voltages, est);
+        self.plan.update_chip(ChipId(chip), voltages, est);
         self.chip_index.set_ranking(self.plan.ranking());
         self.refreeze_running_rows(now);
     }
@@ -1234,38 +1249,30 @@ impl SiteState {
             if self.faults.is_some() {
                 self.advance_progress(idx, now);
             }
-            let row: Vec<i64> = self
-                .fleet
-                .dvfs
-                .levels()
-                .map(|l| watts_to_microwatts(self.job_power(&self.jobs[idx], l)))
-                .collect();
-            self.jobs[idx].power_uw_at = row;
+            self.jobs[idx].power_uw_at = self.power_row(idx);
         }
         self.rebuild_demand_aggregates();
     }
 
     /// Whether chip `i` is out of service for placement: isolated by the
-    /// in-situ scanner, or held out by the fault machinery (draining
-    /// toward a re-scan, under re-scan, or quarantined as suspect).
+    /// in-situ scanner, or held out by the fault machinery. The ground
+    /// truth the `out_of_service` view is derived from.
     fn chip_out_of_service(&self, i: usize) -> bool {
         self.in_situ.as_ref().is_some_and(|s| s.blocked[i])
-            || self
-                .faults
-                .as_ref()
-                .is_some_and(|f| f.scanning[i] || f.draining[i] || f.suspect[i])
+            || self.faults.as_ref().is_some_and(|f| f.holds(i))
     }
 
-    /// Number of out-of-service chips (union of both mechanisms). O(1)
-    /// when at most the in-situ scanner is active; O(n) under fault
-    /// injection, where the sets can overlap.
-    fn out_of_service_count(&self) -> usize {
-        match (&self.in_situ, &self.faults) {
-            (None, None) => 0,
-            (Some(s), None) => s.blocked_count,
-            _ => (0..self.fleet.len())
-                .filter(|&i| self.chip_out_of_service(i))
-                .count(),
+    /// Re-derives chip `i`'s entry in the blocked view after its in-situ
+    /// or fault state changed, keeping the in-service count in step.
+    fn sync_service(&mut self, i: usize) {
+        let out = self.chip_out_of_service(i);
+        if out != self.out_of_service[i] {
+            self.out_of_service[i] = out;
+            if out {
+                self.in_service -= 1;
+            } else {
+                self.in_service += 1;
+            }
         }
     }
 
@@ -1384,7 +1391,9 @@ impl SiteState {
     /// This is the ground truth the incrementally maintained `self.avail`
     /// must agree with; it runs on the hot path only when that state is
     /// dirty (after a DVFS level change), under deferral (which places
-    /// jobs out of arrival order), or when `force_replay_avail` is set.
+    /// jobs out of arrival order), under fault injection or an active
+    /// carbon policy (which kill running attempts and re-place them out of
+    /// arrival order), or when `force_replay_avail` is set.
     fn projected_avail_replay(&self, now: SimTime) -> Vec<SimTime> {
         let mut avail = vec![now; self.fleet.len()];
         for &i in &self.running {
@@ -1436,7 +1445,7 @@ impl SiteState {
     /// Refreshes the per-chip availability projection. On the incremental
     /// path this is a no-op; a full queue replay happens only when the
     /// state is dirty (after a DVFS level change) or never incremental
-    /// (deferral, faults, forced replay). Whenever a replay rewrites
+    /// (deferral, faults, carbon, forced replay). Whenever a replay rewrites
     /// `avail` wholesale, the chip indexes keyed on it are stale for
     /// every chip at once, so they are rebuilt here too — the epoch-
     /// invalidation rule (DESIGN.md §3d). The placement view reads the
@@ -1474,24 +1483,15 @@ impl SiteState {
         self.placements += 1;
         let surplus = self.wind_surplus(now, idx);
         self.refresh_avail(now);
-        // The in-service count is maintained at the block/unblock
-        // transitions (O(1) reads here); only the fault machinery, whose
-        // overlapping sets already cost a fleet scan to merge, recounts
-        // while building the merged blocked view.
-        let in_service = if let Some(faults) = &self.faults {
-            let insitu_blocked = self.in_situ.as_ref().map(|s| &s.blocked);
-            self.fault_blocked_scratch.clear();
-            self.fault_blocked_scratch
-                .extend((0..self.fleet.len()).map(|i| {
-                    insitu_blocked.is_some_and(|b| b[i])
-                        || faults.scanning[i]
-                        || faults.draining[i]
-                        || faults.suspect[i]
-                }));
-            self.fleet.len() - self.fault_blocked_scratch.iter().filter(|&&b| b).count()
-        } else {
-            self.fleet.len() - self.in_situ.as_ref().map_or(0, |s| s.blocked_count)
-        };
+        debug_assert!(
+            (0..self.fleet.len()).all(|i| self.out_of_service[i] == self.chip_out_of_service(i)),
+            "blocked view diverged from the in-situ and fault sets"
+        );
+        debug_assert_eq!(
+            self.in_service,
+            self.out_of_service.iter().filter(|&&b| !b).count(),
+            "in-service count diverged from the blocked view"
+        );
         let decision = {
             let view = ProcView {
                 now,
@@ -1499,12 +1499,8 @@ impl SiteState {
                 usage: &self.usage,
                 plan: &self.plan,
                 dvfs: &self.fleet.dvfs,
-                blocked: if self.faults.is_some() {
-                    &self.fault_blocked_scratch
-                } else {
-                    self.in_situ.as_ref().map_or(&[], |s| &s.blocked)
-                },
-                in_service,
+                blocked: &self.out_of_service,
+                in_service: self.in_service,
                 index: (!self.force_linear_placement).then_some(&self.chip_index),
                 scratch: &self.place_scratch,
             };
@@ -1576,13 +1572,8 @@ impl SiteState {
                 continue;
             }
             // The chip set is frozen now, so the per-level power row is
-            // too (until an in-situ upgrade rewrites the plan).
-            let row: Vec<i64> = self
-                .fleet
-                .dvfs
-                .levels()
-                .map(|l| watts_to_microwatts(self.job_power(&self.jobs[idx], l)))
-                .collect();
+            // too (until a scan rewrites the plan).
+            let row = self.power_row(idx);
             // Seed the cached successor deadline bound with one walk over
             // the job's queues (jobs already waiting behind it); every
             // later arrival tightens it in O(1) from `place_job`.
@@ -1682,22 +1673,25 @@ impl SiteState {
         }
     }
 
-    /// A running gang hit a timing failure: kill the attempt, charge the
-    /// lost work to the waste ledger, age (and, capacity permitting,
-    /// quarantine) the chips, and requeue the job under the bounded-retry
-    /// policy. Mirrors `finish_job`'s bookkeeping for an attempt that did
-    /// not finish.
-    fn fail_job(&mut self, idx: usize, failed_chip: u32, now: SimTime, ctx: &mut impl SiteCtx) {
-        self.advance_progress(idx, now); // settles the attempt's energy
-        for l in 0..self.demand_uw_at_level.len() {
-            self.demand_uw_at_level[l] -= self.jobs[idx].power_uw_at[l];
+    /// Releases a running job's chips at `now` — the teardown completion,
+    /// timing failure and suspension share. Settles the job's progress
+    /// (and attempt energy), drops its frozen row from the demand
+    /// aggregates, books busy time and wear on each chip, and pops the job
+    /// off the head of its queues, re-basing each chain length on the new
+    /// head or marking the chip idle. Returns the chips and the new queue
+    /// heads (the jobs that may start now); the caller sets the phase.
+    fn release_chips(&mut self, idx: usize, now: SimTime) -> (Vec<ChipId>, Vec<usize>) {
+        self.advance_progress(idx, now);
+        let js = &self.jobs[idx];
+        for (l, &uw) in js.power_uw_at.iter().enumerate() {
+            self.demand_uw_at_level[l] -= uw;
         }
-        self.running_demand_uw -= self.jobs[idx].power_uw_at[self.jobs[idx].level.0 as usize];
+        self.running_demand_uw -= js.power_uw_at[js.level.0 as usize];
+        self.running_at_level[js.level.0 as usize] -= 1;
         self.running.retain(|&i| i != idx);
-        self.running_at_level[self.jobs[idx].level.0 as usize] -= 1;
         let busy = now.saturating_since(self.jobs[idx].started_at);
         let chips = std::mem::take(&mut self.jobs[idx].chips);
-        let mut candidates = Vec::with_capacity(chips.len());
+        let mut heads = Vec::with_capacity(chips.len());
         for &c in &chips {
             let ci = c.0 as usize;
             self.usage[ci] += busy;
@@ -1706,16 +1700,20 @@ impl SiteState {
             }
             self.apply_wear(ci, busy);
             let q = &mut self.queues[ci];
-            debug_assert_eq!(q.front(), Some(&idx), "failed job was not at head");
+            debug_assert_eq!(q.front(), Some(&idx), "released job was not at head");
             q.pop_front();
-            if let Some(&next) = self.queues[ci].front() {
+            if let Some(&next) = q.front() {
+                // Re-base the chain length to the new head: everything
+                // still queued stays "behind the head" except the new
+                // head itself.
                 self.chain_len_ms[ci] -= self.jobs[next].job.runtime_at_fmax.as_millis();
-                candidates.push(next);
+                heads.push(next);
             } else {
                 debug_assert_eq!(
                     self.chain_len_ms[ci], 0,
                     "drained queue with nonzero chain length"
                 );
+                // Queue transition busy -> empty.
                 self.busy_queues -= 1;
                 if !self.force_linear_placement {
                     self.chip_index.chip_idle(c);
@@ -1727,15 +1725,31 @@ impl SiteState {
                 }
             }
         }
-        let n = self.fleet.len();
-        let out = self.out_of_service_count();
+        (chips, heads)
+    }
+
+    /// Kills a running attempt mid-flight (timing failure or carbon
+    /// suspension): releases its chips and puts the job back to waiting
+    /// with its work lost. Returns the new queue heads and the energy (J)
+    /// the lost attempt burned.
+    fn kill_attempt(&mut self, idx: usize, now: SimTime) -> (Vec<usize>, f64) {
+        let (_, heads) = self.release_chips(idx, now);
         let js = &mut self.jobs[idx];
         js.gen += 1; // invalidates the live Completion event
         js.phase = Phase::Waiting;
         js.remaining_nominal_s = js.job.runtime_at_fmax.as_secs_f64(); // work is lost
         js.chain_limit = SimTime::MAX;
-        let wasted = std::mem::replace(&mut js.attempt_energy_j, 0.0);
-        let failures = js.starts;
+        (heads, std::mem::replace(&mut js.attempt_energy_j, 0.0))
+    }
+
+    /// A running gang hit a timing failure: kill the attempt, charge the
+    /// lost work to the waste ledger, age (and, capacity permitting,
+    /// quarantine) the chips, and requeue the job under the bounded-retry
+    /// policy.
+    fn fail_job(&mut self, idx: usize, failed_chip: u32, now: SimTime, ctx: &mut impl SiteCtx) {
+        let (heads, wasted) = self.kill_attempt(idx, now);
+        let n = self.fleet.len();
+        let failures = self.jobs[idx].starts;
         let ci = failed_chip as usize;
         let faults = self
             .faults
@@ -1744,15 +1758,14 @@ impl SiteState {
         faults.timing_failures += 1;
         faults.wasted_j += wasted;
         // Quarantine the failed chip if the availability floor and the
-        // suspect cap allow; otherwise it stays in rotation (and may keep
+        // suspect cap allow (a chip already out of service costs no
+        // capacity); otherwise it stays in rotation (and may keep
         // failing) until re-profiling clears the backlog.
         if !faults.suspect[ci] {
             let suspects = faults.suspect.iter().filter(|&&s| s).count();
             let cap = (n as f64 * faults.config.max_suspect_fraction).floor() as usize;
-            let already_out = faults.scanning[ci]
-                || faults.draining[ci]
-                || self.in_situ.as_ref().is_some_and(|s| s.blocked[ci]);
-            if suspects < cap && (already_out || n - out > faults.min_in_service) {
+            let room = self.out_of_service[ci] || self.in_service > faults.min_in_service;
+            if suspects < cap && room {
                 faults.suspect[ci] = true;
             }
         }
@@ -1773,61 +1786,18 @@ impl SiteState {
                 audit.deadline_misses += 1;
             }
         }
-        self.try_start(&candidates, now, ctx);
+        self.sync_service(ci);
+        self.try_start(&heads, now, ctx);
     }
 
     /// The utility mix went dirty: checkpoint-free preempt a running gang
-    /// so it re-runs under a cleaner signal. Reuses `fail_job`'s kill +
-    /// requeue teardown, minus the fault bookkeeping — no quarantine, no
-    /// retry cap (the deadline valve in the caller bounds re-entries), and
-    /// the lost attempt's energy is charged to the carbon waste ledger.
+    /// so it re-runs under a cleaner signal. The same kill as a timing
+    /// failure minus the fault bookkeeping — no quarantine, no retry cap
+    /// (the deadline valve in the caller bounds re-entries), and the lost
+    /// attempt's energy is charged to the carbon waste ledger.
     fn suspend_job(&mut self, idx: usize, now: SimTime, ctx: &mut impl SiteCtx) {
-        self.advance_progress(idx, now); // settles the attempt's energy
-        for l in 0..self.demand_uw_at_level.len() {
-            self.demand_uw_at_level[l] -= self.jobs[idx].power_uw_at[l];
-        }
-        self.running_demand_uw -= self.jobs[idx].power_uw_at[self.jobs[idx].level.0 as usize];
-        self.running.retain(|&i| i != idx);
-        self.running_at_level[self.jobs[idx].level.0 as usize] -= 1;
-        let busy = now.saturating_since(self.jobs[idx].started_at);
-        let chips = std::mem::take(&mut self.jobs[idx].chips);
-        let mut candidates = Vec::with_capacity(chips.len());
-        for &c in &chips {
-            let ci = c.0 as usize;
-            self.usage[ci] += busy;
-            if !self.force_linear_placement {
-                self.chip_index.set_usage(c, self.usage[ci]);
-            }
-            self.apply_wear(ci, busy);
-            let q = &mut self.queues[ci];
-            debug_assert_eq!(q.front(), Some(&idx), "suspended job was not at head");
-            q.pop_front();
-            if let Some(&next) = self.queues[ci].front() {
-                self.chain_len_ms[ci] -= self.jobs[next].job.runtime_at_fmax.as_millis();
-                candidates.push(next);
-            } else {
-                debug_assert_eq!(
-                    self.chain_len_ms[ci], 0,
-                    "drained queue with nonzero chain length"
-                );
-                self.busy_queues -= 1;
-                if !self.force_linear_placement {
-                    self.chip_index.chip_idle(c);
-                }
-                if let Some(insitu) = &self.in_situ {
-                    if !insitu.profiled[ci] && !insitu.blocked[ci] {
-                        self.idle_unprofiled.insert(c.0);
-                    }
-                }
-            }
-        }
-        let js = &mut self.jobs[idx];
-        js.gen += 1; // invalidates the live Completion event
-        js.phase = Phase::Waiting;
-        js.remaining_nominal_s = js.job.runtime_at_fmax.as_secs_f64(); // work is lost
-        js.chain_limit = SimTime::MAX;
-        let wasted = std::mem::replace(&mut js.attempt_energy_j, 0.0);
-        let starts = js.starts;
+        let (heads, wasted) = self.kill_attempt(idx, now);
+        let starts = self.jobs[idx].starts;
         let carbon = self
             .carbon
             .as_mut()
@@ -1837,7 +1807,7 @@ impl SiteState {
         self.queued_jobs += 1; // back to waiting until the resume fires
         let delay = carbon.config.retry.backoff(starts);
         ctx.schedule(now + delay, SiteEv::Retry { job: idx });
-        self.try_start(&candidates, now, ctx);
+        self.try_start(&heads, now, ctx);
     }
 
     /// The periodic re-profiling loop (§III.C closed inside the run):
@@ -1846,55 +1816,49 @@ impl SiteState {
     /// once idle, competing for fleet capacity exactly like in-situ
     /// profiling does.
     fn reprofile_check(&mut self, now: SimTime, ctx: &mut impl SiteCtx) {
-        if self.done_count >= self.jobs.len() && !self.expect_more {
+        if !self.live() {
             return;
         }
+        let reprofile = self
+            .faults
+            .as_ref()
+            .and_then(|f| f.config.reprofile.as_ref());
+        let Some(domain_size) = reprofile.map(|r| r.scanner.domain_size) else {
+            return;
+        };
         let n = self.fleet.len();
-        let mut out = self.out_of_service_count();
-        let Some(faults) = &mut self.faults else {
-            return;
-        };
-        let Some(reprofile) = &faults.config.reprofile else {
-            return;
-        };
         // Pass 1: mark due chips as draining (no new work lands on them;
         // queued work finishes first), respecting the availability floor.
         // Already-out chips (suspect, or isolated in-situ) drain for free.
         for i in 0..n {
+            let faults = self.faults.as_mut().expect("checked above");
             if faults.scanning[i] || faults.draining[i] {
                 continue;
             }
             let due = faults.suspect[i] || faults.stress_hours[i] >= faults.stress_interval_hours;
-            if !due {
-                continue;
-            }
-            let already_out =
-                faults.suspect[i] || self.in_situ.as_ref().is_some_and(|s| s.blocked[i]);
-            if already_out {
+            if due && (self.out_of_service[i] || self.in_service > faults.min_in_service) {
                 faults.draining[i] = true;
-            } else if n - out > faults.min_in_service {
-                faults.draining[i] = true;
-                out += 1;
+                self.sync_service(i);
             }
         }
         // Pass 2: start scans on drained chips whose queues have emptied,
         // up to the scanner's domain size in flight at once.
+        let faults = self.faults.as_ref().expect("checked above");
         let scanning_now = faults.scanning.iter().filter(|&&s| s).count();
-        let mut may_take = reprofile.scanner.domain_size.saturating_sub(scanning_now);
-        let top = self.fleet.dvfs.max_level();
-        let pm = self.fleet.power_model();
+        let mut may_take = domain_size.saturating_sub(scanning_now);
         let cores = self.fleet.chips.first().map_or(0, |c| c.cores.len());
         for i in 0..n {
             if may_take == 0 {
                 break;
             }
-            if !faults.draining[i]
-                || !self.queues[i].is_empty()
-                || self.in_situ.as_ref().is_some_and(|s| s.blocked[i])
-            {
+            let drained = self.faults.as_ref().is_some_and(|f| f.draining[i])
+                && self.queues[i].is_empty()
+                && !self.in_situ.as_ref().is_some_and(|s| s.blocked[i]);
+            if !drained {
                 continue;
             }
-            let chip = &self.fleet.chips[i];
+            let scan_power = self.scan_power_w(i);
+            let faults = self.faults.as_mut().expect("checked above");
             let grid = faults
                 .grid
                 .as_ref()
@@ -1905,34 +1869,18 @@ impl SiteState {
                 .scanner
                 .as_ref()
                 .expect("re-profiling without a scanner")
-                .profile_chip(chip, &mut records, &mut faults.scan_rng);
+                .profile_chip(&self.fleet.chips[i], &mut records, &mut faults.scan_rng);
             // The chip is isolated and idle for the whole scan, so the
             // measurement taken now equals the one at scan end: no wear
             // can accrue in between.
-            let chip_id = ChipId(i as u32);
-            let measured: Vec<f64> = self
-                .fleet
-                .dvfs
-                .levels()
-                .map(|l| {
-                    records
-                        .measured_vmin_chip(chip_id, l)
-                        .unwrap_or_else(|| self.fleet.dvfs.v_nom(l))
-                })
-                .collect();
-            faults.pending_vmin[i] = Some(measured);
+            faults.pending_vmin[i] =
+                Some(measured_vmin(&self.fleet.dvfs, &records, ChipId(i as u32)));
             faults.draining[i] = false;
             faults.scanning[i] = true;
             faults.chips_rescanned += 1;
             faults.rescan_downtime += duration;
-            // A chip under re-scan runs its stress workload at nominal
-            // voltage and full clock, like the in-situ scanner's targets.
-            faults.reprofile_power_w += self.cooling.facility_power(pm.chip_power(
-                chip,
-                &self.fleet.dvfs,
-                top,
-                self.fleet.dvfs.v_nom(top),
-            ));
+            faults.reprofile_power_w += scan_power;
+            self.sync_service(i);
             ctx.schedule(now + duration, SiteEv::ReprofileDone { chip: i as u32 });
             may_take -= 1;
         }
@@ -1943,15 +1891,7 @@ impl SiteState {
     /// reset stress clock.
     fn reprofile_done(&mut self, chip_idx: u32, now: SimTime) {
         let ci = chip_idx as usize;
-        let top = self.fleet.dvfs.max_level();
-        let pm = self.fleet.power_model();
-        let chip = &self.fleet.chips[ci];
-        let scan_power = self.cooling.facility_power(pm.chip_power(
-            chip,
-            &self.fleet.dvfs,
-            top,
-            self.fleet.dvfs.v_nom(top),
-        ));
+        let scan_power = self.scan_power_w(ci);
         let faults = self
             .faults
             .as_mut()
@@ -1963,26 +1903,8 @@ impl SiteState {
         let measured = faults.pending_vmin[ci]
             .take()
             .expect("re-scan finished without a measurement");
-        let voltages: Vec<f64> = measured
-            .iter()
-            .map(|&v| v + iscope_pvmodel::SCAN_GUARDBAND_V)
-            .collect();
-        let est: Vec<f64> = self
-            .fleet
-            .dvfs
-            .levels()
-            .map(|l| {
-                pm.power(
-                    chip.alpha,
-                    chip.beta,
-                    self.fleet.dvfs.freq_ghz(l),
-                    voltages[l.0 as usize],
-                )
-            })
-            .collect();
-        self.plan.update_chip(ChipId(chip_idx), voltages, est);
-        self.chip_index.set_ranking(self.plan.ranking());
-        self.refreeze_running_rows(now);
+        self.sync_service(ci);
+        self.apply_scan(chip_idx, measured, now);
     }
 
     fn rebalance(&mut self, now: SimTime, ctx: &mut impl SiteCtx) {
@@ -2058,20 +1980,8 @@ impl SiteState {
                 .copied()
                 .filter(|&i| self.jobs[i].level != level),
         );
-        if !to_change.is_empty() {
-            // Completions moved: every queued start projected behind them
-            // is stale. Rebuilt by replay on the next placement.
-            self.avail_dirty = true;
-        }
         for &idx in &to_change {
-            self.advance_progress(idx, now);
-            let old = self.jobs[idx].level;
-            self.running_demand_uw += self.jobs[idx].power_uw_at[level.0 as usize]
-                - self.jobs[idx].power_uw_at[old.0 as usize];
-            self.running_at_level[old.0 as usize] -= 1;
-            self.running_at_level[level.0 as usize] += 1;
-            self.jobs[idx].level = level;
-            self.schedule_completion(idx, now, ctx);
+            self.set_level(idx, level, now, ctx);
         }
         to_change.clear();
         self.level_scratch = to_change;
@@ -2094,19 +2004,26 @@ impl SiteState {
                 .collect();
             match_budget(&mut cands, budget_uw, 0, top)
         };
-        if !outcome.changes.is_empty() {
-            self.avail_dirty = true;
+        for (idx, level) in outcome.changes {
+            self.set_level(idx, level, now, ctx);
         }
-        for (idx, new_level) in outcome.changes {
-            self.advance_progress(idx, now);
-            let old = self.jobs[idx].level;
-            self.running_demand_uw += self.jobs[idx].power_uw_at[new_level.0 as usize]
-                - self.jobs[idx].power_uw_at[old.0 as usize];
-            self.running_at_level[old.0 as usize] -= 1;
-            self.running_at_level[new_level.0 as usize] += 1;
-            self.jobs[idx].level = new_level;
-            self.schedule_completion(idx, now, ctx);
-        }
+    }
+
+    /// Moves a running job to DVFS `level` at `now`: settles its progress
+    /// at the old level, moves its demand and level count, and reschedules
+    /// its completion.
+    fn set_level(&mut self, idx: usize, level: FreqLevel, now: SimTime, ctx: &mut impl SiteCtx) {
+        self.advance_progress(idx, now);
+        let js = &self.jobs[idx];
+        let old = js.level.0 as usize;
+        self.running_demand_uw += js.power_uw_at[level.0 as usize] - js.power_uw_at[old];
+        self.running_at_level[old] -= 1;
+        self.running_at_level[level.0 as usize] += 1;
+        self.jobs[idx].level = level;
+        // The completion moves: every queued start projected behind it is
+        // stale. Rebuilt by replay on the next placement.
+        self.avail_dirty = true;
+        self.schedule_completion(idx, now, ctx);
     }
 
     /// Ground truth for [`JobState::chain_limit`]: re-walks the job's
@@ -2173,16 +2090,13 @@ impl SiteState {
     }
 
     fn finish_job(&mut self, idx: usize, now: SimTime, ctx: &mut impl SiteCtx) {
-        self.advance_progress(idx, now);
-        // Drop the job's frozen row from the fleet demand aggregates.
-        for l in 0..self.demand_uw_at_level.len() {
-            self.demand_uw_at_level[l] -= self.jobs[idx].power_uw_at[l];
-        }
-        self.running_demand_uw -= self.jobs[idx].power_uw_at[self.jobs[idx].level.0 as usize];
+        let (chips, heads) = self.release_chips(idx, now);
         let js = &mut self.jobs[idx];
         debug_assert!(js.remaining_nominal_s < 1e-3, "completion with work left");
         js.phase = Phase::Done;
-        let busy = now.saturating_since(js.started_at);
+        // A finished job keeps its chips: the snapshot's job table carries
+        // them.
+        js.chips = chips;
         if now > js.job.deadline {
             self.deadline_misses += 1;
         }
@@ -2195,44 +2109,7 @@ impl SiteState {
         }
         self.done_count += 1;
         self.makespan = self.makespan.max(now);
-        self.running.retain(|&i| i != idx);
-        self.running_at_level[self.jobs[idx].level.0 as usize] -= 1;
-        let chips = self.jobs[idx].chips.clone();
-        let mut candidates = Vec::with_capacity(chips.len());
-        for &c in &chips {
-            let ci = c.0 as usize;
-            self.usage[ci] += busy;
-            if !self.force_linear_placement {
-                self.chip_index.set_usage(c, self.usage[ci]);
-            }
-            self.apply_wear(ci, busy);
-            let q = &mut self.queues[ci];
-            debug_assert_eq!(q.front(), Some(&idx), "completed job was not at head");
-            q.pop_front();
-            if let Some(&next) = self.queues[ci].front() {
-                // Re-base the chain length to the new head: everything
-                // still queued stays "behind the head" except the new
-                // head itself.
-                self.chain_len_ms[ci] -= self.jobs[next].job.runtime_at_fmax.as_millis();
-                candidates.push(next);
-            } else {
-                debug_assert_eq!(
-                    self.chain_len_ms[ci], 0,
-                    "drained queue with nonzero chain length"
-                );
-                // Queue transition busy -> empty.
-                self.busy_queues -= 1;
-                if !self.force_linear_placement {
-                    self.chip_index.chip_idle(c);
-                }
-                if let Some(insitu) = &self.in_situ {
-                    if !insitu.profiled[ci] && !insitu.blocked[ci] {
-                        self.idle_unprofiled.insert(c.0);
-                    }
-                }
-            }
-        }
-        self.try_start(&candidates, now, ctx);
+        self.try_start(&heads, now, ctx);
     }
 
     /// Dispatches one site-local event. This is the moved body of the old
@@ -2272,7 +2149,7 @@ impl SiteState {
             SiteEv::WindSample => {
                 self.release_deferred(now, ctx);
                 self.rebalance(now, ctx);
-                if self.done_count < self.jobs.len() || self.expect_more {
+                if self.live() {
                     if let Some(iv) = self.supply.wind_interval() {
                         ctx.schedule(now + iv, SiteEv::WindSample);
                     }
@@ -2280,9 +2157,8 @@ impl SiteState {
             }
             SiteEv::ProfilingCheck => {
                 self.profiling_check(now, ctx);
-                let keep_going = self.done_count < self.jobs.len()
-                    || self.expect_more
-                    || self.in_situ.as_ref().is_some_and(|s| s.blocked_count > 0);
+                let keep_going =
+                    self.live() || self.in_situ.as_ref().is_some_and(|s| s.blocked_count > 0);
                 if let Some(insitu) = &self.in_situ {
                     if keep_going && self.profiled_count() < self.fleet.len() {
                         ctx.schedule(now + insitu.config.check_interval, SiteEv::ProfilingCheck);
@@ -2303,7 +2179,7 @@ impl SiteState {
             SiteEv::Retry { job } => {
                 // Retries bypass deferral: a failed job has already burned
                 // schedule slack, so it goes straight back into placement.
-                if self.jobs[job].phase == Phase::Waiting && self.jobs[job].chips.is_empty() {
+                if self.retry_pending(job) {
                     self.place_job(job, now);
                     self.try_start(&[job], now, ctx);
                 }
@@ -2311,7 +2187,7 @@ impl SiteState {
             }
             SiteEv::ReprofileCheck => {
                 self.reprofile_check(now, ctx);
-                if self.done_count < self.jobs.len() || self.expect_more {
+                if self.live() {
                     if let Some(faults) = &self.faults {
                         if let Some(r) = &faults.config.reprofile {
                             ctx.schedule(now + r.check_interval, SiteEv::ReprofileCheck);
@@ -2332,7 +2208,7 @@ impl SiteState {
                 if self.carbon_sample(now, ctx) {
                     self.rebalance(now, ctx);
                 }
-                if self.done_count < self.jobs.len() || self.expect_more {
+                if self.live() {
                     if let Some(carbon) = &self.carbon {
                         ctx.schedule(now + carbon.config.check_interval, SiteEv::CarbonSample);
                     }
@@ -2382,8 +2258,7 @@ impl SiteState {
     /// Closes the books at the site's final instant and assembles its
     /// [`RunReport`]: final accounting, sampler/telemetry flush, the
     /// end-of-run audit cross-checks (strict mode panics here), and the
-    /// profiling/fault summaries. This is the moved tail of the old
-    /// `run_simulation_instrumented`.
+    /// profiling/fault summaries.
     pub(crate) fn finalize(mut self) -> SiteOutcome {
         let scheme = std::mem::take(&mut self.scheme_name);
         let prices = self.supply.prices;
@@ -2540,6 +2415,18 @@ impl SiteState {
             phases: self.phase_ns,
         }
     }
+}
+
+/// A chip's scanned Min Vdd at each DVFS level; levels the scan could not
+/// resolve fall back to nominal voltage.
+fn measured_vmin(dvfs: &DvfsConfig, records: &ProfilingRecords, chip: ChipId) -> Vec<f64> {
+    dvfs.levels()
+        .map(|l| {
+            records
+                .measured_vmin_chip(chip, l)
+                .unwrap_or_else(|| dvfs.v_nom(l))
+        })
+        .collect()
 }
 
 // ===========================================================================
@@ -3288,8 +3175,8 @@ impl SiteState {
     }
 
     /// Rebuilds the caches a snapshot does not carry — chain lengths, the
-    /// busy-queue count, demand aggregates, chip indexes — from the
-    /// restored ground truth.
+    /// busy-queue count, demand aggregates, the blocked view, chip
+    /// indexes — from the restored ground truth.
     fn rebuild_derived(&mut self) -> Result<(), SnapshotError> {
         let jobs = &self.jobs;
         self.chain_len_ms = self
@@ -3310,6 +3197,10 @@ impl SiteState {
             )));
         }
         self.rebuild_demand_aggregates();
+        self.out_of_service = (0..self.fleet.len())
+            .map(|i| self.chip_out_of_service(i))
+            .collect();
+        self.in_service = self.out_of_service.iter().filter(|&&b| !b).count();
         // The chip indexes are keyed on packed (ms, id) integers whose
         // ranges debug builds assert; a snapshot is outside input, so the
         // restore path promotes those to checked errors before any key is

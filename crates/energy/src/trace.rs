@@ -127,16 +127,28 @@ impl PowerTrace {
         let mut rows: Vec<(f64, f64)> = Vec::new();
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim();
-            if line.is_empty() || lineno == 0 && line.starts_with(char::is_alphabetic) {
+            if line.is_empty() {
                 continue;
             }
             let mut parts = line.split(',');
-            let t: f64 = parts
+            let t: f64 = match parts
                 .next()
                 .ok_or_else(|| format!("line {}: missing time", lineno + 1))?
                 .trim()
                 .parse()
-                .map_err(|e| format!("line {}: bad time: {e}", lineno + 1))?;
+            {
+                Ok(t) => t,
+                // A leading word that is not a number (`nan`, `inf` are)
+                // is the header.
+                Err(_) if lineno == 0 && line.starts_with(char::is_alphabetic) => continue,
+                Err(e) => return Err(format!("line {}: bad time: {e}", lineno + 1)),
+            };
+            if !t.is_finite() {
+                return Err(format!("line {}: non-finite time", lineno + 1));
+            }
+            if rows.last().is_some_and(|&(prev, _)| t <= prev) {
+                return Err(format!("line {}: non-increasing timestamp", lineno + 1));
+            }
             let w: f64 = parts
                 .next()
                 .ok_or_else(|| format!("line {}: missing watts", lineno + 1))?
@@ -152,11 +164,11 @@ impl PowerTrace {
             return Err("no samples".into());
         }
         let interval = if rows.len() >= 2 {
-            let dt = rows[1].0 - rows[0].0;
-            if dt <= 0.0 {
-                return Err("non-increasing timestamps".into());
+            let interval = SimDuration::from_secs_f64(rows[1].0 - rows[0].0);
+            if interval.is_zero() {
+                return Err("sample interval rounds to 0 ms".into());
             }
-            SimDuration::from_secs_f64(dt)
+            interval
         } else {
             SimDuration::from_mins(10)
         };
@@ -228,6 +240,9 @@ mod tests {
         assert!(PowerTrace::from_csv("seconds,watts\nabc,1\n").is_err());
         assert!(PowerTrace::from_csv("seconds,watts\n0,-5\n").is_err());
         assert!(PowerTrace::from_csv("seconds,watts\n600,1\n0,2\n").is_err());
+        assert!(PowerTrace::from_csv("nan,1\n1,2").is_err());
+        assert!(PowerTrace::from_csv("0,1\n0.0004,2").is_err());
+        assert!(PowerTrace::from_csv("0,1\n600,2\n300,3").is_err());
     }
 
     #[test]

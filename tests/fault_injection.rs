@@ -6,7 +6,10 @@
 //! ledger, and a tight re-profiling cadence drives failures to zero.
 
 use iscope::prelude::*;
-use iscope::{FaultInjectionConfig, ReprofileConfig};
+use iscope::{
+    AuditConfig, DeferralConfig, DvfsMode, FaultInjectionConfig, InSituConfig, ReprofileConfig,
+    TelemetryConfig,
+};
 use iscope_dcsim::SimDuration;
 use iscope_pvmodel::{AgingModel, FailureModel};
 use iscope_scanner::ReprofilePolicy;
@@ -134,5 +137,84 @@ fn tight_reprofiling_cadence_drives_failures_to_zero() {
     assert_eq!(
         f.timing_failures, 0,
         "a cadence well under the safe interval must prevent failures: {f:?}"
+    );
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Golden whole-run outcomes for the site's state transitions: job
+/// release on completion, timing failure and carbon suspension; both DVFS
+/// matchers; in-situ and re-profile scan completions; wind deferral. The
+/// resume suites compare a run only with itself and in-situ runs cannot
+/// be snapshotted, so these pins are what holds a refactor of those
+/// transitions to the same report. Every run fires failures, re-scans and
+/// suspensions (asserted below, so a pin cannot go vacuous).
+#[test]
+fn transition_outcomes_are_pinned() {
+    let span = SimDuration::from_hours(96);
+    let iv = SimDuration::from_mins(30);
+    let supply = Supply::hybrid_farm(&WindFarm::default(), span, 0.05, 7)
+        .with_carbon(SignalTrace::diurnal(iv, span, 420.0, 180.0, 18.0))
+        .with_utility_price(SignalTrace::time_of_use(iv, span, 0.08, 0.30, 16.0, 21.0));
+    let run = |scheme: Scheme, mode: DvfsMode, in_situ: bool, defer: bool| {
+        let mut sim = GreenDatacenterSim::builder()
+            .fleet_size(48)
+            .scheme(scheme)
+            .dvfs_mode(mode)
+            .synthetic_trace(SyntheticTrace {
+                num_jobs: 160,
+                max_cpus: 12,
+                ..SyntheticTrace::default()
+            })
+            .supply(supply.clone())
+            .seed(42)
+            .audit(AuditConfig::default())
+            .telemetry(TelemetryConfig::default())
+            .carbon(CarbonConfig {
+                defer_intensity_above: Some(450.0),
+                suspend_intensity_above: Some(540.0),
+                ..CarbonConfig::default()
+            })
+            .fault_injection(faulty(3000.0, Some(ReprofileConfig::default())));
+        if in_situ {
+            sim = sim.in_situ_profiling(InSituConfig::default());
+        }
+        if defer {
+            sim = sim.deferral(DeferralConfig::default());
+        }
+        let report = sim.build().run();
+        let f = report.faults.as_ref().expect("fault stats present");
+        let c = report.carbon.as_ref().expect("carbon stats present");
+        assert!(
+            f.timing_failures > 0 && f.chips_rescanned > 0 && c.suspensions > 0,
+            "{scheme:?}/{mode:?}: transitions not exercised: {f:?} {c:?}"
+        );
+        let text = format!("{report:?}");
+        (text.len(), fnv1a(text.as_bytes()))
+    };
+    use DvfsMode::{GlobalLevel, PerJobGreedy};
+    assert_eq!(
+        run(Scheme::ScanFair, GlobalLevel, true, true),
+        (37_507, 0x0222_ca6b_51d0_3419),
+        "ScanFair/GlobalLevel + in-situ + wind deferral"
+    );
+    assert_eq!(
+        run(Scheme::ScanFair, PerJobGreedy, true, false),
+        (37_489, 0x15d3_7d95_1bbc_719d),
+        "ScanFair/PerJobGreedy + in-situ"
+    );
+    assert_eq!(
+        run(Scheme::BinEffi, GlobalLevel, false, true),
+        (33_926, 0x1264_67f1_0a9f_6241),
+        "BinEffi/GlobalLevel + wind deferral"
+    );
+    assert_eq!(
+        run(Scheme::ScanEffi, PerJobGreedy, false, false),
+        (33_584, 0x45f8_be5d_0ce2_9f48),
+        "ScanEffi/PerJobGreedy"
     );
 }
