@@ -417,13 +417,19 @@ pub(crate) struct FaultState {
     /// Accumulated (accelerated) voltage-stress hours per chip since its
     /// last scan.
     stress_hours: Vec<f64>,
-    /// Chips quarantined after a failure, awaiting a re-scan.
+    /// Chips quarantined after a failure, awaiting a re-scan. Written only
+    /// through `set_suspect`, which keeps `suspect_count` in step.
     suspect: Vec<bool>,
+    /// Number of `true` entries in `suspect` (derived, not serialized).
+    suspect_count: usize,
     /// Chips due for a re-scan: no new work is placed on them while
     /// their queued work drains.
     draining: Vec<bool>,
-    /// Chips currently under re-scan (out of service).
+    /// Chips currently under re-scan (out of service). Written only
+    /// through `set_scanning`, which keeps `scanning_count` in step.
     scanning: Vec<bool>,
+    /// Number of `true` entries in `scanning` (derived, not serialized).
+    scanning_count: usize,
     /// Min Vdd measured at scan start, applied when the scan completes.
     /// (The chip is isolated and idle for the whole scan, so no wear can
     /// accrue in between — start and end measurements coincide.)
@@ -452,6 +458,48 @@ impl FaultState {
     fn holds(&self, i: usize) -> bool {
         self.scanning[i] || self.draining[i] || self.suspect[i]
     }
+
+    fn set_suspect(&mut self, i: usize, on: bool) {
+        set_counted(&mut self.suspect, &mut self.suspect_count, i, on);
+    }
+
+    fn set_scanning(&mut self, i: usize, on: bool) {
+        set_counted(&mut self.scanning, &mut self.scanning_count, i, on);
+    }
+
+    /// Chips quarantined now.
+    fn suspects(&self) -> usize {
+        debug_assert_eq!(self.suspect_count, count_set(&self.suspect));
+        self.suspect_count
+    }
+
+    /// Chips under re-scan now.
+    fn scans(&self) -> usize {
+        debug_assert_eq!(self.scanning_count, count_set(&self.scanning));
+        self.scanning_count
+    }
+
+    /// Re-derives both counts from the sets (after a restore).
+    fn recount(&mut self) {
+        self.suspect_count = count_set(&self.suspect);
+        self.scanning_count = count_set(&self.scanning);
+    }
+}
+
+/// Sets `set[i]` to `on`, keeping `count` equal to the set's size.
+fn set_counted(set: &mut [bool], count: &mut usize, i: usize, on: bool) {
+    if set[i] != on {
+        set[i] = on;
+        if on {
+            *count += 1;
+        } else {
+            *count -= 1;
+        }
+    }
+}
+
+fn count_set(set: &[bool]) -> usize {
+    set.iter().filter(|&&b| b).count()
 }
 
 impl SiteState {
@@ -552,8 +600,10 @@ impl SiteState {
                 stress_interval_hours,
                 stress_hours: vec![0.0; n],
                 suspect: vec![false; n],
+                suspect_count: 0,
                 draining: vec![false; n],
                 scanning: vec![false; n],
+                scanning_count: 0,
                 pending_vmin: vec![None; n],
                 min_in_service,
                 reprofile_power_w: 0.0,
@@ -655,10 +705,9 @@ impl SiteState {
                     config.scanner.grid_points,
                     config.scanner.grid_depth,
                 );
-                let cores = input.fleet.chips.first().map_or(0, |c| c.cores.len());
                 InSituState {
                     scanner: Scanner::new(config.scanner.clone()),
-                    records: ProfilingRecords::new(grid, n, cores),
+                    records: ProfilingRecords::for_fleet(grid, &input.fleet),
                     rng: SimRng::derive(input.seed, "in-situ-scanner"),
                     blocked: vec![false; n],
                     blocked_count: 0,
@@ -1057,10 +1106,8 @@ impl SiteState {
         for &i in &self.running {
             row[telemetry::CHANNELS_BEFORE_LEVELS + self.jobs[i].level.0 as usize] += 1.0;
         }
-        row[telemetry::CHANNELS_BEFORE_LEVELS + levels] = self
-            .faults
-            .as_ref()
-            .map_or(0.0, |f| f.suspect.iter().filter(|&&s| s).count() as f64);
+        row[telemetry::CHANNELS_BEFORE_LEVELS + levels] =
+            self.faults.as_ref().map_or(0.0, |f| f.suspects() as f64);
         // Cumulative cost/carbon previews (open segment included, meters
         // untouched) — the `site`-tagged channels the carbon sweep reads.
         row[telemetry::CHANNELS_BEFORE_LEVELS + levels + 1] = self.costs.carbon.preview();
@@ -1202,7 +1249,9 @@ impl SiteState {
         // A profiled chip never re-enters the scan pool; it was removed
         // when blocked and stays out.
         insitu.profiling_power_w = (insitu.profiling_power_w - scan_power).max(0.0);
-        let measured = measured_vmin(&self.fleet.dvfs, &insitu.records, ChipId(chip_idx));
+        let measured = with_nominal_fallback(&self.fleet.dvfs, |l| {
+            insitu.records.measured_vmin_chip(ChipId(chip_idx), l)
+        });
         self.sync_service(ci);
         self.apply_scan(chip_idx, measured, now);
     }
@@ -1762,11 +1811,10 @@ impl SiteState {
         // capacity); otherwise it stays in rotation (and may keep
         // failing) until re-profiling clears the backlog.
         if !faults.suspect[ci] {
-            let suspects = faults.suspect.iter().filter(|&&s| s).count();
             let cap = (n as f64 * faults.config.max_suspect_fraction).floor() as usize;
             let room = self.out_of_service[ci] || self.in_service > faults.min_in_service;
-            if suspects < cap && room {
-                faults.suspect[ci] = true;
+            if faults.suspects() < cap && room {
+                faults.set_suspect(ci, true);
             }
         }
         let retry_ok = faults.config.retry.may_retry(failures);
@@ -1844,9 +1892,7 @@ impl SiteState {
         // Pass 2: start scans on drained chips whose queues have emptied,
         // up to the scanner's domain size in flight at once.
         let faults = self.faults.as_ref().expect("checked above");
-        let scanning_now = faults.scanning.iter().filter(|&&s| s).count();
-        let mut may_take = domain_size.saturating_sub(scanning_now);
-        let cores = self.fleet.chips.first().map_or(0, |c| c.cores.len());
+        let mut may_take = domain_size.saturating_sub(faults.scans());
         for i in 0..n {
             if may_take == 0 {
                 break;
@@ -1859,24 +1905,24 @@ impl SiteState {
             }
             let scan_power = self.scan_power_w(i);
             let faults = self.faults.as_mut().expect("checked above");
-            let grid = faults
-                .grid
-                .as_ref()
-                .expect("re-profiling without a grid")
-                .clone();
-            let mut records = ProfilingRecords::new(grid, n, cores);
-            let duration = faults
+            let scan = faults
                 .scanner
                 .as_ref()
                 .expect("re-profiling without a scanner")
-                .profile_chip(&self.fleet.chips[i], &mut records, &mut faults.scan_rng);
+                .scan_chip(
+                    &self.fleet.chips[i],
+                    faults.grid.as_ref().expect("re-profiling without a grid"),
+                    &mut faults.scan_rng,
+                );
             // The chip is isolated and idle for the whole scan, so the
             // measurement taken now equals the one at scan end: no wear
             // can accrue in between.
-            faults.pending_vmin[i] =
-                Some(measured_vmin(&self.fleet.dvfs, &records, ChipId(i as u32)));
+            let duration = scan.duration;
+            faults.pending_vmin[i] = Some(with_nominal_fallback(&self.fleet.dvfs, |l| {
+                scan.measured_vmin_chip(l)
+            }));
             faults.draining[i] = false;
-            faults.scanning[i] = true;
+            faults.set_scanning(i, true);
             faults.chips_rescanned += 1;
             faults.rescan_downtime += duration;
             faults.reprofile_power_w += scan_power;
@@ -1896,8 +1942,8 @@ impl SiteState {
             .faults
             .as_mut()
             .expect("re-profile completion without fault injection");
-        faults.scanning[ci] = false;
-        faults.suspect[ci] = false;
+        faults.set_scanning(ci, false);
+        faults.set_suspect(ci, false);
         faults.stress_hours[ci] = 0.0;
         faults.reprofile_power_w = (faults.reprofile_power_w - scan_power).max(0.0);
         let measured = faults.pending_vmin[ci]
@@ -2382,7 +2428,7 @@ impl SiteState {
             timing_failures: f.timing_failures,
             retries: f.retries,
             failed_jobs: f.failed_jobs,
-            suspect_chips: f.suspect.iter().filter(|&&s| s).count(),
+            suspect_chips: f.suspects(),
             chips_rescanned: f.chips_rescanned,
             wasted_kwh: f.wasted_j / 3.6e6,
             rescan_downtime_hours: f.rescan_downtime.as_hours_f64(),
@@ -2417,15 +2463,14 @@ impl SiteState {
     }
 }
 
-/// A chip's scanned Min Vdd at each DVFS level; levels the scan could not
-/// resolve fall back to nominal voltage.
-fn measured_vmin(dvfs: &DvfsConfig, records: &ProfilingRecords, chip: ChipId) -> Vec<f64> {
+/// A chip's scanned Min Vdd at each DVFS level, read from `measured`;
+/// levels the scan could not resolve fall back to nominal voltage.
+fn with_nominal_fallback(
+    dvfs: &DvfsConfig,
+    measured: impl Fn(FreqLevel) -> Option<f64>,
+) -> Vec<f64> {
     dvfs.levels()
-        .map(|l| {
-            records
-                .measured_vmin_chip(chip, l)
-                .unwrap_or_else(|| dvfs.v_nom(l))
-        })
+        .map(|l| measured(l).unwrap_or_else(|| dvfs.v_nom(l)))
         .collect()
 }
 
@@ -3175,8 +3220,9 @@ impl SiteState {
     }
 
     /// Rebuilds the caches a snapshot does not carry — chain lengths, the
-    /// busy-queue count, demand aggregates, the blocked view, chip
-    /// indexes — from the restored ground truth.
+    /// busy-queue count, demand aggregates, the suspect and scanning
+    /// counts, the blocked view, chip indexes — from the restored ground
+    /// truth.
     fn rebuild_derived(&mut self) -> Result<(), SnapshotError> {
         let jobs = &self.jobs;
         self.chain_len_ms = self
@@ -3197,6 +3243,9 @@ impl SiteState {
             )));
         }
         self.rebuild_demand_aggregates();
+        if let Some(f) = &mut self.faults {
+            f.recount();
+        }
         self.out_of_service = (0..self.fleet.len())
             .map(|i| self.chip_out_of_service(i))
             .collect();

@@ -42,14 +42,14 @@ fn measure(fleet: &Fleet, gpu_enabled: bool, seed: u64) -> Vec<f64> {
         ..ScannerConfig::default()
     });
     let grid = VoltageGrid::from_dvfs(&fleet.dvfs, 120, 0.2);
-    let mut records = ProfilingRecords::new(grid, fleet.len(), 4);
+    let mut records = ProfilingRecords::for_fleet(grid, fleet);
     let mut rng = SimRng::derive(seed, "fig4");
     for chip in &fleet.chips {
         scanner.profile_chip(chip, &mut records, &mut rng);
     }
-    let mut out = Vec::with_capacity(16);
+    let mut out = Vec::new();
     for chip in &fleet.chips {
-        for c in 0..4u8 {
+        for c in 0..chip.cores.len() as u8 {
             let v = records
                 .measured_vmin(
                     CoreId {

@@ -30,7 +30,7 @@ pub mod staleness;
 
 pub use opportunistic::{analyse_windows, estimate_campaign, CampaignEstimate, WindowReport};
 pub use overhead::{OverheadModel, ProfilingCost};
-pub use protocol::{ScanReport, Scanner, ScannerConfig};
+pub use protocol::{ChipScan, ScanReport, Scanner, ScannerConfig};
 pub use records::{ProfilingRecords, VoltageGrid};
 pub use sbft::{TestKind, TestOutcome, TestProgram};
 pub use staleness::{

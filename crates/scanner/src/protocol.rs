@@ -9,8 +9,8 @@
 //! exactly the §V.A methodology ("the processor Vdd is gradually
 //! decreased ... until all cores cannot pass").
 
-use crate::records::{ProfilingRecords, VoltageGrid};
-use crate::sbft::{TestKind, TestOutcome, TestProgram};
+use crate::records::{ChipBlock, LevelRecord, ProfilingRecords, VoltageGrid};
+use crate::sbft::{TestKind, TestProgram};
 use iscope_dcsim::{SimDuration, SimRng};
 use iscope_pvmodel::{Chip, ChipId, CoreId, Fleet, FreqLevel};
 use serde::{Deserialize, Serialize};
@@ -104,6 +104,39 @@ impl ScanReport {
     }
 }
 
+/// One chip scanned on its own: out-of-service time, tests run, and the
+/// chip's `cores × levels` records over the grid it was scanned on.
+#[derive(Debug, Clone)]
+pub struct ChipScan<'g> {
+    /// How long the chip was out of service.
+    pub duration: SimDuration,
+    /// Stability tests executed (per-core test runs).
+    pub tests_run: u64,
+    grid: &'g VoltageGrid,
+    records: Vec<LevelRecord>,
+}
+
+impl ChipScan<'_> {
+    fn block(&self) -> ChipBlock<'_> {
+        ChipBlock {
+            grid: self.grid,
+            records: &self.records,
+        }
+    }
+
+    /// Measured Min Vdd of core `core` at `level`; `None` if the core
+    /// failed even at nominal voltage.
+    pub fn measured_vmin(&self, core: u8, level: FreqLevel) -> Option<f64> {
+        self.block().measured_vmin(core, level)
+    }
+
+    /// Chip-level (worst-core) measured Min Vdd at `level`; `None` if any
+    /// core lacks a measurement.
+    pub fn measured_vmin_chip(&self, level: FreqLevel) -> Option<f64> {
+        self.block().measured_vmin_chip(level)
+    }
+}
+
 /// The iScope scanner: drives the profiling protocol over a fleet.
 #[derive(Debug, Clone)]
 pub struct Scanner {
@@ -123,8 +156,61 @@ impl Scanner {
         &self.config
     }
 
-    /// Profiles one chip: descending voltage scan per level, all
-    /// still-passing cores tested concurrently at each step. Returns the
+    /// The scan kernel: generates the chip's test program, then descends
+    /// each level's grid chip-wide with every still-passing core tested
+    /// concurrently at each step, recording into `block` (the chip's
+    /// `cores × levels` records). Returns the chip's out-of-service time
+    /// and the stability tests run.
+    fn scan_block(
+        &self,
+        chip: &Chip,
+        grid: &VoltageGrid,
+        block: &mut [LevelRecord],
+        rng: &mut SimRng,
+    ) -> (SimDuration, u64) {
+        let program = TestProgram::generate(self.config.program_len, rng);
+        let levels = grid.num_levels();
+        let (mut steps, mut tests) = (0u64, 0u64);
+        for l in 0..levels {
+            let level = FreqLevel(l as u8);
+            let voltages = grid.voltages(level);
+            loop {
+                // Every core that still needs this level probed runs the
+                // test at the chip-wide supply; cores agree on the step
+                // because they all descend from the top. A core's record
+                // changes only after its own test, so deciding per core in
+                // turn picks the same cores as deciding for all up front.
+                let mut probed = None;
+                for (c, core) in chip.cores.iter().enumerate() {
+                    let rec = &mut block[c * levels + l];
+                    let Some(idx) = rec.next_probe(voltages.len()) else {
+                        continue;
+                    };
+                    debug_assert!(probed.is_none_or(|p| p == idx), "cores descend in lockstep");
+                    probed = Some(idx);
+                    let outcome = program.run(
+                        core,
+                        level,
+                        voltages[idx],
+                        self.config.gpu_enabled,
+                        self.config.fault_rate,
+                        rng,
+                    );
+                    rec.insert(idx, outcome);
+                    tests += 1;
+                }
+                if probed.is_none() {
+                    break;
+                }
+                steps += 1;
+            }
+        }
+        let duration =
+            SimDuration::from_millis(steps * self.config.test_kind.duration().as_millis());
+        (duration, tests)
+    }
+
+    /// Profiles one chip into its block of the fleet records. Returns the
     /// chip's out-of-service time.
     pub fn profile_chip(
         &self,
@@ -132,52 +218,29 @@ impl Scanner {
         records: &mut ProfilingRecords,
         rng: &mut SimRng,
     ) -> SimDuration {
-        let program = TestProgram::generate(self.config.program_len, rng);
-        let mut steps = 0u64;
-        let levels = records.grid().num_levels();
-        for l in 0..levels {
-            let level = FreqLevel(l as u8);
-            loop {
-                // Gather cores that still need this level probed; the
-                // chip-wide supply moves to the deepest requested index
-                // (cores agree because they all descend from the top).
-                let pending: Vec<(u8, usize)> = (0..chip.cores.len() as u8)
-                    .filter_map(|c| {
-                        let core = CoreId {
-                            chip: chip.id,
-                            core: c,
-                        };
-                        records.next_probe(core, level).map(|idx| (c, idx))
-                    })
-                    .collect();
-                let Some(&(_, idx)) = pending.first() else {
-                    break;
-                };
-                steps += 1;
-                let voltage = records.grid().voltages(level)[idx];
-                for (c, core_idx) in &pending {
-                    debug_assert_eq!(*core_idx, idx, "cores descend in lockstep");
-                    let outcome: TestOutcome = program.run(
-                        &chip.cores[*c as usize],
-                        level,
-                        voltage,
-                        self.config.gpu_enabled,
-                        self.config.fault_rate,
-                        rng,
-                    );
-                    records.record(
-                        CoreId {
-                            chip: chip.id,
-                            core: *c,
-                        },
-                        level,
-                        idx,
-                        outcome,
-                    );
-                }
-            }
+        let (grid, block, tests_run) = records.chip_mut(chip.id);
+        let (duration, tests) = self.scan_block(chip, grid, block, rng);
+        *tests_run += tests;
+        duration
+    }
+
+    /// Scans one chip on its own over `grid`: the same kernel and the same
+    /// random draws as [`Scanner::profile_chip`], into chip-sized records
+    /// (the in-run re-scan path, which must not pay for the fleet).
+    pub fn scan_chip<'g>(
+        &self,
+        chip: &Chip,
+        grid: &'g VoltageGrid,
+        rng: &mut SimRng,
+    ) -> ChipScan<'g> {
+        let mut records = vec![LevelRecord::default(); chip.cores.len() * grid.num_levels()];
+        let (duration, tests_run) = self.scan_block(chip, grid, &mut records, rng);
+        ChipScan {
+            duration,
+            tests_run,
+            grid,
+            records,
         }
-        SimDuration::from_millis(steps * self.config.test_kind.duration().as_millis())
     }
 
     /// Scans the whole fleet (stage 2 picks every inadequately profiled
@@ -185,8 +248,7 @@ impl Scanner {
     pub fn profile_fleet(&self, fleet: &Fleet, seed: u64) -> ScanReport {
         let grid =
             VoltageGrid::from_dvfs(&fleet.dvfs, self.config.grid_points, self.config.grid_depth);
-        let cores_per_chip = fleet.chips.first().map_or(0, |c| c.cores.len());
-        let mut records = ProfilingRecords::new(grid, fleet.len(), cores_per_chip);
+        let mut records = ProfilingRecords::for_fleet(grid, fleet);
         let mut rng = SimRng::derive(seed, "scanner");
         let mut per_chip_time = Vec::with_capacity(fleet.len());
         for chip in &fleet.chips {
@@ -390,6 +452,79 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// `(entries, FNV-1a of their little-endian bits)`.
+    fn fingerprint<'a>(values: impl IntoIterator<Item = &'a f64>) -> (usize, u64) {
+        let bits: Vec<u8> = values
+            .into_iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .collect();
+        (bits.len() / 8, fnv1a(bits))
+    }
+
+    /// Golden output of a 64-chip fleet scan (seed 7, default config):
+    /// test count, per-chip and campaign times, the bits of every measured
+    /// Min Vdd, and the scan stream's state afterwards. Any change to the
+    /// scan kernel, the SBFT model or the random draws shows up here.
+    #[test]
+    fn fleet_scan_is_pinned() {
+        let fleet = Fleet::generate(
+            64,
+            DvfsConfig::paper_default(),
+            &VariationParams::default(),
+            7,
+        );
+        let scanner = Scanner::new(ScannerConfig::default());
+        let report = scanner.profile_fleet(&fleet, 7);
+        // Outcomes barely depend on which random values a test draws, so
+        // the stream is pinned on its own: chip by chip, as the fleet
+        // scan draws it.
+        let mut rng = SimRng::derive(7, "scanner");
+        let mut records = ProfilingRecords::for_fleet(report.records.grid().clone(), &fleet);
+        for chip in &fleet.chips {
+            scanner.profile_chip(chip, &mut records, &mut rng);
+        }
+        assert_eq!(
+            rng.snapshot().words,
+            [
+                14_498_678_627_132_362_391,
+                11_464_505_199_095_644_546,
+                11_164_820_963_428_360_777,
+                10_085_606_093_372_401_317,
+            ]
+        );
+        let chip_ms: Vec<u8> = report
+            .per_chip_time
+            .iter()
+            .flat_map(|d| d.as_millis().to_le_bytes())
+            .collect();
+        let per_core = report.measured_vmin_per_core.iter().flatten().flatten();
+        let got = (
+            report.tests_run,
+            report.per_chip_time.len(),
+            fnv1a(chip_ms),
+            report.campaign_time.as_millis(),
+            fingerprint(report.measured_vmin.iter().flatten()),
+            fingerprint(per_core),
+        );
+        assert_eq!(
+            got,
+            (
+                10_031,
+                64,
+                8_629_325_899_153_874_581,
+                57_000_000,
+                (320, 4_872_235_501_589_366_132),
+                (1_280, 3_099_161_782_492_799_840),
+            )
+        );
     }
 
     #[test]

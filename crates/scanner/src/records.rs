@@ -7,7 +7,7 @@
 //! pass — so the extracted Min Vdd is the lowest passing grid point.
 
 use crate::sbft::TestOutcome;
-use iscope_pvmodel::{CoreId, FreqLevel};
+use iscope_pvmodel::{ChipId, CoreId, Fleet, FreqLevel};
 use serde::{Deserialize, Serialize};
 
 /// The descending voltage grid probed at each frequency bin.
@@ -66,8 +66,8 @@ impl VoltageGrid {
 }
 
 /// Pass/fail knowledge for one core at one level, over the grid.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-struct LevelRecord {
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+pub(crate) struct LevelRecord {
     /// Index (into the grid's descending voltages) of the lowest *pass*
     /// observed, if any.
     lowest_pass: Option<usize>,
@@ -79,7 +79,7 @@ impl LevelRecord {
     /// Stage-6 consistency: once a fail is recorded, every lower voltage
     /// (higher index) is also fail; once a pass is recorded, every higher
     /// voltage (lower index) is also pass.
-    fn insert(&mut self, idx: usize, outcome: TestOutcome) {
+    pub(crate) fn insert(&mut self, idx: usize, outcome: TestOutcome) {
         match outcome {
             TestOutcome::Pass => {
                 self.lowest_pass = Some(self.lowest_pass.map_or(idx, |p| p.max(idx)));
@@ -93,7 +93,7 @@ impl LevelRecord {
     /// Next grid index worth probing (descending), if any. The remaining
     /// uncertainty region is the open interval between the lowest pass and
     /// the highest fail; the scan is done when it is empty.
-    fn next_probe(&self, grid_len: usize) -> Option<usize> {
+    pub(crate) fn next_probe(&self, grid_len: usize) -> Option<usize> {
         let candidate = self.lowest_pass.map_or(0, |p| p + 1);
         if candidate >= grid_len {
             return None; // even the deepest point passed
@@ -103,11 +103,48 @@ impl LevelRecord {
             _ => Some(candidate),
         }
     }
+}
 
-    /// True once no probe remains: the pass/fail boundary is pinned, the
-    /// whole grid passed, or the unit failed at nominal (defective).
-    fn complete(&self, grid_len: usize) -> bool {
-        self.next_probe(grid_len).is_none()
+/// Read view of one chip's scan state: a `cores × levels` block of level
+/// records, core-major, over the grid it was scanned on. The scan kernel
+/// fills this shape; fleet records lay one block per chip end to end.
+pub(crate) struct ChipBlock<'a> {
+    pub(crate) grid: &'a VoltageGrid,
+    pub(crate) records: &'a [LevelRecord],
+}
+
+impl ChipBlock<'_> {
+    fn record(&self, core: u8, level: FreqLevel) -> &LevelRecord {
+        &self.records[core as usize * self.grid.num_levels() + level.0 as usize]
+    }
+
+    fn cores(&self) -> usize {
+        self.records.len() / self.grid.num_levels()
+    }
+
+    /// Lowest passing grid voltage of `core` at `level`, if any passed.
+    pub(crate) fn measured_vmin(&self, core: u8, level: FreqLevel) -> Option<f64> {
+        self.record(core, level)
+            .lowest_pass
+            .map(|i| self.grid.voltages(level)[i])
+    }
+
+    /// Worst (max) measured Min Vdd over the cores at `level`; `None` if
+    /// any core lacks a measurement.
+    pub(crate) fn measured_vmin_chip(&self, level: FreqLevel) -> Option<f64> {
+        (0..self.cores() as u8)
+            .map(|c| self.measured_vmin(c, level))
+            .try_fold(0.0f64, |acc, v| v.map(|v| acc.max(v)))
+    }
+
+    /// True once every level of every core is complete.
+    fn complete(&self) -> bool {
+        self.records.chunks(self.grid.num_levels()).all(|levels| {
+            levels.iter().enumerate().all(|(l, r)| {
+                r.next_probe(self.grid.voltages(FreqLevel(l as u8)).len())
+                    .is_none()
+            })
+        })
     }
 }
 
@@ -115,8 +152,10 @@ impl LevelRecord {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ProfilingRecords {
     grid: VoltageGrid,
-    /// `records[chip][core][level]`.
-    records: Vec<Vec<Vec<LevelRecord>>>,
+    cores_per_chip: usize,
+    /// One [`ChipBlock`] per chip in one allocation:
+    /// `records[(chip * cores_per_chip + core) * levels + level]`.
+    records: Vec<LevelRecord>,
     /// Total stability tests executed (the overhead counter).
     tests_run: u64,
 }
@@ -125,17 +164,55 @@ impl ProfilingRecords {
     /// Creates empty records for `num_chips` chips of `cores_per_chip`
     /// cores over `grid`.
     pub fn new(grid: VoltageGrid, num_chips: usize, cores_per_chip: usize) -> Self {
-        let levels = grid.num_levels();
+        let len = num_chips * cores_per_chip * grid.num_levels();
         ProfilingRecords {
             grid,
-            records: vec![vec![vec![LevelRecord::default(); levels]; cores_per_chip]; num_chips],
+            cores_per_chip,
+            records: vec![LevelRecord::default(); len],
             tests_run: 0,
         }
+    }
+
+    /// Creates empty records covering every chip of `fleet`, sized by its
+    /// chips' core count.
+    pub fn for_fleet(grid: VoltageGrid, fleet: &Fleet) -> Self {
+        let cores_per_chip = fleet.chips.first().map_or(0, |c| c.cores.len());
+        Self::new(grid, fleet.len(), cores_per_chip)
     }
 
     /// The probe grid.
     pub fn grid(&self) -> &VoltageGrid {
         &self.grid
+    }
+
+    fn block_range(&self, chip: ChipId) -> std::ops::Range<usize> {
+        let size = self.cores_per_chip * self.grid.num_levels();
+        let start = chip.0 as usize * size;
+        start..start + size
+    }
+
+    fn index(&self, core: CoreId, level: FreqLevel) -> usize {
+        self.block_range(core.chip).start
+            + core.core as usize * self.grid.num_levels()
+            + level.0 as usize
+    }
+
+    /// Read view of one chip's block.
+    pub(crate) fn chip(&self, chip: ChipId) -> ChipBlock<'_> {
+        ChipBlock {
+            grid: &self.grid,
+            records: &self.records[self.block_range(chip)],
+        }
+    }
+
+    /// The grid, one chip's block for the scan kernel to fill, and the
+    /// test counter it adds to.
+    pub(crate) fn chip_mut(
+        &mut self,
+        chip: ChipId,
+    ) -> (&VoltageGrid, &mut [LevelRecord], &mut u64) {
+        let range = self.block_range(chip);
+        (&self.grid, &mut self.records[range], &mut self.tests_run)
     }
 
     /// Records one test outcome.
@@ -147,66 +224,37 @@ impl ProfilingRecords {
         outcome: TestOutcome,
     ) {
         self.tests_run += 1;
-        self.records[core.chip.0 as usize][core.core as usize][level.0 as usize]
-            .insert(grid_idx, outcome);
+        let i = self.index(core, level);
+        self.records[i].insert(grid_idx, outcome);
     }
 
     /// Next grid index the profiler should probe for this core/level
     /// (descending scan with stage-6 early stop), or `None` when done.
     pub fn next_probe(&self, core: CoreId, level: FreqLevel) -> Option<usize> {
-        let rec = &self.records[core.chip.0 as usize][core.core as usize][level.0 as usize];
-        rec.next_probe(self.grid.voltages(level).len())
+        self.records[self.index(core, level)].next_probe(self.grid.voltages(level).len())
     }
 
     /// True once the core's Min Vdd is pinned at this level.
     pub fn is_complete(&self, core: CoreId, level: FreqLevel) -> bool {
-        let rec = &self.records[core.chip.0 as usize][core.core as usize][level.0 as usize];
-        rec.complete(self.grid.voltages(level).len())
+        self.next_probe(core, level).is_none()
     }
 
     /// True once every level of every core of the chip is complete.
-    pub fn chip_complete(&self, chip: iscope_pvmodel::ChipId) -> bool {
-        let cores = &self.records[chip.0 as usize];
-        cores.iter().enumerate().all(|(c, levels)| {
-            levels.iter().enumerate().all(|(l, _)| {
-                self.is_complete(
-                    CoreId {
-                        chip,
-                        core: c as u8,
-                    },
-                    FreqLevel(l as u8),
-                )
-            })
-        })
+    pub fn chip_complete(&self, chip: ChipId) -> bool {
+        self.chip(chip).complete()
     }
 
     /// Measured Min Vdd: the lowest grid voltage that passed. `None` until
     /// at least one pass is recorded. Conservative by construction
     /// (measured ≥ true Min Vdd, within one grid step when complete).
     pub fn measured_vmin(&self, core: CoreId, level: FreqLevel) -> Option<f64> {
-        let rec = &self.records[core.chip.0 as usize][core.core as usize][level.0 as usize];
-        rec.lowest_pass.map(|i| self.grid.voltages(level)[i])
+        self.chip(core.chip).measured_vmin(core.core, level)
     }
 
     /// Chip-level measured Min Vdd at a level: worst (max) over cores.
     /// `None` if any core lacks a measurement.
-    pub fn measured_vmin_chip(
-        &self,
-        chip: iscope_pvmodel::ChipId,
-        level: FreqLevel,
-    ) -> Option<f64> {
-        let cores = self.records[chip.0 as usize].len();
-        (0..cores)
-            .map(|c| {
-                self.measured_vmin(
-                    CoreId {
-                        chip,
-                        core: c as u8,
-                    },
-                    level,
-                )
-            })
-            .try_fold(0.0f64, |acc, v| v.map(|v| acc.max(v)))
+    pub fn measured_vmin_chip(&self, chip: ChipId, level: FreqLevel) -> Option<f64> {
+        self.chip(chip).measured_vmin_chip(level)
     }
 
     /// Total stability tests executed so far.
@@ -216,7 +264,8 @@ impl ProfilingRecords {
 
     /// Number of chips tracked.
     pub fn num_chips(&self) -> usize {
-        self.records.len()
+        let size = self.cores_per_chip * self.grid.num_levels();
+        self.records.len().checked_div(size).unwrap_or(0)
     }
 }
 

@@ -41,6 +41,9 @@ pub enum TestOutcome {
     Fail,
 }
 
+/// Accumulator value every execution of a test program starts from.
+const PROGRAM_SEED: u64 = 0x5EED_CAFE_F00D_D00D;
+
 /// A generated functional test program: an operation stream with its
 /// precomputed correct result.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -77,7 +80,7 @@ impl TestProgram {
                 _ => Op::Rotl(1 + rng.index(63) as u32),
             })
             .collect();
-        let expected = Self::execute_ops(&ops, 0x5EED_CAFE_F00D_D00Du64, &mut |x| x);
+        let expected = Self::execute_ops(&ops, PROGRAM_SEED, &mut |x| x);
         TestProgram { ops, expected }
     }
 
@@ -106,10 +109,11 @@ impl TestProgram {
     }
 
     /// Runs the program on a core at `(level, voltage)` and checks the
-    /// result. On a stable point execution is exact and the test passes
-    /// deterministically; on an unstable point every operation flips a
-    /// random bit with probability `fault_rate`, so with a program of a
-    /// few hundred ops a miss is vanishingly unlikely.
+    /// result. On a stable point execution is exact, so the result is
+    /// `expected` by construction and the test passes without executing
+    /// or drawing any randomness. On an unstable point every operation
+    /// flips a random bit with probability `fault_rate`, so with a program
+    /// of a few hundred ops a miss is vanishingly unlikely.
     pub fn run(
         &self,
         core: &Core,
@@ -119,18 +123,16 @@ impl TestProgram {
         fault_rate: f64,
         rng: &mut SimRng,
     ) -> TestOutcome {
-        let stable = core.stable_at(level, voltage, gpu_enabled);
-        let result = if stable {
-            Self::execute_ops(&self.ops, 0x5EED_CAFE_F00D_D00Du64, &mut |x| x)
-        } else {
-            Self::execute_ops(&self.ops, 0x5EED_CAFE_F00D_D00Du64, &mut |x| {
-                if rng.chance(fault_rate) {
-                    x ^ (1u64 << rng.index(64))
-                } else {
-                    x
-                }
-            })
-        };
+        if core.stable_at(level, voltage, gpu_enabled) {
+            return TestOutcome::Pass;
+        }
+        let result = Self::execute_ops(&self.ops, PROGRAM_SEED, &mut |x| {
+            if rng.chance(fault_rate) {
+                x ^ (1u64 << rng.index(64))
+            } else {
+                x
+            }
+        });
         if result == self.expected {
             TestOutcome::Pass
         } else {

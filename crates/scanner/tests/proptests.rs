@@ -7,7 +7,7 @@ use iscope_pvmodel::{
 };
 use iscope_scanner::{
     analyse_staleness, safe_reprofile_interval_hours, ProfilingRecords, Scanner, ScannerConfig,
-    TestKind, TestOutcome, VoltageGrid,
+    TestKind, TestOutcome, TestProgram, VoltageGrid,
 };
 use proptest::prelude::*;
 
@@ -132,6 +132,80 @@ proptest! {
         let r = analyse_staleness(&f, &plan, &aging, frac * safe);
         prop_assert_eq!(r.unsafe_chips, 0, "aged {:.1} of {:.1} safe hours: {:?}", frac * safe, safe, r);
         prop_assert!(r.worst_margin_v > 0.0);
+    }
+
+    /// Scanning a chip on its own (the in-run re-scan path) is the same
+    /// scan as profiling it into fleet-wide records: same duration, test
+    /// count, per-core and chip-level Min Vdd bits, and the same RNG state
+    /// afterwards, for any chip, grid, fault rate and GPU setting.
+    #[test]
+    fn chip_scan_matches_fleet_records(
+        seed in any::<u64>(),
+        chips in 1usize..8,
+        pick in any::<usize>(),
+        points in 2usize..24,
+        depth in 0.02f64..0.5,
+        fault_rate in 0.001f64..0.1,
+        gpu_enabled in any::<bool>(),
+        rng_seed in any::<u64>(),
+    ) {
+        let f = fleet(chips, seed);
+        let chip = &f.chips[pick % chips];
+        let scanner = Scanner::new(ScannerConfig {
+            grid_points: points,
+            grid_depth: depth,
+            fault_rate,
+            gpu_enabled,
+            ..ScannerConfig::default()
+        });
+        let grid = VoltageGrid::from_dvfs(&f.dvfs, points, depth);
+        let mut fleet_rng = SimRng::new(rng_seed);
+        let mut records = ProfilingRecords::for_fleet(grid.clone(), &f);
+        let duration = scanner.profile_chip(chip, &mut records, &mut fleet_rng);
+        let mut chip_rng = SimRng::new(rng_seed);
+        let scan = scanner.scan_chip(chip, &grid, &mut chip_rng);
+        prop_assert_eq!(scan.duration, duration);
+        prop_assert_eq!(scan.tests_run, records.tests_run());
+        prop_assert_eq!(chip_rng.snapshot(), fleet_rng.snapshot());
+        for l in f.dvfs.levels() {
+            prop_assert_eq!(
+                scan.measured_vmin_chip(l).map(f64::to_bits),
+                records.measured_vmin_chip(chip.id, l).map(f64::to_bits)
+            );
+            for core in 0..chip.cores.len() as u8 {
+                prop_assert_eq!(
+                    scan.measured_vmin(core, l).map(f64::to_bits),
+                    records
+                        .measured_vmin(CoreId { chip: chip.id, core }, l)
+                        .map(f64::to_bits)
+                );
+            }
+        }
+    }
+
+    /// A test at a stable operating point passes without drawing from the
+    /// RNG, whatever the fault rate and GPU setting.
+    #[test]
+    fn stable_points_pass_without_drawing(
+        seed in any::<u64>(),
+        level in 0u8..5,
+        headroom in 0.0f64..0.2,
+        fault_rate in 0.0f64..1.0,
+        gpu_enabled in any::<bool>(),
+    ) {
+        let dvfs = DvfsConfig::paper_default();
+        let mut rng = SimRng::new(seed);
+        let chip = Chip::generate(ChipId(0), &dvfs, &VariationParams::default(), &mut rng);
+        let program = TestProgram::generate(64, &mut rng);
+        let level = FreqLevel(level);
+        for core in &chip.cores {
+            let voltage = core.vmin_gpu(level) + headroom;
+            prop_assert!(core.stable_at(level, voltage, gpu_enabled));
+            let before = rng.snapshot();
+            let outcome = program.run(core, level, voltage, gpu_enabled, fault_rate, &mut rng);
+            prop_assert_eq!(outcome, TestOutcome::Pass);
+            prop_assert_eq!(rng.snapshot(), before);
+        }
     }
 
     /// profile_chip leaves every core complete for any chip the default

@@ -95,7 +95,7 @@ fn incremental_profiling_converges_to_full_scan() {
     let f = fleet(24, 13);
     let scanner = Scanner::new(ScannerConfig::default());
     let grid = VoltageGrid::paper_default(&f.dvfs);
-    let mut records = ProfilingRecords::new(grid, f.len(), 4);
+    let mut records = ProfilingRecords::for_fleet(grid, &f);
     let mut rng = SimRng::derive(13, "scanner");
     let ids: Vec<iscope_pvmodel::ChipId> = f.chips.iter().map(|c| c.id).collect();
     for batch in ids.chunks(5) {
