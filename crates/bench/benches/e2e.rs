@@ -1,7 +1,6 @@
 //! End-to-end simulation benchmarks: whole runs through the public
-//! builder, at bench scale and with the incremental availability and
-//! indexed placement paths toggled — the criterion-tracked counterpart
-//! of the headline numbers `iscope-exp bench-report` records in
+//! builder, at bench scale — the criterion-tracked counterpart of the
+//! headline numbers `iscope-exp bench-report` records in
 //! `BENCH_sim.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -45,91 +44,6 @@ fn bench_e2e_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-/// Incremental availability vs the queue-replay ground truth, end to
-/// end: the gap between these two is exactly what the tentpole bought.
-fn bench_incremental_vs_replay(c: &mut Criterion) {
-    let mut g = c.benchmark_group("e2e_avail_path");
-    g.sample_size(10);
-    g.bench_function("incremental", |b| {
-        b.iter(|| black_box(scaled_headline(240, 1000).build().run()))
-    });
-    g.bench_function("replay", |b| {
-        b.iter(|| {
-            black_box(
-                scaled_headline(240, 1000)
-                    .force_replay_avail(true)
-                    .build()
-                    .run(),
-            )
-        })
-    });
-    g.finish();
-}
-
-/// Indexed placement vs the linear per-arrival fleet scan, end to end,
-/// at a fleet size where the scan is a visible fraction of each event:
-/// the gap between these two is what the persistent chip indexes bought.
-fn bench_placement_path(c: &mut Criterion) {
-    let mut g = c.benchmark_group("e2e_placement_path");
-    g.sample_size(10);
-    g.bench_function("indexed", |b| {
-        b.iter(|| black_box(scaled_headline(480, 2000).build().run()))
-    });
-    g.bench_function("linear", |b| {
-        b.iter(|| {
-            black_box(
-                scaled_headline(480, 2000)
-                    .force_linear_placement(true)
-                    .build()
-                    .run(),
-            )
-        })
-    });
-    g.finish();
-}
-
-/// A shrunk DVFS-stressed scenario (scarce wind, 4× arrival rate): the
-/// supply-matching loop dominates, so the gap between `incremental` and
-/// `replay` here is what the demand aggregates and cached chain limits
-/// bought.
-fn dvfs_stress(fleet: usize, jobs: usize) -> GreenDatacenterSim {
-    GreenDatacenterSim::builder()
-        .fleet_size(fleet)
-        .synthetic_trace(SyntheticTrace {
-            num_jobs: jobs,
-            max_cpus: 16,
-            ..SyntheticTrace::default()
-        })
-        .arrival_rate(4.0)
-        .scheme(Scheme::ScanFair)
-        .supply(Supply::hybrid_farm(
-            &WindFarm::default(),
-            SimDuration::from_hours(96),
-            fleet as f64 / 4800.0 * 0.25,
-            42,
-        ))
-        .seed(42)
-}
-
-fn bench_dvfs_demand_path(c: &mut Criterion) {
-    let mut g = c.benchmark_group("e2e_dvfs_demand_path");
-    g.sample_size(10);
-    g.bench_function("incremental", |b| {
-        b.iter(|| black_box(dvfs_stress(240, 1000).build().run()))
-    });
-    g.bench_function("replay", |b| {
-        b.iter(|| {
-            black_box(
-                dvfs_stress(240, 1000)
-                    .force_replay_demand(true)
-                    .build()
-                    .run(),
-            )
-        })
-    });
-    g.finish();
-}
-
 fn bench_all_schemes(c: &mut Criterion) {
     let mut g = c.benchmark_group("e2e_schemes");
     g.sample_size(10);
@@ -157,12 +71,5 @@ fn bench_all_schemes(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    e2e,
-    bench_e2e_scaling,
-    bench_incremental_vs_replay,
-    bench_placement_path,
-    bench_dvfs_demand_path,
-    bench_all_schemes
-);
+criterion_group!(e2e, bench_e2e_scaling, bench_all_schemes);
 criterion_main!(e2e);

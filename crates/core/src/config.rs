@@ -45,9 +45,6 @@ pub struct GreenDatacenterSim {
     fault_injection: Option<FaultInjectionConfig>,
     surplus_signal: SurplusSignal,
     per_core_domains: bool,
-    force_replay_avail: bool,
-    force_replay_demand: bool,
-    force_linear_placement: bool,
     audit: Option<AuditConfig>,
     telemetry: Option<TelemetryConfig>,
     carbon: Option<CarbonConfig>,
@@ -79,9 +76,6 @@ impl GreenDatacenterSim {
             fault_injection: None,
             surplus_signal: SurplusSignal::default(),
             per_core_domains: false,
-            force_replay_avail: false,
-            force_replay_demand: false,
-            force_linear_placement: false,
             audit: None,
             telemetry: None,
             carbon: None,
@@ -195,40 +189,6 @@ impl GreenDatacenterSim {
     /// forecast extension).
     pub fn surplus_signal(mut self, s: SurplusSignal) -> Self {
         self.surplus_signal = s;
-        self
-    }
-
-    /// Testing knob: derive chip availability by replaying the queues on
-    /// every placement (the pre-incremental hot path) instead of
-    /// maintaining it incrementally. Runs must be identical either way;
-    /// the equivalence suite flips this to prove it. Not useful outside
-    /// tests — it only makes placements slower.
-    pub fn force_replay_avail(mut self, on: bool) -> Self {
-        self.force_replay_avail = on;
-        self
-    }
-
-    /// Testing knob: derive the supply-matching loop's demand sums and
-    /// deadline chain limits by re-walking the running set and queues on
-    /// every probe instead of reading the incrementally maintained
-    /// fixed-point aggregates. Both paths work in integer microwatts, so
-    /// runs must be bit-identical either way; the equivalence suite flips
-    /// this to prove it. Not useful outside tests — it only makes
-    /// rebalances slower.
-    pub fn force_replay_demand(mut self, on: bool) -> Self {
-        self.force_replay_demand = on;
-        self
-    }
-
-    /// Testing knob: place with the linear full-pool scans (the
-    /// pre-index hot path) instead of the persistent chip indexes. The
-    /// indexes are still maintained; this only stops the placement
-    /// policies from consuming them. Decisions — and therefore whole
-    /// runs — must be bit-identical either way; the equivalence suite
-    /// flips this to prove it. Not useful outside tests — it only makes
-    /// placements slower.
-    pub fn force_linear_placement(mut self, on: bool) -> Self {
-        self.force_linear_placement = on;
         self
     }
 
@@ -360,9 +320,6 @@ impl GreenDatacenterSim {
                 in_situ: self.in_situ,
                 fault_injection: self.fault_injection,
                 surplus_signal: self.surplus_signal,
-                force_replay_avail: self.force_replay_avail,
-                force_replay_demand: self.force_replay_demand,
-                force_linear_placement: self.force_linear_placement,
                 audit: self.audit,
                 telemetry: self.telemetry,
                 carbon: self.carbon,

@@ -71,25 +71,6 @@ pub struct SimInput {
     pub fault_injection: Option<FaultInjectionConfig>,
     /// How ScanFair decides whether wind is in surplus at placement time.
     pub surplus_signal: SurplusSignal,
-    /// Testing knob: always derive chip availability by replaying the
-    /// queues (the pre-incremental hot path) instead of maintaining it
-    /// incrementally. The two must produce identical runs; the
-    /// equivalence suite flips this to prove it.
-    pub force_replay_avail: bool,
-    /// Testing knob: derive the supply-matching loop's demand sums and
-    /// deadline chain limits by re-walking the running set and queues on
-    /// every probe (the pre-aggregate hot path) instead of reading the
-    /// incrementally maintained fixed-point aggregates. Both paths work in
-    /// integer microwatts, so runs must be bit-identical either way; the
-    /// equivalence suite flips this to prove it.
-    pub force_replay_demand: bool,
-    /// Testing knob: place with the linear full-pool scans (the
-    /// pre-index hot path) instead of the persistent chip indexes. Index
-    /// maintenance is skipped entirely under this knob (the trees would
-    /// never be consumed), so the linear leg measures the true pre-index
-    /// cost. Decisions must be bit-identical either way; the equivalence
-    /// suite flips this to prove it.
-    pub force_linear_placement: bool,
     /// Optional run-wide invariant auditor (DESIGN.md §4): independently
     /// re-integrates energy against wall-clock event intervals and
     /// cross-checks the ledger, the incremental demand aggregates,
@@ -693,15 +674,17 @@ mod tests {
         }
     }
 
-    fn run(jobs: Vec<Job>, supply: Supply) -> crate::RunReport {
+    fn sim(jobs: Vec<Job>, supply: Supply) -> GreenDatacenterSim {
         GreenDatacenterSim::builder()
             .fleet_size(8)
             .workload(Workload::new(jobs))
             .scheme(Scheme::ScanFair)
             .supply(supply)
             .seed(1)
-            .build()
-            .run()
+    }
+
+    fn run(jobs: Vec<Job>, supply: Supply) -> crate::RunReport {
+        sim(jobs, supply).build().run()
     }
 
     #[test]
@@ -834,5 +817,54 @@ mod tests {
         let r = run(jobs, Supply::utility_only());
         assert_eq!(r.jobs, 2);
         assert_eq!(r.makespan, SimTime::from_secs(1200));
+    }
+
+    /// The fast paths' equivalence with their reference implementations
+    /// is proved only by debug-build cross-checks inside the simulator.
+    /// Each test below pauses a run holding one running job (a second
+    /// arrives at t = 100 s and drives the next placement and
+    /// rebalance), corrupts one maintained value, and runs on: the
+    /// matching cross-check must fire.
+    #[cfg(debug_assertions)]
+    fn paused_with_second_arrival(supply: Supply) -> super::SimDriver {
+        let jobs = vec![job(0, 0, 2, 600, 20.0), job(1, 100, 2, 600, 20.0)];
+        let mut driver = super::SimDriver::new(sim(jobs, supply).build().into_input());
+        driver.run_until(SimTime::from_secs(50));
+        assert_eq!(driver.sim.site.running.len(), 1);
+        driver
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "incremental availability diverged from queue replay")]
+    fn availability_cross_check_fires() {
+        let mut driver = paused_with_second_arrival(Supply::utility_only());
+        let site = &mut driver.sim.site;
+        let chip = site.jobs[site.running[0]].chips[0].0 as usize;
+        site.avail[chip] += SimDuration::from_hours(1000);
+        driver.finish();
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "incremental running-demand aggregate diverged")]
+    fn running_demand_cross_check_fires() {
+        let mut driver = paused_with_second_arrival(Supply::utility_only());
+        driver.sim.site.running_demand_uw += 1;
+        driver.finish();
+    }
+
+    /// Zero wind makes the matcher descend, so it reads every running
+    /// job's deadline floor.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "cached chain limit diverged")]
+    fn chain_limit_cross_check_fires() {
+        let supply = Supply::hybrid(PowerTrace::constant(SimDuration::from_mins(10), 0.0, 100));
+        let mut driver = paused_with_second_arrival(supply);
+        let site = &mut driver.sim.site;
+        let idx = site.running[0];
+        site.jobs[idx].chain_limit = SimTime::ZERO;
+        driver.finish();
     }
 }

@@ -243,12 +243,6 @@ pub(crate) struct SiteState {
     pub(crate) chip_index: ChipIndexes,
     /// Reusable candidate buffers for the placement policies.
     pub(crate) place_scratch: iscope_sched::PlaceScratch,
-    /// Testing knob mirrored from [`SimInput::force_replay_avail`].
-    pub(crate) force_replay_avail: bool,
-    /// Testing knob mirrored from [`SimInput::force_replay_demand`].
-    pub(crate) force_replay_demand: bool,
-    /// Testing knob mirrored from [`SimInput::force_linear_placement`].
-    pub(crate) force_linear_placement: bool,
     /// `demand_uw_at_level[l]`: fleet demand (integer µW) if every running
     /// job sat at level `l` — the sum of the frozen `power_uw_at` rows over
     /// the running set. Maintained incrementally on start/finish/plan
@@ -644,9 +638,6 @@ impl SiteState {
             avail_dirty: false,
             chip_index: ChipIndexes::new(n),
             place_scratch: iscope_sched::PlaceScratch::default(),
-            force_replay_avail: input.force_replay_avail,
-            force_replay_demand: input.force_replay_demand,
-            force_linear_placement: input.force_linear_placement,
             demand_uw_at_level: vec![0; num_levels],
             running_demand_uw: 0,
             chain_len_ms: vec![0; n],
@@ -958,11 +949,8 @@ impl SiteState {
 
     /// Fleet demand (µW) if every running job sat at `level` — the value
     /// `rebalance_global`'s descent probes. O(1) from the incremental
-    /// aggregate; O(running) replay under `force_replay_demand`.
+    /// aggregate; debug builds check it against the O(running) replay.
     fn demand_at_level_uw(&self, level: FreqLevel) -> i64 {
-        if self.force_replay_demand {
-            return self.replay_demand_at_level_uw(level);
-        }
         debug_assert_eq!(
             self.demand_uw_at_level[level.0 as usize],
             self.replay_demand_at_level_uw(level),
@@ -989,17 +977,12 @@ impl SiteState {
     /// sampler boundary.
     fn refresh_demand(&mut self, now: SimTime) {
         let t0 = Instant::now();
-        let job_uw = if self.force_replay_demand {
-            self.replay_running_demand_uw()
-        } else {
-            debug_assert_eq!(
-                self.running_demand_uw,
-                self.replay_running_demand_uw(),
-                "incremental running-demand aggregate diverged from replay"
-            );
-            self.running_demand_uw
-        };
-        let mut demand = microwatts_to_watts(job_uw);
+        debug_assert_eq!(
+            self.running_demand_uw,
+            self.replay_running_demand_uw(),
+            "incremental running-demand aggregate diverged from replay"
+        );
+        let mut demand = microwatts_to_watts(self.running_demand_uw);
         if let Some(insitu) = &self.in_situ {
             demand += insitu.profiling_power_w;
         }
@@ -1438,11 +1421,19 @@ impl SiteState {
     /// down — a stale estimate here accepts doomed placements.
     ///
     /// This is the ground truth the incrementally maintained `self.avail`
-    /// must agree with; it runs on the hot path only when that state is
-    /// dirty (after a DVFS level change), under deferral (which places
-    /// jobs out of arrival order), under fault injection or an active
-    /// carbon policy (which kill running attempts and re-place them out of
-    /// arrival order), or when `force_replay_avail` is set.
+    /// must agree with (debug builds compare the two on every incremental
+    /// placement); it runs on the hot path only when that state is dirty
+    /// (after a DVFS level change), under deferral, under fault injection,
+    /// or under an active carbon policy.
+    ///
+    /// The one-pass projection walks waiting jobs in index (= arrival)
+    /// order, which is queue order on every chip only while placement
+    /// follows arrival order. A `SiteEv::Retry` or a deferred/carbon
+    /// release (`release_deferred`) calls `place_job` for an older job
+    /// after newer arrivals are already queued on its chips; the replay
+    /// then projects those chips in index order, not the queue order
+    /// `try_start` uses. The incremental projection follows queue order,
+    /// so the two agree only on runs `avail_incremental` admits.
     fn projected_avail_replay(&self, now: SimTime) -> Vec<SimTime> {
         let mut avail = vec![now; self.fleet.len()];
         for &i in &self.running {
@@ -1451,9 +1442,9 @@ impl SiteState {
                 avail[c.0 as usize] = avail[c.0 as usize].max(js.sched_end);
             }
         }
-        // Waiting jobs in placement (= arrival) order: queue order on every
-        // shared chip is consistent with arrival order, so one pass
-        // suffices.
+        // Waiting jobs in index (= arrival) order. This matches queue
+        // order on every shared chip only while placement follows arrival
+        // order (see above).
         let mut waiting: Vec<usize> = self
             .jobs
             .iter()
@@ -1478,27 +1469,25 @@ impl SiteState {
     }
 
     /// Whether `self.avail` can be maintained incrementally. Deferral
-    /// releases jobs out of arrival order, which breaks the replay's
-    /// one-pass assumption the cross-check relies on, so deferral runs
-    /// always replay (as they always have). Fault injection both kills
-    /// running jobs mid-attempt and re-places retries out of arrival
-    /// order, so it always replays too — and an active carbon policy can
-    /// do both (deferral holds, suspension kills), so it joins them.
+    /// releases jobs out of arrival order, so the replay projects their
+    /// chips in index order rather than the queue order the incremental
+    /// state follows: the two would differ, and deferral runs always
+    /// replay (as they always have). Fault injection both kills running
+    /// jobs mid-attempt and re-places retries out of arrival order, so it
+    /// always replays too — and an active carbon policy can do both
+    /// (deferral holds, suspension kills), so it joins them.
     fn avail_incremental(&self) -> bool {
-        self.deferral.is_none()
-            && self.faults.is_none()
-            && self.carbon.is_none()
-            && !self.force_replay_avail
+        self.deferral.is_none() && self.faults.is_none() && self.carbon.is_none()
     }
 
     /// Refreshes the per-chip availability projection. On the incremental
     /// path this is a no-op; a full queue replay happens only when the
     /// state is dirty (after a DVFS level change) or never incremental
-    /// (deferral, faults, carbon, forced replay). Whenever a replay rewrites
-    /// `avail` wholesale, the chip indexes keyed on it are stale for
-    /// every chip at once, so they are rebuilt here too — the epoch-
-    /// invalidation rule (DESIGN.md §3d). The placement view reads the
-    /// raw `avail` values and clamps to `now` at the comparison sites.
+    /// (deferral, faults, carbon). Whenever a replay rewrites `avail`
+    /// wholesale, the chip indexes keyed on it are stale for every chip
+    /// at once, so they are rebuilt here too — the epoch-invalidation
+    /// rule (DESIGN.md §3d). The placement view reads the raw `avail`
+    /// values and clamps to `now` at the comparison sites.
     fn refresh_avail(&mut self, now: SimTime) {
         let replayed = if !self.avail_incremental() {
             self.avail = self.projected_avail_replay(now);
@@ -1510,7 +1499,7 @@ impl SiteState {
         } else {
             false
         };
-        if replayed && !self.force_linear_placement {
+        if replayed {
             let queues = &self.queues;
             self.chip_index
                 .rebuild_avail(&self.avail, |i| !queues[i].is_empty());
@@ -1550,7 +1539,7 @@ impl SiteState {
                 dvfs: &self.fleet.dvfs,
                 blocked: &self.out_of_service,
                 in_service: self.in_service,
-                index: (!self.force_linear_placement).then_some(&self.chip_index),
+                index: Some(&self.chip_index),
                 scratch: &self.place_scratch,
             };
             self.placement
@@ -1574,9 +1563,7 @@ impl SiteState {
             self.avail[ci] = end;
             // Index maintenance: the chip now drains at `end` (and is
             // certainly busy), whatever tree it sat in before.
-            if !self.force_linear_placement {
-                self.chip_index.chip_busy(c, end);
-            }
+            self.chip_index.chip_busy(c, end);
             if let Some(&head) = self.queues[ci].front() {
                 // The job lands behind an existing chain: extend the
                 // chain length and tighten the running head's cached
@@ -1744,9 +1731,7 @@ impl SiteState {
         for &c in &chips {
             let ci = c.0 as usize;
             self.usage[ci] += busy;
-            if !self.force_linear_placement {
-                self.chip_index.set_usage(c, self.usage[ci]);
-            }
+            self.chip_index.set_usage(c, self.usage[ci]);
             self.apply_wear(ci, busy);
             let q = &mut self.queues[ci];
             debug_assert_eq!(q.front(), Some(&idx), "released job was not at head");
@@ -1764,9 +1749,7 @@ impl SiteState {
                 );
                 // Queue transition busy -> empty.
                 self.busy_queues -= 1;
-                if !self.force_linear_placement {
-                    self.chip_index.chip_idle(c);
-                }
+                self.chip_index.chip_idle(c);
                 if let Some(insitu) = &self.in_situ {
                     if !insitu.profiled[ci] && !insitu.blocked[ci] {
                         self.idle_unprofiled.insert(c.0);
@@ -2108,17 +2091,12 @@ impl SiteState {
         let f_cur = self.fleet.dvfs.freq_ghz(js.level);
         let rate_cur = speed_factor(js.job.gamma, f_cur, self.fleet.dvfs.f_max());
         let remaining = (js.remaining_nominal_s - dt * rate_cur).max(0.0);
-        let chain_limit = if self.force_replay_demand {
-            self.chain_limit_replay(idx)
-        } else {
-            debug_assert_eq!(
-                js.chain_limit,
-                self.chain_limit_replay(idx),
-                "cached chain limit diverged from queue walk"
-            );
-            js.chain_limit
-        };
-        let limit = js.job.deadline.min(chain_limit);
+        debug_assert_eq!(
+            js.chain_limit,
+            self.chain_limit_replay(idx),
+            "cached chain limit diverged from queue walk"
+        );
+        let limit = js.job.deadline.min(js.chain_limit);
         // Keep a safety margin so millisecond rounding and gang start
         // staggering cannot tip an exactly-fitting job past its deadline.
         let slack_s = (limit.saturating_since(now).as_secs_f64() - DVFS_SAFETY_MARGIN_S).max(0.0);

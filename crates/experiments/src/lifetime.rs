@@ -151,9 +151,6 @@ fn one_variant(cfg: &ExpConfig, rescan: bool) -> Vec<Round> {
             in_situ: None,
             fault_injection: None,
             surplus_signal: iscope::SurplusSignal::Instantaneous,
-            force_replay_avail: false,
-            force_replay_demand: false,
-            force_linear_placement: false,
             audit: cfg.audit.then(iscope::AuditConfig::default),
             telemetry: None,
             carbon: None,

@@ -217,8 +217,8 @@ fn main() {
         ran += 1;
     }
     if which == "bench-smoke" {
-        // CI gate: a scaled-down DVFS-stressed run, incremental vs
-        // ground-truth replay, asserting bit-identical reports.
+        // CI gate: 1-vs-4-worker sweep identity, the scale budget and
+        // streaming parity.
         bench_report::smoke();
         ran += 1;
     }

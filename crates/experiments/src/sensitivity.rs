@@ -134,9 +134,6 @@ fn run_with_bins(cfg: &ExpConfig, bins: usize) -> iscope::RunReport {
         in_situ: None,
         fault_injection: None,
         surplus_signal: iscope::SurplusSignal::Instantaneous,
-        force_replay_avail: false,
-        force_replay_demand: false,
-        force_linear_placement: false,
         audit: cfg.audit.then(iscope::AuditConfig::default),
         telemetry: None,
         carbon: None,

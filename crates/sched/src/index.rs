@@ -834,7 +834,7 @@ impl ChipIndexes {
     /// Epoch invalidation: re-records the whole availability state from
     /// fresh `avail` values and the queue-occupancy predicate. The owner
     /// calls this whenever a queue replay rewrote `avail` (DVFS
-    /// rebalance, deferral, faults, or the forced-replay knob).
+    /// rebalance, deferral, faults, or carbon).
     pub fn rebuild_avail(&mut self, avail: &[SimTime], busy: impl Fn(usize) -> bool) {
         let a = self.avail.get_mut();
         debug_assert_eq!(avail.len(), a.avail_ms.len());

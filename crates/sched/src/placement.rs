@@ -281,7 +281,7 @@ fn try_emit(
 /// Dispatches to the block-skipping walk when the view carries
 /// [`ChipIndexes`] with this ranking registered; the plain walk stays as
 /// ground truth (cross-checked on every decision in debug builds) and
-/// serves `force_linear_placement` and foreign orderings.
+/// serves views without indexes and foreign orderings.
 fn prefix_place(order: &[ChipId], job: &Job, view: &ProcView<'_>) -> PlacementDecision {
     if let Some(blocks) = view.index.and_then(|idx| idx.ranked_prefix(order)) {
         let d = prefix_place_blocks(order, job, view, blocks);

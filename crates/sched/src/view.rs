@@ -63,8 +63,9 @@ pub struct ProcView<'a> {
     /// rescanning `blocked` on every placement.
     pub in_service: usize,
     /// Persistent chip indexes maintained by the simulator; `None`
-    /// forces the linear full-pool scans (the `force_linear_placement`
-    /// knob, and standalone views that carry no indexes).
+    /// (standalone views that carry no indexes) takes the linear
+    /// full-pool scans, which debug builds also run alongside every
+    /// indexed decision as its cross-check.
     pub index: Option<&'a ChipIndexes>,
     /// Reusable candidate buffers (see [`PlaceScratch`]).
     pub scratch: &'a PlaceScratch,
