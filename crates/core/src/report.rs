@@ -3,10 +3,9 @@
 
 use iscope_dcsim::{Running, SimTime, TimeSeries};
 use iscope_energy::{CostSplit, EnergyLedger, PriceBook};
-use serde::{Deserialize, Serialize};
 
 /// The measured outcome of one simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Scheme name (e.g. `"ScanFair"`).
     pub scheme: String,
@@ -49,7 +48,7 @@ pub struct RunReport {
 /// The measured outcome of a federated run: one full [`RunReport`] per
 /// site (each with its own ledger, audit, fault stats, and telemetry)
 /// plus the routing rollup.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FederationReport {
     /// Name of the router policy that distributed the load.
     pub router: String,
@@ -151,7 +150,7 @@ impl FederationReport {
 /// §4). Built only when [`crate::simulation::AuditConfig`] was set; a
 /// strict audit panics before this report is ever observable, so a report
 /// with violations implies `strict: false`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AuditReport {
     /// Energy intervals independently integrated.
     pub intervals: u64,
@@ -182,7 +181,7 @@ impl AuditReport {
 }
 
 /// What the carbon/price-aware policy did to a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CarbonStats {
     /// Arrivals held back because the signal was above the deferral
     /// threshold (counted once, at arrival).
@@ -196,7 +195,7 @@ pub struct CarbonStats {
 }
 
 /// What the in-situ scanner accomplished during a run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfilingStats {
     /// Chips whose scan completed and whose plan entry was upgraded.
     pub chips_profiled: usize,
@@ -211,7 +210,7 @@ pub struct ProfilingStats {
 
 /// What runtime fault injection did to a run (the staleness loop's
 /// cost side: failed work, recovery churn, and re-scan overhead).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultStats {
     /// Timing failures raised (a job may fail more than once).
     pub timing_failures: u64,
@@ -368,20 +367,6 @@ mod tests {
         assert!((r.usage_mean() - 2.0).abs() < 1e-12);
         assert!((r.usage_variance() - 2.0 / 3.0).abs() < 1e-12);
         assert!((r.miss_rate() - 0.03).abs() < 1e-12);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        // The vendored serde_json stand-in cannot reconstruct values from
-        // text (vendor/README.md), so the upstream round-trip shrinks to a
-        // serialization smoke check plus Clone-based value equality.
-        // Restore `from_str` round-tripping when real serde is available.
-        let r = report();
-        let json = serde_json::to_string(&r).unwrap();
-        assert!(json.trim_start().starts_with('{'));
-        let back = r.clone();
-        assert_eq!(back.scheme, "ScanFair");
-        assert_eq!(back.ledger, r.ledger);
     }
 
     #[test]

@@ -263,6 +263,13 @@ pub struct PhaseTimers {
     pub accounting_ns: u64,
 }
 
+crate::to_val!(PhaseTimers, |p| {
+    "placement_ns" => p.placement_ns,
+    "rebalance_ns" => p.rebalance_ns,
+    "demand_ns" => p.demand_ns,
+    "accounting_ns" => p.accounting_ns,
+});
+
 /// Runtime counters of one simulation run, for the performance
 /// harness (`iscope-exp bench-report`, `BENCH_sim.json`).
 #[derive(Debug, Clone, Copy)]

@@ -29,7 +29,7 @@ use crate::simulation::{
 };
 use crate::snapshot::{
     self, optional_section, persist_struct, save_all, section, Persist, Section, SnapshotError,
-    Val, SNAPSHOT_VERSION,
+    ToVal, Val, SNAPSHOT_VERSION,
 };
 use crate::telemetry::{self};
 use iscope_dcsim::{Ctx, Engine, RowSampler, Sampler, SimDuration, SimRng, SimTime};
@@ -2586,17 +2586,19 @@ impl Traces {
 /// argument order are declared once and drive both directions.
 macro_rules! event_codec {
     ($($tag:literal => $var:ident $(($($t:ident),*))? $({$($f:ident),*})?),* $(,)?) => {
-        impl Persist for SiteEv {
-            fn save(&self, what: &str) -> Result<Val, SnapshotError> {
+        impl ToVal for SiteEv {
+            fn to_val(&self, what: &str) -> Result<Val, SnapshotError> {
                 Ok(Val::Arr(match self {
                     $(SiteEv::$var $(($($t),*))? $({$($f),*})? => vec![
                         Val::Str($tag.to_string()),
-                        $($($t.save(what)?,)*)?
-                        $($($f.save(what)?,)*)?
+                        $($($t.to_val(what)?,)*)?
+                        $($($f.to_val(what)?,)*)?
                     ],)*
                 }))
             }
+        }
 
+        impl Persist for SiteEv {
             fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
                 let body = v.as_arr(what)?;
                 let tag = body
@@ -2655,11 +2657,13 @@ fn event_job(ev: &SiteEv) -> Option<usize> {
 /// Fieldless enums as strings, each variant's name declared once.
 macro_rules! persist_str_enum {
     ($ty:ident { $($var:ident => $s:literal),* $(,)? }) => {
-        impl Persist for $ty {
-            fn save(&self, _what: &str) -> Result<Val, SnapshotError> {
+        impl ToVal for $ty {
+            fn to_val(&self, _what: &str) -> Result<Val, SnapshotError> {
                 Ok(Val::Str(match self { $($ty::$var => $s,)* }.to_string()))
             }
+        }
 
+        impl Persist for $ty {
             fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
                 match v.as_str(what)? {
                     $($s => Ok($ty::$var),)*
@@ -2676,11 +2680,13 @@ persist_str_enum!(Phase { Waiting => "waiting", Running => "running", Done => "d
 /// Single-field tuple structs as their inner value.
 macro_rules! persist_newtype {
     ($($ty:ident($inner:ty)),*) => {$(
-        impl Persist for $ty {
-            fn save(&self, what: &str) -> Result<Val, SnapshotError> {
-                self.0.save(what)
+        impl ToVal for $ty {
+            fn to_val(&self, what: &str) -> Result<Val, SnapshotError> {
+                self.0.to_val(what)
             }
+        }
 
+        impl Persist for $ty {
             fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
                 <$inner>::load(v, what).map($ty)
             }
@@ -2690,11 +2696,13 @@ macro_rules! persist_newtype {
 
 persist_newtype!(JobId(u32), ChipId(u32), FreqLevel(u8));
 
-impl Persist for iscope_pvmodel::CpuBoundness {
-    fn save(&self, what: &str) -> Result<Val, SnapshotError> {
-        self.value().save(what)
+impl ToVal for iscope_pvmodel::CpuBoundness {
+    fn to_val(&self, what: &str) -> Result<Val, SnapshotError> {
+        self.value().to_val(what)
     }
+}
 
+impl Persist for iscope_pvmodel::CpuBoundness {
     fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
         f64::load(v, what).map(Self::new)
     }
@@ -2705,14 +2713,16 @@ impl Persist for iscope_pvmodel::CpuBoundness {
 /// compact — the jobs section dominates snapshot size.
 macro_rules! job_record {
     ($($g:ident),* ; $($f:ident),* $(,)?) => {
-        impl Persist for JobState {
-            fn save(&self, what: &str) -> Result<Val, SnapshotError> {
+        impl ToVal for JobState {
+            fn to_val(&self, what: &str) -> Result<Val, SnapshotError> {
                 Ok(Val::Arr(vec![
-                    $(self.job.$g.save(what)?,)*
-                    $(self.$f.save(what)?,)*
+                    $(self.job.$g.to_val(what)?,)*
+                    $(self.$f.to_val(what)?,)*
                 ]))
             }
+        }
 
+        impl Persist for JobState {
             fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
                 const NAMES: &[&str] = &[$(stringify!($g),)* $(stringify!($f),)*];
                 let a = v.as_arr(what)?;
@@ -2777,7 +2787,7 @@ impl Section for OperatingPlan {
             voltages: voltages.to_vec(),
             est_power: est_power.to_vec(),
         }
-        .save(what)
+        .to_val(what)
     }
 
     fn restore(&mut self, v: &Val, what: &str) -> Result<(), SnapshotError> {
@@ -2905,7 +2915,7 @@ impl Section for TelemetryState {
             current: current.to_vec(),
             rows: rows.to_vec(),
         }
-        .save(what)
+        .to_val(what)
     }
 
     fn restore(&mut self, v: &Val, what: &str) -> Result<(), SnapshotError> {
@@ -3031,7 +3041,7 @@ impl SiteState {
             num_levels: self.fleet.dvfs.num_levels(),
         };
         let mut head = vec![(VERSION_KEY.to_string(), Val::Int(SNAPSHOT_VERSION as i128))];
-        head.extend(header.save(HEADER)?.into_fields());
+        head.extend(header.to_val(HEADER)?.into_fields());
         head.extend(
             PRESENCE
                 .iter()
@@ -3042,7 +3052,7 @@ impl SiteState {
             (EVENTS.to_string(), save_all(pending, EVENTS)?),
         ];
         sections.extend(self.save_section("snapshot")?.into_fields());
-        sections.push((TRACES.to_string(), Traces::of(&self.supply).save(TRACES)?));
+        sections.push((TRACES.to_string(), Traces::of(&self.supply).to_val(TRACES)?));
         Ok(snapshot::encode_lines(&sections))
     }
 
@@ -3359,21 +3369,21 @@ mod snapshot_tests {
         /// Pending events: encode → decode → encode is byte-stable.
         #[test]
         fn prop_event_roundtrip(t in arb_time(), ev in arb_event()) {
-            let first = render(&(t, ev).save("event").unwrap());
+            let first = render(&(t, ev).to_val("event").unwrap());
             let (t2, ev2) =
                 <(SimTime, SiteEv)>::load(&snapshot::parse(&first).unwrap(), "event").unwrap();
             prop_assert_eq!(t2, t);
             prop_assert_eq!(ev2, ev);
-            prop_assert_eq!(render(&(t2, ev2).save("event").unwrap()), first);
+            prop_assert_eq!(render(&(t2, ev2).to_val("event").unwrap()), first);
         }
 
         /// Job states: encode → decode → encode is byte-stable (floats
         /// bit-exact, times/ids/rows integer-exact).
         #[test]
         fn prop_job_roundtrip(js in arb_job_state()) {
-            let first = render(&js.save("job").unwrap());
+            let first = render(&js.to_val("job").unwrap());
             let back = load_job(&first).unwrap();
-            prop_assert_eq!(render(&back.save("job").unwrap()), first);
+            prop_assert_eq!(render(&back.to_val("job").unwrap()), first);
         }
 
         /// RNG streams: the captured state resumes at exactly the next
@@ -3388,9 +3398,9 @@ mod snapshot_tests {
                 // Leave a Box–Muller spare pending.
                 rng.std_normal();
             }
-            let first = render(&rng.save("test rng").unwrap());
+            let first = render(&rng.to_val("test rng").unwrap());
             let mut back = SimRng::load(&snapshot::parse(&first).unwrap(), "test rng").unwrap();
-            prop_assert_eq!(render(&back.save("test rng").unwrap()), first.clone());
+            prop_assert_eq!(render(&back.to_val("test rng").unwrap()), first.clone());
             // The restored stream continues bit-identically.
             for _ in 0..8 {
                 prop_assert_eq!(back.std_normal().to_bits(), rng.std_normal().to_bits());
@@ -3413,9 +3423,9 @@ mod snapshot_tests {
                 current,
                 values,
             );
-            let first = render(&s.save("sampler").unwrap());
+            let first = render(&s.to_val("sampler").unwrap());
             let back = Sampler::load(&snapshot::parse(&first).unwrap(), "sampler").unwrap();
-            prop_assert_eq!(render(&back.save("sampler").unwrap()), first);
+            prop_assert_eq!(render(&back.to_val("sampler").unwrap()), first);
         }
     }
 
@@ -3450,11 +3460,11 @@ mod snapshot_tests {
             starts: 1,
             attempt_energy_j: 0.0,
         };
-        let doc = render(&js.save("job").unwrap());
+        let doc = render(&js.to_val("job").unwrap());
         assert!(load_job(&doc).is_err(), "chip 99 must be rejected");
         js.chips = vec![ChipId(1)];
         js.level = FreqLevel(12);
-        let doc = render(&js.save("job").unwrap());
+        let doc = render(&js.to_val("job").unwrap());
         assert!(load_job(&doc).is_err(), "level 12 must be rejected");
     }
 

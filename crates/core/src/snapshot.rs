@@ -7,12 +7,14 @@
 //! serialized, and resumed **bit-identically**: the resumed run's report
 //! and telemetry bytes match an uninterrupted run of the same input.
 //!
-//! The vendored `serde_json` stand-in can render but not parse
-//! (vendor/README.md), so both directions are hand-rolled here around a
-//! small JSON value tree ([`Val`]), which the telemetry JSONL codec
-//! shares. Floats are written with `Display`'s shortest-round-trip
-//! decimal form, which parses back to the identical bits — encode →
-//! decode → encode is byte-stable, and the property tests below pin that.
+//! This is the workspace's one JSON codec: a small value tree ([`Val`])
+//! with [`render`] and [`parse`], shared by snapshots, the telemetry
+//! JSONL, and every artifact the experiment harness writes (`results/`,
+//! `BENCH_sim.json`), whose types derive [`ToVal`] from field lists
+//! ([`to_val!`](crate::to_val)). Floats are written with `Display`'s
+//! shortest-round-trip decimal form, which parses back to the identical
+//! bits — encode → decode → encode is byte-stable, and the property tests
+//! below pin that.
 //!
 //! Document layout: one JSON object per line, `{"section":"<name>",
 //! "data":<value>}`. The first section is always `header` (version,
@@ -24,8 +26,11 @@
 //! from those lists. Section order is fixed, so equal states produce
 //! equal bytes.
 
-use iscope_dcsim::{RngSnapshot, Sampler, SimDuration, SimRng, SimTime};
+use iscope_dcsim::{RngSnapshot, Sampler, SimDuration, SimRng, SimTime, TimeSeries};
 use iscope_energy::{BatteryState, CostMeter, EnergyLedger, SignalMeter};
+use iscope_scanner::{CampaignEstimate, ProfilingCost, WindowReport};
+use iscope_workload::WorkloadStats;
+use rayon::PoolStats;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -69,7 +74,7 @@ impl From<iscope_sched::KeyRangeError> for SnapshotError {
 /// (times in ms, counters, fixed-point µW) round-trips exactly without
 /// passing through f64.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Val {
+pub enum Val {
     /// JSON `null`.
     Null,
     /// JSON `true` / `false`.
@@ -112,7 +117,7 @@ impl Val {
     }
 
     /// Looks up `key` in an object, with a path-carrying error.
-    pub(crate) fn get(&self, key: &str) -> Result<&Val, SnapshotError> {
+    pub fn get(&self, key: &str) -> Result<&Val, SnapshotError> {
         self.opt(key)
             .ok_or_else(|| SnapshotError::Parse(format!("missing key {key:?}")))
     }
@@ -195,10 +200,17 @@ fn type_err(what: &str, want: &str, got: &Val) -> SnapshotError {
 // from that list, so the two directions cannot drift apart.
 // ---------------------------------------------------------------------------
 
-/// A value that round-trips through a [`Val`]: leaf types and containers
-/// of them. `what` labels errors (it is the field's key).
-pub(crate) trait Persist: Sized {
-    fn save(&self, what: &str) -> Result<Val, SnapshotError>;
+/// A value that renders to a [`Val`]: snapshot state and result
+/// artifacts alike.
+pub trait ToVal {
+    /// The value as a JSON tree. `what` labels errors (it is the field's
+    /// key); a non-finite float is an error naming it.
+    fn to_val(&self, what: &str) -> Result<Val, SnapshotError>;
+}
+
+/// A [`ToVal`] value that also loads back: leaf types and containers of
+/// them.
+pub(crate) trait Persist: ToVal + Sized {
     fn load(v: &Val, what: &str) -> Result<Self, SnapshotError>;
 }
 
@@ -214,7 +226,7 @@ pub(crate) trait Section {
 
 impl<T: Persist> Section for T {
     fn save_section(&self, what: &str) -> Result<Val, SnapshotError> {
-        self.save(what)
+        self.to_val(what)
     }
 
     fn restore(&mut self, v: &Val, what: &str) -> Result<(), SnapshotError> {
@@ -312,17 +324,49 @@ macro_rules! optional_section {
 }
 pub(crate) use optional_section;
 
+/// Declares a type's JSON object as one `"key" => value` list over `|s|`
+/// and derives [`ToVal`] for it: the save-only form, for result types
+/// that are written but never read back. A value may be a nested
+/// `{ ... }` list (an inline object).
+#[macro_export]
+macro_rules! to_val {
+    ($ty:ty, |$s:ident| { $($body:tt)* }) => {
+        impl $crate::snapshot::ToVal for $ty {
+            // The list expands to one push per entry.
+            #[allow(clippy::vec_init_then_push)]
+            fn to_val(
+                &self,
+                _what: &str,
+            ) -> Result<$crate::snapshot::Val, $crate::snapshot::SnapshotError> {
+                let $s = self;
+                let mut fields = Vec::new();
+                $crate::to_val!(@fields fields $($body)*);
+                Ok($crate::snapshot::Val::Obj(fields))
+            }
+        }
+    };
+    (@fields $out:ident) => {};
+    (@fields $out:ident $key:literal => { $($inner:tt)* } $(, $($rest:tt)*)?) => {
+        let mut inner = Vec::new();
+        $crate::to_val!(@fields inner $($inner)*);
+        $out.push(($key.to_string(), $crate::snapshot::Val::Obj(inner)));
+        $crate::to_val!(@fields $out $($($rest)*)?);
+    };
+    (@fields $out:ident $key:literal => $e:expr $(, $($rest:tt)*)?) => {
+        $out.push(($key.to_string(), $crate::snapshot::ToVal::to_val(&$e, $key)?));
+        $crate::to_val!(@fields $out $($($rest)*)?);
+    };
+}
+
 /// Declares a plain value struct's snapshot object as one
-/// `"key" => field` list and derives [`Persist`] for it (every field is
-/// listed, so `load` builds the struct outright). Expects `Val`,
-/// `SnapshotError` and `Persist` in scope.
+/// `"key" => field` list and derives [`ToVal`] and [`Persist`] for it
+/// (every field is listed, so `load` builds the struct outright). Expects
+/// `Val`, `SnapshotError` and `Persist` in scope.
 macro_rules! persist_struct {
     ($ty:ident { $($key:literal => $field:ident),* $(,)? }) => {
-        impl Persist for $ty {
-            fn save(&self, _what: &str) -> Result<Val, SnapshotError> {
-                Ok(Val::Obj(vec![$(($key.to_string(), self.$field.save($key)?)),*]))
-            }
+        $crate::to_val!($ty, |s| { $($key => s.$field),* });
 
+        impl Persist for $ty {
             fn load(v: &Val, _what: &str) -> Result<Self, SnapshotError> {
                 Ok($ty {
                     $($field: Persist::load(v.get($key)?, $key)?,)*
@@ -335,11 +379,13 @@ pub(crate) use persist_struct;
 
 macro_rules! persist_int {
     ($($t:ty),*) => {$(
-        impl Persist for $t {
-            fn save(&self, _what: &str) -> Result<Val, SnapshotError> {
+        impl ToVal for $t {
+            fn to_val(&self, _what: &str) -> Result<Val, SnapshotError> {
                 Ok(Val::Int(*self as i128))
             }
+        }
 
+        impl Persist for $t {
             fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
                 <$t>::try_from(v.as_int(what)?).map_err(|_| {
                     SnapshotError::Mismatch(format!(
@@ -353,61 +399,54 @@ macro_rules! persist_int {
 }
 persist_int!(u8, u32, u64, usize, i64);
 
-impl Persist for bool {
-    fn save(&self, _what: &str) -> Result<Val, SnapshotError> {
-        Ok(Val::Bool(*self))
-    }
-
-    fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
-        v.as_bool(what)
-    }
-}
-
-impl Persist for f64 {
-    fn save(&self, what: &str) -> Result<Val, SnapshotError> {
-        Val::float(*self, what)
-    }
-
-    fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
-        v.as_f64(what)
-    }
-}
-
-impl Persist for String {
-    fn save(&self, _what: &str) -> Result<Val, SnapshotError> {
-        Ok(Val::Str(self.clone()))
-    }
-
-    fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
-        v.as_str(what).map(str::to_string)
-    }
-}
-
-// Times and durations as integer milliseconds.
-macro_rules! persist_millis {
-    ($($t:ident),*) => {$(
-        impl Persist for $t {
-            fn save(&self, _what: &str) -> Result<Val, SnapshotError> {
-                Ok(Val::Int(self.as_millis() as i128))
+/// Leaf values, each declared once as `Type => save, load`: `save` maps
+/// the value `x`, `load` the parsed value `v`, both naming the field in
+/// errors through their second parameter.
+macro_rules! persist_leaf {
+    ($($t:ty => |$x:ident, $ws:pat_param| $save:expr,
+        |$v:ident, $wl:pat_param| $load:expr;)*) => {$(
+        impl ToVal for $t {
+            fn to_val(&self, $ws: &str) -> Result<Val, SnapshotError> {
+                let $x = self;
+                $save
             }
+        }
 
-            fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
-                Ok($t::from_millis(v.as_u64(what)?))
+        impl Persist for $t {
+            fn load($v: &Val, $wl: &str) -> Result<Self, SnapshotError> {
+                $load
             }
         }
     )*};
 }
-persist_millis!(SimTime, SimDuration);
+
+// Times and durations are integer milliseconds.
+persist_leaf! {
+    bool => |x, _| Ok(Val::Bool(*x)), |v, what| v.as_bool(what);
+    f64 => |x, what| Val::float(*x, what), |v, what| v.as_f64(what);
+    String => |x, _| Ok(Val::Str(x.clone())), |v, what| v.as_str(what).map(str::to_string);
+    SimTime => |x, _| Ok(Val::Int(x.as_millis() as i128)),
+        |v, what| Ok(SimTime::from_millis(v.as_u64(what)?));
+    SimDuration => |x, _| Ok(Val::Int(x.as_millis() as i128)),
+        |v, what| Ok(SimDuration::from_millis(v.as_u64(what)?));
+}
+
+/// String literals, for fixed entries in [`to_val!`](crate::to_val) lists.
+impl ToVal for &str {
+    fn to_val(&self, _what: &str) -> Result<Val, SnapshotError> {
+        Ok(Val::Str(self.to_string()))
+    }
+}
 
 /// Saves a sequence as a JSON array.
-pub(crate) fn save_all<'a, T: Persist + 'a>(
+pub(crate) fn save_all<'a, T: ToVal + 'a>(
     items: impl IntoIterator<Item = &'a T>,
     what: &str,
 ) -> Result<Val, SnapshotError> {
     Ok(Val::Arr(
         items
             .into_iter()
-            .map(|x| x.save(what))
+            .map(|x| x.to_val(what))
             .collect::<Result<_, _>>()?,
     ))
 }
@@ -418,11 +457,13 @@ fn load_all<T: Persist, C: FromIterator<T>>(v: &Val, what: &str) -> Result<C, Sn
 
 macro_rules! persist_seq {
     ($($seq:ident),*) => {$(
-        impl<T: Persist> Persist for $seq<T> {
-            fn save(&self, what: &str) -> Result<Val, SnapshotError> {
+        impl<T: ToVal> ToVal for $seq<T> {
+            fn to_val(&self, what: &str) -> Result<Val, SnapshotError> {
                 save_all(self, what)
             }
+        }
 
+        impl<T: Persist> Persist for $seq<T> {
             fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
                 load_all(v, what)
             }
@@ -431,12 +472,14 @@ macro_rules! persist_seq {
 }
 persist_seq!(Vec, VecDeque);
 
-/// A fixed-length array; any other length is a mismatch.
-impl<T: Persist, const N: usize> Persist for [T; N] {
-    fn save(&self, what: &str) -> Result<Val, SnapshotError> {
+impl<T: ToVal, const N: usize> ToVal for [T; N] {
+    fn to_val(&self, what: &str) -> Result<Val, SnapshotError> {
         save_all(self, what)
     }
+}
 
+/// A fixed-length array; any other length is a mismatch.
+impl<T: Persist, const N: usize> Persist for [T; N] {
     fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
         let items: Vec<T> = load_all(v, what)?;
         let found = items.len();
@@ -447,11 +490,13 @@ impl<T: Persist, const N: usize> Persist for [T; N] {
 }
 
 /// `None` is `null`.
-impl<T: Persist> Persist for Option<T> {
-    fn save(&self, what: &str) -> Result<Val, SnapshotError> {
-        self.as_ref().map_or(Ok(Val::Null), |x| x.save(what))
+impl<T: ToVal> ToVal for Option<T> {
+    fn to_val(&self, what: &str) -> Result<Val, SnapshotError> {
+        self.as_ref().map_or(Ok(Val::Null), |x| x.to_val(what))
     }
+}
 
+impl<T: Persist> Persist for Option<T> {
     fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
         if v.is_null() {
             Ok(None)
@@ -461,12 +506,25 @@ impl<T: Persist> Persist for Option<T> {
     }
 }
 
-/// A pair is a two-element array.
-impl<A: Persist, B: Persist> Persist for (A, B) {
-    fn save(&self, what: &str) -> Result<Val, SnapshotError> {
-        Ok(Val::Arr(vec![self.0.save(what)?, self.1.save(what)?]))
+/// A pair is a two-element array, a triple a three-element one.
+impl<A: ToVal, B: ToVal> ToVal for (A, B) {
+    fn to_val(&self, what: &str) -> Result<Val, SnapshotError> {
+        Ok(Val::Arr(vec![self.0.to_val(what)?, self.1.to_val(what)?]))
     }
+}
 
+impl<A: ToVal, B: ToVal, C: ToVal> ToVal for (A, B, C) {
+    fn to_val(&self, what: &str) -> Result<Val, SnapshotError> {
+        let (a, b, c) = self;
+        Ok(Val::Arr(vec![
+            a.to_val(what)?,
+            b.to_val(what)?,
+            c.to_val(what)?,
+        ]))
+    }
+}
+
+impl<A: Persist, B: Persist> Persist for (A, B) {
     fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
         match v.as_arr(what)? {
             [a, b] => Ok((A::load(a, what)?, B::load(b, what)?)),
@@ -486,16 +544,18 @@ persist_struct!(RngParts {
     "spare" => spare,
 });
 
-impl Persist for SimRng {
-    fn save(&self, what: &str) -> Result<Val, SnapshotError> {
+impl ToVal for SimRng {
+    fn to_val(&self, what: &str) -> Result<Val, SnapshotError> {
         let s = self.snapshot();
         RngParts {
             words: s.words.to_vec(),
             spare: s.spare_normal,
         }
-        .save(what)
+        .to_val(what)
     }
+}
 
+impl Persist for SimRng {
     fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
         let parts = RngParts::load(v, what)?;
         let words: [u64; 4] = parts.words.as_slice().try_into().map_err(|_| {
@@ -533,8 +593,8 @@ persist_struct!(SamplerParts {
     "values" => values,
 });
 
-impl Persist for Sampler {
-    fn save(&self, what: &str) -> Result<Val, SnapshotError> {
+impl ToVal for Sampler {
+    fn to_val(&self, what: &str) -> Result<Val, SnapshotError> {
         let (name, interval, next_tick, current, values) = self.parts();
         SamplerParts {
             name: name.to_string(),
@@ -543,9 +603,11 @@ impl Persist for Sampler {
             current,
             values: values.to_vec(),
         }
-        .save(what)
+        .to_val(what)
     }
+}
 
+impl Persist for Sampler {
     fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
         let p = SamplerParts::load(v, what)?;
         if p.interval.is_zero() {
@@ -586,10 +648,58 @@ section!(BatteryState, |b| {
     "stored_j" => b.stored_j,
 });
 
+// Result types of the model crates, as the experiment harness writes them
+// to `results/`.
+to_val!(TimeSeries, |t| {
+    "name" => t.name,
+    "interval" => t.interval,
+    "values" => t.values,
+});
+
+to_val!(WorkloadStats, |w| {
+    "jobs" => w.jobs,
+    "core_hours" => w.core_hours,
+    "runtime_quantiles_s" => w.runtime_quantiles_s,
+    "cpus_quantiles" => w.cpus_quantiles,
+    "size_histogram" => w.size_histogram,
+    "mean_deadline_factor" => w.mean_deadline_factor,
+    "hu_fraction" => w.hu_fraction,
+    "span_hours" => w.span_hours,
+});
+
+to_val!(WindowReport, |w| {
+    "fraction_below" => w.fraction_below,
+    "window_lengths" => w.window_lengths,
+    "idle_proc_seconds" => w.idle_proc_seconds,
+});
+
+to_val!(CampaignEstimate, |c| {
+    "required_proc_seconds" => c.required_proc_seconds,
+    "available_proc_seconds" => c.available_proc_seconds,
+    "periods_to_complete" => c.periods_to_complete,
+    "longest_window_fits_one_chip" => c.longest_window_fits_one_chip,
+});
+
+to_val!(ProfilingCost, |p| {
+    "energy_kwh" => p.energy_kwh,
+    "cost_wind_usd" => p.cost_wind_usd,
+    "cost_utility_usd" => p.cost_utility_usd,
+});
+
+// The work-stealing pool's counters, reported in `BENCH_sim.json`.
+to_val!(PoolStats, |p| {
+    "par_calls" => p.par_calls,
+    "seq_calls" => p.seq_calls,
+    "tasks" => p.tasks,
+    "steals" => p.steals,
+    "splits" => p.splits,
+    "max_workers" => p.max_workers,
+});
+
 /// Renders a value as compact JSON (no whitespace). Deterministic: object
 /// keys stay in authoring order, floats use the shortest decimal that
 /// parses back to the same bits.
-pub(crate) fn render(v: &Val, out: &mut String) {
+pub fn render(v: &Val, out: &mut String) {
     match v {
         Val::Null => out.push_str("null"),
         Val::Bool(true) => out.push_str("true"),
@@ -657,7 +767,7 @@ struct Parser<'a> {
 }
 
 /// Parses one JSON document (a full value; trailing whitespace allowed).
-pub(crate) fn parse(text: &str) -> Result<Val, SnapshotError> {
+pub fn parse(text: &str) -> Result<Val, SnapshotError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,

@@ -11,16 +11,13 @@
 //! scheduled, so enabling telemetry never perturbs event order, RNG
 //! streams, or the energy ledger.
 //!
-//! The records travel to disk as JSONL (one object per line). The vendored
-//! `serde_json` stand-in can render but not parse (vendor/README.md), so
-//! both directions — [`render_jsonl`] and [`parse_jsonl`] — run on the
-//! snapshot module's JSON codec ([`crate::snapshot`]) against the fixed
-//! schema documented in EXPERIMENTS.md. The serde derives remain so real
-//! serde round-trips the records once available.
+//! The records travel to disk as JSONL (one object per line). Both
+//! directions — [`render_jsonl`] and [`parse_jsonl`] — run on the
+//! workspace's one JSON codec ([`crate::snapshot`]) against the fixed
+//! schema documented in EXPERIMENTS.md.
 
 use crate::snapshot::{self, Val};
 use iscope_dcsim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Switches fixed-cadence telemetry recording on.
 #[derive(Debug, Clone, Copy)]
@@ -46,7 +43,7 @@ impl Default for TelemetryConfig {
 }
 
 /// One telemetry sample (the signal values active at the tick instant).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryRecord {
     /// Emitting site (0 in single-site runs; the site index in a
     /// federation, so per-site streams can share one JSONL file).
@@ -340,13 +337,5 @@ mod tests {
                     \"queue_depth\":0,\"level_jobs\":[],\"quarantined\":0}";
         let r = parse_line(line).unwrap();
         assert!(r.level_jobs.is_empty());
-    }
-
-    #[test]
-    fn serde_renders_without_panicking() {
-        // The vendored serde_json stand-in cannot parse (vendor/README.md);
-        // rendering through it is smoke-checked so the derives stay wired.
-        let json = serde_json::to_string(&record(1.0)).unwrap();
-        assert!(json.trim_start().starts_with('{'));
     }
 }

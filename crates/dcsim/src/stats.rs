@@ -6,10 +6,9 @@
 //! reports.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Streaming count/mean/variance accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Running {
     count: u64,
     mean: f64,
@@ -130,7 +129,7 @@ impl Running {
 ///
 /// Feed it the value that becomes active at each instant; the integral picks
 /// up `value * dt` for every interval. Used for power (W) → energy (J).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimeWeighted {
     last_time: SimTime,
     current: f64,
@@ -228,7 +227,7 @@ impl TimeWeighted {
 }
 
 /// Fixed-width histogram over `[lo, hi)` with saturating edge bins.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

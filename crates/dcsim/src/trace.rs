@@ -3,10 +3,9 @@
 //! the required-node trace (Fig. 10).
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A named series of `(time, value)` samples at a fixed interval.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimeSeries {
     /// Series label (e.g. `"wind"` or `"utility"`).
     pub name: String,

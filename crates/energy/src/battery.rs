@@ -9,10 +9,9 @@
 //! deficit.
 
 use crate::trace::PowerTrace;
-use serde::{Deserialize, Serialize};
 
 /// A stationary battery: energy buffer with power limits and losses.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Battery {
     /// Usable capacity in joules.
     pub capacity_j: f64,
@@ -44,7 +43,7 @@ impl Battery {
 }
 
 /// Mutable battery state during a simulation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BatteryState {
     /// Configuration.
     pub battery: Battery,

@@ -13,13 +13,12 @@
 
 use crate::signal::SignalTrace;
 use iscope_dcsim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Joules per kilowatt-hour.
 pub const J_PER_KWH: f64 = 3.6e6;
 
 /// Electricity prices in USD per kWh.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PriceBook {
     /// Utility (grid) price, USD/kWh.
     pub utility_usd_per_kwh: f64,
@@ -46,7 +45,7 @@ impl PriceBook {
 }
 
 /// Accumulated energy split by source, with cost evaluation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyLedger {
     /// Wind energy consumed, joules.
     pub wind_j: f64,
@@ -132,7 +131,7 @@ impl EnergyLedger {
 ///   this replaces;
 /// * a varying signal is integrated exactly at trace-cell resolution
 ///   without injecting any events into the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SignalMeter {
     /// Signal value assumed when no trace is configured.
     flat: f64,
@@ -229,7 +228,7 @@ impl SignalMeter {
 /// The pair of utility-side meters a simulation carries: time-integrated
 /// dollars against the price signal and grams of CO2 against the
 /// intensity signal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostMeter {
     /// Dollar integral (`∫ price(t) × utility_W(t) dt`, USD).
     pub price: SignalMeter,
@@ -254,7 +253,7 @@ impl CostMeter {
 }
 
 /// Final time-integrated cost and carbon totals of a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CostSplit {
     /// Utility-side dollars, `∫ price(t) × utility_W(t) dt`.
     pub utility_usd: f64,

@@ -14,10 +14,9 @@
 
 use crate::trace::PowerTrace;
 use iscope_dcsim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Persistence-toward-climatology forecaster fitted on a power trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PersistenceForecast {
     mean_w: f64,
     rho: f64,

@@ -14,10 +14,9 @@
 //! and demand peaks) and a step time-of-use tariff for price.
 
 use iscope_dcsim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A piecewise-constant scalar signal sampled at a fixed interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SignalTrace {
     /// Sampling interval.
     pub interval: SimDuration,

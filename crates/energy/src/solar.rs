@@ -10,10 +10,9 @@
 
 use crate::trace::PowerTrace;
 use iscope_dcsim::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a synthetic photovoltaic plant.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SolarFarm {
     /// Nameplate (peak DC) power in watts.
     pub rated_power_w: f64,

@@ -7,10 +7,9 @@ use crate::signal::SignalTrace;
 use crate::trace::PowerTrace;
 use crate::wind::WindFarm;
 use iscope_dcsim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A power supply configuration for a simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Supply {
     /// Renewable budget over time; `None` means utility-only (§VI.A).
     pub wind: Option<PowerTrace>,

@@ -7,10 +7,9 @@
 //! with the scaling knobs the evaluation sweeps (the SWP factor of Fig. 9).
 
 use iscope_dcsim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A piecewise-constant available-power signal sampled at a fixed interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerTrace {
     /// Sampling interval (10 minutes for NREL-style traces).
     pub interval: SimDuration,

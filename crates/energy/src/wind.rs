@@ -14,10 +14,9 @@
 
 use crate::trace::PowerTrace;
 use iscope_dcsim::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a synthetic wind farm.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WindFarm {
     /// Farm rated (nameplate) power in watts.
     pub rated_power_w: f64,

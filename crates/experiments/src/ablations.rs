@@ -22,10 +22,9 @@ use iscope_energy::{smooth_against_demand, Battery, Supply};
 use iscope_pvmodel::{AgingModel, Binning, OperatingPlan, VariationParams, WearReport};
 use iscope_scanner::{analyse_staleness, safe_reprofile_interval_hours, Scanner, ScannerConfig};
 use iscope_sched::Scheme;
-use serde::Serialize;
 
 /// Results of the ablation suite.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Ablations {
     /// Fleet busy power (kW, top level): binned / scanned / per-core.
     pub fleet_power_kw: (f64, f64, f64),
@@ -48,6 +47,18 @@ pub struct Ablations {
     /// Utility kWh: demand matching alone vs a 2-hour battery instead.
     pub matching_vs_battery: (f64, f64),
 }
+
+iscope::to_val!(Ablations, |a| {
+    "fleet_power_kw" => a.fleet_power_kw,
+    "dvfs_global" => a.dvfs_global,
+    "dvfs_greedy" => a.dvfs_greedy,
+    "macro_micro_cost" => a.macro_micro_cost,
+    "wear_spread" => a.wear_spread,
+    "replacements" => a.replacements,
+    "reprofile_hours" => a.reprofile_hours,
+    "stale_unsafe_chips" => a.stale_unsafe_chips,
+    "matching_vs_battery" => a.matching_vs_battery,
+});
 
 fn run(cfg: &ExpConfig, scheme: Scheme, wind: bool, mode: DvfsMode, defer: bool) -> RunReport {
     let b = if wind {

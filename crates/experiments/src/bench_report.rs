@@ -8,10 +8,10 @@
 //! per-phase hot-path timings, next to the recorded baselines that were
 //! measured before the incremental scheduler state landed.
 //!
-//! The JSON is rendered by hand because the vendored `serde_json`
-//! stand-in cannot serialize real values (see `vendor/README.md`).
+//! The JSON is rendered through the workspace's one codec
+//! (`iscope::snapshot`), from the field lists below.
 
-use crate::common::{ExpConfig, ExpScale};
+use crate::common::{write_val, ExpConfig, ExpScale};
 use crate::federation;
 use iscope::experiments::{pool_stats, reset_pool_stats, sweep, PoolStats, ThreadPoolBuilder};
 use iscope::prelude::*;
@@ -38,6 +38,14 @@ pub struct BenchNumbers {
     pub ns_per_placement: f64,
 }
 
+iscope::to_val!(BenchNumbers, |n| {
+    "wall_s" => n.wall_s,
+    "events" => n.events,
+    "events_per_sec" => n.events_per_sec,
+    "placements" => n.placements,
+    "ns_per_placement" => n.ns_per_placement,
+});
+
 impl From<RunStats> for BenchNumbers {
     fn from(s: RunStats) -> Self {
         BenchNumbers {
@@ -55,33 +63,33 @@ impl From<RunStats> for BenchNumbers {
 /// placement landed), same scenario and seed, release build. Re-measure
 /// by checking out the commit before the incremental-state change and
 /// running `iscope-exp bench-report`.
-pub const BASELINE_HEADLINE: Option<BenchNumbers> = Some(BenchNumbers {
+pub const BASELINE_HEADLINE: BenchNumbers = BenchNumbers {
     wall_s: 10.034,
     events: 40_291,
     events_per_sec: 4_015.6,
     placements: 20_000,
     ns_per_placement: 501_683.7,
-});
+};
 
 /// Figure-scale baseline companion to [`BASELINE_HEADLINE`].
-pub const BASELINE_FIGURE: Option<BenchNumbers> = Some(BenchNumbers {
+pub const BASELINE_FIGURE: BenchNumbers = BenchNumbers {
     wall_s: 0.012,
     events: 2_688,
     events_per_sec: 228_281.1,
     placements: 1_000,
     ns_per_placement: 11_775.0,
-});
+};
 
 /// DVFS-stressed baseline, measured on the commit before the incremental
 /// demand aggregates and cached deadline floors landed (same scenario
 /// and seed as [`dvfs_stress_sim`], release build).
-pub const BASELINE_DVFS: Option<BenchNumbers> = Some(BenchNumbers {
+pub const BASELINE_DVFS: BenchNumbers = BenchNumbers {
     wall_s: 4.308,
     events: 40_194,
     events_per_sec: 9_330.9,
     placements: 20_000,
     ns_per_placement: 215_380.0,
-});
+};
 
 /// Headline numbers measured on the commit immediately before the
 /// persistent chip indexes landed (linear per-arrival fleet scans over
@@ -90,26 +98,26 @@ pub const BASELINE_DVFS: Option<BenchNumbers> = Some(BenchNumbers {
 /// speedup: [`BASELINE_HEADLINE`] predates the incremental-state work
 /// entirely, so the per-placement win of the indexes alone is
 /// `pre_index.ns_per_placement / headline.ns_per_placement`.
-pub const BASELINE_PREINDEX_HEADLINE: Option<BenchNumbers> = Some(BenchNumbers {
+pub const BASELINE_PREINDEX_HEADLINE: BenchNumbers = BenchNumbers {
     wall_s: 1.738,
     events: 40_291,
     events_per_sec: 23_182.5,
     placements: 20_000,
     ns_per_placement: 86_909.7,
-});
+};
 
 /// Fleet-scale numbers measured on the commit before the least-used
 /// index moved to bucketed sorted runs (flat array with an O(fleet)
 /// merge-repair per acquisition) and the availability trees gained
 /// point updates — same scenario and seed as [`scale_sim`], release
 /// build. The comparable series for the O(dirt)-repair speedup.
-pub const BASELINE_PREBUCKET_SCALE: Option<BenchNumbers> = Some(BenchNumbers {
+pub const BASELINE_PREBUCKET_SCALE: BenchNumbers = BenchNumbers {
     wall_s: 16.952,
     events: 400_310,
     events_per_sec: 23_614.1,
     placements: 200_000,
     ns_per_placement: 84_760.9,
-});
+};
 
 /// CI budget on the fleet-scale scenario's ns/placement (see
 /// [`smoke`]). The recorded post-bucketing number is well under the
@@ -134,6 +142,14 @@ pub struct SweepSpeedup {
     /// `std::thread::available_parallelism()` on the measuring host.
     pub host_cores: usize,
 }
+
+iscope::to_val!(SweepSpeedup, |s| {
+    "cells" => s.cells,
+    "wall_1t_s" => s.wall_1t_s,
+    "wall_4t_s" => s.wall_4t_s,
+    "speedup_4t" => s.speedup_4t,
+    "host_cores" => s.host_cores,
+});
 
 /// The full bench-report payload.
 #[derive(Debug, Clone)]
@@ -555,189 +571,149 @@ pub fn smoke() {
     );
 }
 
-fn numbers_json(n: &BenchNumbers, indent: &str) -> String {
-    format!(
-        "{{\n{i}  \"wall_s\": {:.3},\n{i}  \"events\": {},\n{i}  \"events_per_sec\": {:.1},\n\
-         {i}  \"placements\": {},\n{i}  \"ns_per_placement\": {:.1}\n{i}}}",
-        n.wall_s,
-        n.events,
-        n.events_per_sec,
-        n.placements,
-        n.ns_per_placement,
-        i = indent,
-    )
-}
-
-fn phases_json(p: &PhaseTimers, indent: &str) -> String {
-    format!(
-        "{{\n{i}  \"placement_ns\": {},\n{i}  \"rebalance_ns\": {},\n\
-         {i}  \"demand_ns\": {},\n{i}  \"accounting_ns\": {}\n{i}}}",
-        p.placement_ns,
-        p.rebalance_ns,
-        p.demand_ns,
-        p.accounting_ns,
-        i = indent,
-    )
-}
+iscope::to_val!(BenchReport, |r| {
+    "id" => "bench_sim",
+    "scenario" => {
+        "headline" => "4800 procs, 20000 jobs over 24 h (max 512-wide), ScanFair, \
+                       hybrid wind x1.0, seed 42",
+        "figure_scale" => "240 procs, 1000 jobs, ScanFair, hybrid wind x1.0, seed 42",
+        "dvfs_stress" => "1200 procs, 20000 jobs at 4x arrival rate (max 16-wide), \
+                          ScanFair, hybrid wind x0.0625 (scarce), seed 42",
+        "scale" => "50000 procs, 200000 jobs (max 512-wide), ScanFair, hybrid wind \
+                    x10.4 (per-CPU standard), seed 42",
+        "mega" => "200000 procs, 2000000 jobs (max 512-wide), ScanFair, hybrid wind \
+                   x41.7 (per-CPU standard), seed 42, streamed from a synthetic source \
+                   (no materialized job vector)",
+        "federation" => "4 sites x 60 procs, 1000 jobs, follow-surplus router, \
+                         rho=0.5 correlated wind, faults on, seed 42",
+        "sweep_speedup" => "6-cell smoke sweep (300 procs, 2000 jobs each), pool pinned \
+                            at 1 vs 4 workers, reports asserted bit-identical",
+    },
+    "headline" => r.headline,
+    "headline_phases" => r.headline_phases,
+    "figure_scale" => r.figure_scale,
+    "dvfs_stress" => r.dvfs_stress,
+    "dvfs_stress_phases" => r.dvfs_phases,
+    "scale" => r.scale,
+    "scale_phases" => r.scale_phases,
+    "mega" => r.mega,
+    "mega_phases" => r.mega_phases,
+    "mega_streaming" => {
+        "streamed" => true,
+        "jobs_emitted" => r.mega_stream.emitted,
+        "peak_buffered" => r.mega_stream.peak_buffered,
+    },
+    "federation" => r.federation,
+    "federation_phases" => r.federation_phases,
+    "baseline_headline" => BASELINE_HEADLINE,
+    "baseline_figure_scale" => BASELINE_FIGURE,
+    "headline_speedup_wall" => BASELINE_HEADLINE.wall_s / r.headline.wall_s,
+    "baseline_dvfs_stress" => BASELINE_DVFS,
+    "dvfs_stress_speedup_wall" => BASELINE_DVFS.wall_s / r.dvfs_stress.wall_s,
+    "baseline_preindex_headline" => BASELINE_PREINDEX_HEADLINE,
+    "headline_speedup_placement_vs_preindex" =>
+        BASELINE_PREINDEX_HEADLINE.ns_per_placement / r.headline.ns_per_placement,
+    "baseline_prebucket_scale" => BASELINE_PREBUCKET_SCALE,
+    "scale_speedup_placement_vs_prebucket" =>
+        BASELINE_PREBUCKET_SCALE.ns_per_placement / r.scale.ns_per_placement,
+    "sweep_speedup" => r.sweep_speedup,
+    "pool" => r.pool,
+    "headline_outcome" => r.headline_outcome,
+    "dvfs_stress_outcome" => r.dvfs_outcome,
+    "scale_outcome" => r.scale_outcome,
+    "mega_outcome" => r.mega_outcome,
+    "federation_outcome" => r.federation_outcome,
+});
 
 impl BenchReport {
-    /// Renders the report (current numbers plus the recorded baselines)
-    /// as the `BENCH_sim.json` document.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(
-            "  \"id\": \"bench_sim\",\n  \"scenario\": {\n    \"headline\": \"4800 procs, \
-             20000 jobs over 24 h (max 512-wide), ScanFair, hybrid wind x1.0, seed 42\",\n    \
-             \"figure_scale\": \"240 procs, 1000 jobs, ScanFair, hybrid wind x1.0, seed 42\",\n    \
-             \"dvfs_stress\": \"1200 procs, 20000 jobs at 4x arrival rate (max 16-wide), \
-             ScanFair, hybrid wind x0.0625 (scarce), seed 42\",\n    \
-             \"scale\": \"50000 procs, 200000 jobs (max 512-wide), ScanFair, hybrid wind \
-             x10.4 (per-CPU standard), seed 42\",\n    \
-             \"mega\": \"200000 procs, 2000000 jobs (max 512-wide), ScanFair, hybrid wind \
-             x41.7 (per-CPU standard), seed 42, streamed from a synthetic source (no \
-             materialized job vector)\",\n    \
-             \"federation\": \"4 sites x 60 procs, 1000 jobs, follow-surplus router, \
-             rho=0.5 correlated wind, faults on, seed 42\",\n    \
-             \"sweep_speedup\": \"6-cell smoke sweep (300 procs, 2000 jobs each), pool \
-             pinned at 1 vs 4 workers, reports asserted bit-identical\"\n  },\n",
-        );
-        out.push_str(&format!(
-            "  \"headline\": {},\n",
-            numbers_json(&self.headline, "  ")
-        ));
-        out.push_str(&format!(
-            "  \"headline_phases\": {},\n",
-            phases_json(&self.headline_phases, "  ")
-        ));
-        out.push_str(&format!(
-            "  \"figure_scale\": {},\n",
-            numbers_json(&self.figure_scale, "  ")
-        ));
-        out.push_str(&format!(
-            "  \"dvfs_stress\": {},\n",
-            numbers_json(&self.dvfs_stress, "  ")
-        ));
-        out.push_str(&format!(
-            "  \"dvfs_stress_phases\": {},\n",
-            phases_json(&self.dvfs_phases, "  ")
-        ));
-        out.push_str(&format!(
-            "  \"scale\": {},\n",
-            numbers_json(&self.scale, "  ")
-        ));
-        out.push_str(&format!(
-            "  \"scale_phases\": {},\n",
-            phases_json(&self.scale_phases, "  ")
-        ));
-        out.push_str(&format!(
-            "  \"mega\": {},\n",
-            numbers_json(&self.mega, "  ")
-        ));
-        out.push_str(&format!(
-            "  \"mega_phases\": {},\n",
-            phases_json(&self.mega_phases, "  ")
-        ));
-        out.push_str(&format!(
-            "  \"mega_streaming\": {{\n    \"streamed\": true,\n    \
-             \"jobs_emitted\": {},\n    \"peak_buffered\": {}\n  }},\n",
-            self.mega_stream.emitted, self.mega_stream.peak_buffered,
-        ));
-        out.push_str(&format!(
-            "  \"federation\": {},\n",
-            numbers_json(&self.federation, "  ")
-        ));
-        out.push_str(&format!(
-            "  \"federation_phases\": {},\n",
-            phases_json(&self.federation_phases, "  ")
-        ));
-        match (BASELINE_HEADLINE, BASELINE_FIGURE) {
-            (Some(bh), Some(bf)) => {
-                out.push_str(&format!(
-                    "  \"baseline_headline\": {},\n",
-                    numbers_json(&bh, "  ")
-                ));
-                out.push_str(&format!(
-                    "  \"baseline_figure_scale\": {},\n",
-                    numbers_json(&bf, "  ")
-                ));
-                out.push_str(&format!(
-                    "  \"headline_speedup_wall\": {:.2},\n",
-                    bh.wall_s / self.headline.wall_s
-                ));
-            }
-            _ => out.push_str("  \"baseline_headline\": null,\n"),
-        }
-        if let Some(bd) = BASELINE_DVFS {
-            out.push_str(&format!(
-                "  \"baseline_dvfs_stress\": {},\n",
-                numbers_json(&bd, "  ")
-            ));
-            out.push_str(&format!(
-                "  \"dvfs_stress_speedup_wall\": {:.2},\n",
-                bd.wall_s / self.dvfs_stress.wall_s
-            ));
-        }
-        if let Some(bp) = BASELINE_PREINDEX_HEADLINE {
-            out.push_str(&format!(
-                "  \"baseline_preindex_headline\": {},\n",
-                numbers_json(&bp, "  ")
-            ));
-            out.push_str(&format!(
-                "  \"headline_speedup_placement_vs_preindex\": {:.2},\n",
-                bp.ns_per_placement / self.headline.ns_per_placement
-            ));
-        }
-        if let Some(bs) = BASELINE_PREBUCKET_SCALE {
-            out.push_str(&format!(
-                "  \"baseline_prebucket_scale\": {},\n",
-                numbers_json(&bs, "  ")
-            ));
-            out.push_str(&format!(
-                "  \"scale_speedup_placement_vs_prebucket\": {:.2},\n",
-                bs.ns_per_placement / self.scale.ns_per_placement
-            ));
-        }
-        let s = &self.sweep_speedup;
-        out.push_str(&format!(
-            "  \"sweep_speedup\": {{\n    \"cells\": {},\n    \"wall_1t_s\": {:.3},\n    \
-             \"wall_4t_s\": {:.3},\n    \"speedup_4t\": {:.2},\n    \"host_cores\": {}\n  }},\n",
-            s.cells, s.wall_1t_s, s.wall_4t_s, s.speedup_4t, s.host_cores,
-        ));
-        let p = &self.pool;
-        out.push_str(&format!(
-            "  \"pool\": {{\n    \"par_calls\": {},\n    \"seq_calls\": {},\n    \
-             \"tasks\": {},\n    \"steals\": {},\n    \"splits\": {},\n    \
-             \"max_workers\": {}\n  }},\n",
-            p.par_calls, p.seq_calls, p.tasks, p.steals, p.splits, p.max_workers,
-        ));
-        out.push_str(&format!(
-            "  \"headline_outcome\": \"{}\",\n",
-            self.headline_outcome.trim().replace('"', "'")
-        ));
-        out.push_str(&format!(
-            "  \"dvfs_stress_outcome\": \"{}\",\n",
-            self.dvfs_outcome.trim().replace('"', "'")
-        ));
-        out.push_str(&format!(
-            "  \"scale_outcome\": \"{}\",\n",
-            self.scale_outcome.trim().replace('"', "'")
-        ));
-        out.push_str(&format!(
-            "  \"mega_outcome\": \"{}\",\n",
-            self.mega_outcome.trim().replace('"', "'")
-        ));
-        out.push_str(&format!(
-            "  \"federation_outcome\": \"{}\"\n}}\n",
-            self.federation_outcome.trim().replace('"', "'")
-        ));
-        out
-    }
-
     /// Writes `BENCH_sim.json` into the current directory (the repo root
     /// when run via `cargo run -p iscope-experiments`).
     pub fn write(&self) -> std::io::Result<std::path::PathBuf> {
         let path = std::path::PathBuf::from("BENCH_sim.json");
-        std::fs::write(&path, self.render_json())?;
+        write_val(&path, "bench_sim", self)?;
         Ok(path)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use iscope::snapshot::{parse, render, ToVal, Val};
+
+    /// The tree of object keys, with every leaf replaced by `null`.
+    fn key_tree(v: &Val) -> Val {
+        match v {
+            Val::Obj(fields) => Val::Obj(
+                fields
+                    .iter()
+                    .map(|(k, x)| (k.clone(), key_tree(x)))
+                    .collect(),
+            ),
+            Val::Arr(items) => Val::Arr(items.iter().map(key_tree).collect()),
+            _ => Val::Null,
+        }
+    }
+
+    #[test]
+    fn bench_report_keeps_the_committed_schema() {
+        let numbers = BenchNumbers {
+            wall_s: 1.5,
+            events: 3_000,
+            events_per_sec: 2_000.0,
+            placements: 1_000,
+            ns_per_placement: 1_500.0,
+        };
+        let phases = PhaseTimers {
+            placement_ns: 4,
+            rebalance_ns: 3,
+            demand_ns: 2,
+            accounting_ns: 1,
+        };
+        let report = BenchReport {
+            headline: numbers,
+            headline_phases: phases,
+            figure_scale: numbers,
+            dvfs_stress: numbers,
+            dvfs_phases: phases,
+            scale: numbers,
+            scale_phases: phases,
+            mega: numbers,
+            mega_phases: phases,
+            mega_stream: StreamStats {
+                emitted: 2_000_000,
+                peak_buffered: 1,
+            },
+            federation: numbers,
+            federation_phases: phases,
+            headline_outcome: "headline".into(),
+            dvfs_outcome: "dvfs".into(),
+            scale_outcome: "scale".into(),
+            mega_outcome: "mega".into(),
+            federation_outcome: "federation".into(),
+            sweep_speedup: SweepSpeedup {
+                cells: 6,
+                wall_1t_s: 0.5,
+                wall_4t_s: 0.25,
+                speedup_4t: 2.0,
+                host_cores: 2,
+            },
+            pool: PoolStats {
+                par_calls: 1,
+                seq_calls: 2,
+                tasks: 18,
+                steals: 2,
+                splits: 3,
+                max_workers: 4,
+            },
+        };
+        let mut text = String::new();
+        render(&report.to_val("bench_sim").unwrap(), &mut text);
+        let rendered = parse(&text).unwrap();
+        let committed =
+            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json"))
+                .unwrap();
+        let committed = parse(&committed).unwrap();
+        assert_eq!(key_tree(&rendered), key_tree(&committed));
+        assert_eq!(rendered.get("scenario"), committed.get("scenario"));
     }
 }

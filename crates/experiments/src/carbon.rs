@@ -18,7 +18,6 @@ use iscope::experiments::sweep;
 use iscope::prelude::*;
 use iscope::telemetry::render_jsonl;
 use iscope::{AuditConfig, RunReport, TelemetryConfig};
-use serde::Serialize;
 
 /// Deferral threshold (gCO2/kWh) — crossed daily by the diurnal trace.
 pub const DEFER_GCO2: f64 = 450.0;
@@ -28,7 +27,7 @@ pub const SUSPEND_GCO2: f64 = 480.0;
 pub const INTENSITY_BASE: f64 = 420.0;
 
 /// The carbon-awareness policies swept.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
     /// No carbon config at all (the baseline bit-pattern).
     Off,
@@ -60,11 +59,15 @@ impl Policy {
 }
 
 /// Output of the carbon sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Carbon {
     /// One row per policy × trace cell.
     pub table: ExpTable,
 }
+
+iscope::to_val!(Carbon, |c| {
+    "table" => c.table,
+});
 
 /// Signal pair for a cell: carbon intensity (flat or diurnal) plus the
 /// same time-of-use price either way.

@@ -8,10 +8,10 @@
 //! full 4800-CPU configuration; `ExpScale::Fast` is the bench-sized cell.
 
 use iscope::prelude::*;
+use iscope::snapshot::{render, ToVal};
 use iscope::GreenDatacenterSim;
 use iscope_sched::Scheme;
 use iscope_workload::SyntheticTrace;
-use serde::Serialize;
 
 /// Experiment scale presets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,7 +106,7 @@ impl ExpConfig {
 }
 
 /// A generic labelled table: one row per scheme/parameter combination.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ExpTable {
     /// Experiment id, e.g. `"fig5a"`.
     pub id: String,
@@ -117,6 +117,13 @@ pub struct ExpTable {
     /// Rows: `(series label, values)`.
     pub rows: Vec<(String, Vec<f64>)>,
 }
+
+iscope::to_val!(ExpTable, |e| {
+    "id" => e.id,
+    "title" => e.title,
+    "columns" => e.columns,
+    "rows" => e.rows,
+});
 
 impl ExpTable {
     /// Renders the table in the alignment the harness prints.
@@ -148,12 +155,27 @@ impl ExpTable {
 }
 
 /// Writes an experiment's JSON next to the repository's results.
-pub fn write_json<T: Serialize>(id: &str, value: &T) -> std::io::Result<std::path::PathBuf> {
+pub fn write_json<T: ToVal>(id: &str, value: &T) -> std::io::Result<std::path::PathBuf> {
     let dir = std::path::Path::new("results");
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{id}.json"));
-    std::fs::write(&path, serde_json::to_string_pretty(value)?)?;
+    write_val(&path, id, value)?;
     Ok(path)
+}
+
+/// Renders `value` as one line of compact JSON (plus a trailing newline)
+/// and writes it to `path`. A value JSON cannot carry, such as a
+/// non-finite float, fails the write and names its field.
+pub(crate) fn write_val<T: ToVal>(
+    path: &std::path::Path,
+    what: &str,
+    value: &T,
+) -> std::io::Result<()> {
+    let val = value.to_val(what).map_err(std::io::Error::other)?;
+    let mut out = String::new();
+    render(&val, &mut out);
+    out.push('\n');
+    std::fs::write(path, out)
 }
 
 /// Writes a run's telemetry time series as `results/{id}.jsonl` (one
@@ -172,6 +194,111 @@ pub fn write_telemetry(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iscope::snapshot::{parse, Val};
+
+    /// Renders `value` through its field list and parses the text back.
+    fn round_trip(value: &impl ToVal) -> Val {
+        let mut text = String::new();
+        render(&value.to_val("test").unwrap(), &mut text);
+        assert!(!text.contains("__offline_stub__"));
+        parse(&text).unwrap()
+    }
+
+    fn keys(v: &Val) -> Vec<&str> {
+        match v {
+            Val::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("expected an object, found {other:?}"),
+        }
+    }
+
+    /// The bits of every float in `v`, in document order.
+    fn float_bits(v: &Val) -> Vec<u64> {
+        match v {
+            Val::Float(f) => vec![f.to_bits()],
+            Val::Arr(items) => items.iter().flat_map(float_bits).collect(),
+            Val::Obj(fields) => fields.iter().flat_map(|(_, x)| float_bits(x)).collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn fig4_renders_its_fields_in_order_bit_exactly() {
+        let f = crate::fig4::run(crate::fig4::CALIBRATED_SEED);
+        let v = round_trip(&f);
+        assert_eq!(
+            keys(&v),
+            [
+                "vmin_gpu_off",
+                "vmin_gpu_on",
+                "mean_off",
+                "mean_on",
+                "nominal"
+            ]
+        );
+        assert_eq!(
+            float_bits(v.get("vmin_gpu_off").unwrap()),
+            bits(&f.vmin_gpu_off)
+        );
+        assert_eq!(
+            float_bits(v.get("vmin_gpu_on").unwrap()),
+            bits(&f.vmin_gpu_on)
+        );
+        for (key, x) in [
+            ("mean_off", f.mean_off),
+            ("mean_on", f.mean_on),
+            ("nominal", f.nominal),
+        ] {
+            assert_eq!(float_bits(v.get(key).unwrap()), bits(&[x]), "{key}");
+        }
+    }
+
+    #[test]
+    fn tables_render_rows_as_label_value_pairs() {
+        let t = ExpTable {
+            id: "figX".into(),
+            title: "test".into(),
+            columns: vec!["0".into(), "25".into()],
+            rows: vec![
+                ("BinRan".into(), vec![1.0 / 3.0, -0.0]),
+                ("ScanFair".into(), vec![1e-300, 2.0]),
+            ],
+        };
+        let v = round_trip(&t);
+        assert_eq!(keys(&v), ["id", "title", "columns", "rows"]);
+        assert_eq!(v.get("id").unwrap(), &Val::Str("figX".into()));
+        let Val::Arr(rows) = v.get("rows").unwrap() else {
+            panic!("rows must be an array")
+        };
+        for ((label, values), row) in t.rows.iter().zip(rows) {
+            let Val::Arr(pair) = row else {
+                panic!("a row must be a [label, values] pair")
+            };
+            assert_eq!(pair[0], Val::Str(label.clone()));
+            assert_eq!(float_bits(&pair[1]), bits(values));
+        }
+    }
+
+    #[test]
+    fn a_non_finite_field_fails_the_save_and_names_the_field() {
+        use iscope_dcsim::TimeSeries;
+        use iscope_scanner::{analyse_windows, estimate_campaign};
+        // Demand never drops below the threshold: no idle capacity, so the
+        // campaign never completes.
+        let demand = TimeSeries {
+            name: "demand".into(),
+            interval: SimDuration::from_mins(1),
+            values: vec![100.0; 10],
+        };
+        let report = analyse_windows(&demand, 100.0, 0.3);
+        let c = estimate_campaign(&report, 10, SimDuration::from_secs(29), demand.interval);
+        assert_eq!(c.periods_to_complete, f64::INFINITY);
+        let err = c.to_val("sbft_campaign").unwrap_err();
+        assert!(err.to_string().contains("periods_to_complete"), "{err}");
+    }
 
     #[test]
     fn scales_are_proportional() {

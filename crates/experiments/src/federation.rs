@@ -27,7 +27,6 @@ use iscope::{
     correlated_wind_supplies, run_federation, AuditConfig, FaultInjectionConfig, FederationInput,
     FollowSurplusRouter, NullRouter, Router, StaticHashRouter, TelemetryConfig,
 };
-use serde::Serialize;
 
 /// Weather-correlation points swept (weight of the shared front).
 pub const RHO_POINTS: [f64; 3] = [0.0, 0.5, 1.0];
@@ -39,7 +38,7 @@ pub const SITE_POINTS: [usize; 2] = [2, 4];
 pub const WAN_DELAY_MINS: u64 = 2;
 
 /// Output of the federation experiment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FederationSweep {
     /// Renewable share of federation energy (%), per `router@sites` row.
     pub wind_fraction: ExpTable,
@@ -48,6 +47,12 @@ pub struct FederationSweep {
     /// Cross-site WAN migrations (failed gangs moved between sites).
     pub migrations: ExpTable,
 }
+
+iscope::to_val!(FederationSweep, |f| {
+    "wind_fraction" => f.wind_fraction,
+    "utility_kwh" => f.utility_kwh,
+    "migrations" => f.migrations,
+});
 
 /// Accelerated failure model so retries (and thus migrations) actually
 /// fire inside an experiment-scale run — same knob as `audit-smoke`.

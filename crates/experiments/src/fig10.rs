@@ -10,7 +10,6 @@ use crate::common::sparkline;
 use iscope_dcsim::{SimDuration, TimeSeries};
 use iscope_scanner::{analyse_windows, estimate_campaign, CampaignEstimate, WindowReport};
 use iscope_workload::{Shaper, SyntheticTrace};
-use serde::Serialize;
 
 /// Capacity used in the paper's Fig. 10 plot.
 pub const CAPACITY: f64 = 1024.0;
@@ -18,7 +17,7 @@ pub const CAPACITY: f64 = 1024.0;
 pub const THRESHOLD: f64 = 0.30;
 
 /// Output of the Fig. 10 experiment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig10 {
     /// Required-processor fraction (of 1024) per minute over the day.
     pub demand_fraction: TimeSeries,
@@ -29,6 +28,13 @@ pub struct Fig10 {
     /// Campaign estimate for a 29-second SBFT pass.
     pub sbft_campaign: CampaignEstimate,
 }
+
+iscope::to_val!(Fig10, |f| {
+    "demand_fraction" => f.demand_fraction,
+    "windows" => f.windows,
+    "stress_campaign" => f.stress_campaign,
+    "sbft_campaign" => f.sbft_campaign,
+});
 
 /// Builds the day-long demand trace and analyses it.
 pub fn run(seed: u64) -> Fig10 {

@@ -10,7 +10,6 @@
 use iscope_dcsim::SimRng;
 use iscope_pvmodel::{Chip, ChipId, CoreId, DvfsConfig, Fleet, FreqLevel, VariationParams};
 use iscope_scanner::{ProfilingRecords, Scanner, ScannerConfig, TestKind, VoltageGrid};
-use serde::Serialize;
 
 /// Seed whose 16-core draw reproduces the paper's measured band (means
 /// 1.219 / 1.233 V against the published 1.219 / 1.232 V). Any seed gives
@@ -19,7 +18,7 @@ use serde::Serialize;
 pub const CALIBRATED_SEED: u64 = 73;
 
 /// Output of the Fig. 4 experiment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig4 {
     /// Min Vdd (V) of the 16 cores, GPU disabled (panel A).
     pub vmin_gpu_off: Vec<f64>,
@@ -32,6 +31,14 @@ pub struct Fig4 {
     /// Nominal voltage (paper: 1.375 V).
     pub nominal: f64,
 }
+
+iscope::to_val!(Fig4, |f| {
+    "vmin_gpu_off" => f.vmin_gpu_off,
+    "vmin_gpu_on" => f.vmin_gpu_on,
+    "mean_off" => f.mean_off,
+    "mean_on" => f.mean_on,
+    "nominal" => f.nominal,
+});
 
 fn measure(fleet: &Fleet, gpu_enabled: bool, seed: u64) -> Vec<f64> {
     let scanner = Scanner::new(ScannerConfig {

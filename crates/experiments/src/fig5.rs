@@ -9,7 +9,6 @@
 use crate::common::{ExpConfig, ExpTable};
 use iscope::experiments::sweep;
 use iscope_sched::Scheme;
-use serde::Serialize;
 
 /// The %HU values swept (x-axis of Fig. 5A).
 pub const HU_POINTS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
@@ -17,13 +16,18 @@ pub const HU_POINTS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
 pub const RATE_POINTS: [f64; 5] = [1.0, 2.0, 3.0, 4.0, 5.0];
 
 /// Output of the Fig. 5 experiment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5 {
     /// (A) utility kWh per scheme per %HU.
     pub by_hu: ExpTable,
     /// (B) utility kWh per scheme per arrival rate.
     pub by_rate: ExpTable,
 }
+
+iscope::to_val!(Fig5, |f| {
+    "by_hu" => f.by_hu,
+    "by_rate" => f.by_rate,
+});
 
 /// Runs both sweeps.
 pub fn run(cfg: &ExpConfig) -> Fig5 {

@@ -12,10 +12,9 @@ use crate::fig5::{HU_POINTS, RATE_POINTS};
 use iscope::experiments::sweep;
 use iscope::RunReport;
 use iscope_sched::Scheme;
-use serde::Serialize;
 
 /// Output of the Fig. 6 experiment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6 {
     /// (A) utility kWh vs %HU.
     pub utility_by_hu: ExpTable,
@@ -26,6 +25,13 @@ pub struct Fig6 {
     /// (D) wind kWh vs arrival rate.
     pub wind_by_rate: ExpTable,
 }
+
+iscope::to_val!(Fig6, |f| {
+    "utility_by_hu" => f.utility_by_hu,
+    "wind_by_hu" => f.wind_by_hu,
+    "utility_by_rate" => f.utility_by_rate,
+    "wind_by_rate" => f.wind_by_rate,
+});
 
 fn tables(
     id_u: &str,

@@ -9,10 +9,9 @@ use crate::common::{sparkline, ExpConfig};
 use iscope::experiments::sweep;
 use iscope_dcsim::{SimDuration, TimeSeries};
 use iscope_sched::Scheme;
-use serde::Serialize;
 
 /// One scheme's sampled traces.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SchemeTrace {
     /// Scheme name.
     pub scheme: String,
@@ -26,12 +25,24 @@ pub struct SchemeTrace {
     pub wind_draw: TimeSeries,
 }
 
+iscope::to_val!(SchemeTrace, |s| {
+    "scheme" => s.scheme,
+    "demand" => s.demand,
+    "wind" => s.wind,
+    "utility_draw" => s.utility_draw,
+    "wind_draw" => s.wind_draw,
+});
+
 /// Output of the Fig. 7 experiment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7 {
     /// Panels (A) ScanRan, (B) ScanEffi, (C) ScanFair.
     pub panels: Vec<SchemeTrace>,
 }
+
+iscope::to_val!(Fig7, |f| {
+    "panels" => f.panels,
+});
 
 /// The paper's sampling interval.
 pub const SAMPLE_INTERVAL_S: u64 = 350;

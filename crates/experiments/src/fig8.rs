@@ -15,10 +15,9 @@ use crate::common::{ExpConfig, ExpTable};
 use iscope::experiments::sweep;
 use iscope_energy::PriceBook;
 use iscope_sched::Scheme;
-use serde::Serialize;
 
 /// Output of the Fig. 8 experiment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8 {
     /// Total cost (USD) per scheme: columns = no-wind / wind / wind@future-price.
     pub cost: ExpTable,
@@ -28,8 +27,14 @@ pub struct Fig8 {
     pub headlines: Headlines,
 }
 
+iscope::to_val!(Fig8, |f| {
+    "cost" => f.cost,
+    "utility_cost" => f.utility_cost,
+    "headlines" => f.headlines,
+});
+
 /// The derived claims of §VI.C.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Headlines {
     /// ScanEffi vs BinEffi total-cost saving, no-wind case (paper: 9 %).
     pub scaneffi_vs_bineffi_nowind_pct: f64,
@@ -42,6 +47,13 @@ pub struct Headlines {
     /// paper's "30.7 % savings on energy (wind & utility) cost").
     pub scanfair_vs_binran_wind_pct: f64,
 }
+
+iscope::to_val!(Headlines, |h| {
+    "scaneffi_vs_bineffi_nowind_pct" => h.scaneffi_vs_bineffi_nowind_pct,
+    "scanfair_green_vs_binran_brown_pct" => h.scanfair_green_vs_binran_brown_pct,
+    "scanfair_green_vs_binran_brown_utility_pct" => h.scanfair_green_vs_binran_brown_utility_pct,
+    "scanfair_vs_binran_wind_pct" => h.scanfair_vs_binran_wind_pct,
+});
 
 /// Runs the three supply scenarios over all five schemes.
 pub fn run(cfg: &ExpConfig) -> Fig8 {

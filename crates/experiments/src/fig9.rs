@@ -9,13 +9,12 @@ use crate::common::{ExpConfig, ExpTable};
 use iscope::experiments::sweep;
 use iscope::{TelemetryConfig, TelemetryRecord};
 use iscope_sched::Scheme;
-use serde::Serialize;
 
 /// The SWP factors swept.
 pub const SWP_POINTS: [f64; 5] = [1.0, 1.2, 1.4, 1.6, 1.8];
 
 /// Output of the Fig. 9 experiment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9 {
     /// Utilization-time variance (h²) per scheme per SWP factor.
     pub variance: ExpTable,
@@ -24,6 +23,11 @@ pub struct Fig9 {
     /// written alongside the table as `results/fig9_telemetry.jsonl`.
     pub telemetry: Vec<TelemetryRecord>,
 }
+
+// The telemetry is written to its own JSONL file, not repeated here.
+iscope::to_val!(Fig9, |f| {
+    "variance" => f.variance,
+});
 
 /// Runs the SWP sweep.
 pub fn run(cfg: &ExpConfig) -> Fig9 {

@@ -14,10 +14,9 @@ use iscope::prelude::*;
 use iscope::{SimDriver, SimInput};
 use iscope_dcsim::SimTime;
 use iscope_sched::Scheme;
-use serde::Serialize;
 
 /// One branched future of the snapshot.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ForkBranch {
     /// Branch label (`"control"`, scheme names, supply variants).
     pub label: String,
@@ -31,8 +30,16 @@ pub struct ForkBranch {
     pub deadline_misses: usize,
 }
 
+iscope::to_val!(ForkBranch, |f| {
+    "label" => f.label,
+    "makespan_h" => f.makespan_h,
+    "wind_fraction" => f.wind_fraction,
+    "utility_kwh" => f.utility_kwh,
+    "deadline_misses" => f.deadline_misses,
+});
+
 /// The fork experiment: branch point plus one row per future.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ForkReport {
     /// When the snapshot was taken, hours into the run.
     pub branch_point_h: f64,
@@ -41,6 +48,12 @@ pub struct ForkReport {
     /// One outcome per branched future; `branches[0]` is the control.
     pub branches: Vec<ForkBranch>,
 }
+
+iscope::to_val!(ForkReport, |f| {
+    "branch_point_h" => f.branch_point_h,
+    "jobs" => f.jobs,
+    "branches" => f.branches,
+});
 
 impl ForkReport {
     /// Renders the branch comparison as the harness table.

@@ -8,10 +8,9 @@ use crate::common::ExpConfig;
 use iscope::prelude::*;
 use iscope::{InSituConfig, RunReport};
 use iscope_sched::Scheme;
-use serde::Serialize;
 
 /// Outcome of the in-situ experiment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct InSitu {
     /// Never-profiled baseline (factory bins forever): total kWh.
     pub bin_kwh: f64,
@@ -26,6 +25,15 @@ pub struct InSitu {
     /// Deadline miss rates: bin / in-situ / pre-scanned.
     pub miss_rates: [f64; 3],
 }
+
+iscope::to_val!(InSitu, |i| {
+    "bin_kwh" => i.bin_kwh,
+    "insitu_kwh" => i.insitu_kwh,
+    "insitu_overhead_kwh" => i.insitu_overhead_kwh,
+    "profiled" => i.profiled,
+    "prescanned_kwh" => i.prescanned_kwh,
+    "miss_rates" => i.miss_rates,
+});
 
 /// Runs the three variants with the 29-second SBFT scanner (the paper's
 /// low-overhead option — a 10-minute stress grid would cost ~20x more

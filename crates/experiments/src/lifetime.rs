@@ -23,10 +23,9 @@ use iscope::{FaultInjectionConfig, ReprofileConfig};
 use iscope_pvmodel::{AgingModel, FailureModel, Fleet, OperatingPlan, VariationParams};
 use iscope_scanner::{ReprofilePolicy, Scanner, ScannerConfig, TestKind};
 use iscope_sched::Scheme;
-use serde::Serialize;
 
 /// One simulated round (a day of load, advanced by `stride_days`).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Round {
     /// Calendar day at the end of the round.
     pub day: u32,
@@ -39,8 +38,15 @@ pub struct Round {
     pub rescanned: bool,
 }
 
+iscope::to_val!(Round, |r| {
+    "day" => r.day,
+    "utility_kwh" => r.utility_kwh,
+    "unsafe_chips" => r.unsafe_chips,
+    "rescanned" => r.rescanned,
+});
+
 /// Output of the lifetime experiment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Lifetime {
     /// Rounds with periodic re-profiling.
     pub maintained: Vec<Round>,
@@ -50,9 +56,15 @@ pub struct Lifetime {
     pub sweep: Vec<SweepCell>,
 }
 
+iscope::to_val!(Lifetime, |l| {
+    "maintained" => l.maintained,
+    "frozen" => l.frozen,
+    "sweep" => l.sweep,
+});
+
 /// One cell of the in-run sweep: a full simulation with runtime fault
 /// injection at a given re-profile cadence and aging acceleration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SweepCell {
     /// Cadence label (fraction of the safe re-profile interval, or
     /// `"frozen"` for a never-re-scanned plan).
@@ -80,6 +92,21 @@ pub struct SweepCell {
     /// Deadline misses (includes abandoned jobs).
     pub deadline_misses: usize,
 }
+
+iscope::to_val!(SweepCell, |s| {
+    "cadence" => s.cadence,
+    "cadence_fraction" => s.cadence_fraction,
+    "aging_accel" => s.aging_accel,
+    "timing_failures" => s.timing_failures,
+    "retries" => s.retries,
+    "failed_jobs" => s.failed_jobs,
+    "chips_rescanned" => s.chips_rescanned,
+    "wasted_kwh" => s.wasted_kwh,
+    "rescan_downtime_hours" => s.rescan_downtime_hours,
+    "rescan_energy_kwh" => s.rescan_energy_kwh,
+    "utility_kwh" => s.utility_kwh,
+    "deadline_misses" => s.deadline_misses,
+});
 
 /// Re-profile cadences swept, as fractions of the analytically safe
 /// re-profile interval (`None` = frozen plan, never re-scanned).

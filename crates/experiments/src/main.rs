@@ -70,7 +70,7 @@ fn main() {
     });
     run_if("fig4", &mut |_| {
         // Seed chosen so the 16-core sample reproduces the measured band
-        // (see EXPERIMENTS.md — means 1.219/1.233 V vs paper 1.219/1.232).
+        // (see EXPERIMENTS.md — means 1.220/1.234 V vs paper 1.219/1.232).
         let f = fig4::run(fig4::CALIBRATED_SEED);
         println!("{}", f.render());
         report(write_json("fig4", &f));

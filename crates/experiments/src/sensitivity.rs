@@ -19,7 +19,6 @@ use iscope::experiments::sweep;
 use iscope::prelude::*;
 use iscope_pvmodel::{Binning, OperatingPlan, VariationParams};
 use iscope_scanner::{Scanner, ScannerConfig};
-use serde::Serialize;
 
 /// The bin counts swept (the last column is the full scan).
 pub const BIN_POINTS: [usize; 5] = [1, 2, 3, 5, 10];
@@ -27,7 +26,7 @@ pub const BIN_POINTS: [usize; 5] = [1, 2, 3, 5, 10];
 pub const GRID_POINTS: [usize; 4] = [5, 10, 20, 40];
 
 /// Output of the sensitivity experiment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Sensitivity {
     /// Utility kWh under BinEffi-style scheduling at each bin count, plus
     /// the scanned fleet as the limit.
@@ -37,8 +36,13 @@ pub struct Sensitivity {
     pub by_grid: Vec<GridPoint>,
 }
 
+iscope::to_val!(Sensitivity, |s| {
+    "by_bins" => s.by_bins,
+    "by_grid" => s.by_grid,
+});
+
 /// One grid-resolution measurement.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GridPoint {
     /// Voltage points per frequency bin.
     pub points: usize,
@@ -47,6 +51,12 @@ pub struct GridPoint {
     /// Stability tests the scan executed.
     pub tests_run: u64,
 }
+
+iscope::to_val!(GridPoint, |g| {
+    "points" => g.points,
+    "fleet_power_kw" => g.fleet_power_kw,
+    "tests_run" => g.tests_run,
+});
 
 /// Runs both sweeps.
 pub fn run(cfg: &ExpConfig) -> Sensitivity {

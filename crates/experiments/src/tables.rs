@@ -4,10 +4,9 @@ use crate::common::ExpConfig;
 use iscope_energy::PriceBook;
 use iscope_pvmodel::{Binning, DvfsConfig, Fleet, VariationParams, OPTERON_6300_BINS};
 use iscope_scanner::{OverheadModel, ProfilingCost, Scanner, ScannerConfig, TestKind};
-use serde::Serialize;
 
 /// Table 1: the AMD Opteron 6300 bins plus our fleet's 3-bin outcome.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1 {
     /// Worst-case operating voltage (top level) per bin of our fleet.
     pub bin_voltages: Vec<f64>,
@@ -16,6 +15,12 @@ pub struct Table1 {
     /// Representative busy power (W, top level) per bin.
     pub bin_power_w: Vec<f64>,
 }
+
+iscope::to_val!(Table1, |t| {
+    "bin_voltages" => t.bin_voltages,
+    "bin_sizes" => t.bin_sizes,
+    "bin_power_w" => t.bin_power_w,
+});
 
 /// Regenerates Table 1 against a generated fleet.
 pub fn table1(cfg: &ExpConfig) -> Table1 {
@@ -93,7 +98,7 @@ pub fn table2() -> String {
 }
 
 /// §VI.E profiling-overhead reproduction.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Overhead {
     /// Full-grid stress-test cost (paper: 230 USD wind / 598 utility).
     pub stress_full_grid: ProfilingCost,
@@ -104,6 +109,13 @@ pub struct Overhead {
     /// Stability tests the actual scan executed.
     pub actual_tests: u64,
 }
+
+iscope::to_val!(Overhead, |o| {
+    "stress_full_grid" => o.stress_full_grid,
+    "sbft_full_grid" => o.sbft_full_grid,
+    "actual_scan" => o.actual_scan,
+    "actual_tests" => o.actual_tests,
+});
 
 /// Reproduces the overhead arithmetic at the paper's 4800-CPU scale and
 /// prices an actual scan of the configured fleet.

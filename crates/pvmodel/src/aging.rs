@@ -16,10 +16,9 @@
 
 use crate::chip::Chip;
 use crate::freq::DvfsConfig;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the Min Vdd drift model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AgingModel {
     /// Min Vdd drift (volts) per 1000 hours of active time at reference
     /// stress. Silicon-typical lifetime guardbands are a few percent of
@@ -87,7 +86,7 @@ impl AgingModel {
 /// Fleet-level wear summary derived from per-chip utilization hours: how
 /// unbalanced usage translates into staggered retirements (the cost the
 /// ScanFair scheme avoids — operators upgrade in batches, §IV.B).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WearReport {
     /// Life consumed per chip, as a fraction of full life, given each
     /// chip's utilization hours.

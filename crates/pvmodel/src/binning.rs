@@ -9,16 +9,13 @@
 use crate::chip::ChipId;
 use crate::freq::FreqLevel;
 use crate::population::Fleet;
-use serde::{Deserialize, Serialize};
 
 /// Index of a factory bin; bin 0 is the most efficient.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BinId(pub u8);
 
 /// One factory bin: membership plus worst-case voltage per level.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Bin {
     /// Bin index (0 = most efficient).
     pub id: BinId,
@@ -35,7 +32,7 @@ pub struct Bin {
 }
 
 /// Result of binning a fleet.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Binning {
     /// The bins, most efficient first.
     pub bins: Vec<Bin>,
@@ -126,7 +123,7 @@ impl Binning {
 }
 
 /// A row of Table 1: the AMD Opteron 6300 series bins.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct OpteronBin {
     /// Model number.
     pub model: u16,

@@ -9,16 +9,13 @@
 use crate::freq::{DvfsConfig, FreqLevel};
 use crate::params::VariationParams;
 use iscope_dcsim::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Index of a processor within a fleet.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ChipId(pub u32);
 
 /// A core within a specific chip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreId {
     /// Owning chip.
     pub chip: ChipId,
@@ -27,7 +24,7 @@ pub struct CoreId {
 }
 
 /// One physical core: its true minimum safe voltage at every DVFS level.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Core {
     /// True Min Vdd (volts) per DVFS level, iGPU disabled. Monotone
     /// non-decreasing in frequency.
@@ -62,7 +59,7 @@ impl Core {
 }
 
 /// One processor: power coefficients plus its cores.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Chip {
     /// Fleet-wide identifier.
     pub id: ChipId,

@@ -5,10 +5,9 @@
 //! the paper's evaluation pins COP = 2.5 (§V.C, after Garg et al.).
 
 use iscope_dcsim::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Coefficient-of-performance cooling model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CoolingModel {
     cop: f64,
 }

@@ -9,10 +9,8 @@
 //! (seconds of execution at `f_max`): a task running at frequency `f`
 //! retires nominal work at rate [`speed_factor`]`(gamma, f, f_max)`.
 
-use serde::{Deserialize, Serialize};
-
 /// CPU-boundness of a task, in `\[0, 1\]`.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct CpuBoundness(f64);
 
 impl CpuBoundness {

@@ -18,10 +18,9 @@ use crate::aging::AgingModel;
 use crate::chip::Chip;
 use crate::plan::OperatingPlan;
 use crate::population::Fleet;
-use serde::{Deserialize, Serialize};
 
 /// Runtime failure model: aging-driven Min Vdd drift plus a jitter band.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FailureModel {
     /// The drift law stress hours are fed through.
     pub aging: AgingModel,

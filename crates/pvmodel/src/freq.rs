@@ -5,12 +5,8 @@
 //! calibrated so that the top level runs at 1.375 V — the measured nominal
 //! of the AMD A10-5800K used for profiling (§V.A).
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a DVFS level; level 0 is the slowest, the last is f_max.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FreqLevel(pub u8);
 
 impl FreqLevel {
@@ -30,7 +26,7 @@ impl FreqLevel {
 /// All processors have the same frequency settings but need different
 /// voltages (§V.B) — the per-chip voltages live in
 /// [`crate::chip::Chip`] / [`crate::plan::OperatingPlan`], not here.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DvfsConfig {
     /// Frequencies in GHz, strictly ascending.
     freqs_ghz: Vec<f64>,

@@ -6,10 +6,8 @@
 //! 16-core profiling run reproduces the measured 1.19 V – 1.25 V band of
 //! Figure 4 (nominal 1.375 V).
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters governing chip-to-chip and core-to-core variation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VariationParams {
     /// Mean of the dynamic-power coefficient `alpha` (Eq-1).
     pub alpha_mean: f64,

@@ -20,7 +20,6 @@ use crate::binning::Binning;
 use crate::chip::ChipId;
 use crate::freq::FreqLevel;
 use crate::population::Fleet;
-use serde::{Deserialize, Serialize};
 
 /// Guardband the scanner adds on top of a measured Min Vdd before using it
 /// as the operating voltage.
@@ -50,7 +49,7 @@ pub fn microwatts_to_watts(uw: i64) -> f64 {
 }
 
 /// Per-chip applied voltages and scheduler-visible power estimates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OperatingPlan {
     /// `voltages[chip][level]`: supply the chip actually applies.
     voltages: Vec<Vec<f64>>,

@@ -5,11 +5,10 @@ use crate::freq::DvfsConfig;
 use crate::params::VariationParams;
 use crate::power::PowerModel;
 use iscope_dcsim::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A fleet of processors sharing one DVFS table, each with its own hidden
 /// variation parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fleet {
     /// The shared V/F operating-point table.
     pub dvfs: DvfsConfig,

@@ -15,10 +15,9 @@
 
 use crate::chip::Chip;
 use crate::freq::{DvfsConfig, FreqLevel};
-use serde::{Deserialize, Serialize};
 
 /// Computes processor power from chip coefficients, level, and voltage.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PowerModel {
     f_max: f64,
     v_ref: f64,

@@ -8,10 +8,9 @@
 //! profiling campaign takes to complete inside them.
 
 use iscope_dcsim::{SimDuration, TimeSeries};
-use serde::{Deserialize, Serialize};
 
 /// Analysis of where profiling can happen in a demand trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WindowReport {
     /// Fraction of samples with utilization strictly below the threshold
     /// (the paper reports 27.2 % of the day below 30 %).
@@ -45,7 +44,7 @@ pub fn analyse_windows(demand: &TimeSeries, capacity: f64, threshold: f64) -> Wi
 }
 
 /// Estimate of an opportunistic campaign over one analysed day.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CampaignEstimate {
     /// Processor-seconds of profiling work the campaign needs.
     pub required_proc_seconds: f64,

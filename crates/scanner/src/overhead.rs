@@ -10,10 +10,9 @@
 
 use crate::sbft::TestKind;
 use iscope_energy::{PriceBook, J_PER_KWH};
-use serde::{Deserialize, Serialize};
 
 /// Assumptions of the §VI.E cost estimate.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct OverheadModel {
     /// Power drawn per processor under test (W). The paper uses the
     /// Opteron 6300 maximum TDP.
@@ -35,7 +34,7 @@ impl Default for OverheadModel {
 }
 
 /// A priced profiling campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfilingCost {
     /// Total test energy, kWh.
     pub energy_kwh: f64,

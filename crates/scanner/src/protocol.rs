@@ -13,10 +13,9 @@ use crate::records::{ChipBlock, LevelRecord, ProfilingRecords, VoltageGrid};
 use crate::sbft::{TestKind, TestProgram};
 use iscope_dcsim::{SimDuration, SimRng};
 use iscope_pvmodel::{Chip, ChipId, CoreId, Fleet, FreqLevel};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the iScope scanner.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScannerConfig {
     /// Which stability test to run at each grid point.
     pub test_kind: TestKind,
@@ -55,7 +54,7 @@ impl Default for ScannerConfig {
 }
 
 /// Result of scanning a fleet.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScanReport {
     /// The filled profiling-records database.
     pub records: ProfilingRecords,

@@ -8,10 +8,9 @@
 
 use crate::sbft::TestOutcome;
 use iscope_pvmodel::{ChipId, CoreId, Fleet, FreqLevel};
-use serde::{Deserialize, Serialize};
 
 /// The descending voltage grid probed at each frequency bin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VoltageGrid {
     /// Probe voltages per level, each strictly descending (highest first).
     steps: Vec<Vec<f64>>,
@@ -66,7 +65,7 @@ impl VoltageGrid {
 }
 
 /// Pass/fail knowledge for one core at one level, over the grid.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LevelRecord {
     /// Index (into the grid's descending voltages) of the lowest *pass*
     /// observed, if any.
@@ -149,7 +148,7 @@ impl ChipBlock<'_> {
 }
 
 /// Profiling state for every core of a fleet.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProfilingRecords {
     grid: VoltageGrid,
     cores_per_chip: usize,

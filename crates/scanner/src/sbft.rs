@@ -11,10 +11,9 @@
 
 use iscope_dcsim::{SimDuration, SimRng};
 use iscope_pvmodel::{Core, FreqLevel};
-use serde::{Deserialize, Serialize};
 
 /// Which stability test the profiler runs (§III.C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TestKind {
     /// Software-based functional failing test: 29 seconds per point \[20\].
     Sbft,
@@ -33,7 +32,7 @@ impl TestKind {
 }
 
 /// Outcome of one stability test at one operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TestOutcome {
     /// Result checksum matched the precomputed value.
     Pass,
@@ -46,14 +45,14 @@ const PROGRAM_SEED: u64 = 0x5EED_CAFE_F00D_D00D;
 
 /// A generated functional test program: an operation stream with its
 /// precomputed correct result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TestProgram {
     ops: Vec<Op>,
     expected: u64,
 }
 
 /// One synthetic instruction of the test program.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 enum Op {
     /// Wrapping add with an immediate.
     Add(u64),

@@ -14,10 +14,9 @@
 //! the fleet must be re-scanned.
 
 use iscope_pvmodel::{AgingModel, Fleet, OperatingPlan, SCAN_GUARDBAND_V};
-use serde::{Deserialize, Serialize};
 
 /// Safety of a frozen operating plan after some aging.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StalenessReport {
     /// Hours of (uniform) operation since the profile was taken.
     pub profile_age_hours: f64,
@@ -91,7 +90,7 @@ pub fn safe_reprofile_interval_hours(
 /// loop): either on a fixed stress-hour cadence, or adaptively as a
 /// fraction of [`safe_reprofile_interval_hours`] computed from the
 /// initial plan.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum ReprofilePolicy {
     /// Re-scan a chip once it has accumulated this many stress hours.
     Fixed {

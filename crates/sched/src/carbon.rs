@@ -23,11 +23,10 @@
 
 use crate::recovery::RetryPolicy;
 use iscope_dcsim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Thresholds and timing for carbon/price-aware deferral and
 /// suspend/resume.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CarbonConfig {
     /// Hold flexible arrivals while intensity (gCO2/kWh) exceeds this.
     pub defer_intensity_above: Option<f64>,

@@ -9,10 +9,9 @@
 //! sequence.
 
 use iscope_dcsim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Bounded-retry policy with capped exponential backoff.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Retries allowed after the first attempt; a job whose attempt
     /// count exceeds `max_retries + 1` is abandoned (counted as failed

@@ -4,10 +4,9 @@
 use crate::placement::{EfficiencyPlacement, FairPlacement, Placement, RandomPlacement};
 use iscope_pvmodel::{Binning, Fleet, OperatingPlan};
 use iscope_scanner::{Scanner, ScannerConfig};
-use serde::{Deserialize, Serialize};
 
 /// How the datacenter learned about its processors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Profiling {
     /// Factory binning only; no in-cloud profiling (the `Bin*` schemes).
     Bin,
@@ -16,7 +15,7 @@ pub enum Profiling {
 }
 
 /// The five evaluated task-scheduling schemes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// Factory bins + random placement.
     BinRan,

@@ -7,16 +7,13 @@
 
 use iscope_dcsim::{SimDuration, SimTime};
 use iscope_pvmodel::CpuBoundness;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a job within a workload.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct JobId(pub u32);
 
 /// Deadline urgency class (§V.D).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Urgency {
     /// High urgency: deadline factor ~ N(4, var 2) × nominal runtime.
     High,
@@ -25,7 +22,7 @@ pub enum Urgency {
 }
 
 /// A rigid parallel job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     /// Identifier.
     pub id: JobId,
@@ -59,7 +56,7 @@ impl Job {
 }
 
 /// An ordered collection of jobs (by submit time, ties by id).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Workload {
     jobs: Vec<Job>,
 }

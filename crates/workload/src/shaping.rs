@@ -12,10 +12,9 @@ use crate::job::{Job, JobId, Urgency, Workload};
 use crate::synthetic::RawJob;
 use iscope_dcsim::SimRng;
 use iscope_pvmodel::CpuBoundness;
-use serde::{Deserialize, Serialize};
 
 /// Parameters turning a raw trace into a deadline-annotated [`Workload`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Shaper {
     /// Fraction of jobs assigned to the high-urgency class, in `\[0, 1\]`.
     pub hu_fraction: f64,

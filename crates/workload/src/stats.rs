@@ -3,10 +3,9 @@
 
 use crate::job::Workload;
 use iscope_dcsim::stats::quantile_sorted;
-use serde::{Deserialize, Serialize};
 
 /// Distribution summary of one workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadStats {
     /// Number of jobs.
     pub jobs: usize,

@@ -13,11 +13,9 @@
 //! 11 status · 12 user id · 13 group id · 14 executable · 15 queue ·
 //! 16 partition · 17 preceding job · 18 think time.
 
-use serde::{Deserialize, Serialize};
-
 /// One parsed SWF record (the fields the simulator consumes, plus enough
 /// to reconstruct a valid line).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SwfRecord {
     /// Field 1: job number.
     pub job_number: u64,

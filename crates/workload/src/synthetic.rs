@@ -15,10 +15,9 @@
 
 use crate::swf::SwfRecord;
 use iscope_dcsim::{SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A job before deadline/boundness shaping: what a trace file records.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RawJob {
     /// Submission instant.
     pub submit: SimTime,
@@ -29,7 +28,7 @@ pub struct RawJob {
 }
 
 /// Configuration of the synthetic trace generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SyntheticTrace {
     /// Number of jobs to generate.
     pub num_jobs: usize,
