@@ -144,9 +144,20 @@ pub struct Scanner {
 
 impl Scanner {
     /// Creates a scanner.
+    ///
+    /// Panics on a configuration that could not scan soundly: a program
+    /// of no operations, or a fault rate outside `(0, 1]` (at 0 or NaN an
+    /// unstable point never corrupts the checksum, so every probe passes
+    /// and the plan records voltages below the true Min Vdd).
     pub fn new(config: ScannerConfig) -> Self {
         assert!(config.grid_points >= 2);
         assert!(config.domain_size >= 1);
+        assert!(config.program_len >= 1, "empty test program tests nothing");
+        assert!(
+            config.fault_rate > 0.0 && config.fault_rate <= 1.0,
+            "fault_rate {} outside (0, 1]",
+            config.fault_rate
+        );
         Scanner { config }
     }
 
@@ -332,6 +343,50 @@ mod tests {
             &VariationParams::default(),
             31,
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "empty test program")]
+    fn rejects_zero_program_len() {
+        Scanner::new(ScannerConfig {
+            program_len: 0,
+            ..ScannerConfig::default()
+        });
+    }
+
+    fn scanner_with_fault_rate(fault_rate: f64) -> Scanner {
+        Scanner::new(ScannerConfig {
+            fault_rate,
+            ..ScannerConfig::default()
+        })
+    }
+
+    #[test]
+    #[should_panic(expected = "outside (0, 1]")]
+    fn rejects_zero_fault_rate() {
+        scanner_with_fault_rate(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside (0, 1]")]
+    fn rejects_nan_fault_rate() {
+        scanner_with_fault_rate(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside (0, 1]")]
+    fn rejects_fault_rate_above_one() {
+        scanner_with_fault_rate(1.5);
+    }
+
+    #[test]
+    fn accepts_fault_rates_in_unit_interval() {
+        for fault_rate in [f64::MIN_POSITIVE, 0.05, 1.0] {
+            assert_eq!(
+                scanner_with_fault_rate(fault_rate).config().fault_rate,
+                fault_rate
+            );
+        }
     }
 
     #[test]

@@ -208,6 +208,44 @@ proptest! {
         }
     }
 
+    /// A test at an unstable point draws exactly one `chance(fault_rate)`
+    /// per operation plus one `index(64)` per flipped bit, in program
+    /// order: the RNG ends where a bare replay of those draws does, for
+    /// any fault rate in `[0, 1]`, at the edges of the 53-bit uniform, and
+    /// for the NaN and out-of-range rates `chance` clamps.
+    #[test]
+    fn unstable_points_draw_one_chance_per_op(
+        seed in any::<u64>(),
+        level in 0u8..5,
+        below in 0.001f64..0.2,
+        len in 1usize..600,
+        edge in 0usize..16,
+        uniform_rate in 0.0f64..=1.0,
+    ) {
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        let fault_rate = [0.0, ulp, 3.0 * ulp, 0.05, 1.0, f64::NAN, -1.0, 2.0]
+            .get(edge)
+            .copied()
+            .unwrap_or(uniform_rate);
+        let dvfs = DvfsConfig::paper_default();
+        let mut rng = SimRng::new(seed);
+        let chip = Chip::generate(ChipId(0), &dvfs, &VariationParams::default(), &mut rng);
+        let program = TestProgram::generate(len, &mut rng);
+        let level = FreqLevel(level);
+        for core in &chip.cores {
+            let voltage = core.vmin(level) - below;
+            prop_assert!(!core.stable_at(level, voltage, false));
+            let mut replay = rng.clone();
+            program.run(core, level, voltage, false, fault_rate, &mut rng);
+            for _ in 0..program.len() {
+                if replay.chance(fault_rate) {
+                    replay.index(64);
+                }
+            }
+            prop_assert_eq!(rng.snapshot(), replay.snapshot(), "fault_rate {}", fault_rate);
+        }
+    }
+
     /// profile_chip leaves every core complete for any chip the default
     /// variation model can produce.
     #[test]
