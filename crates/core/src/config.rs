@@ -3,14 +3,14 @@
 use crate::report::RunReport;
 use crate::simulation::{
     run_simulation, AuditConfig, DeferralConfig, DvfsMode, FaultInjectionConfig, InSituConfig,
-    SimInput, SurplusSignal,
+    RunStats, SimDriver, SimInput, SurplusSignal,
 };
 use crate::telemetry::TelemetryConfig;
 use iscope_dcsim::SimDuration;
 use iscope_energy::Supply;
 use iscope_pvmodel::{CoolingModel, DvfsConfig, Fleet, VariationParams};
 use iscope_sched::{CarbonConfig, Scheme};
-use iscope_workload::{Job, Shaper, SyntheticTrace, Workload};
+use iscope_workload::{Shaper, SyntheticTrace, Workload};
 
 /// Builder for a [`run`](SimRun::run)-able green-datacenter simulation.
 ///
@@ -273,58 +273,35 @@ impl GreenDatacenterSim {
                 self.shaper.shape(&raw, self.seed)
             }
         };
-        // A job can never be wider than the fleet; clamp (and note that the
-        // paper's datacenter at 4800 CPUs also exceeds its trace's widest
-        // job after scaling). Mechanisms that take chips out of service
-        // tighten the clamp to their guaranteed in-service fraction, so a
-        // gang job can always be placed even while chips are isolated for
-        // (re-)profiling or quarantined after failures.
-        let mut in_service_fraction: f64 = 1.0;
-        if let Some(cfg) = &self.in_situ {
-            in_service_fraction = in_service_fraction.min(cfg.min_available_fraction);
+        let mut input = SimInput {
+            scheme_name: self.scheme.name().to_string(),
+            fleet,
+            plan,
+            placement: self.scheme.placement(),
+            supply: self.supply,
+            cooling: self.cooling,
+            workload,
+            seed: self.seed,
+            trace_interval: self.trace_interval,
+            dvfs_mode: self.dvfs_mode,
+            deferral: self.deferral,
+            in_situ: self.in_situ,
+            fault_injection: self.fault_injection,
+            surplus_signal: self.surplus_signal,
+            audit: self.audit,
+            telemetry: self.telemetry,
+            carbon: self.carbon,
+        };
+        // A job can never be wider than the fleet's guaranteed in-service
+        // part (note that the paper's datacenter at 4800 CPUs also exceeds
+        // its trace's widest job after scaling).
+        let max = input.max_gang();
+        let mut jobs = std::mem::take(&mut input.workload).into_jobs();
+        for j in &mut jobs {
+            j.cpus = j.cpus.min(max);
         }
-        if let Some(cfg) = &self.fault_injection {
-            in_service_fraction = in_service_fraction.min(1.0 - cfg.max_suspect_fraction);
-            if let Some(r) = &cfg.reprofile {
-                in_service_fraction = in_service_fraction.min(r.min_available_fraction);
-            }
-        }
-        let max = if in_service_fraction < 1.0 {
-            ((fleet.len() as f64) * in_service_fraction).floor() as u32
-        } else {
-            fleet.len() as u32
-        }
-        .max(1);
-        let clamped: Vec<Job> = workload
-            .jobs()
-            .iter()
-            .cloned()
-            .map(|mut j| {
-                j.cpus = j.cpus.min(max);
-                j
-            })
-            .collect();
-        SimRun {
-            input: SimInput {
-                scheme_name: self.scheme.name().to_string(),
-                fleet,
-                plan,
-                placement: self.scheme.placement(),
-                supply: self.supply,
-                cooling: self.cooling,
-                workload: Workload::new(clamped),
-                seed: self.seed,
-                trace_interval: self.trace_interval,
-                dvfs_mode: self.dvfs_mode,
-                deferral: self.deferral,
-                in_situ: self.in_situ,
-                fault_injection: self.fault_injection,
-                surplus_signal: self.surplus_signal,
-                audit: self.audit,
-                telemetry: self.telemetry,
-                carbon: self.carbon,
-            },
-        }
+        input.workload = Workload::new(jobs);
+        SimRun { input }
     }
 }
 
@@ -341,8 +318,8 @@ impl SimRun {
 
     /// Runs the simulation and also returns runtime counters (events,
     /// placements, wall-clock) for the performance harness.
-    pub fn run_instrumented(self) -> (RunReport, crate::simulation::RunStats) {
-        crate::simulation::run_simulation_instrumented(self.input)
+    pub fn run_instrumented(self) -> (RunReport, RunStats) {
+        SimDriver::new(self.input).finish()
     }
 
     /// The assembled fleet (for inspection before running).

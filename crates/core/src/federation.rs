@@ -1,22 +1,19 @@
 //! Multi-site federation: N [`crate::site::SiteState`]s under one event
 //! clock, with a global geo-router.
 //!
-//! A federated run drives every site from a single `iscope-dcsim`
-//! [`Engine`] whose event type wraps each site's own events in
-//! [`SiteTagged`] — ordering and FIFO tie-breaking are exactly those of a
-//! single-site run, and the tag only routes the popped event to the right
-//! state. Three event kinds exist at the federation level:
+//! A federation is the one [`Driver`] over several sites. Each site's
+//! events are wrapped in [`iscope_dcsim::SiteTagged`], so ordering and
+//! FIFO tie-breaking are exactly those of a single-site run and the tag
+//! only routes the popped event to its state. What a federation adds:
 //!
-//! * `Arrival(i)` — job `i` of the global workload was submitted; the
-//!   [`Router`] picks a site, the job is admitted there, and the site
-//!   handles it as its own arrival (deferral applies normally).
-//! * `Rerouted{to, job, starts}` — a failed gang migrated over the WAN:
-//!   it lands at `to` after [`FederationInput::wan_delay`] and goes
-//!   straight to placement (like a local retry, deferral is bypassed).
-//! * `Site(tagged)` — a site-local event (completion, wind sample,
-//!   profiling/re-profiling ticks, timing failures, retries), dispatched
-//!   to its site. Retries are intercepted here: when retry rerouting is
-//!   on, the router may move the failed gang to another site instead.
+//! * routing — every arrival the driver pulls asks the [`Router`] for a
+//!   site, is clamped to that site's widest gang, and is admitted there
+//!   (deferral applies normally);
+//! * migration — with [`FederationInput::reroute_retries`], a failed
+//!   gang's retry may be moved to another site: it leaves its origin,
+//!   waits on the WAN for [`FederationInput::wan_delay`], and lands at
+//!   its destination straight into placement (like a local retry,
+//!   deferral is bypassed).
 //!
 //! Determinism: routers are deterministic functions of `(job, now, site
 //! views)` plus their own seeded state — they never touch the simulation
@@ -26,15 +23,18 @@
 //! under [`NullRouter`] is bit-identical to [`crate::run_simulation`]
 //! (locked by `tests/federation_equivalence.rs`).
 //!
+//! Federations step and stream like a single site; snapshot v1 does not
+//! cover them yet ([`Driver::snapshot`] returns `Unsupported`).
+//!
 //! Per-site weather comes from [`correlated_wind_supplies`]: one shared
 //! front trace mixed into each site's local draw with weight `rho`
 //! (`PowerTrace::plus` composition), so `rho` sweeps from independent
 //! sites (0) to one continent-wide front (1).
 
 use crate::report::FederationReport;
-use crate::simulation::{PhaseTimers, RunStats, SimInput};
-use crate::site::{SiteCtx, SiteEv, SiteState};
-use iscope_dcsim::{Ctx, Engine, Model, SimDuration, SimTime, SiteTagged, StopReason};
+use crate::simulation::{Driver, SimInput};
+use crate::site::SiteState;
+use iscope_dcsim::{SimDuration, SimTime};
 use iscope_energy::{forecast_wind_over, SolarFarm, Supply, WindFarm};
 use iscope_pvmodel::watts_to_microwatts;
 use iscope_workload::{Job, Workload};
@@ -195,9 +195,8 @@ fn splitmix64(mut x: u64) -> u64 {
 /// Inputs of one federated run.
 pub struct FederationInput {
     /// Per-site configuration (fleet, plan, supply, fault injection,
-    /// audit, telemetry, ...). The per-site `workload` field is ignored
-    /// and replaced by the global one, so builder-derived gang-width
-    /// clamps stay consistent across sites.
+    /// audit, telemetry, ...). The per-site `workload` field is ignored;
+    /// each job is clamped to the gang width its destination admits.
     pub sites: Vec<SimInput>,
     /// The global arrival stream the router distributes.
     pub workload: Workload,
@@ -211,45 +210,8 @@ pub struct FederationInput {
     pub reroute_retries: bool,
 }
 
-/// The federation-level event alphabet.
-#[derive(Debug, Clone)]
-enum FedEv {
-    /// Global job `i` was submitted: route and admit it.
-    Arrival(usize),
-    /// A migrated gang lands at `to` (already extracted from its origin),
-    /// carrying its global attempt count so retry budgets stay global.
-    Rerouted { to: u32, job: Job, starts: u32 },
-    /// A site-local event.
-    Site(SiteTagged<SiteEv>),
-}
-
-/// Wraps the federation engine context for one site: everything the site
-/// schedules comes back tagged with its id.
-struct TaggedCtx<'a, 'q> {
-    site: u32,
-    inner: &'a mut Ctx<'q, FedEv>,
-}
-
-impl SiteCtx for TaggedCtx<'_, '_> {
-    fn schedule(&mut self, at: SimTime, ev: SiteEv) {
-        self.inner
-            .schedule(at, FedEv::Site(SiteTagged::new(self.site, ev)));
-    }
-}
-
-struct Federation {
-    sites: Vec<SiteState>,
-    router: Box<dyn Router>,
-    workload: Workload,
-    wan_delay: SimDuration,
-    reroute_retries: bool,
-    total_jobs: usize,
-    routed_jobs: u64,
-    migrations: u64,
-}
-
 /// Router-visible snapshots of every site, in site-id order.
-fn site_views(sites: &[SiteState]) -> Vec<SiteView<'_>> {
+pub(crate) fn site_views(sites: &[SiteState]) -> Vec<SiteView<'_>> {
     sites
         .iter()
         .map(|s| SiteView {
@@ -267,189 +229,10 @@ fn site_views(sites: &[SiteState]) -> Vec<SiteView<'_>> {
         .collect()
 }
 
-impl Federation {
-    /// Jobs finished anywhere: per-site completions minus the migrated-out
-    /// closures (a migration closes the job at its origin without
-    /// finishing it; in-flight migrations therefore count as unfinished).
-    fn finished(&self) -> usize {
-        self.sites
-            .iter()
-            .map(|s| s.done_count - s.migrated_out as usize)
-            .sum()
-    }
-
-    /// Delivers one site-local event, refreshing the site's
-    /// `expect_more` flag first so its periodic loops (wind sampling,
-    /// profiling, re-profiling) stay alive while any job in the
-    /// federation is still unfinished — a drained site may yet receive
-    /// migrated or routed work.
-    fn dispatch(&mut self, ctx: &mut Ctx<'_, FedEv>, site: u32, now: SimTime, ev: SiteEv) {
-        let expect = self.finished() < self.total_jobs;
-        let s = &mut self.sites[site as usize];
-        s.expect_more = expect;
-        let mut tctx = TaggedCtx { site, inner: ctx };
-        s.handle_event(&mut tctx, now, ev);
-    }
-}
-
-impl Model<FedEv> for Federation {
-    fn on_event(&mut self, ctx: &mut Ctx<'_, FedEv>, event: FedEv) {
-        let now = ctx.now();
-        match event {
-            FedEv::Arrival(i) => {
-                let job = self.workload.jobs()[i].clone();
-                let to = {
-                    let views = site_views(&self.sites);
-                    self.router.route_arrival(&job, now, &views)
-                };
-                assert!(
-                    (to as usize) < self.sites.len(),
-                    "router returned site {to} of {}",
-                    self.sites.len()
-                );
-                self.routed_jobs += 1;
-                let local = self.sites[to as usize].admit(job);
-                self.dispatch(ctx, to, now, SiteEv::Arrival(local));
-            }
-            FedEv::Rerouted { to, job, starts } => {
-                let local = self.sites[to as usize].admit_with_starts(job, starts);
-                let expect = self.finished() < self.total_jobs;
-                let s = &mut self.sites[to as usize];
-                s.expect_more = expect;
-                let mut tctx = TaggedCtx {
-                    site: to,
-                    inner: ctx,
-                };
-                s.rerouted_arrival(local, now, &mut tctx);
-            }
-            FedEv::Site(t) => {
-                let site = t.site;
-                if let SiteEv::Retry { job } = t.event {
-                    // A retry is the one moment a gang is liftable: it
-                    // holds no chips and is not running. Ask the router
-                    // before the origin re-places it.
-                    if self.reroute_retries && self.sites[site as usize].retry_pending(job) {
-                        let j = self.sites[site as usize].job(job).clone();
-                        let to = {
-                            let views = site_views(&self.sites);
-                            self.router.route_retry(&j, site, now, &views)
-                        };
-                        assert!(
-                            (to as usize) < self.sites.len(),
-                            "router returned site {to} of {}",
-                            self.sites.len()
-                        );
-                        if to != site {
-                            self.migrations += 1;
-                            let (job, starts) =
-                                self.sites[site as usize].extract_for_migration(job);
-                            ctx.schedule(now + self.wan_delay, FedEv::Rerouted { to, job, starts });
-                            // The Retry event still goes to the origin
-                            // below: the extracted job is locally Done so
-                            // placement is skipped, but the site's books
-                            // and matcher advance at this instant.
-                        }
-                    }
-                }
-                self.dispatch(ctx, site, now, t.event);
-            }
-        }
-    }
-}
-
 /// Runs a federated simulation to completion.
 pub fn run_federation(input: FederationInput) -> FederationReport {
-    run_federation_instrumented(input).0
-}
-
-/// [`run_federation`] plus runtime counters summed across sites.
-pub fn run_federation_instrumented(input: FederationInput) -> (FederationReport, RunStats) {
-    let start = std::time::Instant::now();
-    let FederationInput {
-        sites,
-        workload,
-        router,
-        wan_delay,
-        reroute_retries,
-    } = input;
-    assert!(!sites.is_empty(), "a federation needs at least one site");
-    let router_name = router.name().to_string();
-    let mut site_states = Vec::with_capacity(sites.len());
-    for (i, mut si) in sites.into_iter().enumerate() {
-        si.workload = workload.clone();
-        let (s, _) = SiteState::new(si, i as u32, false, None);
-        site_states.push(s);
-    }
-    let total_jobs = workload.jobs().len();
-    let mut engine = Engine::new().with_step_budget(200_000_000);
-    // Priming order mirrors the single-site driver — all arrivals in
-    // workload order, then each site's periodic loops in site order — so a
-    // 1-site federation issues the exact same event sequence numbers.
-    for (i, j) in workload.jobs().iter().enumerate() {
-        engine.prime(j.submit, FedEv::Arrival(i));
-    }
-    for s in &site_states {
-        for (at, ev) in s.initial_events() {
-            engine.prime(at, FedEv::Site(SiteTagged::new(s.site_id, ev)));
-        }
-    }
-    let mut fed = Federation {
-        sites: site_states,
-        router,
-        workload,
-        wan_delay,
-        reroute_retries,
-        total_jobs,
-        routed_jobs: 0,
-        migrations: 0,
-    };
-    let stop = engine.run(&mut fed);
-    assert_eq!(
-        stop,
-        StopReason::Quiescent,
-        "federation exhausted its step budget"
-    );
-    assert_eq!(
-        fed.finished(),
-        total_jobs,
-        "federation ended with unfinished jobs"
-    );
-    for s in &fed.sites {
-        assert_eq!(
-            s.done_count,
-            s.jobs.len(),
-            "site {} ended with unfinished jobs",
-            s.site_id
-        );
-    }
-    let events = engine.steps();
-    let routed_jobs = fed.routed_jobs;
-    let migrations = fed.migrations;
-    let mut placements = 0u64;
-    let mut phases = PhaseTimers::default();
-    let mut reports = Vec::with_capacity(fed.sites.len());
-    for s in fed.sites {
-        let outcome = s.finalize();
-        placements += outcome.placements;
-        phases.placement_ns += outcome.phases.placement_ns;
-        phases.rebalance_ns += outcome.phases.rebalance_ns;
-        phases.demand_ns += outcome.phases.demand_ns;
-        phases.accounting_ns += outcome.phases.accounting_ns;
-        reports.push(outcome.report);
-    }
-    let report = FederationReport {
-        router: router_name,
-        sites: reports,
-        routed_jobs,
-        migrations,
-    };
-    let stats = RunStats {
-        events,
-        placements,
-        wall: start.elapsed(),
-        phases,
-    };
-    (report, stats)
+    let out = Driver::federation(input).run_federated();
+    out.expect("a materialized workload cannot fail").0
 }
 
 /// Per-site hybrid supplies driven by one shared weather front (the

@@ -44,16 +44,16 @@ pub mod telemetry;
 
 pub use config::{GreenDatacenterSim, SimRun};
 pub use federation::{
-    correlated_wind_supplies, run_federation, run_federation_instrumented, FederationInput,
-    FollowSurplusRouter, NullRouter, Router, SiteView, StaticHashRouter,
+    correlated_wind_supplies, run_federation, FederationInput, FollowSurplusRouter, NullRouter,
+    Router, SiteView, StaticHashRouter,
 };
 pub use report::{
     AuditReport, CarbonStats, FaultStats, FederationReport, ProfilingStats, RunReport,
 };
 pub use simulation::{
-    run_simulation, run_simulation_instrumented, AuditConfig, DeferralConfig, DvfsMode,
-    FaultInjectionConfig, InSituConfig, PhaseTimers, ReprofileConfig, RunStats, SimDriver,
-    SimInput, StreamDriver, StreamStats, SurplusSignal,
+    run_simulation, AuditConfig, DeferralConfig, Driver, DvfsMode, FaultInjectionConfig,
+    InSituConfig, PhaseTimers, ReprofileConfig, RunStats, SimDriver, SimInput, StreamDriver,
+    StreamStats, SurplusSignal,
 };
 pub use snapshot::SnapshotError;
 pub use telemetry::{TelemetryConfig, TelemetryRecord};

@@ -1,6 +1,6 @@
 //! The green-datacenter discrete-event simulation: run configuration
-//! ([`SimInput`] and its option structs) and the thin single-site driver
-//! wiring one [`crate::site::SiteState`] onto the `iscope-dcsim` engine.
+//! ([`SimInput`] and its option structs) and the one [`Driver`] that runs
+//! one site, N federated sites, or a stream on the `iscope-dcsim` engine.
 //!
 //! Event model (see [`crate::site`] for the state machine itself):
 //!
@@ -15,19 +15,22 @@
 //! events, wind is piecewise-constant between `WindSample`s, so the
 //! ledger's wind/utility split is event-by-event exact.
 //!
-//! Multi-site runs reuse the same state type under one shared clock —
-//! see [`crate::federation`].
+//! [`SimDriver`] (a pre-admitted workload), [`StreamDriver`] (one site
+//! fed from a [`JobSource`]) and [`crate::run_federation`] are names over
+//! the same driver; routing policies live in [`crate::federation`].
 
-use crate::report::RunReport;
-use crate::site::{SiteEv, SiteState};
+use crate::federation::{site_views, FederationInput, NullRouter, Router};
+use crate::report::{FederationReport, RunReport};
+use crate::site::{SiteCtx, SiteEv, SiteState};
 use crate::snapshot::SnapshotError;
 use crate::telemetry::TelemetryConfig;
-use iscope_dcsim::{Ctx, Engine, Model, SimDuration, SimTime, StopReason};
+use iscope_dcsim::{Ctx, Engine, Model, SimDuration, SimTime, SiteTagged};
 use iscope_energy::Supply;
 use iscope_pvmodel::{CoolingModel, FailureModel, Fleet, OperatingPlan};
 use iscope_scanner::{ReprofilePolicy, ScannerConfig};
 use iscope_sched::{CarbonConfig, Placement, RetryPolicy};
-use iscope_workload::{Job, JobSource, SourceError, Workload};
+use iscope_workload::{Job, JobSource, SourceError, Workload, WorkloadSource};
+use std::collections::VecDeque;
 
 /// Inputs of one simulation run.
 pub struct SimInput {
@@ -263,6 +266,15 @@ pub struct PhaseTimers {
     pub accounting_ns: u64,
 }
 
+impl std::ops::AddAssign for PhaseTimers {
+    fn add_assign(&mut self, o: PhaseTimers) {
+        self.placement_ns += o.placement_ns;
+        self.rebalance_ns += o.rebalance_ns;
+        self.demand_ns += o.demand_ns;
+        self.accounting_ns += o.accounting_ns;
+    }
+}
+
 crate::to_val!(PhaseTimers, |p| {
     "placement_ns" => p.placement_ns,
     "rebalance_ns" => p.rebalance_ns,
@@ -278,7 +290,9 @@ pub struct RunStats {
     pub events: u64,
     /// Placement decisions taken (deferred jobs count once, on release).
     pub placements: u64,
-    /// Wall-clock time of the run.
+    /// Wall-clock time of the run, from the end of the driver's
+    /// construction or restore to the end of `finish`/`run`: site setup
+    /// and snapshot decoding are not counted.
     pub wall: std::time::Duration,
     /// Where the event-handling time went, by hot-path phase.
     pub phases: PhaseTimers,
@@ -299,181 +313,7 @@ impl RunStats {
     }
 }
 
-/// The thin single-site instantiation: one [`SiteState`] driven directly
-/// by the engine with untagged events — no router, no federation. This is
-/// all that remains of the old monolithic `Sim`.
-struct SingleSite {
-    site: SiteState,
-}
-
-impl Model<SiteEv> for SingleSite {
-    fn on_event(&mut self, ctx: &mut Ctx<'_, SiteEv>, event: SiteEv) {
-        let now = ctx.now();
-        self.site.handle_event(ctx, now, event);
-    }
-}
-
-impl SingleSite {
-    /// Runs `engine` dry, checks that the run ended cleanly, and closes
-    /// the books. `start` is when the driver began timing the run.
-    fn finish(
-        mut self,
-        mut engine: Engine<SiteEv>,
-        start: std::time::Instant,
-    ) -> (RunReport, RunStats) {
-        let stop = engine.run(&mut self);
-        assert_eq!(
-            stop,
-            StopReason::Quiescent,
-            "simulation exhausted its step budget"
-        );
-        assert_eq!(
-            self.site.done_count,
-            self.site.jobs.len(),
-            "simulation ended with unfinished jobs"
-        );
-        let events = engine.steps();
-        let outcome = self.site.finalize();
-        let stats = RunStats {
-            events,
-            placements: outcome.placements,
-            wall: start.elapsed(),
-            phases: outcome.phases,
-        };
-        (outcome.report, stats)
-    }
-}
-
-/// A fresh engine with the step budget every single-site driver runs under.
-fn new_engine() -> Engine<SiteEv> {
-    Engine::new().with_step_budget(200_000_000)
-}
-
-/// Runs one simulation to completion and returns the report.
-pub fn run_simulation(input: SimInput) -> RunReport {
-    run_simulation_instrumented(input).0
-}
-
-/// [`run_simulation`] plus runtime counters for the performance harness.
-pub fn run_simulation_instrumented(input: SimInput) -> (RunReport, RunStats) {
-    SimDriver::new(input).finish()
-}
-
-/// Interactive single-site driver: the same run [`run_simulation`]
-/// performs, but steppable, checkpointable, and resumable. Stepping,
-/// snapshotting, and resuming never perturb event order, RNG streams, or
-/// the ledger, so `new(input) → run_until(t) → snapshot → resume →
-/// finish` produces bit-identical reports and telemetry to
-/// `new(input) → finish`.
-pub struct SimDriver {
-    sim: SingleSite,
-    engine: Engine<SiteEv>,
-    seed: u64,
-    admitted: usize,
-    start: std::time::Instant,
-}
-
-impl SimDriver {
-    /// Builds the driver with the whole workload pre-admitted (exactly
-    /// the [`run_simulation`] setup).
-    pub fn new(input: SimInput) -> SimDriver {
-        let seed = input.seed;
-        let start = std::time::Instant::now();
-        let (site, workload) = SiteState::new(input, 0, true, None);
-        let sim = SingleSite { site };
-        let mut engine = new_engine();
-        // Arrivals before the periodic events: equal-time ties fire in
-        // priming (sequence) order.
-        for (i, j) in workload.jobs().iter().enumerate() {
-            engine.prime(j.submit, SiteEv::Arrival(i));
-        }
-        for (at, ev) in sim.site.initial_events() {
-            engine.prime(at, ev);
-        }
-        let admitted = sim.site.jobs.len();
-        SimDriver {
-            sim,
-            engine,
-            seed,
-            admitted,
-            start,
-        }
-    }
-
-    /// Processes every event scheduled at or before `t`, then stops.
-    pub fn run_until(&mut self, t: SimTime) {
-        while let Some(te) = self.engine.peek_time() {
-            if te > t {
-                break;
-            }
-            self.engine.step(&mut self.sim);
-        }
-    }
-
-    /// Current simulation clock (the time of the last processed event).
-    pub fn now(&self) -> SimTime {
-        self.engine.now()
-    }
-
-    /// Serializes the paused run as a snapshot document (see
-    /// [`crate::snapshot`] for the format and v1 restrictions).
-    pub fn snapshot(&self) -> Result<String, SnapshotError> {
-        self.sim.site.capture(
-            self.seed,
-            self.engine.now(),
-            self.engine.steps(),
-            self.admitted,
-            &self.engine.pending_events(),
-        )
-    }
-
-    /// Rebuilds a paused run from a snapshot. `input` must describe the
-    /// same run the snapshot was taken from (same scheme, seed, fleet,
-    /// and instrument set — mismatches are [`SnapshotError::Mismatch`]);
-    /// the continued run is bit-identical to never having stopped.
-    pub fn resume(input: SimInput, snapshot: &str) -> Result<SimDriver, SnapshotError> {
-        Self::from_snapshot(input, snapshot, false)
-    }
-
-    /// What-if branching: rebuilds the snapshotted mid-run state under a
-    /// *different* input — scheme, placement, supply, and knobs come from
-    /// `input`, while jobs, ledgers, wear, RNG streams, and pending
-    /// events continue from the snapshot. Structural facts (fleet shape,
-    /// instrument set) must still match.
-    pub fn fork(input: SimInput, snapshot: &str) -> Result<SimDriver, SnapshotError> {
-        Self::from_snapshot(input, snapshot, true)
-    }
-
-    fn from_snapshot(
-        input: SimInput,
-        snapshot: &str,
-        fork: bool,
-    ) -> Result<SimDriver, SnapshotError> {
-        let seed = input.seed;
-        let start = std::time::Instant::now();
-        let (site, rp) = SiteState::restore_from(input, 0, snapshot, fork)?;
-        let sim = SingleSite { site };
-        let mut engine = new_engine();
-        rp.prime(&mut engine);
-        Ok(SimDriver {
-            sim,
-            engine,
-            seed,
-            admitted: rp.admitted,
-            start,
-        })
-    }
-
-    /// Runs the remaining events to completion and returns the report
-    /// plus runtime counters. Counters span this driver's lifetime only
-    /// (a resumed run reports post-resume wall time but cumulative event
-    /// counts).
-    pub fn finish(self) -> (RunReport, RunStats) {
-        self.sim.finish(self.engine, self.start)
-    }
-}
-
-/// Streaming counters of one [`StreamDriver`] run, for `BENCH_sim.json`.
+/// Streaming counters of one [`Driver`] run, for `BENCH_sim.json`.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamStats {
     /// Jobs the source emitted (== jobs simulated).
@@ -484,109 +324,303 @@ pub struct StreamStats {
     pub peak_buffered: usize,
 }
 
-/// The widest gang the builder would allow on this input's fleet — the
-/// same clamp [`crate::config::GreenDatacenterSim`] applies to
-/// materialized workloads, mirrored here for jobs admitted one by one
-/// from a stream.
-fn gang_clamp(input: &SimInput) -> u32 {
-    let mut in_service_fraction: f64 = 1.0;
-    if let Some(cfg) = &input.in_situ {
-        in_service_fraction = in_service_fraction.min(cfg.min_available_fraction);
+impl SimInput {
+    /// The widest gang this input's fleet can always place: the fleet
+    /// size, tightened to the in-service fraction that in-situ profiling
+    /// and fault quarantine guarantee, so a gang fits even while chips are
+    /// out of service. The builder clamps materialized workloads to it;
+    /// the driver clamps every job it admits to its destination's value.
+    pub(crate) fn max_gang(&self) -> u32 {
+        let faults = self.fault_injection.as_ref();
+        let in_service_fraction = [
+            self.in_situ.as_ref().map(|c| c.min_available_fraction),
+            faults.map(|c| 1.0 - c.max_suspect_fraction),
+            faults.and_then(|c| c.reprofile.as_ref().map(|r| r.min_available_fraction)),
+        ]
+        .into_iter()
+        .flatten()
+        .fold(1.0, f64::min);
+        let n = self.fleet.len();
+        (if in_service_fraction < 1.0 {
+            (n as f64 * in_service_fraction).floor() as u32
+        } else {
+            n as u32
+        })
+        .max(1)
     }
-    if let Some(cfg) = &input.fault_injection {
-        in_service_fraction = in_service_fraction.min(1.0 - cfg.max_suspect_fraction);
-        if let Some(r) = &cfg.reprofile {
-            in_service_fraction = in_service_fraction.min(r.min_available_fraction);
-        }
-    }
-    (if in_service_fraction < 1.0 {
-        ((input.fleet.len() as f64) * in_service_fraction).floor() as u32
-    } else {
-        input.fleet.len() as u32
-    })
-    .max(1)
 }
 
-/// Single-site driver pulling jobs from a [`JobSource`] instead of a
-/// materialized workload: memory holds the admitted-jobs table plus the
-/// source's bounded reorder buffer, never the full trace.
+/// The driver's engine events: a site-local event tagged with its site,
+/// or the landing of the oldest gang on the WAN.
+#[derive(Debug, Clone, Copy)]
+enum Ev {
+    Site(SiteTagged<SiteEv>),
+    /// Every migration pays the same WAN delay, so gangs land in the
+    /// order they left: the event needs no payload, the gang waits in
+    /// [`Federation::in_flight`].
+    Landing,
+}
+
+/// The engine context seen by one site: everything the site schedules
+/// comes back tagged with its id.
+struct TaggedCtx<'a, 'q> {
+    site: u32,
+    inner: &'a mut Ctx<'q, Ev>,
+}
+
+impl SiteCtx for TaggedCtx<'_, '_> {
+    fn schedule(&mut self, at: SimTime, ev: SiteEv) {
+        self.inner
+            .schedule(at, Ev::Site(SiteTagged::new(self.site, ev)));
+    }
+}
+
+/// What the engine's events act on: the sites, the router between them,
+/// and the gangs migrating over the WAN. A single-site run is the
+/// one-site case under [`NullRouter`].
+struct Federation {
+    sites: Vec<SiteState>,
+    /// Each site's widest admissible gang ([`SimInput::max_gang`]).
+    max_gang: Vec<u32>,
+    router: Box<dyn Router>,
+    wan_delay: SimDuration,
+    reroute_retries: bool,
+    /// Gangs on the WAN, oldest first: destination, job, and the attempt
+    /// count that keeps retry budgets global.
+    in_flight: VecDeque<(u32, Job, u32)>,
+    routed_jobs: u64,
+    migrations: u64,
+}
+
+impl Federation {
+    /// `sites` under [`NullRouter`], with nothing in flight.
+    fn new(sites: Vec<SiteState>, max_gang: Vec<u32>) -> Self {
+        Federation {
+            sites,
+            max_gang,
+            router: Box::new(NullRouter),
+            wan_delay: SimDuration::ZERO,
+            reroute_retries: false,
+            in_flight: VecDeque::new(),
+            routed_jobs: 0,
+            migrations: 0,
+        }
+    }
+
+    /// The one admission path: clamps `job` to site `to`'s widest gang
+    /// and enters it in that site's job table.
+    fn admit(&mut self, to: u32, mut job: Job, starts: u32) -> usize {
+        job.cpus = job.cpus.min(self.max_gang[to as usize]);
+        self.sites[to as usize].admit(job, starts)
+    }
+
+    /// Asks the router where `job` goes: an arrival when `from` is
+    /// `None`, else a failed gang's requeue.
+    fn route(&mut self, job: &Job, from: Option<u32>, now: SimTime) -> u32 {
+        let views = site_views(&self.sites);
+        let to = match from {
+            None => self.router.route_arrival(job, now, &views),
+            Some(from) => self.router.route_retry(job, from, now, &views),
+        };
+        assert!(
+            (to as usize) < self.sites.len(),
+            "router returned site {to} of {}",
+            self.sites.len()
+        );
+        to
+    }
+
+    /// Refreshes every site's `expect_more`: true while the source has
+    /// jobs left, or while work other than the site's own is unfinished
+    /// (a gang in flight, or jobs at another site that may fail over
+    /// here). A lone site's flag is therefore exactly "the source has
+    /// more", which is what its snapshot records.
+    fn expect(&mut self, more: bool) {
+        let open = |s: &SiteState| s.jobs.len() - s.done_count;
+        let total = self.in_flight.len() + self.sites.iter().map(open).sum::<usize>();
+        for s in &mut self.sites {
+            s.expect_more = more || total > open(s);
+        }
+    }
+}
+
+impl Model<Ev> for Federation {
+    fn on_event(&mut self, ctx: &mut Ctx<'_, Ev>, event: Ev) {
+        let now = ctx.now();
+        let (site, event) = match event {
+            Ev::Site(t) => (t.site, t.event),
+            Ev::Landing => {
+                let (to, job, starts) = self.in_flight.pop_front().expect("a gang in flight");
+                let idx = self.admit(to, job, starts);
+                let mut tctx = TaggedCtx {
+                    site: to,
+                    inner: ctx,
+                };
+                self.sites[to as usize].rerouted_arrival(idx, now, &mut tctx);
+                return;
+            }
+        };
+        if let SiteEv::Retry { job } = event {
+            // A retry is the one moment a gang is liftable: it holds no
+            // chips and is not running. Ask the router before the origin
+            // re-places it.
+            if self.reroute_retries && self.sites[site as usize].retry_pending(job) {
+                let j = self.sites[site as usize].jobs[job].job.clone();
+                let to = self.route(&j, Some(site), now);
+                if to != site {
+                    self.migrations += 1;
+                    let (job, starts) = self.sites[site as usize].extract_for_migration(job);
+                    self.in_flight.push_back((to, job, starts));
+                    ctx.schedule(now + self.wan_delay, Ev::Landing);
+                    // The Retry event still goes to the origin below: the
+                    // extracted job is locally Done so placement is
+                    // skipped, but the site's books and matcher advance
+                    // at this instant.
+                }
+            }
+        }
+        let mut tctx = TaggedCtx { site, inner: ctx };
+        self.sites[site as usize].handle_event(&mut tctx, now, event);
+    }
+}
+
+/// Events a run may process before it is declared a runaway loop.
+const STEP_BUDGET: u64 = 200_000_000;
+
+/// The one simulation driver: N `SiteState`s (one for a plain run)
+/// behind a [`Router`], under one engine clock, fed from a [`JobSource`].
 ///
-/// The merge loop admits the source's next job whenever its submit
-/// instant is not later than the next queued event and dispatches the
-/// arrival directly — arrivals win equal-time ties exactly as
-/// pre-admitted (lowest-sequence) arrivals do, so a streaming run of a
-/// given job sequence processes events in the same order a pre-admitted
-/// run of those jobs does.
+/// Every arrival takes one path: pull from the source, route, clamp to
+/// the destination's widest gang, admit, and dispatch. The merge loop
+/// admits the source's next job whenever its submit instant is not later
+/// than the next queued event, so arrivals win equal-time ties exactly as
+/// pre-admitted (lowest-sequence) arrivals do, and a streamed run of a
+/// job sequence processes events in the order a pre-admitted run of the
+/// same jobs does. Memory holds the admitted jobs plus the source's
+/// bounded reorder buffer, never the full trace.
 ///
-/// `input.workload` should be empty; jobs come from the source, each
-/// clamped to the same maximum gang width the builder applies, and the
-/// fault machinery's availability floor is sized to that clamp (a
-/// pre-admitted run sizes it to the workload's actual widest job, so
-/// under fault injection the two modes only match when the stream
-/// reaches the clamp).
-pub struct StreamDriver<S: JobSource> {
-    sim: SingleSite,
-    engine: Engine<SiteEv>,
+/// Stepping never perturbs event order, RNG streams, or the ledger:
+/// `run_until` in slices gives the same run as one uninterrupted drain.
+/// Single-site runs also snapshot and resume ([`crate::snapshot`]).
+///
+/// The fault machinery's availability floor is sized to the widest job a
+/// site can receive: the workload's widest job when the jobs are known up
+/// front, the gang clamp when they stream in. Under fault injection a
+/// streamed and a materialized run of the same jobs therefore only match
+/// when the jobs reach the clamp.
+pub struct Driver<S: JobSource> {
+    fed: Federation,
+    engine: Engine<Ev>,
     source: S,
     seed: u64,
-    max_gang: u32,
     start: std::time::Instant,
 }
 
-impl<S: JobSource> StreamDriver<S> {
-    /// Builds the driver; no jobs are pulled yet.
-    pub fn new(input: SimInput, source: S) -> StreamDriver<S> {
-        let seed = input.seed;
-        let max_gang = gang_clamp(&input);
-        let (site, _workload) = SiteState::new(input, 0, false, Some(max_gang));
-        let sim = SingleSite { site };
-        let mut engine = new_engine();
-        for (at, ev) in sim.site.initial_events() {
-            engine.prime(at, ev);
+/// Streaming single-site driver: a [`Driver`] over one site.
+/// `input.workload` is not run; the jobs come from the source.
+pub type StreamDriver<S> = Driver<S>;
+
+impl<S: JobSource> Driver<S> {
+    /// One site fed from `source`; no jobs are pulled yet.
+    pub fn new(input: SimInput, source: S) -> Self {
+        Self::build(vec![input], source, None, Workload::default())
+    }
+
+    /// `input.sites` behind `input.router`, fed from `source`.
+    /// `input.workload` must be empty: the jobs come from the source.
+    pub fn streamed_federation(input: FederationInput, source: S) -> Self {
+        assert!(
+            input.workload.is_empty(),
+            "a streamed federation takes its jobs from its source"
+        );
+        Self::federated(input, source, None)
+    }
+
+    /// [`Driver::build`] for `input.sites` behind `input.router`.
+    fn federated(input: FederationInput, source: S, widest: Option<u32>) -> Self {
+        let mut driver = Self::build(input.sites, source, widest, Workload::default());
+        driver.fed.router = input.router;
+        driver.fed.wan_delay = input.wan_delay;
+        driver.fed.reroute_retries = input.reroute_retries;
+        driver
+    }
+
+    /// Builds the sites, admits `preadmit` to site 0 as queued arrivals,
+    /// and primes every site's periodic events. `widest` is the widest
+    /// job known up front (`None` for an open source); it sizes each
+    /// site's fault floor, capped at that site's gang clamp.
+    fn build(inputs: Vec<SimInput>, source: S, widest: Option<u32>, preadmit: Workload) -> Self {
+        assert!(!inputs.is_empty(), "a federation needs at least one site");
+        let seed = inputs[0].seed;
+        let mut sites = Vec::with_capacity(inputs.len());
+        let mut max_gang = Vec::with_capacity(inputs.len());
+        for (i, input) in inputs.into_iter().enumerate() {
+            let clamp = input.max_gang();
+            let floor = widest.map_or(clamp, |w| w.min(clamp));
+            sites.push(SiteState::new(input, i as u32, floor));
+            max_gang.push(clamp);
         }
-        StreamDriver {
-            sim,
+        let fed = Federation::new(sites, max_gang);
+        Self::assemble(fed, source, seed, |fed, engine| {
+            // Pre-admitted arrivals stay queued events because snapshot v1
+            // records them. Primed before the periodic events, they win
+            // equal-time ties as streamed arrivals do.
+            for job in preadmit.into_jobs() {
+                let at = job.submit;
+                let idx = fed.admit(0, job, 0);
+                engine.prime(at, Ev::Site(SiteTagged::new(0, SiteEv::Arrival(idx))));
+            }
+            for s in &fed.sites {
+                for (at, ev) in s.initial_events() {
+                    engine.prime(at, Ev::Site(SiteTagged::new(s.site_id, ev)));
+                }
+            }
+        })
+    }
+
+    /// Sets up a fresh engine with `prime`, then starts the wall clock
+    /// ([`RunStats::wall`]).
+    fn assemble(
+        mut fed: Federation,
+        source: S,
+        seed: u64,
+        prime: impl FnOnce(&mut Federation, &mut Engine<Ev>),
+    ) -> Self {
+        let mut engine = Engine::new();
+        prime(&mut fed, &mut engine);
+        Driver {
+            fed,
             engine,
             source,
             seed,
-            max_gang,
             start: std::time::Instant::now(),
         }
-    }
-
-    fn admit(&mut self, at: SimTime, mut job: Job) {
-        job.cpus = job.cpus.min(self.max_gang);
-        let idx = self.sim.site.admit(job);
-        self.engine
-            .dispatch(&mut self.sim, at, SiteEv::Arrival(idx));
     }
 
     /// Runs the merged stream until every event at or before `t` is
     /// processed and every job submitting at or before `t` is admitted.
     pub fn run_until(&mut self, t: SimTime) -> Result<(), SourceError> {
         loop {
-            match self.source.peek_submit()? {
-                Some(ts) => {
-                    self.sim.site.expect_more = true;
-                    let te = self.engine.peek_time();
-                    if ts <= t && te.is_none_or(|te| ts <= te) {
-                        let job = self.source.next_job()?.expect("peeked a submit instant");
-                        self.admit(ts, job);
-                    } else if te.is_some_and(|te| te <= t && te < ts) {
-                        self.engine.step(&mut self.sim);
-                    } else {
-                        return Ok(());
-                    }
+            let next = self.source.peek_submit()?;
+            self.fed.expect(next.is_some());
+            let te = self.engine.peek_time();
+            match next {
+                Some(ts) if ts <= t && te.is_none_or(|te| ts <= te) => {
+                    let job = self.source.next_job()?.expect("peeked a submit instant");
+                    self.fed.routed_jobs += 1;
+                    let to = self.fed.route(&job, None, ts);
+                    let idx = self.fed.admit(to, job, 0);
+                    let arrival = Ev::Site(SiteTagged::new(to, SiteEv::Arrival(idx)));
+                    self.engine.dispatch(&mut self.fed, ts, arrival);
                 }
-                None => {
-                    self.sim.site.expect_more = false;
-                    match self.engine.peek_time() {
-                        Some(te) if te <= t => {
-                            self.engine.step(&mut self.sim);
-                        }
-                        _ => return Ok(()),
-                    }
+                _ if te.is_some_and(|te| te <= t && next.is_none_or(|ts| te < ts)) => {
+                    assert!(
+                        self.engine.steps() < STEP_BUDGET,
+                        "simulation exhausted its step budget"
+                    );
+                    self.engine.step(&mut self.fed);
                 }
+                _ => return Ok(()),
             }
         }
     }
@@ -596,31 +630,49 @@ impl<S: JobSource> StreamDriver<S> {
         self.engine.now()
     }
 
-    /// Serializes the paused run. Jobs not yet admitted are *not* in the
-    /// snapshot — resuming re-creates the (deterministic) source and
-    /// skips the `admitted` already-simulated jobs.
+    /// Serializes the paused run (see [`crate::snapshot`] for the format
+    /// and v1 restrictions). Jobs not yet admitted are *not* in the
+    /// snapshot: resuming re-creates the (deterministic) source and skips
+    /// the jobs already admitted. Federations are not in snapshot v1.
     pub fn snapshot(&self) -> Result<String, SnapshotError> {
-        self.sim.site.capture(
-            self.seed,
-            self.engine.now(),
-            self.engine.steps(),
-            self.sim.site.jobs.len(),
-            &self.engine.pending_events(),
-        )
+        let [site] = &self.fed.sites[..] else {
+            return Err(SnapshotError::Unsupported(
+                "federation state is not serialized in snapshot v1".to_string(),
+            ));
+        };
+        let pending: Vec<(SimTime, SiteEv)> = self
+            .engine
+            .pending_events()
+            .into_iter()
+            .map(|(at, ev)| match ev {
+                Ev::Site(t) => (at, t.event),
+                Ev::Landing => unreachable!("a lone site has nowhere to migrate to"),
+            })
+            .collect();
+        site.capture(self.seed, self.engine.now(), self.engine.steps(), &pending)
     }
 
     /// Rebuilds a paused streaming run: `source` must be a fresh source
     /// constructed with the original parameters; its first `admitted`
     /// jobs are discarded to land exactly where the snapshot left off.
-    pub fn resume(
+    pub fn resume(input: SimInput, source: S, snapshot: &str) -> Result<Self, SnapshotError> {
+        Self::restore(input, source, snapshot, false, true)
+    }
+
+    /// Rebuilds one site from `snapshot` (see [`SimDriver::fork`] for what
+    /// `fork` relaxes). With `replay`, the source's first `admitted` jobs
+    /// are discarded; a pre-admitted run's jobs are all in the snapshot.
+    fn restore(
         input: SimInput,
         mut source: S,
         snapshot: &str,
-    ) -> Result<StreamDriver<S>, SnapshotError> {
-        let seed = input.seed;
-        let max_gang = gang_clamp(&input);
-        let (site, rp) = SiteState::restore_from(input, 0, snapshot, false)?;
-        for k in 0..rp.admitted {
+        fork: bool,
+        replay: bool,
+    ) -> Result<Self, SnapshotError> {
+        let (seed, max_gang) = (input.seed, input.max_gang());
+        let (site, rp) = SiteState::restore_from(input, 0, snapshot, fork)?;
+        let skip = if replay { rp.admitted } else { 0 };
+        for k in 0..skip {
             source
                 .next_job()
                 .map_err(|e| {
@@ -633,29 +685,147 @@ impl<S: JobSource> StreamDriver<S> {
                     ))
                 })?;
         }
-        let sim = SingleSite { site };
-        let mut engine = new_engine();
-        rp.prime(&mut engine);
-        Ok(StreamDriver {
-            sim,
-            engine,
-            source,
-            seed,
-            max_gang,
-            start: std::time::Instant::now(),
-        })
+        let fed = Federation::new(vec![site], vec![max_gang]);
+        Ok(Self::assemble(fed, source, seed, |_, engine| {
+            // Priming the live events in their serialized (time, seq)
+            // order hands them consecutive fresh sequence numbers, so
+            // equal-time ties replay exactly; later events draw higher
+            // numbers, as they would have in the uninterrupted run.
+            for (at, ev) in rp.pending {
+                engine.prime(at, Ev::Site(SiteTagged::new(0, ev)));
+            }
+            engine.advance_to(rp.now);
+            engine.set_steps(rp.steps);
+        }))
     }
 
-    /// Drains the source and the event queue to completion.
-    pub fn run(mut self) -> Result<(RunReport, RunStats, StreamStats), SourceError> {
+    /// Drains the source and the event queue, checks that every job
+    /// finished, and closes every site's books. Counters span this
+    /// driver's lifetime: a resumed run reports post-resume wall time but
+    /// cumulative event counts.
+    pub fn run_federated(
+        mut self,
+    ) -> Result<(FederationReport, RunStats, StreamStats), SourceError> {
         self.run_until(SimTime::MAX)?;
-        self.sim.site.expect_more = false;
         let stream = StreamStats {
             emitted: self.source.emitted(),
             peak_buffered: self.source.peak_buffered(),
         };
-        let (report, stats) = self.sim.finish(self.engine, self.start);
+        let mut stats = RunStats {
+            events: self.engine.steps(),
+            placements: 0,
+            wall: std::time::Duration::ZERO,
+            phases: PhaseTimers::default(),
+        };
+        let mut reports = Vec::with_capacity(self.fed.sites.len());
+        for s in self.fed.sites {
+            assert_eq!(
+                s.done_count,
+                s.jobs.len(),
+                "site {} ended with unfinished jobs",
+                s.site_id
+            );
+            let outcome = s.finalize();
+            stats.placements += outcome.placements;
+            stats.phases += outcome.phases;
+            reports.push(outcome.report);
+        }
+        stats.wall = self.start.elapsed();
+        let report = FederationReport {
+            router: self.fed.router.name().to_string(),
+            sites: reports,
+            routed_jobs: self.fed.routed_jobs,
+            migrations: self.fed.migrations,
+        };
         Ok((report, stats, stream))
+    }
+
+    /// [`Driver::run_federated`] for a single-site driver, returning the
+    /// site's own report.
+    pub fn run(self) -> Result<(RunReport, RunStats, StreamStats), SourceError> {
+        assert_eq!(
+            self.fed.sites.len(),
+            1,
+            "run() reports one site; finish a federation with run_federated()"
+        );
+        let (mut fed, stats, stream) = self.run_federated()?;
+        Ok((fed.sites.remove(0), stats, stream))
+    }
+}
+
+impl Driver<WorkloadSource> {
+    /// `input.sites` behind `input.router`, routing `input.workload`'s
+    /// jobs as they submit: the run [`crate::run_federation`] performs,
+    /// but steppable.
+    pub fn federation(mut input: FederationInput) -> Self {
+        let jobs = std::mem::take(&mut input.workload);
+        let widest = jobs.max_cpus();
+        Self::federated(input, WorkloadSource::new(jobs), Some(widest))
+    }
+}
+
+/// Runs one simulation to completion and returns the report.
+pub fn run_simulation(input: SimInput) -> RunReport {
+    SimDriver::new(input).finish().0
+}
+
+/// Interactive single-site driver with the whole workload pre-admitted:
+/// the run [`run_simulation`] performs, but steppable, checkpointable,
+/// and resumable. A thin name over [`Driver`]. Stepping, snapshotting,
+/// and resuming never perturb event order, RNG streams, or the ledger, so
+/// `new(input) → run_until(t) → snapshot → resume → finish` produces
+/// bit-identical reports and telemetry to `new(input) → finish`.
+pub struct SimDriver(Driver<WorkloadSource>);
+
+/// A pre-admitted run pulls nothing, so its empty source cannot fail.
+const NO_PULLS: &str = "a pre-admitted run pulls no jobs";
+
+impl SimDriver {
+    /// Builds the driver with `input.workload` pre-admitted.
+    pub fn new(mut input: SimInput) -> SimDriver {
+        let jobs = std::mem::take(&mut input.workload);
+        let widest = jobs.max_cpus();
+        let source = WorkloadSource::default();
+        SimDriver(Driver::build(vec![input], source, Some(widest), jobs))
+    }
+
+    /// Processes every event scheduled at or before `t`, then stops.
+    pub fn run_until(&mut self, t: SimTime) {
+        self.0.run_until(t).expect(NO_PULLS);
+    }
+
+    /// Current simulation clock (the time of the last processed event).
+    pub fn now(&self) -> SimTime {
+        self.0.now()
+    }
+
+    /// Serializes the paused run as a snapshot document.
+    pub fn snapshot(&self) -> Result<String, SnapshotError> {
+        self.0.snapshot()
+    }
+
+    /// Rebuilds a paused run from a snapshot. `input` must describe the
+    /// same run the snapshot was taken from (same scheme, seed, fleet,
+    /// and instrument set — mismatches are [`SnapshotError::Mismatch`]);
+    /// the continued run is bit-identical to never having stopped.
+    pub fn resume(input: SimInput, snapshot: &str) -> Result<SimDriver, SnapshotError> {
+        Driver::restore(input, WorkloadSource::default(), snapshot, false, false).map(SimDriver)
+    }
+
+    /// What-if branching: rebuilds the snapshotted mid-run state under a
+    /// *different* input — scheme, placement, supply, and knobs come from
+    /// `input`, while jobs, ledgers, wear, RNG streams, and pending
+    /// events continue from the snapshot. Structural facts (fleet shape,
+    /// instrument set) must still match.
+    pub fn fork(input: SimInput, snapshot: &str) -> Result<SimDriver, SnapshotError> {
+        Driver::restore(input, WorkloadSource::default(), snapshot, true, false).map(SimDriver)
+    }
+
+    /// Runs the remaining events to completion and returns the report
+    /// plus runtime counters (see [`Driver::run_federated`]).
+    pub fn finish(self) -> (RunReport, RunStats) {
+        let (report, stats, _) = self.0.run().expect(NO_PULLS);
+        (report, stats)
     }
 }
 
@@ -837,7 +1007,7 @@ mod tests {
         let jobs = vec![job(0, 0, 2, 600, 20.0), job(1, 100, 2, 600, 20.0)];
         let mut driver = super::SimDriver::new(sim(jobs, supply).build().into_input());
         driver.run_until(SimTime::from_secs(50));
-        assert_eq!(driver.sim.site.running.len(), 1);
+        assert_eq!(driver.0.fed.sites[0].running.len(), 1);
         driver
     }
 
@@ -846,7 +1016,7 @@ mod tests {
     #[should_panic(expected = "incremental availability diverged from queue replay")]
     fn availability_cross_check_fires() {
         let mut driver = paused_with_second_arrival(Supply::utility_only());
-        let site = &mut driver.sim.site;
+        let site = &mut driver.0.fed.sites[0];
         let chip = site.jobs[site.running[0]].chips[0].0 as usize;
         site.avail[chip] += SimDuration::from_hours(1000);
         driver.finish();
@@ -857,7 +1027,7 @@ mod tests {
     #[should_panic(expected = "incremental running-demand aggregate diverged")]
     fn running_demand_cross_check_fires() {
         let mut driver = paused_with_second_arrival(Supply::utility_only());
-        driver.sim.site.running_demand_uw += 1;
+        driver.0.fed.sites[0].running_demand_uw += 1;
         driver.finish();
     }
 
@@ -869,7 +1039,7 @@ mod tests {
     fn chain_limit_cross_check_fires() {
         let supply = Supply::hybrid(PowerTrace::constant(SimDuration::from_mins(10), 0.0, 100));
         let mut driver = paused_with_second_arrival(supply);
-        let site = &mut driver.sim.site;
+        let site = &mut driver.0.fed.sites[0];
         let idx = site.running[0];
         site.jobs[idx].chain_limit = SimTime::ZERO;
         driver.finish();

@@ -7,20 +7,15 @@
 //! instruments — and handles site-local events ([`SiteEv`]) against any
 //! clock that can schedule follow-ups ([`SiteCtx`]).
 //!
-//! Two instantiations exist:
+//! `crate::simulation::Driver` holds one or more sites under one engine,
+//! wrapping each site's events in [`iscope_dcsim::SiteTagged`] and
+//! routing arrivals between sites; each site only ever sees `SiteEv`s.
 //!
-//! * `crate::simulation` wraps exactly one `SiteState` in a thin
-//!   `Model<SiteEv>` — the classic single-site `run_simulation`, event
-//!   for event and bit for bit identical to the pre-extraction monolith.
-//! * `crate::federation` holds N sites under one engine, wrapping each
-//!   site's events in [`iscope_dcsim::SiteTagged`] and routing arrivals
-//!   between sites; each site still only ever sees `SiteEv`s.
-//!
-//! The only behavioural seam between the two is [`SiteState::expect_more`]:
-//! a federation keeps a site's periodic chains (wind sampling, profiling
-//! and re-profile checks) alive while *other* sites still have work that
-//! could be routed here. Single-site runs leave the flag `false`, which
-//! reduces every rescheduling condition to its original form.
+//! The only behavioural seam between one site and many is
+//! [`SiteState::expect_more`]: it keeps a site's periodic chains (wind
+//! sampling, profiling and re-profile checks) alive while the source or
+//! *other* sites still have work that could come here. A lone site's
+//! flag only says whether the source has more jobs.
 
 use crate::report::{AuditReport, RunReport};
 use crate::simulation::{
@@ -32,7 +27,7 @@ use crate::snapshot::{
     ToVal, Val, SNAPSHOT_VERSION,
 };
 use crate::telemetry::{self};
-use iscope_dcsim::{Ctx, Engine, RowSampler, Sampler, SimDuration, SimRng, SimTime};
+use iscope_dcsim::{RowSampler, Sampler, SimDuration, SimRng, SimTime};
 use iscope_energy::{BatteryState, CostMeter, CostSplit, EnergyLedger, Supply};
 use iscope_pvmodel::{
     microwatts_to_watts, speed_factor, watts_to_microwatts, ChipId, CoolingModel, DvfsConfig,
@@ -42,7 +37,7 @@ use iscope_scanner::{ProfilingRecords, Scanner, VoltageGrid};
 use iscope_sched::{
     match_budget, validate_key_range, CarbonConfig, ChipIndexes, DvfsCandidate, Placement, ProcView,
 };
-use iscope_workload::{Job, JobId, Urgency, Workload};
+use iscope_workload::{Job, JobId, Urgency};
 use std::collections::{BTreeSet, VecDeque};
 use std::time::Instant;
 
@@ -50,9 +45,8 @@ use std::time::Instant;
 /// projected completion and its effective deadline.
 const DVFS_SAFETY_MARGIN_S: f64 = 120.0;
 
-/// A site-local simulation event. In single-site runs this is the engine's
-/// event type directly; federations wrap it in
-/// [`iscope_dcsim::SiteTagged`].
+/// A site-local simulation event; the driver's engine carries it wrapped
+/// in [`iscope_dcsim::SiteTagged`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SiteEv {
     Arrival(usize),
@@ -95,19 +89,12 @@ pub(crate) enum SiteEv {
 }
 
 /// The scheduling capability a [`SiteState`] needs from its host clock:
-/// enqueue a site-local event at an absolute time. The single-site model
-/// hands the engine context straight through; a federation wraps the event
-/// in a site tag first. (Cancellation is never used — stale events are
-/// invalidated by generation counters instead.)
+/// enqueue a site-local event at an absolute time (the driver tags it
+/// with the site). Cancellation is never used — stale events are
+/// invalidated by generation counters instead.
 pub(crate) trait SiteCtx {
     /// Schedules `ev` for this site at absolute time `at`.
     fn schedule(&mut self, at: SimTime, ev: SiteEv);
-}
-
-impl SiteCtx for Ctx<'_, SiteEv> {
-    fn schedule(&mut self, at: SimTime, ev: SiteEv) {
-        Ctx::schedule(self, at, ev);
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,12 +162,12 @@ pub(crate) struct SiteState {
     pub(crate) site_id: u32,
     /// Display name of the scheme, carried into the final report.
     pub(crate) scheme_name: String,
-    /// Federation liveness hint, refreshed by the federation before each
-    /// dispatched event: `true` while *globally* unfinished work exists
+    /// Liveness hint, refreshed by the driver before each step: `true`
+    /// while the source has jobs left or work elsewhere is unfinished
     /// that could still arrive or migrate here, so this site's periodic
     /// event chains must not die just because its local jobs are done.
-    /// Always `false` in single-site runs — every rescheduling condition
-    /// then reduces bit-identically to the pre-federation form.
+    /// A pre-admitted run leaves it `false`, and every rescheduling
+    /// condition then reduces to its original single-site form.
     pub(crate) expect_more: bool,
     /// Jobs admitted here but handed to another site on retry (their
     /// `Done` phase at this site is a routing artifact, not a completion).
@@ -497,23 +484,11 @@ fn count_set(set: &[bool]) -> usize {
 }
 
 impl SiteState {
-    /// Builds a site from one run's inputs. `preadmit` controls whether
-    /// the workload's jobs are materialized up front (single-site runs,
-    /// where `SiteEv::Arrival(i)` indexes the workload directly) or
-    /// admitted one by one as a federation routes them here. Either way
-    /// the input workload still sizes the fault machinery's availability
-    /// floor, and is handed back for the caller to prime arrivals from.
-    ///
-    /// `max_cpus_hint` widens that floor for callers whose jobs are not in
-    /// the input workload at construction time (streaming ingestion admits
-    /// jobs one by one against an empty workload): the fault machinery
-    /// must still guarantee room for the widest gang the source can emit.
-    pub(crate) fn new(
-        input: SimInput,
-        site_id: u32,
-        preadmit: bool,
-        max_cpus_hint: Option<u32>,
-    ) -> (SiteState, Workload) {
+    /// Builds a site from one run's inputs, with an empty job table: the
+    /// driver admits every job. `widest_gang` is the widest job the site
+    /// can receive; the fault machinery's availability floor keeps room
+    /// for it. `input.workload` is not read.
+    pub(crate) fn new(input: SimInput, site_id: u32, widest_gang: u32) -> SiteState {
         let n = input.fleet.len();
         let samplers = input.trace_interval.map(|iv| {
             [
@@ -523,30 +498,6 @@ impl SiteState {
                 Sampler::new("wind_draw", iv, 0.0),
             ]
         });
-        let jobs = if preadmit {
-            input
-                .workload
-                .jobs()
-                .iter()
-                .map(|j| JobState {
-                    job: j.clone(),
-                    chips: Vec::new(),
-                    phase: Phase::Waiting,
-                    level: input.fleet.dvfs.max_level(),
-                    remaining_nominal_s: j.runtime_at_fmax.as_secs_f64(),
-                    last_progress: j.submit,
-                    started_at: SimTime::ZERO,
-                    gen: 0,
-                    sched_end: SimTime::ZERO,
-                    power_uw_at: Vec::new(),
-                    chain_limit: SimTime::MAX,
-                    starts: 0,
-                    attempt_energy_j: 0.0,
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         let num_levels = input.fleet.dvfs.num_levels();
         // Every chip starts idle, unprofiled, and unblocked, so the
         // in-situ candidate pool starts as the whole fleet.
@@ -582,7 +533,6 @@ impl SiteState {
                 ),
                 None => (None, None),
             };
-            let widest_gang = input.workload.max_cpus().max(max_cpus_hint.unwrap_or(0));
             let min_in_service = (widest_gang as usize).max(
                 reprofile.map_or(0, |r| (n as f64 * r.min_available_fraction).ceil() as usize),
             );
@@ -617,7 +567,7 @@ impl SiteState {
             expect_more: false,
             migrated_out: 0,
             rng: SimRng::derive(input.seed, "simulation"),
-            jobs,
+            jobs: Vec::new(),
             queues: vec![VecDeque::new(); n],
             usage: vec![SimDuration::ZERO; n],
             running: Vec::new(),
@@ -716,13 +666,12 @@ impl SiteState {
             cooling: input.cooling,
         };
         site.chip_index.set_ranking(site.plan.ranking());
-        (site, input.workload)
+        site
     }
 
     /// The periodic events this site needs primed before the run starts,
     /// in the canonical order (wind sampling, profiling check, re-profile
-    /// check). Both the single-site path and the federation prime these,
-    /// so equal-time FIFO tie-breaking is identical across the two.
+    /// check). The driver primes these for every site, in site order.
     pub(crate) fn initial_events(&self) -> Vec<(SimTime, SiteEv)> {
         let mut evs = Vec::new();
         if self.supply.has_wind() {
@@ -750,17 +699,11 @@ impl SiteState {
         evs
     }
 
-    /// Admits a routed job into this site's job table and returns its
-    /// site-local index (what `SiteEv::Arrival` must carry). Produces the
-    /// exact `JobState` the preadmitting constructor would have built.
-    pub(crate) fn admit(&mut self, job: Job) -> usize {
-        self.admit_with_starts(job, 0)
-    }
-
-    /// [`SiteState::admit`] for a job migrating in after a failure
-    /// elsewhere: `starts` carries the attempt count accumulated at prior
-    /// sites so the bounded-retry budget stays global.
-    pub(crate) fn admit_with_starts(&mut self, job: Job, starts: u32) -> usize {
+    /// Enters `job` in this site's job table, waiting, and returns its
+    /// site-local index (what `SiteEv::Arrival` carries). `starts` is the
+    /// attempt count a gang migrating in brings from prior sites, so the
+    /// bounded-retry budget stays global.
+    pub(crate) fn admit(&mut self, job: Job, starts: u32) -> usize {
         let idx = self.jobs.len();
         let remaining_nominal_s = job.runtime_at_fmax.as_secs_f64();
         let last_progress = job.submit;
@@ -787,11 +730,6 @@ impl SiteState {
     /// already re-placed by an earlier retry.
     pub(crate) fn retry_pending(&self, idx: usize) -> bool {
         self.jobs[idx].phase == Phase::Waiting && self.jobs[idx].chips.is_empty()
-    }
-
-    /// Borrow of a site-local job's immutable description (for routers).
-    pub(crate) fn job(&self, idx: usize) -> &Job {
-        &self.jobs[idx].job
     }
 
     /// Hands a waiting, unplaced job over to the federation for
@@ -2136,15 +2074,13 @@ impl SiteState {
         self.try_start(&heads, now, ctx);
     }
 
-    /// Dispatches one site-local event. This is the moved body of the old
-    /// `Model::on_event`: the single-site [`crate::simulation::run_simulation`]
-    /// path calls it straight from `Model::on_event`, the federation calls
-    /// it from the untagging dispatch loop with a wrapping context.
+    /// Dispatches one site-local event; the driver's `Model::on_event`
+    /// calls it with a context that tags what the site schedules.
     ///
     /// `expect_more` only extends the self-rescheduling conditions (a site
     /// that has drained its local jobs keeps its periodic loops alive while
-    /// the federation may still reroute work to it); with `expect_more ==
-    /// false` every condition reduces to the original single-site one.
+    /// more work may still reach it); with `expect_more == false` every
+    /// condition reduces to the original single-site one.
     pub(crate) fn handle_event(&mut self, ctx: &mut impl SiteCtx, now: SimTime, event: SiteEv) {
         self.account(now);
         match event {
@@ -2987,26 +2923,11 @@ pub(crate) struct ResumePoint {
     pub(crate) pending: Vec<(SimTime, SiteEv)>,
 }
 
-impl ResumePoint {
-    /// Re-primes a fresh engine to this point. Priming the live events in
-    /// their serialized (time, seq) order hands them consecutive fresh
-    /// sequence numbers, so equal-time ties replay exactly; events
-    /// scheduled after the resume point draw higher numbers, as they would
-    /// have in the uninterrupted run.
-    pub(crate) fn prime(&self, engine: &mut Engine<SiteEv>) {
-        for (at, ev) in &self.pending {
-            engine.prime(*at, *ev);
-        }
-        engine.advance_to(self.now);
-        engine.set_steps(self.steps);
-    }
-}
-
 impl SiteState {
     /// Serializes this site's complete mutable state as a snapshot
-    /// document (JSONL; see [`crate::snapshot`]). `seed` and `admitted`
-    /// come from the driver (the site does not know them), `now`/`steps`/
-    /// `pending` from the engine.
+    /// document (JSONL; see [`crate::snapshot`]). `seed` comes from the
+    /// driver (the site does not know it), `now`/`steps`/`pending` from
+    /// the engine; every job in the table counts as admitted.
     ///
     /// v1 restrictions: in-situ profiling state (the per-core
     /// `ProfilingRecords` grid) and per-core operating plans are not
@@ -3017,7 +2938,6 @@ impl SiteState {
         seed: u64,
         now: SimTime,
         steps: u64,
-        admitted: usize,
         pending: &[(SimTime, SiteEv)],
     ) -> Result<String, SnapshotError> {
         if self.in_situ.is_some() {
@@ -3036,7 +2956,7 @@ impl SiteState {
             site_id: self.site_id,
             now,
             steps,
-            admitted,
+            admitted: self.jobs.len(),
             fleet_len: self.fleet.len(),
             num_levels: self.fleet.dvfs.num_levels(),
         };
@@ -3131,7 +3051,7 @@ impl SiteState {
         }
         let pending: Vec<(SimTime, SiteEv)> = Persist::load(doc.get(EVENTS)?, EVENTS)?;
 
-        let (mut site, _workload) = SiteState::new(input, site_id, false, None);
+        let mut site = SiteState::new(input, site_id, 0);
         site.restore(&doc, "snapshot")?;
         site.check_restored(&pending)?;
         site.rebuild_derived()?;

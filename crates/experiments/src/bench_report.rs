@@ -16,8 +16,8 @@ use crate::federation;
 use iscope::experiments::{pool_stats, reset_pool_stats, sweep, PoolStats, ThreadPoolBuilder};
 use iscope::prelude::*;
 use iscope::{
-    run_federation_instrumented, FederationReport, FollowSurplusRouter, PhaseTimers, RunReport,
-    RunStats, SimInput, StreamDriver, StreamStats,
+    Driver, FederationReport, FollowSurplusRouter, PhaseTimers, RunReport, RunStats, SimInput,
+    StreamDriver, StreamStats,
 };
 use iscope_sched::Scheme;
 use iscope_workload::SyntheticSource;
@@ -345,12 +345,13 @@ pub fn run() -> BenchReport {
                 .expect("synthetic sources cannot fail");
             Cell::Stream(Box::new(out))
         }
-        _ => Cell::Fed(Box::new(run_federation_instrumented(federation::scenario(
-            &cfg,
-            4,
-            0.5,
-            Box::new(FollowSurplusRouter),
-        )))),
+        _ => {
+            let scenario = federation::scenario(&cfg, 4, 0.5, Box::new(FollowSurplusRouter));
+            let (report, stats, _) = Driver::federation(scenario)
+                .run_federated()
+                .expect("a materialized workload cannot fail");
+            Cell::Fed(Box::new((report, stats)))
+        }
     })
     .into_iter();
     let mut single = || match results.next() {

@@ -73,6 +73,11 @@ impl Workload {
         &self.jobs
     }
 
+    /// Takes the jobs out, in submission order.
+    pub fn into_jobs(self) -> Vec<Job> {
+        self.jobs
+    }
+
     /// Number of jobs.
     pub fn len(&self) -> usize {
         self.jobs.len()

@@ -22,7 +22,7 @@ pub mod synthetic;
 
 pub use job::{Job, JobId, Urgency, Workload};
 pub use shaping::Shaper;
-pub use source::{JobSource, SourceError, SwfSource, SyntheticSource};
+pub use source::{JobSource, SourceError, SwfSource, SyntheticSource, WorkloadSource};
 pub use stats::WorkloadStats;
 pub use swf::{parse_swf, parse_swf_line, write_swf, SwfError, SwfRecord};
 pub use synthetic::{raw_jobs_from_swf, RawJob, SyntheticTrace};

@@ -9,7 +9,7 @@
 //! streaming run processes events in exactly the order a pre-admitted run
 //! does (arrivals win equal-time ties in both).
 //!
-//! Two backends:
+//! Three backends:
 //!
 //! * [`SwfSource`] — reads Standard Workload Format lines incrementally,
 //!   tolerating the bounded submit-time reordering real Parallel
@@ -26,13 +26,16 @@
 //!   first and sorts afterwards, which cannot stream; the thinning
 //!   generator draws a *different* — equally valid — trace for the same
 //!   seed.)
+//! * [`WorkloadSource`] — serves an already materialized [`Workload`] in
+//!   its submission order, so a job list and a stream take the same
+//!   ingestion path.
 
-use crate::job::Job;
+use crate::job::{Job, Workload};
 use crate::shaping::Shaper;
 use crate::swf::{parse_swf_line, SwfError, SwfRecord};
 use crate::synthetic::{RawJob, SyntheticTrace};
 use iscope_dcsim::{SimDuration, SimRng, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Error surfaced while pulling from a [`JobSource`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -325,6 +328,42 @@ impl JobSource for SyntheticSource {
     }
 }
 
+/// A materialized [`Workload`] as a [`JobSource`]: its jobs in
+/// submission order, which is already the order a source must emit.
+#[derive(Debug, Clone, Default)]
+pub struct WorkloadSource {
+    jobs: VecDeque<Job>,
+    total: usize,
+}
+
+impl WorkloadSource {
+    /// Serves `workload`'s jobs in submission order.
+    pub fn new(workload: Workload) -> Self {
+        let jobs = VecDeque::from(workload.into_jobs());
+        let total = jobs.len();
+        WorkloadSource { jobs, total }
+    }
+}
+
+impl JobSource for WorkloadSource {
+    fn peek_submit(&mut self) -> Result<Option<SimTime>, SourceError> {
+        Ok(self.jobs.front().map(|j| j.submit))
+    }
+
+    fn next_job(&mut self) -> Result<Option<Job>, SourceError> {
+        Ok(self.jobs.pop_front())
+    }
+
+    fn emitted(&self) -> u64 {
+        (self.total - self.jobs.len()) as u64
+    }
+
+    /// The whole workload is held from the start.
+    fn peak_buffered(&self) -> usize {
+        self.total
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,5 +559,20 @@ mod tests {
         }
         let tail = drain(&mut resumed);
         assert_eq!(tail, all[40..]);
+    }
+
+    #[test]
+    fn workload_source_emits_the_workload_in_order() {
+        let jobs = SyntheticTrace {
+            num_jobs: 50,
+            ..SyntheticTrace::default()
+        }
+        .generate(3);
+        let workload = Shaper::default().shape(&jobs, 3);
+        let mut src = WorkloadSource::new(workload.clone());
+        assert_eq!(src.peek_submit().unwrap(), Some(workload.jobs()[0].submit));
+        assert_eq!(drain(&mut src), workload.jobs());
+        assert_eq!((src.emitted(), src.peak_buffered()), (50, 50));
+        assert_eq!(src.peek_submit().unwrap(), None);
     }
 }
