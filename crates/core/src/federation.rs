@@ -1,10 +1,10 @@
-//! Multi-site federation: N [`crate::site::SiteState`]s under one event
+//! Multi-site federation: N `SiteState`s under one event
 //! clock, with a global geo-router.
 //!
 //! A federation is the one [`Driver`] over several sites. Each site's
-//! events are wrapped in [`iscope_dcsim::SiteTagged`], so ordering and
-//! FIFO tie-breaking are exactly those of a single-site run and the tag
-//! only routes the popped event to its state. What a federation adds:
+//! events carry its site id, so ordering and FIFO tie-breaking are
+//! exactly those of a single-site run and the id only routes the popped
+//! event to its state. What a federation adds:
 //!
 //! * routing — every arrival the driver pulls asks the [`Router`] for a
 //!   site, is clamped to that site's widest gang, and is admitted there

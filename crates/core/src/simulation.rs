@@ -2,12 +2,12 @@
 //! ([`SimInput`] and its option structs) and the one [`Driver`] that runs
 //! one site, N federated sites, or a stream on the `iscope-dcsim` engine.
 //!
-//! Event model (see [`crate::site`] for the state machine itself):
+//! Event model (see `site.rs` for the state machine itself):
 //!
 //! * `Arrival(i)` — job `i` is submitted; the scheme's placement picks its
 //!   processors and the job enters their FIFO queues.
 //! * `Completion{job, gen}` — a running job finished (stale generations
-//!   from cancelled reschedules are ignored).
+//!   from superseded reschedules are ignored).
 //! * `WindSample` — the renewable budget changed (every 10 minutes);
 //!   re-run the DVFS budget matcher.
 //!
@@ -24,7 +24,7 @@ use crate::report::{FederationReport, RunReport};
 use crate::site::{SiteCtx, SiteEv, SiteState};
 use crate::snapshot::SnapshotError;
 use crate::telemetry::TelemetryConfig;
-use iscope_dcsim::{Ctx, Engine, Model, SimDuration, SimTime, SiteTagged};
+use iscope_dcsim::{Ctx, Engine, Model, SimDuration, SimTime};
 use iscope_energy::Supply;
 use iscope_pvmodel::{CoolingModel, FailureModel, Fleet, OperatingPlan};
 use iscope_scanner::{ReprofilePolicy, ScannerConfig};
@@ -102,7 +102,7 @@ pub struct AuditConfig {
     pub tolerance: f64,
     /// Panic at the end of the run if any invariant was breached
     /// (default). With `false`, breaches are only reported through
-    /// [`AuditReport::violations`].
+    /// [`AuditReport::violations`](crate::report::AuditReport::violations).
     pub strict: bool,
 }
 
@@ -350,11 +350,11 @@ impl SimInput {
     }
 }
 
-/// The driver's engine events: a site-local event tagged with its site,
-/// or the landing of the oldest gang on the WAN.
+/// The driver's engine events: a site-local event with its site id, or
+/// the landing of the oldest gang on the WAN.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    Site(SiteTagged<SiteEv>),
+    Site(u32, SiteEv),
     /// Every migration pays the same WAN delay, so gangs land in the
     /// order they left: the event needs no payload, the gang waits in
     /// [`Federation::in_flight`].
@@ -370,8 +370,7 @@ struct TaggedCtx<'a, 'q> {
 
 impl SiteCtx for TaggedCtx<'_, '_> {
     fn schedule(&mut self, at: SimTime, ev: SiteEv) {
-        self.inner
-            .schedule(at, Ev::Site(SiteTagged::new(self.site, ev)));
+        self.inner.schedule(at, Ev::Site(self.site, ev));
     }
 }
 
@@ -448,7 +447,7 @@ impl Model<Ev> for Federation {
     fn on_event(&mut self, ctx: &mut Ctx<'_, Ev>, event: Ev) {
         let now = ctx.now();
         let (site, event) = match event {
-            Ev::Site(t) => (t.site, t.event),
+            Ev::Site(site, ev) => (site, ev),
             Ev::Landing => {
                 let (to, job, starts) = self.in_flight.pop_front().expect("a gang in flight");
                 let idx = self.admit(to, job, starts);
@@ -568,11 +567,11 @@ impl<S: JobSource> Driver<S> {
             for job in preadmit.into_jobs() {
                 let at = job.submit;
                 let idx = fed.admit(0, job, 0);
-                engine.prime(at, Ev::Site(SiteTagged::new(0, SiteEv::Arrival(idx))));
+                engine.prime(at, Ev::Site(0, SiteEv::Arrival(idx)));
             }
             for s in &fed.sites {
                 for (at, ev) in s.initial_events() {
-                    engine.prime(at, Ev::Site(SiteTagged::new(s.site_id, ev)));
+                    engine.prime(at, Ev::Site(s.site_id, ev));
                 }
             }
         })
@@ -610,7 +609,7 @@ impl<S: JobSource> Driver<S> {
                     self.fed.routed_jobs += 1;
                     let to = self.fed.route(&job, None, ts);
                     let idx = self.fed.admit(to, job, 0);
-                    let arrival = Ev::Site(SiteTagged::new(to, SiteEv::Arrival(idx)));
+                    let arrival = Ev::Site(to, SiteEv::Arrival(idx));
                     self.engine.dispatch(&mut self.fed, ts, arrival);
                 }
                 _ if te.is_some_and(|te| te <= t && next.is_none_or(|ts| te < ts)) => {
@@ -645,7 +644,7 @@ impl<S: JobSource> Driver<S> {
             .pending_events()
             .into_iter()
             .map(|(at, ev)| match ev {
-                Ev::Site(t) => (at, t.event),
+                Ev::Site(_, ev) => (at, ev),
                 Ev::Landing => unreachable!("a lone site has nowhere to migrate to"),
             })
             .collect();
@@ -692,7 +691,7 @@ impl<S: JobSource> Driver<S> {
             // equal-time ties replay exactly; later events draw higher
             // numbers, as they would have in the uninterrupted run.
             for (at, ev) in rp.pending {
-                engine.prime(at, Ev::Site(SiteTagged::new(0, ev)));
+                engine.prime(at, Ev::Site(0, ev));
             }
             engine.advance_to(rp.now);
             engine.set_steps(rp.steps);

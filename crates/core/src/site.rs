@@ -8,8 +8,8 @@
 //! clock that can schedule follow-ups ([`SiteCtx`]).
 //!
 //! `crate::simulation::Driver` holds one or more sites under one engine,
-//! wrapping each site's events in [`iscope_dcsim::SiteTagged`] and
-//! routing arrivals between sites; each site only ever sees `SiteEv`s.
+//! tagging each site's events with its site id and routing arrivals
+//! between sites; each site only ever sees `SiteEv`s.
 //!
 //! The only behavioural seam between one site and many is
 //! [`SiteState::expect_more`]: it keeps a site's periodic chains (wind
@@ -30,10 +30,10 @@ use crate::telemetry::{self};
 use iscope_dcsim::{RowSampler, Sampler, SimDuration, SimRng, SimTime};
 use iscope_energy::{BatteryState, CostMeter, CostSplit, EnergyLedger, Supply};
 use iscope_pvmodel::{
-    microwatts_to_watts, speed_factor, watts_to_microwatts, ChipId, CoolingModel, DvfsConfig,
-    Fleet, FreqLevel, OperatingPlan,
+    microwatts_to_watts, speed_factor, watts_to_microwatts, ChipId, CoolingModel, Fleet, FreqLevel,
+    OperatingPlan,
 };
-use iscope_scanner::{ProfilingRecords, Scanner, VoltageGrid};
+use iscope_scanner::{with_nominal_fallback, ProfilingRecords, Scanner, VoltageGrid};
 use iscope_sched::{
     match_budget, validate_key_range, CarbonConfig, ChipIndexes, DvfsCandidate, Placement, ProcView,
 };
@@ -45,8 +45,8 @@ use std::time::Instant;
 /// projected completion and its effective deadline.
 const DVFS_SAFETY_MARGIN_S: f64 = 120.0;
 
-/// A site-local simulation event; the driver's engine carries it wrapped
-/// in [`iscope_dcsim::SiteTagged`].
+/// A site-local simulation event; the driver's engine carries it with the
+/// id of the site it belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SiteEv {
     Arrival(usize),
@@ -525,11 +525,7 @@ impl SiteState {
             let (scanner, grid) = match reprofile {
                 Some(r) => (
                     Some(Scanner::new(r.scanner.clone())),
-                    Some(VoltageGrid::from_dvfs(
-                        &input.fleet.dvfs,
-                        r.scanner.grid_points,
-                        r.scanner.grid_depth,
-                    )),
+                    Some(r.scanner.grid(&input.fleet.dvfs)),
                 ),
                 None => (None, None),
             };
@@ -640,24 +636,20 @@ impl SiteState {
             faults,
             out_of_service: vec![false; n],
             in_service: n,
-            in_situ: input.in_situ.map(|config| {
-                let grid = VoltageGrid::from_dvfs(
-                    &input.fleet.dvfs,
-                    config.scanner.grid_points,
-                    config.scanner.grid_depth,
-                );
-                InSituState {
-                    scanner: Scanner::new(config.scanner.clone()),
-                    records: ProfilingRecords::for_fleet(grid, &input.fleet),
-                    rng: SimRng::derive(input.seed, "in-situ-scanner"),
-                    blocked: vec![false; n],
-                    blocked_count: 0,
-                    profiled: vec![false; n],
-                    profiled_count: 0,
-                    profiling_power_w: 0.0,
-                    profiling_energy_note_j: 0.0,
-                    config,
-                }
+            in_situ: input.in_situ.map(|config| InSituState {
+                scanner: Scanner::new(config.scanner.clone()),
+                records: ProfilingRecords::for_fleet(
+                    config.scanner.grid(&input.fleet.dvfs),
+                    &input.fleet,
+                ),
+                rng: SimRng::derive(input.seed, "in-situ-scanner"),
+                blocked: vec![false; n],
+                blocked_count: 0,
+                profiled: vec![false; n],
+                profiled_count: 0,
+                profiling_power_w: 0.0,
+                profiling_energy_note_j: 0.0,
+                config,
             }),
             fleet: input.fleet,
             plan: input.plan,
@@ -2375,17 +2367,6 @@ impl SiteState {
             phases: self.phase_ns,
         }
     }
-}
-
-/// A chip's scanned Min Vdd at each DVFS level, read from `measured`;
-/// levels the scan could not resolve fall back to nominal voltage.
-fn with_nominal_fallback(
-    dvfs: &DvfsConfig,
-    measured: impl Fn(FreqLevel) -> Option<f64>,
-) -> Vec<f64> {
-    dvfs.levels()
-        .map(|l| measured(l).unwrap_or_else(|| dvfs.v_nom(l)))
-        .collect()
 }
 
 // ===========================================================================

@@ -21,7 +21,7 @@
 //! scheme, seed, clock, step and admission counters); the remaining
 //! sections follow the field lists in `site.rs`, which own the
 //! field-level schema. Each field is declared once, in a `section!` or
-//! `persist_struct!` list built on the [`Persist`] / [`Section`] traits
+//! `persist_struct!` list built on the `Persist` / `Section` traits
 //! below; `SiteState::capture` and `SiteState::restore_from` both expand
 //! from those lists. Section order is fixed, so equal states produce
 //! equal bytes.

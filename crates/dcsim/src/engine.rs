@@ -1,13 +1,13 @@
 //! Generic discrete-event simulation driver.
 //!
 //! A [`Model`] reacts to popped events through a [`Ctx`] that lets it read
-//! the clock and schedule or cancel future events. The [`Engine`] owns the
-//! event queue and runs the loop to quiescence or a horizon. Keeping the
-//! loop here (rather than in each simulator) centralizes the invariants:
-//! time never rewinds, handlers observe a consistent `now`, and step budgets
-//! guard against runaway self-scheduling models.
+//! the clock and schedule future events. The [`Engine`] owns the event
+//! queue and dispatches one event per [`Engine::step`]; the caller owns the
+//! loop, its horizon and its step budget. Keeping dispatch here (rather
+//! than in each simulator) centralizes the invariants: time never rewinds
+//! and handlers observe a consistent `now`.
 
-use crate::event::{EventHandle, EventQueue};
+use crate::event::EventQueue;
 use crate::time::SimTime;
 
 /// Scheduling context handed to a [`Model`] while it handles an event.
@@ -22,18 +22,8 @@ impl<'a, E> Ctx<'a, E> {
     }
 
     /// Schedules an event at absolute time `at`.
-    pub fn schedule(&mut self, at: SimTime, event: E) -> EventHandle {
+    pub fn schedule(&mut self, at: SimTime, event: E) {
         self.queue.schedule(at, event)
-    }
-
-    /// Cancels a previously scheduled event; true if it was still pending.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        self.queue.cancel(handle)
-    }
-
-    /// Number of live pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 }
 
@@ -43,22 +33,9 @@ pub trait Model<E> {
     fn on_event(&mut self, ctx: &mut Ctx<'_, E>, event: E);
 }
 
-/// Why [`Engine::run`] returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StopReason {
-    /// The event queue drained.
-    Quiescent,
-    /// The next event lay beyond the configured horizon.
-    Horizon,
-    /// The step budget was exhausted (likely a self-scheduling loop).
-    StepBudget,
-}
-
-/// Owns the event queue and drives a [`Model`] to completion.
+/// Owns the event queue and dispatches its events to a [`Model`].
 pub struct Engine<E> {
     queue: EventQueue<E>,
-    horizon: SimTime,
-    max_steps: u64,
     steps: u64,
 }
 
@@ -69,31 +46,16 @@ impl<E> Default for Engine<E> {
 }
 
 impl<E> Engine<E> {
-    /// Creates an engine with an unbounded horizon and a large default step
-    /// budget (2^40 events).
+    /// Creates an engine with an empty queue and the clock at zero.
     pub fn new() -> Self {
         Engine {
             queue: EventQueue::new(),
-            horizon: SimTime::MAX,
-            max_steps: 1 << 40,
             steps: 0,
         }
     }
 
-    /// Stops before processing any event scheduled after `horizon`.
-    pub fn with_horizon(mut self, horizon: SimTime) -> Self {
-        self.horizon = horizon;
-        self
-    }
-
-    /// Caps the number of processed events (runaway-model guard).
-    pub fn with_step_budget(mut self, max_steps: u64) -> Self {
-        self.max_steps = max_steps;
-        self
-    }
-
     /// Seeds the queue before the run starts.
-    pub fn prime(&mut self, at: SimTime, event: E) -> EventHandle {
+    pub fn prime(&mut self, at: SimTime, event: E) {
         self.queue.schedule(at, event)
     }
 
@@ -108,13 +70,13 @@ impl<E> Engine<E> {
     }
 
     /// Timestamp of the next pending event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
     }
 
     /// Pops and dispatches exactly one event. Returns false when the queue
-    /// is empty (nothing was dispatched). The horizon is not consulted —
-    /// callers stepping manually check [`Engine::peek_time`] themselves.
+    /// is empty (nothing was dispatched). Callers bound the run themselves
+    /// by checking [`Engine::peek_time`] and [`Engine::steps`] first.
     pub fn step<M: Model<E>>(&mut self, model: &mut M) -> bool {
         let Some((_, event)) = self.queue.pop() else {
             return false;
@@ -131,10 +93,10 @@ impl<E> Engine<E> {
     /// queue. The clock advances to `at` first, so the handler observes the
     /// same `now` as if the event had been popped.
     ///
-    /// This is how the streaming driver injects arrivals: an arrival
-    /// dispatched here when `at <= peek_time()` fires *before* every queued
-    /// event at the same timestamp — exactly the order a pre-primed run
-    /// gives arrivals, whose sequence numbers predate all runtime events.
+    /// This is how the driver injects every arrival: an arrival dispatched
+    /// here when `at <= peek_time()` fires *before* every queued event at
+    /// the same timestamp — exactly the order a pre-primed run gives
+    /// arrivals, whose sequence numbers predate all runtime events.
     pub fn dispatch<M: Model<E>>(&mut self, model: &mut M, at: SimTime, event: E) {
         self.queue.advance_to(at);
         self.steps += 1;
@@ -149,8 +111,7 @@ impl<E> Engine<E> {
         self.queue.advance_to(at);
     }
 
-    /// Live pending events in firing order (see
-    /// [`EventQueue::pending_events`]).
+    /// Pending events in firing order (see [`EventQueue::pending_events`]).
     pub fn pending_events(&self) -> Vec<(SimTime, E)>
     where
         E: Clone,
@@ -162,26 +123,6 @@ impl<E> Engine<E> {
     /// accounting continues from the captured run).
     pub fn set_steps(&mut self, steps: u64) {
         self.steps = steps;
-    }
-
-    /// Runs the model until quiescence, the horizon, or the step budget.
-    pub fn run<M: Model<E>>(&mut self, model: &mut M) -> StopReason {
-        loop {
-            if self.steps >= self.max_steps {
-                return StopReason::StepBudget;
-            }
-            match self.queue.peek_time() {
-                None => return StopReason::Quiescent,
-                Some(t) if t > self.horizon => return StopReason::Horizon,
-                Some(_) => {}
-            }
-            let (_, event) = self.queue.pop().expect("peeked event vanished");
-            self.steps += 1;
-            let mut ctx = Ctx {
-                queue: &mut self.queue,
-            };
-            model.on_event(&mut ctx, event);
-        }
     }
 }
 
@@ -225,73 +166,9 @@ mod tests {
             seen: vec![],
             limit: 5,
         };
-        let reason = engine.run(&mut model);
-        assert_eq!(reason, StopReason::Quiescent);
+        while engine.step(&mut model) {}
         assert_eq!(model.seen, vec![0, 1, 2, 3, 4]);
         assert_eq!(engine.now(), SimTime::from_secs(4));
         assert_eq!(engine.steps(), 6); // 5 pings + 1 stop
-    }
-
-    #[test]
-    fn horizon_stops_before_late_events() {
-        let mut engine = Engine::new().with_horizon(SimTime::from_secs(2));
-        engine.prime(SimTime::ZERO, Ev::Ping(0));
-        let mut model = PingPong {
-            seen: vec![],
-            limit: 100,
-        };
-        let reason = engine.run(&mut model);
-        assert_eq!(reason, StopReason::Horizon);
-        // Pings at t=0,1,2 processed; t=3 beyond horizon.
-        assert_eq!(model.seen, vec![0, 1, 2]);
-        assert_eq!(engine.now(), SimTime::from_secs(2));
-    }
-
-    #[test]
-    fn step_budget_halts_runaway_models() {
-        struct Forever;
-        impl Model<()> for Forever {
-            fn on_event(&mut self, ctx: &mut Ctx<'_, ()>, _: ()) {
-                ctx.schedule(ctx.now(), ());
-            }
-        }
-        let mut engine = Engine::new().with_step_budget(1000);
-        engine.prime(SimTime::ZERO, ());
-        assert_eq!(engine.run(&mut Forever), StopReason::StepBudget);
-        assert_eq!(engine.steps(), 1000);
-    }
-
-    #[test]
-    fn ctx_cancel_prevents_follow_up() {
-        struct Canceller {
-            handle: Option<EventHandle>,
-            fired: u32,
-        }
-        #[derive(Debug)]
-        enum E2 {
-            Arm,
-            Bomb,
-        }
-        impl Model<E2> for Canceller {
-            fn on_event(&mut self, ctx: &mut Ctx<'_, E2>, event: E2) {
-                match event {
-                    E2::Arm => {
-                        if let Some(h) = self.handle.take() {
-                            ctx.cancel(h);
-                        }
-                    }
-                    E2::Bomb => self.fired += 1,
-                }
-            }
-        }
-        let mut engine = Engine::new();
-        let bomb = engine.prime(SimTime::from_secs(10), E2::Bomb);
-        engine.prime(SimTime::from_secs(1), E2::Arm);
-        let mut model = Canceller {
-            handle: Some(bomb),
-            fired: 0,
-        };
-        engine.run(&mut model);
-        assert_eq!(model.fired, 0, "cancelled event must not fire");
     }
 }

@@ -1,18 +1,14 @@
-//! Deterministic event queue with stable ordering and O(log n) cancellation.
+//! Deterministic event queue with stable ordering.
 //!
 //! Events at equal timestamps pop in insertion order (FIFO), which makes the
 //! simulation independent of heap-internal layout and therefore
-//! reproducible. Cancellation is done with tombstones: a cancelled entry
-//! stays in the heap and is skipped on pop, so `cancel` is O(log n) amortized
-//! via the `BTreeSet` of live handles.
+//! reproducible. Every scheduled event fires: a handler whose event may go
+//! stale guards it itself, with a generation or attempt counter in the
+//! payload.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
-
-/// Identifies a scheduled event so it can be cancelled before it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventHandle(u64);
+use std::collections::BinaryHeap;
 
 #[derive(Debug)]
 struct Scheduled<E> {
@@ -43,7 +39,6 @@ impl<E> Ord for Scheduled<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Scheduled<E>>>,
-    live: BTreeSet<u64>,
     next_seq: u64,
     now: SimTime,
 }
@@ -59,7 +54,6 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            live: BTreeSet::new(),
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -70,21 +64,11 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of live (non-cancelled) events still pending.
-    pub fn len(&self) -> usize {
-        self.live.len()
-    }
-
-    /// True if no live events remain.
-    pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
-    }
-
     /// Schedules `event` to fire at absolute time `at`.
     ///
     /// Scheduling into the past is a logic error; debug builds panic, release
     /// builds fire the event at the current time (never rewinding the clock).
-    pub fn schedule(&mut self, at: SimTime, event: E) -> EventHandle {
+    pub fn schedule(&mut self, at: SimTime, event: E) {
         debug_assert!(
             at >= self.now,
             "scheduled event at {at} before now {}",
@@ -93,31 +77,21 @@ impl<E> EventQueue<E> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.live.insert(seq);
         self.heap.push(Reverse(Scheduled {
             time: at,
             seq,
             event,
         }));
-        EventHandle(seq)
     }
 
-    /// Cancels a pending event. Returns true if the event was still live.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        self.live.remove(&handle.0)
-    }
-
-    /// Timestamp of the next live event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skip_dead();
+    /// Timestamp of the next event, if any.
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(s)| s.time)
     }
 
-    /// Pops the next live event, advancing the clock to its timestamp.
+    /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.skip_dead();
         let Reverse(s) = self.heap.pop()?;
-        self.live.remove(&s.seq);
         self.now = s.time;
         Some((s.time, s.event))
     }
@@ -125,15 +99,15 @@ impl<E> EventQueue<E> {
     /// Advances the clock to `at` without popping anything.
     ///
     /// Used by checkpoint restore (re-prime pending events, then move the
-    /// clock to the captured instant) and by direct event dispatch in the
-    /// streaming driver. Never rewinds: debug builds panic on a past `at`,
-    /// release builds clamp to the current time.
+    /// clock to the captured instant) and by direct event dispatch of
+    /// arrivals. Never rewinds: debug builds panic on a past `at`, release
+    /// builds clamp to the current time.
     pub fn advance_to(&mut self, at: SimTime) {
         debug_assert!(at >= self.now, "advance_to {at} before now {}", self.now);
         self.now = self.now.max(at);
     }
 
-    /// Snapshot view of every live pending event, sorted by firing order
+    /// Snapshot view of every pending event, sorted by firing order
     /// (`(time, seq)` — the exact order they would pop in).
     ///
     /// Re-scheduling these, in order, into a fresh queue reproduces the
@@ -145,26 +119,12 @@ impl<E> EventQueue<E> {
     where
         E: Clone,
     {
-        let mut live: Vec<&Scheduled<E>> = self
-            .heap
-            .iter()
-            .map(|Reverse(s)| s)
-            .filter(|s| self.live.contains(&s.seq))
-            .collect();
-        live.sort_by_key(|s| (s.time, s.seq));
-        live.into_iter()
+        let mut pending: Vec<&Scheduled<E>> = self.heap.iter().map(|Reverse(s)| s).collect();
+        pending.sort_unstable();
+        pending
+            .into_iter()
             .map(|s| (s.time, s.event.clone()))
             .collect()
-    }
-
-    /// Drops cancelled entries sitting at the top of the heap.
-    fn skip_dead(&mut self) {
-        while let Some(Reverse(s)) = self.heap.peek() {
-            if self.live.contains(&s.seq) {
-                return;
-            }
-            self.heap.pop();
-        }
     }
 }
 
@@ -204,52 +164,6 @@ mod tests {
         assert_eq!(q.now(), SimTime::from_secs(2));
         q.pop();
         assert_eq!(q.now(), SimTime::from_secs(7));
-    }
-
-    #[test]
-    fn cancelled_events_do_not_fire() {
-        let mut q = EventQueue::new();
-        let h1 = q.schedule(SimTime::from_secs(1), "dead");
-        q.schedule(SimTime::from_secs(2), "alive");
-        assert!(q.cancel(h1));
-        assert!(!q.cancel(h1), "double-cancel must report false");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().map(|(_, e)| e), Some("alive"));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(SimTime::from_secs(1), ());
-        q.schedule(SimTime::from_secs(4), ());
-        q.cancel(h);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(4)));
-    }
-
-    #[test]
-    fn len_tracks_live_events_only() {
-        let mut q = EventQueue::new();
-        let handles: Vec<_> = (0..5)
-            .map(|i| q.schedule(SimTime::from_secs(i), i))
-            .collect();
-        assert_eq!(q.len(), 5);
-        q.cancel(handles[2]);
-        assert_eq!(q.len(), 4);
-        q.pop();
-        assert_eq!(q.len(), 3);
-    }
-
-    #[test]
-    fn reschedule_pattern() {
-        // Typical DVFS pattern: cancel a completion event, reschedule later.
-        let mut q = EventQueue::new();
-        let h = q.schedule(SimTime::from_secs(10), "early-completion");
-        q.cancel(h);
-        q.schedule(SimTime::from_secs(15), "late-completion");
-        let (t, e) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_secs(15));
-        assert_eq!(e, "late-completion");
     }
 
     #[test]

@@ -3,14 +3,11 @@
 //! The substrate every other iScope crate runs on:
 //!
 //! * [`time`] — integer-millisecond [`SimTime`]/[`SimDuration`] clock.
-//! * [`event`] — [`EventQueue`] with FIFO tie-breaking and cancellation.
-//! * [`engine`] — the [`Engine`]/[`Model`] driver loop.
+//! * [`event`] — [`EventQueue`] with FIFO tie-breaking.
+//! * [`engine`] — the [`Engine`]/[`Model`] one-event step.
 //! * [`rng`] — seeded [`SimRng`] with Normal / Poisson / Weibull /
 //!   LogNormal samplers (implemented in-crate; see DESIGN.md §6).
-//! * [`site`] — [`SiteTagged`] event wrapper routing one engine's events
-//!   to the per-site states of a federated run.
-//! * [`stats`] — Welford accumulators and time-weighted integrals
-//!   (the power→energy accounting path).
+//! * [`stats`] — Welford accumulators, histograms and quantiles.
 //! * [`trace`] — fixed-interval samplers for the power-trace figures.
 //!
 //! Everything is deterministic given a seed: equal-time events pop in
@@ -22,15 +19,13 @@
 pub mod engine;
 pub mod event;
 pub mod rng;
-pub mod site;
 pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use engine::{Ctx, Engine, Model, StopReason};
-pub use event::{EventHandle, EventQueue};
+pub use engine::{Ctx, Engine, Model};
+pub use event::EventQueue;
 pub use rng::{RngSnapshot, SimRng};
-pub use site::SiteTagged;
-pub use stats::{Histogram, Running, TimeWeighted};
+pub use stats::{Histogram, Running};
 pub use time::{SimDuration, SimTime};
 pub use trace::{RowSampler, Sampler, TimeSeries};

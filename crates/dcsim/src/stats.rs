@@ -1,11 +1,7 @@
 //! Statistical accumulators used throughout the simulator.
 //!
-//! [`Running`] computes streaming mean/variance (Welford); [`TimeWeighted`]
-//! integrates a piecewise-constant signal over simulated time (the power →
-//! energy accounting path); [`Histogram`] bins samples for distribution
-//! reports.
-
-use crate::time::SimTime;
+//! [`Running`] computes streaming mean/variance (Welford); [`Histogram`]
+//! bins samples for distribution reports.
 
 /// Streaming count/mean/variance accumulator (Welford's algorithm).
 #[derive(Debug, Clone, Default)]
@@ -99,12 +95,6 @@ impl Running {
     /// is commutative and associative in that sense, so partial `Running`s
     /// from shards can be reduced in any tree shape. `self` is left as the
     /// combined accumulator; `other` is not consumed and can be reused.
-    ///
-    /// Note [`TimeWeighted`] deliberately has no merge: it integrates one
-    /// piecewise-constant signal against a single non-decreasing clock, and
-    /// two accumulators over overlapping time ranges have no well-defined
-    /// combination (their `current` values would conflict). Shard by signal,
-    /// not by time, and sum the `integral()`s if a total is needed.
     pub fn merge(&mut self, other: &Running) {
         if other.count == 0 {
             return;
@@ -122,107 +112,6 @@ impl Running {
         self.count += other.count;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-}
-
-/// Integrates a piecewise-constant signal over simulated time.
-///
-/// Feed it the value that becomes active at each instant; the integral picks
-/// up `value * dt` for every interval. Used for power (W) → energy (J).
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    last_time: SimTime,
-    current: f64,
-    integral: f64,
-    weighted_min: f64,
-    weighted_max: f64,
-    started: bool,
-}
-
-impl Default for TimeWeighted {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TimeWeighted {
-    /// Creates an accumulator with the signal at 0 from t = 0.
-    pub fn new() -> Self {
-        TimeWeighted {
-            last_time: SimTime::ZERO,
-            current: 0.0,
-            integral: 0.0,
-            weighted_min: f64::INFINITY,
-            weighted_max: f64::NEG_INFINITY,
-            started: false,
-        }
-    }
-
-    /// Records that the signal takes value `value` from instant `at` onward.
-    ///
-    /// Instants must be non-decreasing.
-    pub fn set(&mut self, at: SimTime, value: f64) {
-        self.advance(at);
-        self.current = value;
-        self.started = true;
-        self.weighted_min = self.weighted_min.min(value);
-        self.weighted_max = self.weighted_max.max(value);
-    }
-
-    /// Adds `delta` to the current signal value from instant `at` onward.
-    pub fn add(&mut self, at: SimTime, delta: f64) {
-        let v = self.current + delta;
-        self.set(at, v);
-    }
-
-    /// Integrates up to `at` without changing the value.
-    pub fn advance(&mut self, at: SimTime) {
-        debug_assert!(at >= self.last_time, "TimeWeighted fed out of order");
-        let dt = at.saturating_since(self.last_time).as_secs_f64();
-        self.integral += self.current * dt;
-        self.last_time = at;
-    }
-
-    /// Value currently active.
-    pub fn current(&self) -> f64 {
-        self.current
-    }
-
-    /// Integral so far, in value·seconds (joules when the value is watts).
-    pub fn integral(&self) -> f64 {
-        self.integral
-    }
-
-    /// Integral expressed in value·hours (kWh when the value is kW... i.e.
-    /// watts in → watt-hours out; divide by 1000 for kWh).
-    pub fn integral_hours(&self) -> f64 {
-        self.integral / 3600.0
-    }
-
-    /// Time-average of the signal over `[0, last_update]` (0 if no time has
-    /// elapsed).
-    pub fn time_average(&self) -> f64 {
-        let t = self.last_time.as_secs_f64();
-        if t == 0.0 {
-            0.0
-        } else {
-            self.integral / t
-        }
-    }
-
-    /// Smallest value ever set (`+inf` if never set).
-    pub fn observed_min(&self) -> f64 {
-        self.weighted_min
-    }
-
-    /// Largest value ever set (`-inf` if never set).
-    pub fn observed_max(&self) -> f64 {
-        self.weighted_max
-    }
-
-    /// Timestamp of the last update.
-    pub fn last_time(&self) -> SimTime {
-        self.last_time
     }
 }
 
@@ -302,7 +191,6 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     #[test]
     fn running_matches_batch_formulas() {
@@ -378,37 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn time_weighted_integrates_rectangles() {
-        let mut tw = TimeWeighted::new();
-        tw.set(SimTime::ZERO, 100.0); // 100 W for 10 s
-        tw.set(SimTime::from_secs(10), 50.0); // 50 W for 20 s
-        tw.advance(SimTime::from_secs(30));
-        assert!((tw.integral() - (100.0 * 10.0 + 50.0 * 20.0)).abs() < 1e-9);
-        assert!((tw.time_average() - 2000.0 / 30.0).abs() < 1e-9);
-        assert!((tw.integral_hours() - 2000.0 / 3600.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_add_stacks() {
-        let mut tw = TimeWeighted::new();
-        tw.add(SimTime::ZERO, 10.0);
-        tw.add(SimTime::from_secs(5), 10.0); // now 20
-        tw.add(SimTime::from_secs(10), -20.0); // now 0
-        tw.advance(SimTime::from_secs(20));
-        assert!((tw.integral() - (10.0 * 5.0 + 20.0 * 5.0)).abs() < 1e-9);
-        assert_eq!(tw.current(), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_same_instant_updates() {
-        let mut tw = TimeWeighted::new();
-        tw.set(SimTime::ZERO, 5.0);
-        tw.set(SimTime::ZERO, 7.0); // replaces before any time passes
-        tw.advance(SimTime::from_secs(1));
-        assert!((tw.integral() - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn histogram_bins_and_edges() {
         let mut h = Histogram::new(0.0, 10.0, 10);
         for x in [0.0, 0.5, 5.0, 9.99, -3.0, 42.0] {
@@ -427,14 +284,5 @@ mod tests {
         assert_eq!(quantile_sorted(&xs, 0.0), 1.0);
         assert_eq!(quantile_sorted(&xs, 1.0), 4.0);
         assert!((quantile_sorted(&xs, 0.5) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_tracks_extremes() {
-        let mut tw = TimeWeighted::new();
-        tw.set(SimTime::ZERO, 3.0);
-        tw.set(SimTime::from_secs(1) + SimDuration::from_millis(500), -1.0);
-        assert_eq!(tw.observed_min(), -1.0);
-        assert_eq!(tw.observed_max(), 3.0);
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the simulation engine invariants.
 
-use iscope_dcsim::{EventQueue, Running, SimDuration, SimRng, SimTime, TimeWeighted};
+use iscope_dcsim::{EventQueue, Running, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 
 proptest! {
@@ -24,30 +24,47 @@ proptest! {
         }
     }
 
-    /// Cancelling an arbitrary subset removes exactly those events.
+    /// Re-priming `pending_events()` into a fresh queue (the resume path)
+    /// reproduces the original firing sequence, equal-time ties included:
+    /// after any interleaving of schedules and pops, the same follow-up
+    /// schedules and pops on both queues yield the same `(time, payload)`
+    /// sequence.
     #[test]
-    fn cancellation_removes_exactly_the_cancelled(
-        times in proptest::collection::vec(0u64..1000, 1..100),
-        cancel_mask in proptest::collection::vec(any::<bool>(), 1..100),
+    fn pending_events_reprime_replays_the_run(
+        before in proptest::collection::vec(0u64..6, 0..120),
+        after in proptest::collection::vec(0u64..6, 0..60),
     ) {
+        // An op below `POP` schedules at now + op ms, `POP` and above pop:
+        // small offsets make equal-time ties common.
+        const POP: u64 = 4;
         let mut q = EventQueue::new();
-        let handles: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (i, q.schedule(SimTime::from_millis(t), i)))
-            .collect();
-        let mut expected: Vec<usize> = Vec::new();
-        for (i, h) in &handles {
-            if cancel_mask.get(*i).copied().unwrap_or(false) {
-                q.cancel(*h);
+        let mut id = 0u32;
+        for &op in &before {
+            if op < POP {
+                q.schedule(q.now() + SimDuration::from_millis(op), id);
+                id += 1;
             } else {
-                expected.push(*i);
+                q.pop();
             }
         }
-        let mut popped: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        popped.sort_unstable();
-        expected.sort_unstable();
-        prop_assert_eq!(popped, expected);
+        let mut fresh = EventQueue::new();
+        for (at, ev) in q.pending_events() {
+            fresh.schedule(at, ev);
+        }
+        fresh.advance_to(q.now());
+        for &op in &after {
+            prop_assert_eq!(fresh.now(), q.now());
+            if op < POP {
+                let at = q.now() + SimDuration::from_millis(op);
+                q.schedule(at, id);
+                fresh.schedule(at, id);
+                id += 1;
+            } else {
+                prop_assert_eq!(fresh.pop(), q.pop());
+            }
+        }
+        let drain = |q: &mut EventQueue<u32>| std::iter::from_fn(|| q.pop()).collect::<Vec<_>>();
+        prop_assert_eq!(drain(&mut fresh), drain(&mut q));
     }
 
     /// Welford mean/variance agree with the two-pass batch formulas.
@@ -81,29 +98,6 @@ proptest! {
         prop_assert_eq!(a.count(), whole.count());
         prop_assert!((a.mean() - whole.mean()).abs() < 1e-6);
         prop_assert!((a.variance() - whole.variance()).abs() < 1e-4);
-    }
-
-    /// The time-weighted integral equals the sum of rectangles.
-    #[test]
-    fn time_weighted_equals_rectangles(
-        steps in proptest::collection::vec((1u64..10_000, -1e3f64..1e3), 1..100),
-    ) {
-        let mut tw = TimeWeighted::new();
-        let mut t = SimTime::ZERO;
-        let mut expected = 0.0;
-        let mut current = 0.0;
-        for &(dt, v) in &steps {
-            tw.set(t, v);
-            let dur = SimDuration::from_millis(dt);
-            expected += current * 0.0; // value changes at t, so previous rect already counted
-            current = v;
-            let t2 = t + dur;
-            expected += v * dur.as_secs_f64();
-            t = t2;
-        }
-        tw.advance(t);
-        prop_assert!((tw.integral() - expected).abs() < 1e-6 * expected.abs().max(1.0),
-            "integral {} vs expected {}", tw.integral(), expected);
     }
 
     /// Samplers stay within their mathematical supports.

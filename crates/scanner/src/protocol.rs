@@ -12,7 +12,7 @@
 use crate::records::{ChipBlock, LevelRecord, ProfilingRecords, VoltageGrid};
 use crate::sbft::{TestKind, TestProgram};
 use iscope_dcsim::{SimDuration, SimRng};
-use iscope_pvmodel::{Chip, ChipId, CoreId, Fleet, FreqLevel};
+use iscope_pvmodel::{Chip, ChipId, CoreId, DvfsConfig, Fleet, FreqLevel};
 
 /// Configuration of the iScope scanner.
 #[derive(Debug, Clone)]
@@ -37,6 +37,13 @@ pub struct ScannerConfig {
     /// Processors profiled concurrently in one profiling domain (one
     /// master drives this many slaves).
     pub domain_size: usize,
+}
+
+impl ScannerConfig {
+    /// The probe grid this configuration scans over `dvfs`.
+    pub fn grid(&self, dvfs: &DvfsConfig) -> VoltageGrid {
+        VoltageGrid::from_dvfs(dvfs, self.grid_points, self.grid_depth)
+    }
 }
 
 impl Default for ScannerConfig {
@@ -135,6 +142,21 @@ impl ChipScan<'_> {
         self.block().measured_vmin_chip(level)
     }
 }
+
+/// A Min Vdd row over every DVFS level, read from `measured`; levels the
+/// scan could not resolve fall back to nominal voltage (see
+/// [`ScanReport::defective_chips`] for why that is not safe for them).
+pub fn with_nominal_fallback(
+    dvfs: &DvfsConfig,
+    measured: impl Fn(FreqLevel) -> Option<f64>,
+) -> Vec<f64> {
+    dvfs.levels()
+        .map(|l| measured(l).unwrap_or_else(|| dvfs.v_nom(l)))
+        .collect()
+}
+
+/// Label of the RNG stream a fleet-wide scan draws from.
+const FLEET_SCAN_STREAM: &str = "scanner";
 
 /// The iScope scanner: drives the profiling protocol over a fleet.
 #[derive(Debug, Clone)]
@@ -253,13 +275,28 @@ impl Scanner {
         }
     }
 
+    /// Every chip's chip-level measured Min Vdd row, with the nominal
+    /// fallback: [`ScanReport::measured_vmin`] of
+    /// [`Scanner::profile_fleet`] (same kernel, same draws), scanned chip
+    /// by chip so no fleet-sized records are built.
+    pub fn fleet_vmin(&self, fleet: &Fleet, seed: u64) -> Vec<Vec<f64>> {
+        let grid = self.config.grid(&fleet.dvfs);
+        let mut rng = SimRng::derive(seed, FLEET_SCAN_STREAM);
+        fleet
+            .chips
+            .iter()
+            .map(|chip| {
+                let scan = self.scan_chip(chip, &grid, &mut rng);
+                with_nominal_fallback(&fleet.dvfs, |l| scan.measured_vmin_chip(l))
+            })
+            .collect()
+    }
+
     /// Scans the whole fleet (stage 2 picks every inadequately profiled
     /// chip; domains of `domain_size` run concurrently).
     pub fn profile_fleet(&self, fleet: &Fleet, seed: u64) -> ScanReport {
-        let grid =
-            VoltageGrid::from_dvfs(&fleet.dvfs, self.config.grid_points, self.config.grid_depth);
-        let mut records = ProfilingRecords::for_fleet(grid, fleet);
-        let mut rng = SimRng::derive(seed, "scanner");
+        let mut records = ProfilingRecords::for_fleet(self.config.grid(&fleet.dvfs), fleet);
+        let mut rng = SimRng::derive(seed, FLEET_SCAN_STREAM);
         let mut per_chip_time = Vec::with_capacity(fleet.len());
         for chip in &fleet.chips {
             per_chip_time.push(self.profile_chip(chip, &mut records, &mut rng));
@@ -267,17 +304,7 @@ impl Scanner {
         let measured_vmin: Vec<Vec<f64>> = fleet
             .chips
             .iter()
-            .map(|c| {
-                fleet
-                    .dvfs
-                    .levels()
-                    .map(|l| {
-                        records
-                            .measured_vmin_chip(c.id, l)
-                            .unwrap_or_else(|| fleet.dvfs.v_nom(l))
-                    })
-                    .collect()
-            })
+            .map(|c| with_nominal_fallback(&fleet.dvfs, |l| records.measured_vmin_chip(c.id, l)))
             .collect();
         let measured_vmin_per_core: Vec<Vec<Vec<f64>>> = fleet
             .chips
@@ -285,15 +312,9 @@ impl Scanner {
             .map(|c| {
                 (0..c.cores.len() as u8)
                     .map(|core| {
-                        fleet
-                            .dvfs
-                            .levels()
-                            .map(|l| {
-                                records
-                                    .measured_vmin(CoreId { chip: c.id, core }, l)
-                                    .unwrap_or_else(|| fleet.dvfs.v_nom(l))
-                            })
-                            .collect()
+                        with_nominal_fallback(&fleet.dvfs, |l| {
+                            records.measured_vmin(CoreId { chip: c.id, core }, l)
+                        })
                     })
                     .collect()
             })
@@ -493,6 +514,11 @@ mod tests {
         assert!(
             (report.measured_vmin[5][lvl] - fleet.dvfs.v_nom(top)).abs() < 1e-12,
             "defective chip falls back to nominal"
+        );
+        // The chip-by-chip scan reads the same rows, fallback included.
+        assert_eq!(
+            Scanner::new(ScannerConfig::default()).fleet_vmin(&fleet, 9),
+            report.measured_vmin
         );
         // Healthy chips are unaffected.
         for chip in &fleet.chips {

@@ -12,7 +12,7 @@
 //!   the wrong shape, and tournament-tree extraction wanders the node
 //!   array in usage order — one cache miss per yielded chip. Instead the
 //!   index keeps the fleet as **bucketed sorted runs** of packed keys
-//!   (~[`BUCKET_TARGET`] keys each, split at 2×) with a dirty set: an
+//!   (~`BUCKET_TARGET` keys each, split at 2×) with a dirty set: an
 //!   update is a flag mark plus a list push (O(1)), and acquiring the
 //!   ordering repairs lazily by relocating *only the dirty chips* — a
 //!   bucket lookup over the run minima plus one short memmove inside the
@@ -95,7 +95,7 @@ impl std::fmt::Display for KeyRangeError {
 
 impl std::error::Error for KeyRangeError {}
 
-/// Release-mode checked variant of the [`pack`] range test, for
+/// Release-mode checked variant of the `pack` range test, for
 /// *untrusted* inputs — snapshot restore in particular. The hot placement
 /// path keeps its `debug_assert!`s (the simulator constructs those keys
 /// from values it already bounded); a corrupt or hand-edited snapshot

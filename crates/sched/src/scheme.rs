@@ -72,7 +72,8 @@ impl Scheme {
     ///
     /// `Bin*`: three factory efficiency bins with worst-case voltages.
     /// `Scan*`: an iScope scan (descending-grid stress test by default)
-    /// measured against the fleet's hidden ground truth.
+    /// measured against the fleet's hidden ground truth
+    /// ([`Scanner::fleet_vmin`]).
     pub fn build_plan(self, fleet: &Fleet, seed: u64) -> OperatingPlan {
         match self.profiling() {
             Profiling::Bin => {
@@ -80,8 +81,8 @@ impl Scheme {
                 OperatingPlan::from_binning(fleet, &binning)
             }
             Profiling::Scan => {
-                let report = Scanner::new(ScannerConfig::default()).profile_fleet(fleet, seed);
-                OperatingPlan::from_scanned(fleet, &report.measured_vmin)
+                let measured = Scanner::new(ScannerConfig::default()).fleet_vmin(fleet, seed);
+                OperatingPlan::from_scanned(fleet, &measured)
             }
         }
     }

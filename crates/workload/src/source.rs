@@ -22,7 +22,7 @@
 //! * [`SyntheticSource`] — generates a diurnal synthetic trace directly
 //!   in time order by thinning a Poisson process at the peak intensity,
 //!   so arbitrarily long traces stream in O(1) memory. (The materialized
-//!   [`SyntheticTrace`](crate::SyntheticTrace) draws per-job attributes
+//!   [`SyntheticTrace`] draws per-job attributes
 //!   first and sorts afterwards, which cannot stream; the thinning
 //!   generator draws a *different* — equally valid — trace for the same
 //!   seed.)
