@@ -33,7 +33,7 @@ use iscope_pvmodel::{
     microwatts_to_watts, speed_factor, watts_to_microwatts, ChipId, CoolingModel, Fleet, FreqLevel,
     OperatingPlan,
 };
-use iscope_scanner::{with_nominal_fallback, ProfilingRecords, Scanner, VoltageGrid};
+use iscope_scanner::{with_nominal_fallback, Scanner, VoltageGrid};
 use iscope_sched::{
     match_budget, validate_key_range, CarbonConfig, ChipIndexes, DvfsCandidate, Placement, ProcView,
 };
@@ -200,13 +200,11 @@ pub(crate) struct SiteState {
     pub(crate) deferred: Vec<usize>,
     pub(crate) in_situ: Option<InSituState>,
     pub(crate) faults: Option<FaultState>,
-    /// The blocked view handed to the placement policy: `true` while a
-    /// chip is out of service (`chip_out_of_service`). Derived from the
-    /// in-situ and fault sets by `sync_service` at each of their
-    /// transitions; not serialized (`rebuild_derived` recomputes it).
-    pub(crate) out_of_service: Vec<bool>,
-    /// Number of `false` entries in `out_of_service`.
-    pub(crate) in_service: usize,
+    /// The blocked view handed to the placement policy: the chips out of
+    /// service (`chip_out_of_service`). Derived from the in-situ and fault
+    /// sets by `sync_service` at each of their transitions; not serialized
+    /// (`rebuild_derived` recomputes it).
+    pub(crate) out_of_service: ChipSet,
     pub(crate) surplus_signal: SurplusSignal,
     /// Placement decisions taken (one per job, counting deferred jobs
     /// once, when finally placed). Reported through
@@ -249,11 +247,6 @@ pub(crate) struct SiteState {
     /// transition points (`place_job` push, `release_chips` pop) so the
     /// in-situ profiling check stops recounting the fleet per event.
     pub(crate) busy_queues: usize,
-    /// Chips that are simultaneously idle, unprofiled, and unblocked — the
-    /// in-situ scanner's candidate pool. Ordered (BTreeSet) so candidate
-    /// selection matches the ascending-id scan it replaces bit for bit.
-    /// Maintained only when in-situ profiling is active; empty otherwise.
-    pub(crate) idle_unprofiled: BTreeSet<u32>,
     /// Scratch buffer for the level changes a rebalance applies, reused
     /// across invocations like `PlaceScratch`'s candidate buffers.
     pub(crate) level_scratch: Vec<usize>,
@@ -357,25 +350,132 @@ pub(crate) struct TelemetryState {
     row_scratch: Vec<f64>,
 }
 
+/// A set of chips: a membership flag per chip plus the member count,
+/// kept in step by [`ChipSet::set`]. Saved as its flags; the count is
+/// re-derived on load.
+pub(crate) struct ChipSet {
+    on: Vec<bool>,
+    len: usize,
+}
+
+impl ChipSet {
+    fn new(n: usize) -> ChipSet {
+        ChipSet::from_flags(vec![false; n])
+    }
+
+    fn from_flags(on: Vec<bool>) -> ChipSet {
+        let len = on.iter().filter(|&&b| b).count();
+        ChipSet { on, len }
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.on[i]
+    }
+
+    /// Members now.
+    fn len(&self) -> usize {
+        debug_assert_eq!(self.len, self.iter().count(), "chip-set count diverged");
+        self.len
+    }
+
+    fn set(&mut self, i: usize, on: bool) {
+        if self.on[i] != on {
+            self.on[i] = on;
+            self.len = if on { self.len + 1 } else { self.len - 1 };
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.on.len()).filter(|&i| self.on[i])
+    }
+}
+
+impl ToVal for ChipSet {
+    fn to_val(&self, what: &str) -> Result<Val, SnapshotError> {
+        self.on.to_val(what)
+    }
+}
+
+impl Persist for ChipSet {
+    fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
+        Vec::<bool>::load(v, what).map(ChipSet::from_flags)
+    }
+}
+
+/// One chip-scanning loop (stages 3-6 of Fig. 3): chips isolated and
+/// under scan, the Min Vdd row each returns to service with, and the
+/// facility power the scans draw. In-situ profiling and re-profiling
+/// each own one; their scanner and grid stay with the owner.
+pub(crate) struct ScanBay {
+    /// Measurement-noise stream for this loop's scans.
+    rng: SimRng,
+    /// Chips under scan (out of service).
+    scanning: ChipSet,
+    /// Min Vdd measured at scan start, applied when the scan completes.
+    /// (The chip is isolated and idle for the whole scan, so no wear can
+    /// accrue in between — start and end measurements coincide.)
+    pending_vmin: Vec<Option<Vec<f64>>>,
+    /// Facility power drawn by chips under scan.
+    power_w: f64,
+    /// Accumulated scan energy (J) — part of demand but reported
+    /// separately as the overhead.
+    energy_j: f64,
+}
+
+impl ScanBay {
+    fn new(rng: SimRng, n: usize) -> ScanBay {
+        ScanBay {
+            rng,
+            scanning: ChipSet::new(n),
+            pending_vmin: vec![None; n],
+            power_w: 0.0,
+            energy_j: 0.0,
+        }
+    }
+
+    /// Isolates chip `ci` and scans it now, drawing `power` until
+    /// [`ScanBay::finish`]. Returns the scan's duration and tests run.
+    fn start(
+        &mut self,
+        scanner: &Scanner,
+        grid: &VoltageGrid,
+        fleet: &Fleet,
+        ci: usize,
+        power: f64,
+    ) -> (SimDuration, u64) {
+        let scan = scanner.scan_chip(&fleet.chips[ci], grid, &mut self.rng);
+        self.pending_vmin[ci] = Some(with_nominal_fallback(&fleet.dvfs, |l| {
+            scan.measured_vmin_chip(l)
+        }));
+        self.scanning.set(ci, true);
+        self.power_w += power;
+        (scan.duration, scan.tests_run)
+    }
+
+    /// Chip `ci`'s scan ended: it leaves the bay and its `power` stops.
+    /// Returns the measured row to apply.
+    fn finish(&mut self, ci: usize, power: f64) -> Vec<f64> {
+        self.scanning.set(ci, false);
+        self.power_w = (self.power_w - power).max(0.0);
+        self.pending_vmin[ci]
+            .take()
+            .expect("scan finished without a measurement")
+    }
+}
+
 pub(crate) struct InSituState {
     pub(crate) config: InSituConfig,
     scanner: Scanner,
-    records: ProfilingRecords,
-    rng: SimRng,
-    /// Chips currently isolated for profiling (out of service).
-    blocked: Vec<bool>,
-    /// Number of `true` entries in `blocked`, so the per-check headroom
-    /// computation stops scanning the fleet.
-    blocked_count: usize,
+    grid: VoltageGrid,
+    bay: ScanBay,
     /// Chips whose scan completed and whose plan entry was upgraded.
-    profiled: Vec<bool>,
-    /// Number of `true` entries in `profiled`.
-    profiled_count: usize,
-    /// Facility power drawn by chips under test.
-    profiling_power_w: f64,
-    /// Accumulated profiling energy (J) — part of demand but reported
-    /// separately as the overhead.
-    profiling_energy_note_j: f64,
+    profiled: ChipSet,
+    /// Stability tests the scans ran.
+    tests_run: u64,
+    /// Chips that are simultaneously idle, unprofiled, and not under
+    /// scan — the candidate pool. Ordered (BTreeSet) so candidate
+    /// selection matches the ascending-id scan it replaces bit for bit.
+    idle_unprofiled: BTreeSet<u32>,
 }
 
 /// Runtime state of fault injection, recovery, and periodic re-profiling
@@ -386,11 +486,10 @@ pub(crate) struct FaultState {
     /// other stream, so enabling faults never perturbs placement or
     /// scanner randomness.
     rng: SimRng,
-    /// Measurement-noise stream for the re-scans.
-    scan_rng: SimRng,
-    /// Re-scan machinery (present only with a re-profiling config).
-    scanner: Option<Scanner>,
-    grid: Option<VoltageGrid>,
+    /// The re-scans.
+    bay: ScanBay,
+    /// Re-scan scanner and grid (present only with a re-profiling config).
+    rescan: Option<(Scanner, VoltageGrid)>,
     /// Stress hours a chip may accumulate before it is due for a re-scan
     /// (resolved once from the policy against the *initial* plan;
     /// `INFINITY` without re-profiling).
@@ -398,31 +497,14 @@ pub(crate) struct FaultState {
     /// Accumulated (accelerated) voltage-stress hours per chip since its
     /// last scan.
     stress_hours: Vec<f64>,
-    /// Chips quarantined after a failure, awaiting a re-scan. Written only
-    /// through `set_suspect`, which keeps `suspect_count` in step.
-    suspect: Vec<bool>,
-    /// Number of `true` entries in `suspect` (derived, not serialized).
-    suspect_count: usize,
+    /// Chips quarantined after a failure, awaiting a re-scan.
+    suspect: ChipSet,
     /// Chips due for a re-scan: no new work is placed on them while
     /// their queued work drains.
     draining: Vec<bool>,
-    /// Chips currently under re-scan (out of service). Written only
-    /// through `set_scanning`, which keeps `scanning_count` in step.
-    scanning: Vec<bool>,
-    /// Number of `true` entries in `scanning` (derived, not serialized).
-    scanning_count: usize,
-    /// Min Vdd measured at scan start, applied when the scan completes.
-    /// (The chip is isolated and idle for the whole scan, so no wear can
-    /// accrue in between — start and end measurements coincide.)
-    pending_vmin: Vec<Option<Vec<f64>>>,
     /// Chips that must stay in service: the widest gang in the workload,
     /// or the re-profiling config's availability floor if larger.
     min_in_service: usize,
-    /// Facility power drawn by chips under re-scan.
-    reprofile_power_w: f64,
-    /// Accumulated re-scan energy (J) — part of demand but reported
-    /// separately as the overhead.
-    reprofile_energy_j: f64,
     timing_failures: u64,
     retries: u64,
     failed_jobs: usize,
@@ -437,50 +519,8 @@ impl FaultState {
     /// Whether the fault machinery holds chip `i` out of service:
     /// draining toward a re-scan, under re-scan, or quarantined.
     fn holds(&self, i: usize) -> bool {
-        self.scanning[i] || self.draining[i] || self.suspect[i]
+        self.bay.scanning.contains(i) || self.draining[i] || self.suspect.contains(i)
     }
-
-    fn set_suspect(&mut self, i: usize, on: bool) {
-        set_counted(&mut self.suspect, &mut self.suspect_count, i, on);
-    }
-
-    fn set_scanning(&mut self, i: usize, on: bool) {
-        set_counted(&mut self.scanning, &mut self.scanning_count, i, on);
-    }
-
-    /// Chips quarantined now.
-    fn suspects(&self) -> usize {
-        debug_assert_eq!(self.suspect_count, count_set(&self.suspect));
-        self.suspect_count
-    }
-
-    /// Chips under re-scan now.
-    fn scans(&self) -> usize {
-        debug_assert_eq!(self.scanning_count, count_set(&self.scanning));
-        self.scanning_count
-    }
-
-    /// Re-derives both counts from the sets (after a restore).
-    fn recount(&mut self) {
-        self.suspect_count = count_set(&self.suspect);
-        self.scanning_count = count_set(&self.scanning);
-    }
-}
-
-/// Sets `set[i]` to `on`, keeping `count` equal to the set's size.
-fn set_counted(set: &mut [bool], count: &mut usize, i: usize, on: bool) {
-    if set[i] != on {
-        set[i] = on;
-        if on {
-            *count += 1;
-        } else {
-            *count -= 1;
-        }
-    }
-}
-
-fn count_set(set: &[bool]) -> usize {
-    set.iter().filter(|&&b| b).count()
 }
 
 impl SiteState {
@@ -499,13 +539,6 @@ impl SiteState {
             ]
         });
         let num_levels = input.fleet.dvfs.num_levels();
-        // Every chip starts idle, unprofiled, and unblocked, so the
-        // in-situ candidate pool starts as the whole fleet.
-        let idle_unprofiled: BTreeSet<u32> = if input.in_situ.is_some() {
-            (0..n as u32).collect()
-        } else {
-            BTreeSet::new()
-        };
         let fault_cfg = input.fault_injection;
         let faults = fault_cfg.map(|config| {
             config.model.validate();
@@ -522,32 +555,24 @@ impl SiteState {
                 r.policy
                     .stress_interval_hours(&input.fleet, &input.plan, &config.model.aging)
             });
-            let (scanner, grid) = match reprofile {
-                Some(r) => (
-                    Some(Scanner::new(r.scanner.clone())),
-                    Some(r.scanner.grid(&input.fleet.dvfs)),
-                ),
-                None => (None, None),
-            };
+            let rescan = reprofile.map(|r| {
+                (
+                    Scanner::new(r.scanner.clone()),
+                    r.scanner.grid(&input.fleet.dvfs),
+                )
+            });
             let min_in_service = (widest_gang as usize).max(
                 reprofile.map_or(0, |r| (n as f64 * r.min_available_fraction).ceil() as usize),
             );
             FaultState {
                 rng: SimRng::derive(input.seed, "fault-injection"),
-                scan_rng: SimRng::derive(input.seed, "re-profiling"),
-                scanner,
-                grid,
+                bay: ScanBay::new(SimRng::derive(input.seed, "re-profiling"), n),
+                rescan,
                 stress_interval_hours,
                 stress_hours: vec![0.0; n],
-                suspect: vec![false; n],
-                suspect_count: 0,
+                suspect: ChipSet::new(n),
                 draining: vec![false; n],
-                scanning: vec![false; n],
-                scanning_count: 0,
-                pending_vmin: vec![None; n],
                 min_in_service,
-                reprofile_power_w: 0.0,
-                reprofile_energy_j: 0.0,
                 timing_failures: 0,
                 retries: 0,
                 failed_jobs: 0,
@@ -588,7 +613,6 @@ impl SiteState {
             running_demand_uw: 0,
             chain_len_ms: vec![0; n],
             busy_queues: 0,
-            idle_unprofiled,
             level_scratch: Vec::new(),
             queued_jobs: 0,
             audit: input.audit.map(|config| {
@@ -634,21 +658,16 @@ impl SiteState {
             battery: input.supply.battery.map(BatteryState::empty),
             phase_ns: PhaseTimers::default(),
             faults,
-            out_of_service: vec![false; n],
-            in_service: n,
+            out_of_service: ChipSet::new(n),
             in_situ: input.in_situ.map(|config| InSituState {
                 scanner: Scanner::new(config.scanner.clone()),
-                records: ProfilingRecords::for_fleet(
-                    config.scanner.grid(&input.fleet.dvfs),
-                    &input.fleet,
-                ),
-                rng: SimRng::derive(input.seed, "in-situ-scanner"),
-                blocked: vec![false; n],
-                blocked_count: 0,
-                profiled: vec![false; n],
-                profiled_count: 0,
-                profiling_power_w: 0.0,
-                profiling_energy_note_j: 0.0,
+                grid: config.scanner.grid(&input.fleet.dvfs),
+                bay: ScanBay::new(SimRng::derive(input.seed, "in-situ-scanner"), n),
+                profiled: ChipSet::new(n),
+                tests_run: 0,
+                // Every chip starts idle, unprofiled, and in service, so
+                // the candidate pool starts as the whole fleet.
+                idle_unprofiled: (0..n as u32).collect(),
                 config,
             }),
             fleet: input.fleet,
@@ -818,11 +837,8 @@ impl SiteState {
             if let Some(b) = self.battery.as_mut() {
                 b.step(wind - self.current_demand_w, dt);
             }
-            if let Some(insitu) = &mut self.in_situ {
-                insitu.profiling_energy_note_j += insitu.profiling_power_w * dt;
-            }
-            if let Some(faults) = &mut self.faults {
-                faults.reprofile_energy_j += faults.reprofile_power_w * dt;
+            for bay in self.bays_mut() {
+                bay.energy_j += bay.power_w * dt;
             }
             if let Some(mut audit) = self.audit.take() {
                 // Shadow integration over the same interval, but at the
@@ -913,11 +929,8 @@ impl SiteState {
             "incremental running-demand aggregate diverged from replay"
         );
         let mut demand = microwatts_to_watts(self.running_demand_uw);
-        if let Some(insitu) = &self.in_situ {
-            demand += insitu.profiling_power_w;
-        }
-        if let Some(faults) = &self.faults {
-            demand += faults.reprofile_power_w;
+        for bay in self.bays() {
+            demand += bay.power_w;
         }
         self.current_demand_w = demand;
         let wind = self.supply.wind_power_at(now);
@@ -977,15 +990,8 @@ impl SiteState {
         // Overhead draw recomputed from the out-of-service sets, not the
         // incrementally add/subtracted running totals.
         let mut overhead_w = 0.0;
-        if let Some(insitu) = &self.in_situ {
-            for (ci, _) in insitu.blocked.iter().enumerate().filter(|(_, &b)| b) {
-                overhead_w += self.scan_power_w(ci);
-            }
-        }
-        if let Some(faults) = &self.faults {
-            for (ci, _) in faults.scanning.iter().enumerate().filter(|(_, &s)| s) {
-                overhead_w += self.scan_power_w(ci);
-            }
+        for ci in self.bays().flat_map(|bay| bay.scanning.iter()) {
+            overhead_w += self.scan_power_w(ci);
         }
         let audit_demand = microwatts_to_watts(running_uw) + overhead_w;
         let rel = (audit_demand - engine_demand_w).abs() / engine_demand_w.abs().max(1.0);
@@ -1020,7 +1026,7 @@ impl SiteState {
             row[telemetry::CHANNELS_BEFORE_LEVELS + self.jobs[i].level.0 as usize] += 1.0;
         }
         row[telemetry::CHANNELS_BEFORE_LEVELS + levels] =
-            self.faults.as_ref().map_or(0.0, |f| f.suspects() as f64);
+            self.faults.as_ref().map_or(0.0, |f| f.suspect.len() as f64);
         // Cumulative cost/carbon previews (open segment included, meters
         // untouched) — the `site`-tagged channels the carbon sweep reads.
         row[telemetry::CHANNELS_BEFORE_LEVELS + levels + 1] = self.costs.carbon.preview();
@@ -1086,6 +1092,9 @@ impl SiteState {
             "busy-queue counter diverged from the queues"
         );
         let busy = self.busy_queues;
+        // Every out-of-service chip counts against the floor: in-situ
+        // isolation and the fault machinery alike.
+        let available_now = self.in_service();
         let Some(insitu) = &mut self.in_situ else {
             return;
         };
@@ -1093,37 +1102,35 @@ impl SiteState {
         if utilization >= insitu.config.utilization_threshold {
             return; // stage 1: only profile at low utilization
         }
-        // Every out-of-service chip counts against the floor: in-situ
-        // isolation and the fault machinery alike.
-        let available_now = self.in_service;
         let min_available = (n as f64 * insitu.config.min_available_fraction).ceil() as usize;
         let mut may_take = available_now.saturating_sub(min_available);
         may_take = may_take.min(insitu.scanner.config().domain_size);
         if may_take == 0 {
             return;
         }
-        // Stage 2: choose idle, unprofiled, unblocked chips (a profiling
-        // domain). The pool is kept in ascending chip id, so the domain is
-        // the same one the full-fleet filter scan used to pick.
+        // Stage 2: choose idle, unprofiled chips not under scan (a
+        // profiling domain). The pool is kept in ascending chip id, so the
+        // domain is the same one the full-fleet filter scan used to pick.
         #[cfg(debug_assertions)]
         {
             let replay: Vec<u32> = (0..n as u32)
                 .filter(|&c| {
-                    !insitu.profiled[c as usize]
-                        && !insitu.blocked[c as usize]
-                        && self.queues[c as usize].is_empty()
+                    let ci = c as usize;
+                    !insitu.profiled.contains(ci)
+                        && !insitu.bay.scanning.contains(ci)
+                        && self.queues[ci].is_empty()
                 })
                 .collect();
-            let pool: Vec<u32> = self.idle_unprofiled.iter().copied().collect();
+            let pool: Vec<u32> = insitu.idle_unprofiled.iter().copied().collect();
             debug_assert_eq!(pool, replay, "idle-unprofiled pool diverged");
         }
-        // The pool tracks idle/unprofiled/unblocked only; the fault
+        // The pool leaves out only the in-situ scans; the fault
         // machinery's out-of-service chips are filtered here.
-        let candidates: Vec<u32> = self
+        let candidates: Vec<u32> = insitu
             .idle_unprofiled
             .iter()
             .copied()
-            .filter(|&c| !self.out_of_service[c as usize])
+            .filter(|&c| !self.out_of_service.contains(c as usize))
             .take(may_take)
             .collect();
         for c in candidates {
@@ -1131,16 +1138,14 @@ impl SiteState {
             let power = self.scan_power_w(ci);
             let insitu = self.in_situ.as_mut().expect("checked above");
             // Stages 3-6 run against the hidden silicon now; the chip is
-            // out of service for the resulting test time.
-            let duration = insitu.scanner.profile_chip(
-                &self.fleet.chips[ci],
-                &mut insitu.records,
-                &mut insitu.rng,
-            );
-            insitu.blocked[ci] = true;
-            insitu.blocked_count += 1;
-            insitu.profiling_power_w += power;
-            self.idle_unprofiled.remove(&c);
+            // out of service for the resulting test time. Each chip is
+            // scanned once, so its own fresh records are the whole story.
+            let (duration, tests_run) =
+                insitu
+                    .bay
+                    .start(&insitu.scanner, &insitu.grid, &self.fleet, ci, power);
+            insitu.tests_run += tests_run;
+            insitu.idle_unprofiled.remove(&c);
             self.sync_service(ci);
             ctx.schedule(now + duration, SiteEv::ProfilingDone { chip: c });
         }
@@ -1155,16 +1160,10 @@ impl SiteState {
         let Some(insitu) = &mut self.in_situ else {
             return;
         };
-        insitu.blocked[ci] = false;
-        insitu.blocked_count -= 1;
-        insitu.profiled[ci] = true;
-        insitu.profiled_count += 1;
-        // A profiled chip never re-enters the scan pool; it was removed
-        // when blocked and stays out.
-        insitu.profiling_power_w = (insitu.profiling_power_w - scan_power).max(0.0);
-        let measured = with_nominal_fallback(&self.fleet.dvfs, |l| {
-            insitu.records.measured_vmin_chip(ChipId(chip_idx), l)
-        });
+        // A profiled chip never re-enters the scan pool; it left it when
+        // its scan started and stays out.
+        insitu.profiled.set(ci, true);
+        let measured = insitu.bay.finish(ci, scan_power);
         self.sync_service(ci);
         self.apply_scan(chip_idx, measured, now);
     }
@@ -1220,30 +1219,32 @@ impl SiteState {
     /// in-situ scanner, or held out by the fault machinery. The ground
     /// truth the `out_of_service` view is derived from.
     fn chip_out_of_service(&self, i: usize) -> bool {
-        self.in_situ.as_ref().is_some_and(|s| s.blocked[i])
+        self.in_situ
+            .as_ref()
+            .is_some_and(|s| s.bay.scanning.contains(i))
             || self.faults.as_ref().is_some_and(|f| f.holds(i))
     }
 
     /// Re-derives chip `i`'s entry in the blocked view after its in-situ
-    /// or fault state changed, keeping the in-service count in step.
+    /// or fault state changed.
     fn sync_service(&mut self, i: usize) {
-        let out = self.chip_out_of_service(i);
-        if out != self.out_of_service[i] {
-            self.out_of_service[i] = out;
-            if out {
-                self.in_service -= 1;
-            } else {
-                self.in_service += 1;
-            }
-        }
+        self.out_of_service.set(i, self.chip_out_of_service(i));
     }
 
-    /// Chips the in-situ scanner has upgraded so far.
-    fn profiled_count(&self) -> usize {
-        self.in_situ.as_ref().map_or(0, |s| {
-            debug_assert_eq!(s.profiled_count, s.profiled.iter().filter(|&&p| p).count());
-            s.profiled_count
-        })
+    /// Chips in service now.
+    fn in_service(&self) -> usize {
+        self.fleet.len() - self.out_of_service.len()
+    }
+
+    /// The scan bays, in-situ first: every sum over them keeps one order.
+    fn bays(&self) -> impl Iterator<Item = &ScanBay> {
+        let insitu = self.in_situ.iter().map(|s| &s.bay);
+        insitu.chain(self.faults.iter().map(|f| &f.bay))
+    }
+
+    fn bays_mut(&mut self) -> impl Iterator<Item = &mut ScanBay> {
+        let insitu = self.in_situ.iter_mut().map(|s| &mut s.bay);
+        insitu.chain(self.faults.iter_mut().map(|f| &mut f.bay))
     }
 
     /// Whether an arrival should wait in the deferred pool: either the
@@ -1452,13 +1453,9 @@ impl SiteState {
         let surplus = self.wind_surplus(now, idx);
         self.refresh_avail(now);
         debug_assert!(
-            (0..self.fleet.len()).all(|i| self.out_of_service[i] == self.chip_out_of_service(i)),
+            (0..self.fleet.len())
+                .all(|i| self.out_of_service.contains(i) == self.chip_out_of_service(i)),
             "blocked view diverged from the in-situ and fault sets"
-        );
-        debug_assert_eq!(
-            self.in_service,
-            self.out_of_service.iter().filter(|&&b| !b).count(),
-            "in-service count diverged from the blocked view"
         );
         let decision = {
             let view = ProcView {
@@ -1467,8 +1464,8 @@ impl SiteState {
                 usage: &self.usage,
                 plan: &self.plan,
                 dvfs: &self.fleet.dvfs,
-                blocked: &self.out_of_service,
-                in_service: self.in_service,
+                blocked: &self.out_of_service.on,
+                in_service: self.in_service(),
                 index: Some(&self.chip_index),
                 scratch: &self.place_scratch,
             };
@@ -1487,7 +1484,6 @@ impl SiteState {
         let end = start + self.jobs[idx].job.runtime_at_fmax;
         let runtime_ms = self.jobs[idx].job.runtime_at_fmax.as_millis();
         let deadline = self.jobs[idx].job.deadline;
-        let track_idle = self.in_situ.is_some();
         for &c in &chips {
             let ci = c.0 as usize;
             self.avail[ci] = end;
@@ -1512,8 +1508,8 @@ impl SiteState {
             } else {
                 // Queue transition empty -> busy.
                 self.busy_queues += 1;
-                if track_idle {
-                    self.idle_unprofiled.remove(&c.0);
+                if let Some(insitu) = &mut self.in_situ {
+                    insitu.idle_unprofiled.remove(&c.0);
                 }
             }
             self.queues[ci].push_back(idx);
@@ -1680,9 +1676,9 @@ impl SiteState {
                 // Queue transition busy -> empty.
                 self.busy_queues -= 1;
                 self.chip_index.chip_idle(c);
-                if let Some(insitu) = &self.in_situ {
-                    if !insitu.profiled[ci] && !insitu.blocked[ci] {
-                        self.idle_unprofiled.insert(c.0);
+                if let Some(insitu) = &mut self.in_situ {
+                    if !insitu.profiled.contains(ci) && !insitu.bay.scanning.contains(ci) {
+                        insitu.idle_unprofiled.insert(c.0);
                     }
                 }
             }
@@ -1713,6 +1709,7 @@ impl SiteState {
         let n = self.fleet.len();
         let failures = self.jobs[idx].starts;
         let ci = failed_chip as usize;
+        let in_service = self.in_service();
         let faults = self
             .faults
             .as_mut()
@@ -1723,11 +1720,11 @@ impl SiteState {
         // suspect cap allow (a chip already out of service costs no
         // capacity); otherwise it stays in rotation (and may keep
         // failing) until re-profiling clears the backlog.
-        if !faults.suspect[ci] {
+        if !faults.suspect.contains(ci) {
             let cap = (n as f64 * faults.config.max_suspect_fraction).floor() as usize;
-            let room = self.out_of_service[ci] || self.in_service > faults.min_in_service;
-            if faults.suspects() < cap && room {
-                faults.set_suspect(ci, true);
+            let room = self.out_of_service.contains(ci) || in_service > faults.min_in_service;
+            if faults.suspect.len() < cap && room {
+                faults.suspect.set(ci, true);
             }
         }
         let retry_ok = faults.config.retry.may_retry(failures);
@@ -1792,53 +1789,45 @@ impl SiteState {
         // queued work finishes first), respecting the availability floor.
         // Already-out chips (suspect, or isolated in-situ) drain for free.
         for i in 0..n {
-            let faults = self.faults.as_mut().expect("checked above");
-            if faults.scanning[i] || faults.draining[i] {
+            let faults = self.faults.as_ref().expect("checked above");
+            if faults.bay.scanning.contains(i) || faults.draining[i] {
                 continue;
             }
-            let due = faults.suspect[i] || faults.stress_hours[i] >= faults.stress_interval_hours;
-            if due && (self.out_of_service[i] || self.in_service > faults.min_in_service) {
-                faults.draining[i] = true;
+            let due = faults.suspect.contains(i)
+                || faults.stress_hours[i] >= faults.stress_interval_hours;
+            if due && (self.out_of_service.contains(i) || self.in_service() > faults.min_in_service)
+            {
+                self.faults.as_mut().expect("checked above").draining[i] = true;
                 self.sync_service(i);
             }
         }
         // Pass 2: start scans on drained chips whose queues have emptied,
         // up to the scanner's domain size in flight at once.
         let faults = self.faults.as_ref().expect("checked above");
-        let mut may_take = domain_size.saturating_sub(faults.scans());
+        let mut may_take = domain_size.saturating_sub(faults.bay.scanning.len());
         for i in 0..n {
             if may_take == 0 {
                 break;
             }
             let drained = self.faults.as_ref().is_some_and(|f| f.draining[i])
                 && self.queues[i].is_empty()
-                && !self.in_situ.as_ref().is_some_and(|s| s.blocked[i]);
+                && !self
+                    .in_situ
+                    .as_ref()
+                    .is_some_and(|s| s.bay.scanning.contains(i));
             if !drained {
                 continue;
             }
             let scan_power = self.scan_power_w(i);
             let faults = self.faults.as_mut().expect("checked above");
-            let scan = faults
-                .scanner
+            let (scanner, grid) = faults
+                .rescan
                 .as_ref()
-                .expect("re-profiling without a scanner")
-                .scan_chip(
-                    &self.fleet.chips[i],
-                    faults.grid.as_ref().expect("re-profiling without a grid"),
-                    &mut faults.scan_rng,
-                );
-            // The chip is isolated and idle for the whole scan, so the
-            // measurement taken now equals the one at scan end: no wear
-            // can accrue in between.
-            let duration = scan.duration;
-            faults.pending_vmin[i] = Some(with_nominal_fallback(&self.fleet.dvfs, |l| {
-                scan.measured_vmin_chip(l)
-            }));
+                .expect("re-profiling without a scanner");
+            let (duration, _) = faults.bay.start(scanner, grid, &self.fleet, i, scan_power);
             faults.draining[i] = false;
-            faults.set_scanning(i, true);
             faults.chips_rescanned += 1;
             faults.rescan_downtime += duration;
-            faults.reprofile_power_w += scan_power;
             self.sync_service(i);
             ctx.schedule(now + duration, SiteEv::ReprofileDone { chip: i as u32 });
             may_take -= 1;
@@ -1855,13 +1844,9 @@ impl SiteState {
             .faults
             .as_mut()
             .expect("re-profile completion without fault injection");
-        faults.set_scanning(ci, false);
-        faults.set_suspect(ci, false);
+        faults.suspect.set(ci, false);
         faults.stress_hours[ci] = 0.0;
-        faults.reprofile_power_w = (faults.reprofile_power_w - scan_power).max(0.0);
-        let measured = faults.pending_vmin[ci]
-            .take()
-            .expect("re-scan finished without a measurement");
+        let measured = faults.bay.finish(ci, scan_power);
         self.sync_service(ci);
         self.apply_scan(chip_idx, measured, now);
     }
@@ -2109,10 +2094,13 @@ impl SiteState {
             }
             SiteEv::ProfilingCheck => {
                 self.profiling_check(now, ctx);
-                let keep_going =
-                    self.live() || self.in_situ.as_ref().is_some_and(|s| s.blocked_count > 0);
+                let keep_going = self.live()
+                    || self
+                        .in_situ
+                        .as_ref()
+                        .is_some_and(|s| s.bay.scanning.len() > 0);
                 if let Some(insitu) = &self.in_situ {
-                    if keep_going && self.profiled_count() < self.fleet.len() {
+                    if keep_going && insitu.profiled.len() < self.fleet.len() {
                         ctx.schedule(now + insitu.config.check_interval, SiteEv::ProfilingCheck);
                     }
                 }
@@ -2325,20 +2313,20 @@ impl SiteState {
             .in_situ
             .as_ref()
             .map(|s| crate::report::ProfilingStats {
-                chips_profiled: s.profiled.iter().filter(|&&p| p).count(),
-                fleet_size: s.profiled.len(),
-                profiling_energy_kwh: s.profiling_energy_note_j / 3.6e6,
-                tests_run: s.records.tests_run(),
+                chips_profiled: s.profiled.len(),
+                fleet_size: s.profiled.on.len(),
+                profiling_energy_kwh: s.bay.energy_j / 3.6e6,
+                tests_run: s.tests_run,
             });
         let faults = self.faults.as_ref().map(|f| crate::report::FaultStats {
             timing_failures: f.timing_failures,
             retries: f.retries,
             failed_jobs: f.failed_jobs,
-            suspect_chips: f.suspects(),
+            suspect_chips: f.suspect.len(),
             chips_rescanned: f.chips_rescanned,
             wasted_kwh: f.wasted_j / 3.6e6,
             rescan_downtime_hours: f.rescan_downtime.as_hours_f64(),
-            rescan_energy_kwh: f.reprofile_energy_j / 3.6e6,
+            rescan_energy_kwh: f.bay.energy_j / 3.6e6,
         });
         let carbon = self.carbon.as_ref().map(|c| crate::report::CarbonStats {
             deferrals: c.deferrals,
@@ -2771,15 +2759,15 @@ fn restore_wear(s: &mut SiteState, v: &Val) -> Result<(), SnapshotError> {
 
 section!(FaultState, |f| {
     "rng" => f.rng,
-    "scan_rng" => f.scan_rng,
+    "scan_rng" => f.bay.rng,
     "stress_hours" => f.stress_hours,
     "suspect" => f.suspect,
     "draining" => f.draining,
-    "scanning" => f.scanning,
-    "pending_vmin" => f.pending_vmin,
+    "scanning" => f.bay.scanning,
+    "pending_vmin" => f.bay.pending_vmin,
     "min_in_service" => f.min_in_service,
-    "reprofile_power_w" => f.reprofile_power_w,
-    "reprofile_energy_j" => f.reprofile_energy_j,
+    "reprofile_power_w" => f.bay.power_w,
+    "reprofile_energy_j" => f.bay.energy_j,
     "timing_failures" => f.timing_failures,
     "retries" => f.retries,
     "failed_jobs" => f.failed_jobs,
@@ -2910,10 +2898,9 @@ impl SiteState {
     /// driver (the site does not know it), `now`/`steps`/`pending` from
     /// the engine; every job in the table counts as admitted.
     ///
-    /// v1 restrictions: in-situ profiling state (the per-core
-    /// `ProfilingRecords` grid) and per-core operating plans are not
-    /// serialized — capturing either returns
-    /// [`SnapshotError::Unsupported`].
+    /// v1 restrictions: in-situ profiling state (chip sets, pending rows,
+    /// candidate pool, scan stream) and per-core operating plans have no
+    /// section — capturing either returns [`SnapshotError::Unsupported`].
     pub(crate) fn capture(
         &self,
         seed: u64,
@@ -3079,10 +3066,10 @@ impl SiteState {
         if let Some(f) = &self.faults {
             per_chip.extend([
                 ("stress hours", f.stress_hours.len()),
-                ("suspect set", f.suspect.len()),
+                ("suspect set", f.suspect.on.len()),
                 ("draining set", f.draining.len()),
-                ("scanning set", f.scanning.len()),
-                ("pending vmin", f.pending_vmin.len()),
+                ("scanning set", f.bay.scanning.on.len()),
+                ("pending vmin", f.bay.pending_vmin.len()),
             ]);
         }
         if let Some(a) = &self.audit {
@@ -3109,9 +3096,8 @@ impl SiteState {
     }
 
     /// Rebuilds the caches a snapshot does not carry — chain lengths, the
-    /// busy-queue count, demand aggregates, the suspect and scanning
-    /// counts, the blocked view, chip indexes — from the restored ground
-    /// truth.
+    /// busy-queue count, demand aggregates, the blocked view, chip indexes
+    /// — from the restored ground truth.
     fn rebuild_derived(&mut self) -> Result<(), SnapshotError> {
         let jobs = &self.jobs;
         self.chain_len_ms = self
@@ -3132,13 +3118,8 @@ impl SiteState {
             )));
         }
         self.rebuild_demand_aggregates();
-        if let Some(f) = &mut self.faults {
-            f.recount();
-        }
-        self.out_of_service = (0..self.fleet.len())
-            .map(|i| self.chip_out_of_service(i))
-            .collect();
-        self.in_service = self.out_of_service.iter().filter(|&&b| !b).count();
+        let out = (0..self.fleet.len()).map(|i| self.chip_out_of_service(i));
+        self.out_of_service = ChipSet::from_flags(out.collect());
         // The chip indexes are keyed on packed (ms, id) integers whose
         // ranges debug builds assert; a snapshot is outside input, so the
         // restore path promotes those to checked errors before any key is

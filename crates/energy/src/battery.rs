@@ -61,15 +61,6 @@ impl BatteryState {
         }
     }
 
-    /// State of charge in `\[0, 1\]` (1 when capacity is zero).
-    pub fn soc(&self) -> f64 {
-        if self.battery.capacity_j == 0.0 {
-            1.0
-        } else {
-            self.stored_j / self.battery.capacity_j
-        }
-    }
-
     /// Processes one interval: `surplus_w` (> 0 charges, < 0 requests
     /// discharge) over `dt_s` seconds. Returns the power (W, >= 0) the
     /// battery actually supplied toward a deficit during the interval.
@@ -162,7 +153,6 @@ mod tests {
         // Massive surplus saturates at capacity.
         s.step(1e9, 3600.0);
         assert_eq!(s.stored_j, s.battery.capacity_j);
-        assert_eq!(s.soc(), 1.0);
     }
 
     #[test]

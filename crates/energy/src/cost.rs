@@ -216,13 +216,6 @@ impl SignalMeter {
         self.flush();
         self.total
     }
-
-    /// Restores mid-run cursor state captured by a snapshot.
-    pub fn set_parts(&mut self, seg_value: f64, seg_j: f64, total: f64) {
-        self.seg_value = seg_value;
-        self.seg_j = seg_j;
-        self.total = total;
-    }
 }
 
 /// The pair of utility-side meters a simulation carries: time-integrated

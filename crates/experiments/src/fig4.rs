@@ -8,8 +8,8 @@
 //! voltage grid (real measurements adjust Vdd near-continuously).
 
 use iscope_dcsim::SimRng;
-use iscope_pvmodel::{Chip, ChipId, CoreId, DvfsConfig, Fleet, FreqLevel, VariationParams};
-use iscope_scanner::{ProfilingRecords, Scanner, ScannerConfig, TestKind, VoltageGrid};
+use iscope_pvmodel::{Chip, ChipId, DvfsConfig, Fleet, FreqLevel, VariationParams};
+use iscope_scanner::{Scanner, ScannerConfig, TestKind};
 
 /// Seed whose 16-core draw reproduces the paper's measured band (means
 /// 1.219 / 1.233 V against the published 1.219 / 1.232 V). Any seed gives
@@ -48,26 +48,15 @@ fn measure(fleet: &Fleet, gpu_enabled: bool, seed: u64) -> Vec<f64> {
         gpu_enabled,
         ..ScannerConfig::default()
     });
-    let grid = VoltageGrid::from_dvfs(&fleet.dvfs, 120, 0.2);
-    let mut records = ProfilingRecords::for_fleet(grid, fleet);
+    let grid = scanner.config().grid(&fleet.dvfs);
     let mut rng = SimRng::derive(seed, "fig4");
-    for chip in &fleet.chips {
-        scanner.profile_chip(chip, &mut records, &mut rng);
-    }
     let mut out = Vec::new();
     for chip in &fleet.chips {
-        for c in 0..chip.cores.len() as u8 {
-            let v = records
-                .measured_vmin(
-                    CoreId {
-                        chip: chip.id,
-                        core: c,
-                    },
-                    FreqLevel(0),
-                )
-                .expect("every core passes at nominal");
-            out.push(v);
-        }
+        let scan = scanner.scan_chip(chip, &grid, &mut rng);
+        out.extend((0..chip.cores.len() as u8).map(|c| {
+            scan.measured_vmin(c, FreqLevel(0))
+                .expect("every core passes at nominal")
+        }));
     }
     out
 }

@@ -91,17 +91,6 @@ impl Fig7 {
         }
     }
 
-    /// Mean utility draw (W) over the active window (the Fig. 7 "spills
-    /// into utility when wind fades" signal; ScanRan is worst here).
-    pub fn mean_utility_draw(&self, scheme: &str) -> f64 {
-        let p = self.panel(scheme);
-        if p.utility_draw.values.is_empty() {
-            0.0
-        } else {
-            p.utility_draw.values.iter().sum::<f64>() / p.utility_draw.values.len() as f64
-        }
-    }
-
     /// Renders a textual summary of each panel.
     pub fn render(&self) -> String {
         let mut out = String::from("## fig7 — power traces (350 s sampling)\n");
@@ -170,8 +159,12 @@ mod tests {
             fair_wind > effi_wind * 0.98,
             "ScanFair wind utilization {fair_wind:.3} vs ScanEffi {effi_wind:.3}"
         );
-        let fair_util = fig.mean_utility_draw("ScanFair");
-        let ran_util = fig.mean_utility_draw("ScanRan");
+        let mean_utility_draw = |scheme| {
+            let draw = &fig.panel(scheme).utility_draw.values;
+            draw.iter().sum::<f64>() / draw.len() as f64
+        };
+        let fair_util = mean_utility_draw("ScanFair");
+        let ran_util = mean_utility_draw("ScanRan");
         assert!(
             fair_util < ran_util * 1.1,
             "ScanFair utility draw {fair_util:.1} vs ScanRan {ran_util:.1}"

@@ -28,16 +28,6 @@ impl Fleet {
         Fleet { dvfs, chips }
     }
 
-    /// The paper's datacenter: 4800 CPUs with default variation (§V.C).
-    pub fn paper_datacenter(seed: u64) -> Fleet {
-        Fleet::generate(
-            4800,
-            DvfsConfig::paper_default(),
-            &VariationParams::default(),
-            seed,
-        )
-    }
-
     /// Number of processors.
     pub fn len(&self) -> usize {
         self.chips.len()
@@ -149,11 +139,5 @@ mod tests {
             })
             .collect();
         assert!(powers.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn paper_datacenter_has_4800_cpus() {
-        let fleet = Fleet::paper_datacenter(0);
-        assert_eq!(fleet.len(), 4800);
     }
 }

@@ -67,12 +67,6 @@ impl PowerModel {
     pub fn eq1_nominal(&self, alpha: f64, beta: f64, f_ghz: f64) -> f64 {
         alpha * f_ghz.powi(3) + beta
     }
-
-    /// Energy efficiency figure used for ranking: power per GHz of compute
-    /// at the given operating point (lower is better).
-    pub fn power_per_ghz(&self, alpha: f64, beta: f64, f_ghz: f64, voltage: f64) -> f64 {
-        self.power(alpha, beta, f_ghz, voltage) / f_ghz
-    }
 }
 
 #[cfg(test)]
@@ -175,13 +169,5 @@ mod tests {
         let (m, _) = model();
         assert!((m.static_power(65.0, 1.375) - 65.0).abs() < 1e-12);
         assert!((m.static_power(65.0, 0.6875) - 32.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn power_per_ghz_prefers_efficient_chips() {
-        let (m, _) = model();
-        let eff = m.power_per_ghz(6.5, 55.0, 2.0, 1.3);
-        let ineff = m.power_per_ghz(8.5, 75.0, 2.0, 1.3);
-        assert!(eff < ineff);
     }
 }

@@ -12,7 +12,7 @@
 use crate::records::{ChipBlock, LevelRecord, ProfilingRecords, VoltageGrid};
 use crate::sbft::{TestKind, TestProgram};
 use iscope_dcsim::{SimDuration, SimRng};
-use iscope_pvmodel::{Chip, ChipId, CoreId, DvfsConfig, Fleet, FreqLevel};
+use iscope_pvmodel::{Chip, CoreId, DvfsConfig, Fleet, FreqLevel};
 
 /// Configuration of the iScope scanner.
 #[derive(Debug, Clone)]
@@ -96,17 +96,6 @@ impl ScanReport {
                 })
             })
             .collect()
-    }
-
-    /// Mean Min Vdd across all measured chip/core values at the top level —
-    /// the Fig. 4 red dashed line.
-    pub fn mean_vmin_top(&self) -> f64 {
-        let col: Vec<f64> = self
-            .measured_vmin
-            .iter()
-            .map(|row| *row.last().expect("at least one level"))
-            .collect();
-        col.iter().sum::<f64>() / col.len().max(1) as f64
     }
 }
 
@@ -334,28 +323,12 @@ impl Scanner {
             records,
         }
     }
-
-    /// Profiles an explicit subset of chips (the opportunistic path used
-    /// while the datacenter is at low utilization).
-    pub fn profile_chips(
-        &self,
-        fleet: &Fleet,
-        chips: &[ChipId],
-        records: &mut ProfilingRecords,
-        rng: &mut SimRng,
-    ) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        for &id in chips {
-            total += self.profile_chip(fleet.chip(id), records, rng);
-        }
-        total
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iscope_pvmodel::{DvfsConfig, VariationParams};
+    use iscope_pvmodel::{ChipId, DvfsConfig, VariationParams};
 
     fn small_fleet() -> Fleet {
         Fleet::generate(
@@ -534,6 +507,35 @@ mod tests {
         }
     }
 
+    /// Chips of different core counts each get a block of their own size:
+    /// the fleet scan reads every chip's rows as the chip-by-chip scan
+    /// does, whichever chip comes first.
+    #[test]
+    fn mixed_core_counts_scan_like_chip_by_chip() {
+        let dvfs = DvfsConfig::paper_default();
+        let cores = |cores_per_chip| VariationParams {
+            cores_per_chip,
+            ..VariationParams::default()
+        };
+        let mut rng = SimRng::new(3);
+        let six = Chip::generate(ChipId(0), &dvfs, &cores(6), &mut rng);
+        let four = Chip::generate(ChipId(0), &dvfs, &cores(4), &mut rng);
+        let scanner = Scanner::new(ScannerConfig::default());
+        for order in [[&six, &four], [&four, &six]] {
+            let chips = order.iter().enumerate().map(|(i, &c)| Chip {
+                id: ChipId(i as u32),
+                ..c.clone()
+            });
+            let fleet = Fleet {
+                dvfs: dvfs.clone(),
+                chips: chips.collect(),
+            };
+            let report = scanner.profile_fleet(&fleet, 5);
+            assert_eq!(report.measured_vmin, scanner.fleet_vmin(&fleet, 5));
+            assert!(report.defective_chips().is_empty());
+        }
+    }
+
     fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
         bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
             (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
@@ -652,7 +654,11 @@ mod tests {
             ..ScannerConfig::default()
         })
         .profile_fleet(&fleet, 7);
-        let mean = |r: &ScanReport| r.mean_vmin_top();
+        // Mean chip-level Min Vdd at the top level.
+        let mean = |r: &ScanReport| {
+            let top = r.measured_vmin.iter().map(|row| row[row.len() - 1]);
+            top.sum::<f64>() / r.measured_vmin.len() as f64
+        };
         assert!(
             mean(&on) > mean(&off),
             "GPU-on scan must find higher Min Vdd: {} vs {}",

@@ -51,17 +51,6 @@ impl VoltageGrid {
     pub fn num_levels(&self) -> usize {
         self.steps.len()
     }
-
-    /// Points per level.
-    pub fn points_per_level(&self) -> usize {
-        self.steps.first().map_or(0, Vec::len)
-    }
-
-    /// Total grid points per core (levels × points) — the §VI.E overhead
-    /// unit.
-    pub fn total_points(&self) -> usize {
-        self.steps.iter().map(Vec::len).sum()
-    }
 }
 
 /// Pass/fail knowledge for one core at one level, over the grid.
@@ -151,9 +140,11 @@ impl ChipBlock<'_> {
 #[derive(Debug, Clone)]
 pub struct ProfilingRecords {
     grid: VoltageGrid,
-    cores_per_chip: usize,
-    /// One [`ChipBlock`] per chip in one allocation:
-    /// `records[(chip * cores_per_chip + core) * levels + level]`.
+    /// Chip `c`'s [`ChipBlock`] is `records[offsets[c]..offsets[c + 1]]`,
+    /// so chips may differ in core count.
+    offsets: Vec<usize>,
+    /// Every chip's block in one allocation: `records[offsets[chip] +
+    /// core * levels + level]`.
     records: Vec<LevelRecord>,
     /// Total stability tests executed (the overhead counter).
     tests_run: u64,
@@ -163,20 +154,27 @@ impl ProfilingRecords {
     /// Creates empty records for `num_chips` chips of `cores_per_chip`
     /// cores over `grid`.
     pub fn new(grid: VoltageGrid, num_chips: usize, cores_per_chip: usize) -> Self {
-        let len = num_chips * cores_per_chip * grid.num_levels();
-        ProfilingRecords {
-            grid,
-            cores_per_chip,
-            records: vec![LevelRecord::default(); len],
-            tests_run: 0,
-        }
+        Self::with_cores(grid, std::iter::repeat_n(cores_per_chip, num_chips))
     }
 
-    /// Creates empty records covering every chip of `fleet`, sized by its
-    /// chips' core count.
+    /// Creates empty records covering every chip of `fleet`, each block
+    /// sized by that chip's own core count.
     pub fn for_fleet(grid: VoltageGrid, fleet: &Fleet) -> Self {
-        let cores_per_chip = fleet.chips.first().map_or(0, |c| c.cores.len());
-        Self::new(grid, fleet.len(), cores_per_chip)
+        Self::with_cores(grid, fleet.chips.iter().map(|c| c.cores.len()))
+    }
+
+    /// Empty records for one chip per item of `cores`, of that many cores.
+    fn with_cores(grid: VoltageGrid, cores: impl Iterator<Item = usize>) -> Self {
+        let mut offsets = vec![0];
+        for n in cores {
+            offsets.push(offsets[offsets.len() - 1] + n * grid.num_levels());
+        }
+        ProfilingRecords {
+            records: vec![LevelRecord::default(); offsets[offsets.len() - 1]],
+            grid,
+            offsets,
+            tests_run: 0,
+        }
     }
 
     /// The probe grid.
@@ -185,9 +183,8 @@ impl ProfilingRecords {
     }
 
     fn block_range(&self, chip: ChipId) -> std::ops::Range<usize> {
-        let size = self.cores_per_chip * self.grid.num_levels();
-        let start = chip.0 as usize * size;
-        start..start + size
+        let c = chip.0 as usize;
+        self.offsets[c]..self.offsets[c + 1]
     }
 
     fn index(&self, core: CoreId, level: FreqLevel) -> usize {
@@ -233,11 +230,6 @@ impl ProfilingRecords {
         self.records[self.index(core, level)].next_probe(self.grid.voltages(level).len())
     }
 
-    /// True once the core's Min Vdd is pinned at this level.
-    pub fn is_complete(&self, core: CoreId, level: FreqLevel) -> bool {
-        self.next_probe(core, level).is_none()
-    }
-
     /// True once every level of every core of the chip is complete.
     pub fn chip_complete(&self, chip: ChipId) -> bool {
         self.chip(chip).complete()
@@ -263,8 +255,7 @@ impl ProfilingRecords {
 
     /// Number of chips tracked.
     pub fn num_chips(&self) -> usize {
-        let size = self.cores_per_chip * self.grid.num_levels();
-        self.records.len().checked_div(size).unwrap_or(0)
+        self.offsets.len() - 1
     }
 }
 
@@ -284,15 +275,6 @@ mod tests {
             chip: ChipId(chip),
             core,
         }
-    }
-
-    #[test]
-    fn paper_grid_has_50_points() {
-        let dvfs = DvfsConfig::paper_default();
-        let grid = VoltageGrid::paper_default(&dvfs);
-        assert_eq!(grid.num_levels(), 5);
-        assert_eq!(grid.points_per_level(), 10);
-        assert_eq!(grid.total_points(), 50, "5 freq bins x 10 voltages (SVI.E)");
     }
 
     #[test]
@@ -324,7 +306,6 @@ mod tests {
             None,
             "stage-6: lower V forced fail"
         );
-        assert!(rec.is_complete(core, l));
         let vmin = rec.measured_vmin(core, l).unwrap();
         assert_eq!(vmin, rec.grid().voltages(l)[2], "lowest pass is index 2");
     }
@@ -338,7 +319,7 @@ mod tests {
         for idx in 0..n {
             rec.record(core, l, idx, TestOutcome::Pass);
         }
-        assert!(rec.is_complete(core, l));
+        assert_eq!(rec.next_probe(core, l), None);
         let vmin = rec.measured_vmin(core, l).unwrap();
         assert_eq!(vmin, *rec.grid().voltages(l).last().unwrap());
     }
@@ -399,9 +380,5 @@ mod tests {
         rec.record(core, l, 0, TestOutcome::Fail);
         assert_eq!(rec.next_probe(core, l), None);
         assert!(rec.measured_vmin(core, l).is_none());
-        assert!(
-            rec.is_complete(core, l),
-            "scan is finished, unit is defective"
-        );
     }
 }

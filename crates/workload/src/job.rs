@@ -42,13 +42,6 @@ pub struct Job {
 }
 
 impl Job {
-    /// Slack between the earliest possible completion (immediate start at
-    /// f_max) and the deadline. Zero if the deadline is already tight.
-    pub fn nominal_slack(&self) -> SimDuration {
-        self.deadline
-            .saturating_since(self.submit + self.runtime_at_fmax)
-    }
-
     /// CPU-seconds of work at f_max (the job's "size").
     pub fn core_seconds(&self) -> f64 {
         self.cpus as f64 * self.runtime_at_fmax.as_secs_f64()
@@ -169,14 +162,6 @@ mod tests {
         assert_eq!(w.jobs()[0].id, JobId(1));
         assert_eq!(w.jobs()[1].id, JobId(0));
         assert_eq!(w.last_submit(), SimTime::from_secs(50));
-    }
-
-    #[test]
-    fn nominal_slack() {
-        let j = job(0, 100, 4, 50, 400);
-        assert_eq!(j.nominal_slack(), SimDuration::from_secs(250));
-        let tight = job(1, 100, 4, 50, 120);
-        assert_eq!(tight.nominal_slack(), SimDuration::ZERO);
     }
 
     #[test]

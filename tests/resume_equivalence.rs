@@ -12,10 +12,11 @@
 //! drift in that chain shows up here as a byte difference.
 
 use iscope::prelude::*;
+use iscope::snapshot::{parse, Val};
 use iscope::telemetry::render_jsonl;
 use iscope::{
-    AuditConfig, FaultInjectionConfig, RunReport, SimDriver, SimInput, SnapshotError, StreamDriver,
-    TelemetryConfig,
+    AuditConfig, FaultInjectionConfig, ReprofileConfig, RunReport, SimDriver, SimInput,
+    SnapshotError, StreamDriver, TelemetryConfig,
 };
 use iscope_dcsim::{SimDuration, SimTime};
 use iscope_energy::SignalTrace;
@@ -135,6 +136,51 @@ fn resume_parity_under_fault_injection_across_seeds() {
         total_failures > 0,
         "fault legs must actually exercise failures (got none across seeds)"
     );
+}
+
+/// Whether a snapshot's fault section holds a chip under re-scan and a
+/// measured row waiting for one to finish.
+fn rescan_in_flight(snapshot: &str) -> (bool, bool) {
+    let section = snapshot
+        .lines()
+        .map(|line| parse(line).expect("snapshot line parses"))
+        .find(|v| matches!(v.get("section"), Ok(Val::Str(name)) if name == "faults"))
+        .expect("snapshot has a faults section");
+    let faults = section.get("data").expect("section data");
+    let any = |key: &str, hit: fn(&Val) -> bool| matches!(faults.get(key), Ok(Val::Arr(items)) if items.iter().any(hit));
+    (
+        any("scanning", |v| *v == Val::Bool(true)),
+        any("pending_vmin", |v| *v != Val::Null),
+    )
+}
+
+#[test]
+fn resume_parity_with_chips_mid_rescan() {
+    let sim = base(Scheme::ScanFair, 42).fault_injection(FaultInjectionConfig {
+        reprofile: Some(ReprofileConfig::default()),
+        ..faults()
+    });
+    let (unbroken, _) = SimDriver::new(input(&sim)).finish();
+    // Pause at the first 5-minute mark whose snapshot catches a re-scan
+    // in flight, so the resumed leg must finish it from the snapshot.
+    let mut paused = SimDriver::new(input(&sim));
+    let mut pause = SimTime::ZERO;
+    let snapshot = loop {
+        pause += SimDuration::from_mins(5);
+        assert!(
+            pause < unbroken.makespan,
+            "no pause caught a chip under re-scan"
+        );
+        paused.run_until(pause);
+        let snapshot = paused.snapshot().expect("capture mid-run");
+        if rescan_in_flight(&snapshot) == (true, true) {
+            break snapshot;
+        }
+    };
+    let (resumed, _) = SimDriver::resume(input(&sim), &snapshot)
+        .expect("restore")
+        .finish();
+    assert_identical(&unbroken, &resumed, "ScanFair+faults+re-profiling");
 }
 
 #[test]
