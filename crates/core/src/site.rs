@@ -23,8 +23,8 @@ use crate::simulation::{
     SimInput, SurplusSignal,
 };
 use crate::snapshot::{
-    self, optional_section, persist_struct, save_all, section, Persist, Section, SnapshotError,
-    ToVal, Val, SNAPSHOT_VERSION,
+    self, optional_section, persist_struct, section, Doc, DocWriter, Fields, Persist, Reader,
+    Section, SnapshotError, ToVal, Writer, SNAPSHOT_VERSION,
 };
 use crate::telemetry::{self};
 use iscope_dcsim::{RowSampler, Sampler, SimDuration, SimRng, SimTime};
@@ -38,6 +38,7 @@ use iscope_sched::{
     match_budget, validate_key_range, CarbonConfig, ChipIndexes, DvfsCandidate, Placement, ProcView,
 };
 use iscope_workload::{Job, JobId, Urgency};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, VecDeque};
 use std::time::Instant;
 
@@ -391,14 +392,14 @@ impl ChipSet {
 }
 
 impl ToVal for ChipSet {
-    fn to_val(&self, what: &str) -> Result<Val, SnapshotError> {
-        self.on.to_val(what)
+    fn write(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
+        self.on.write(w, what)
     }
 }
 
 impl Persist for ChipSet {
-    fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
-        Vec::<bool>::load(v, what).map(ChipSet::from_flags)
+    fn read(r: &mut Reader<'_>, what: &str) -> Result<Self, SnapshotError> {
+        Vec::<bool>::read(r, what).map(ChipSet::from_flags)
     }
 }
 
@@ -2382,6 +2383,7 @@ const EVENTS: &str = "events";
 const TRACES: &str = "traces";
 
 /// The header besides the version and the presence flags.
+#[derive(Default)]
 struct Header {
     scheme: String,
     seed: u64,
@@ -2393,15 +2395,15 @@ struct Header {
     num_levels: usize,
 }
 
-persist_struct!(Header {
-    "scheme" => scheme,
-    "seed" => seed,
-    "site_id" => site_id,
-    "now_ms" => now,
-    "steps" => steps,
-    "admitted" => admitted,
-    "fleet_len" => fleet_len,
-    "num_levels" => num_levels,
+section!(Header, |h| {
+    "scheme" => h.scheme,
+    "seed" => h.seed,
+    "site_id" => h.site_id,
+    "now_ms" => h.now,
+    "steps" => h.steps,
+    "admitted" => h.admitted,
+    "fleet_len" => h.fleet_len,
+    "num_levels" => h.num_levels,
 });
 
 /// One header presence flag: its key, whether the live site carries the
@@ -2492,39 +2494,43 @@ impl Traces {
 macro_rules! event_codec {
     ($($tag:literal => $var:ident $(($($t:ident),*))? $({$($f:ident),*})?),* $(,)?) => {
         impl ToVal for SiteEv {
-            fn to_val(&self, what: &str) -> Result<Val, SnapshotError> {
-                Ok(Val::Arr(match self {
-                    $(SiteEv::$var $(($($t),*))? $({$($f),*})? => vec![
-                        Val::Str($tag.to_string()),
-                        $($($t.to_val(what)?,)*)?
-                        $($($f.to_val(what)?,)*)?
-                    ],)*
-                }))
+            fn write(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
+                w.open_arr();
+                match self {
+                    $(SiteEv::$var $(($($t),*))? $({$($f),*})? => {
+                        w.str($tag);
+                        $($($t.write(w, what)?;)*)?
+                        $($($f.write(w, what)?;)*)?
+                    })*
+                }
+                w.close_arr();
+                Ok(())
             }
         }
 
         impl Persist for SiteEv {
-            fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
-                let body = v.as_arr(what)?;
-                let tag = body
-                    .first()
-                    .ok_or_else(|| SnapshotError::Parse("empty event body".into()))?
-                    .as_str("event tag")?;
-                let mut args = body[1..].iter();
-                let mut arg = || {
-                    args.next().ok_or_else(|| {
-                        SnapshotError::Parse(format!("event {tag:?}: too few arguments"))
-                    })
+            fn read(r: &mut Reader<'_>, what: &str) -> Result<Self, SnapshotError> {
+                r.open_arr(what)?;
+                if !r.next_item()? {
+                    return Err(SnapshotError::Parse("empty event body".into()));
+                }
+                let tag = r.str("event tag")?;
+                let arg = |r: &mut Reader<'_>| -> Result<(), SnapshotError> {
+                    if r.next_item()? {
+                        Ok(())
+                    } else {
+                        Err(SnapshotError::Parse(format!("event {tag:?}: too few arguments")))
+                    }
                 };
-                let ev = match tag {
+                let ev = match &*tag {
                     $($tag => SiteEv::$var
-                        $(($({ let $t = Persist::load(arg()?, $tag)?; $t }),*))?
-                        $({$($f: Persist::load(arg()?, $tag)?),*})?,)*
+                        $(($({ arg(r)?; let $t = Persist::read(r, $tag)?; $t }),*))?
+                        $({$($f: { arg(r)?; Persist::read(r, $tag)? }),*})?,)*
                     other => {
                         return Err(SnapshotError::Parse(format!("unknown event tag {other:?}")))
                     }
                 };
-                if args.next().is_some() {
+                if r.next_item()? {
                     return Err(SnapshotError::Parse(format!(
                         "event {tag:?}: too many arguments"
                     )));
@@ -2563,14 +2569,15 @@ fn event_job(ev: &SiteEv) -> Option<usize> {
 macro_rules! persist_str_enum {
     ($ty:ident { $($var:ident => $s:literal),* $(,)? }) => {
         impl ToVal for $ty {
-            fn to_val(&self, _what: &str) -> Result<Val, SnapshotError> {
-                Ok(Val::Str(match self { $($ty::$var => $s,)* }.to_string()))
+            fn write(&self, w: &mut Writer, _what: &str) -> Result<(), SnapshotError> {
+                w.str(match self { $($ty::$var => $s,)* });
+                Ok(())
             }
         }
 
         impl Persist for $ty {
-            fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
-                match v.as_str(what)? {
+            fn read(r: &mut Reader<'_>, what: &str) -> Result<Self, SnapshotError> {
+                match &*r.str(what)? {
                     $($s => Ok($ty::$var),)*
                     other => Err(SnapshotError::Parse(format!("unknown {what} {other:?}"))),
                 }
@@ -2586,14 +2593,14 @@ persist_str_enum!(Phase { Waiting => "waiting", Running => "running", Done => "d
 macro_rules! persist_newtype {
     ($($ty:ident($inner:ty)),*) => {$(
         impl ToVal for $ty {
-            fn to_val(&self, what: &str) -> Result<Val, SnapshotError> {
-                self.0.to_val(what)
+            fn write(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
+                self.0.write(w, what)
             }
         }
 
         impl Persist for $ty {
-            fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
-                <$inner>::load(v, what).map($ty)
+            fn read(r: &mut Reader<'_>, what: &str) -> Result<Self, SnapshotError> {
+                <$inner>::read(r, what).map($ty)
             }
         }
     )*};
@@ -2602,14 +2609,22 @@ macro_rules! persist_newtype {
 persist_newtype!(JobId(u32), ChipId(u32), FreqLevel(u8));
 
 impl ToVal for iscope_pvmodel::CpuBoundness {
-    fn to_val(&self, what: &str) -> Result<Val, SnapshotError> {
-        self.value().to_val(what)
+    fn write(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
+        self.value().write(w, what)
     }
 }
 
+/// Every written value is in `[0, 1]` (`CpuBoundness::new` clamps), so
+/// one outside it is refused rather than silently clamped.
 impl Persist for iscope_pvmodel::CpuBoundness {
-    fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
-        f64::load(v, what).map(Self::new)
+    fn read(r: &mut Reader<'_>, what: &str) -> Result<Self, SnapshotError> {
+        let gamma = f64::read(r, what)?;
+        if !(0.0..=1.0).contains(&gamma) {
+            return Err(SnapshotError::Mismatch(format!(
+                "{what} {gamma} is outside [0, 1]"
+            )));
+        }
+        Ok(Self::new(gamma))
     }
 }
 
@@ -2619,33 +2634,41 @@ impl Persist for iscope_pvmodel::CpuBoundness {
 macro_rules! job_record {
     ($($g:ident),* ; $($f:ident),* $(,)?) => {
         impl ToVal for JobState {
-            fn to_val(&self, what: &str) -> Result<Val, SnapshotError> {
-                Ok(Val::Arr(vec![
-                    $(self.job.$g.to_val(what)?,)*
-                    $(self.$f.to_val(what)?,)*
-                ]))
+            fn write(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
+                w.open_arr();
+                $(self.job.$g.write(w, what)?;)*
+                $(self.$f.write(w, what)?;)*
+                w.close_arr();
+                Ok(())
             }
         }
 
         impl Persist for JobState {
-            fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
-                const NAMES: &[&str] = &[$(stringify!($g),)* $(stringify!($f),)*];
-                let a = v.as_arr(what)?;
-                if a.len() != NAMES.len() {
+            fn read(r: &mut Reader<'_>, what: &str) -> Result<Self, SnapshotError> {
+                const FIELDS: usize = [$(stringify!($g),)* $(stringify!($f),)*].len();
+                let mut found = 0;
+                let mut next = |r: &mut Reader<'_>| -> Result<(), SnapshotError> {
+                    if !r.next_item()? {
+                        return Err(SnapshotError::Parse(format!(
+                            "{what} record must have {FIELDS} fields, found {found}"
+                        )));
+                    }
+                    found += 1;
+                    Ok(())
+                };
+                r.open_arr(what)?;
+                let js = JobState {
+                    job: Job {
+                        $($g: { next(r)?; Persist::read(r, stringify!($g))? },)*
+                    },
+                    $($f: { next(r)?; Persist::read(r, stringify!($f))? },)*
+                };
+                if r.next_item()? {
                     return Err(SnapshotError::Parse(format!(
-                        "{what} record must have {} fields, found {}",
-                        NAMES.len(),
-                        a.len()
+                        "{what} record must have {FIELDS} fields, found more"
                     )));
                 }
-                let mut fields = a.iter().zip(NAMES);
-                let mut next = || fields.next().expect("length checked above");
-                Ok(JobState {
-                    job: Job {
-                        $($g: { let (x, name) = next(); Persist::load(x, name)? },)*
-                    },
-                    $($f: { let (x, name) = next(); Persist::load(x, name)? },)*
-                })
+                Ok(js)
             }
         }
     };
@@ -2674,37 +2697,53 @@ fn check_job(js: &JobState, fleet_len: usize, num_levels: usize) -> Result<(), S
     Ok(())
 }
 
-/// The operating plan's rows (they carry re-profile refreshes).
-struct PlanRows {
-    voltages: Vec<Vec<f64>>,
-    est_power: Vec<Vec<f64>>,
+/// The operating plan's rows (they carry re-profile refreshes); capture
+/// borrows them from the live plan.
+struct PlanRows<'a> {
+    voltages: Cow<'a, [Vec<f64>]>,
+    est_power: Cow<'a, [Vec<f64>]>,
 }
 
-persist_struct!(PlanRows {
+persist_struct!(PlanRows<'_> {
     "voltages" => voltages,
     "est_power" => est_power,
 });
 
 impl Section for OperatingPlan {
-    fn save_section(&self, what: &str) -> Result<Val, SnapshotError> {
+    fn save_section(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
         let (voltages, est_power) = self.rows();
         PlanRows {
-            voltages: voltages.to_vec(),
-            est_power: est_power.to_vec(),
+            voltages: voltages.into(),
+            est_power: est_power.into(),
         }
-        .to_val(what)
+        .write(w, what)
     }
 
-    fn restore(&mut self, v: &Val, what: &str) -> Result<(), SnapshotError> {
-        let rows = PlanRows::load(v, what)?;
-        if rows.voltages.len() != self.len() || rows.est_power.len() != self.len() {
-            return Err(SnapshotError::Mismatch(format!(
-                "plan covers {} chips, fleet has {}",
-                rows.voltages.len(),
-                self.len()
-            )));
+    fn restore(&mut self, r: &mut Reader<'_>, what: &str) -> Result<(), SnapshotError> {
+        let rows = PlanRows::read(r, what)?;
+        // The input built this plan for the same fleet: every row keeps
+        // its chip's level count.
+        let (voltages, est_power) = self.rows();
+        for (rows_of, got, want) in [
+            ("voltages", &rows.voltages, voltages),
+            ("est_power", &rows.est_power, est_power),
+        ] {
+            if got.len() != want.len() {
+                return Err(SnapshotError::Mismatch(format!(
+                    "plan {rows_of} cover {} chips, fleet has {}",
+                    got.len(),
+                    want.len()
+                )));
+            }
+            if let Some(ci) = (0..got.len()).find(|&ci| got[ci].len() != want[ci].len()) {
+                return Err(SnapshotError::Mismatch(format!(
+                    "plan {rows_of} for chip {ci} has {} levels, expected {}",
+                    got[ci].len(),
+                    want[ci].len()
+                )));
+            }
         }
-        *self = OperatingPlan::from_rows(rows.voltages, rows.est_power);
+        *self = OperatingPlan::from_rows(rows.voltages.into_owned(), rows.est_power.into_owned());
         Ok(())
     }
 }
@@ -2712,20 +2751,25 @@ impl Section for OperatingPlan {
 /// Per-core Min Vdd drift only happens under fault injection (the aging
 /// model); fault-free fleets are exactly their input fleet, so their wear
 /// section is `null`.
-fn save_wear(s: &SiteState) -> Result<Val, SnapshotError> {
+fn save_wear(s: &SiteState, w: &mut Writer) -> Result<(), SnapshotError> {
     if s.faults.is_none() {
-        return Ok(Val::Null);
+        w.null();
+        return Ok(());
     }
-    let chips = s.fleet.chips.iter();
-    Ok(Val::Arr(
-        chips
-            .map(|chip| save_all(chip.cores.iter().map(|core| &core.vmin), "core vmin"))
-            .collect::<Result<_, _>>()?,
-    ))
+    w.open_arr();
+    for chip in &s.fleet.chips {
+        w.open_arr();
+        for core in &chip.cores {
+            core.vmin.write(w, "core vmin")?;
+        }
+        w.close_arr();
+    }
+    w.close_arr();
+    Ok(())
 }
 
-fn restore_wear(s: &mut SiteState, v: &Val) -> Result<(), SnapshotError> {
-    let Some(wear) = Option::<Vec<Vec<Vec<f64>>>>::load(v, "wear")? else {
+fn restore_wear(s: &mut SiteState, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
+    let Some(wear) = Option::<Vec<Vec<Vec<f64>>>>::read(r, "wear")? else {
         return Ok(());
     };
     let fleet_len = s.fleet.len();
@@ -2796,15 +2840,15 @@ section!(CarbonState, |c| {
     "wasted_j" => c.wasted_j,
 });
 
-/// The telemetry recorder's sampler mid-stream.
-struct RowParts {
+/// The telemetry recorder's sampler mid-stream; capture borrows its rows.
+struct RowParts<'a> {
     interval: SimDuration,
     next_tick: SimTime,
-    current: Vec<f64>,
-    rows: Vec<(SimTime, Vec<f64>)>,
+    current: Cow<'a, [f64]>,
+    rows: Cow<'a, [(SimTime, Vec<f64>)]>,
 }
 
-persist_struct!(RowParts {
+persist_struct!(RowParts<'_> {
     "interval_ms" => interval,
     "next_tick_ms" => next_tick,
     "current" => current,
@@ -2812,19 +2856,19 @@ persist_struct!(RowParts {
 });
 
 impl Section for TelemetryState {
-    fn save_section(&self, what: &str) -> Result<Val, SnapshotError> {
+    fn save_section(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
         let (interval, next_tick, current, rows) = self.sampler.parts();
         RowParts {
             interval,
             next_tick,
-            current: current.to_vec(),
-            rows: rows.to_vec(),
+            current: current.into(),
+            rows: rows.into(),
         }
-        .to_val(what)
+        .write(w, what)
     }
 
-    fn restore(&mut self, v: &Val, what: &str) -> Result<(), SnapshotError> {
-        let p = RowParts::load(v, what)?;
+    fn restore(&mut self, r: &mut Reader<'_>, what: &str) -> Result<(), SnapshotError> {
+        let p = RowParts::read(r, what)?;
         if p.interval.is_zero() {
             return Err(SnapshotError::Mismatch(
                 "telemetry interval must be positive".to_string(),
@@ -2832,13 +2876,18 @@ impl Section for TelemetryState {
         }
         // The input built the row buffer at this run's channel count.
         let channels = self.row_scratch.len();
-        let rows = std::iter::once(&p.current).chain(p.rows.iter().map(|(_, row)| row));
-        if let Some(bad) = rows.map(Vec::len).find(|&n| n != channels) {
+        let rows = std::iter::once(&*p.current).chain(p.rows.iter().map(|(_, row)| &row[..]));
+        if let Some(bad) = rows.map(<[f64]>::len).find(|&n| n != channels) {
             return Err(SnapshotError::Mismatch(format!(
                 "telemetry rows have {bad} channels, this run needs {channels}"
             )));
         }
-        self.sampler = RowSampler::from_parts(p.interval, p.next_tick, p.current, p.rows);
+        self.sampler = RowSampler::from_parts(
+            p.interval,
+            p.next_tick,
+            p.current.into_owned(),
+            p.rows.into_owned(),
+        );
         Ok(())
     }
 }
@@ -2847,7 +2896,7 @@ optional_section!(TelemetryState);
 
 // The site's snapshot document: every section after the header and the
 // pending events, in document order.
-section!(SiteState, |s| {
+section!(document SiteState, |s| {
     "site" => {
         "expect_more" => s.expect_more,
         "migrated_out" => s.migrated_out,
@@ -2928,20 +2977,21 @@ impl SiteState {
             fleet_len: self.fleet.len(),
             num_levels: self.fleet.dvfs.num_levels(),
         };
-        let mut head = vec![(VERSION_KEY.to_string(), Val::Int(SNAPSHOT_VERSION as i128))];
-        head.extend(header.to_val(HEADER)?.into_fields());
-        head.extend(
-            PRESENCE
-                .iter()
-                .map(|(key, live, _)| (key.to_string(), Val::Bool(live(self)))),
-        );
-        let mut sections = vec![
-            (HEADER.to_string(), Val::Obj(head)),
-            (EVENTS.to_string(), save_all(pending, EVENTS)?),
-        ];
-        sections.extend(self.save_section("snapshot")?.into_fields());
-        sections.push((TRACES.to_string(), Traces::of(&self.supply).to_val(TRACES)?));
-        Ok(snapshot::encode_lines(&sections))
+        let mut doc = DocWriter::default();
+        doc.entry(HEADER, |w| {
+            w.obj(|w| {
+                w.entry(VERSION_KEY, |w| SNAPSHOT_VERSION.write(w, VERSION_KEY))?;
+                header.save_fields(w)?;
+                for (key, live, _) in PRESENCE {
+                    w.entry(key, |w| live(self).write(w, key))?;
+                }
+                Ok(())
+            })
+        })?;
+        doc.entry(EVENTS, |w| pending.write(w, EVENTS))?;
+        self.save_document(&mut doc)?;
+        doc.entry(TRACES, |w| Traces::of(&self.supply).write(w, TRACES))?;
+        Ok(doc.finish())
     }
 
     /// Rebuilds a site mid-run from a snapshot document, returning the
@@ -2972,14 +3022,23 @@ impl SiteState {
             ));
         }
         let doc = snapshot::decode_lines(text)?;
-        let head = doc.get(HEADER)?;
-        let version = head.get(VERSION_KEY)?.as_i64("snapshot version")?;
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::Mismatch(format!(
-                "snapshot version {version} (this build reads {SNAPSHOT_VERSION})"
-            )));
-        }
-        let header = Header::load(head, HEADER)?;
+        let (header, presence) = doc.entry(HEADER, |r| {
+            r.obj(HEADER, |r| {
+                let version = r.entry(VERSION_KEY, |r| i64::read(r, "snapshot version"))?;
+                if version != SNAPSHOT_VERSION {
+                    return Err(SnapshotError::Mismatch(format!(
+                        "snapshot version {version} (this build reads {SNAPSHOT_VERSION})"
+                    )));
+                }
+                let mut header = Header::default();
+                header.restore_fields(r)?;
+                let mut presence = [false; PRESENCE.len()];
+                for ((key, ..), got) in PRESENCE.iter().zip(&mut presence) {
+                    *got = r.entry(key, |r| bool::read(r, key))?;
+                }
+                Ok((header, presence))
+            })
+        })?;
         if !fork && header.scheme != input.scheme_name {
             return Err(SnapshotError::Mismatch(format!(
                 "snapshot was taken under scheme {:?}, input is {:?} (use fork to branch)",
@@ -3006,8 +3065,8 @@ impl SiteState {
                 header.num_levels
             )));
         }
-        for (key, _, wanted) in PRESENCE {
-            let (got, want) = (bool::load(head.get(key)?, key)?, wanted(&input));
+        for ((key, _, wanted), got) in PRESENCE.iter().zip(presence) {
+            let want = wanted(&input);
             if got != want {
                 return Err(SnapshotError::Mismatch(format!(
                     "snapshot {key} = {got}, input has {want}"
@@ -3015,13 +3074,14 @@ impl SiteState {
             }
         }
         if !fork {
-            Traces::load(doc.get(TRACES)?, TRACES)?.check(&Traces::of(&input.supply))?;
+            doc.entry(TRACES, |r| Traces::read(r, TRACES))?
+                .check(&Traces::of(&input.supply))?;
         }
-        let pending: Vec<(SimTime, SiteEv)> = Persist::load(doc.get(EVENTS)?, EVENTS)?;
+        let pending: Vec<(SimTime, SiteEv)> = doc.entry(EVENTS, |r| Persist::read(r, EVENTS))?;
 
         let mut site = SiteState::new(input, site_id, 0);
-        site.restore(&doc, "snapshot")?;
-        site.check_restored(&pending)?;
+        site.restore_document(&doc)?;
+        site.check_restored(header.now, &pending)?;
         site.rebuild_derived()?;
         Ok((
             site,
@@ -3037,12 +3097,23 @@ impl SiteState {
     /// Checks restored state against the fleet and the job table before
     /// any derived cache is built from it. A snapshot is outside input, so
     /// every index and length is a checked error, never a panic.
-    fn check_restored(&self, pending: &[(SimTime, SiteEv)]) -> Result<(), SnapshotError> {
+    fn check_restored(
+        &self,
+        now: SimTime,
+        pending: &[(SimTime, SiteEv)],
+    ) -> Result<(), SnapshotError> {
         let fleet_len = self.fleet.len();
         let num_levels = self.fleet.dvfs.num_levels();
         let num_jobs = self.jobs.len();
         for js in &self.jobs {
             check_job(js, fleet_len, num_levels)?;
+        }
+        if let Some((t, _)) = pending.iter().find(|(t, _)| *t < now) {
+            return Err(SnapshotError::Mismatch(format!(
+                "pending event at {} precedes the snapshot clock {}",
+                t.as_millis(),
+                now.as_millis()
+            )));
         }
         for (t, ev) in pending {
             if let Some(i) = event_job(ev).filter(|&i| i >= num_jobs) {
@@ -3092,6 +3163,34 @@ impl SiteState {
                 "job index {bad} out of range (table has {num_jobs})"
             )));
         }
+        // The demand aggregates `rebuild_derived` sums over the running
+        // jobs' power rows: each row covers every level, and no sum
+        // overflows.
+        if let Some(&i) = self
+            .running
+            .iter()
+            .find(|&&i| self.jobs[i].power_uw_at.len() != num_levels)
+        {
+            return Err(SnapshotError::Mismatch(format!(
+                "running job {i} has {} power levels, fleet has {num_levels}",
+                self.jobs[i].power_uw_at.len()
+            )));
+        }
+        let at_level = |l: Option<usize>| {
+            self.running.iter().try_fold(0i64, |sum, &i| {
+                let js = &self.jobs[i];
+                sum.checked_add(js.power_uw_at[l.unwrap_or(js.level.0 as usize)])
+            })
+        };
+        if (0..num_levels)
+            .map(Some)
+            .chain([None])
+            .any(|l| at_level(l).is_none())
+        {
+            return Err(SnapshotError::Mismatch(
+                "running jobs' power overflows the demand aggregate".to_string(),
+            ));
+        }
         Ok(())
     }
 
@@ -3104,12 +3203,14 @@ impl SiteState {
             .queues
             .iter()
             .map(|q| {
-                q.iter()
-                    .skip(1)
-                    .map(|&i| jobs[i].job.runtime_at_fmax.as_millis())
-                    .sum()
+                q.iter().skip(1).try_fold(0u64, |sum, &i| {
+                    sum.checked_add(jobs[i].job.runtime_at_fmax.as_millis())
+                })
             })
-            .collect();
+            .collect::<Option<_>>()
+            .ok_or_else(|| {
+                SnapshotError::Mismatch("a chip queue's runtime overflows u64 ms".to_string())
+            })?;
         let busy_queues = self.queues.iter().filter(|q| !q.is_empty()).count();
         if busy_queues != self.busy_queues {
             return Err(SnapshotError::Mismatch(format!(
@@ -3142,16 +3243,22 @@ mod snapshot_tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn render(v: &Val) -> String {
-        let mut s = String::new();
-        snapshot::render(v, &mut s);
-        s
+    fn render(v: &impl ToVal) -> String {
+        snapshot::render(v, "test").unwrap()
+    }
+
+    /// Reads one `T` from `text`, which it must consume.
+    fn read<T: Persist>(text: &str, what: &str) -> Result<T, SnapshotError> {
+        let mut r = Reader::new(text);
+        let v = T::read(&mut r, what)?;
+        r.end()?;
+        Ok(v)
     }
 
     /// Decodes a job record and bounds-checks it against a 64-chip,
     /// 8-level fleet, as restore does.
     fn load_job(doc: &str) -> Result<JobState, SnapshotError> {
-        let js = JobState::load(&snapshot::parse(doc)?, "job")?;
+        let js: JobState = read(doc, "job")?;
         check_job(&js, 64, 8)?;
         Ok(js)
     }
@@ -3251,21 +3358,20 @@ mod snapshot_tests {
         /// Pending events: encode → decode → encode is byte-stable.
         #[test]
         fn prop_event_roundtrip(t in arb_time(), ev in arb_event()) {
-            let first = render(&(t, ev).to_val("event").unwrap());
-            let (t2, ev2) =
-                <(SimTime, SiteEv)>::load(&snapshot::parse(&first).unwrap(), "event").unwrap();
+            let first = render(&(t, ev));
+            let (t2, ev2) = read::<(SimTime, SiteEv)>(&first, "event").unwrap();
             prop_assert_eq!(t2, t);
             prop_assert_eq!(ev2, ev);
-            prop_assert_eq!(render(&(t2, ev2).to_val("event").unwrap()), first);
+            prop_assert_eq!(render(&(t2, ev2)), first);
         }
 
         /// Job states: encode → decode → encode is byte-stable (floats
         /// bit-exact, times/ids/rows integer-exact).
         #[test]
         fn prop_job_roundtrip(js in arb_job_state()) {
-            let first = render(&js.to_val("job").unwrap());
+            let first = render(&js);
             let back = load_job(&first).unwrap();
-            prop_assert_eq!(render(&back.to_val("job").unwrap()), first);
+            prop_assert_eq!(render(&back), first);
         }
 
         /// RNG streams: the captured state resumes at exactly the next
@@ -3280,9 +3386,9 @@ mod snapshot_tests {
                 // Leave a Box–Muller spare pending.
                 rng.std_normal();
             }
-            let first = render(&rng.to_val("test rng").unwrap());
-            let mut back = SimRng::load(&snapshot::parse(&first).unwrap(), "test rng").unwrap();
-            prop_assert_eq!(render(&back.to_val("test rng").unwrap()), first.clone());
+            let first = render(&rng);
+            let mut back: SimRng = read(&first, "test rng").unwrap();
+            prop_assert_eq!(render(&back), first.clone());
             // The restored stream continues bit-identically.
             for _ in 0..8 {
                 prop_assert_eq!(back.std_normal().to_bits(), rng.std_normal().to_bits());
@@ -3305,16 +3411,15 @@ mod snapshot_tests {
                 current,
                 values,
             );
-            let first = render(&s.to_val("sampler").unwrap());
-            let back = Sampler::load(&snapshot::parse(&first).unwrap(), "sampler").unwrap();
-            prop_assert_eq!(render(&back.to_val("sampler").unwrap()), first);
+            let first = render(&s);
+            let back: Sampler = read(&first, "sampler").unwrap();
+            prop_assert_eq!(render(&back), first);
         }
     }
 
     #[test]
     fn event_decoder_rejects_unknown_tags() {
-        let v = snapshot::parse("[5,[\"explode\"]]").unwrap();
-        assert!(<(SimTime, SiteEv)>::load(&v, "event").is_err());
+        assert!(read::<(SimTime, SiteEv)>("[5,[\"explode\"]]", "event").is_err());
     }
 
     #[test]
@@ -3342,17 +3447,20 @@ mod snapshot_tests {
             starts: 1,
             attempt_energy_j: 0.0,
         };
-        let doc = render(&js.to_val("job").unwrap());
+        let doc = render(&js);
         assert!(load_job(&doc).is_err(), "chip 99 must be rejected");
         js.chips = vec![ChipId(1)];
         js.level = FreqLevel(12);
-        let doc = render(&js.to_val("job").unwrap());
+        let doc = render(&js);
         assert!(load_job(&doc).is_err(), "level 12 must be rejected");
     }
 
     #[test]
     fn rng_decoder_rejects_all_zero_state() {
-        let v = snapshot::parse("{\"words\":[0,0,0,0],\"spare\":null}").unwrap();
-        assert!(SimRng::load(&v, "test rng").is_err());
+        let text = "{\"words\":[0,0,0,0],\"spare\":null}";
+        assert!(matches!(
+            read::<SimRng>(text, "test rng"),
+            Err(SnapshotError::Mismatch(_))
+        ));
     }
 }

@@ -1,4 +1,4 @@
-//! Checkpoint/restore substrate: a hand-rolled JSON value codec and the
+//! Checkpoint/restore substrate: the workspace's one JSON codec and the
 //! JSONL snapshot document format (DESIGN.md §3g).
 //!
 //! A snapshot captures one site's complete mutable simulation state —
@@ -7,14 +7,27 @@
 //! serialized, and resumed **bit-identically**: the resumed run's report
 //! and telemetry bytes match an uninterrupted run of the same input.
 //!
-//! This is the workspace's one JSON codec: a small value tree ([`Val`])
-//! with [`render`] and [`parse`], shared by snapshots, the telemetry
-//! JSONL, and every artifact the experiment harness writes (`results/`,
-//! `BENCH_sim.json`), whose types derive [`ToVal`] from field lists
-//! ([`to_val!`](crate::to_val)). Floats are written with `Display`'s
-//! shortest-round-trip decimal form, which parses back to the identical
-//! bits — encode → decode → encode is byte-stable, and the property tests
-//! below pin that.
+//! The codec is one [`Writer`] and one `Reader`, and no value tree sits
+//! between them and the state:
+//!
+//! - **Writing.** [`ToVal`] types write themselves straight into a
+//!   [`Writer`] over the output `String`. Integers are formatted from a
+//!   stack buffer; floats use `Display`'s shortest-round-trip decimal form
+//!   (plus `.0` when it shows no fraction), which parses back to the
+//!   identical bits. Snapshots, the telemetry JSONL and every artifact the
+//!   experiment harness writes (`results/`, `BENCH_sim.json`) go through
+//!   it; result types derive [`ToVal`] from field lists
+//!   ([`to_val!`](crate::to_val)).
+//! - **Reading.** `Persist` and `Section` values read themselves from
+//!   a `Reader`, a borrowed cursor over the text, with every type and
+//!   range check of the field they fill. Keyed objects are read **in the
+//!   order their field list writes them**: a missing, extra or
+//!   out-of-order key is a [`SnapshotError::Parse`] that names the key.
+//!   [`parse`] builds a [`Val`] tree on the same cursor, for readers that
+//!   take keys in any order (the telemetry JSONL) and for tests.
+//!
+//! Encode → decode → encode is byte-stable, and the property tests below
+//! pin that.
 //!
 //! Document layout: one JSON object per line, `{"section":"<name>",
 //! "data":<value>}`. The first section is always `header` (version,
@@ -24,15 +37,16 @@
 //! `persist_struct!` list built on the `Persist` / `Section` traits
 //! below; `SiteState::capture` and `SiteState::restore_from` both expand
 //! from those lists. Section order is fixed, so equal states produce
-//! equal bytes.
+//! equal bytes; the reader finds sections by name.
 
 use iscope_dcsim::{RngSnapshot, Sampler, SimDuration, SimRng, SimTime, TimeSeries};
 use iscope_energy::{BatteryState, CostMeter, EnergyLedger, SignalMeter};
 use iscope_scanner::{CampaignEstimate, ProfilingCost, WindowReport};
 use iscope_workload::WorkloadStats;
 use rayon::PoolStats;
+use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Current snapshot document version. Bumped on any schema change; the
 /// decoder rejects versions it does not know.
@@ -70,9 +84,9 @@ impl From<iscope_sched::KeyRangeError> for SnapshotError {
     }
 }
 
-/// A JSON value. Integers and floats are kept apart so integer state
-/// (times in ms, counters, fixed-point µW) round-trips exactly without
-/// passing through f64.
+/// A parsed JSON value, for readers that take keys in any order. Integers
+/// and floats are kept apart so integer state (times in ms, counters,
+/// fixed-point µW) round-trips exactly without passing through f64.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Val {
     /// JSON `null`.
@@ -81,8 +95,8 @@ pub enum Val {
     Bool(bool),
     /// A number with no fraction or exponent in its rendered form.
     Int(i128),
-    /// A finite floating-point number (non-finite values are rejected at
-    /// construction — JSON cannot carry them).
+    /// A finite floating-point number (the parser rejects overflow, and
+    /// the writer refuses non-finite values).
     Float(f64),
     /// A string.
     Str(String),
@@ -94,16 +108,6 @@ pub enum Val {
 }
 
 impl Val {
-    /// Wraps a float, rejecting non-finite values at the boundary.
-    pub(crate) fn float(v: f64, what: &str) -> Result<Val, SnapshotError> {
-        if !v.is_finite() {
-            return Err(SnapshotError::Unsupported(format!(
-                "{what} is {v} (non-finite floats cannot be serialized)"
-            )));
-        }
-        Ok(Val::Float(v))
-    }
-
     fn kind(&self) -> &'static str {
         match self {
             Val::Null => "null",
@@ -118,78 +122,672 @@ impl Val {
 
     /// Looks up `key` in an object, with a path-carrying error.
     pub fn get(&self, key: &str) -> Result<&Val, SnapshotError> {
-        self.opt(key)
-            .ok_or_else(|| SnapshotError::Parse(format!("missing key {key:?}")))
-    }
-
-    /// Looks up `key` in an object, `None` when absent (or not an object).
-    pub(crate) fn opt(&self, key: &str) -> Option<&Val> {
-        match self {
+        let found = match self {
             Val::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
-        }
-    }
-
-    pub(crate) fn as_int(&self, what: &str) -> Result<i128, SnapshotError> {
-        match self {
-            Val::Int(v) => Ok(*v),
-            other => Err(type_err(what, "int", other)),
-        }
-    }
-
-    pub(crate) fn as_i64(&self, what: &str) -> Result<i64, SnapshotError> {
-        i64::try_from(self.as_int(what)?)
-            .map_err(|_| SnapshotError::Mismatch(format!("{what} out of i64 range")))
+        };
+        found.ok_or_else(|| SnapshotError::Parse(format!("missing key {key:?}")))
     }
 
     pub(crate) fn as_u64(&self, what: &str) -> Result<u64, SnapshotError> {
-        u64::try_from(self.as_int(what)?)
-            .map_err(|_| SnapshotError::Mismatch(format!("{what} out of u64 range")))
-    }
-
-    pub(crate) fn as_f64(&self, what: &str) -> Result<f64, SnapshotError> {
         match self {
-            Val::Float(v) => Ok(*v),
-            other => Err(type_err(what, "float", other)),
-        }
-    }
-
-    pub(crate) fn as_bool(&self, what: &str) -> Result<bool, SnapshotError> {
-        match self {
-            Val::Bool(v) => Ok(*v),
-            other => Err(type_err(what, "bool", other)),
-        }
-    }
-
-    pub(crate) fn as_str(&self, what: &str) -> Result<&str, SnapshotError> {
-        match self {
-            Val::Str(s) => Ok(s),
-            other => Err(type_err(what, "string", other)),
+            Val::Int(v) => u64::try_from(*v)
+                .map_err(|_| SnapshotError::Mismatch(format!("{what} out of u64 range"))),
+            other => Err(type_err(what, "int", other.kind())),
         }
     }
 
     pub(crate) fn as_arr(&self, what: &str) -> Result<&[Val], SnapshotError> {
         match self {
             Val::Arr(items) => Ok(items),
-            other => Err(type_err(what, "array", other)),
-        }
-    }
-
-    pub(crate) fn is_null(&self) -> bool {
-        matches!(self, Val::Null)
-    }
-
-    /// The key/value pairs of an object built by a field list.
-    pub(crate) fn into_fields(self) -> Vec<(String, Val)> {
-        match self {
-            Val::Obj(fields) => fields,
-            other => unreachable!("field lists build objects, not {}", other.kind()),
+            other => Err(type_err(what, "array", other.kind())),
         }
     }
 }
 
-fn type_err(what: &str, want: &str, got: &Val) -> SnapshotError {
-    SnapshotError::Parse(format!("{what}: expected {want}, found {}", got.kind()))
+fn type_err(what: &str, want: &str, got: &str) -> SnapshotError {
+    SnapshotError::Parse(format!("{what}: expected {want}, found {got}"))
+}
+
+// ---------------------------------------------------------------------------
+// The writer
+// ---------------------------------------------------------------------------
+
+/// Compact JSON output (no whitespace). Commas are placed by looking at
+/// the last byte written: a value or key that does not open its container,
+/// follow a key or start a line is preceded by one, so callers only open,
+/// write and close.
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: String,
+}
+
+impl Writer {
+    /// An empty writer.
+    pub(crate) fn new() -> Writer {
+        Writer::default()
+    }
+
+    /// The text written so far.
+    pub(crate) fn finish(self) -> String {
+        self.out
+    }
+
+    fn sep(&mut self) {
+        if !matches!(
+            self.out.as_bytes().last(),
+            None | Some(b'[' | b'{' | b':' | b'\n')
+        ) {
+            self.out.push(',');
+        }
+    }
+
+    /// Ends a line of a JSONL stream.
+    pub(crate) fn newline(&mut self) {
+        self.out.push('\n');
+    }
+
+    /// Opens an object.
+    pub(crate) fn open_obj(&mut self) {
+        self.sep();
+        self.out.push('{');
+    }
+
+    /// Closes an object.
+    pub(crate) fn close_obj(&mut self) {
+        self.out.push('}');
+    }
+
+    /// Opens an array.
+    pub(crate) fn open_arr(&mut self) {
+        self.sep();
+        self.out.push('[');
+    }
+
+    /// Closes an array.
+    pub(crate) fn close_arr(&mut self) {
+        self.out.push(']');
+    }
+
+    /// An object whose fields `f` writes.
+    pub fn obj<T>(
+        &mut self,
+        f: impl FnOnce(&mut Writer) -> Result<T, SnapshotError>,
+    ) -> Result<T, SnapshotError> {
+        self.open_obj();
+        let v = f(self)?;
+        self.close_obj();
+        Ok(v)
+    }
+
+    /// One `"key":value` field of an open object, its value written by `f`.
+    pub fn entry<T>(
+        &mut self,
+        key: &str,
+        f: impl FnOnce(&mut Writer) -> Result<T, SnapshotError>,
+    ) -> Result<T, SnapshotError> {
+        self.sep();
+        self.quoted(key);
+        self.out.push(':');
+        f(self)
+    }
+
+    /// JSON `null`.
+    pub(crate) fn null(&mut self) {
+        self.sep();
+        self.out.push_str("null");
+    }
+
+    /// JSON `true` / `false`.
+    pub(crate) fn bool(&mut self, v: bool) {
+        self.sep();
+        self.out.push_str(if v { "true" } else { "false" });
+    }
+
+    /// An integer, formatted from a stack buffer.
+    pub(crate) fn int(&mut self, v: i128) {
+        self.sep();
+        if v < 0 {
+            self.out.push('-');
+        }
+        let mut n = v.unsigned_abs();
+        let mut buf = [0u8; 40];
+        let mut i = buf.len();
+        // 128-bit division is a library call: peel the digits above the
+        // u64 range first, then finish in native width.
+        while n > u64::MAX as u128 {
+            i -= 1;
+            buf[i] = b'0' + (n % 10) as u8;
+            n /= 10;
+        }
+        let mut m = n as u64;
+        loop {
+            i -= 1;
+            buf[i] = b'0' + (m % 10) as u8;
+            m /= 10;
+            if m == 0 {
+                break;
+            }
+        }
+        // ASCII digits are always UTF-8.
+        self.out
+            .push_str(std::str::from_utf8(&buf[i..]).unwrap_or_default());
+    }
+
+    /// A finite float in shortest-round-trip form; an integral value keeps
+    /// a `.0` so it reads back as a float. A non-finite value is an error
+    /// naming `what` (JSON cannot carry it).
+    pub(crate) fn float(&mut self, v: f64, what: &str) -> Result<(), SnapshotError> {
+        if !v.is_finite() {
+            return Err(SnapshotError::Unsupported(format!(
+                "{what} is {v} (non-finite floats cannot be serialized)"
+            )));
+        }
+        self.sep();
+        let start = self.out.len();
+        // Formatting into a `String` cannot fail.
+        let _ = write!(self.out, "{v}");
+        if !self.out.as_bytes()[start..]
+            .iter()
+            .any(|b| matches!(b, b'.' | b'e' | b'E'))
+        {
+            self.out.push_str(".0");
+        }
+        Ok(())
+    }
+
+    /// A string, escaped.
+    pub(crate) fn str(&mut self, s: &str) {
+        self.sep();
+        self.quoted(s);
+    }
+
+    fn quoted(&mut self, s: &str) {
+        self.out.push('"');
+        let mut plain = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let esc = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            // Escaped bytes are ASCII, so `plain..i` is on char boundaries.
+            self.out.push_str(&s[plain..i]);
+            if esc.is_empty() {
+                let _ = write!(self.out, "\\u{b:04x}");
+            } else {
+                self.out.push_str(esc);
+            }
+            plain = i + 1;
+        }
+        self.out.push_str(&s[plain..]);
+        self.out.push('"');
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The reader
+// ---------------------------------------------------------------------------
+
+/// Maximum nesting [`parse`] accepts; typed reads nest only as deep as
+/// their types, so this guards the tree parser against hostile input.
+const MAX_DEPTH: usize = 64;
+
+/// A borrowed cursor over JSON text. Every token is read with its leading
+/// whitespace skipped and its trailing whitespace left, so the byte before
+/// the cursor always ends the last token read: `[` or `{` there means the
+/// next entry is its container's first and takes no comma.
+#[derive(Debug)]
+pub(crate) struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A cursor at the start of `text`.
+    pub(crate) fn new(text: &'a str) -> Reader<'a> {
+        Reader { text, pos: 0 }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
+        }
+    }
+
+    fn err(&self, msg: &str) -> SnapshotError {
+        SnapshotError::Parse(format!("{msg} at byte {}", self.pos))
+    }
+
+    fn eat(&mut self, b: u8, what: &str) -> Result<(), SnapshotError> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected {what}")))
+        }
+    }
+
+    /// What the next token is, for type errors.
+    fn next_kind(&mut self) -> &'static str {
+        self.skip_ws();
+        match self.peek() {
+            None => "end of input",
+            Some(b'n') => "null",
+            Some(b't' | b'f') => "bool",
+            Some(b'"') => "string",
+            Some(b'[') => "array",
+            Some(b'{') => "object",
+            Some(b'-' | b'0'..=b'9') => "number",
+            Some(_) => "an invalid byte",
+        }
+    }
+
+    fn type_err(&mut self, what: &str, want: &str) -> SnapshotError {
+        let got = self.next_kind();
+        type_err(what, want, got)
+    }
+
+    /// Checks that only whitespace is left.
+    pub(crate) fn end(&mut self) -> Result<(), SnapshotError> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing garbage"))
+        }
+    }
+
+    fn open(&mut self, b: u8, what: &str, want: &str) -> Result<(), SnapshotError> {
+        self.skip_ws();
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.type_err(what, want))
+        }
+    }
+
+    /// Steps to the next entry of an open container: `false` (with the
+    /// closing bracket consumed) when there is none.
+    fn sep(&mut self, close: u8) -> Result<bool, SnapshotError> {
+        let first = matches!(
+            self.pos.checked_sub(1).map(|i| self.text.as_bytes()[i]),
+            Some(b'[' | b'{')
+        );
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(false);
+        }
+        if !first {
+            self.eat(b',', "',' or a closing bracket")?;
+        }
+        Ok(true)
+    }
+
+    /// Opens an array.
+    pub(crate) fn open_arr(&mut self, what: &str) -> Result<(), SnapshotError> {
+        self.open(b'[', what, "array")
+    }
+
+    /// Steps to the next item of an open array: `false` at its end.
+    pub(crate) fn next_item(&mut self) -> Result<bool, SnapshotError> {
+        self.sep(b']')
+    }
+
+    /// Steps to the next item of an open array, which must exist.
+    fn item(&mut self, what: &str, shape: &str) -> Result<(), SnapshotError> {
+        if self.next_item()? {
+            Ok(())
+        } else {
+            Err(SnapshotError::Parse(format!("{what} must be {shape}")))
+        }
+    }
+
+    /// Opens an object.
+    pub(crate) fn open_obj(&mut self, what: &str) -> Result<(), SnapshotError> {
+        self.open(b'{', what, "object")
+    }
+
+    /// The next key of an open object (its `:` consumed): `None` at its
+    /// end.
+    pub(crate) fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, SnapshotError> {
+        if !self.sep(b'}')? {
+            return Ok(None);
+        }
+        self.skip_ws();
+        let key = self.string()?;
+        self.skip_ws();
+        self.eat(b':', "':'")?;
+        Ok(Some(key))
+    }
+
+    /// Closes an object; a further key is an error naming it.
+    pub(crate) fn close_obj(&mut self) -> Result<(), SnapshotError> {
+        match self.next_key()? {
+            None => Ok(()),
+            Some(k) => Err(SnapshotError::Parse(format!("unexpected key {k:?}"))),
+        }
+    }
+
+    /// An object whose fields `f` reads, in order.
+    pub(crate) fn obj<T>(
+        &mut self,
+        what: &str,
+        f: impl FnOnce(&mut Reader<'a>) -> Result<T, SnapshotError>,
+    ) -> Result<T, SnapshotError> {
+        self.open_obj(what)?;
+        let v = f(self)?;
+        self.close_obj()?;
+        Ok(v)
+    }
+
+    /// The field `key`, which must be the next one, its value read by `f`.
+    pub(crate) fn entry<T>(
+        &mut self,
+        key: &str,
+        f: impl FnOnce(&mut Reader<'a>) -> Result<T, SnapshotError>,
+    ) -> Result<T, SnapshotError> {
+        match self.next_key()? {
+            Some(k) if k == key => f(self),
+            Some(k) => Err(SnapshotError::Parse(format!(
+                "expected key {key:?}, found {k:?}"
+            ))),
+            None => Err(SnapshotError::Parse(format!("missing key {key:?}"))),
+        }
+    }
+
+    /// Consumes a `null` if one is next.
+    pub(crate) fn null(&mut self) -> bool {
+        self.skip_ws();
+        self.literal("null")
+    }
+
+    /// A `null`, which must be next.
+    pub(crate) fn expect_null(&mut self, what: &str) -> Result<(), SnapshotError> {
+        if self.null() {
+            Ok(())
+        } else {
+            Err(self.type_err(what, "null"))
+        }
+    }
+
+    fn literal(&mut self, word: &str) -> bool {
+        let hit = self.text.as_bytes()[self.pos..].starts_with(word.as_bytes());
+        if hit {
+            self.pos += word.len();
+        }
+        hit
+    }
+
+    /// `true` or `false`.
+    pub(crate) fn bool(&mut self, what: &str) -> Result<bool, SnapshotError> {
+        self.skip_ws();
+        if self.literal("true") {
+            Ok(true)
+        } else if self.literal("false") {
+            Ok(false)
+        } else if let Some(b't' | b'f') = self.peek() {
+            Err(self.err("invalid literal"))
+        } else {
+            Err(self.type_err(what, "bool"))
+        }
+    }
+
+    /// A number token and whether it has a fraction or an exponent.
+    fn number(&mut self) -> (&'a str, bool) {
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        let mut is_float = false;
+        while let Some(&b) = bytes.get(self.pos) {
+            match b {
+                b'0'..=b'9' => {}
+                // A sign only continues a number inside an exponent; a '-'
+                // starting the next array element must not be swallowed.
+                b'+' | b'-' if !matches!(bytes[self.pos - 1], b'e' | b'E') => break,
+                b'+' | b'-' => {}
+                b'.' | b'e' | b'E' => is_float = true,
+                _ => break,
+            }
+            self.pos += 1;
+        }
+        // The token is ASCII, so both ends are char boundaries.
+        (&self.text[start..self.pos], is_float)
+    }
+
+    /// An integer (no fraction or exponent), exactly.
+    pub(crate) fn int(&mut self, what: &str) -> Result<i128, SnapshotError> {
+        self.skip_ws();
+        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            return Err(self.type_err(what, "int"));
+        }
+        // The common case in one pass: up to 19 digits (no u64 overflow)
+        // with no fraction or exponent after them. Anything else takes
+        // the general path below.
+        let bytes = self.text.as_bytes();
+        let neg = bytes[self.pos] == b'-';
+        let first = self.pos + neg as usize;
+        let mut end = first;
+        let mut v = 0u64;
+        while let Some(&b @ b'0'..=b'9') = bytes.get(end).filter(|_| end - first < 19) {
+            v = v * 10 + (b - b'0') as u64;
+            end += 1;
+        }
+        if end > first && !matches!(bytes.get(end), Some(b'0'..=b'9' | b'.' | b'e' | b'E')) {
+            self.pos = end;
+            return Ok(if neg { -(v as i128) } else { v as i128 });
+        }
+        let (tok, is_float) = self.number();
+        if is_float {
+            return Err(type_err(what, "int", "float"));
+        }
+        parse_int(tok).ok_or_else(|| SnapshotError::Parse(format!("invalid integer {tok:?}")))
+    }
+
+    /// A finite float written with a fraction or an exponent.
+    pub(crate) fn float(&mut self, what: &str) -> Result<f64, SnapshotError> {
+        self.skip_ws();
+        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            return Err(self.type_err(what, "float"));
+        }
+        let (tok, is_float) = self.number();
+        if !is_float {
+            return Err(type_err(what, "float", "int"));
+        }
+        parse_float(tok)
+    }
+
+    /// A string; borrowed from the text unless it holds escapes.
+    pub(crate) fn str(&mut self, what: &str) -> Result<Cow<'a, str>, SnapshotError> {
+        self.skip_ws();
+        if self.peek() != Some(b'"') {
+            return Err(self.type_err(what, "string"));
+        }
+        self.string()
+    }
+
+    fn string(&mut self) -> Result<Cow<'a, str>, SnapshotError> {
+        self.eat(b'"', "'\"'")?;
+        let bytes = self.text.as_bytes();
+        let mut owned: Option<String> = None;
+        loop {
+            let start = self.pos;
+            while let Some(&b) = bytes.get(self.pos) {
+                if b == b'"' || b == b'\\' || b < 0x20 {
+                    break;
+                }
+                self.pos += 1;
+            }
+            // The run stops at an ASCII byte or the end, so it is on char
+            // boundaries.
+            let run = &self.text[start..self.pos];
+            match self.peek() {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(match owned {
+                        None => Cow::Borrowed(run),
+                        Some(mut s) => {
+                            s.push_str(run);
+                            Cow::Owned(s)
+                        }
+                    });
+                }
+                Some(b'\\') => {
+                    let s = owned.get_or_insert_with(String::new);
+                    s.push_str(run);
+                    self.pos += 1;
+                    let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
+                    self.pos += 1;
+                    let c = match esc {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'/' => '/',
+                        b'b' => '\u{0008}',
+                        b'f' => '\u{000C}',
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
+                        b'u' => self.unicode_escape()?,
+                        _ => return Err(self.err("invalid escape")),
+                    };
+                    s.push(c);
+                }
+                _ => return Err(self.err("unterminated string or control byte")),
+            }
+        }
+    }
+
+    /// The code point of a `\u` escape (its `\u` consumed), joining a
+    /// surrogate pair.
+    fn unicode_escape(&mut self) -> Result<char, SnapshotError> {
+        let hi = self.hex4()?;
+        let code = if (0xD800..0xDC00).contains(&hi) {
+            self.eat(b'\\', "'\\' of a surrogate pair")?;
+            self.eat(b'u', "'u' of a surrogate pair")?;
+            let lo = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&lo) {
+                return Err(self.err("invalid low surrogate"));
+            }
+            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+        } else {
+            hi
+        };
+        char::from_u32(code).ok_or_else(|| self.err("invalid unicode escape"))
+    }
+
+    fn hex4(&mut self) -> Result<u32, SnapshotError> {
+        let mut v = 0;
+        for _ in 0..4 {
+            let digit = self
+                .peek()
+                .and_then(|b| (b as char).to_digit(16))
+                .ok_or_else(|| self.err("invalid \\u escape"))?;
+            v = v * 16 + digit;
+            self.pos += 1;
+        }
+        Ok(v)
+    }
+
+    /// Any JSON value, as a tree.
+    fn value(&mut self, depth: usize) -> Result<Val, SnapshotError> {
+        if depth > MAX_DEPTH {
+            return Err(SnapshotError::Parse("nesting too deep".into()));
+        }
+        match self.next_kind() {
+            "null" if self.null() => Ok(Val::Null),
+            "bool" => self.bool("value").map(Val::Bool),
+            "string" => self.string().map(|s| Val::Str(s.into_owned())),
+            "array" => {
+                self.pos += 1;
+                let mut items = Vec::new();
+                while self.next_item()? {
+                    items.push(self.value(depth + 1)?);
+                }
+                Ok(Val::Arr(items))
+            }
+            "object" => {
+                self.pos += 1;
+                let mut fields = Vec::new();
+                while let Some(k) = self.next_key()? {
+                    fields.push((k.into_owned(), self.value(depth + 1)?));
+                }
+                Ok(Val::Obj(fields))
+            }
+            "number" => match self.number() {
+                (tok, true) => parse_float(tok).map(Val::Float),
+                (tok, false) => parse_int(tok)
+                    .map(Val::Int)
+                    .ok_or_else(|| SnapshotError::Parse(format!("invalid integer {tok:?}"))),
+            },
+            _ => Err(self.err("unexpected byte")),
+        }
+    }
+}
+
+/// An optionally signed run of decimal digits, exactly; `None` when empty
+/// or beyond `i128`.
+fn parse_int(tok: &str) -> Option<i128> {
+    let (neg, digits) = match tok.strip_prefix('-') {
+        Some(d) => (true, d),
+        None => (false, tok),
+    };
+    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    let magnitude = if digits.len() <= 19 {
+        // Nineteen digits cannot overflow a u64.
+        digits.bytes().fold(0u64, |v, b| v * 10 + (b - b'0') as u64) as u128
+    } else {
+        digits.bytes().try_fold(0u128, |v, b| {
+            v.checked_mul(10)?.checked_add((b - b'0') as u128)
+        })?
+    };
+    if neg {
+        0i128.checked_sub_unsigned(magnitude)
+    } else {
+        i128::try_from(magnitude).ok()
+    }
+}
+
+fn parse_float(tok: &str) -> Result<f64, SnapshotError> {
+    let v: f64 = tok
+        .parse()
+        .map_err(|_| SnapshotError::Parse(format!("invalid float {tok:?}")))?;
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(SnapshotError::Parse(format!("float {tok:?} overflows f64")))
+    }
+}
+
+/// Parses one JSON document into a tree (a full value; surrounding
+/// whitespace allowed).
+pub fn parse(text: &str) -> Result<Val, SnapshotError> {
+    let mut r = Reader::new(text);
+    let v = r.value(0)?;
+    r.end()?;
+    Ok(v)
+}
+
+/// Renders `value` as one line of compact JSON. A value JSON cannot carry
+/// (a non-finite float) is an error naming its field; `what` names the
+/// value itself.
+pub fn render<T: ToVal + ?Sized>(value: &T, what: &str) -> Result<String, SnapshotError> {
+    let mut w = Writer::new();
+    value.write(&mut w, what)?;
+    Ok(w.finish())
 }
 
 // ---------------------------------------------------------------------------
@@ -200,18 +798,18 @@ fn type_err(what: &str, want: &str, got: &Val) -> SnapshotError {
 // from that list, so the two directions cannot drift apart.
 // ---------------------------------------------------------------------------
 
-/// A value that renders to a [`Val`]: snapshot state and result
-/// artifacts alike.
+/// A value that writes itself as JSON: snapshot state and result artifacts
+/// alike.
 pub trait ToVal {
-    /// The value as a JSON tree. `what` labels errors (it is the field's
-    /// key); a non-finite float is an error naming it.
-    fn to_val(&self, what: &str) -> Result<Val, SnapshotError>;
+    /// Writes the value. `what` labels errors (it is the field's key); a
+    /// non-finite float is an error naming it.
+    fn write(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError>;
 }
 
-/// A [`ToVal`] value that also loads back: leaf types and containers of
+/// A [`ToVal`] value that also reads back: leaf types and containers of
 /// them.
 pub(crate) trait Persist: ToVal + Sized {
-    fn load(v: &Val, what: &str) -> Result<Self, SnapshotError>;
+    fn read(r: &mut Reader<'_>, what: &str) -> Result<Self, SnapshotError>;
 }
 
 /// State restored *in place*: a component rebuilt from the run input
@@ -220,104 +818,149 @@ pub(crate) trait Persist: ToVal + Sized {
 /// component's config). Every [`Persist`] value is a `Section` that
 /// restores by replacement.
 pub(crate) trait Section {
-    fn save_section(&self, what: &str) -> Result<Val, SnapshotError>;
-    fn restore(&mut self, v: &Val, what: &str) -> Result<(), SnapshotError>;
+    fn save_section(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError>;
+    fn restore(&mut self, r: &mut Reader<'_>, what: &str) -> Result<(), SnapshotError>;
 }
 
 impl<T: Persist> Section for T {
-    fn save_section(&self, what: &str) -> Result<Val, SnapshotError> {
-        self.to_val(what)
+    fn save_section(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
+        self.write(w, what)
     }
 
-    fn restore(&mut self, v: &Val, what: &str) -> Result<(), SnapshotError> {
-        *self = T::load(v, what)?;
+    fn restore(&mut self, r: &mut Reader<'_>, what: &str) -> Result<(), SnapshotError> {
+        *self = T::read(r, what)?;
         Ok(())
     }
 }
 
+/// The fields of a [`section!`] object without its braces, so another
+/// list can splice them into its own object (`..place`).
+pub(crate) trait Fields {
+    fn save_fields(&self, w: &mut Writer) -> Result<(), SnapshotError>;
+    fn restore_fields(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError>;
+}
+
 /// Declares a component's snapshot object as one `"key" => place` list
-/// and derives [`Section`] for it and for `Option<T>` (see
-/// [`optional_section!`]). A value may be a nested `{ ... }` list (an
-/// inline object of the same component) or `[save_fn, restore_fn]` for a
-/// section computed from several fields; `..place` splices another
-/// component's fields into this object.
-/// Expects `Val`, `SnapshotError` and `Section` in scope.
+/// and derives [`Fields`] and [`Section`] for it and [`Section`] for
+/// `Option<T>` (see [`optional_section!`]). A value may be a nested
+/// `{ ... }` list (an inline object of the same component) or
+/// `[save_fn, restore_fn]` for a value computed from several fields;
+/// `..place` splices another component's fields into this object.
+///
+/// The `document` form declares the snapshot document itself: each key
+/// is a section (one JSONL line) and the list derives
+/// `save_document(&DocWriter)` and `restore_document(&Doc)`.
+/// Expects `Writer`, `Reader`, `SnapshotError`, `Section` and `Fields`
+/// in scope (the `document` form also `DocWriter` and `Doc`).
 macro_rules! section {
-    ($ty:ty, |$s:ident| { $($body:tt)* }) => {
-        impl Section for $ty {
-            // The list expands to one push per entry.
-            #[allow(clippy::vec_init_then_push)]
-            fn save_section(&self, _what: &str) -> Result<Val, SnapshotError> {
+    (document $ty:ty, |$s:ident| { $($body:tt)* }) => {
+        impl $ty {
+            fn save_document(&self, doc: &mut DocWriter) -> Result<(), SnapshotError> {
                 let $s = self;
-                let mut fields = Vec::new();
-                $crate::snapshot::section!(@save $s fields $($body)*);
-                Ok(Val::Obj(fields))
+                $crate::snapshot::section!(@save $s doc $($body)*);
+                Ok(())
             }
 
-            fn restore(&mut self, v: &Val, _what: &str) -> Result<(), SnapshotError> {
+            fn restore_document(&mut self, doc: &Doc<'_>) -> Result<(), SnapshotError> {
                 let $s = self;
-                $crate::snapshot::section!(@restore $s v $($body)*);
+                $crate::snapshot::section!(@restore $s doc $($body)*);
                 Ok(())
+            }
+        }
+    };
+    ($ty:ty, |$s:ident| { $($body:tt)* }) => {
+        impl Fields for $ty {
+            fn save_fields(&self, w: &mut Writer) -> Result<(), SnapshotError> {
+                let $s = self;
+                $crate::snapshot::section!(@save $s w $($body)*);
+                Ok(())
+            }
+
+            fn restore_fields(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
+                let $s = self;
+                $crate::snapshot::section!(@restore $s r $($body)*);
+                Ok(())
+            }
+        }
+
+        impl Section for $ty {
+            fn save_section(&self, w: &mut Writer, _what: &str) -> Result<(), SnapshotError> {
+                w.obj(|w| self.save_fields(w))
+            }
+
+            fn restore(&mut self, r: &mut Reader<'_>, what: &str) -> Result<(), SnapshotError> {
+                r.obj(what, |r| self.restore_fields(r))
             }
         }
 
         $crate::snapshot::optional_section!($ty);
     };
-    (@save $s:ident $out:ident) => {};
-    (@save $s:ident $out:ident .. $e:expr $(, $($rest:tt)*)?) => {
-        $out.extend(Section::save_section(&$e, "")?.into_fields());
-        $crate::snapshot::section!(@save $s $out $($($rest)*)?);
+    (@save $s:ident $w:ident) => {};
+    (@save $s:ident $w:ident .. $e:expr $(, $($rest:tt)*)?) => {
+        Fields::save_fields(&$e, $w)?;
+        $crate::snapshot::section!(@save $s $w $($($rest)*)?);
     };
-    (@save $s:ident $out:ident $key:literal => { $($inner:tt)* } $(, $($rest:tt)*)?) => {
-        let mut inner = Vec::new();
-        $crate::snapshot::section!(@save $s inner $($inner)*);
-        $out.push(($key.to_string(), Val::Obj(inner)));
-        $crate::snapshot::section!(@save $s $out $($($rest)*)?);
+    (@save $s:ident $w:ident $key:literal => { $($inner:tt)* } $(, $($rest:tt)*)?) => {
+        $w.entry($key, |w| w.obj(|w| {
+            $crate::snapshot::section!(@save $s w $($inner)*);
+            Ok(())
+        }))?;
+        $crate::snapshot::section!(@save $s $w $($($rest)*)?);
     };
-    (@save $s:ident $out:ident $key:literal => [$save:path, $restore:path]
+    (@save $s:ident $w:ident $key:literal => [$save:path, $restore:path]
         $(, $($rest:tt)*)?) => {
-        $out.push(($key.to_string(), $save($s)?));
-        $crate::snapshot::section!(@save $s $out $($($rest)*)?);
+        $w.entry($key, |w| $save($s, w))?;
+        $crate::snapshot::section!(@save $s $w $($($rest)*)?);
     };
-    (@save $s:ident $out:ident $key:literal => $e:expr $(, $($rest:tt)*)?) => {
-        $out.push(($key.to_string(), Section::save_section(&$e, $key)?));
-        $crate::snapshot::section!(@save $s $out $($($rest)*)?);
+    (@save $s:ident $w:ident $key:literal => $e:expr $(, $($rest:tt)*)?) => {
+        $w.entry($key, |w| Section::save_section(&$e, w, $key))?;
+        $crate::snapshot::section!(@save $s $w $($($rest)*)?);
     };
-    (@restore $s:ident $v:ident) => {};
-    (@restore $s:ident $v:ident .. $e:expr $(, $($rest:tt)*)?) => {
-        Section::restore(&mut $e, $v, "")?;
-        $crate::snapshot::section!(@restore $s $v $($($rest)*)?);
+    (@restore $s:ident $r:ident) => {};
+    (@restore $s:ident $r:ident .. $e:expr $(, $($rest:tt)*)?) => {
+        Fields::restore_fields(&mut $e, $r)?;
+        $crate::snapshot::section!(@restore $s $r $($($rest)*)?);
     };
-    (@restore $s:ident $v:ident $key:literal => { $($inner:tt)* } $(, $($rest:tt)*)?) => {
-        let inner = $v.get($key)?;
-        $crate::snapshot::section!(@restore $s inner $($inner)*);
-        $crate::snapshot::section!(@restore $s $v $($($rest)*)?);
+    (@restore $s:ident $r:ident $key:literal => { $($inner:tt)* } $(, $($rest:tt)*)?) => {
+        $r.entry($key, |r| r.obj($key, |r| {
+            $crate::snapshot::section!(@restore $s r $($inner)*);
+            Ok(())
+        }))?;
+        $crate::snapshot::section!(@restore $s $r $($($rest)*)?);
     };
-    (@restore $s:ident $v:ident $key:literal => [$save:path, $restore:path]
+    (@restore $s:ident $r:ident $key:literal => [$save:path, $restore:path]
         $(, $($rest:tt)*)?) => {
-        $restore($s, $v.get($key)?)?;
-        $crate::snapshot::section!(@restore $s $v $($($rest)*)?);
+        $r.entry($key, |r| $restore($s, r))?;
+        $crate::snapshot::section!(@restore $s $r $($($rest)*)?);
     };
-    (@restore $s:ident $v:ident $key:literal => $e:expr $(, $($rest:tt)*)?) => {
-        Section::restore(&mut $e, $v.get($key)?, $key)?;
-        $crate::snapshot::section!(@restore $s $v $($($rest)*)?);
+    (@restore $s:ident $r:ident $key:literal => $e:expr $(, $($rest:tt)*)?) => {
+        $r.entry($key, |r| Section::restore(&mut $e, r, $key))?;
+        $crate::snapshot::section!(@restore $s $r $($($rest)*)?);
     };
 }
 pub(crate) use section;
 
 /// Derives [`Section`] for an optional component: `None` saves as `null`
-/// and restores nothing (the header's presence flags have already matched
-/// the input against the snapshot).
+/// and restores from `null` (the header's presence flags have already
+/// matched the input against the snapshot).
 macro_rules! optional_section {
     ($ty:ty) => {
         impl Section for Option<$ty> {
-            fn save_section(&self, what: &str) -> Result<Val, SnapshotError> {
-                self.as_ref()
-                    .map_or(Ok(Val::Null), |c| c.save_section(what))
+            fn save_section(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
+                match self {
+                    Some(c) => c.save_section(w, what),
+                    None => {
+                        w.null();
+                        Ok(())
+                    }
+                }
             }
 
-            fn restore(&mut self, v: &Val, what: &str) -> Result<(), SnapshotError> {
-                self.as_mut().map_or(Ok(()), |c| c.restore(v, what))
+            fn restore(&mut self, r: &mut Reader<'_>, what: &str) -> Result<(), SnapshotError> {
+                match self {
+                    Some(c) => c.restore(r, what),
+                    None => r.expect_null(what),
+                }
             }
         }
     };
@@ -332,44 +975,47 @@ pub(crate) use optional_section;
 macro_rules! to_val {
     ($ty:ty, |$s:ident| { $($body:tt)* }) => {
         impl $crate::snapshot::ToVal for $ty {
-            // The list expands to one push per entry.
-            #[allow(clippy::vec_init_then_push)]
-            fn to_val(
+            fn write(
                 &self,
+                w: &mut $crate::snapshot::Writer,
                 _what: &str,
-            ) -> Result<$crate::snapshot::Val, $crate::snapshot::SnapshotError> {
+            ) -> Result<(), $crate::snapshot::SnapshotError> {
                 let $s = self;
-                let mut fields = Vec::new();
-                $crate::to_val!(@fields fields $($body)*);
-                Ok($crate::snapshot::Val::Obj(fields))
+                w.obj(|w| {
+                    $crate::to_val!(@fields w $($body)*);
+                    Ok(())
+                })
             }
         }
     };
-    (@fields $out:ident) => {};
-    (@fields $out:ident $key:literal => { $($inner:tt)* } $(, $($rest:tt)*)?) => {
-        let mut inner = Vec::new();
-        $crate::to_val!(@fields inner $($inner)*);
-        $out.push(($key.to_string(), $crate::snapshot::Val::Obj(inner)));
-        $crate::to_val!(@fields $out $($($rest)*)?);
+    (@fields $w:ident) => {};
+    (@fields $w:ident $key:literal => { $($inner:tt)* } $(, $($rest:tt)*)?) => {
+        $w.entry($key, |w| w.obj(|w| {
+            $crate::to_val!(@fields w $($inner)*);
+            Ok(())
+        }))?;
+        $crate::to_val!(@fields $w $($($rest)*)?);
     };
-    (@fields $out:ident $key:literal => $e:expr $(, $($rest:tt)*)?) => {
-        $out.push(($key.to_string(), $crate::snapshot::ToVal::to_val(&$e, $key)?));
-        $crate::to_val!(@fields $out $($($rest)*)?);
+    (@fields $w:ident $key:literal => $e:expr $(, $($rest:tt)*)?) => {
+        $w.entry($key, |w| $crate::snapshot::ToVal::write(&$e, w, $key))?;
+        $crate::to_val!(@fields $w $($($rest)*)?);
     };
 }
 
 /// Declares a plain value struct's snapshot object as one
 /// `"key" => field` list and derives [`ToVal`] and [`Persist`] for it
-/// (every field is listed, so `load` builds the struct outright). Expects
-/// `Val`, `SnapshotError` and `Persist` in scope.
+/// (every field is listed, so `read` builds the struct outright). Expects
+/// `Reader`, `SnapshotError` and `Persist` in scope.
 macro_rules! persist_struct {
-    ($ty:ident { $($key:literal => $field:ident),* $(,)? }) => {
+    ($ty:ty { $($key:literal => $field:ident),* $(,)? }) => {
         $crate::to_val!($ty, |s| { $($key => s.$field),* });
 
         impl Persist for $ty {
-            fn load(v: &Val, _what: &str) -> Result<Self, SnapshotError> {
-                Ok($ty {
-                    $($field: Persist::load(v.get($key)?, $key)?,)*
+            fn read(r: &mut Reader<'_>, what: &str) -> Result<Self, SnapshotError> {
+                r.obj(what, |r| {
+                    Ok(Self {
+                        $($field: r.entry($key, |r| Persist::read(r, $key))?,)*
+                    })
                 })
             }
         }
@@ -380,14 +1026,15 @@ pub(crate) use persist_struct;
 macro_rules! persist_int {
     ($($t:ty),*) => {$(
         impl ToVal for $t {
-            fn to_val(&self, _what: &str) -> Result<Val, SnapshotError> {
-                Ok(Val::Int(*self as i128))
+            fn write(&self, w: &mut Writer, _what: &str) -> Result<(), SnapshotError> {
+                w.int(*self as i128);
+                Ok(())
             }
         }
 
         impl Persist for $t {
-            fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
-                <$t>::try_from(v.as_int(what)?).map_err(|_| {
+            fn read(r: &mut Reader<'_>, what: &str) -> Result<Self, SnapshotError> {
+                <$t>::try_from(r.int(what)?).map_err(|_| {
                     SnapshotError::Mismatch(format!(
                         "{what} out of {} range",
                         stringify!($t)
@@ -399,21 +1046,21 @@ macro_rules! persist_int {
 }
 persist_int!(u8, u32, u64, usize, i64);
 
-/// Leaf values, each declared once as `Type => save, load`: `save` maps
-/// the value `x`, `load` the parsed value `v`, both naming the field in
-/// errors through their second parameter.
+/// Leaf values, each declared once as `Type => save, load`: `save` writes
+/// the value `x` to `w`, `load` reads one from `r`, both naming the field
+/// in errors through their last parameter.
 macro_rules! persist_leaf {
-    ($($t:ty => |$x:ident, $ws:pat_param| $save:expr,
-        |$v:ident, $wl:pat_param| $load:expr;)*) => {$(
+    ($($t:ty => |$x:ident, $w:ident, $ws:pat_param| $save:expr,
+        |$r:ident, $wl:pat_param| $load:expr;)*) => {$(
         impl ToVal for $t {
-            fn to_val(&self, $ws: &str) -> Result<Val, SnapshotError> {
+            fn write(&self, $w: &mut Writer, $ws: &str) -> Result<(), SnapshotError> {
                 let $x = self;
                 $save
             }
         }
 
         impl Persist for $t {
-            fn load($v: &Val, $wl: &str) -> Result<Self, SnapshotError> {
+            fn read($r: &mut Reader<'_>, $wl: &str) -> Result<Self, SnapshotError> {
                 $load
             }
         }
@@ -422,50 +1069,69 @@ macro_rules! persist_leaf {
 
 // Times and durations are integer milliseconds.
 persist_leaf! {
-    bool => |x, _| Ok(Val::Bool(*x)), |v, what| v.as_bool(what);
-    f64 => |x, what| Val::float(*x, what), |v, what| v.as_f64(what);
-    String => |x, _| Ok(Val::Str(x.clone())), |v, what| v.as_str(what).map(str::to_string);
-    SimTime => |x, _| Ok(Val::Int(x.as_millis() as i128)),
-        |v, what| Ok(SimTime::from_millis(v.as_u64(what)?));
-    SimDuration => |x, _| Ok(Val::Int(x.as_millis() as i128)),
-        |v, what| Ok(SimDuration::from_millis(v.as_u64(what)?));
+    bool => |x, w, _| { w.bool(*x); Ok(()) }, |r, what| r.bool(what);
+    f64 => |x, w, what| w.float(*x, what), |r, what| r.float(what);
+    String => |x, w, _| { w.str(x); Ok(()) }, |r, what| r.str(what).map(Cow::into_owned);
+    SimTime => |x, w, what| x.as_millis().write(w, what),
+        |r, what| u64::read(r, what).map(SimTime::from_millis);
+    SimDuration => |x, w, what| x.as_millis().write(w, what),
+        |r, what| u64::read(r, what).map(SimDuration::from_millis);
 }
 
 /// String literals, for fixed entries in [`to_val!`](crate::to_val) lists.
-impl ToVal for &str {
-    fn to_val(&self, _what: &str) -> Result<Val, SnapshotError> {
-        Ok(Val::Str(self.to_string()))
+impl ToVal for str {
+    fn write(&self, w: &mut Writer, _what: &str) -> Result<(), SnapshotError> {
+        w.str(self);
+        Ok(())
     }
 }
 
-/// Saves a sequence as a JSON array.
-pub(crate) fn save_all<'a, T: ToVal + 'a>(
-    items: impl IntoIterator<Item = &'a T>,
-    what: &str,
-) -> Result<Val, SnapshotError> {
-    Ok(Val::Arr(
-        items
-            .into_iter()
-            .map(|x| x.to_val(what))
-            .collect::<Result<_, _>>()?,
-    ))
+impl<T: ToVal + ?Sized> ToVal for &T {
+    fn write(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
+        (**self).write(w, what)
+    }
 }
 
-fn load_all<T: Persist, C: FromIterator<T>>(v: &Val, what: &str) -> Result<C, SnapshotError> {
-    v.as_arr(what)?.iter().map(|x| T::load(x, what)).collect()
+/// A sequence is a JSON array.
+impl<T: ToVal> ToVal for [T] {
+    fn write(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
+        w.open_arr();
+        for x in self {
+            x.write(w, what)?;
+        }
+        w.close_arr();
+        Ok(())
+    }
+}
+
+fn read_all<T: Persist, C: Default + Extend<T>>(
+    r: &mut Reader<'_>,
+    what: &str,
+) -> Result<C, SnapshotError> {
+    r.open_arr(what)?;
+    let mut items = C::default();
+    while r.next_item()? {
+        items.extend(Some(T::read(r, what)?));
+    }
+    Ok(items)
 }
 
 macro_rules! persist_seq {
     ($($seq:ident),*) => {$(
         impl<T: ToVal> ToVal for $seq<T> {
-            fn to_val(&self, what: &str) -> Result<Val, SnapshotError> {
-                save_all(self, what)
+            fn write(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
+                w.open_arr();
+                for x in self {
+                    x.write(w, what)?;
+                }
+                w.close_arr();
+                Ok(())
             }
         }
 
         impl<T: Persist> Persist for $seq<T> {
-            fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
-                load_all(v, what)
+            fn read(r: &mut Reader<'_>, what: &str) -> Result<Self, SnapshotError> {
+                read_all(r, what)
             }
         }
     )*};
@@ -473,15 +1139,15 @@ macro_rules! persist_seq {
 persist_seq!(Vec, VecDeque);
 
 impl<T: ToVal, const N: usize> ToVal for [T; N] {
-    fn to_val(&self, what: &str) -> Result<Val, SnapshotError> {
-        save_all(self, what)
+    fn write(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
+        self.as_slice().write(w, what)
     }
 }
 
 /// A fixed-length array; any other length is a mismatch.
 impl<T: Persist, const N: usize> Persist for [T; N] {
-    fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
-        let items: Vec<T> = load_all(v, what)?;
+    fn read(r: &mut Reader<'_>, what: &str) -> Result<Self, SnapshotError> {
+        let items: Vec<T> = read_all(r, what)?;
         let found = items.len();
         items.try_into().map_err(|_| {
             SnapshotError::Mismatch(format!("{what}: expected {N} entries, found {found}"))
@@ -489,53 +1155,89 @@ impl<T: Persist, const N: usize> Persist for [T; N] {
     }
 }
 
+/// A borrowed view writes like the value it borrows and reads back owned,
+/// so capture serializes live state without copying it.
+impl<B: ToVal + ToOwned + ?Sized> ToVal for Cow<'_, B> {
+    fn write(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
+        (**self).write(w, what)
+    }
+}
+
+impl Persist for Cow<'_, str> {
+    fn read(r: &mut Reader<'_>, what: &str) -> Result<Self, SnapshotError> {
+        String::read(r, what).map(Cow::Owned)
+    }
+}
+
+impl<T: Persist + Clone> Persist for Cow<'_, [T]> {
+    fn read(r: &mut Reader<'_>, what: &str) -> Result<Self, SnapshotError> {
+        Vec::read(r, what).map(Cow::Owned)
+    }
+}
+
 /// `None` is `null`.
 impl<T: ToVal> ToVal for Option<T> {
-    fn to_val(&self, what: &str) -> Result<Val, SnapshotError> {
-        self.as_ref().map_or(Ok(Val::Null), |x| x.to_val(what))
+    fn write(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
+        match self {
+            Some(x) => x.write(w, what),
+            None => {
+                w.null();
+                Ok(())
+            }
+        }
     }
 }
 
 impl<T: Persist> Persist for Option<T> {
-    fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
-        if v.is_null() {
+    fn read(r: &mut Reader<'_>, what: &str) -> Result<Self, SnapshotError> {
+        if r.null() {
             Ok(None)
         } else {
-            T::load(v, what).map(Some)
+            T::read(r, what).map(Some)
         }
     }
 }
 
 /// A pair is a two-element array, a triple a three-element one.
 impl<A: ToVal, B: ToVal> ToVal for (A, B) {
-    fn to_val(&self, what: &str) -> Result<Val, SnapshotError> {
-        Ok(Val::Arr(vec![self.0.to_val(what)?, self.1.to_val(what)?]))
+    fn write(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
+        w.open_arr();
+        self.0.write(w, what)?;
+        self.1.write(w, what)?;
+        w.close_arr();
+        Ok(())
     }
 }
 
 impl<A: ToVal, B: ToVal, C: ToVal> ToVal for (A, B, C) {
-    fn to_val(&self, what: &str) -> Result<Val, SnapshotError> {
-        let (a, b, c) = self;
-        Ok(Val::Arr(vec![
-            a.to_val(what)?,
-            b.to_val(what)?,
-            c.to_val(what)?,
-        ]))
+    fn write(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
+        w.open_arr();
+        self.0.write(w, what)?;
+        self.1.write(w, what)?;
+        self.2.write(w, what)?;
+        w.close_arr();
+        Ok(())
     }
 }
 
 impl<A: Persist, B: Persist> Persist for (A, B) {
-    fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
-        match v.as_arr(what)? {
-            [a, b] => Ok((A::load(a, what)?, B::load(b, what)?)),
-            _ => Err(SnapshotError::Parse(format!("{what} must be a pair"))),
+    fn read(r: &mut Reader<'_>, what: &str) -> Result<Self, SnapshotError> {
+        const PAIR: &str = "a pair";
+        r.open_arr(what)?;
+        r.item(what, PAIR)?;
+        let a = A::read(r, what)?;
+        r.item(what, PAIR)?;
+        let b = B::read(r, what)?;
+        if r.next_item()? {
+            return Err(SnapshotError::Parse(format!("{what} must be {PAIR}")));
         }
+        Ok((a, b))
     }
 }
 
 /// The xoshiro state words plus the pending Box–Muller spare.
 struct RngParts {
-    words: Vec<u64>,
+    words: [u64; 4],
     spare: Option<f64>,
 }
 
@@ -545,47 +1247,41 @@ persist_struct!(RngParts {
 });
 
 impl ToVal for SimRng {
-    fn to_val(&self, what: &str) -> Result<Val, SnapshotError> {
+    fn write(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
         let s = self.snapshot();
         RngParts {
-            words: s.words.to_vec(),
+            words: s.words,
             spare: s.spare_normal,
         }
-        .to_val(what)
+        .write(w, what)
     }
 }
 
 impl Persist for SimRng {
-    fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
-        let parts = RngParts::load(v, what)?;
-        let words: [u64; 4] = parts.words.as_slice().try_into().map_err(|_| {
-            SnapshotError::Parse(format!(
-                "{what}: expected 4 state words, found {}",
-                parts.words.len()
-            ))
-        })?;
-        if words == [0; 4] {
+    fn read(r: &mut Reader<'_>, what: &str) -> Result<Self, SnapshotError> {
+        let parts = RngParts::read(r, what)?;
+        if parts.words == [0; 4] {
             return Err(SnapshotError::Mismatch(format!(
                 "{what}: all-zero xoshiro state is invalid"
             )));
         }
         Ok(SimRng::restore(&RngSnapshot {
-            words,
+            words: parts.words,
             spare_normal: parts.spare,
         }))
     }
 }
 
 /// A power sampler mid-stream.
-struct SamplerParts {
-    name: String,
+struct SamplerParts<'a> {
+    name: Cow<'a, str>,
     interval: SimDuration,
     next_tick: SimTime,
     current: f64,
-    values: Vec<f64>,
+    values: Cow<'a, [f64]>,
 }
 
-persist_struct!(SamplerParts {
+persist_struct!(SamplerParts<'_> {
     "name" => name,
     "interval_ms" => interval,
     "next_tick_ms" => next_tick,
@@ -594,33 +1290,33 @@ persist_struct!(SamplerParts {
 });
 
 impl ToVal for Sampler {
-    fn to_val(&self, what: &str) -> Result<Val, SnapshotError> {
+    fn write(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
         let (name, interval, next_tick, current, values) = self.parts();
         SamplerParts {
-            name: name.to_string(),
+            name: name.into(),
             interval,
             next_tick,
             current,
-            values: values.to_vec(),
+            values: values.into(),
         }
-        .to_val(what)
+        .write(w, what)
     }
 }
 
 impl Persist for Sampler {
-    fn load(v: &Val, what: &str) -> Result<Self, SnapshotError> {
-        let p = SamplerParts::load(v, what)?;
+    fn read(r: &mut Reader<'_>, what: &str) -> Result<Self, SnapshotError> {
+        let p = SamplerParts::read(r, what)?;
         if p.interval.is_zero() {
             return Err(SnapshotError::Mismatch(format!(
                 "{what}: sampler interval must be positive"
             )));
         }
         Ok(Sampler::from_parts(
-            p.name,
+            p.name.into_owned(),
             p.interval,
             p.next_tick,
             p.current,
-            p.values,
+            p.values.into_owned(),
         ))
     }
 }
@@ -696,393 +1392,124 @@ to_val!(PoolStats, |p| {
     "max_workers" => p.max_workers,
 });
 
-/// Renders a value as compact JSON (no whitespace). Deterministic: object
-/// keys stay in authoring order, floats use the shortest decimal that
-/// parses back to the same bits.
-pub fn render(v: &Val, out: &mut String) {
-    match v {
-        Val::Null => out.push_str("null"),
-        Val::Bool(true) => out.push_str("true"),
-        Val::Bool(false) => out.push_str("false"),
-        Val::Int(n) => out.push_str(&n.to_string()),
-        Val::Float(f) => {
-            debug_assert!(f.is_finite(), "Val::float rejects non-finite values");
-            let s = format!("{f}");
-            out.push_str(&s);
-            if !(s.contains('.') || s.contains('e') || s.contains('E')) {
-                out.push_str(".0");
-            }
-        }
-        Val::Str(s) => render_string(s, out),
-        Val::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render(item, out);
-            }
-            out.push(']');
-        }
-        Val::Obj(fields) => {
-            out.push('{');
-            for (i, (k, item)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render_string(k, out);
-                out.push(':');
-                render(item, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn render_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Maximum nesting the parser accepts; snapshot documents nest a handful
-/// of levels, so this only guards against hostile input.
-const MAX_DEPTH: usize = 64;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-/// Parses one JSON document (a full value; trailing whitespace allowed).
-pub fn parse(text: &str) -> Result<Val, SnapshotError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(SnapshotError::Parse(format!(
-            "trailing garbage at byte {}",
-            p.pos
-        )));
-    }
-    Ok(v)
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8, what: &str) -> Result<(), SnapshotError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(SnapshotError::Parse(format!(
-                "expected {what} at byte {}",
-                self.pos
-            )))
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Val) -> Result<Val, SnapshotError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(SnapshotError::Parse(format!(
-                "invalid literal at byte {}",
-                self.pos
-            )))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Val, SnapshotError> {
-        if depth > MAX_DEPTH {
-            return Err(SnapshotError::Parse("nesting too deep".into()));
-        }
-        match self.peek() {
-            Some(b'n') => self.lit("null", Val::Null),
-            Some(b't') => self.lit("true", Val::Bool(true)),
-            Some(b'f') => self.lit("false", Val::Bool(false)),
-            Some(b'"') => self.string().map(Val::Str),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            _ => Err(SnapshotError::Parse(format!(
-                "unexpected byte at {}",
-                self.pos
-            ))),
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Val, SnapshotError> {
-        self.eat(b'[', "'['")?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Val::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Val::Arr(items));
-                }
-                _ => {
-                    return Err(SnapshotError::Parse(format!(
-                        "expected ',' or ']' at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Val, SnapshotError> {
-        self.eat(b'{', "'{'")?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Val::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':', "':'")?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Val::Obj(fields));
-                }
-                _ => {
-                    return Err(SnapshotError::Parse(format!(
-                        "expected ',' or '}}' at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, SnapshotError> {
-        self.eat(b'"', "'\"'")?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Fast path: copy a run of plain bytes in one go.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            if self.pos > start {
-                let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| SnapshotError::Parse("invalid UTF-8 in string".into()))?;
-                out.push_str(chunk);
-            }
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| {
-                        SnapshotError::Parse("unterminated escape at end of input".into())
-                    })?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: a second \uXXXX must follow.
-                                self.eat(b'\\', "'\\' of surrogate pair")?;
-                                self.eat(b'u', "'u' of surrogate pair")?;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(SnapshotError::Parse(
-                                        "invalid low surrogate".into(),
-                                    ));
-                                }
-                                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(code)
-                            } else {
-                                char::from_u32(hi)
-                            };
-                            out.push(c.ok_or_else(|| {
-                                SnapshotError::Parse("invalid unicode escape".into())
-                            })?);
-                        }
-                        _ => {
-                            return Err(SnapshotError::Parse(format!(
-                                "invalid escape at byte {}",
-                                self.pos - 1
-                            )))
-                        }
+/// A tree renders through the same writer as every typed value.
+impl ToVal for Val {
+    fn write(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
+        match self {
+            Val::Null => w.null(),
+            Val::Bool(b) => w.bool(*b),
+            Val::Int(n) => w.int(*n),
+            Val::Float(f) => return w.float(*f, what),
+            Val::Str(s) => w.str(s),
+            Val::Arr(items) => return items.write(w, what),
+            Val::Obj(fields) => {
+                return w.obj(|w| {
+                    for (k, v) in fields {
+                        w.entry(k, |w| v.write(w, k))?;
                     }
-                }
-                _ => {
-                    return Err(SnapshotError::Parse(
-                        "unterminated or control byte in string".into(),
-                    ))
-                }
+                    Ok(())
+                })
             }
         }
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The document
+// ---------------------------------------------------------------------------
+
+/// A snapshot document being written: one `{"section":name,"data":value}`
+/// line per section, each ending in a newline.
+#[derive(Default)]
+pub(crate) struct DocWriter {
+    w: Writer,
+}
+
+impl DocWriter {
+    /// Writes the section `name`, its value written by `f`.
+    pub(crate) fn entry(
+        &mut self,
+        name: &str,
+        f: impl FnOnce(&mut Writer) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError> {
+        let w = &mut self.w;
+        w.obj(|w| {
+            w.entry("section", |w| {
+                w.str(name);
+                Ok(())
+            })?;
+            w.entry("data", f)
+        })?;
+        w.newline();
+        Ok(())
     }
 
-    fn hex4(&mut self) -> Result<u32, SnapshotError> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(SnapshotError::Parse("truncated \\u escape".into()));
-        }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| SnapshotError::Parse("invalid \\u escape".into()))?;
-        let v = u32::from_str_radix(s, 16)
-            .map_err(|_| SnapshotError::Parse("invalid \\u escape".into()))?;
-        self.pos += 4;
+    pub(crate) fn finish(self) -> String {
+        self.w.finish()
+    }
+}
+
+/// A snapshot document split into its sections, each kept as the text of
+/// its value until a field list reads it.
+#[derive(Debug)]
+pub(crate) struct Doc<'a> {
+    sections: Vec<(Cow<'a, str>, &'a str)>,
+}
+
+impl<'a> Doc<'a> {
+    /// Reads the section `name` with `f`, which must consume all of it.
+    pub(crate) fn entry<T>(
+        &self,
+        name: &str,
+        f: impl FnOnce(&mut Reader<'a>) -> Result<T, SnapshotError>,
+    ) -> Result<T, SnapshotError> {
+        let (_, data) = self
+            .sections
+            .iter()
+            .find(|(n, _)| n == name)
+            .ok_or_else(|| SnapshotError::Parse(format!("missing section {name:?}")))?;
+        let mut r = Reader::new(data);
+        let v = f(&mut r)?;
+        r.end()?;
         Ok(v)
     }
-
-    fn number(&mut self) -> Result<Val, SnapshotError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    // '+' / '-' only continue a number inside an exponent;
-                    // a '-' starting the next array element must not be
-                    // swallowed. The exponent markers set the float flag.
-                    if (b == b'+' || b == b'-')
-                        && !matches!(self.bytes.get(self.pos - 1), Some(b'e') | Some(b'E'))
-                    {
-                        break;
-                    }
-                    if b == b'.' || b == b'e' || b == b'E' {
-                        is_float = true;
-                    }
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| SnapshotError::Parse("invalid number".into()))?;
-        if is_float {
-            let v: f64 = s
-                .parse()
-                .map_err(|_| SnapshotError::Parse(format!("invalid float {s:?}")))?;
-            if !v.is_finite() {
-                return Err(SnapshotError::Parse(format!("float {s:?} overflows f64")));
-            }
-            Ok(Val::Float(v))
-        } else {
-            let v: i128 = s
-                .parse()
-                .map_err(|_| SnapshotError::Parse(format!("invalid integer {s:?}")))?;
-            Ok(Val::Int(v))
-        }
-    }
 }
 
-/// Renders named sections as the snapshot JSONL document (one
-/// `{"section":name,"data":value}` object per line, trailing newline).
-pub(crate) fn encode_lines(sections: &[(String, Val)]) -> String {
-    let mut out = String::new();
-    for (name, data) in sections {
-        out.push_str("{\"section\":");
-        render_string(name, &mut out);
-        out.push_str(",\"data\":");
-        render(data, &mut out);
-        out.push_str("}\n");
-    }
-    out
-}
-
-/// Parses a snapshot JSONL document back into one object keyed by section
-/// name. Blank lines are skipped; section names must be unique.
-pub(crate) fn decode_lines(text: &str) -> Result<Val, SnapshotError> {
-    let mut sections: Vec<(String, Val)> = Vec::new();
+/// Splits a snapshot JSONL document into its sections. Each line must be
+/// `{"section":<name>,"data":<value>}` (keys in that order); blank lines
+/// are skipped and section names must be unique. A value is only read
+/// when its section is.
+pub(crate) fn decode_lines(text: &str) -> Result<Doc<'_>, SnapshotError> {
+    let mut sections: Vec<(Cow<'_, str>, &str)> = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
         let at_line = |e: SnapshotError| SnapshotError::Parse(format!("line {}: {e}", i + 1));
-        let v = parse(line).map_err(at_line)?;
-        let name = v
-            .get("section")
-            .and_then(|s| s.as_str("section"))
-            .map_err(at_line)?
-            .to_string();
-        let Val::Obj(fields) = v else {
-            unreachable!("`get` found a key, so the line is an object")
-        };
-        let data = fields
-            .into_iter()
-            .find_map(|(k, d)| (k == "data").then_some(d))
-            .ok_or_else(|| at_line(SnapshotError::Parse("missing key \"data\"".into())))?;
+        let mut r = Reader::new(line);
+        let name = r
+            .open_obj("section line")
+            .and_then(|()| r.entry("section", |r| r.str("section")))
+            .and_then(|name| r.entry("data", |_| Ok(name)))
+            .map_err(at_line)?;
+        // The value runs from the cursor to the line's closing brace.
+        let body = line.trim_end();
+        let data = body
+            .strip_suffix('}')
+            .and_then(|b| b.get(r.pos..))
+            .ok_or_else(|| at_line(SnapshotError::Parse("line must end with '}'".into())))?;
         if sections.iter().any(|(n, _)| *n == name) {
-            return Err(SnapshotError::Parse(format!(
-                "line {}: duplicate section {name:?}",
-                i + 1
-            )));
+            return Err(at_line(SnapshotError::Parse(format!(
+                "duplicate section {name:?}"
+            ))));
         }
         sections.push((name, data));
     }
     if sections.is_empty() {
         return Err(SnapshotError::Parse("empty snapshot document".into()));
     }
-    Ok(Val::Obj(sections))
+    Ok(Doc { sections })
 }
 
 #[cfg(test)]
@@ -1090,10 +1517,16 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn render_str(v: &Val) -> String {
-        let mut s = String::new();
-        render(v, &mut s);
-        s
+    fn render_str(v: &(impl ToVal + ?Sized)) -> String {
+        render(v, "test").unwrap()
+    }
+
+    /// Reads one `T` from `text`, which it must consume.
+    fn read<T: Persist>(text: &str) -> Result<T, SnapshotError> {
+        let mut r = Reader::new(text);
+        let v = T::read(&mut r, "test")?;
+        r.end()?;
+        Ok(v)
     }
 
     #[test]
@@ -1130,21 +1563,108 @@ mod tests {
             -0.0,
             f64::MIN_POSITIVE,
         ] {
-            let s = render_str(&Val::Float(f));
+            let s = render_str(&f);
             match parse(&s).unwrap() {
                 Val::Float(b) => assert_eq!(b.to_bits(), f.to_bits(), "bits of {s}"),
                 other => panic!("{s} parsed as {other:?}"),
             }
+            assert_eq!(read::<f64>(&s).unwrap().to_bits(), f.to_bits(), "{s}");
         }
     }
 
     #[test]
     fn integral_floats_stay_floats() {
-        let s = render_str(&Val::Float(5.0));
+        let s = render_str(&5.0);
         assert_eq!(s, "5.0");
         assert_eq!(parse(&s).unwrap(), Val::Float(5.0));
         // ... and integers stay integers.
         assert_eq!(parse("5").unwrap(), Val::Int(5));
+    }
+
+    /// Exact bytes of the integer edge cases, and their way back.
+    #[test]
+    fn integer_edges_render_pinned_bytes() {
+        // `chain_limit`'s "no limit" sentinel is `SimTime::MAX`, u64::MAX ms.
+        assert_eq!(render_str(&SimTime::MAX), "18446744073709551615");
+        assert_eq!(
+            read::<SimTime>("18446744073709551615").unwrap(),
+            SimTime::MAX
+        );
+        assert_eq!(render_str(&i64::MIN), "-9223372036854775808");
+        assert_eq!(read::<i64>("-9223372036854775808").unwrap(), i64::MIN);
+        assert_eq!(render_str(&0u64), "0");
+        // A tree integer beyond u64 renders exactly and reads back exactly,
+        // but no u64 field accepts it.
+        let wide = Val::Int(u64::MAX as i128 + 1);
+        assert_eq!(render_str(&wide), "18446744073709551616");
+        assert_eq!(parse("18446744073709551616").unwrap(), wide);
+        assert_eq!(render_str(&Val::Int(i128::MIN)), i128::MIN.to_string());
+        assert_eq!(parse(&i128::MIN.to_string()).unwrap(), Val::Int(i128::MIN));
+        assert!(matches!(
+            read::<u64>("18446744073709551616"),
+            Err(SnapshotError::Mismatch(_))
+        ));
+        assert!(matches!(read::<u64>("-1"), Err(SnapshotError::Mismatch(_))));
+        // Past i128, an integer is not a number this codec can carry.
+        assert!(parse("999999999999999999999999999999999999999999").is_err());
+        assert!(read::<u64>("1.0").is_err(), "a float is not an int");
+        assert!(read::<u64>("\"x\"").is_err(), "a string is not an int");
+    }
+
+    /// Exact bytes of the float edge cases, and their bits on the way back.
+    #[test]
+    fn float_edges_render_pinned_bytes() {
+        let subnormal = f64::from_bits(1);
+        for (f, text) in [
+            (2.0, "2.0".to_string()),
+            (-0.0, "-0.0".to_string()),
+            // Display never switches to an exponent: a subnormal is 323
+            // zeros after the point, 1e300 a 1 and 300 zeros.
+            (subnormal, format!("0.{}5", "0".repeat(323))),
+            (1e300, format!("1{}.0", "0".repeat(300))),
+        ] {
+            assert_eq!(render_str(&f), text);
+            assert_eq!(read::<f64>(&text).unwrap().to_bits(), f.to_bits(), "{text}");
+        }
+        assert!(read::<f64>("2").is_err(), "an int is not a float");
+        assert!(matches!(read::<f64>("1e999"), Err(SnapshotError::Parse(_))));
+    }
+
+    #[test]
+    fn non_finite_floats_are_rejected_on_write() {
+        let err = render(&f64::NAN, "drift").unwrap_err();
+        assert!(err.to_string().contains("drift"), "{err}");
+        assert!(render(&f64::INFINITY, "x").is_err());
+        assert!(render(&Val::Arr(vec![Val::Float(f64::NEG_INFINITY)]), "x").is_err());
+        assert!(render(&1.5, "x").is_ok());
+    }
+
+    /// Exact bytes of the string edge cases, and the text on the way back.
+    #[test]
+    fn string_edges_render_pinned_bytes() {
+        for (s, text) in [
+            ("say \"hi\"", r#""say \"hi\"""#),
+            ("a\\b", r#""a\\b""#),
+            ("\u{0}\u{1f}\n\r\t", r#""\u0000\u001f\n\r\t""#),
+            ("ünïcødé ✓ €", "\"ünïcødé ✓ €\""),
+            ("😀", "\"😀\""),
+        ] {
+            assert_eq!(render_str(s), text);
+            assert_eq!(read::<String>(text).unwrap(), s, "{text}");
+        }
+        // A surrogate-pair escape reads as the one character it encodes,
+        // and renders back unescaped.
+        let pair = read::<String>(r#""\ud83d\ude00""#).unwrap();
+        assert_eq!(pair, "😀");
+        assert_eq!(render_str(&pair), "\"😀\"");
+        assert!(
+            read::<String>(r#""\ud83d""#).is_err(),
+            "lone high surrogate"
+        );
+        assert!(
+            read::<String>(r#""\u+041""#).is_err(),
+            "sign in a \\u escape"
+        );
     }
 
     #[test]
@@ -1159,14 +1679,19 @@ mod tests {
             ("empty_obj".into(), Val::Obj(vec![])),
         ]);
         let s = render_str(&v);
+        assert_eq!(
+            s,
+            r#"{"a":[1,null],"b":{"c":[2.5]},"empty_arr":[],"empty_obj":{}}"#
+        );
         assert_eq!(parse(&s).unwrap(), v);
-    }
-
-    #[test]
-    fn non_finite_floats_are_rejected_at_construction() {
-        assert!(Val::float(f64::NAN, "x").is_err());
-        assert!(Val::float(f64::INFINITY, "x").is_err());
-        assert!(Val::float(1.5, "x").is_ok());
+        assert_eq!(
+            parse(" { \"a\" : [ 1 , null ] , \"empty_obj\" : { } } ").unwrap(),
+            Val::Obj(vec![
+                ("a".into(), Val::Arr(vec![Val::Int(1), Val::Null])),
+                ("empty_obj".into(), Val::Obj(vec![])),
+            ]),
+            "whitespace between tokens"
+        );
     }
 
     #[test]
@@ -1175,6 +1700,9 @@ mod tests {
             "",
             "{",
             "[1,",
+            "[,1]",
+            "[1,]",
+            "[1 2]",
             "{\"a\"}",
             "{\"a\":}",
             "tru",
@@ -1184,10 +1712,14 @@ mod tests {
             "[1]]",
             "{\"a\":1,}",
             "--1",
+            "-",
+            "1.2.3",
             "\"bad \\x escape\"",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
+        let deep = "[".repeat(MAX_DEPTH + 2) + &"]".repeat(MAX_DEPTH + 2);
+        assert!(parse(&deep).is_err(), "nesting past the limit");
     }
 
     #[test]
@@ -1196,6 +1728,7 @@ mod tests {
             parse("[1,-2,-3.5]").unwrap(),
             Val::Arr(vec![Val::Int(1), Val::Int(-2), Val::Float(-3.5)])
         );
+        assert_eq!(read::<Vec<i64>>("[1,-2,-3]").unwrap(), [1, -2, -3]);
     }
 
     #[test]
@@ -1215,38 +1748,93 @@ mod tests {
         assert!(parse("\"\\ud83d\"").is_err(), "lone high surrogate");
     }
 
+    /// A two-key record for the keyed-object tests.
+    struct Pair {
+        a: u64,
+        b: Option<f64>,
+    }
+
+    persist_struct!(Pair {
+        "a" => a,
+        "b" => b,
+    });
+
+    #[test]
+    fn keyed_objects_are_read_in_declared_order() {
+        let text = render_str(&Pair { a: 3, b: Some(0.5) });
+        assert_eq!(text, r#"{"a":3,"b":0.5}"#);
+        let back: Pair = read(&text).unwrap();
+        assert_eq!((back.a, back.b), (3, Some(0.5)));
+        for (bad, names) in [
+            (r#"{"b":0.5,"a":3}"#, "\"a\""),
+            (r#"{"a":3}"#, "\"b\""),
+            (r#"{"a":3,"b":0.5,"c":1}"#, "\"c\""),
+            (r#"{"a":3,"a":3,"b":0.5}"#, "\"b\""),
+        ] {
+            match read::<Pair>(bad) {
+                Err(SnapshotError::Parse(m)) => assert!(m.contains(names), "{bad}: {m}"),
+                other => panic!(
+                    "{bad} must be a parse error naming {names}, got {:?}",
+                    other.err()
+                ),
+            }
+        }
+    }
+
     #[test]
     fn document_sections_round_trip() {
-        let sections = vec![
-            (
-                "header".to_string(),
-                Val::Obj(vec![("version".into(), Val::Int(1))]),
-            ),
-            ("events".to_string(), Val::Arr(vec![Val::Int(3)])),
-        ];
-        let doc = encode_lines(&sections);
-        assert_eq!(doc.lines().count(), 2);
-        let back = decode_lines(&doc).unwrap();
+        let mut doc = DocWriter::default();
+        doc.entry("header", |w| {
+            w.obj(|w| w.entry("version", |w| 1u64.write(w, "v")))
+        })
+        .unwrap();
+        doc.entry("events", |w| [3u64].write(w, "events")).unwrap();
+        let text = doc.finish();
         assert_eq!(
-            back.get("header").unwrap().get("version").unwrap(),
-            &Val::Int(1)
+            text,
+            "{\"section\":\"header\",\"data\":{\"version\":1}}\n\
+             {\"section\":\"events\",\"data\":[3]}\n"
         );
-        assert!(back.get("missing").is_err());
-        let Val::Obj(back) = back else {
-            panic!("a document decodes to an object")
-        };
-        assert_eq!(back, sections);
+        let back = decode_lines(&text).unwrap();
+        let version = back
+            .entry("header", |r| {
+                r.obj("header", |r| r.entry("version", |r| u64::read(r, "v")))
+            })
+            .unwrap();
+        assert_eq!(version, 1);
         assert_eq!(
-            encode_lines(&back),
-            doc,
-            "encode -> decode -> encode is byte-stable"
+            back.entry("events", |r| Vec::<u64>::read(r, "e")).unwrap(),
+            [3]
         );
+        assert!(back.entry("missing", |_| Ok(())).is_err());
+        // A section must be read whole.
+        assert!(back.entry("events", |_| Ok(())).is_err());
     }
 
     #[test]
     fn duplicate_sections_are_rejected() {
-        let doc = encode_lines(&[("a".into(), Val::Null), ("a".into(), Val::Null)]);
-        assert!(decode_lines(&doc).is_err());
+        let line = |name: &str| format!("{{\"section\":\"{name}\",\"data\":null}}\n");
+        assert!(decode_lines(&(line("a") + &line("b"))).is_ok());
+        assert!(decode_lines(&(line("a") + &line("b") + &line("a"))).is_err());
+    }
+
+    #[test]
+    fn malformed_documents_are_rejected() {
+        assert!(decode_lines("\n  \n").is_err(), "empty document");
+        assert!(
+            decode_lines("{\"data\":null,\"section\":\"a\"}").is_err(),
+            "key order"
+        );
+        assert!(
+            decode_lines("{\"section\":\"a\",\"data\":null").is_err(),
+            "no closing brace"
+        );
+        let doc = "{\"section\":\"a\",\"data\":1,\"x\":2}";
+        let doc = decode_lines(doc).unwrap();
+        assert!(
+            doc.entry("a", |r| u64::read(r, "a")).is_err(),
+            "extra key after data"
+        );
     }
 
     /// Strategy over arbitrary JSON trees with finite floats — the value
@@ -1288,11 +1876,8 @@ mod tests {
         /// Float bits survive the decimal round trip exactly.
         #[test]
         fn prop_float_bits_survive(f in any::<f64>().prop_filter("finite", |f| f.is_finite())) {
-            let s = render_str(&Val::Float(f));
-            match parse(&s).unwrap() {
-                Val::Float(b) => prop_assert_eq!(b.to_bits(), f.to_bits()),
-                other => prop_assert!(false, "parsed as {:?}", other),
-            }
+            let s = render_str(&f);
+            prop_assert_eq!(read::<f64>(&s).unwrap().to_bits(), f.to_bits());
         }
     }
 }

@@ -16,7 +16,7 @@
 //! workspace's one JSON codec ([`crate::snapshot`]) against the fixed
 //! schema documented in EXPERIMENTS.md.
 
-use crate::snapshot::{self, Val};
+use crate::snapshot::{self, ToVal, Val, Writer};
 use iscope_dcsim::{SimDuration, SimTime};
 
 /// Switches fixed-cadence telemetry recording on.
@@ -100,40 +100,42 @@ pub(crate) fn record_from_row(
     }
 }
 
+// The JSONL schema EXPERIMENTS.md documents, in key order.
+crate::to_val!(TelemetryRecord, |r| {
+    "site" => r.site,
+    "t_s" => r.t_s,
+    "supply_w" => r.supply_w,
+    "demand_w" => r.demand_w,
+    "utility_w" => r.utility_w,
+    "queue_depth" => r.queue_depth,
+    "level_jobs" => r.level_jobs,
+    "quarantined" => r.quarantined,
+    "gco2" => r.gco2,
+    "cost_usd" => r.cost_usd,
+});
+
+/// Writes one record as a JSON line (no trailing newline). Every channel
+/// is a finite power, count or integral, so the write cannot fail.
+fn write_line(w: &mut Writer, r: &TelemetryRecord) {
+    r.write(w, "telemetry record")
+        .expect("telemetry channels are finite");
+}
+
 /// Renders one record as a single JSON line (no trailing newline).
 pub fn render_line(r: &TelemetryRecord) -> String {
-    let int = |n: u64| Val::Int(n as i128);
-    let fields = [
-        ("site", int(r.site)),
-        ("t_s", Val::Float(r.t_s)),
-        ("supply_w", Val::Float(r.supply_w)),
-        ("demand_w", Val::Float(r.demand_w)),
-        ("utility_w", Val::Float(r.utility_w)),
-        ("queue_depth", int(r.queue_depth)),
-        (
-            "level_jobs",
-            Val::Arr(r.level_jobs.iter().map(|&n| int(n)).collect()),
-        ),
-        ("quarantined", int(r.quarantined)),
-        ("gco2", Val::Float(r.gco2)),
-        ("cost_usd", Val::Float(r.cost_usd)),
-    ];
-    let mut out = String::new();
-    snapshot::render(
-        &Val::Obj(fields.map(|(k, v)| (k.to_string(), v)).to_vec()),
-        &mut out,
-    );
-    out
+    let mut w = Writer::new();
+    write_line(&mut w, r);
+    w.finish()
 }
 
 /// Renders records as JSONL: one object per line, trailing newline.
 pub fn render_jsonl(records: &[TelemetryRecord]) -> String {
-    let mut out = String::new();
+    let mut w = Writer::new();
     for r in records {
-        out.push_str(&render_line(r));
-        out.push('\n');
+        write_line(&mut w, r);
+        w.newline();
     }
-    out
+    w.finish()
 }
 
 /// Parses JSONL produced by [`render_jsonl`] (or any JSONL carrying the
@@ -245,6 +247,24 @@ mod tests {
             "{\"site\":0,\"t_s\":600.0,\"supply_w\":12500.25,\"demand_w\":9800.0,\
              \"utility_w\":0.0,\"queue_depth\":7,\"level_jobs\":[0,1,0,3,9],\
              \"quarantined\":2,\"gco2\":1234.5,\"cost_usd\":0.875}"
+        );
+    }
+
+    #[test]
+    fn parsed_jsonl_renders_back_to_the_same_bytes() {
+        let mut awkward = record(1.0 / 3.0);
+        awkward.supply_w = 1e-300;
+        awkward.demand_w = -0.0;
+        awkward.utility_w = 1e300;
+        awkward.level_jobs = vec![u64::MAX, 0];
+        awkward.site = 7;
+        let text = render_jsonl(&[record(0.0), awkward, record(600.0)]);
+        let back = parse_jsonl(&text).unwrap();
+        assert_eq!(render_jsonl(&back), text);
+        assert_eq!(
+            text.lines().nth(2).unwrap(),
+            render_line(&record(600.0)),
+            "one record per line, in order"
         );
     }
 

@@ -119,11 +119,105 @@ pub const BASELINE_PREBUCKET_SCALE: BenchNumbers = BenchNumbers {
     ns_per_placement: 84_760.9,
 };
 
-/// CI budget on the fleet-scale scenario's ns/placement (see
-/// [`smoke`]). The recorded post-bucketing number is well under the
-/// issue's 35 µs acceptance bar; the budget sits above both so only a
-/// genuine superlinearity regression (not CI machine jitter) trips it.
-pub const SCALE_NS_PER_PLACEMENT_BUDGET: f64 = 60_000.0;
+/// Times a fixed CPU-bound loop that runs no simulator code: xorshift
+/// hashing with data-dependent branches into an L1-resident table (the
+/// loop of perfbench's `host::probe_ms`). Its time follows the host's
+/// speed and nothing a change to the simulator does.
+fn host_probe_ms() -> f64 {
+    let mut table = [0u32; 4096];
+    let t = std::time::Instant::now();
+    let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+    for _ in 0..2_000_000 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let i = (x as usize) & 4095;
+        if table[i] & 1 == 0 {
+            table[i] = table[i].wrapping_add(x as u32);
+        } else {
+            table[(i + 1) & 4095] ^= x as u32;
+        }
+    }
+    std::hint::black_box(&table);
+    t.elapsed().as_secs_f64() * 1e3
+}
+
+/// The fast end (minimum) of three [`host_probe_ms`] timings: noise from
+/// other tenants only ever adds time.
+fn probe_fast_end() -> f64 {
+    (0..3)
+        .map(|_| host_probe_ms())
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// One fleet-scale gate run: ns/placement and the host probe timed next
+/// to it, in the same process.
+#[derive(Debug, Clone, Copy)]
+pub struct GateRun {
+    /// Wall-clock nanoseconds per placement of the scale scenario.
+    pub ns_per_placement: f64,
+    /// Fast end of the host probe around the run (ms).
+    pub probe_ms: f64,
+}
+
+iscope::to_val!(GateRun, |g| {
+    "ns_per_placement" => g.ns_per_placement,
+    "probe_ms" => g.probe_ms,
+    "ratio" => g.ratio(),
+});
+
+impl GateRun {
+    /// ns/placement per probe-millisecond: the host-normalized cost.
+    pub fn ratio(&self) -> f64 {
+        self.ns_per_placement / self.probe_ms
+    }
+}
+
+/// The runs [`SCALE_RATIO_BUDGET`] is derived from: eight back-to-back
+/// `iscope-exp bench-smoke` runs of one release build on a 2-vCPU shared
+/// Xeon host. Raw ns/placement spread over 58–79 µs (32% of the median);
+/// the ratio to the probe over 6,004–7,195 (18%), median 6,660.
+pub const SCALE_GATE_RUNS: [GateRun; 8] = [
+    GateRun {
+        ns_per_placement: 79_415.7,
+        probe_ms: 11.038,
+    },
+    GateRun {
+        ns_per_placement: 75_936.8,
+        probe_ms: 11.310,
+    },
+    GateRun {
+        ns_per_placement: 58_312.6,
+        probe_ms: 9.713,
+    },
+    GateRun {
+        ns_per_placement: 65_671.2,
+        probe_ms: 9.697,
+    },
+    GateRun {
+        ns_per_placement: 67_388.3,
+        probe_ms: 10.467,
+    },
+    GateRun {
+        ns_per_placement: 65_111.7,
+        probe_ms: 9.297,
+    },
+    GateRun {
+        ns_per_placement: 59_614.8,
+        probe_ms: 9.081,
+    },
+    GateRun {
+        ns_per_placement: 65_611.0,
+        probe_ms: 9.932,
+    },
+];
+
+/// CI budget on the fleet-scale scenario's host-normalized cost
+/// ([`GateRun::ratio`], see [`smoke`]): 1.5× the median of
+/// [`SCALE_GATE_RUNS`], rounded. The largest ratio seen there is 8% over
+/// the median, so host noise six times that passes, while placement
+/// turning 1.5× slower per unit of host speed trips the gate.
+pub const SCALE_RATIO_BUDGET: f64 = 10_000.0;
 
 /// Wall-clock of a multi-cell sweep run at 1 vs 4 pool workers, plus
 /// the machine context that makes the ratio interpretable: on a
@@ -503,21 +597,30 @@ pub fn smoke() {
         let build_start = std::time::Instant::now();
         let scale = scale_sim().build();
         let build_s = build_start.elapsed().as_secs_f64();
+        // The probe brackets the run, so a host that slows down or speeds
+        // up part-way is seen at its fast end on either side.
+        let probe_before = probe_fast_end();
         let (scale_report, scale_stats) = scale.run_instrumented();
-        let ns = scale_stats.ns_per_placement();
+        let gate = GateRun {
+            ns_per_placement: scale_stats.ns_per_placement(),
+            probe_ms: probe_before.min(probe_fast_end()),
+        };
         println!("bench-smoke scale outcome: {}", scale_report.summary());
         println!(
-            "bench-smoke scale build_s {build_s:.3}  wall_s {:.3}  ns/placement {:.1} (budget {:.0})",
+            "bench-smoke scale build_s {build_s:.3}  wall_s {:.3}  ns/placement {:.1}  \
+             probe_ms {:.3}  ratio {:.1} (budget {SCALE_RATIO_BUDGET:.0})",
             scale_stats.wall.as_secs_f64(),
-            ns,
-            SCALE_NS_PER_PLACEMENT_BUDGET,
+            gate.ns_per_placement,
+            gate.probe_ms,
+            gate.ratio(),
         );
         assert!(
-            ns < SCALE_NS_PER_PLACEMENT_BUDGET,
-            "bench-smoke: scale scenario regressed to {ns:.1} ns/placement \
-             (budget {SCALE_NS_PER_PLACEMENT_BUDGET:.0})"
+            gate.ratio() < SCALE_RATIO_BUDGET,
+            "bench-smoke: scale scenario regressed to {:.1} ns/placement per probe-ms \
+             (budget {SCALE_RATIO_BUDGET:.0})",
+            gate.ratio()
         );
-        println!("bench-smoke OK: scale ns/placement within budget");
+        println!("bench-smoke OK: scale ns/placement per probe-ms within budget");
     }
 
     // Leg 3: streaming-ingestion parity. The same synthetic jobs, once
@@ -623,6 +726,10 @@ iscope::to_val!(BenchReport, |r| {
     "scale_speedup_placement_vs_prebucket" =>
         BASELINE_PREBUCKET_SCALE.ns_per_placement / r.scale.ns_per_placement,
     "sweep_speedup" => r.sweep_speedup,
+    "scale_gate" => {
+        "runs" => SCALE_GATE_RUNS,
+        "budget_ns_per_placement_per_probe_ms" => SCALE_RATIO_BUDGET,
+    },
     "pool" => r.pool,
     "headline_outcome" => r.headline_outcome,
     "dvfs_stress_outcome" => r.dvfs_outcome,
@@ -644,7 +751,7 @@ impl BenchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iscope::snapshot::{parse, render, ToVal, Val};
+    use iscope::snapshot::{parse, render, Val};
 
     /// The tree of object keys, with every leaf replaced by `null`.
     fn key_tree(v: &Val) -> Val {
@@ -712,9 +819,7 @@ mod tests {
                 max_workers: 4,
             },
         };
-        let mut text = String::new();
-        render(&report.to_val("bench_sim").unwrap(), &mut text);
-        let rendered = parse(&text).unwrap();
+        let rendered = parse(&render(&report, "bench_sim").unwrap()).unwrap();
         let committed =
             std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json"))
                 .unwrap();

@@ -171,9 +171,7 @@ pub(crate) fn write_val<T: ToVal>(
     what: &str,
     value: &T,
 ) -> std::io::Result<()> {
-    let val = value.to_val(what).map_err(std::io::Error::other)?;
-    let mut out = String::new();
-    render(&val, &mut out);
+    let mut out = render(value, what).map_err(std::io::Error::other)?;
     out.push('\n');
     std::fs::write(path, out)
 }
@@ -198,8 +196,7 @@ mod tests {
 
     /// Renders `value` through its field list and parses the text back.
     fn round_trip(value: &impl ToVal) -> Val {
-        let mut text = String::new();
-        render(&value.to_val("test").unwrap(), &mut text);
+        let text = render(value, "test").unwrap();
         assert!(!text.contains("__offline_stub__"));
         parse(&text).unwrap()
     }
@@ -296,7 +293,7 @@ mod tests {
         let report = analyse_windows(&demand, 100.0, 0.3);
         let c = estimate_campaign(&report, 10, SimDuration::from_secs(29), demand.interval);
         assert_eq!(c.periods_to_complete, f64::INFINITY);
-        let err = c.to_val("sbft_campaign").unwrap_err();
+        let err = render(&c, "sbft_campaign").unwrap_err();
         assert!(err.to_string().contains("periods_to_complete"), "{err}");
     }
 

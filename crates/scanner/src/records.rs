@@ -187,10 +187,27 @@ impl ProfilingRecords {
         self.offsets[c]..self.offsets[c + 1]
     }
 
+    /// The slot of one core and level. A core or level past its chip's
+    /// block panics, naming them, rather than landing in the next block.
     fn index(&self, core: CoreId, level: FreqLevel) -> usize {
-        self.block_range(core.chip).start
-            + core.core as usize * self.grid.num_levels()
-            + level.0 as usize
+        let block = self.block_range(core.chip);
+        let levels = self.grid.num_levels();
+        let first = core.core as usize * levels;
+        assert!(
+            first < block.len(),
+            "core {} of chip {} is out of range: the chip has {} cores",
+            core.core,
+            core.chip.0,
+            block.len() / levels
+        );
+        assert!(
+            (level.0 as usize) < levels,
+            "level {} is out of range for core {} of chip {}: the grid has {levels} levels",
+            level.0,
+            core.core,
+            core.chip.0
+        );
+        block.start + first + level.0 as usize
     }
 
     /// Read view of one chip's block.
@@ -275,6 +292,20 @@ mod tests {
             chip: ChipId(chip),
             core,
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "core 4 of chip 0 is out of range: the chip has 4 cores")]
+    fn a_core_past_the_chip_panics_instead_of_reaching_the_next_chip() {
+        let (mut r, _) = setup();
+        r.record(cid(0, 4), FreqLevel(0), 0, TestOutcome::Pass);
+    }
+
+    #[test]
+    #[should_panic(expected = "core 4 of chip 1 is out of range")]
+    fn probing_a_core_past_the_chip_panics() {
+        let (r, _) = setup();
+        r.next_probe(cid(1, 4), FreqLevel(0));
     }
 
     #[test]

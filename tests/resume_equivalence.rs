@@ -22,6 +22,7 @@ use iscope_dcsim::{SimDuration, SimTime};
 use iscope_energy::SignalTrace;
 use iscope_pvmodel::FailureModel;
 use iscope_workload::{JobSource, SyntheticSource, SyntheticTrace, Workload};
+use proptest::prelude::*;
 
 /// Non-trivial single-site scenario: hybrid wind (so the DVFS matcher
 /// runs), telemetry and a strict audit on, 48 chips / 160 gang jobs.
@@ -309,11 +310,14 @@ fn corrupt_snapshots_error_instead_of_wrapping() {
         .expect("out-of-range usage must fail");
     assert!(matches!(err, SnapshotError::Mismatch(_)), "{err}");
     // The all-zero RNG state (invalid for xoshiro) is rejected too.
-    let zeroed = snapshot.replace(
-        "\"rng\":{\"words\":[",
-        "\"rng\":{\"words\":[0,0,0,0],\"spare\":null,\"x\":[",
-    );
-    assert!(SimDriver::resume(input(&sim), &zeroed).is_err());
+    let words = "\"rng\":{\"words\":[";
+    let start = snapshot.find(words).expect("site rng") + words.len();
+    let end = start + snapshot[start..].find(']').expect("rng words");
+    let zeroed = format!("{}0,0,0,0{}", &snapshot[..start], &snapshot[end..]);
+    let err = SimDriver::resume(input(&sim), &zeroed)
+        .err()
+        .expect("all-zero rng must fail");
+    assert!(err.to_string().contains("all-zero xoshiro state"), "{err}");
 }
 
 /// A diurnal carbon trace plus a time-of-use price trace, wide enough to
@@ -508,17 +512,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Golden snapshot bytes: a fixed-seed run with every optional v1 section
-/// populated (faults and wear, strict audit, telemetry, power samplers,
-/// a carbon policy, price and carbon traces, a battery), paused mid-run
-/// with gangs running, arrivals deferred and timing failures booked.
-/// Resume parity alone cannot see a change to the document itself, so
-/// this pins its exact bytes; any schema or encoding change must bump
-/// `SNAPSHOT_VERSION` and re-record these constants deliberately.
-#[test]
-fn snapshot_bytes_are_pinned() {
+/// A fixed-seed run with every optional v1 section populated (faults and
+/// wear, strict audit, telemetry, power samplers, a carbon policy, price
+/// and carbon traces, a battery); paused at 14 h it has gangs running,
+/// arrivals deferred and timing failures booked.
+fn every_section_sim() -> GreenDatacenterSim {
     let (carbon, price) = carbon_signals();
-    let sim = base(Scheme::ScanFair, 42)
+    base(Scheme::ScanFair, 42)
         .fleet_size(24)
         .synthetic_trace(SyntheticTrace {
             num_jobs: 60,
@@ -539,10 +539,23 @@ fn snapshot_bytes_are_pinned() {
             },
             ..faults()
         })
-        .trace_interval(SimDuration::from_mins(15));
-    let mut paused = SimDriver::new(input(&sim));
+        .trace_interval(SimDuration::from_mins(15))
+}
+
+/// The snapshot of [`every_section_sim`] paused at 14 h.
+fn every_section_snapshot() -> String {
+    let mut paused = SimDriver::new(input(&every_section_sim()));
     paused.run_until(hours(14));
-    let snapshot = paused.snapshot().expect("capture");
+    paused.snapshot().expect("capture")
+}
+
+/// Golden snapshot bytes of [`every_section_sim`] paused mid-run.
+/// Resume parity alone cannot see a change to the document itself, so
+/// this pins its exact bytes; any schema or encoding change must bump
+/// `SNAPSHOT_VERSION` and re-record these constants deliberately.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    let snapshot = every_section_snapshot();
     for line in snapshot.lines() {
         assert!(
             !line.ends_with("\"data\":null}"),
@@ -555,4 +568,205 @@ fn snapshot_bytes_are_pinned() {
         (37_665, 0x1469_4f96_8093_f76b),
         "snapshot bytes changed"
     );
+}
+
+/// Restore then capture reproduces the document byte for byte: every
+/// section reads back into state that writes the same text.
+fn assert_round_trip(sim: &GreenDatacenterSim, snapshot: &str, label: &str) {
+    let resumed = SimDriver::resume(input(sim), snapshot).expect("restore");
+    let again = resumed.snapshot().expect("re-capture");
+    assert!(
+        again == snapshot,
+        "{label}: resume -> snapshot changed the bytes"
+    );
+}
+
+#[test]
+fn resume_then_snapshot_is_byte_identical() {
+    assert_round_trip(
+        &every_section_sim(),
+        &every_section_snapshot(),
+        "every section",
+    );
+    // Shaped like perfbench's checkpoint-churn, smaller: BinEffi with
+    // pre-admitted jobs and telemetry, paused mid-run.
+    let churn = GreenDatacenterSim::builder()
+        .fleet_size(96)
+        .scheme(Scheme::BinEffi)
+        .supply(Supply::hybrid_farm(
+            &WindFarm::default(),
+            SimDuration::from_hours(48),
+            96.0 / 4800.0,
+            42,
+        ))
+        .seed(42)
+        .synthetic_trace(SyntheticTrace {
+            num_jobs: 400,
+            max_cpus: 32,
+            ..SyntheticTrace::default()
+        })
+        .telemetry(TelemetryConfig::default());
+    let (whole, _) = SimDriver::new(input(&churn)).finish();
+    let mut paused = SimDriver::new(input(&churn));
+    paused.run_until(SimTime::from_millis(whole.makespan.as_millis() / 2));
+    let snapshot = paused.snapshot().expect("capture");
+    assert!(snapshot.contains("\"running\",") && snapshot.contains("\"done\","));
+    assert_round_trip(&churn, &snapshot, "checkpoint-churn shape");
+}
+
+/// Numbers a fuzzed snapshot substitutes for a number of the document:
+/// past u64, past f64, negative, and not a number at all.
+const BAD_NUMBERS: [&str; 4] = ["18446744073709551616", "1e999", "-1", "\"x\""];
+
+/// Byte ranges of the number tokens in `doc` (outside strings).
+fn number_spans(doc: &str) -> Vec<(usize, usize)> {
+    let bytes = doc.as_bytes();
+    let mut spans = Vec::new();
+    let (mut i, mut in_str) = (0, false);
+    while i < bytes.len() {
+        match bytes[i] {
+            b'\\' if in_str => i += 1,
+            b'"' => in_str = !in_str,
+            b'-' | b'0'..=b'9' if !in_str => {
+                let start = i;
+                while i + 1 < bytes.len()
+                    && matches!(bytes[i + 1], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+                {
+                    i += 1;
+                }
+                spans.push((start, i + 1));
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    spans
+}
+
+/// One mutation of `doc`, chosen and placed by `kind`, `a` and `b`.
+fn mutate(doc: &str, kind: u8, a: u64, b: u64) -> String {
+    let bytes = doc.as_bytes();
+    match kind {
+        // A byte flipped to another value.
+        0 => {
+            let mut m = bytes.to_vec();
+            let at = (a % m.len() as u64) as usize;
+            m[at] ^= (b % 255 + 1) as u8;
+            String::from_utf8_lossy(&m).into_owned()
+        }
+        // Truncated at an offset.
+        1 => String::from_utf8_lossy(&bytes[..(a % bytes.len() as u64) as usize]).into_owned(),
+        // Two lines swapped, or one line written twice.
+        2 | 3 => {
+            let mut lines: Vec<&str> = doc.lines().collect();
+            let (i, j) = (
+                (a % lines.len() as u64) as usize,
+                (b % lines.len() as u64) as usize,
+            );
+            if kind == 2 {
+                lines.swap(i, j);
+            } else {
+                lines.insert(j, lines[i]);
+            }
+            lines.join("\n") + "\n"
+        }
+        // A number replaced by one the field cannot hold.
+        _ => {
+            let spans = number_spans(doc);
+            let (start, end) = spans[(a % spans.len() as u64) as usize];
+            let bad = BAD_NUMBERS[(b % BAD_NUMBERS.len() as u64) as usize];
+            format!("{}{bad}{}", &doc[..start], &doc[end..])
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(240))]
+
+    /// Malformed snapshots are checked errors, never panics: resuming (and
+    /// forking) a mutated copy of a document with every v1 section
+    /// populated returns `Ok` or `Err`.
+    #[test]
+    fn mutated_snapshots_never_panic(kind in 0u8..5, a in any::<u64>(), b in any::<u64>()) {
+        static DOC: std::sync::OnceLock<(GreenDatacenterSim, String)> = std::sync::OnceLock::new();
+        let (sim, doc) = DOC.get_or_init(|| (every_section_sim(), every_section_snapshot()));
+        let text = mutate(doc, kind, a, b);
+        for fork in [false, true] {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let i = input(sim);
+                if fork {
+                    SimDriver::fork(i, &text).map(drop)
+                } else {
+                    SimDriver::resume(i, &text).map(drop)
+                }
+            }));
+            prop_assert!(
+                outcome.is_ok(),
+                "{} panicked on mutation {kind} ({a}, {b})",
+                if fork { "fork" } else { "resume" }
+            );
+        }
+    }
+}
+
+/// Hand-edited documents that are well-formed JSON but describe a state
+/// the run cannot hold: each is a checked error naming the problem.
+#[test]
+fn hand_edited_snapshots_are_checked_errors() {
+    let sim = every_section_sim();
+    let doc = every_section_snapshot();
+    // Job 29 is running at 14 h; its power row covers the five levels.
+    let row = "51843355,[119867569,150221121,186890364,230808964,282910588]";
+    let first_plan_row = "\"voltages\":[[0.82640625,0.9374088541666667,\
+                          1.0484114583333333,1.1594140625,1.2704166666666667]";
+    for (edit, from, to, expect) in [
+        (
+            "empty plan row",
+            first_plan_row,
+            "\"voltages\":[[]",
+            "chip 0 has 0 levels",
+        ),
+        (
+            "short power row",
+            row,
+            "51843355,[119867569]",
+            "has 1 power levels",
+        ),
+        (
+            "power past i64 sums",
+            row,
+            "51843355,[119867569,150221121,186890364,230808964,9223372036854775807]",
+            "overflows",
+        ),
+        (
+            "CPU-boundness past 1",
+            "0.8837703663936215",
+            "1.5",
+            "outside [0, 1]",
+        ),
+        (
+            "event before the clock",
+            "[[50447434,[\"retry\",35]]",
+            "[[5,[\"retry\",35]]",
+            "precedes the snapshot clock",
+        ),
+        (
+            "keys out of order",
+            "\"expect_more\":false,\"migrated_out\":0",
+            "\"migrated_out\":0,\"expect_more\":false",
+            "expected key \"expect_more\"",
+        ),
+        (
+            "extra key",
+            "\"avail_dirty\":false,",
+            "\"avail_dirty\":false,\"note\":1,",
+            "expected key \"rng\", found \"note\"",
+        ),
+    ] {
+        assert!(doc.contains(from), "{edit}: the pinned document changed");
+        let err = SimDriver::resume(input(&sim), &doc.replacen(from, to, 1))
+            .err()
+            .unwrap_or_else(|| panic!("{edit} must fail"));
+        assert!(err.to_string().contains(expect), "{edit}: {err}");
+    }
 }
