@@ -2680,12 +2680,21 @@ job_record!(
     power_uw_at, chain_limit, starts, attempt_energy_j,
 );
 
-/// Rejects a job record whose chips or level fall outside the fleet.
+/// Rejects a job record whose chips or level fall outside the fleet, or
+/// whose chips (once placed) are not one per CPU.
 fn check_job(js: &JobState, fleet_len: usize, num_levels: usize) -> Result<(), SnapshotError> {
     if let Some(bad) = js.chips.iter().find(|c| c.0 as usize >= fleet_len) {
         return Err(SnapshotError::Mismatch(format!(
             "job chip {} out of range (fleet {fleet_len})",
             bad.0
+        )));
+    }
+    if !js.chips.is_empty() && js.chips.len() != js.job.cpus as usize {
+        return Err(SnapshotError::Mismatch(format!(
+            "job {} holds {} chips for {} CPUs",
+            js.job.id.0,
+            js.chips.len(),
+            js.job.cpus
         )));
     }
     if js.level.0 as usize >= num_levels {
@@ -3163,6 +3172,30 @@ impl SiteState {
                 "job index {bad} out of range (table has {num_jobs})"
             )));
         }
+        // The running set as the run keeps it: each running job heads the
+        // queue of every chip it holds, and `running_at_level` counts the
+        // running jobs at each level.
+        let mut at_level = vec![0; num_levels];
+        for &i in &self.running {
+            let js = &self.jobs[i];
+            if js.chips.is_empty()
+                || js
+                    .chips
+                    .iter()
+                    .any(|c| self.queues[c.0 as usize].front() != Some(&i))
+            {
+                return Err(SnapshotError::Mismatch(format!(
+                    "running job {i} does not head the queues of its chips"
+                )));
+            }
+            at_level[js.level.0 as usize] += 1;
+        }
+        if at_level != self.running_at_level {
+            return Err(SnapshotError::Mismatch(format!(
+                "running_at_level {:?} disagrees with the running jobs' levels {at_level:?}",
+                self.running_at_level
+            )));
+        }
         // The demand aggregates `rebuild_derived` sums over the running
         // jobs' power rows: each row covers every level, and no sum
         // overflows.
@@ -3327,7 +3360,12 @@ mod snapshot_tests {
                         job: Job {
                             id: JobId(id),
                             submit: SimTime::from_millis(submit),
-                            cpus,
+                            // A placed job holds one chip per CPU.
+                            cpus: if chips.is_empty() {
+                                cpus
+                            } else {
+                                chips.len() as u32
+                            },
                             runtime_at_fmax: SimDuration::from_millis(runtime),
                             gamma: iscope_pvmodel::CpuBoundness::new(gamma),
                             deadline: SimTime::from_millis(deadline),

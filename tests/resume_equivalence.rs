@@ -745,6 +745,24 @@ fn hand_edited_snapshots_are_checked_errors() {
             "outside [0, 1]",
         ),
         (
+            "chips not one per CPU",
+            "[29,47591663,2,",
+            "[29,47591663,3,",
+            "holds 2 chips for 3 CPUs",
+        ),
+        (
+            "level counts off",
+            "\"running_at_level\",\"data\":[0,0,0,0,2]",
+            "\"running_at_level\",\"data\":[0,0,0,0,1]",
+            "disagrees with the running jobs' levels",
+        ),
+        (
+            "running job off its queue head",
+            "\"queues\",\"data\":[[],[],[],[],[],[],[],[],[],[],[],[],[],[29,",
+            "\"queues\",\"data\":[[],[],[],[],[],[],[],[],[],[],[],[],[],[25,29,",
+            "does not head the queues of its chips",
+        ),
+        (
             "event before the clock",
             "[[50447434,[\"retry\",35]]",
             "[[5,[\"retry\",35]]",
