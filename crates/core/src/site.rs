@@ -1651,7 +1651,12 @@ impl SiteState {
         }
         self.running_demand_uw -= js.power_uw_at[js.level.0 as usize];
         self.running_at_level[js.level.0 as usize] -= 1;
-        self.running.retain(|&i| i != idx);
+        let slot = self
+            .running
+            .iter()
+            .position(|&i| i == idx)
+            .expect("released job was not running");
+        self.running.remove(slot);
         let busy = now.saturating_since(self.jobs[idx].started_at);
         let chips = std::mem::take(&mut self.jobs[idx].chips);
         let mut heads = Vec::with_capacity(chips.len());

@@ -3,10 +3,13 @@
 //! Runs the headline benchmark (the paper's 4800-processor fleet under a
 //! day of ScanFair submissions), one figure-scale run (the default
 //! 240-CPU experiment cell), and a DVFS-stressed run (scarce wind at a
-//! high arrival rate, so the supply-matching loop dominates), and writes
-//! `BENCH_sim.json` with wall-clock, events/second, ns/placement, and
-//! per-phase hot-path timings, next to the recorded baselines that were
-//! measured before the incremental scheduler state landed.
+//! high arrival rate, so the supply-matching loop dominates), the fleet-
+//! scale, mega-scale and federated runs, and the `scaling` group
+//! (placement cost per placement from 6.25k to 50k processors), and
+//! writes `BENCH_sim.json` with wall-clock, events/second,
+//! ns/placement, and per-phase hot-path timings, next to the recorded
+//! baselines that were measured before the incremental scheduler state
+//! landed.
 //!
 //! The JSON is rendered through the workspace's one codec
 //! (`iscope::snapshot`), from the field lists below.
@@ -19,6 +22,7 @@ use iscope::{
     Driver, FederationReport, FollowSurplusRouter, PhaseTimers, RunReport, RunStats, SimInput,
     StreamDriver, StreamStats,
 };
+use iscope_dcsim::stats::quantile_sorted;
 use iscope_sched::Scheme;
 use iscope_workload::SyntheticSource;
 
@@ -175,49 +179,51 @@ impl GateRun {
 
 /// The runs [`SCALE_RATIO_BUDGET`] is derived from: eight back-to-back
 /// `iscope-exp bench-smoke` runs of one release build on a 2-vCPU shared
-/// Xeon host. Raw ns/placement spread over 58–79 µs (32% of the median);
-/// the ratio to the probe over 6,004–7,195 (18%), median 6,660.
+/// Xeon host, after the latest-start bound on the placement walks.
+/// Raw ns/placement spread over 29.9–37.6 µs (22% of the median); the
+/// ratio to the probe over 2,838–3,888 (32%), median 3,239.
 pub const SCALE_GATE_RUNS: [GateRun; 8] = [
     GateRun {
-        ns_per_placement: 79_415.7,
-        probe_ms: 11.038,
+        ns_per_placement: 35_566.8,
+        probe_ms: 10.895,
     },
     GateRun {
-        ns_per_placement: 75_936.8,
-        probe_ms: 11.310,
+        ns_per_placement: 34_581.2,
+        probe_ms: 12.185,
     },
     GateRun {
-        ns_per_placement: 58_312.6,
-        probe_ms: 9.713,
+        ns_per_placement: 29_924.5,
+        probe_ms: 9.315,
     },
     GateRun {
-        ns_per_placement: 65_671.2,
-        probe_ms: 9.697,
+        ns_per_placement: 34_805.1,
+        probe_ms: 11.840,
     },
     GateRun {
-        ns_per_placement: 67_388.3,
-        probe_ms: 10.467,
+        ns_per_placement: 36_343.6,
+        probe_ms: 10.894,
     },
     GateRun {
-        ns_per_placement: 65_111.7,
-        probe_ms: 9.297,
+        ns_per_placement: 37_634.5,
+        probe_ms: 9.933,
     },
     GateRun {
-        ns_per_placement: 59_614.8,
-        probe_ms: 9.081,
+        ns_per_placement: 33_872.5,
+        probe_ms: 11.320,
     },
     GateRun {
-        ns_per_placement: 65_611.0,
-        probe_ms: 9.932,
+        ns_per_placement: 33_480.5,
+        probe_ms: 8.611,
     },
 ];
 
 /// CI budget on the fleet-scale scenario's host-normalized cost
 /// ([`GateRun::ratio`], see [`smoke`]): 1.5× the median of
-/// [`SCALE_GATE_RUNS`], rounded. The largest ratio seen there is 8% over
-/// the median, so host noise six times that passes, while placement
-/// turning 1.5× slower per unit of host speed trips the gate.
-pub const SCALE_RATIO_BUDGET: f64 = 10_000.0;
+/// [`SCALE_GATE_RUNS`] (4,858), rounded up to the next hundred. The
+/// largest ratio seen there is 20% over the median, so host noise two
+/// and a half times that passes, while placement turning 1.5× slower
+/// per unit of host speed trips the gate.
+pub const SCALE_RATIO_BUDGET: f64 = 4_900.0;
 
 /// Wall-clock of a multi-cell sweep run at 1 vs 4 pool workers, plus
 /// the machine context that makes the ratio interpretable: on a
@@ -294,6 +300,8 @@ pub struct BenchReport {
     pub federation_outcome: String,
     /// Multi-cell sweep wall-clock at 1 vs 4 pool workers.
     pub sweep_speedup: SweepSpeedup,
+    /// Placement cost per placement across fleet sizes.
+    pub scaling: Vec<ScalingPoint>,
     /// Cumulative work-stealing pool counters over the whole report run.
     pub pool: PoolStats,
 }
@@ -344,17 +352,15 @@ pub fn dvfs_stress_sim() -> GreenDatacenterSim {
         .seed(42)
 }
 
-/// The fleet-scale scenario: a 50 000-processor fleet under 200 000
-/// jobs (gangs up to 512 wide), ScanFair, wind scaled to the per-CPU
-/// standard. At this size a single linear fleet scan costs more than an
-/// entire indexed placement, so the scenario only became tractable when
-/// the persistent chip indexes landed — it exists to keep it that way.
-pub fn scale_sim() -> GreenDatacenterSim {
-    let fleet = 50_000usize;
+/// ScanFair over `fleet` processors under four jobs per processor
+/// (gangs up to 512 wide), wind scaled to the per-CPU standard, seed 42:
+/// the shape of [`scale_sim`] at any fleet size, swept by the `scaling`
+/// group ([`SCALING_FLEETS`]).
+pub fn fleet_sim(fleet: usize) -> GreenDatacenterSim {
     GreenDatacenterSim::builder()
         .fleet_size(fleet)
         .synthetic_trace(SyntheticTrace {
-            num_jobs: 200_000,
+            num_jobs: 4 * fleet,
             max_cpus: 512,
             ..SyntheticTrace::default()
         })
@@ -368,11 +374,83 @@ pub fn scale_sim() -> GreenDatacenterSim {
         .seed(42)
 }
 
+/// The fleet-scale scenario: [`fleet_sim`] at 50 000 processors under
+/// 200 000 jobs. At this size a single linear fleet scan costs more
+/// than an entire indexed placement, so the scenario only became
+/// tractable when the persistent chip indexes landed — it exists to
+/// keep it that way.
+pub fn scale_sim() -> GreenDatacenterSim {
+    fleet_sim(50_000)
+}
+
+/// Fleet sizes of the `scaling` group, each run [`SCALING_REPEATS`]
+/// times as [`fleet_sim`].
+pub const SCALING_FLEETS: [usize; 4] = [6_250, 12_500, 25_000, 50_000];
+
+/// Runs per fleet size of the `scaling` group.
+pub const SCALING_REPEATS: usize = 3;
+
+/// One fleet size of the `scaling` group: the placement phase's
+/// nanoseconds per placement (`placement_ns / placements`), in µs, of
+/// each run.
+#[derive(Debug, Clone)]
+pub struct ScalingPoint {
+    /// Fleet size.
+    pub chips: usize,
+    /// µs per placement of each run, in run order.
+    pub us_per_placement: Vec<f64>,
+}
+
+iscope::to_val!(ScalingPoint, |p| {
+    "chips" => p.chips,
+    "us_per_placement" => p.us_per_placement,
+    "median_us" => p.median_us(),
+    "spread" => p.spread(),
+});
+
+impl ScalingPoint {
+    fn sorted(&self) -> Vec<f64> {
+        let mut v = self.us_per_placement.clone();
+        v.sort_by(f64::total_cmp);
+        v
+    }
+
+    /// Median over the runs.
+    pub fn median_us(&self) -> f64 {
+        quantile_sorted(&self.sorted(), 0.5)
+    }
+
+    /// `(max − min) / median` over the runs.
+    pub fn spread(&self) -> f64 {
+        let v = self.sorted();
+        (v[v.len() - 1] - v[0]) / quantile_sorted(&v, 0.5)
+    }
+}
+
+/// Runs the `scaling` group one simulation at a time, so no two timed
+/// runs share a core.
+fn measure_scaling() -> Vec<ScalingPoint> {
+    SCALING_FLEETS
+        .iter()
+        .map(|&chips| ScalingPoint {
+            chips,
+            us_per_placement: (0..SCALING_REPEATS)
+                .map(|_| {
+                    let (_, stats) = fleet_sim(chips).build().run_instrumented();
+                    stats.phases.placement_ns as f64 / stats.placements as f64 / 1e3
+                })
+                .collect(),
+        })
+        .collect()
+}
+
 /// The mega-scale scenario: 200 000 processors under 2 000 000 jobs —
 /// 4× the fleet and 10× the workload of [`scale_sim`]. Exists to record
-/// the scaling trajectory: per-placement cost must stay flat from
-/// `scale` to `mega`, which only holds while index repairs cost O(dirt)
-/// rather than O(fleet).
+/// the scaling trajectory from `scale` to `mega`, which stays bounded
+/// only while index repairs cost O(dirt) rather than O(fleet). It is
+/// not flat yet: on a 2-vCPU Xeon host it measured 44 → 101 µs per
+/// placement before the placement walks were bounded by each job's
+/// latest start, and 35 → 67 µs after.
 ///
 /// Unlike the smaller scenarios, the mega run **streams** its trace: the
 /// input carries an empty workload and the 2M jobs are pulled from a
@@ -465,6 +543,7 @@ pub fn run() -> BenchReport {
         _ => unreachable!("scenario order fixed above"),
     };
     let sweep_speedup = measure_sweep_speedup();
+    let scaling = measure_scaling();
     BenchReport {
         headline: stats.into(),
         headline_phases: stats.phases,
@@ -484,6 +563,7 @@ pub fn run() -> BenchReport {
         mega_outcome: mega_report.summary(),
         federation_outcome: fed_report.summary(),
         sweep_speedup,
+        scaling,
         pool: pool_stats(),
     }
 }
@@ -697,6 +777,9 @@ iscope::to_val!(BenchReport, |r| {
                          rho=0.5 correlated wind, faults on, seed 42",
         "sweep_speedup" => "6-cell smoke sweep (300 procs, 2000 jobs each), pool pinned \
                             at 1 vs 4 workers, reports asserted bit-identical",
+        "scaling" => "6250, 12500, 25000 and 50000 procs, 4 jobs per proc (max 512-wide), \
+                      ScanFair, hybrid wind per-CPU standard, seed 42, 3 runs each, run one \
+                      at a time: placement_ns / placements in us",
     },
     "headline" => r.headline,
     "headline_phases" => r.headline_phases,
@@ -730,6 +813,7 @@ iscope::to_val!(BenchReport, |r| {
         "runs" => SCALE_GATE_RUNS,
         "budget_ns_per_placement_per_probe_ms" => SCALE_RATIO_BUDGET,
     },
+    "scaling" => r.scaling,
     "pool" => r.pool,
     "headline_outcome" => r.headline_outcome,
     "dvfs_stress_outcome" => r.dvfs_outcome,
@@ -810,6 +894,13 @@ mod tests {
                 speedup_4t: 2.0,
                 host_cores: 2,
             },
+            scaling: SCALING_FLEETS
+                .iter()
+                .map(|&chips| ScalingPoint {
+                    chips,
+                    us_per_placement: vec![20.0; SCALING_REPEATS],
+                })
+                .collect(),
             pool: PoolStats {
                 par_calls: 1,
                 seq_calls: 2,

@@ -209,6 +209,14 @@ fn main() {
             b.sweep_speedup.speedup_4t,
             b.sweep_speedup.host_cores
         );
+        for p in &b.scaling {
+            println!(
+                "scaling {:>6} chips  median {:>8.1} us/placement  spread {:.2}",
+                p.chips,
+                p.median_us(),
+                p.spread()
+            );
+        }
         println!("{}", b.pool.render());
         match b.write() {
             Ok(p) => println!("[wrote {}]", p.display()),

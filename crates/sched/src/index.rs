@@ -17,8 +17,9 @@
 //!   ordering repairs lazily by relocating *only the dirty chips* — a
 //!   bucket lookup over the run minima plus one short memmove inside the
 //!   run, O(dirt · (log #runs + run len)) instead of the O(fleet) merge
-//!   pass a flat array forces. Rank reads then go through a prefix-count
-//!   directory rebuilt once per acquisition. Repairs must be O(dirt):
+//!   pass a flat array forces. A read of a rank range finds its first
+//!   rank through a prefix-count directory rebuilt once per acquisition
+//!   and then walks the runs in order. Repairs must be O(dirt):
 //!   at 50k chips a fleet-wide pass per acquisition is ~75 µs of every
 //!   placement, and dirt (the chips a gang finish re-keys) does not grow
 //!   with the fleet — the flat-array variant is superlinear end to end.
@@ -200,7 +201,7 @@ struct UsageIndex {
     mins: Vec<u64>,
     /// Prefix counts: `cum[b]` = keys in `runs[..b]`, `cum.len() ==
     /// runs.len() + 1`. Rebuilt lazily at acquisition (`cum_fresh`);
-    /// rank reads binary-search it.
+    /// a range read binary-searches it once for its first rank.
     cum: Vec<usize>,
     cum_fresh: bool,
     /// Current usage per chip, the source of truth for repairs.
@@ -335,13 +336,6 @@ impl UsageIndex {
             }
         }
     }
-
-    /// The key at `rank` in ascending order (directory must be fresh).
-    fn key_at(&self, rank: usize) -> u64 {
-        debug_assert!(self.cum_fresh && self.dirty_list.is_empty());
-        let b = self.cum.partition_point(|&c| c <= rank) - 1;
-        self.runs[b][rank - self.cum[b]]
-    }
 }
 
 /// The availability state plus the busy/idle tree pair built from it.
@@ -435,9 +429,22 @@ impl LeastUsed<'_> {
         self.0.usage_ms.is_empty()
     }
 
-    /// The chip at `rank` in ascending `(usage, id)` order.
-    pub fn chip(&self, rank: usize) -> ChipId {
-        ChipId(unpack_id(self.0.key_at(rank)))
+    /// The chips at `ranks` in ascending `(usage, id)` order: one
+    /// directory search for the first rank, then a sequential read
+    /// through the runs.
+    pub fn chips(&self, ranks: std::ops::Range<usize>) -> impl Iterator<Item = ChipId> + '_ {
+        let u = &*self.0;
+        debug_assert!(u.cum_fresh && u.dirty_list.is_empty());
+        let b = u.cum.partition_point(|&c| c <= ranks.start) - 1;
+        let (first, rest) = match u.runs.get(b) {
+            Some(run) => (&run[ranks.start - u.cum[b]..], &u.runs[b + 1..]),
+            None => (&[][..], &[][..]),
+        };
+        first
+            .iter()
+            .chain(rest.iter().flatten())
+            .take(ranks.len())
+            .map(|&k| ChipId(unpack_id(k)))
     }
 }
 
@@ -457,11 +464,18 @@ impl RankedPrefix<'_> {
     pub fn block_lb(&self, b: usize, now_floor: u64) -> u64 {
         let busy = self.0.busy_lb[b].max(now_floor);
         let idle = self.0.idle_lb[b];
-        if idle == NO_IDLE {
+        let lb = if idle == NO_IDLE {
             busy
         } else {
             busy.min(now_floor | idle as u64)
-        }
+        };
+        debug_assert!(
+            self.0.keys[b * RANK_BLOCK..((b + 1) * RANK_BLOCK).min(self.0.keys.len())]
+                .iter()
+                .all(|&raw| lb <= raw.max(now_floor | u64::from(unpack_id(raw)))),
+            "ranking block {b}'s bound is above one of its clamped keys"
+        );
+        lb
     }
 
     /// The current raw `pack(avail_ms, id)` keys, one per ranking
@@ -650,18 +664,20 @@ pub(crate) const NO_IDLE: u32 = u32::MAX;
 ///   `idle_lb` already covers it, and until then its raw key (counted
 ///   in `busy_lb`) is itself `<=` its clamped key.
 ///
-/// A walk skips block `b` once its top-n heap is full and
-/// `min(pack(now, idle_lb[b]), max(busy_lb[b], pack(now, 0))) >=
-/// root`: no chip in the block can displace a heap entry. The bounds
-/// stay sound with O(1) maintenance because keys only move one way
-/// between refreshes: a placement pushes a chip's drain later
-/// (`chip_busy` still folds the new key in, which also covers a key
-/// that drops), a drain lowers `idle_lb` via `chip_idle`, an epoch
-/// invalidation (`rebuild_avail`) and a re-registered ranking recompute
-/// every bound exactly, and walks refresh the bounds of each block they
-/// actually scan (over all chips in the block — blocked ones included,
-/// since quarantined chips can return). A stale-low bound only costs
-/// one wasted scan of that block, which refreshes it.
+/// A walk skips block `b` when `min(pack(now, idle_lb[b]),
+/// max(busy_lb[b], pack(now, 0)))` is above the job's latest-start key
+/// (no chip in the block drains in time), or, once its top-n heap is
+/// full, not below the root (no chip in the block can displace a heap
+/// entry). The bounds stay sound with O(1) maintenance because keys
+/// only move one way between refreshes: a placement pushes a chip's
+/// drain later (`chip_busy` still folds the new key in, which also
+/// covers a key that drops), a drain lowers `idle_lb` via `chip_idle`,
+/// an epoch invalidation (`rebuild_avail`) and a re-registered ranking
+/// recompute every bound exactly, and walks refresh the bounds of each
+/// block they actually scan (over all chips in the block — blocked ones
+/// included, since quarantined chips can return — and before the
+/// latest-start filter). A stale-low bound only costs one wasted scan
+/// of that block, which refreshes it.
 #[derive(Debug, Default)]
 struct RankBlocks {
     /// Snapshot of the registered ranking (chip ids in preference order).
@@ -906,7 +922,7 @@ mod tests {
 
     fn least_used_ids(idx: &ChipIndexes) -> Vec<u32> {
         let lu = idx.least_used();
-        (0..lu.len()).map(|r| lu.chip(r).0).collect()
+        lu.chips(0..lu.len()).map(|c| c.0).collect()
     }
 
     #[test]
@@ -1089,11 +1105,12 @@ mod tests {
             // Spot-check ranks across the whole range (full materialize
             // ×30 would dominate the test) plus the exact head block.
             for r in (0..N).step_by(997) {
-                assert_eq!(lu.chip(r).0, expect[r], "step {step} rank {r}");
+                let end = (r + 700).min(N);
+                let got: Vec<u32> = lu.chips(r..end).map(|c| c.0).collect();
+                assert_eq!(got, expect[r..end], "step {step} ranks {r}..{end}");
             }
-            for (r, &want) in expect.iter().enumerate().take(64) {
-                assert_eq!(lu.chip(r).0, want, "step {step} head {r}");
-            }
+            let head: Vec<u32> = lu.chips(0..64).map(|c| c.0).collect();
+            assert_eq!(head, expect[..64], "step {step} head");
         }
     }
 

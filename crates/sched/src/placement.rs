@@ -204,7 +204,7 @@ fn sift_down(v: &mut [u64]) {
     }
 }
 
-/// One doubling round shared by the prefix walkers: admits `slice` (the
+/// One doubling round shared by the prefix walkers: admits `chips` (the
 /// newly widened part of the preference order) into `bufs.top`, a bounded
 /// max-heap holding the `n` earliest-available candidates seen so far
 /// under the `(clamped_avail, id)` order, then checks feasibility in
@@ -214,22 +214,28 @@ fn sift_down(v: &mut [u64]) {
 /// sorted-run merge — and only the winning round pays an `n log n` sort
 /// to emit the head in `(clamped_avail, id)` order, exactly the set and
 /// order the sorted-run formulation produced (the packed integer orders
-/// identically to the tuple).
+/// identically to the tuple). A chip whose clamped key is above `bound`
+/// is not admitted (see [`latest_start_bound`]; the plain walks pass
+/// `u64::MAX`).
 fn admit_and_try(
-    slice: &[ChipId],
+    chips: impl IntoIterator<Item = ChipId>,
     n: usize,
+    bound: u64,
     job: &Job,
     view: &ProcView<'_>,
     bufs: &mut crate::view::ScratchBufs,
 ) -> Option<PlacementDecision> {
     let now_ms = view.now.as_millis();
     let top = &mut bufs.top;
-    for &c in slice {
+    for c in chips {
         if view.is_blocked(c) {
             continue;
         }
         let avail_ms = view.avail[c.0 as usize].as_millis();
         let key = crate::index::pack(avail_ms.max(now_ms), c.0);
+        if key > bound {
+            continue;
+        }
         if top.len() < n {
             top.push(key);
             let last = top.len() - 1;
@@ -240,6 +246,32 @@ fn admit_and_try(
         }
     }
     try_emit(n, job, view, bufs)
+}
+
+/// The largest clamped `(max(avail, now), id)` key a chip may carry and
+/// still be part of a feasible set for `job`: `pack(T, max id)` for the
+/// job's latest start `T = deadline − runtime_at_fmax` (`u64::MAX` when
+/// `T` is past the packable range). `None` when `T` is before `now`, so
+/// no set is feasible.
+///
+/// Bounding a doubling walk by it changes no decision. A round is
+/// feasible exactly when its prefix holds `n` in-service chips that
+/// drain by `T`, and the `n` smallest keys of such a prefix all drain by
+/// `T`; every chip that drains by `T` has a smaller key than every chip
+/// that drains later. So a heap that admits only keys `<= bound` fills
+/// in the same round the unbounded heap turns feasible, and then holds
+/// the same `n` keys.
+fn latest_start_bound(job: &Job, now_ms: u64) -> Option<u64> {
+    let latest = job
+        .deadline
+        .as_millis()
+        .checked_sub(job.runtime_at_fmax.as_millis())
+        .filter(|&t| t >= now_ms)?;
+    Some(if latest >> (64 - crate::index::ID_BITS) != 0 {
+        u64::MAX
+    } else {
+        (latest << crate::index::ID_BITS) | ((1 << crate::index::ID_BITS) - 1)
+    })
 }
 
 /// The feasibility-and-emit half of [`admit_and_try`].
@@ -310,7 +342,8 @@ fn prefix_place_plain(order: &[ChipId], job: &Job, view: &ProcView<'_>) -> Place
         let mut k = n;
         loop {
             let k_now = k.min(order.len());
-            if let Some(d) = admit_and_try(&order[taken..k_now], n, job, view, &mut bufs) {
+            let slice = order[taken..k_now].iter().copied();
+            if let Some(d) = admit_and_try(slice, n, u64::MAX, job, view, &mut bufs) {
                 return d;
             }
             taken = k_now;
@@ -324,18 +357,28 @@ fn prefix_place_plain(order: &[ChipId], job: &Job, view: &ProcView<'_>) -> Place
 }
 
 /// The block-skipping prefix walk. Identical decisions to
-/// [`prefix_place_plain`] by a set argument: once the top-n heap is
-/// full, admitting a chip changes the heap only if its clamped key is
-/// below the root, and every clamped key is `>= max(raw key,
-/// pack(now, 0))` — so a whole [`RankedPrefix::BLOCK`]-aligned block
-/// whose min-bound clears the root admits nothing and can be skipped
-/// without reading a single chip. That turns the deep-walk regime (a
-/// loaded fleet where every arrival used to scan tens of thousands of
-/// ranking entries to find `n` early-enough chips) from O(prefix) per
-/// placement into O(prefix / BLOCK + competitive blocks). Each block
-/// scanned in full reports its exact current minimum back to the index,
-/// so bounds left stale-low by intervening placements cost one wasted
-/// scan, not a permanent skip failure.
+/// [`prefix_place_plain`]. It reads only chips that can be part of a
+/// feasible set: it admits no chip whose clamped key is above the job's
+/// [`latest_start_bound`] (which leaves every round's outcome as it was,
+/// see there), and goes straight to best effort when the latest start
+/// is already past. Every clamped key is `>= max(raw key, pack(now,
+/// 0))`, so a whole [`RankedPrefix::BLOCK`]-aligned block is skipped
+/// without reading a single chip when its min-bound is above that bound
+/// or, with the top-n heap full, not below the heap root (then no chip
+/// of it can displace a heap entry). On a loaded fleet, where the front
+/// of the ranking is queued past most deadlines, that leaves the blocks
+/// holding chips that drain in time. Each block scanned in full reports
+/// its exact current minimum back to the index, taken over all its
+/// chips before the bound filter, so bounds left stale-low by
+/// intervening placements cost one wasted scan, not a permanent skip
+/// failure, and never err high.
+///
+/// Measured in the shape of `iscope-exp bench-report`'s `scaling` group
+/// (ScanFair, 4 jobs per chip, gangs up to 512 wide, 2-vCPU Xeon, means
+/// of three runs), the latest-start bound and the sequential least-used
+/// reads took the placement phase from 22.1 to 12.3 µs per placement at
+/// 6.25k chips, 43.4 to 21.7 at 25k and 61.4 to 28.7 at 50k.
+/// `BENCH_sim.json` records the current trajectory.
 fn prefix_place_blocks(
     order: &[ChipId],
     job: &Job,
@@ -348,6 +391,9 @@ fn prefix_place_blocks(
         n <= view.available_count(),
         "job wider than the in-service fleet"
     );
+    let Some(bound) = latest_start_bound(job, view.now.as_millis()) else {
+        return best_effort(job, view);
+    };
     {
         let mut bufs = view.scratch.borrow_mut();
         bufs.top.clear();
@@ -363,13 +409,12 @@ fn prefix_place_blocks(
                 let block_end = ((b + 1) * BLOCK).min(order.len());
                 let chunk_end = block_end.min(k_now);
                 let whole_block = pos == b * BLOCK && chunk_end == block_end;
-                if whole_block
-                    && bufs.top.len() == n
-                    && n > 0
-                    && blocks.block_lb(b, now_floor) >= bufs.top[0]
-                {
-                    pos = chunk_end;
-                    continue;
+                if whole_block {
+                    let lb = blocks.block_lb(b, now_floor);
+                    if lb > bound || (bufs.top.len() == n && n > 0 && lb >= bufs.top[0]) {
+                        pos = chunk_end;
+                        continue;
+                    }
                 }
                 let mut busy_mn = u64::MAX;
                 let mut idle_mn = crate::index::NO_IDLE;
@@ -391,6 +436,9 @@ fn prefix_place_blocks(
                             busy_mn = busy_mn.min(raw);
                         }
                         let key = raw.max(now_floor | (raw & id_mask));
+                        if key > bound {
+                            continue;
+                        }
                         if top.len() < n {
                             if view.is_blocked(ChipId((raw & id_mask) as u32)) {
                                 continue;
@@ -447,9 +495,9 @@ fn fair_surplus_place(job: &Job, view: &ProcView<'_>) -> PlacementDecision {
 /// chips straight out of the persistent `(usage, id)` sorted index
 /// (lazily repaired on acquisition), instead of re-materializing and
 /// partially selecting a fleet-sized pool. The index holds exactly the
-/// order the linear `select_nth` + block sort produces, so
-/// `admit_and_try` sees identical slices and the decisions match bit
-/// for bit.
+/// order the linear `select_nth` + block sort produces, and admissions
+/// are bounded by the job's [`latest_start_bound`] (which leaves every
+/// round's outcome as it was), so the decisions match bit for bit.
 fn fair_surplus_place_indexed(
     job: &Job,
     view: &ProcView<'_>,
@@ -460,9 +508,11 @@ fn fair_surplus_place_indexed(
         n <= view.available_count(),
         "job wider than the in-service fleet"
     );
+    let Some(bound) = latest_start_bound(job, view.now.as_millis()) else {
+        return best_effort(job, view);
+    };
     {
         let mut bufs = view.scratch.borrow_mut();
-        let mut pool = std::mem::take(&mut bufs.pool);
         bufs.top.clear();
         let order = idx.least_used();
         let total = view.len();
@@ -472,23 +522,17 @@ fn fair_surplus_place_indexed(
         loop {
             let k_now = k.min(total);
             if k_now > sel {
-                pool.clear();
-                pool.extend((sel..k_now).map(|r| order.chip(r)));
-                let decision = admit_and_try(&pool, n, job, view, &mut bufs);
-                sel = k_now;
-                if let Some(d) = decision {
-                    drop(order);
-                    bufs.pool = pool;
+                let slice = order.chips(sel..k_now);
+                if let Some(d) = admit_and_try(slice, n, bound, job, view, &mut bufs) {
                     return d;
                 }
+                sel = k_now;
             }
             if k_now == total {
                 break;
             }
             k = k_now.saturating_mul(2);
         }
-        drop(order);
-        bufs.pool = pool;
     }
     best_effort(job, view)
 }
@@ -520,7 +564,8 @@ fn fair_surplus_place_linear(job: &Job, view: &ProcView<'_>) -> PlacementDecisio
                     pool[sel..].select_nth_unstable_by_key(k_now - sel - 1, usage_key);
                 }
                 pool[sel..k_now].sort_unstable_by_key(usage_key);
-                let decision = admit_and_try(&pool[sel..k_now], n, job, view, &mut bufs);
+                let slice = pool[sel..k_now].iter().copied();
+                let decision = admit_and_try(slice, n, u64::MAX, job, view, &mut bufs);
                 sel = k_now;
                 if let Some(d) = decision {
                     bufs.pool = pool;

@@ -285,3 +285,146 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// The indexed walks against the linear ones over fleets several
+    /// 64-position ranking blocks long (the last block partial), at
+    /// `now > 0`, with idle, queued and blocked chips mixed. Each case
+    /// runs sixteen rounds of three arrivals (Effi, Fair in surplus,
+    /// Fair in scarcity), applying one decision and advancing the clock
+    /// (queues that drain go idle and gain usage) between rounds, so the
+    /// block bounds go stale-low as they do in a run. Latest starts fall
+    /// before `now`, exactly on a chip's drain instant, after every
+    /// chip, or in between, so the latest-start bound cuts every way
+    /// through the walks. In debug builds every bound a walk consults is
+    /// also checked against its block's keys.
+    #[test]
+    fn multi_block_walks_match_linear(
+        chips in 130usize..=400,
+        seed in any::<u64>(),
+    ) {
+        let chips = if chips % 64 == 0 { chips + 1 } else { chips };
+        let f = Fleet::generate(
+            chips,
+            DvfsConfig::paper_default(),
+            &VariationParams::default(),
+            77,
+        );
+        let plan = OperatingPlan::oracle(&f);
+        let mut rng = SimRng::new(seed);
+        let mut now_ms = 3_600_000 + rng.index(3_600_000) as u64;
+        // A loaded fleet has whole blocks without an idle chip.
+        let idle_share = [0.0, 0.02, 0.3][rng.index(3)];
+        let mut avail: Vec<SimTime> = (0..chips)
+            .map(|_| {
+                let ms = if rng.chance(idle_share) {
+                    now_ms - rng.index(3_600_000) as u64
+                } else {
+                    now_ms + 1 + rng.index(7_200_000) as u64
+                };
+                SimTime::from_millis(ms)
+            })
+            .collect();
+        let mut busy: Vec<bool> = avail.iter().map(|a| a.as_millis() > now_ms).collect();
+        let mut usage: Vec<SimDuration> = (0..chips)
+            .map(|_| SimDuration::from_millis(rng.index(36_000_000) as u64))
+            .collect();
+        let blocked: Vec<bool> = (0..chips).map(|_| rng.chance(0.15)).collect();
+        let in_service = blocked.iter().filter(|&&b| !b).count();
+        let mut idx = ChipIndexes::new(chips);
+        for (i, &u) in usage.iter().enumerate() {
+            idx.set_usage(ChipId(i as u32), u);
+        }
+        idx.rebuild_avail(&avail, |i| busy[i]);
+        idx.set_ranking(plan.ranking());
+        let scratch = PlaceScratch::default();
+        for step in 0..16 {
+            // One arrival per policy, each with its own width and latest
+            // start, so a walk meets the bounds the walk before it left.
+            let mut drains: Vec<u64> = (0..chips)
+                .filter(|&i| !blocked[i])
+                .map(|i| avail[i].as_millis().max(now_ms))
+                .collect();
+            drains.sort_unstable();
+            let mut arrivals = Vec::new();
+            for _ in 0..3 {
+                let cpus = 1 + rng.index(48.min(in_service)) as u32;
+                let runtime_ms = 60_000 + rng.index(3_600_000) as u64;
+                let deadline_ms = match rng.index(4) {
+                    // Latest start before `now`, or before time zero.
+                    0 => rng.index((now_ms + runtime_ms) as usize) as u64,
+                    // Exactly on a chip's (clamped) drain instant, near
+                    // the `cpus`-th earliest so the walk has to go deep.
+                    1 => drains[rng.index(drains.len().min(2 * cpus as usize + 8))] + runtime_ms,
+                    // After every chip drains.
+                    2 => avail.iter().map(|a| a.as_millis()).max().unwrap_or(0).max(now_ms)
+                        + 1 + rng.index(600_000) as u64 + runtime_ms,
+                    _ => now_ms + rng.index(7_200_000) as u64 + runtime_ms,
+                };
+                arrivals.push(Job {
+                    deadline: SimTime::from_millis(deadline_ms),
+                    runtime_at_fmax: SimDuration::from_millis(runtime_ms),
+                    ..job(cpus, 0, 0)
+                });
+            }
+            let mut decisions = Vec::new();
+            {
+                let mk_view = |index| ProcView {
+                    now: SimTime::from_millis(now_ms),
+                    avail: &avail,
+                    usage: &usage,
+                    plan: &plan,
+                    dvfs: &f.dvfs,
+                    blocked: &blocked,
+                    in_service,
+                    index,
+                    scratch: &scratch,
+                };
+                for ((policy, surplus), j) in [
+                    (&EfficiencyPlacement as &dyn Placement, false),
+                    (&FairPlacement, true),
+                    (&FairPlacement, false),
+                ]
+                .into_iter()
+                .zip(&arrivals)
+                {
+                    let mut rng_linear = SimRng::new(seed);
+                    let mut rng_indexed = SimRng::new(seed);
+                    let linear = policy.place(j, &mk_view(None), surplus, &mut rng_linear);
+                    let indexed = policy.place(j, &mk_view(Some(&idx)), surplus, &mut rng_indexed);
+                    prop_assert_eq!(
+                        &linear, &indexed,
+                        "{} (surplus {}) diverged at step {}", policy.name(), surplus, step
+                    );
+                    decisions.push(indexed);
+                }
+            }
+            // Queue the gang as the simulator does: every chip drains when
+            // the gang that starts on the latest of them finishes.
+            let applied = step % decisions.len();
+            let placed = decisions[applied].chips();
+            let runtime_ms = arrivals[applied].runtime_at_fmax.as_millis();
+            let start = placed
+                .iter()
+                .map(|c| avail[c.0 as usize].as_millis())
+                .fold(now_ms, u64::max);
+            for &c in placed {
+                let i = c.0 as usize;
+                avail[i] = SimTime::from_millis(start + runtime_ms);
+                busy[i] = true;
+                idx.chip_busy(c, avail[i]);
+            }
+            now_ms += rng.index(1_800_000) as u64;
+            for i in 0..chips {
+                if busy[i] && avail[i].as_millis() <= now_ms {
+                    busy[i] = false;
+                    usage[i] += SimDuration::from_millis(runtime_ms);
+                    idx.chip_idle(ChipId(i as u32));
+                    idx.set_usage(ChipId(i as u32), usage[i]);
+                }
+            }
+        }
+    }
+}
