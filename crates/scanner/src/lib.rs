@@ -6,11 +6,12 @@
 //! * [`sbft`] — software-based functional failing tests and stress tests
 //!   (29 s vs 10 min per operating point) probing the cores' stability
 //!   oracle.
-//! * [`records`] — the profiling-records database with the descending
-//!   voltage grid and the stage-6 inference (a fail forces lower voltages
-//!   to fail), yielding measured Min Vdd per core per frequency bin.
+//! * [`records`] — the descending voltage grid and one chip's scan
+//!   records ([`ChipScan`]) with the stage-6 inference (a fail forces
+//!   lower voltages to fail), yielding measured Min Vdd per core per
+//!   frequency bin.
 //! * [`protocol`] — the master/slave profiling protocol of Fig. 3 and the
-//!   fleet-wide [`Scanner`].
+//!   [`Scanner`], whose fleet scan folds chip scans into a [`ScanReport`].
 //! * [`opportunistic`] — low-utilization window analysis (Fig. 10) and
 //!   campaign-length estimation.
 //! * [`overhead`] — the §VI.E energy-cost arithmetic (230/598 and
@@ -30,8 +31,8 @@ pub mod staleness;
 
 pub use opportunistic::{analyse_windows, estimate_campaign, CampaignEstimate, WindowReport};
 pub use overhead::{OverheadModel, ProfilingCost};
-pub use protocol::{with_nominal_fallback, ChipScan, ScanReport, Scanner, ScannerConfig};
-pub use records::{ProfilingRecords, VoltageGrid};
+pub use protocol::{with_nominal_fallback, ScanReport, Scanner, ScannerConfig};
+pub use records::{ChipScan, VoltageGrid};
 pub use sbft::{TestKind, TestOutcome, TestProgram};
 pub use staleness::{
     analyse_staleness, safe_reprofile_interval_hours, ReprofilePolicy, StalenessReport,

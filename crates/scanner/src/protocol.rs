@@ -9,10 +9,10 @@
 //! exactly the §V.A methodology ("the processor Vdd is gradually
 //! decreased ... until all cores cannot pass").
 
-use crate::records::{ChipBlock, LevelRecord, ProfilingRecords, VoltageGrid};
+use crate::records::{resolved, ChipScan, LevelRecord, VoltageGrid};
 use crate::sbft::{TestKind, TestProgram};
 use iscope_dcsim::{SimDuration, SimRng};
-use iscope_pvmodel::{Chip, CoreId, DvfsConfig, Fleet, FreqLevel};
+use iscope_pvmodel::{Chip, ChipId, DvfsConfig, Fleet, FreqLevel};
 
 /// Configuration of the iScope scanner.
 #[derive(Debug, Clone)]
@@ -60,11 +60,10 @@ impl Default for ScannerConfig {
     }
 }
 
-/// Result of scanning a fleet.
+/// Result of scanning a fleet: one [`Scanner::scan_chip`] per chip,
+/// folded into rows.
 #[derive(Debug, Clone)]
 pub struct ScanReport {
-    /// The filled profiling-records database.
-    pub records: ProfilingRecords,
     /// `measured_vmin[chip][level]`: chip-level (worst-core) measured
     /// Min Vdd; falls back to nominal voltage for any unmeasured entry.
     pub measured_vmin: Vec<Vec<f64>>,
@@ -78,6 +77,8 @@ pub struct ScanReport {
     /// Campaign wall-clock with `domain_size` chips profiled concurrently
     /// and domains run back to back.
     pub campaign_time: SimDuration,
+    /// Chips with a level at which some core passed no grid point.
+    defective: Vec<ChipId>,
 }
 
 impl ScanReport {
@@ -85,50 +86,8 @@ impl ScanReport {
     /// grid (nominal voltage) on some level — defective units that should
     /// be pulled from service rather than operated. Their `measured_vmin`
     /// rows fall back to nominal, which is NOT safe for them.
-    pub fn defective_chips(&self) -> Vec<iscope_pvmodel::ChipId> {
-        (0..self.records.num_chips() as u32)
-            .map(iscope_pvmodel::ChipId)
-            .filter(|&chip| {
-                (0..self.records.grid().num_levels() as u8).any(|l| {
-                    self.records
-                        .measured_vmin_chip(chip, FreqLevel(l))
-                        .is_none()
-                })
-            })
-            .collect()
-    }
-}
-
-/// One chip scanned on its own: out-of-service time, tests run, and the
-/// chip's `cores × levels` records over the grid it was scanned on.
-#[derive(Debug, Clone)]
-pub struct ChipScan<'g> {
-    /// How long the chip was out of service.
-    pub duration: SimDuration,
-    /// Stability tests executed (per-core test runs).
-    pub tests_run: u64,
-    grid: &'g VoltageGrid,
-    records: Vec<LevelRecord>,
-}
-
-impl ChipScan<'_> {
-    fn block(&self) -> ChipBlock<'_> {
-        ChipBlock {
-            grid: self.grid,
-            records: &self.records,
-        }
-    }
-
-    /// Measured Min Vdd of core `core` at `level`; `None` if the core
-    /// failed even at nominal voltage.
-    pub fn measured_vmin(&self, core: u8, level: FreqLevel) -> Option<f64> {
-        self.block().measured_vmin(core, level)
-    }
-
-    /// Chip-level (worst-core) measured Min Vdd at `level`; `None` if any
-    /// core lacks a measurement.
-    pub fn measured_vmin_chip(&self, level: FreqLevel) -> Option<f64> {
-        self.block().measured_vmin_chip(level)
+    pub fn defective_chips(&self) -> &[ChipId] {
+        &self.defective
     }
 }
 
@@ -180,7 +139,8 @@ impl Scanner {
     /// The scan kernel: generates the chip's test program, then descends
     /// each level's grid chip-wide with every still-passing core tested
     /// concurrently at each step, recording into `block` (the chip's
-    /// `cores × levels` records). Returns the chip's out-of-service time
+    /// `cores × levels` records), and leaves every record resolved
+    /// (checked in debug builds). Returns the chip's out-of-service time
     /// and the stability tests run.
     fn scan_block(
         &self,
@@ -226,28 +186,15 @@ impl Scanner {
                 steps += 1;
             }
         }
+        debug_assert!(resolved(grid, block), "scan left a core-level unresolved");
         let duration =
             SimDuration::from_millis(steps * self.config.test_kind.duration().as_millis());
         (duration, tests)
     }
 
-    /// Profiles one chip into its block of the fleet records. Returns the
-    /// chip's out-of-service time.
-    pub fn profile_chip(
-        &self,
-        chip: &Chip,
-        records: &mut ProfilingRecords,
-        rng: &mut SimRng,
-    ) -> SimDuration {
-        let (grid, block, tests_run) = records.chip_mut(chip.id);
-        let (duration, tests) = self.scan_block(chip, grid, block, rng);
-        *tests_run += tests;
-        duration
-    }
-
-    /// Scans one chip on its own over `grid`: the same kernel and the same
-    /// random draws as [`Scanner::profile_chip`], into chip-sized records
-    /// (the in-run re-scan path, which must not pay for the fleet).
+    /// Scans one chip on its own over `grid` into chip-sized records.
+    /// [`Scanner::profile_fleet`] and the in-run re-scan both scan
+    /// through here.
     pub fn scan_chip<'g>(
         &self,
         chip: &Chip,
@@ -264,64 +211,44 @@ impl Scanner {
         }
     }
 
-    /// Every chip's chip-level measured Min Vdd row, with the nominal
-    /// fallback: [`ScanReport::measured_vmin`] of
-    /// [`Scanner::profile_fleet`] (same kernel, same draws), scanned chip
-    /// by chip so no fleet-sized records are built.
-    pub fn fleet_vmin(&self, fleet: &Fleet, seed: u64) -> Vec<Vec<f64>> {
+    /// Scans the whole fleet (stage 2 picks every inadequately profiled
+    /// chip; domains of `domain_size` run concurrently): one
+    /// [`Scanner::scan_chip`] per chip, in fleet order, on one stream.
+    pub fn profile_fleet(&self, fleet: &Fleet, seed: u64) -> ScanReport {
         let grid = self.config.grid(&fleet.dvfs);
         let mut rng = SimRng::derive(seed, FLEET_SCAN_STREAM);
-        fleet
-            .chips
-            .iter()
-            .map(|chip| {
-                let scan = self.scan_chip(chip, &grid, &mut rng);
-                with_nominal_fallback(&fleet.dvfs, |l| scan.measured_vmin_chip(l))
-            })
-            .collect()
-    }
-
-    /// Scans the whole fleet (stage 2 picks every inadequately profiled
-    /// chip; domains of `domain_size` run concurrently).
-    pub fn profile_fleet(&self, fleet: &Fleet, seed: u64) -> ScanReport {
-        let mut records = ProfilingRecords::for_fleet(self.config.grid(&fleet.dvfs), fleet);
-        let mut rng = SimRng::derive(seed, FLEET_SCAN_STREAM);
-        let mut per_chip_time = Vec::with_capacity(fleet.len());
+        let mut report = ScanReport {
+            measured_vmin: Vec::with_capacity(fleet.len()),
+            measured_vmin_per_core: Vec::with_capacity(fleet.len()),
+            tests_run: 0,
+            per_chip_time: Vec::with_capacity(fleet.len()),
+            campaign_time: SimDuration::ZERO,
+            defective: Vec::new(),
+        };
+        let dvfs = &fleet.dvfs;
         for chip in &fleet.chips {
-            per_chip_time.push(self.profile_chip(chip, &mut records, &mut rng));
+            let scan = self.scan_chip(chip, &grid, &mut rng);
+            if dvfs.levels().any(|l| scan.measured_vmin_chip(l).is_none()) {
+                report.defective.push(chip.id);
+            }
+            let chip_row = with_nominal_fallback(dvfs, |l| scan.measured_vmin_chip(l));
+            let core_rows = (0..chip.cores.len() as u8)
+                .map(|core| with_nominal_fallback(dvfs, |l| scan.measured_vmin(core, l)))
+                .collect();
+            report.measured_vmin.push(chip_row);
+            report.measured_vmin_per_core.push(core_rows);
+            report.tests_run += scan.tests_run;
+            report.per_chip_time.push(scan.duration);
         }
-        let measured_vmin: Vec<Vec<f64>> = fleet
-            .chips
-            .iter()
-            .map(|c| with_nominal_fallback(&fleet.dvfs, |l| records.measured_vmin_chip(c.id, l)))
-            .collect();
-        let measured_vmin_per_core: Vec<Vec<Vec<f64>>> = fleet
-            .chips
-            .iter()
-            .map(|c| {
-                (0..c.cores.len() as u8)
-                    .map(|core| {
-                        with_nominal_fallback(&fleet.dvfs, |l| {
-                            records.measured_vmin(CoreId { chip: c.id, core }, l)
-                        })
-                    })
-                    .collect()
-            })
-            .collect();
         // Domains of `domain_size` chips run concurrently; a domain's time
         // is its slowest member, domains run back to back.
-        let mut campaign_ms = 0u64;
-        for domain in per_chip_time.chunks(self.config.domain_size) {
-            campaign_ms += domain.iter().map(|d| d.as_millis()).max().unwrap_or(0);
-        }
-        ScanReport {
-            tests_run: records.tests_run(),
-            measured_vmin,
-            measured_vmin_per_core,
-            per_chip_time,
-            campaign_time: SimDuration::from_millis(campaign_ms),
-            records,
-        }
+        let campaign_ms = report
+            .per_chip_time
+            .chunks(self.config.domain_size)
+            .map(|domain| domain.iter().map(|d| d.as_millis()).max().unwrap_or(0))
+            .sum();
+        report.campaign_time = SimDuration::from_millis(campaign_ms);
+        report
     }
 }
 
@@ -386,23 +313,23 @@ mod tests {
     #[test]
     fn fleet_scan_completes_every_chip() {
         let fleet = small_fleet();
+        // The kernel checks every chip's records resolve in debug builds.
         let report = Scanner::new(ScannerConfig::default()).profile_fleet(&fleet, 1);
-        for chip in &fleet.chips {
-            assert!(report.records.chip_complete(chip.id), "chip {:?}", chip.id);
-        }
         assert_eq!(report.measured_vmin.len(), fleet.len());
     }
 
     #[test]
     fn measured_vmin_is_conservative_within_one_grid_step() {
         let fleet = small_fleet();
-        let report = Scanner::new(ScannerConfig::default()).profile_fleet(&fleet, 2);
+        let scanner = Scanner::new(ScannerConfig::default());
+        let report = scanner.profile_fleet(&fleet, 2);
+        let grid = scanner.config().grid(&fleet.dvfs);
         for chip in &fleet.chips {
             for l in fleet.dvfs.levels() {
                 let truth = chip.vmin_chip(l, false);
                 let measured = report.measured_vmin[chip.id.0 as usize][l.0 as usize];
                 assert!(measured >= truth - 1e-12, "measured below truth");
-                let grid = report.records.grid().voltages(l);
+                let grid = grid.voltages(l);
                 let step = grid[0] - grid[1];
                 // Within one step unless the truth lies below the grid floor.
                 if truth >= *grid.last().unwrap() {
@@ -488,11 +415,6 @@ mod tests {
             (report.measured_vmin[5][lvl] - fleet.dvfs.v_nom(top)).abs() < 1e-12,
             "defective chip falls back to nominal"
         );
-        // The chip-by-chip scan reads the same rows, fallback included.
-        assert_eq!(
-            Scanner::new(ScannerConfig::default()).fleet_vmin(&fleet, 9),
-            report.measured_vmin
-        );
         // Healthy chips are unaffected.
         for chip in &fleet.chips {
             if chip.id == ChipId(5) {
@@ -507,9 +429,8 @@ mod tests {
         }
     }
 
-    /// Chips of different core counts each get a block of their own size:
-    /// the fleet scan reads every chip's rows as the chip-by-chip scan
-    /// does, whichever chip comes first.
+    /// Chips of different core counts each get rows of their own size,
+    /// whichever chip comes first, and the chip row is the worst core's.
     #[test]
     fn mixed_core_counts_scan_like_chip_by_chip() {
         let dvfs = DvfsConfig::paper_default();
@@ -531,8 +452,18 @@ mod tests {
                 chips: chips.collect(),
             };
             let report = scanner.profile_fleet(&fleet, 5);
-            assert_eq!(report.measured_vmin, scanner.fleet_vmin(&fleet, 5));
             assert!(report.defective_chips().is_empty());
+            for (chip, (row, cores)) in fleet.chips.iter().zip(
+                report
+                    .measured_vmin
+                    .iter()
+                    .zip(&report.measured_vmin_per_core),
+            ) {
+                assert_eq!(cores.len(), chip.cores.len());
+                for (l, &v) in row.iter().enumerate() {
+                    assert_eq!(v, cores.iter().map(|c| c[l]).fold(0.0, f64::max));
+                }
+            }
         }
     }
 
@@ -568,10 +499,10 @@ mod tests {
         // Outcomes barely depend on which random values a test draws, so
         // the stream is pinned on its own: chip by chip, as the fleet
         // scan draws it.
+        let grid = scanner.config().grid(&fleet.dvfs);
         let mut rng = SimRng::derive(7, "scanner");
-        let mut records = ProfilingRecords::for_fleet(report.records.grid().clone(), &fleet);
         for chip in &fleet.chips {
-            scanner.profile_chip(chip, &mut records, &mut rng);
+            scanner.scan_chip(chip, &grid, &mut rng);
         }
         assert_eq!(
             rng.snapshot().words,

@@ -3,11 +3,11 @@
 
 use iscope_dcsim::SimRng;
 use iscope_pvmodel::{
-    AgingModel, Chip, ChipId, CoreId, DvfsConfig, Fleet, FreqLevel, OperatingPlan, VariationParams,
+    AgingModel, Chip, ChipId, DvfsConfig, Fleet, FreqLevel, OperatingPlan, VariationParams,
 };
 use iscope_scanner::{
-    analyse_staleness, safe_reprofile_interval_hours, ProfilingRecords, Scanner, ScannerConfig,
-    TestKind, TestOutcome, TestProgram, VoltageGrid,
+    analyse_staleness, safe_reprofile_interval_hours, Scanner, ScannerConfig, TestKind,
+    TestOutcome, TestProgram, VoltageGrid,
 };
 use proptest::prelude::*;
 
@@ -38,12 +38,13 @@ proptest! {
             ..ScannerConfig::default()
         });
         let report = scanner.profile_fleet(&f, seed);
+        let grid = scanner.config().grid(&f.dvfs);
         for chip in &f.chips {
             for l in f.dvfs.levels() {
                 let truth = chip.vmin_chip(l, false);
                 let measured = report.measured_vmin[chip.id.0 as usize][l.0 as usize];
                 prop_assert!(measured >= truth - 1e-12);
-                let grid = report.records.grid().voltages(l);
+                let grid = grid.voltages(l);
                 let step = grid[0] - grid[1];
                 if truth >= *grid.last().unwrap() {
                     prop_assert!(measured - truth <= step + 1e-9);
@@ -80,37 +81,6 @@ proptest! {
         prop_assert_eq!(&a.measured_vmin, &b.measured_vmin);
     }
 
-    /// Arbitrary record/outcome sequences never produce an inconsistent
-    /// database: measured vmin (if any) is always a voltage that passed,
-    /// and next_probe never points at or below a recorded fail.
-    #[test]
-    fn records_stay_consistent_under_arbitrary_outcomes(
-        outcomes in proptest::collection::vec(any::<bool>(), 1..40),
-    ) {
-        let dvfs = DvfsConfig::paper_default();
-        let grid = VoltageGrid::paper_default(&dvfs);
-        let mut records = ProfilingRecords::new(grid, 1, 1);
-        let core = CoreId { chip: ChipId(0), core: 0 };
-        let level = FreqLevel(0);
-        let mut lowest_pass: Option<usize> = None;
-        for &pass in &outcomes {
-            let Some(idx) = records.next_probe(core, level) else { break };
-            let outcome = if pass { TestOutcome::Pass } else { TestOutcome::Fail };
-            if pass {
-                lowest_pass = Some(lowest_pass.map_or(idx, |p: usize| p.max(idx)));
-            }
-            records.record(core, level, idx, outcome);
-        }
-        let measured = records.measured_vmin(core, level);
-        match lowest_pass {
-            Some(idx) => {
-                let v = records.grid().voltages(level)[idx];
-                prop_assert_eq!(measured, Some(v));
-            }
-            None => prop_assert_eq!(measured, None),
-        }
-    }
-
     /// The safe re-profiling interval really is safe: for any fleet, any
     /// scanned plan, and any (positive-drift) aging law, a profile aged
     /// strictly less than `safe_reprofile_interval_hours` reports zero
@@ -132,55 +102,6 @@ proptest! {
         let r = analyse_staleness(&f, &plan, &aging, frac * safe);
         prop_assert_eq!(r.unsafe_chips, 0, "aged {:.1} of {:.1} safe hours: {:?}", frac * safe, safe, r);
         prop_assert!(r.worst_margin_v > 0.0);
-    }
-
-    /// Scanning a chip on its own (the in-run re-scan path) is the same
-    /// scan as profiling it into fleet-wide records: same duration, test
-    /// count, per-core and chip-level Min Vdd bits, and the same RNG state
-    /// afterwards, for any chip, grid, fault rate and GPU setting.
-    #[test]
-    fn chip_scan_matches_fleet_records(
-        seed in any::<u64>(),
-        chips in 1usize..8,
-        pick in any::<usize>(),
-        points in 2usize..24,
-        depth in 0.02f64..0.5,
-        fault_rate in 0.001f64..0.1,
-        gpu_enabled in any::<bool>(),
-        rng_seed in any::<u64>(),
-    ) {
-        let f = fleet(chips, seed);
-        let chip = &f.chips[pick % chips];
-        let scanner = Scanner::new(ScannerConfig {
-            grid_points: points,
-            grid_depth: depth,
-            fault_rate,
-            gpu_enabled,
-            ..ScannerConfig::default()
-        });
-        let grid = VoltageGrid::from_dvfs(&f.dvfs, points, depth);
-        let mut fleet_rng = SimRng::new(rng_seed);
-        let mut records = ProfilingRecords::for_fleet(grid.clone(), &f);
-        let duration = scanner.profile_chip(chip, &mut records, &mut fleet_rng);
-        let mut chip_rng = SimRng::new(rng_seed);
-        let scan = scanner.scan_chip(chip, &grid, &mut chip_rng);
-        prop_assert_eq!(scan.duration, duration);
-        prop_assert_eq!(scan.tests_run, records.tests_run());
-        prop_assert_eq!(chip_rng.snapshot(), fleet_rng.snapshot());
-        for l in f.dvfs.levels() {
-            prop_assert_eq!(
-                scan.measured_vmin_chip(l).map(f64::to_bits),
-                records.measured_vmin_chip(chip.id, l).map(f64::to_bits)
-            );
-            for core in 0..chip.cores.len() as u8 {
-                prop_assert_eq!(
-                    scan.measured_vmin(core, l).map(f64::to_bits),
-                    records
-                        .measured_vmin(CoreId { chip: chip.id, core }, l)
-                        .map(f64::to_bits)
-                );
-            }
-        }
     }
 
     /// A test at a stable operating point passes without drawing from the
@@ -246,18 +167,124 @@ proptest! {
         }
     }
 
-    /// profile_chip leaves every core complete for any chip the default
-    /// variation model can produce.
+    /// scan_chip leaves every core complete for any chip the default
+    /// variation model can produce (the kernel checks its records
+    /// resolve in debug builds) and takes the chip out of service.
     #[test]
-    fn profile_chip_always_completes(seed in any::<u64>()) {
+    fn scan_chip_always_completes(seed in any::<u64>()) {
         let dvfs = DvfsConfig::paper_default();
         let mut rng = SimRng::new(seed);
         let chip = Chip::generate(ChipId(0), &dvfs, &VariationParams::default(), &mut rng);
         let grid = VoltageGrid::paper_default(&dvfs);
-        let mut records = ProfilingRecords::new(grid, 1, chip.cores.len());
         let scanner = Scanner::new(ScannerConfig::default());
-        let dur = scanner.profile_chip(&chip, &mut records, &mut rng);
-        prop_assert!(records.chip_complete(ChipId(0)));
-        prop_assert!(dur.as_millis() > 0);
+        let scan = scanner.scan_chip(&chip, &grid, &mut rng);
+        prop_assert!(scan.duration.as_millis() > 0);
     }
+}
+
+fn fnv1a(words: &[u64]) -> u64 {
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Golden output of `scan_chip` under non-default grids, fault rates and
+/// GPU settings, where the default-config fleet pin does not reach: per
+/// setting the chip's out-of-service time, tests run, FNV-1a of the bits
+/// of every per-core and chip-level Min Vdd (`u64::MAX` for none), and
+/// the RNG words after the scan.
+#[test]
+fn chip_scan_is_pinned() {
+    let f = fleet(6, 23);
+    let settings = [
+        (6, 0.14, 0.001, false),
+        (23, 0.45, 0.09, true),
+        (2, 0.3, 1.0, false),
+        (12, 0.2, 0.02, true),
+    ];
+    let mut got = Vec::new();
+    for (i, &(grid_points, grid_depth, fault_rate, gpu_enabled)) in settings.iter().enumerate() {
+        let scanner = Scanner::new(ScannerConfig {
+            grid_points,
+            grid_depth,
+            fault_rate,
+            gpu_enabled,
+            ..ScannerConfig::default()
+        });
+        let grid = scanner.config().grid(&f.dvfs);
+        let chip = &f.chips[i + 1];
+        let mut rng = SimRng::new(100 + i as u64);
+        let scan = scanner.scan_chip(chip, &grid, &mut rng);
+        let bits = |v: Option<f64>| v.map_or(u64::MAX, f64::to_bits);
+        let (mut per_core, mut chip_level) = (Vec::new(), Vec::new());
+        for l in f.dvfs.levels() {
+            chip_level.push(bits(scan.measured_vmin_chip(l)));
+            for core in 0..chip.cores.len() as u8 {
+                per_core.push(bits(scan.measured_vmin(core, l)));
+            }
+        }
+        got.push((
+            scan.duration.as_millis(),
+            scan.tests_run,
+            fnv1a(&per_core),
+            fnv1a(&chip_level),
+            rng.snapshot().words,
+        ));
+    }
+    assert_eq!(
+        got,
+        [
+            (
+                18_000_000,
+                111,
+                17_233_346_471_786_607_185,
+                6_283_977_530_460_535_825,
+                [
+                    8_057_165_232_529_998_456,
+                    6_817_626_938_920_331_082,
+                    17_844_614_460_903_872_418,
+                    18_201_833_281_519_833_712,
+                ],
+            ),
+            (
+                21_000_000,
+                133,
+                10_009_491_701_284_889_313,
+                13_293_651_740_322_702_819,
+                [
+                    5_204_435_962_674_555_491,
+                    12_992_944_266_171_668_422,
+                    16_765_626_807_929_793_699,
+                    5_595_661_560_545_743_667,
+                ],
+            ),
+            (
+                6_000_000,
+                40,
+                18_017_785_639_311_839_125,
+                4_817_053_500_654_092_316,
+                [
+                    10_306_227_084_674_310_299,
+                    17_841_290_799_302_581_154,
+                    14_082_204_667_900_378_307,
+                    2_444_558_961_996_786_839,
+                ],
+            ),
+            (
+                24_000_000,
+                155,
+                12_795_926_450_407_704_096,
+                8_856_837_718_900_568_213,
+                [
+                    12_202_067_094_073_058_952,
+                    5_458_991_458_685_167_144,
+                    880_106_464_107_395_553,
+                    1_137_642_152_728_798_589,
+                ],
+            ),
+        ]
+    );
 }

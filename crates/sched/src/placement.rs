@@ -308,7 +308,9 @@ fn try_emit(
 /// Walks growing prefixes of `order`, choosing within each prefix the `n`
 /// earliest-available processors, and returns the first feasible set. The
 /// prefix doubles each round, so the result is (close to) the most
-/// preferred feasible set while examining O(log) candidate pools.
+/// preferred feasible set while examining O(log) candidate pools. Every
+/// doubling walk starts from at least one chip, so a zero-wide job's
+/// prefix still grows.
 ///
 /// Dispatches to the block-skipping walk when the view carries
 /// [`ChipIndexes`] with this ranking registered; the plain walk stays as
@@ -339,7 +341,7 @@ fn prefix_place_plain(order: &[ChipId], job: &Job, view: &ProcView<'_>) -> Place
         let mut bufs = view.scratch.borrow_mut();
         bufs.top.clear();
         let mut taken = 0;
-        let mut k = n;
+        let mut k = n.max(1);
         loop {
             let k_now = k.min(order.len());
             let slice = order[taken..k_now].iter().copied();
@@ -400,7 +402,7 @@ fn prefix_place_blocks(
         let now_floor = crate::index::pack(view.now.as_millis(), 0);
         let id_mask = (1u64 << crate::index::ID_BITS) - 1;
         let mut taken = 0;
-        let mut k = n;
+        let mut k = n.max(1);
         loop {
             let k_now = k.min(order.len());
             let mut pos = taken;
@@ -518,7 +520,7 @@ fn fair_surplus_place_indexed(
         let total = view.len();
         debug_assert_eq!(order.len(), total);
         let mut sel = 0;
-        let mut k = n;
+        let mut k = n.max(1);
         loop {
             let k_now = k.min(total);
             if k_now > sel {
@@ -556,7 +558,7 @@ fn fair_surplus_place_linear(job: &Job, view: &ProcView<'_>) -> PlacementDecisio
         let usage_key = |c: &ChipId| (view.usage[c.0 as usize], *c);
         // Invariant: pool[..sel] are the `sel` least-used chips, sorted.
         let mut sel = 0;
-        let mut k = n;
+        let mut k = n.max(1);
         loop {
             let k_now = k.min(pool.len());
             if k_now > sel {
@@ -978,5 +980,42 @@ mod tests {
         let indexed = FairPlacement.place(&job(5, 100, 10), &fx.view(), true, &mut rng);
         assert!(!indexed.is_feasible());
         assert_eq!(linear, indexed);
+    }
+
+    /// A zero-wide job gets the same decision from the plain, linear and
+    /// indexed walks (the indexed ones cross-check the others in debug
+    /// builds), both when its latest start is already past and when it
+    /// can still start on time.
+    #[test]
+    fn zero_width_jobs_place_alike_on_every_walk() {
+        let mut fx = Fixture::new(40);
+        for i in 0..40 {
+            fx.avail[i] = SimTime::from_secs((i as u64 * 37) % 900);
+            fx.usage[i] = SimDuration::from_secs((i as u64 * 71) % 5000);
+        }
+        fx.blocked[5] = true;
+        // Latest start 200 s before now, and a latest start 300 s after it.
+        let jobs = [job(0, 300, 100), job(0, 300, 600)];
+        let place = |fx: &Fixture| -> Vec<PlacementDecision> {
+            let view = fx.view();
+            let mut rng = SimRng::new(14);
+            jobs.iter()
+                .flat_map(|j| {
+                    [
+                        EfficiencyPlacement.place(j, &view, false, &mut rng),
+                        FairPlacement.place(j, &view, true, &mut rng),
+                        FairPlacement.place(j, &view, false, &mut rng),
+                    ]
+                })
+                .collect()
+        };
+        let linear = place(&fx);
+        fx.build_index();
+        let ranking = fx.plan.ranking().to_vec();
+        fx.index.as_mut().unwrap().set_ranking(&ranking);
+        let indexed = place(&fx);
+        assert_eq!(linear, indexed);
+        assert!(linear[..3].iter().all(|d| !d.is_feasible()));
+        assert!(linear[3..].iter().all(|d| d.is_feasible()));
     }
 }

