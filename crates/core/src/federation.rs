@@ -217,7 +217,7 @@ pub(crate) fn site_views(sites: &[SiteState]) -> Vec<SiteView<'_>> {
         .map(|s| SiteView {
             site: s.site_id,
             supply: &s.supply,
-            demand_w: s.current_demand_w,
+            demand_w: s.demand.demand_w(),
             queued_jobs: s.queued_jobs,
             fleet_size: s.fleet.len(),
             battery_stored_j: s.battery.as_ref().map_or(0.0, |b| b.stored_j),

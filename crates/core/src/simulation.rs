@@ -2,7 +2,7 @@
 //! ([`SimInput`] and its option structs) and the one [`Driver`] that runs
 //! one site, N federated sites, or a stream on the `iscope-dcsim` engine.
 //!
-//! Event model (see `site.rs` for the state machine itself):
+//! Event model (see `site/` for the state machine itself):
 //!
 //! * `Arrival(i)` — job `i` is submitted; the scheme's placement picks its
 //!   processors and the job enters their FIFO queues.
@@ -1006,7 +1006,7 @@ mod tests {
         let jobs = vec![job(0, 0, 2, 600, 20.0), job(1, 100, 2, 600, 20.0)];
         let mut driver = super::SimDriver::new(sim(jobs, supply).build().into_input());
         driver.run_until(SimTime::from_secs(50));
-        assert_eq!(driver.0.fed.sites[0].running.len(), 1);
+        assert_eq!(driver.0.fed.sites[0].demand.running().len(), 1);
         driver
     }
 
@@ -1016,8 +1016,8 @@ mod tests {
     fn availability_cross_check_fires() {
         let mut driver = paused_with_second_arrival(Supply::utility_only());
         let site = &mut driver.0.fed.sites[0];
-        let chip = site.jobs[site.running[0]].chips[0].0 as usize;
-        site.avail[chip] += SimDuration::from_hours(1000);
+        let chip = site.jobs[site.demand.running()[0]].chips[0].0 as usize;
+        site.avail.delay_drain(chip, SimDuration::from_hours(1000));
         driver.finish();
     }
 
@@ -1026,7 +1026,7 @@ mod tests {
     #[should_panic(expected = "incremental running-demand aggregate diverged")]
     fn running_demand_cross_check_fires() {
         let mut driver = paused_with_second_arrival(Supply::utility_only());
-        driver.0.fed.sites[0].running_demand_uw += 1;
+        driver.0.fed.sites[0].demand.skew_running_demand(1);
         driver.finish();
     }
 
@@ -1039,7 +1039,7 @@ mod tests {
         let supply = Supply::hybrid(PowerTrace::constant(SimDuration::from_mins(10), 0.0, 100));
         let mut driver = paused_with_second_arrival(supply);
         let site = &mut driver.0.fed.sites[0];
-        let idx = site.running[0];
+        let idx = site.demand.running()[0];
         site.jobs[idx].chain_limit = SimTime::ZERO;
         driver.finish();
     }

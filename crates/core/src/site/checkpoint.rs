@@ -1,0 +1,633 @@
+//! Checkpoint / restore (DESIGN.md §3g). A snapshot serializes the
+//! *mutable* simulation state; whatever is a pure function of the run
+//! inputs is rebuilt by `SiteState::new` and cross-checked against the
+//! header. Each field is declared once, in a `section!` or
+//! `persist_struct!` list — the components' in their own modules, the
+//! document's below, naming component fields by path — and capture and
+//! restore both expand from it. Derived caches are not serialized: each
+//! component rebuilds its own from the restored ground truth.
+
+use super::{JobState, Phase, SiteEv, SiteState};
+use crate::simulation::SimInput;
+use crate::snapshot::{
+    self, mismatch, persist_struct, section, Doc, DocWriter, Fields, Persist, Reader, Section,
+    SnapshotError, ToVal, Writer, SNAPSHOT_VERSION,
+};
+use iscope_dcsim::{SimDuration, SimTime};
+use iscope_energy::Supply;
+use iscope_pvmodel::{ChipId, FreqLevel, OperatingPlan};
+use iscope_sched::CarbonConfig;
+use iscope_workload::{Job, JobId, Urgency};
+use std::borrow::Cow;
+
+/// Header key of the format version. Read before anything else, so a
+/// document of another version is refused before its layout is parsed.
+const VERSION_KEY: &str = "version";
+
+/// Sections outside the site's field list: the header first, then the
+/// pending events; the trace identities close the document.
+const HEADER: &str = "header";
+const EVENTS: &str = "events";
+const TRACES: &str = "traces";
+
+/// The header besides the version and the presence flags.
+#[derive(Default)]
+struct Header {
+    scheme: String,
+    seed: u64,
+    site_id: u32,
+    now: SimTime,
+    steps: u64,
+    admitted: usize,
+    fleet_len: usize,
+    num_levels: usize,
+}
+
+section!(Header, |h| {
+    "scheme" => h.scheme,
+    "seed" => h.seed,
+    "site_id" => h.site_id,
+    "now_ms" => h.now,
+    "steps" => h.steps,
+    "admitted" => h.admitted,
+    "fleet_len" => h.fleet_len,
+    "num_levels" => h.num_levels,
+});
+
+/// One header presence flag: its key, whether the live site carries the
+/// component, and whether a run built from an input will. Capture writes
+/// the first, restore compares it with the second.
+type Presence = (&'static str, fn(&SiteState) -> bool, fn(&SimInput) -> bool);
+
+#[rustfmt::skip]
+const PRESENCE: [Presence; 8] = [
+    ("has_faults", |s| s.service.has_faults(), |i| i.fault_injection.is_some()),
+    ("has_audit", |s| s.instruments.audit.is_some(), |i| i.audit.is_some()),
+    ("has_telemetry", |s| s.instruments.telemetry.is_some(), |i| i.telemetry.is_some()),
+    ("has_samplers", |s| s.instruments.samplers.is_some(), |i| i.trace_interval.is_some()),
+    ("has_carbon", |s| s.deferral.carbon.is_some(), |i| i.carbon.as_ref().is_some_and(CarbonConfig::active)),
+    ("has_price_trace", |s| s.supply.utility_price.is_some(), |i| i.supply.utility_price.is_some()),
+    ("has_carbon_trace", |s| s.supply.carbon.is_some(), |i| i.supply.carbon.is_some()),
+    ("has_battery", |s| s.battery.is_some(), |i| i.supply.battery.is_some()),
+];
+
+/// Identity of a price/carbon signal trace: enough to reject a resume
+/// against a different signal without serializing the whole trace (the
+/// trace itself is a run input, rebuilt from the new `SimInput`).
+#[derive(PartialEq)]
+struct TraceId {
+    interval: SimDuration,
+    len: usize,
+    fingerprint: u64,
+}
+
+persist_struct!(TraceId {
+    "interval_ms" => interval,
+    "len" => len,
+    "fingerprint" => fingerprint,
+});
+
+struct Traces {
+    price: Option<TraceId>,
+    carbon: Option<TraceId>,
+}
+
+persist_struct!(Traces {
+    "price" => price,
+    "carbon" => carbon,
+});
+
+impl Traces {
+    fn of(supply: &Supply) -> Traces {
+        let id = |t: &iscope_energy::SignalTrace| TraceId {
+            interval: t.interval,
+            len: t.len(),
+            fingerprint: t.fingerprint(),
+        };
+        Traces {
+            price: supply.utility_price.as_ref().map(id),
+            carbon: supply.carbon.as_ref().map(id),
+        }
+    }
+
+    /// Like the wind trace, the price/carbon signals are run inputs: a
+    /// resume against different ones would silently rewrite history, so
+    /// only forks may swap them.
+    fn check(&self, input: &Traces) -> Result<(), SnapshotError> {
+        for (what, snap, live) in [
+            ("utility price", &self.price, &input.price),
+            ("carbon intensity", &self.carbon, &input.carbon),
+        ] {
+            if snap.is_some() != live.is_some() {
+                mismatch!("snapshot {what} trace presence differs from input");
+            }
+            if snap != live {
+                mismatch!("snapshot was taken under a different {what} trace");
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Pending events as `[tag, args...]` arrays. Each variant's tag and
+/// argument order are declared once and drive both directions.
+macro_rules! event_codec {
+    ($($tag:literal => $var:ident $(($($t:ident),*))? $({$($f:ident),*})?),* $(,)?) => {
+        impl ToVal for SiteEv {
+            fn write(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
+                w.open_arr();
+                match self {
+                    $(SiteEv::$var $(($($t),*))? $({$($f),*})? => {
+                        w.str($tag);
+                        $($($t.write(w, what)?;)*)?
+                        $($($f.write(w, what)?;)*)?
+                    })*
+                }
+                w.close_arr();
+                Ok(())
+            }
+        }
+
+        impl Persist for SiteEv {
+            fn read(r: &mut Reader<'_>, what: &str) -> Result<Self, SnapshotError> {
+                r.open_arr(what)?;
+                r.item(what, "[tag, args...]")?;
+                let tag = r.str("event tag")?;
+                let ev = match &*tag {
+                    $($tag => SiteEv::$var
+                        $(($({ r.item($tag, ARITY)?; let $t = Persist::read(r, $tag)?; $t }),*))?
+                        $({$($f: { r.item($tag, ARITY)?; Persist::read(r, $tag)? }),*})?,)*
+                    other => {
+                        return Err(SnapshotError::Parse(format!("unknown event tag {other:?}")))
+                    }
+                };
+                r.last_item(&tag, ARITY)?;
+                Ok(ev)
+            }
+        }
+    };
+}
+
+/// What an event body with the wrong argument count is told.
+const ARITY: &str = "an event with its tag's arguments";
+
+event_codec! {
+    "arrival" => Arrival(job),
+    "completion" => Completion { job, gen },
+    "wind" => WindSample,
+    "profiling_check" => ProfilingCheck,
+    "profiling_done" => ProfilingDone { chip },
+    "timing_failure" => TimingFailure { job, attempt, chip },
+    "retry" => Retry { job },
+    "reprofile_check" => ReprofileCheck,
+    "reprofile_done" => ReprofileDone { chip },
+    "carbon" => CarbonSample,
+}
+
+/// Fieldless enums as strings, each variant's name declared once.
+macro_rules! persist_str_enum {
+    ($ty:ident { $($var:ident => $s:literal),* $(,)? }) => {
+        impl ToVal for $ty {
+            fn write(&self, w: &mut Writer, _what: &str) -> Result<(), SnapshotError> {
+                w.str(match self { $($ty::$var => $s,)* });
+                Ok(())
+            }
+        }
+
+        impl Persist for $ty {
+            fn read(r: &mut Reader<'_>, what: &str) -> Result<Self, SnapshotError> {
+                match &*r.str(what)? {
+                    $($s => Ok($ty::$var),)*
+                    other => Err(SnapshotError::Parse(format!("unknown {what} {other:?}"))),
+                }
+            }
+        }
+    };
+}
+
+persist_str_enum!(Urgency { High => "high", Low => "low" });
+persist_str_enum!(Phase { Waiting => "waiting", Running => "running", Done => "done" });
+
+/// Single-field tuple structs as their inner value.
+macro_rules! persist_newtype {
+    ($($ty:ident($inner:ty)),*) => {$(
+        impl ToVal for $ty {
+            fn write(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
+                self.0.write(w, what)
+            }
+        }
+
+        impl Persist for $ty {
+            fn read(r: &mut Reader<'_>, what: &str) -> Result<Self, SnapshotError> {
+                <$inner>::read(r, what).map($ty)
+            }
+        }
+    )*};
+}
+
+persist_newtype!(JobId(u32), ChipId(u32), FreqLevel(u8));
+
+impl ToVal for iscope_pvmodel::CpuBoundness {
+    fn write(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
+        self.value().write(w, what)
+    }
+}
+
+/// Every written value is in `[0, 1]` (`CpuBoundness::new` clamps), so
+/// one outside it is refused rather than silently clamped.
+impl Persist for iscope_pvmodel::CpuBoundness {
+    fn read(r: &mut Reader<'_>, what: &str) -> Result<Self, SnapshotError> {
+        let gamma = f64::read(r, what)?;
+        if !(0.0..=1.0).contains(&gamma) {
+            mismatch!("{what} {gamma} is outside [0, 1]");
+        }
+        Ok(Self::new(gamma))
+    }
+}
+
+/// Declares the positional job record once: the [`Job`] fields, then the
+/// [`JobState`] fields, in record order. Positional keeps the document
+/// compact — the jobs section dominates snapshot size.
+macro_rules! job_record {
+    ($($g:ident),* ; $($f:ident),* $(,)?) => {
+        impl ToVal for JobState {
+            fn write(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
+                w.open_arr();
+                $(self.job.$g.write(w, what)?;)*
+                $(self.$f.write(w, what)?;)*
+                w.close_arr();
+                Ok(())
+            }
+        }
+
+        impl Persist for JobState {
+            fn read(r: &mut Reader<'_>, what: &str) -> Result<Self, SnapshotError> {
+                const SHAPE: &str = "a job record of every field";
+                r.open_arr(what)?;
+                let js = JobState {
+                    job: Job {
+                        $($g: { r.item(what, SHAPE)?; Persist::read(r, stringify!($g))? },)*
+                    },
+                    $($f: { r.item(what, SHAPE)?; Persist::read(r, stringify!($f))? },)*
+                };
+                r.last_item(what, SHAPE)?;
+                Ok(js)
+            }
+        }
+    };
+}
+
+job_record!(
+    id, submit, cpus, runtime_at_fmax, gamma, deadline, urgency;
+    chips, phase, level, remaining_nominal_s, last_progress, started_at, gen, sched_end,
+    power_uw_at, chain_limit, starts, attempt_energy_j,
+);
+
+/// Rejects a job record whose chips or level fall outside the fleet, or
+/// whose chips (once placed) are not one per CPU.
+pub(super) fn check_job(
+    js: &JobState,
+    fleet_len: usize,
+    num_levels: usize,
+) -> Result<(), SnapshotError> {
+    if let Some(bad) = js.chips.iter().find(|c| c.0 as usize >= fleet_len) {
+        mismatch!("job chip {} out of range (fleet {fleet_len})", bad.0);
+    }
+    if !js.chips.is_empty() && js.chips.len() != js.job.cpus as usize {
+        mismatch!(
+            "job {} holds {} chips for {} CPUs",
+            js.job.id.0,
+            js.chips.len(),
+            js.job.cpus
+        );
+    }
+    if js.level.0 as usize >= num_levels {
+        mismatch!(
+            "job level {} out of range ({num_levels} levels)",
+            js.level.0
+        );
+    }
+    Ok(())
+}
+
+/// The operating plan's rows (they carry re-profile refreshes); capture
+/// borrows them from the live plan.
+struct PlanRows<'a> {
+    voltages: Cow<'a, [Vec<f64>]>,
+    est_power: Cow<'a, [Vec<f64>]>,
+}
+
+persist_struct!(PlanRows<'_> {
+    "voltages" => voltages,
+    "est_power" => est_power,
+});
+
+impl Section for OperatingPlan {
+    fn save_section(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
+        let (voltages, est_power) = self.rows();
+        PlanRows {
+            voltages: voltages.into(),
+            est_power: est_power.into(),
+        }
+        .write(w, what)
+    }
+
+    fn restore(&mut self, r: &mut Reader<'_>, what: &str) -> Result<(), SnapshotError> {
+        let rows = PlanRows::read(r, what)?;
+        // The input built this plan for the same fleet: every row keeps
+        // its chip's level count.
+        let (voltages, est_power) = self.rows();
+        for (rows_of, got, want) in [
+            ("voltages", &rows.voltages, voltages),
+            ("est_power", &rows.est_power, est_power),
+        ] {
+            if got.len() != want.len() {
+                mismatch!(
+                    "plan {rows_of} cover {} chips, fleet has {}",
+                    got.len(),
+                    want.len()
+                );
+            }
+            if let Some(ci) = (0..got.len()).find(|&ci| got[ci].len() != want[ci].len()) {
+                mismatch!(
+                    "plan {rows_of} for chip {ci} has {} levels, expected {}",
+                    got[ci].len(),
+                    want[ci].len()
+                );
+            }
+        }
+        *self = OperatingPlan::from_rows(rows.voltages.into_owned(), rows.est_power.into_owned());
+        Ok(())
+    }
+}
+
+/// Per-core Min Vdd drifts only under fault injection (the aging model);
+/// a fault-free fleet is its input fleet, so its wear section is `null`.
+fn save_wear(s: &SiteState, w: &mut Writer) -> Result<(), SnapshotError> {
+    let chips = s.fleet.chips.iter();
+    let vmin = chips.map(|c| c.cores.iter().map(|k| &k.vmin).collect::<Vec<_>>());
+    let wear = s.service.has_faults().then(|| vmin.collect::<Vec<_>>());
+    wear.write(w, "core vmin")
+}
+
+fn restore_wear(s: &mut SiteState, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
+    let Some(wear) = Option::<Vec<Vec<Vec<f64>>>>::read(r, "wear")? else {
+        return Ok(());
+    };
+    let fleet_len = s.fleet.len();
+    if wear.len() != fleet_len {
+        mismatch!("wear covers {} chips, fleet has {fleet_len}", wear.len());
+    }
+    for (ci, (chip, cores)) in s.fleet.chips.iter_mut().zip(wear).enumerate() {
+        if cores.len() != chip.cores.len() {
+            mismatch!(
+                "wear for chip {ci} covers {} cores, chip has {}",
+                cores.len(),
+                chip.cores.len()
+            );
+        }
+        for (k, (core, vmin)) in chip.cores.iter_mut().zip(cores).enumerate() {
+            if vmin.len() != core.vmin.len() {
+                mismatch!(
+                    "vmin for chip {ci} core {k} has {} levels, expected {}",
+                    vmin.len(),
+                    core.vmin.len()
+                );
+            }
+            core.vmin = vmin;
+        }
+    }
+    Ok(())
+}
+
+// The site's snapshot document: every section after the header and the
+// pending events, in document order.
+section!(document SiteState, |s| {
+    "site" => {
+        "expect_more" => s.expect_more,
+        "migrated_out" => s.migrated_out,
+        "done_count" => s.done_count,
+        "deadline_misses" => s.deadline_misses,
+        "last_account_ms" => s.last_account,
+        "current_demand_w" => s.demand.current_demand_w,
+        "makespan_ms" => s.makespan,
+        "placements" => s.placements,
+        "queued_jobs" => s.queued_jobs,
+        // Rebuilt like the other derived caches; the stored count is
+        // cross-checked against the restored queues.
+        "busy_queues" => s.avail.busy_queues,
+        "avail_dirty" => s.avail.avail_dirty,
+        "rng" => s.rng,
+    },
+    "jobs" => s.jobs,
+    "queues" => s.avail.queues,
+    "usage" => s.avail.usage,
+    "avail" => s.avail.avail,
+    "running" => s.demand.running,
+    "running_at_level" => s.demand.running_at_level,
+    "deferred" => s.deferral.deferred,
+    "ledger" => s.ledger,
+    "samplers" => s.instruments.samplers,
+    "plan" => s.plan,
+    "wear" => [save_wear, restore_wear],
+    "faults" => s.service.faults,
+    "audit" => s.instruments.audit,
+    "telemetry" => s.instruments.telemetry,
+    "costs" => s.costs,
+    "carbon" => s.deferral.carbon,
+    "battery" => s.battery,
+});
+
+/// Snapshot v1 has no section for in-situ profiling state or per-core
+/// operating plans, so a run with either is neither captured nor
+/// restored into.
+fn v1_holds(in_situ: bool, per_core: bool) -> Result<(), SnapshotError> {
+    let refused = [
+        (in_situ, "in-situ profiling state"),
+        (per_core, "a per-core plan"),
+    ];
+    match refused.into_iter().find(|&(on, _)| on) {
+        Some((_, what)) => Err(SnapshotError::Unsupported(format!(
+            "snapshot v1 cannot hold {what}"
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Where a restored run resumes: the engine state that lives outside the
+/// [`SiteState`] (clock, step counter, admission cursor, pending events).
+pub(crate) struct ResumePoint {
+    pub(crate) now: SimTime,
+    pub(crate) steps: u64,
+    pub(crate) admitted: usize,
+    pub(crate) pending: Vec<(SimTime, SiteEv)>,
+}
+
+impl SiteState {
+    /// Serializes this site's complete mutable state as a snapshot
+    /// document (JSONL; see [`crate::snapshot`]). `seed` comes from the
+    /// driver, `now`/`steps`/`pending` from the engine; every job in the
+    /// table counts as admitted.
+    pub(crate) fn capture(
+        &self,
+        seed: u64,
+        now: SimTime,
+        steps: u64,
+        pending: &[(SimTime, SiteEv)],
+    ) -> Result<String, SnapshotError> {
+        v1_holds(self.service.has_in_situ(), self.plan.is_per_core())?;
+        let header = Header {
+            scheme: self.scheme_name.clone(),
+            seed,
+            site_id: self.site_id,
+            now,
+            steps,
+            admitted: self.jobs.len(),
+            fleet_len: self.fleet.len(),
+            num_levels: self.fleet.dvfs.num_levels(),
+        };
+        let mut doc = DocWriter::default();
+        doc.entry(HEADER, |w| {
+            w.obj(|w| {
+                w.entry(VERSION_KEY, |w| SNAPSHOT_VERSION.write(w, VERSION_KEY))?;
+                header.save_fields(w)?;
+                for (key, live, _) in PRESENCE {
+                    w.entry(key, |w| live(self).write(w, key))?;
+                }
+                Ok(())
+            })
+        })?;
+        doc.entry(EVENTS, |w| pending.write(w, EVENTS))?;
+        self.save_document(&mut doc)?;
+        doc.entry(TRACES, |w| Traces::of(&self.supply).write(w, TRACES))?;
+        Ok(doc.finish())
+    }
+
+    /// Rebuilds a site mid-run from a snapshot document, with the
+    /// [`ResumePoint`] the driver re-primes the engine from. A resume
+    /// (`fork = false`) must match the input's scheme and seed and runs
+    /// on bit-identically; a fork takes scheme, placement, supply and
+    /// knobs from the input and the simulation state from the snapshot.
+    /// Fleet shape and the instrument set must match either way.
+    pub(crate) fn restore_from(
+        input: SimInput,
+        site_id: u32,
+        text: &str,
+        fork: bool,
+    ) -> Result<(SiteState, ResumePoint), SnapshotError> {
+        v1_holds(input.in_situ.is_some(), input.plan.is_per_core())?;
+        let doc = snapshot::decode_lines(text)?;
+        let (header, presence) = doc.entry(HEADER, |r| {
+            r.obj(HEADER, |r| {
+                let version = r.entry(VERSION_KEY, |r| i64::read(r, "snapshot version"))?;
+                if version != SNAPSHOT_VERSION {
+                    mismatch!("snapshot version {version} (this build reads {SNAPSHOT_VERSION})");
+                }
+                let mut header = Header::default();
+                header.restore_fields(r)?;
+                let mut presence = [false; PRESENCE.len()];
+                for ((key, ..), got) in PRESENCE.iter().zip(&mut presence) {
+                    *got = r.entry(key, |r| bool::read(r, key))?;
+                }
+                Ok((header, presence))
+            })
+        })?;
+        if !fork && header.scheme != input.scheme_name {
+            mismatch!(
+                "snapshot was taken under scheme {:?}, input is {:?} (use fork to branch)",
+                header.scheme,
+                input.scheme_name
+            );
+        }
+        if !fork && header.seed != input.seed {
+            mismatch!(
+                "snapshot was taken with seed {}, input has {} (use fork to branch)",
+                header.seed,
+                input.seed
+            );
+        }
+        let fleet_len = input.fleet.len();
+        if header.fleet_len != fleet_len {
+            mismatch!(
+                "snapshot fleet has {} chips, input has {fleet_len}",
+                header.fleet_len
+            );
+        }
+        let num_levels = input.fleet.dvfs.num_levels();
+        if header.num_levels != num_levels {
+            mismatch!(
+                "snapshot has {} DVFS levels, input has {num_levels}",
+                header.num_levels
+            );
+        }
+        for ((key, _, wanted), got) in PRESENCE.iter().zip(presence) {
+            let want = wanted(&input);
+            if got != want {
+                mismatch!("snapshot {key} = {got}, input has {want}");
+            }
+        }
+        if !fork {
+            doc.entry(TRACES, |r| Traces::read(r, TRACES))?
+                .check(&Traces::of(&input.supply))?;
+        }
+        let pending: Vec<(SimTime, SiteEv)> = doc.entry(EVENTS, |r| Persist::read(r, EVENTS))?;
+
+        let mut site = SiteState::new(input, site_id, 0);
+        site.restore_document(&doc)?;
+        site.restored(header.now, &pending)?;
+        Ok((
+            site,
+            ResumePoint {
+                now: header.now,
+                steps: header.steps,
+                admitted: header.admitted,
+                pending,
+            },
+        ))
+    }
+
+    /// Checks restored state against the fleet and the job table — the
+    /// site's own share here, then each component's, which also rebuilds
+    /// the caches a snapshot does not carry. A snapshot is outside input,
+    /// so every index and length is a checked error, never a panic.
+    fn restored(
+        &mut self,
+        now: SimTime,
+        pending: &[(SimTime, SiteEv)],
+    ) -> Result<(), SnapshotError> {
+        let fleet_len = self.fleet.len();
+        let num_levels = self.fleet.dvfs.num_levels();
+        let num_jobs = self.jobs.len();
+        for js in &self.jobs {
+            check_job(js, fleet_len, num_levels)?;
+        }
+        for (t, ev) in pending {
+            let (at, clock) = (t.as_millis(), now.as_millis());
+            if at < clock {
+                mismatch!("pending event at {at} precedes the snapshot clock {clock}");
+            }
+            use SiteEv::{Arrival, Completion, Retry, TimingFailure};
+            if let Arrival(i)
+            | Completion { job: i, .. }
+            | TimingFailure { job: i, .. }
+            | Retry { job: i } = *ev
+            {
+                if i >= num_jobs {
+                    mismatch!("pending event at {at} targets job {i}, table has {num_jobs}");
+                }
+            }
+        }
+        if self.done_count > num_jobs {
+            mismatch!(
+                "done_count {} exceeds job table size {num_jobs}",
+                self.done_count
+            );
+        }
+        self.instruments.check_restored(fleet_len)?;
+        self.deferral.check_restored(num_jobs)?;
+        self.service.restored(num_levels, pending)?;
+        self.avail.restored(&self.jobs, self.plan.ranking())?;
+        let heads = |i, js: &JobState| self.avail.heads(i, &js.chips);
+        self.demand.restored(&self.jobs, num_levels, heads)
+    }
+}

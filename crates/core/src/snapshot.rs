@@ -32,7 +32,7 @@
 //! Document layout: one JSON object per line, `{"section":"<name>",
 //! "data":<value>}`. The first section is always `header` (version,
 //! scheme, seed, clock, step and admission counters); the remaining
-//! sections follow the field lists in `site.rs`, which own the
+//! sections follow the field lists in `site/`, which own the
 //! field-level schema. Each field is declared once, in a `section!` or
 //! `persist_struct!` list built on the `Persist` / `Section` traits
 //! below; `SiteState::capture` and `SiteState::restore_from` both expand
@@ -77,6 +77,15 @@ impl fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
+
+/// Returns early with a [`SnapshotError::Mismatch`] whose message is
+/// `format!`ted from the arguments.
+macro_rules! mismatch {
+    ($($arg:tt)*) => {
+        return Err($crate::snapshot::SnapshotError::Mismatch(format!($($arg)*)))
+    };
+}
+pub(crate) use mismatch;
 
 impl From<iscope_sched::KeyRangeError> for SnapshotError {
     fn from(e: iscope_sched::KeyRangeError) -> Self {
@@ -445,11 +454,18 @@ impl<'a> Reader<'a> {
     }
 
     /// Steps to the next item of an open array, which must exist.
-    fn item(&mut self, what: &str, shape: &str) -> Result<(), SnapshotError> {
-        if self.next_item()? {
-            Ok(())
-        } else {
-            Err(SnapshotError::Parse(format!("{what} must be {shape}")))
+    pub(crate) fn item(&mut self, what: &str, shape: &str) -> Result<(), SnapshotError> {
+        match self.next_item()? {
+            true => Ok(()),
+            false => Err(SnapshotError::Parse(format!("{what} must be {shape}"))),
+        }
+    }
+
+    /// Closes an open array, which must hold no more items.
+    pub(crate) fn last_item(&mut self, what: &str, shape: &str) -> Result<(), SnapshotError> {
+        match self.next_item()? {
+            true => Err(SnapshotError::Parse(format!("{what} must be {shape}"))),
+            false => Ok(()),
         }
     }
 
@@ -1228,9 +1244,7 @@ impl<A: Persist, B: Persist> Persist for (A, B) {
         let a = A::read(r, what)?;
         r.item(what, PAIR)?;
         let b = B::read(r, what)?;
-        if r.next_item()? {
-            return Err(SnapshotError::Parse(format!("{what} must be {PAIR}")));
-        }
+        r.last_item(what, PAIR)?;
         Ok((a, b))
     }
 }
@@ -1261,9 +1275,7 @@ impl Persist for SimRng {
     fn read(r: &mut Reader<'_>, what: &str) -> Result<Self, SnapshotError> {
         let parts = RngParts::read(r, what)?;
         if parts.words == [0; 4] {
-            return Err(SnapshotError::Mismatch(format!(
-                "{what}: all-zero xoshiro state is invalid"
-            )));
+            mismatch!("{what}: all-zero xoshiro state is invalid");
         }
         Ok(SimRng::restore(&RngSnapshot {
             words: parts.words,
@@ -1307,9 +1319,7 @@ impl Persist for Sampler {
     fn read(r: &mut Reader<'_>, what: &str) -> Result<Self, SnapshotError> {
         let p = SamplerParts::read(r, what)?;
         if p.interval.is_zero() {
-            return Err(SnapshotError::Mismatch(format!(
-                "{what}: sampler interval must be positive"
-            )));
+            mismatch!("{what}: sampler interval must be positive");
         }
         Ok(Sampler::from_parts(
             p.name.into_owned(),

@@ -74,7 +74,7 @@ pub struct TelemetryRecord {
 /// occupancy block: supply, demand, utility, queue depth.
 pub(crate) const CHANNELS_BEFORE_LEVELS: usize = 4;
 
-/// Converts a sampler row (see the channel layout in `site.rs`) into a
+/// Converts a sampler row (see the channel layout in `site/`) into a
 /// record. `levels` is the DVFS level count, `site` the emitting site.
 pub(crate) fn record_from_row(
     at: SimTime,

@@ -708,6 +708,10 @@ mod tests {
             // ordering.
             let avail = &self.avail;
             idx.rebuild_avail(avail, |i| avail[i] > SimTime::ZERO);
+            // Register the plan's ranking, as the simulator does, so the
+            // prefix walks take the block-skipping path.
+            idx.set_ranking(self.plan.ranking());
+            assert!(idx.ranked_prefix(self.plan.ranking()).is_some());
             self.index = Some(idx);
         }
 
@@ -1011,8 +1015,6 @@ mod tests {
         };
         let linear = place(&fx);
         fx.build_index();
-        let ranking = fx.plan.ranking().to_vec();
-        fx.index.as_mut().unwrap().set_ranking(&ranking);
         let indexed = place(&fx);
         assert_eq!(linear, indexed);
         assert!(linear[..3].iter().all(|d| !d.is_feasible()));

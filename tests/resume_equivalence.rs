@@ -769,6 +769,30 @@ fn hand_edited_snapshots_are_checked_errors() {
             "precedes the snapshot clock",
         ),
         (
+            "re-scan end past the fleet",
+            "[50447434,[\"retry\",35]]",
+            "[50447434,[\"reprofile_done\",4800]]",
+            "names chip 4800, but it is outside the fleet",
+        ),
+        (
+            "re-scan end for a chip not under re-scan",
+            "[50447434,[\"retry\",35]]",
+            "[50447434,[\"reprofile_done\",3]]",
+            "names chip 3, but it has no re-scan in flight",
+        ),
+        (
+            "timing failure past the fleet",
+            "[\"timing_failure\",29,2,13]",
+            "[\"timing_failure\",29,2,99]",
+            "names chip 99, but it is outside the fleet",
+        ),
+        (
+            "in-situ scan end",
+            "[50447434,[\"retry\",35]]",
+            "[50447434,[\"profiling_done\",0]]",
+            "names chip 0, but snapshot v1 holds no in-situ scan",
+        ),
+        (
             "keys out of order",
             "\"expect_more\":false,\"migrated_out\":0",
             "\"migrated_out\":0,\"expect_more\":false",
@@ -786,5 +810,21 @@ fn hand_edited_snapshots_are_checked_errors() {
             .err()
             .unwrap_or_else(|| panic!("{edit} must fail"));
         assert!(err.to_string().contains(expect), "{edit}: {err}");
+    }
+    // A fault-free run has no fault state for a timing failure or a
+    // re-scan end to act on.
+    let plain = base(Scheme::ScanFair, 42);
+    let mut paused = SimDriver::new(input(&plain));
+    paused.run_until(hours(14));
+    let doc = paused.snapshot().expect("capture");
+    let first = doc.find("\"data\":[[").expect("a pending event") + 9;
+    let at = &doc[first..first + doc[first..].find(',').unwrap()];
+    for event in ["[\"timing_failure\",0,1,0]", "[\"reprofile_done\",0]"] {
+        let edited = doc.replacen("\"data\":[[", &format!("\"data\":[[{at},{event}],["), 1);
+        let err = SimDriver::resume(input(&plain), &edited)
+            .err()
+            .unwrap_or_else(|| panic!("{event} must fail"));
+        let expect = "names chip 0, but the run has no fault injection";
+        assert!(err.to_string().contains(expect), "{event}: {err}");
     }
 }
