@@ -830,6 +830,7 @@ impl SimDriver {
 
 #[cfg(test)]
 mod tests {
+    use super::AuditConfig;
     use crate::config::GreenDatacenterSim;
     use iscope_dcsim::{SimDuration, SimTime};
     use iscope_energy::{PowerTrace, Supply};
@@ -995,26 +996,58 @@ mod tests {
         assert_eq!(r.makespan, SimTime::from_secs(1200));
     }
 
-    /// The fast paths' equivalence with their reference implementations
-    /// is proved only by debug-build cross-checks inside the simulator.
-    /// Each test below pauses a run holding one running job (a second
-    /// arrives at t = 100 s and drives the next placement and
-    /// rebalance), corrupts one maintained value, and runs on: the
-    /// matching cross-check must fire.
-    #[cfg(debug_assertions)]
-    fn paused_with_second_arrival(supply: Supply) -> super::SimDriver {
+    /// A run paused holding one running job; a second arrives at
+    /// t = 100 s and drives the next placement and rebalance.
+    fn paused_with_second_arrival(supply: Supply, audit: bool) -> super::SimDriver {
         let jobs = vec![job(0, 0, 2, 600, 20.0), job(1, 100, 2, 600, 20.0)];
-        let mut driver = super::SimDriver::new(sim(jobs, supply).build().into_input());
+        let mut sim = sim(jobs, supply);
+        if audit {
+            sim = sim.audit(AuditConfig {
+                strict: false,
+                ..AuditConfig::default()
+            });
+        }
+        let mut driver = super::SimDriver::new(sim.build().into_input());
         driver.run_until(SimTime::from_secs(50));
         assert_eq!(driver.0.fed.sites[0].demand.running().len(), 1);
         driver
     }
 
+    /// The auditor recounts demand from the plan, not from the engine's
+    /// frozen rows: a running job's row raised by 1 µW at every level,
+    /// with the aggregates rebuilt from it, leaves the engine consistent
+    /// with itself but stale (a missed refreeze), and the audit says so.
+    #[test]
+    fn audit_catches_a_stale_but_consistent_engine() {
+        let mut driver = paused_with_second_arrival(Supply::utility_only(), true);
+        let site = &mut driver.0.fed.sites[0];
+        let idx = site.demand.running()[0];
+        for uw in &mut site.jobs[idx].power_uw_at {
+            *uw += 1;
+        }
+        site.demand.rebuild(&site.jobs).expect("no overflow");
+        let (report, _) = driver.finish();
+        let audit = report.audit.expect("audited run carries a report");
+        let stale = |v: &String| {
+            v.starts_with("demand_uw_at_level[") && v.contains("independent recomputation")
+        };
+        assert!(
+            audit.violations.iter().any(stale),
+            "no demand recount breach in {:?}",
+            audit.violations
+        );
+    }
+
+    // The fast paths' equivalence with their reference implementations
+    // is proved only by debug-build cross-checks inside the simulator.
+    // Each test below corrupts one maintained value of a paused run and
+    // runs on: the matching cross-check must fire.
+
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "incremental availability diverged from queue replay")]
     fn availability_cross_check_fires() {
-        let mut driver = paused_with_second_arrival(Supply::utility_only());
+        let mut driver = paused_with_second_arrival(Supply::utility_only(), false);
         let site = &mut driver.0.fed.sites[0];
         let chip = site.jobs[site.demand.running()[0]].chips[0].0 as usize;
         site.avail.delay_drain(chip, SimDuration::from_hours(1000));
@@ -1025,7 +1058,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "incremental running-demand aggregate diverged")]
     fn running_demand_cross_check_fires() {
-        let mut driver = paused_with_second_arrival(Supply::utility_only());
+        let mut driver = paused_with_second_arrival(Supply::utility_only(), false);
         driver.0.fed.sites[0].demand.skew_running_demand(1);
         driver.finish();
     }
@@ -1037,7 +1070,7 @@ mod tests {
     #[should_panic(expected = "cached chain limit diverged")]
     fn chain_limit_cross_check_fires() {
         let supply = Supply::hybrid(PowerTrace::constant(SimDuration::from_mins(10), 0.0, 100));
-        let mut driver = paused_with_second_arrival(supply);
+        let mut driver = paused_with_second_arrival(supply, false);
         let site = &mut driver.0.fed.sites[0];
         let idx = site.demand.running()[0];
         site.jobs[idx].chain_limit = SimTime::ZERO;

@@ -78,7 +78,7 @@ impl Availability {
         chips.iter().all(at_head)
     }
 
-    /// A scan re-sorted the plan's preference ranking.
+    /// A scan moved a chip in the plan's preference ranking.
     pub(super) fn set_ranking(&mut self, ranking: &[ChipId]) {
         self.chip_index.set_ranking(ranking);
     }

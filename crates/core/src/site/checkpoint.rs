@@ -623,7 +623,7 @@ impl SiteState {
                 self.done_count
             );
         }
-        self.instruments.check_restored(fleet_len)?;
+        self.instruments.restored((&self.fleet, &self.plan))?;
         self.deferral.check_restored(num_jobs)?;
         self.service.restored(num_levels, pending)?;
         self.avail.restored(&self.jobs, self.plan.ranking())?;

@@ -101,9 +101,9 @@ impl Demand {
         })
     }
 
-    /// Rebuilds both aggregates after a restore or a plan upgrade;
-    /// integer sums make that indistinguishable from upkeep.
-    pub(super) fn rebuild(&mut self, jobs: &[JobState]) -> Result<(), SnapshotError> {
+    /// Rebuilds both aggregates from the running jobs' rows after a
+    /// restore; integer sums make that indistinguishable from upkeep.
+    pub(crate) fn rebuild(&mut self, jobs: &[JobState]) -> Result<(), SnapshotError> {
         let levels = self.demand_uw_at_level.len();
         let sums = (0..=levels).map(|l| self.replay(jobs, (l < levels).then_some(l)));
         let Some(mut sums) = sums.collect::<Option<Vec<i64>>>() else {

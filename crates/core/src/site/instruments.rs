@@ -5,7 +5,7 @@
 use super::availability::Availability;
 use super::demand::Demand;
 use super::service::Service;
-use super::{power_row, JobState};
+use super::JobState;
 use crate::report::AuditReport;
 use crate::simulation::{AuditConfig, SimInput};
 use crate::snapshot::{
@@ -15,7 +15,9 @@ use crate::snapshot::{
 use crate::telemetry::{self, TelemetryRecord, CHANNELS_BEFORE_LEVELS as LEVEL0};
 use iscope_dcsim::{RowSampler, Sampler, SimDuration, SimTime, TimeSeries};
 use iscope_energy::{CostMeter, CostSplit, EnergyLedger, Supply};
-use iscope_pvmodel::{microwatts_to_watts, CoolingModel, Fleet, OperatingPlan};
+use iscope_pvmodel::{
+    microwatts_to_watts, watts_to_microwatts, ChipId, CoolingModel, Fleet, FreqLevel, OperatingPlan,
+};
 use std::borrow::Cow;
 
 /// The rest of the site as the instruments read it.
@@ -36,10 +38,18 @@ pub(super) struct Observed<'a> {
 }
 
 /// The invariant auditor: an independent shadow of the energy books,
-/// integrating its own demand snapshot — recomputed from the plan at
-/// every refresh — over the ledger's event intervals.
+/// integrating its own demand snapshot — recomputed at every refresh
+/// from its own table of the plan's true chip power, never from the
+/// engine's frozen job rows — over the ledger's event intervals.
 pub(crate) struct AuditState {
     config: AuditConfig,
+    /// `true_w[chip × levels + level]`: the plan's true power (W) of
+    /// each chip at each level. Built from the plan at construction and
+    /// on restore (it is not saved), and one chip's row is rewritten
+    /// whenever a scan changes that chip's plan entry.
+    true_w: Vec<f64>,
+    /// One job's chip power (W) at each level, summed from `true_w`.
+    job_w: Vec<f64>,
     /// The auditor's demand (W) for the interval now opening.
     demand_w: f64,
     wind_j: f64,
@@ -99,16 +109,40 @@ impl AuditState {
         rel
     }
 
-    /// Retakes the auditor's demand snapshot — per-job power recomputed
-    /// from the plan, per-level sums from scratch — and checks the
-    /// engine's aggregates against it exactly and its float demand within
-    /// tolerance.
+    /// Rewrites chip `c`'s row of the true-power table from `plan`.
+    fn set_row(&mut self, (fleet, plan): (&Fleet, &OperatingPlan), c: ChipId) {
+        let levels = self.job_w.len();
+        let row = &mut self.true_w[c.0 as usize * levels..][..levels];
+        for (w, l) in row.iter_mut().zip(fleet.dvfs.levels()) {
+            *w = plan.true_power(fleet, c, l);
+        }
+    }
+
+    /// Retakes the auditor's demand snapshot — each running job's chips
+    /// summed per level from the true-power table in chip order (the
+    /// additions the engine's `power_row` makes), per-level sums from
+    /// scratch — and checks the engine's aggregates against it exactly
+    /// and its float demand within tolerance.
     fn refresh_snapshot(&mut self, site: &Observed, engine_w: f64) {
         self.by_level_scratch.fill(0);
-        let mut running_uw: i64 = 0;
+        let (levels, mut running_uw) = (self.job_w.len(), 0i64);
         for js in site.demand.running().iter().map(|&i| &site.jobs[i]) {
-            let parts = (site.fleet, site.plan, site.cooling);
-            for (l, uw) in power_row(js, parts).enumerate() {
+            self.job_w.fill(0.0);
+            for &c in &js.chips {
+                let row = &self.true_w[c.0 as usize * levels..][..levels];
+                for (l, (sum, &w)) in self.job_w.iter_mut().zip(row).enumerate() {
+                    debug_assert_eq!(
+                        w.to_bits(),
+                        site.plan
+                            .true_power(site.fleet, c, FreqLevel(l as u8))
+                            .to_bits(),
+                        "audit true-power table diverged from the plan"
+                    );
+                    *sum += w;
+                }
+            }
+            for (l, &it) in self.job_w.iter().enumerate() {
+                let uw = watts_to_microwatts(site.cooling.facility_power(it));
                 self.by_level_scratch[l] += uw;
                 if l == js.level.0 as usize {
                     running_uw += uw;
@@ -288,8 +322,10 @@ impl Instruments {
         });
         let audit = input.audit.map(|config| {
             assert!(config.tolerance > 0.0, "audit tolerance must be positive");
-            AuditState {
+            let mut audit = AuditState {
                 config,
+                true_w: vec![0.0; n * levels],
+                job_w: vec![0.0; levels],
                 demand_w: 0.0,
                 wind_j: 0.0,
                 utility_j: 0.0,
@@ -301,7 +337,11 @@ impl Instruments {
                 costs: input.supply.cost_meter(),
                 violations: Vec::new(),
                 suppressed: 0,
+            };
+            for c in &input.fleet.chips {
+                audit.set_row((&input.fleet, &input.plan), c.id);
             }
+            audit
         });
         let telemetry = input.telemetry.map(|config| {
             let channels = LEVEL0 + levels + 3;
@@ -380,6 +420,14 @@ impl Instruments {
         tel.sampler.record(now, row);
     }
 
+    /// A scan changed chip `c`'s plan entry: the auditor's true-power
+    /// table follows.
+    pub(super) fn plan_updated(&mut self, parts: (&Fleet, &OperatingPlan), c: ChipId) {
+        if let Some(audit) = &mut self.audit {
+            audit.set_row(parts, c);
+        }
+    }
+
     /// The auditor's deadline recount: a job finished late or was
     /// abandoned.
     pub(super) fn missed_deadline(&mut self) {
@@ -416,11 +464,21 @@ impl Instruments {
         (series.collect(), telemetry, audit)
     }
 
-    /// Checks the restored shadow books against the fleet.
-    pub(super) fn check_restored(&self, fleet_len: usize) -> Result<(), SnapshotError> {
-        let n = self.audit.as_ref().map_or(fleet_len, |a| a.busy_ms.len());
+    /// Checks the restored shadow books against the fleet and rebuilds
+    /// the true-power table from the restored plan.
+    pub(super) fn restored(
+        &mut self,
+        parts: (&Fleet, &OperatingPlan),
+    ) -> Result<(), SnapshotError> {
+        let Some(audit) = &mut self.audit else {
+            return Ok(());
+        };
+        let (n, fleet_len) = (audit.busy_ms.len(), parts.0.len());
         if n != fleet_len {
             mismatch!("audit busy time covers {n} chips, fleet has {fleet_len}");
+        }
+        for c in &parts.0.chips {
+            audit.set_row(parts, c.id);
         }
         Ok(())
     }

@@ -419,7 +419,10 @@ impl SiteState {
 
     /// A scan of `chip` completed: its plan entry becomes the measured
     /// Min Vdd plus the scan guardband, with power estimates at those
-    /// voltages, and the running jobs' rows follow.
+    /// voltages, and the ranking and the auditor's table follow. No
+    /// running job's power row changes: a chip is scanned only once its
+    /// queue is empty and stays out of service until its scan ends, so
+    /// no running job holds it.
     fn apply_scan(&mut self, chip: u32, measured_vmin: Vec<f64>, now: SimTime) {
         let (pm, dvfs) = (self.fleet.power_model(), &self.fleet.dvfs);
         let c = &self.fleet.chips[chip as usize];
@@ -430,20 +433,22 @@ impl SiteState {
         let est =
             |l: FreqLevel| pm.power(c.alpha, c.beta, dvfs.freq_ghz(l), voltages[l.0 as usize]);
         let est = dvfs.levels().map(est).collect();
+        let holds = |&i: &usize| self.jobs[i].chips.contains(&ChipId(chip));
+        debug_assert!(
+            !self.demand.running().iter().any(holds),
+            "chip {chip} finished a scan while a running job held it"
+        );
         self.plan.update_chip(ChipId(chip), voltages, est);
         self.avail.set_ranking(self.plan.ranking());
-        // Re-freeze the running jobs' rows, settling attempt energy at
-        // the old rows first under fault injection only.
-        for k in 0..self.demand.running().len() {
-            let idx = self.demand.running()[k];
-            if self.service.has_faults() {
-                self.advance_progress(idx, now);
+        self.instruments
+            .plan_updated((&self.fleet, &self.plan), ChipId(chip));
+        // Under fault injection every scan completion settles the running
+        // attempts' energy: the split points are part of those float sums.
+        if self.service.has_faults() {
+            for k in 0..self.demand.running().len() {
+                self.advance_progress(self.demand.running()[k], now);
             }
-            let parts = (&self.fleet, &self.plan, &self.cooling);
-            self.jobs[idx].power_uw_at = power_row(&self.jobs[idx], parts).collect();
         }
-        let rebuilt = self.demand.rebuild(&self.jobs);
-        rebuilt.expect("a plan upgrade overflowed the demand sums");
     }
 
     /// Releases deferred jobs whose wait is over and places them. Returns

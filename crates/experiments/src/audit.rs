@@ -1,18 +1,24 @@
 //! `iscope-exp audit-smoke` — CI gate over the energy-conservation
 //! auditor (DESIGN.md §4).
 //!
-//! Three checks on a scaled-down headline scenario (wind-backed fleet,
-//! fault injection active so retry burn and re-scan power flow through
-//! the books):
+//! Four checks on a scaled-down headline scenario (wind-backed fleet,
+//! fault injection active so retry burn flows through the books; no
+//! chip is re-scanned unless a check turns scanning on):
 //!
 //! 1. every scheme closes its books under the strict auditor (any breach
 //!    panics inside the run; the report is asserted clean on top);
 //! 2. enabling the auditor and the telemetry recorder leaves the run
 //!    bit-identical to a bare run — the instruments are observational;
-//! 3. the telemetry JSONL codec round-trips the recorded series exactly.
+//! 3. the telemetry JSONL codec round-trips the recorded series exactly;
+//! 4. ScanFair closes its books under the strict auditor while scans
+//!    rewrite the operating plan mid-run — with re-profiling, and with
+//!    in-situ profiling — so scan power and plan upgrades flow through
+//!    the books too.
 
 use iscope::prelude::*;
-use iscope::{AuditConfig, FaultInjectionConfig, TelemetryConfig};
+use iscope::{
+    AuditConfig, FaultInjectionConfig, InSituConfig, ReprofileConfig, RunReport, TelemetryConfig,
+};
 use iscope_workload::SyntheticTrace;
 
 const FLEET: usize = 120;
@@ -32,31 +38,43 @@ fn scenario(scheme: Scheme) -> GreenDatacenterSim {
             FLEET as f64 / 4800.0,
             42,
         ))
-        .fault_injection(FaultInjectionConfig {
-            model: iscope_pvmodel::FailureModel {
-                time_acceleration: 1500.0,
-                ..iscope_pvmodel::FailureModel::default()
-            },
-            ..FaultInjectionConfig::default()
-        })
+        .fault_injection(scenario_faults())
         .seed(42)
+}
+
+/// The scenario's fault injection: accelerated wear, no re-profiling.
+fn scenario_faults() -> FaultInjectionConfig {
+    FaultInjectionConfig {
+        model: iscope_pvmodel::FailureModel {
+            time_acceleration: 1500.0,
+            ..iscope_pvmodel::FailureModel::default()
+        },
+        ..FaultInjectionConfig::default()
+    }
+}
+
+/// Runs `sim` under the strict auditor, asserts its report clean and
+/// prints its line under `label`.
+fn strict(sim: GreenDatacenterSim, label: impl std::fmt::Display) -> RunReport {
+    let r = sim.audit(AuditConfig::default()).build().run();
+    let audit = r.audit.as_ref().expect("audited run carries a report");
+    assert!(
+        audit.clean(),
+        "audit-smoke: {label} breached invariants: {:?}",
+        audit.violations
+    );
+    println!(
+        "audit-smoke {label:<9} ok: {} intervals, {} demand checks, residual {:.2e}",
+        audit.intervals, audit.demand_checks, audit.energy_rel_residual
+    );
+    r
 }
 
 /// Runs the gate; panics on any breach.
 pub fn smoke() {
     // 1. Strict audit across all five schemes.
     for scheme in Scheme::ALL {
-        let r = scenario(scheme).audit(AuditConfig::default()).build().run();
-        let audit = r.audit.as_ref().expect("audited run carries a report");
-        assert!(
-            audit.clean(),
-            "audit-smoke: {scheme} breached invariants: {:?}",
-            audit.violations
-        );
-        println!(
-            "audit-smoke {scheme:<9} ok: {} intervals, {} demand checks, residual {:.2e}",
-            audit.intervals, audit.demand_checks, audit.energy_rel_residual
-        );
+        strict(scenario(scheme), scheme);
     }
 
     // 2. Instruments off vs on: bit-identical observables.
@@ -99,5 +117,31 @@ pub fn smoke() {
          observational; {} telemetry samples round-tripped",
         Scheme::ALL.len(),
         records.len()
+    );
+
+    // 4. Strict audit while scans rewrite the plan.
+    let rescan = FaultInjectionConfig {
+        reprofile: Some(ReprofileConfig::default()),
+        ..scenario_faults()
+    };
+    let r = strict(
+        scenario(Scheme::ScanFair).fault_injection(rescan),
+        "ScanFair with re-profiling",
+    );
+    let rescanned = r.faults.as_ref().expect("fault stats").chips_rescanned;
+    assert!(rescanned > 0, "audit-smoke: no chip was re-scanned");
+    let r = strict(
+        scenario(Scheme::ScanFair).in_situ_profiling(InSituConfig::default()),
+        "ScanFair with in-situ profiling",
+    );
+    let profiled = r
+        .profiling
+        .as_ref()
+        .expect("profiling stats")
+        .chips_profiled;
+    assert!(profiled > 0, "audit-smoke: no chip was profiled in situ");
+    println!(
+        "audit-smoke OK: books closed while {rescanned} re-scans and {profiled} in-situ scans \
+         rewrote the plan"
     );
 }

@@ -273,28 +273,40 @@ impl OperatingPlan {
 
     /// Replaces one chip's voltages and power estimates (the in-situ
     /// profiling path: a chip that just finished its scan moves from its
-    /// factory-bin operating point to its measured one) and re-ranks.
+    /// factory-bin operating point to its measured one) and moves it to
+    /// its new rank.
     pub fn update_chip(&mut self, chip: ChipId, voltages: Vec<f64>, est_power: Vec<f64>) {
-        assert_eq!(voltages.len(), self.voltages[chip.0 as usize].len());
-        assert_eq!(est_power.len(), self.est_power[chip.0 as usize].len());
+        let ci = chip.0 as usize;
+        assert_eq!(voltages.len(), self.voltages[ci].len());
+        assert_eq!(est_power.len(), self.est_power[ci].len());
         assert!(
             self.per_core.is_none(),
             "per-core plans are rebuilt, not incrementally updated"
         );
-        self.voltages[chip.0 as usize] = voltages;
-        self.est_power[chip.0 as usize] = est_power;
-        let top = self.voltages[chip.0 as usize].len() - 1;
+        let top = self.voltages[ci].len() - 1;
+        // `(est_power[top], id)` is a strict total order, so taking the
+        // chip out and inserting it before the first chip that ranks
+        // after it leaves exactly the full sort's order.
+        let ranks_before = |est: &[Vec<f64>], a: ChipId, b: ChipId| {
+            let (pa, pb) = (est[a.0 as usize][top], est[b.0 as usize][top]);
+            let order = pa.partial_cmp(&pb).expect("estimates are finite");
+            order.then(a.cmp(&b)).is_lt()
+        };
+        let at = self
+            .ranking
+            .partition_point(|&c| ranks_before(&self.est_power, c, chip));
+        debug_assert_eq!(self.ranking[at], chip, "ranking out of order");
+        self.ranking.remove(at);
+        self.voltages[ci] = voltages;
+        self.est_power[ci] = est_power;
+        let at = self
+            .ranking
+            .partition_point(|&c| ranks_before(&self.est_power, c, chip));
+        self.ranking.insert(at, chip);
         // Full index-order re-sum (not a delta fix-up): float addition is
         // not associative, and the cache must stay bit-identical to the
         // naive loop the scheduler used to run.
         self.est_power_top_sum = self.est_power.iter().map(|row| row[top]).sum();
-        self.ranking.sort_by(|a, b| {
-            let pa = self.est_power[a.0 as usize][top];
-            let pb = self.est_power[b.0 as usize][top];
-            pa.partial_cmp(&pb)
-                .expect("estimates are finite")
-                .then(a.cmp(b))
-        });
     }
 
     /// Chips sorted most-efficient-first by the scheduler's estimate.
@@ -338,6 +350,7 @@ mod tests {
     use super::*;
     use crate::freq::DvfsConfig;
     use crate::params::VariationParams;
+    use proptest::prelude::*;
 
     fn fleet() -> Fleet {
         Fleet::generate(
@@ -493,6 +506,51 @@ mod tests {
             plan.estimated_power_top_sum().to_bits(),
             naive(&plan).to_bits()
         );
+    }
+
+    const LEVELS: usize = 3;
+
+    /// A chip's rows: top-level estimate `top`, the lower levels below it.
+    fn rows_with_top(top: f64, volt: f64) -> (Vec<f64>, Vec<f64>) {
+        let est = (0..LEVELS).map(|l| top * (l + 1) as f64 / LEVELS as f64);
+        (vec![volt; LEVELS], est.collect())
+    }
+
+    proptest! {
+        /// Moving one chip to its new rank gives the ranking and the top
+        /// sum (bit for bit) of a plan assembled from the same rows.
+        /// Top estimates come from four values, so ties are common and
+        /// the id tiebreak decides; an update sends its chip below every
+        /// estimate, above every one, to its own estimate, or onto a tie.
+        #[test]
+        fn update_chip_matches_a_plan_from_the_same_rows(
+            tops in prop::collection::vec(0u8..4, 1..40),
+            updates in prop::collection::vec((0usize..64, 0u8..4, 0u8..4, 0.5f64..1.5), 1..6),
+        ) {
+            let ties = |k: u8| 60.0 + 12.7 * k as f64;
+            let (mut voltages, mut est): (Vec<_>, Vec<_>) =
+                tops.iter().map(|&k| rows_with_top(ties(k), 1.0)).unzip();
+            let mut plan = OperatingPlan::from_rows(voltages.clone(), est.clone());
+            for (pick, kind, k, volt) in updates {
+                let ci = pick % tops.len();
+                let top = match kind {
+                    0 => 1.0,
+                    1 => 1e3,
+                    2 => est[ci][LEVELS - 1],
+                    _ => ties(k),
+                };
+                let (v, e) = rows_with_top(top, volt);
+                plan.update_chip(ChipId(ci as u32), v.clone(), e.clone());
+                (voltages[ci], est[ci]) = (v, e);
+                let full = OperatingPlan::from_rows(voltages.clone(), est.clone());
+                prop_assert_eq!(plan.ranking(), full.ranking());
+                prop_assert_eq!(
+                    plan.estimated_power_top_sum().to_bits(),
+                    full.estimated_power_top_sum().to_bits()
+                );
+                prop_assert_eq!(plan.rows(), full.rows());
+            }
+        }
     }
 
     #[test]

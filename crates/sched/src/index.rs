@@ -766,7 +766,7 @@ impl ChipIndexes {
     /// Registers the preference ranking the prefix walks traverse (the
     /// plan's efficiency order) and computes exact block minima from the
     /// current availability state. Call at construction time and again
-    /// whenever the ranking changes (a plan upgrade re-sorts it) — a
+    /// whenever the ranking changes (a plan upgrade moves a chip in it) — a
     /// walk over an unregistered or mismatched ranking falls back to the
     /// plain unskipped path.
     pub fn set_ranking(&mut self, ranking: &[ChipId]) {

@@ -139,15 +139,20 @@ fn resume_parity_under_fault_injection_across_seeds() {
     );
 }
 
+/// The data of a snapshot's section `name`.
+fn section(snapshot: &str, name: &str) -> Val {
+    let line = snapshot
+        .lines()
+        .map(|line| parse(line).expect("snapshot line parses"))
+        .find(|v| matches!(v.get("section"), Ok(Val::Str(s)) if s == name))
+        .unwrap_or_else(|| panic!("snapshot has a {name} section"));
+    line.get("data").expect("section data").clone()
+}
+
 /// Whether a snapshot's fault section holds a chip under re-scan and a
 /// measured row waiting for one to finish.
 fn rescan_in_flight(snapshot: &str) -> (bool, bool) {
-    let section = snapshot
-        .lines()
-        .map(|line| parse(line).expect("snapshot line parses"))
-        .find(|v| matches!(v.get("section"), Ok(Val::Str(name)) if name == "faults"))
-        .expect("snapshot has a faults section");
-    let faults = section.get("data").expect("section data");
+    let faults = section(snapshot, "faults");
     let any = |key: &str, hit: fn(&Val) -> bool| matches!(faults.get(key), Ok(Val::Arr(items)) if items.iter().any(hit));
     (
         any("scanning", |v| *v == Val::Bool(true)),
@@ -155,33 +160,60 @@ fn rescan_in_flight(snapshot: &str) -> (bool, bool) {
     )
 }
 
-#[test]
-fn resume_parity_with_chips_mid_rescan() {
-    let sim = base(Scheme::ScanFair, 42).fault_injection(FaultInjectionConfig {
+/// ScanFair under strict audit with faults and re-profiling.
+fn rescanning() -> GreenDatacenterSim {
+    base(Scheme::ScanFair, 42).fault_injection(FaultInjectionConfig {
         reprofile: Some(ReprofileConfig::default()),
         ..faults()
-    });
-    let (unbroken, _) = SimDriver::new(input(&sim)).finish();
-    // Pause at the first 5-minute mark whose snapshot catches a re-scan
-    // in flight, so the resumed leg must finish it from the snapshot.
-    let mut paused = SimDriver::new(input(&sim));
+    })
+}
+
+/// Pauses `sim` at the first 5-minute mark whose snapshot satisfies
+/// `caught`, resumes from that snapshot, and checks the resumed run
+/// against the uninterrupted one.
+fn resume_parity_at_first(sim: &GreenDatacenterSim, caught: impl Fn(&str) -> bool, label: &str) {
+    let (unbroken, _) = SimDriver::new(input(sim)).finish();
+    let mut paused = SimDriver::new(input(sim));
     let mut pause = SimTime::ZERO;
     let snapshot = loop {
         pause += SimDuration::from_mins(5);
-        assert!(
-            pause < unbroken.makespan,
-            "no pause caught a chip under re-scan"
-        );
+        assert!(pause < unbroken.makespan, "{label}: no pause caught it");
         paused.run_until(pause);
         let snapshot = paused.snapshot().expect("capture mid-run");
-        if rescan_in_flight(&snapshot) == (true, true) {
+        if caught(&snapshot) {
             break snapshot;
         }
     };
-    let (resumed, _) = SimDriver::resume(input(&sim), &snapshot)
+    let (resumed, _) = SimDriver::resume(input(sim), &snapshot)
         .expect("restore")
         .finish();
-    assert_identical(&unbroken, &resumed, "ScanFair+faults+re-profiling");
+    assert_identical(&unbroken, &resumed, label);
+}
+
+/// The resumed leg must finish a re-scan from the snapshot.
+#[test]
+fn resume_parity_with_chips_mid_rescan() {
+    let in_flight = |snapshot: &str| rescan_in_flight(snapshot) == (true, true);
+    resume_parity_at_first(&rescanning(), in_flight, "ScanFair+faults+re-profiling");
+}
+
+/// The resumed leg starts from plan rows a re-scan rewrote, so the
+/// restored site must rebuild everything derived from the plan (the
+/// ranking, the auditor's true-power table) from the snapshot's rows,
+/// not the input's.
+#[test]
+fn resume_parity_after_a_rescan_rewrote_the_plan() {
+    let sim = rescanning();
+    let initial = section(
+        &SimDriver::new(input(&sim)).snapshot().expect("capture"),
+        "plan",
+    );
+    let rewritten = |snapshot: &str| section(snapshot, "plan") != initial;
+    resume_parity_at_first(
+        &sim,
+        rewritten,
+        "ScanFair+faults+re-profiling, plan rewritten",
+    );
 }
 
 #[test]
