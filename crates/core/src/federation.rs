@@ -23,7 +23,7 @@
 //! under [`NullRouter`] is bit-identical to [`crate::run_simulation`]
 //! (locked by `tests/federation_equivalence.rs`).
 //!
-//! Federations step and stream like a single site; snapshot v1 does not
+//! Federations step and stream like a single site; snapshots do not
 //! cover them yet ([`Driver::snapshot`] returns `Unsupported`).
 //!
 //! Per-site weather comes from [`correlated_wind_supplies`]: one shared

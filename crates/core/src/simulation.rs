@@ -561,9 +561,9 @@ impl<S: JobSource> Driver<S> {
         }
         let fed = Federation::new(sites, max_gang);
         Self::assemble(fed, source, seed, |fed, engine| {
-            // Pre-admitted arrivals stay queued events because snapshot v1
-            // records them. Primed before the periodic events, they win
-            // equal-time ties as streamed arrivals do.
+            // Pre-admitted arrivals stay queued events because snapshots
+            // record them as pending arrivals. Primed before the periodic
+            // events, they win equal-time ties as streamed arrivals do.
             for job in preadmit.into_jobs() {
                 let at = job.submit;
                 let idx = fed.admit(0, job, 0);
@@ -630,13 +630,13 @@ impl<S: JobSource> Driver<S> {
     }
 
     /// Serializes the paused run (see [`crate::snapshot`] for the format
-    /// and v1 restrictions). Jobs not yet admitted are *not* in the
+    /// and what it cannot hold). Jobs not yet admitted are *not* in the
     /// snapshot: resuming re-creates the (deterministic) source and skips
-    /// the jobs already admitted. Federations are not in snapshot v1.
+    /// the jobs already admitted. Federations are not snapshotted.
     pub fn snapshot(&self) -> Result<String, SnapshotError> {
         let [site] = &self.fed.sites[..] else {
             return Err(SnapshotError::Unsupported(
-                "federation state is not serialized in snapshot v1".to_string(),
+                "snapshots cannot hold federation state".to_string(),
             ));
         };
         let pending: Vec<(SimTime, SiteEv)> = self

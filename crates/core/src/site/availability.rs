@@ -2,6 +2,7 @@
 //! projection placement reads, the chain lengths behind each queue head
 //! and the chip indexes over all of them (DESIGN.md §3d).
 
+use super::checkpoint::check_live;
 use super::{JobState, Phase};
 use crate::snapshot::{mismatch, SnapshotError};
 use iscope_dcsim::{SimDuration, SimTime};
@@ -272,15 +273,15 @@ impl Availability {
         jobs: &[JobState],
         ranking: &[ChipId],
     ) -> Result<(), SnapshotError> {
-        let (n, num_jobs) = (ranking.len(), jobs.len());
+        let n = ranking.len();
         let lens = [self.queues.len(), self.usage.len(), self.avail.len()];
         for (what, len) in ["chip queues", "usage", "avail"].into_iter().zip(lens) {
             if len != n {
                 mismatch!("{what} covers {len} chips, fleet has {n}");
             }
         }
-        if let Some(bad) = self.queues.iter().flatten().find(|&&i| i >= num_jobs) {
-            mismatch!("job index {bad} out of range (table has {num_jobs})");
+        for &i in self.queues.iter().flatten() {
+            check_live(jobs, "a chip queue", i)?;
         }
         let behind_head = |q: &VecDeque<usize>| {
             let mut runtimes = q.iter().skip(1).map(|&i| jobs[i].job.runtime_at_fmax);

@@ -247,7 +247,8 @@ impl Persist for iscope_pvmodel::CpuBoundness {
 
 /// Declares the positional job record once: the [`Job`] fields, then the
 /// [`JobState`] fields, in record order. Positional keeps the document
-/// compact — the jobs section dominates snapshot size.
+/// compact: live jobs' records are most of the jobs section, which is
+/// most of a snapshot. A finished job has no record (`save_jobs`).
 macro_rules! job_record {
     ($($g:ident),* ; $($f:ident),* $(,)?) => {
         impl ToVal for JobState {
@@ -306,6 +307,50 @@ pub(super) fn check_job(
             "job level {} out of range ({num_levels} levels)",
             js.level.0
         );
+    }
+    Ok(())
+}
+
+/// Refuses `holder`'s reference to job `i` unless it names a live row:
+/// queues, the running set, the deferred list and pending arrivals and
+/// retries never hold a finished job's tombstone.
+pub(super) fn check_live(jobs: &[JobState], holder: &str, i: usize) -> Result<(), SnapshotError> {
+    match jobs.get(i).map(|js| js.phase) {
+        None => mismatch!("{holder} names job {i}, table has {}", jobs.len()),
+        Some(Phase::Done) => mismatch!("{holder} names job {i}, which has finished"),
+        Some(_) => Ok(()),
+    }
+}
+
+/// The job table, one array entry per admitted job: a live job's record,
+/// or `null` for a finished job's tombstone, so the section's size
+/// follows the live set rather than the run's history.
+fn save_jobs(s: &SiteState, w: &mut Writer) -> Result<(), SnapshotError> {
+    w.open_arr();
+    for js in &s.jobs {
+        match js.phase {
+            Phase::Done => w.null(),
+            _ => js.write(w, "jobs")?,
+        }
+    }
+    w.close_arr();
+    Ok(())
+}
+
+/// Reads the job table back, checking each record against the fleet. A
+/// `null` restores as the tombstone of its index; a v1 document's
+/// `"done"` record is checked like any other, then stored as one too.
+fn restore_jobs(s: &mut SiteState, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
+    let (fleet_len, num_levels) = (s.fleet.len(), s.fleet.dvfs.num_levels());
+    r.open_arr("jobs")?;
+    while r.next_item()? {
+        let (idx, row) = (s.jobs.len(), Option::<JobState>::read(r, "jobs")?);
+        if let Some(js) = &row {
+            check_job(js, fleet_len, num_levels)?;
+        }
+        let live = row.filter(|js| js.phase != Phase::Done);
+        s.jobs
+            .push(live.unwrap_or_else(|| JobState::tombstone(idx)));
     }
     Ok(())
 }
@@ -419,7 +464,7 @@ section!(document SiteState, |s| {
         "avail_dirty" => s.avail.avail_dirty,
         "rng" => s.rng,
     },
-    "jobs" => s.jobs,
+    "jobs" => [save_jobs, restore_jobs],
     "queues" => s.avail.queues,
     "usage" => s.avail.usage,
     "avail" => s.avail.avail,
@@ -438,17 +483,17 @@ section!(document SiteState, |s| {
     "battery" => s.battery,
 });
 
-/// Snapshot v1 has no section for in-situ profiling state or per-core
-/// operating plans, so a run with either is neither captured nor
+/// No snapshot version has a section for in-situ profiling state or
+/// per-core operating plans, so a run with either is neither captured nor
 /// restored into.
-fn v1_holds(in_situ: bool, per_core: bool) -> Result<(), SnapshotError> {
+fn check_supported(in_situ: bool, per_core: bool) -> Result<(), SnapshotError> {
     let refused = [
         (in_situ, "in-situ profiling state"),
         (per_core, "a per-core plan"),
     ];
     match refused.into_iter().find(|&(on, _)| on) {
         Some((_, what)) => Err(SnapshotError::Unsupported(format!(
-            "snapshot v1 cannot hold {what}"
+            "snapshots cannot hold {what}"
         ))),
         None => Ok(()),
     }
@@ -475,7 +520,7 @@ impl SiteState {
         steps: u64,
         pending: &[(SimTime, SiteEv)],
     ) -> Result<String, SnapshotError> {
-        v1_holds(self.service.has_in_situ(), self.plan.is_per_core())?;
+        check_supported(self.service.has_in_situ(), self.plan.is_per_core())?;
         let header = Header {
             scheme: self.scheme_name.clone(),
             seed,
@@ -515,13 +560,17 @@ impl SiteState {
         text: &str,
         fork: bool,
     ) -> Result<(SiteState, ResumePoint), SnapshotError> {
-        v1_holds(input.in_situ.is_some(), input.plan.is_per_core())?;
+        check_supported(input.in_situ.is_some(), input.plan.is_per_core())?;
         let doc = snapshot::decode_lines(text)?;
         let (header, presence) = doc.entry(HEADER, |r| {
             r.obj(HEADER, |r| {
                 let version = r.entry(VERSION_KEY, |r| i64::read(r, "snapshot version"))?;
-                if version != SNAPSHOT_VERSION {
-                    mismatch!("snapshot version {version} (this build reads {SNAPSHOT_VERSION})");
+                // v1 differs only in writing finished jobs as `"done"`
+                // records, which `restore_jobs` also reads.
+                if !(1..=SNAPSHOT_VERSION).contains(&version) {
+                    mismatch!(
+                        "snapshot version {version} (this build reads 1 to {SNAPSHOT_VERSION})"
+                    );
                 }
                 let mut header = Header::default();
                 header.restore_fields(r)?;
@@ -595,39 +644,40 @@ impl SiteState {
         now: SimTime,
         pending: &[(SimTime, SiteEv)],
     ) -> Result<(), SnapshotError> {
-        let fleet_len = self.fleet.len();
         let num_levels = self.fleet.dvfs.num_levels();
         let num_jobs = self.jobs.len();
-        for js in &self.jobs {
-            check_job(js, fleet_len, num_levels)?;
-        }
         for (t, ev) in pending {
             let (at, clock) = (t.as_millis(), now.as_millis());
             if at < clock {
                 mismatch!("pending event at {at} precedes the snapshot clock {clock}");
             }
+            // Stale completions and timing failures may name a finished
+            // job (their phase checks skip them); arrivals and retries
+            // only ever name waiting ones.
             use SiteEv::{Arrival, Completion, Retry, TimingFailure};
-            if let Arrival(i)
-            | Completion { job: i, .. }
-            | TimingFailure { job: i, .. }
-            | Retry { job: i } = *ev
-            {
-                if i >= num_jobs {
+            match *ev {
+                Arrival(i) => check_live(&self.jobs, "a pending arrival", i)?,
+                Retry { job: i } => check_live(&self.jobs, "a pending retry", i)?,
+                Completion { job: i, .. } | TimingFailure { job: i, .. } if i >= num_jobs => {
                     mismatch!("pending event at {at} targets job {i}, table has {num_jobs}");
                 }
+                _ => {}
             }
         }
-        if self.done_count > num_jobs {
-            mismatch!(
-                "done_count {} exceeds job table size {num_jobs}",
-                self.done_count
-            );
-        }
         self.instruments.restored((&self.fleet, &self.plan))?;
-        self.deferral.check_restored(num_jobs)?;
+        self.deferral.check_restored(&self.jobs)?;
         self.service.restored(num_levels, pending)?;
         self.avail.restored(&self.jobs, self.plan.ranking())?;
         let heads = |i, js: &JobState| self.avail.heads(i, &js.chips);
-        self.demand.restored(&self.jobs, num_levels, heads)
+        self.demand.restored(&self.jobs, num_levels, heads)?;
+        let finished = self.jobs.iter().filter(|js| js.phase == Phase::Done);
+        let finished = finished.count();
+        if self.done_count != finished {
+            mismatch!(
+                "done_count {} disagrees with the job table's {finished} finished jobs",
+                self.done_count
+            );
+        }
+        Ok(())
     }
 }

@@ -2,10 +2,11 @@
 //! (GreenSlot-style) or the utility signal is dirty, running gangs the
 //! carbon policy suspends, and the release of both.
 
+use super::checkpoint::check_live;
 use super::{JobState, SiteEv};
 use crate::report::CarbonStats;
 use crate::simulation::DeferralConfig;
-use crate::snapshot::{mismatch, section, Fields, Reader, Section, SnapshotError, Writer};
+use crate::snapshot::{section, Fields, Reader, Section, SnapshotError, Writer};
 use iscope_dcsim::{SimDuration, SimTime};
 use iscope_energy::Supply;
 use iscope_sched::CarbonConfig;
@@ -183,9 +184,9 @@ impl Deferral {
     }
 
     /// Checks the restored pool against the job table.
-    pub(super) fn check_restored(&self, num_jobs: usize) -> Result<(), SnapshotError> {
-        if let Some(bad) = self.deferred.iter().find(|&&i| i >= num_jobs) {
-            mismatch!("job index {bad} out of range (table has {num_jobs})");
+    pub(super) fn check_restored(&self, jobs: &[JobState]) -> Result<(), SnapshotError> {
+        for &i in &self.deferred {
+            check_live(jobs, "the deferred list", i)?;
         }
         Ok(())
     }

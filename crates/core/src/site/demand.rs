@@ -2,6 +2,7 @@
 //! jobs' frozen power rows, and the DVFS matchers that choose their
 //! levels against the renewable budget.
 
+use super::checkpoint::check_live;
 use super::JobState;
 use crate::simulation::DvfsMode;
 use crate::snapshot::{mismatch, SnapshotError};
@@ -208,15 +209,15 @@ impl Demand {
         num_levels: usize,
         heads: impl Fn(usize, &JobState) -> bool,
     ) -> Result<(), SnapshotError> {
-        let (num_jobs, counts) = (jobs.len(), &self.running_at_level);
+        let counts = &self.running_at_level;
         if counts.len() != num_levels {
             mismatch!(
                 "running_at_level has {} entries, fleet has {num_levels} levels",
                 counts.len()
             );
         }
-        if let Some(bad) = self.running.iter().find(|&&i| i >= num_jobs) {
-            mismatch!("job index {bad} out of range (table has {num_jobs})");
+        for &i in &self.running {
+            check_live(jobs, "the running set", i)?;
         }
         let mut at_level = vec![0; num_levels];
         for &i in &self.running {

@@ -42,11 +42,11 @@ use instruments::{Instruments, Observed};
 use iscope_dcsim::{SimDuration, SimRng, SimTime};
 use iscope_energy::{BatteryState, CostMeter, CostSplit, EnergyLedger, Supply};
 use iscope_pvmodel::{
-    microwatts_to_watts, speed_factor, watts_to_microwatts, ChipId, CoolingModel, DvfsConfig,
-    Fleet, FreqLevel, OperatingPlan, SCAN_GUARDBAND_V,
+    microwatts_to_watts, speed_factor, watts_to_microwatts, ChipId, CoolingModel, CpuBoundness,
+    DvfsConfig, Fleet, FreqLevel, OperatingPlan, SCAN_GUARDBAND_V,
 };
 use iscope_sched::Placement;
-use iscope_workload::Job;
+use iscope_workload::{Job, JobId, Urgency};
 use service::Service;
 use std::time::Instant;
 
@@ -136,6 +136,39 @@ pub(crate) struct JobState {
     /// Energy (J) the current attempt has drawn, settled at each progress
     /// advance while an attempt can die mid-flight.
     pub(crate) attempt_energy_j: f64,
+}
+
+impl JobState {
+    /// The row a job leaves in the table once it is `Done` (finished,
+    /// abandoned or migrated away): its index as its id, and every other
+    /// field at a fixed value, so it owns no chips and no power row.
+    /// Snapshots write it as `null` and restore it from its index, so an
+    /// uninterrupted and a resumed run hold equal tables.
+    pub(crate) fn tombstone(idx: usize) -> JobState {
+        JobState {
+            job: Job {
+                id: JobId(idx as u32),
+                submit: SimTime::ZERO,
+                cpus: 0,
+                runtime_at_fmax: SimDuration::ZERO,
+                gamma: CpuBoundness::FULL,
+                deadline: SimTime::ZERO,
+                urgency: Urgency::Low,
+            },
+            chips: Vec::new(),
+            phase: Phase::Done,
+            level: FreqLevel(0),
+            remaining_nominal_s: 0.0,
+            last_progress: SimTime::ZERO,
+            started_at: SimTime::ZERO,
+            gen: 0,
+            sched_end: SimTime::ZERO,
+            power_uw_at: Vec::new(),
+            chain_limit: SimTime::MAX,
+            starts: 0,
+            attempt_energy_j: 0.0,
+        }
+    }
 }
 
 /// What one finalized site hands back: its run report plus the runtime
@@ -300,19 +333,18 @@ impl SiteState {
     }
 
     /// Hands a waiting, unplaced job to the federation: it leaves this
-    /// site's books as `Done` without a completion, and its description
-    /// and attempt count travel on.
+    /// site's books as a tombstone without a completion, and its
+    /// description and attempt count travel on.
     pub(crate) fn extract_for_migration(&mut self, idx: usize) -> (Job, u32) {
         debug_assert!(
             self.retry_pending(idx),
             "only waiting, unplaced jobs can migrate"
         );
-        let js = &mut self.jobs[idx];
-        js.phase = Phase::Done;
+        let js = std::mem::replace(&mut self.jobs[idx], JobState::tombstone(idx));
         self.done_count += 1;
         self.migrated_out += 1;
         self.queued_jobs -= 1;
-        (js.job.clone(), js.starts)
+        (js.job, js.starts)
     }
 
     /// A job migrating in over the WAN: placed and started at once,
@@ -538,9 +570,9 @@ impl SiteState {
     }
 
     /// Releases a running job's chips at `now`: settles its progress and
-    /// books its demand, busy time and wear. Returns the chips and the
-    /// new queue heads; the caller sets the phase.
-    fn release_chips(&mut self, idx: usize, now: SimTime) -> (Vec<ChipId>, Vec<usize>) {
+    /// books its demand, busy time and wear. Returns the new queue heads;
+    /// the caller requeues the job or leaves its tombstone.
+    fn release_chips(&mut self, idx: usize, now: SimTime) -> Vec<usize> {
         self.advance_progress(idx, now);
         self.demand.stop(idx, &self.jobs[idx]);
         let busy = now.saturating_since(self.jobs[idx].started_at);
@@ -549,7 +581,7 @@ impl SiteState {
         let parts = (&mut self.fleet, &self.plan);
         self.service
             .chips_released(&chips, busy, parts, &self.avail);
-        (chips, heads)
+        heads
     }
 
     /// Kills a running attempt mid-flight — a timing failure on `chip`,
@@ -558,7 +590,7 @@ impl SiteState {
     /// retries run out; the lost energy goes on the fault or carbon
     /// waste books.
     fn kill(&mut self, idx: usize, chip: Option<u32>, now: SimTime, ctx: &mut impl SiteCtx) {
-        let (_, heads) = self.release_chips(idx, now);
+        let heads = self.release_chips(idx, now);
         let js = &mut self.jobs[idx];
         js.gen += 1; // invalidates the live Completion event
         js.phase = Phase::Waiting;
@@ -574,7 +606,7 @@ impl SiteState {
             ctx.schedule(now + delay, SiteEv::Retry { job: idx });
         } else {
             // An abandoned job can never finish in time.
-            self.jobs[idx].phase = Phase::Done;
+            self.jobs[idx] = JobState::tombstone(idx);
             self.deadline_misses += 1;
             self.instruments.missed_deadline();
             self.done_count += 1;
@@ -611,15 +643,14 @@ impl SiteState {
     }
 
     fn finish_job(&mut self, idx: usize, now: SimTime, ctx: &mut impl SiteCtx) {
-        let (chips, heads) = self.release_chips(idx, now);
-        let js = &mut self.jobs[idx];
+        let heads = self.release_chips(idx, now);
+        let js = &self.jobs[idx];
         debug_assert!(js.remaining_nominal_s < 1e-3, "completion with work left");
-        js.phase = Phase::Done;
-        js.chips = chips; // the snapshot's job table carries them
         if now > js.job.deadline {
             self.deadline_misses += 1;
             self.instruments.missed_deadline();
         }
+        self.jobs[idx] = JobState::tombstone(idx);
         self.done_count += 1;
         self.makespan = self.makespan.max(now);
         self.try_start(&heads, now, ctx);
@@ -775,7 +806,6 @@ mod snapshot_tests {
     use super::*;
     use crate::snapshot::{self, Persist, Reader, SnapshotError, ToVal};
     use iscope_dcsim::Sampler;
-    use iscope_workload::{JobId, Urgency};
     use proptest::prelude::*;
 
     fn render(v: &impl ToVal) -> String {

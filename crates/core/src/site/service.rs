@@ -661,7 +661,7 @@ impl Service {
             let measured =
                 |f: &FaultState| f.bay.pending_vmin[ci].as_ref().map(Vec::len) == Some(num_levels);
             let why = match (&self.faults, rescan) {
-                (_, None) => "snapshot v1 holds no in-situ scan",
+                (_, None) => "snapshots hold no in-situ scan",
                 (None, _) => "the run has no fault injection",
                 (Some(_), _) if ci >= n => "it is outside the fleet",
                 (Some(f), Some(true))

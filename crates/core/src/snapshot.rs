@@ -49,14 +49,16 @@ use std::collections::VecDeque;
 use std::fmt::{self, Write as _};
 
 /// Current snapshot document version. Bumped on any schema change; the
-/// decoder rejects versions it does not know.
-pub const SNAPSHOT_VERSION: i64 = 1;
+/// decoder rejects versions it does not know. Version 2 writes a finished
+/// job as `null` in the `jobs` array; version 1 wrote its whole record,
+/// and is still read.
+pub const SNAPSHOT_VERSION: i64 = 2;
 
 /// Why a snapshot could not be taken, parsed, or restored.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SnapshotError {
-    /// The live state uses a feature the v1 format does not carry (in-situ
-    /// profiling records, per-core operating plans).
+    /// The live state uses a feature the format does not carry (in-situ
+    /// profiling records, per-core operating plans, federations).
     Unsupported(String),
     /// The document is not valid snapshot JSONL.
     Parse(String),

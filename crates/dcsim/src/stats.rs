@@ -154,27 +154,6 @@ impl Histogram {
     pub fn total(&self) -> u64 {
         self.total
     }
-
-    /// Fraction of observations at or below `x` (empirical CDF on bin edges).
-    pub fn cdf_at(&self, x: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let bins = self.counts.len();
-        let frac = (x - self.lo) / (self.hi - self.lo);
-        let cutoff = ((frac * bins as f64).floor() as i64).clamp(-1, bins as i64 - 1);
-        let sum: u64 = self.counts[..=(cutoff.max(0) as usize)]
-            .iter()
-            .copied()
-            .sum::<u64>()
-            * u64::from(cutoff >= 0);
-        sum as f64 / self.total as f64
-    }
-
-    /// Lower edge of bin `i`.
-    pub fn bin_lo(&self, i: usize) -> f64 {
-        self.lo + (self.hi - self.lo) * i as f64 / self.counts.len() as f64
-    }
 }
 
 /// Quantile of a sorted slice via linear interpolation; `q` in `\[0, 1\]`.
@@ -275,7 +254,6 @@ mod tests {
         assert_eq!(h.counts()[0], 3); // 0.0, 0.5 and clamped -3.0
         assert_eq!(h.counts()[5], 1);
         assert_eq!(h.counts()[9], 2); // 9.99 and clamped 42.0
-        assert!((h.bin_lo(5) - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -12,7 +12,11 @@
 //!    the arrival horizon) passes the same pause/resume bar;
 //! 3. a **fork** of the snapshot under the unchanged input equals the
 //!    plain resume — branching is a superset of resuming, not a
-//!    different machine.
+//!    different machine;
+//! 4. on a **checkpoint-churn**-shaped run, snapshot size follows the
+//!    live set: the `jobs` section captured at 90% of the makespan is
+//!    shorter than the one at 25% (finished jobs are `null`), and both
+//!    snapshots resume byte-identically.
 
 use iscope::prelude::*;
 use iscope::{
@@ -55,6 +59,36 @@ fn scenario(scheme: Scheme, seed: u64) -> GreenDatacenterSim {
 
 fn input(sim: &GreenDatacenterSim) -> SimInput {
     sim.clone().build().into_input()
+}
+
+/// Shaped like perfbench's checkpoint-churn, smaller: BinEffi with
+/// pre-admitted jobs and telemetry.
+fn churn() -> GreenDatacenterSim {
+    GreenDatacenterSim::builder()
+        .fleet_size(96)
+        .scheme(Scheme::BinEffi)
+        .supply(Supply::hybrid_farm(
+            &WindFarm::default(),
+            SimDuration::from_hours(48),
+            96.0 / 4800.0,
+            42,
+        ))
+        .seed(42)
+        .synthetic_trace(SyntheticTrace {
+            num_jobs: 400,
+            max_cpus: 32,
+            ..SyntheticTrace::default()
+        })
+        .telemetry(TelemetryConfig::default())
+}
+
+/// Byte length of a snapshot's `jobs` section line.
+fn jobs_line_len(snapshot: &str) -> usize {
+    let jobs = snapshot
+        .lines()
+        .find(|l| l.starts_with("{\"section\":\"jobs\""));
+    jobs.expect("resume-smoke: snapshot without a jobs section")
+        .len()
 }
 
 fn assert_bytes_identical(unbroken: &RunReport, resumed: &RunReport, label: &str) {
@@ -155,12 +189,44 @@ pub fn smoke() {
         .expect("resumed streaming run");
     assert_bytes_identical(&unbroken, &resumed, "streaming");
 
+    // 4. Snapshot size follows the live set, not the run's history.
+    let sim = churn();
+    let (unbroken, _) = SimDriver::new(input(&sim)).finish();
+    let mut lens = Vec::new();
+    for pct in [25, 90] {
+        let at = SimTime::from_millis(unbroken.makespan.as_millis() * pct / 100);
+        let mut paused = SimDriver::new(input(&sim));
+        paused.run_until(at);
+        let snapshot = paused.snapshot().expect("capture churn run");
+        drop(paused);
+        let (resumed, _) = SimDriver::resume(input(&sim), &snapshot)
+            .expect("restore churn snapshot")
+            .finish();
+        assert_bytes_identical(&unbroken, &resumed, &format!("churn at {pct}%"));
+        lens.push(jobs_line_len(&snapshot));
+        println!(
+            "resume-smoke churn at {pct:>2}% of the makespan: ok ({} snapshot bytes, \
+             jobs section {} bytes)",
+            snapshot.len(),
+            lens[lens.len() - 1]
+        );
+    }
+    assert!(
+        lens[1] < lens[0],
+        "resume-smoke: the jobs section grew from {} to {} bytes as jobs finished",
+        lens[0],
+        lens[1]
+    );
+
     println!(
         "resume-smoke OK: {} schemes x 3 seeds byte-identical across a mid-run \
          restore (faults on, {total_failures} timing failures exercised); \
          streaming pause/resume identical; fork-control equals resume; peak \
-         buffered arrivals in the streaming leg: {}",
+         buffered arrivals in the streaming leg: {}; churn jobs section \
+         {} -> {} bytes from 25% to 90% of the makespan",
         Scheme::ALL.len(),
-        stream.peak_buffered
+        stream.peak_buffered,
+        lens[0],
+        lens[1]
     );
 }

@@ -1,7 +1,7 @@
 //! Federations run on the one `Driver`: stepping them in slices, feeding
 //! them from a `JobSource`, and asking them for a snapshot must behave
 //! like the single-site driver does — same bytes as the uninterrupted
-//! materialized run, and a checked error where snapshot v1 stops.
+//! materialized run, and a checked error where snapshots stop.
 //!
 //! The scenario makes every federation-only path fire: three sites under
 //! `FollowSurplusRouter`, fault injection with retry rerouting, so failed

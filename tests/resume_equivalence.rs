@@ -544,10 +544,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// A fixed-seed run with every optional v1 section populated (faults and
+/// A fixed-seed run with every optional section populated (faults and
 /// wear, strict audit, telemetry, power samplers, a carbon policy, price
 /// and carbon traces, a battery); paused at 14 h it has gangs running,
-/// arrivals deferred and timing failures booked.
+/// jobs finished, arrivals deferred and timing failures booked.
 fn every_section_sim() -> GreenDatacenterSim {
     let (carbon, price) = carbon_signals();
     base(Scheme::ScanFair, 42)
@@ -591,15 +591,60 @@ fn snapshot_bytes_are_pinned() {
     for line in snapshot.lines() {
         assert!(
             !line.ends_with("\"data\":null}"),
-            "every v1 section must be populated: {}",
+            "every section must be populated: {}",
             &line[..line.len().min(60)]
         );
     }
+    assert!(
+        jobs_line(&snapshot).contains("null,"),
+        "no job has finished"
+    );
     assert_eq!(
         (snapshot.len(), fnv1a(snapshot.as_bytes())),
-        (37_665, 0x1469_4f96_8093_f76b),
+        (32_889, 0xe153_e40c_8343_afa7),
         "snapshot bytes changed"
     );
+}
+
+/// The `jobs` line of a snapshot document.
+fn jobs_line(doc: &str) -> &str {
+    let jobs = doc.lines().find(|l| l.starts_with("{\"section\":\"jobs\""));
+    jobs.expect("a jobs section")
+}
+
+/// [`every_section_snapshot`] as the version-1 format wrote it, which
+/// kept a full `"done"` record for every finished job.
+const V1_EVERY_SECTION: &str = include_str!("data/snapshot_v1_every_section.jsonl");
+
+/// A version-1 document still resumes: its finished jobs' records are
+/// checked and stored as tombstones, the run continues byte-identically,
+/// and a capture right after the resume equals the current format's
+/// capture at the same instant.
+#[test]
+fn v1_snapshot_resumes_byte_identically() {
+    assert_eq!(
+        (V1_EVERY_SECTION.len(), fnv1a(V1_EVERY_SECTION.as_bytes())),
+        (37_665, 0x1469_4f96_8093_f76b),
+        "the v1 fixture changed"
+    );
+    let sim = every_section_sim();
+    // A finished job's record is checked before it becomes a tombstone.
+    let bad_done =
+        V1_EVERY_SECTION.replacen("\"high\",[0,1],\"done\"", "\"high\",[0,99],\"done\"", 1);
+    let err = SimDriver::resume(input(&sim), &bad_done).err();
+    let err = err.expect("a done record with chip 99 must fail");
+    assert!(
+        err.to_string().contains("job chip 99 out of range"),
+        "{err}"
+    );
+    let resumed = SimDriver::resume(input(&sim), V1_EVERY_SECTION).expect("restore v1");
+    let again = resumed.snapshot().expect("re-capture");
+    assert!(
+        again == every_section_snapshot(),
+        "a v1 resume re-captures differently from the uninterrupted capture"
+    );
+    let (unbroken, _) = SimDriver::new(input(&sim)).finish();
+    assert_identical(&unbroken, &resumed.finish().0, "v1 resume");
 }
 
 /// Restore then capture reproduces the document byte for byte: every
@@ -642,7 +687,7 @@ fn resume_then_snapshot_is_byte_identical() {
     let mut paused = SimDriver::new(input(&churn));
     paused.run_until(SimTime::from_millis(whole.makespan.as_millis() / 2));
     let snapshot = paused.snapshot().expect("capture");
-    assert!(snapshot.contains("\"running\",") && snapshot.contains("\"done\","));
+    assert!(snapshot.contains("\"running\",") && jobs_line(&snapshot).contains("null,"));
     assert_round_trip(&churn, &snapshot, "checkpoint-churn shape");
 }
 
@@ -675,6 +720,29 @@ fn number_spans(doc: &str) -> Vec<(usize, usize)> {
     spans
 }
 
+/// Byte ranges in `doc` of the entries of its `jobs` array: a live job's
+/// record, or `null` for a finished job.
+fn job_entries(doc: &str) -> Vec<(usize, usize)> {
+    let line = jobs_line(doc);
+    let open = "{\"section\":\"jobs\",\"data\":[";
+    let base = line.as_ptr() as usize - doc.as_ptr() as usize + open.len();
+    let body = &line[open.len()..line.len() - 2];
+    let (mut entries, mut start, mut depth) = (Vec::new(), 0, 0);
+    for (i, c) in body.bytes().enumerate() {
+        match c {
+            b'[' => depth += 1,
+            b']' => depth -= 1,
+            b',' if depth == 0 => {
+                entries.push((base + start, base + i));
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    entries.push((base + start, base + body.len()));
+    entries
+}
+
 /// One mutation of `doc`, chosen and placed by `kind`, `a` and `b`.
 fn mutate(doc: &str, kind: u8, a: u64, b: u64) -> String {
     let bytes = doc.as_bytes();
@@ -702,6 +770,21 @@ fn mutate(doc: &str, kind: u8, a: u64, b: u64) -> String {
             }
             lines.join("\n") + "\n"
         }
+        // A live job's record replaced by `null`, or a `null` by the
+        // record of a live job.
+        5 | 6 => {
+            let (nulls, live): (Vec<_>, Vec<_>) = job_entries(doc)
+                .into_iter()
+                .partition(|&(s, e)| &doc[s..e] == "null");
+            let pick = |of: &[(usize, usize)], k: u64| of[(k % of.len() as u64) as usize];
+            let ((start, end), with) = if kind == 5 {
+                (pick(&live, a), "null")
+            } else {
+                let (s, e) = pick(&live, b);
+                (pick(&nulls, a), &doc[s..e])
+            };
+            format!("{}{with}{}", &doc[..start], &doc[end..])
+        }
         // A number replaced by one the field cannot hold.
         _ => {
             let spans = number_spans(doc);
@@ -716,10 +799,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(240))]
 
     /// Malformed snapshots are checked errors, never panics: resuming (and
-    /// forking) a mutated copy of a document with every v1 section
-    /// populated returns `Ok` or `Err`.
+    /// forking) a mutated copy of a document with every section populated
+    /// returns `Ok` or `Err`. A job record swapped for `null` or back is
+    /// always an `Err`.
     #[test]
-    fn mutated_snapshots_never_panic(kind in 0u8..5, a in any::<u64>(), b in any::<u64>()) {
+    fn mutated_snapshots_never_panic(kind in 0u8..7, a in any::<u64>(), b in any::<u64>()) {
         static DOC: std::sync::OnceLock<(GreenDatacenterSim, String)> = std::sync::OnceLock::new();
         let (sim, doc) = DOC.get_or_init(|| (every_section_sim(), every_section_snapshot()));
         let text = mutate(doc, kind, a, b);
@@ -732,10 +816,11 @@ proptest! {
                     SimDriver::resume(i, &text).map(drop)
                 }
             }));
+            let how = if fork { "fork" } else { "resume" };
+            prop_assert!(outcome.is_ok(), "{how} panicked on mutation {kind} ({a}, {b})");
             prop_assert!(
-                outcome.is_ok(),
-                "{} panicked on mutation {kind} ({a}, {b})",
-                if fork { "fork" } else { "resume" }
+                kind < 5 || matches!(outcome, Ok(Err(_))),
+                "{how} accepted mutation {kind} ({a}, {b})"
             );
         }
     }
@@ -772,7 +857,7 @@ fn hand_edited_snapshots_are_checked_errors() {
         ),
         (
             "CPU-boundness past 1",
-            "0.8837703663936215",
+            "0.8608304025690655",
             "1.5",
             "outside [0, 1]",
         ),
@@ -793,6 +878,42 @@ fn hand_edited_snapshots_are_checked_errors() {
             "\"queues\",\"data\":[[],[],[],[],[],[],[],[],[],[],[],[],[],[29,",
             "\"queues\",\"data\":[[],[],[],[],[],[],[],[],[],[],[],[],[],[25,29,",
             "does not head the queues of its chips",
+        ),
+        (
+            "finished job in a chip queue",
+            "[29,25,15,16]",
+            "[29,25,0,16]",
+            "a chip queue names job 0, which has finished",
+        ),
+        (
+            "finished job running",
+            "\"running\",\"data\":[29,36]",
+            "\"running\",\"data\":[29,0]",
+            "the running set names job 0, which has finished",
+        ),
+        (
+            "finished job deferred",
+            "\"deferred\",\"data\":[30,31,33,34]",
+            "\"deferred\",\"data\":[30,31,33,0]",
+            "the deferred list names job 0, which has finished",
+        ),
+        (
+            "arrival of a finished job",
+            "[\"arrival\",37]",
+            "[\"arrival\",0]",
+            "a pending arrival names job 0, which has finished",
+        ),
+        (
+            "retry of a finished job",
+            "[50447434,[\"retry\",35]]",
+            "[50447434,[\"retry\",0]]",
+            "a pending retry names job 0, which has finished",
+        ),
+        (
+            "finished count off",
+            "\"done_count\":25",
+            "\"done_count\":24",
+            "done_count 24 disagrees with the job table's 25 finished jobs",
         ),
         (
             "event before the clock",
@@ -822,7 +943,7 @@ fn hand_edited_snapshots_are_checked_errors() {
             "in-situ scan end",
             "[50447434,[\"retry\",35]]",
             "[50447434,[\"profiling_done\",0]]",
-            "names chip 0, but snapshot v1 holds no in-situ scan",
+            "names chip 0, but snapshots hold no in-situ scan",
         ),
         (
             "keys out of order",
@@ -843,6 +964,14 @@ fn hand_edited_snapshots_are_checked_errors() {
             .unwrap_or_else(|| panic!("{edit} must fail"));
         assert!(err.to_string().contains(expect), "{edit}: {err}");
     }
+    // A stale completion may name a finished job: its phase check skips it.
+    let stale = doc.replacen(
+        "[[50447434,[\"retry\",35]]",
+        "[[50447434,[\"completion\",0,9]],[50447434,[\"retry\",35]]",
+        1,
+    );
+    let resumed = SimDriver::resume(input(&sim), &stale).expect("stale completion restores");
+    assert_eq!(resumed.finish().0.jobs, 60);
     // A fault-free run has no fault state for a timing failure or a
     // re-scan end to act on.
     let plain = base(Scheme::ScanFair, 42);
