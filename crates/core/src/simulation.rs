@@ -15,7 +15,7 @@
 //! events, wind is piecewise-constant between `WindSample`s, so the
 //! ledger's wind/utility split is event-by-event exact.
 //!
-//! [`SimDriver`] (a pre-admitted workload), [`StreamDriver`] (one site
+//! [`SimDriver`] (a materialized workload), [`StreamDriver`] (one site
 //! fed from a [`JobSource`]) and [`crate::run_federation`] are names over
 //! the same driver; routing policies live in [`crate::federation`].
 
@@ -492,11 +492,10 @@ const STEP_BUDGET: u64 = 200_000_000;
 /// Every arrival takes one path: pull from the source, route, clamp to
 /// the destination's widest gang, admit, and dispatch. The merge loop
 /// admits the source's next job whenever its submit instant is not later
-/// than the next queued event, so arrivals win equal-time ties exactly as
-/// pre-admitted (lowest-sequence) arrivals do, and a streamed run of a
-/// job sequence processes events in the order a pre-admitted run of the
-/// same jobs does. Memory holds the admitted jobs plus the source's
-/// bounded reorder buffer, never the full trace.
+/// than the next queued event, so arrivals win equal-time ties and the
+/// engine queue never holds one: it is primed only with periodic events
+/// and a restored snapshot's pending events. Memory holds the admitted
+/// jobs plus what the source buffers, never more of the trace.
 ///
 /// Stepping never perturbs event order, RNG streams, or the ledger:
 /// `run_until` in slices gives the same run as one uninterrupted drain.
@@ -522,7 +521,7 @@ pub type StreamDriver<S> = Driver<S>;
 impl<S: JobSource> Driver<S> {
     /// One site fed from `source`; no jobs are pulled yet.
     pub fn new(input: SimInput, source: S) -> Self {
-        Self::build(vec![input], source, None, Workload::default())
+        Self::build(vec![input], source, None)
     }
 
     /// `input.sites` behind `input.router`, fed from `source`.
@@ -537,18 +536,17 @@ impl<S: JobSource> Driver<S> {
 
     /// [`Driver::build`] for `input.sites` behind `input.router`.
     fn federated(input: FederationInput, source: S, widest: Option<u32>) -> Self {
-        let mut driver = Self::build(input.sites, source, widest, Workload::default());
+        let mut driver = Self::build(input.sites, source, widest);
         driver.fed.router = input.router;
         driver.fed.wan_delay = input.wan_delay;
         driver.fed.reroute_retries = input.reroute_retries;
         driver
     }
 
-    /// Builds the sites, admits `preadmit` to site 0 as queued arrivals,
-    /// and primes every site's periodic events. `widest` is the widest
-    /// job known up front (`None` for an open source); it sizes each
-    /// site's fault floor, capped at that site's gang clamp.
-    fn build(inputs: Vec<SimInput>, source: S, widest: Option<u32>, preadmit: Workload) -> Self {
+    /// Builds the sites and primes every site's periodic events. `widest`
+    /// is the widest job known up front (`None` for an open source); it
+    /// sizes each site's fault floor, capped at that site's gang clamp.
+    fn build(inputs: Vec<SimInput>, source: S, widest: Option<u32>) -> Self {
         assert!(!inputs.is_empty(), "a federation needs at least one site");
         let seed = inputs[0].seed;
         let mut sites = Vec::with_capacity(inputs.len());
@@ -561,14 +559,6 @@ impl<S: JobSource> Driver<S> {
         }
         let fed = Federation::new(sites, max_gang);
         Self::assemble(fed, source, seed, |fed, engine| {
-            // Pre-admitted arrivals stay queued events because snapshots
-            // record them as pending arrivals. Primed before the periodic
-            // events, they win equal-time ties as streamed arrivals do.
-            for job in preadmit.into_jobs() {
-                let at = job.submit;
-                let idx = fed.admit(0, job, 0);
-                engine.prime(at, Ev::Site(0, SiteEv::Arrival(idx)));
-            }
             for s in &fed.sites {
                 for (at, ev) in s.initial_events() {
                     engine.prime(at, Ev::Site(s.site_id, ev));
@@ -655,23 +645,22 @@ impl<S: JobSource> Driver<S> {
     /// constructed with the original parameters; its first `admitted`
     /// jobs are discarded to land exactly where the snapshot left off.
     pub fn resume(input: SimInput, source: S, snapshot: &str) -> Result<Self, SnapshotError> {
-        Self::restore(input, source, snapshot, false, true)
+        Self::restore(input, source, snapshot, false)
     }
 
     /// Rebuilds one site from `snapshot` (see [`SimDriver::fork`] for what
-    /// `fork` relaxes). With `replay`, the source's first `admitted` jobs
-    /// are discarded; a pre-admitted run's jobs are all in the snapshot.
+    /// `fork` relaxes) and discards the source's first `admitted` jobs,
+    /// which the snapshot already holds. A source with fewer jobs than
+    /// that is a [`SnapshotError::Mismatch`].
     fn restore(
         input: SimInput,
         mut source: S,
         snapshot: &str,
         fork: bool,
-        replay: bool,
     ) -> Result<Self, SnapshotError> {
         let (seed, max_gang) = (input.seed, input.max_gang());
         let (site, rp) = SiteState::restore_from(input, 0, snapshot, fork)?;
-        let skip = if replay { rp.admitted } else { 0 };
-        for k in 0..skip {
+        for k in 0..rp.admitted {
             source
                 .next_job()
                 .map_err(|e| {
@@ -757,10 +746,16 @@ impl Driver<WorkloadSource> {
     /// jobs as they submit: the run [`crate::run_federation`] performs,
     /// but steppable.
     pub fn federation(mut input: FederationInput) -> Self {
-        let jobs = std::mem::take(&mut input.workload);
-        let widest = jobs.max_cpus();
-        Self::federated(input, WorkloadSource::new(jobs), Some(widest))
+        let (source, widest) = materialized(&mut input.workload);
+        Self::federated(input, source, Some(widest))
     }
+}
+
+/// Takes `workload` out as a source, with its widest job.
+fn materialized(workload: &mut Workload) -> (WorkloadSource, u32) {
+    let jobs = std::mem::take(workload);
+    let widest = jobs.max_cpus();
+    (WorkloadSource::new(jobs), widest)
 }
 
 /// Runs one simulation to completion and returns the report.
@@ -768,24 +763,22 @@ pub fn run_simulation(input: SimInput) -> RunReport {
     SimDriver::new(input).finish().0
 }
 
-/// Interactive single-site driver with the whole workload pre-admitted:
-/// the run [`run_simulation`] performs, but steppable, checkpointable,
-/// and resumable. A thin name over [`Driver`]. Stepping, snapshotting,
-/// and resuming never perturb event order, RNG streams, or the ledger, so
+/// Interactive single-site driver streamed from `input.workload`: the
+/// run [`run_simulation`] performs, but steppable, checkpointable, and
+/// resumable. A thin name over [`Driver`]. Stepping, snapshotting, and
+/// resuming never perturb event order, RNG streams, or the ledger, so
 /// `new(input) → run_until(t) → snapshot → resume → finish` produces
 /// bit-identical reports and telemetry to `new(input) → finish`.
 pub struct SimDriver(Driver<WorkloadSource>);
 
-/// A pre-admitted run pulls nothing, so its empty source cannot fail.
-const NO_PULLS: &str = "a pre-admitted run pulls no jobs";
+/// A materialized workload's source cannot fail.
+const NO_PULLS: &str = "a materialized workload cannot fail a pull";
 
 impl SimDriver {
-    /// Builds the driver with `input.workload` pre-admitted.
+    /// Builds the driver; `input.workload` streams in as it submits.
     pub fn new(mut input: SimInput) -> SimDriver {
-        let jobs = std::mem::take(&mut input.workload);
-        let widest = jobs.max_cpus();
-        let source = WorkloadSource::default();
-        SimDriver(Driver::build(vec![input], source, Some(widest), jobs))
+        let (source, widest) = materialized(&mut input.workload);
+        SimDriver(Driver::build(vec![input], source, Some(widest)))
     }
 
     /// Processes every event scheduled at or before `t`, then stops.
@@ -805,19 +798,24 @@ impl SimDriver {
 
     /// Rebuilds a paused run from a snapshot. `input` must describe the
     /// same run the snapshot was taken from (same scheme, seed, fleet,
-    /// and instrument set — mismatches are [`SnapshotError::Mismatch`]);
-    /// the continued run is bit-identical to never having stopped.
-    pub fn resume(input: SimInput, snapshot: &str) -> Result<SimDriver, SnapshotError> {
-        Driver::restore(input, WorkloadSource::default(), snapshot, false, false).map(SimDriver)
+    /// workload, and instrument set — mismatches are
+    /// [`SnapshotError::Mismatch`]); the continued run is bit-identical
+    /// to never having stopped.
+    pub fn resume(mut input: SimInput, snapshot: &str) -> Result<SimDriver, SnapshotError> {
+        let (source, _) = materialized(&mut input.workload);
+        Driver::resume(input, source, snapshot).map(SimDriver)
     }
 
     /// What-if branching: rebuilds the snapshotted mid-run state under a
     /// *different* input — scheme, placement, supply, and knobs come from
-    /// `input`, while jobs, ledgers, wear, RNG streams, and pending
-    /// events continue from the snapshot. Structural facts (fleet shape,
-    /// instrument set) must still match.
-    pub fn fork(input: SimInput, snapshot: &str) -> Result<SimDriver, SnapshotError> {
-        Driver::restore(input, WorkloadSource::default(), snapshot, true, false).map(SimDriver)
+    /// `input`, while admitted jobs, ledgers, wear, RNG streams, and
+    /// pending events continue from the snapshot. As in a resume, the
+    /// jobs not yet submitted come from `input.workload` past its first
+    /// `admitted`. Structural facts (fleet shape, instrument set) must
+    /// still match.
+    pub fn fork(mut input: SimInput, snapshot: &str) -> Result<SimDriver, SnapshotError> {
+        let (source, _) = materialized(&mut input.workload);
+        Driver::restore(input, source, snapshot, true).map(SimDriver)
     }
 
     /// Runs the remaining events to completion and returns the report

@@ -652,8 +652,9 @@ impl SiteState {
                 mismatch!("pending event at {at} precedes the snapshot clock {clock}");
             }
             // Stale completions and timing failures may name a finished
-            // job (their phase checks skip them); arrivals and retries
-            // only ever name waiting ones.
+            // job (their phase checks skip them); retries, and the queued
+            // arrivals of documents that admitted a whole workload up
+            // front, only ever name waiting ones.
             use SiteEv::{Arrival, Completion, Retry, TimingFailure};
             match *ev {
                 Arrival(i) => check_live(&self.jobs, "a pending arrival", i)?,

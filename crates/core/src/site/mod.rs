@@ -184,7 +184,7 @@ pub(crate) struct SiteState {
     pub(crate) site_id: u32,
     pub(crate) scheme_name: String,
     /// Set by the driver while the source or another site may still send
-    /// work here; always `false` for a pre-admitted run.
+    /// work here.
     pub(crate) expect_more: bool,
     /// Jobs handed to another site on retry (locally `Done`).
     pub(crate) migrated_out: u64,

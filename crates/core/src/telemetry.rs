@@ -121,13 +121,6 @@ fn write_line(w: &mut Writer, r: &TelemetryRecord) {
         .expect("telemetry channels are finite");
 }
 
-/// Renders one record as a single JSON line (no trailing newline).
-pub fn render_line(r: &TelemetryRecord) -> String {
-    let mut w = Writer::new();
-    write_line(&mut w, r);
-    w.finish()
-}
-
 /// Renders records as JSONL: one object per line, trailing newline.
 pub fn render_jsonl(records: &[TelemetryRecord]) -> String {
     let mut w = Writer::new();
@@ -243,10 +236,10 @@ mod tests {
         // The JSONL schema EXPERIMENTS.md documents: key order, integral
         // floats with a `.0` suffix, integers bare, no whitespace.
         assert_eq!(
-            render_line(&record(600.0)),
+            render_jsonl(&[record(600.0)]),
             "{\"site\":0,\"t_s\":600.0,\"supply_w\":12500.25,\"demand_w\":9800.0,\
              \"utility_w\":0.0,\"queue_depth\":7,\"level_jobs\":[0,1,0,3,9],\
-             \"quarantined\":2,\"gco2\":1234.5,\"cost_usd\":0.875}"
+             \"quarantined\":2,\"gco2\":1234.5,\"cost_usd\":0.875}\n"
         );
     }
 
@@ -263,7 +256,7 @@ mod tests {
         assert_eq!(render_jsonl(&back), text);
         assert_eq!(
             text.lines().nth(2).unwrap(),
-            render_line(&record(600.0)),
+            render_jsonl(&[record(600.0)]).trim_end(),
             "one record per line, in order"
         );
     }
@@ -274,7 +267,7 @@ mod tests {
         r.supply_w = 1.0 / 3.0;
         r.demand_w = 1e-300;
         r.utility_w = 98_765.432_1;
-        let back = parse_line(&render_line(&r)).unwrap();
+        let back = parse_line(render_jsonl(&[r.clone()]).trim_end()).unwrap();
         assert_eq!(back.supply_w.to_bits(), r.supply_w.to_bits());
         assert_eq!(back.demand_w.to_bits(), r.demand_w.to_bits());
         assert_eq!(back.utility_w.to_bits(), r.utility_w.to_bits());
@@ -312,7 +305,7 @@ mod tests {
 
     #[test]
     fn blank_lines_are_skipped() {
-        let text = format!("\n{}\n\n", render_line(&record(5.0)));
+        let text = format!("\n{}\n", render_jsonl(&[record(5.0)]));
         let back = parse_jsonl(&text).unwrap();
         assert_eq!(back.len(), 1);
         assert_eq!(back[0], record(5.0));

@@ -95,8 +95,8 @@ impl<E> Engine<E> {
     ///
     /// This is how the driver injects every arrival: an arrival dispatched
     /// here when `at <= peek_time()` fires *before* every queued event at
-    /// the same timestamp — exactly the order a pre-primed run gives
-    /// arrivals, whose sequence numbers predate all runtime events.
+    /// the same timestamp, and arrivals at one instant fire in the order
+    /// they are dispatched.
     pub fn dispatch<M: Model<E>>(&mut self, model: &mut M, at: SimTime, event: E) {
         self.queue.advance_to(at);
         self.steps += 1;

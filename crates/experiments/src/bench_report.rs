@@ -630,8 +630,8 @@ pub fn smoke_sim(seed: u64) -> GreenDatacenterSim {
 /// `iscope-exp bench-smoke` — a fast CI gate with three legs: a
 /// multi-cell [`smoke_sim`] sweep must produce bit-identical reports at
 /// 1 and 4 pool workers; (release builds only) the fleet-scale scenario
-/// must stay under the per-placement budget; and a streamed run must be
-/// bit-identical to the same jobs pre-admitted.
+/// must stay under the per-placement budget; and a run streamed from a
+/// synthetic source must be bit-identical to the same jobs materialized.
 pub fn smoke() {
     // Leg 1: the parallel-sweep identity gate. The same multi-cell sweep
     // at 1 and 4 pool workers must yield bit-identical reports — the
@@ -704,8 +704,8 @@ pub fn smoke() {
     }
 
     // Leg 3: streaming-ingestion parity. The same synthetic jobs, once
-    // materialized and pre-admitted and once pulled incrementally from
-    // the streaming source, must produce bit-identical reports — and the
+    // materialized as a workload and once pulled incrementally from the
+    // streaming source, must produce bit-identical reports — and the
     // source's buffer high-water mark must stay far below the job count
     // (the streamed run never rebuilds the materialized vector).
     use iscope_workload::JobSource;
@@ -733,7 +733,7 @@ pub fn smoke() {
     while let Some(j) = probe.next_job().expect("synthetic sources cannot fail") {
         jobs.push(j);
     }
-    let preadmitted = builder(Workload::new(jobs)).build().run();
+    let materialized = builder(Workload::new(jobs)).build().run();
     let (streamed, _, stream) = StreamDriver::new(
         builder(Workload::new(vec![])).build().into_input(),
         SyntheticSource::new(trace(), Shaper::default(), 42),
@@ -747,14 +747,14 @@ pub fn smoke() {
         stream.peak_buffered
     );
     assert_eq!(
-        preadmitted.ledger, streamed.ledger,
+        materialized.ledger, streamed.ledger,
         "bench-smoke: streaming ingestion changed the energy ledger"
     );
-    assert_eq!(preadmitted.makespan, streamed.makespan);
-    assert_eq!(preadmitted.deadline_misses, streamed.deadline_misses);
-    assert_eq!(preadmitted.usage_hours, streamed.usage_hours);
+    assert_eq!(materialized.makespan, streamed.makespan);
+    assert_eq!(materialized.deadline_misses, streamed.deadline_misses);
+    assert_eq!(materialized.usage_hours, streamed.usage_hours);
     println!(
-        "bench-smoke OK: streamed run bit-identical to pre-admitted \
+        "bench-smoke OK: streamed run bit-identical to materialized \
          ({} jobs, peak {} buffered)",
         stream.emitted, stream.peak_buffered
     );

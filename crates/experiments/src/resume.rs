@@ -13,12 +13,14 @@
 //! 3. a **fork** of the snapshot under the unchanged input equals the
 //!    plain resume — branching is a superset of resuming, not a
 //!    different machine;
-//! 4. on a **checkpoint-churn**-shaped run, snapshot size follows the
-//!    live set: the `jobs` section captured at 90% of the makespan is
-//!    shorter than the one at 25% (finished jobs are `null`), and both
+//! 4. on a **checkpoint-churn**-shaped run, a snapshot holds the live
+//!    set only: at 25% and at 90% of the makespan no job record submits
+//!    after the pause and no arrival is queued (jobs not yet submitted
+//!    stay in the workload, finished jobs are `null`), and both
 //!    snapshots resume byte-identically.
 
 use iscope::prelude::*;
+use iscope::snapshot::{parse, Val};
 use iscope::{
     AuditConfig, FaultInjectionConfig, RunReport, SimDriver, SimInput, StreamDriver,
     TelemetryConfig,
@@ -61,8 +63,8 @@ fn input(sim: &GreenDatacenterSim) -> SimInput {
     sim.clone().build().into_input()
 }
 
-/// Shaped like perfbench's checkpoint-churn, smaller: BinEffi with
-/// pre-admitted jobs and telemetry.
+/// Shaped like perfbench's checkpoint-churn, smaller: BinEffi with a
+/// materialized workload and telemetry.
 fn churn() -> GreenDatacenterSim {
     GreenDatacenterSim::builder()
         .fleet_size(96)
@@ -91,6 +93,56 @@ fn jobs_line_len(snapshot: &str) -> usize {
         .len()
 }
 
+/// Checks that `snapshot` holds only what its run had seen at the pause:
+/// no job record (submit is its second field) submits after the header's
+/// `now_ms`, and no arrival is queued in the events section.
+fn assert_live_set_only(snapshot: &str, label: &str) {
+    fn items(v: &Val) -> &[Val] {
+        match v {
+            Val::Arr(items) => items,
+            other => panic!("resume-smoke: expected an array, found {other:?}"),
+        }
+    }
+    fn int(v: &Val) -> i128 {
+        match v {
+            Val::Int(n) => *n,
+            other => panic!("resume-smoke: expected an integer, found {other:?}"),
+        }
+    }
+    let mut now = None;
+    for line in snapshot.lines() {
+        let line = parse(line).expect("resume-smoke: snapshot line parses");
+        let data = line.get("data").expect("resume-smoke: section data");
+        let Ok(Val::Str(section)) = line.get("section") else {
+            panic!("resume-smoke: a snapshot line without a section name");
+        };
+        match section.as_str() {
+            "header" => now = Some(int(data.get("now_ms").expect("header clock"))),
+            "jobs" => {
+                let now = now.expect("resume-smoke: the header precedes the jobs");
+                for record in items(data).iter().filter(|r| **r != Val::Null) {
+                    let submit = int(&items(record)[1]);
+                    assert!(
+                        submit <= now,
+                        "resume-smoke: {label}: a job submitting at {submit} ms is in a \
+                         snapshot paused at {now} ms"
+                    );
+                }
+            }
+            "events" => {
+                for event in items(data) {
+                    let kind = &items(&items(event)[1])[0];
+                    assert!(
+                        *kind != Val::Str("arrival".to_string()),
+                        "resume-smoke: {label}: the snapshot queues an arrival"
+                    );
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
 fn assert_bytes_identical(unbroken: &RunReport, resumed: &RunReport, label: &str) {
     assert_eq!(
         format!("{unbroken:?}"),
@@ -107,7 +159,7 @@ fn assert_bytes_identical(unbroken: &RunReport, resumed: &RunReport, label: &str
 
 /// Runs the gate; panics on any divergence.
 pub fn smoke() {
-    // 1. Pre-admitted matrix: schemes × seeds, faults on.
+    // 1. Materialized-workload matrix: schemes × seeds, faults on.
     let mut total_failures = 0;
     for scheme in Scheme::ALL {
         for seed in [1, 2, 3] {
@@ -189,7 +241,7 @@ pub fn smoke() {
         .expect("resumed streaming run");
     assert_bytes_identical(&unbroken, &resumed, "streaming");
 
-    // 4. Snapshot size follows the live set, not the run's history.
+    // 4. A snapshot holds the live set, not the run's history or future.
     let sim = churn();
     let (unbroken, _) = SimDriver::new(input(&sim)).finish();
     let mut lens = Vec::new();
@@ -199,6 +251,7 @@ pub fn smoke() {
         paused.run_until(at);
         let snapshot = paused.snapshot().expect("capture churn run");
         drop(paused);
+        assert_live_set_only(&snapshot, &format!("churn at {pct}%"));
         let (resumed, _) = SimDriver::resume(input(&sim), &snapshot)
             .expect("restore churn snapshot")
             .finish();
@@ -211,19 +264,13 @@ pub fn smoke() {
             lens[lens.len() - 1]
         );
     }
-    assert!(
-        lens[1] < lens[0],
-        "resume-smoke: the jobs section grew from {} to {} bytes as jobs finished",
-        lens[0],
-        lens[1]
-    );
 
     println!(
         "resume-smoke OK: {} schemes x 3 seeds byte-identical across a mid-run \
          restore (faults on, {total_failures} timing failures exercised); \
          streaming pause/resume identical; fork-control equals resume; peak \
-         buffered arrivals in the streaming leg: {}; churn jobs section \
-         {} -> {} bytes from 25% to 90% of the makespan",
+         buffered arrivals in the streaming leg: {}; churn snapshots hold the \
+         live set only, jobs section {} -> {} bytes from 25% to 90% of the makespan",
         Scheme::ALL.len(),
         stream.peak_buffered,
         lens[0],

@@ -5,9 +5,10 @@
 //! A [`JobSource`] yields fully shaped [`Job`]s in non-decreasing submit
 //! order, one at a time. The driver merges the source against its event
 //! queue: whenever the next submission is not later than the next queued
-//! event, the job is admitted and its arrival dispatched directly, so a
-//! streaming run processes events in exactly the order a pre-admitted run
-//! does (arrivals win equal-time ties in both).
+//! event, the job is admitted and its arrival dispatched directly, so
+//! arrivals win equal-time ties and a run of the same job sequence
+//! processes the same events in the same order whichever source it
+//! comes from.
 //!
 //! Three backends:
 //!

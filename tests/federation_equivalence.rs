@@ -3,8 +3,8 @@
 //! telemetry JSONL — to the plain `run_simulation` path, across all five
 //! schemes and with fault injection enabled.
 //!
-//! Why this must hold: the federation primes the same event sequence
-//! (arrivals in workload order, then the site's periodic loops), the
+//! Why this must hold: both runs prime the same periodic loops and admit
+//! the workload's jobs through the same path in the same order, the
 //! engine breaks time ties by insertion order, the null router consumes
 //! no randomness, and a lone site's `expect_more` flag reduces every
 //! rescheduling condition to the single-site one. Any drift in that chain

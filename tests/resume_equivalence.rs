@@ -2,7 +2,8 @@
 //! serialized to a snapshot document, and resumed in a fresh process
 //! image must be byte-identical — report and telemetry JSONL — to the
 //! run that never stopped, across all five schemes, with fault injection
-//! on, across seeds, and for both pre-admitted and streaming ingestion.
+//! on, across seeds, and for both a materialized workload and a
+//! streaming source.
 //!
 //! Why this must hold: the snapshot serializes every mutable field
 //! (including all three RNG streams mid-sequence and the pending event
@@ -503,23 +504,24 @@ fn streaming_resume_matches_uninterrupted_streaming() {
 }
 
 #[test]
-fn streaming_matches_preadmitted_on_the_same_jobs() {
+fn streaming_matches_materialized_on_the_same_jobs() {
     // Fault-free: the fault machinery sizes its availability floor to
-    // the gang clamp under streaming but to the workload's actual widest
-    // job when pre-admitted, so exact parity is a fault-free property.
+    // the gang clamp under an open source but to the workload's actual
+    // widest job when the workload is materialized, so exact parity is a
+    // fault-free property.
     let (stream_input, source) = stream_parts(7, false);
     let (streamed, _, stream) = StreamDriver::new(stream_input, source)
         .run()
         .expect("streaming run");
     assert_eq!(stream.emitted, 300);
-    // Materialize the identical job sequence and pre-admit it.
+    // Materialize the identical job sequence and run it as a workload.
     let (_, mut probe) = stream_parts(7, false);
     let mut jobs = Vec::new();
     while let Some(j) = probe.next_job().expect("drain probe source") {
         jobs.push(j);
     }
     let farm = WindFarm::default();
-    let preadmitted = GreenDatacenterSim::builder()
+    let materialized = GreenDatacenterSim::builder()
         .fleet_size(48)
         .scheme(Scheme::ScanFair)
         .workload(Workload::new(jobs))
@@ -534,7 +536,7 @@ fn streaming_matches_preadmitted_on_the_same_jobs() {
         .telemetry(TelemetryConfig::default())
         .build()
         .run();
-    assert_identical(&preadmitted, &streamed, "streaming vs preadmitted");
+    assert_identical(&materialized, &streamed, "streaming vs materialized");
 }
 
 /// 64-bit FNV-1a: a stable, dependency-free fingerprint of a byte string.
@@ -583,8 +585,9 @@ fn every_section_snapshot() -> String {
 
 /// Golden snapshot bytes of [`every_section_sim`] paused mid-run.
 /// Resume parity alone cannot see a change to the document itself, so
-/// this pins its exact bytes; any schema or encoding change must bump
-/// `SNAPSHOT_VERSION` and re-record these constants deliberately.
+/// this pins its exact bytes; any change to what the document holds must
+/// re-record these constants deliberately, and a schema or encoding
+/// change must also bump `SNAPSHOT_VERSION`.
 #[test]
 fn snapshot_bytes_are_pinned() {
     let snapshot = every_section_snapshot();
@@ -601,10 +604,15 @@ fn snapshot_bytes_are_pinned() {
     );
     assert_eq!(
         (snapshot.len(), fnv1a(snapshot.as_bytes())),
-        (32_889, 0xe153_e40c_8343_afa7),
+        (29_395, 0x9d57_9270_b750_97a0),
         "snapshot bytes changed"
     );
 }
+
+/// [`snapshot_bytes_are_pinned`]'s fingerprint while the driver still
+/// queued every job of a materialized workload as an `Arrival` event at
+/// t = 0, so the document held the jobs not yet submitted too.
+const QUEUED_ARRIVALS_PIN: (usize, u64) = (32_889, 0xe153_e40c_8343_afa7);
 
 /// The `jobs` line of a snapshot document.
 fn jobs_line(doc: &str) -> &str {
@@ -618,8 +626,10 @@ const V1_EVERY_SECTION: &str = include_str!("data/snapshot_v1_every_section.json
 
 /// A version-1 document still resumes: its finished jobs' records are
 /// checked and stored as tombstones, the run continues byte-identically,
-/// and a capture right after the resume equals the current format's
-/// capture at the same instant.
+/// and a capture right after the resume is the version-2 document the
+/// same instant gave while every job was queued as an arrival
+/// ([`QUEUED_ARRIVALS_PIN`]): such documents admitted every job, so the
+/// resume takes none from the workload and runs their pending arrivals.
 #[test]
 fn v1_snapshot_resumes_byte_identically() {
     assert_eq!(
@@ -639,9 +649,10 @@ fn v1_snapshot_resumes_byte_identically() {
     );
     let resumed = SimDriver::resume(input(&sim), V1_EVERY_SECTION).expect("restore v1");
     let again = resumed.snapshot().expect("re-capture");
-    assert!(
-        again == every_section_snapshot(),
-        "a v1 resume re-captures differently from the uninterrupted capture"
+    assert_eq!(
+        (again.len(), fnv1a(again.as_bytes())),
+        QUEUED_ARRIVALS_PIN,
+        "a v1 resume re-captures differently from the version-2 document"
     );
     let (unbroken, _) = SimDriver::new(input(&sim)).finish();
     assert_identical(&unbroken, &resumed.finish().0, "v1 resume");
@@ -665,8 +676,8 @@ fn resume_then_snapshot_is_byte_identical() {
         &every_section_snapshot(),
         "every section",
     );
-    // Shaped like perfbench's checkpoint-churn, smaller: BinEffi with
-    // pre-admitted jobs and telemetry, paused mid-run.
+    // Shaped like perfbench's checkpoint-churn, smaller: BinEffi with a
+    // materialized workload and telemetry, paused mid-run.
     let churn = GreenDatacenterSim::builder()
         .fleet_size(96)
         .scheme(Scheme::BinEffi)
@@ -899,8 +910,8 @@ fn hand_edited_snapshots_are_checked_errors() {
         ),
         (
             "arrival of a finished job",
-            "[\"arrival\",37]",
-            "[\"arrival\",0]",
+            "[50447434,[\"retry\",35]]",
+            "[50447434,[\"arrival\",0]],[50447434,[\"retry\",35]]",
             "a pending arrival names job 0, which has finished",
         ),
         (
@@ -947,8 +958,8 @@ fn hand_edited_snapshots_are_checked_errors() {
         ),
         (
             "keys out of order",
-            "\"expect_more\":false,\"migrated_out\":0",
-            "\"migrated_out\":0,\"expect_more\":false",
+            "\"expect_more\":true,\"migrated_out\":0",
+            "\"migrated_out\":0,\"expect_more\":true",
             "expected key \"expect_more\"",
         ),
         (
@@ -988,4 +999,39 @@ fn hand_edited_snapshots_are_checked_errors() {
         let expect = "names chip 0, but the run has no fault injection";
         assert!(err.to_string().contains(expect), "{event}: {err}");
     }
+}
+
+/// The jobs a resume or a fork has not admitted yet come from its input's
+/// workload, which skips the snapshot's `admitted` first: a workload
+/// shorter than that is a checked error, and a fork onto a workload cut
+/// to exactly `admitted` jobs finishes exactly those.
+#[test]
+fn restore_takes_unsubmitted_jobs_from_the_input() {
+    let sim = every_section_sim();
+    let doc = every_section_snapshot();
+    let admitted = match section(&doc, "header").get("admitted") {
+        Ok(Val::Int(n)) => *n as usize,
+        other => panic!("header without an admitted count: {other:?}"),
+    };
+    assert!(admitted > 0 && admitted < 60, "admitted {admitted}");
+    let cut = |n: usize| {
+        let mut input = input(&sim);
+        let jobs = std::mem::take(&mut input.workload).into_jobs();
+        input.workload = Workload::new(jobs.into_iter().take(n).collect());
+        input
+    };
+    let short = admitted - 1;
+    for (how, restored) in [
+        ("resume", SimDriver::resume(cut(short), &doc)),
+        ("fork", SimDriver::fork(cut(short), &doc)),
+    ] {
+        let err = restored
+            .err()
+            .unwrap_or_else(|| panic!("{how} onto {short} jobs must fail"));
+        assert!(matches!(err, SnapshotError::Mismatch(_)), "{how}: {err}");
+        let expect = format!("source ended after {short} jobs, snapshot admitted {admitted}");
+        assert!(err.to_string().contains(&expect), "{how}: {err}");
+    }
+    let forked = SimDriver::fork(cut(admitted), &doc).expect("fork onto the admitted jobs");
+    assert_eq!(forked.finish().0.jobs, admitted);
 }
