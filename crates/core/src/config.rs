@@ -3,7 +3,7 @@
 use crate::report::RunReport;
 use crate::simulation::{
     run_simulation, AuditConfig, DeferralConfig, DvfsMode, FaultInjectionConfig, InSituConfig,
-    RunStats, SimDriver, SimInput, SurplusSignal,
+    InputPlan, RunStats, SimDriver, SimInput, SurplusSignal,
 };
 use crate::telemetry::TelemetryConfig;
 use iscope_dcsim::SimDuration;
@@ -241,7 +241,8 @@ impl GreenDatacenterSim {
         self
     }
 
-    /// Assembles the fleet, operating plan, and workload.
+    /// Assembles the fleet, operating plan (or the scan that derives it),
+    /// and workload.
     pub fn build(self) -> SimRun {
         let fleet = Fleet::generate(
             self.fleet_size,
@@ -251,20 +252,15 @@ impl GreenDatacenterSim {
         );
         // With in-situ profiling the datacenter has no scan yet: every
         // scheme starts from the factory-bin plan and earns its profile
-        // during operation.
+        // during operation. A scan is deferred to the first site that
+        // needs its plan: a restore runs on the snapshot's plan instead.
         let plan = if self.in_situ.is_some() {
             let binning = iscope_pvmodel::Binning::by_efficiency(&fleet, 3);
-            iscope_pvmodel::OperatingPlan::from_binning(&fleet, &binning)
-        } else if self.per_core_domains && self.scheme.profiling() == iscope_sched::Profiling::Scan
-        {
-            let report = iscope_scanner::Scanner::new(iscope_scanner::ScannerConfig::default())
-                .profile_fleet(&fleet, self.seed);
-            iscope_pvmodel::OperatingPlan::from_scanned_per_core(
-                &fleet,
-                &report.measured_vmin_per_core,
-            )
+            iscope_pvmodel::OperatingPlan::from_binning(&fleet, &binning).into()
+        } else if self.scheme.profiling() == iscope_sched::Profiling::Scan {
+            InputPlan::scan(self.scheme, self.per_core_domains)
         } else {
-            self.scheme.build_plan(&fleet, self.seed)
+            self.scheme.build_plan(&fleet, self.seed).into()
         };
         let workload = match self.workload {
             Some(w) => w,

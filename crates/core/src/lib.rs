@@ -52,8 +52,8 @@ pub use report::{
 };
 pub use simulation::{
     run_simulation, AuditConfig, DeferralConfig, Driver, DvfsMode, FaultInjectionConfig,
-    InSituConfig, PhaseTimers, ReprofileConfig, RunStats, SimDriver, SimInput, StreamDriver,
-    StreamStats, SurplusSignal,
+    InSituConfig, InputPlan, PhaseTimers, ReprofileConfig, RunStats, SimDriver, SimInput,
+    StreamDriver, StreamStats, SurplusSignal,
 };
 pub use snapshot::SnapshotError;
 pub use telemetry::{TelemetryConfig, TelemetryRecord};

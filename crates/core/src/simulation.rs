@@ -27,9 +27,10 @@ use crate::telemetry::TelemetryConfig;
 use iscope_dcsim::{Ctx, Engine, Model, SimDuration, SimTime};
 use iscope_energy::Supply;
 use iscope_pvmodel::{CoolingModel, FailureModel, Fleet, OperatingPlan};
-use iscope_scanner::{ReprofilePolicy, ScannerConfig};
-use iscope_sched::{CarbonConfig, Placement, RetryPolicy};
+use iscope_scanner::{ReprofilePolicy, Scanner, ScannerConfig};
+use iscope_sched::{CarbonConfig, Placement, RetryPolicy, Scheme};
 use iscope_workload::{Job, JobSource, SourceError, Workload, WorkloadSource};
+use std::cell::OnceCell;
 use std::collections::VecDeque;
 
 /// Inputs of one simulation run.
@@ -38,8 +39,9 @@ pub struct SimInput {
     pub scheme_name: String,
     /// The processor fleet (hidden ground truth).
     pub fleet: Fleet,
-    /// Operating plan (applied voltages + scheduler estimates).
-    pub plan: OperatingPlan,
+    /// Operating plan (applied voltages + scheduler estimates), or the
+    /// fleet scan that derives it when a site first needs it.
+    pub plan: InputPlan,
     /// Placement policy.
     pub placement: Box<dyn Placement>,
     /// Power supply (utility-only or hybrid).
@@ -90,6 +92,86 @@ pub struct SimInput {
     /// its thresholds. `None` — or a config with no threshold set — leaves
     /// every code path bit-identical to a carbon-unaware run.
     pub carbon: Option<CarbonConfig>,
+}
+
+/// A run's operating plan: built up front (factory bins, in-situ's
+/// factory plan, a hand-built plan), or an SBFT fleet scan that runs from
+/// `(fleet, seed)` when a site first needs the plan. A restore takes its
+/// plan from the snapshot, so it runs the scan only when adaptive
+/// re-profiling needs the t = 0 plan for its cadence.
+#[derive(Debug, Clone)]
+pub struct InputPlan {
+    /// The scan still to run; `None` for a plan built up front.
+    scan: Option<FleetScan>,
+    /// Set at most once: the built plan, or the scan's result.
+    plan: OnceCell<OperatingPlan>,
+}
+
+/// The fleet scan behind a deferred plan.
+#[derive(Debug, Clone, Copy)]
+struct FleetScan {
+    /// The scheme whose chip-wide plan [`Scheme::build_plan`] gives.
+    scheme: Scheme,
+    /// Per-core voltage domains: one row per core instead of the
+    /// scheme's chip-wide rows.
+    per_core: bool,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Fleet scans this thread's deferred plans have run.
+    pub(crate) static SCANS_RUN: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl InputPlan {
+    /// A fleet scan deferred until a site needs the plan: `scheme`'s plan
+    /// ([`Scheme::build_plan`]), or with `per_core` the per-core plan of
+    /// the same SBFT campaign.
+    pub fn scan(scheme: Scheme, per_core: bool) -> InputPlan {
+        InputPlan {
+            scan: Some(FleetScan { scheme, per_core }),
+            plan: OnceCell::new(),
+        }
+    }
+
+    /// Whether the plan has per-core voltage domains; never scans.
+    pub fn is_per_core(&self) -> bool {
+        match self.scan {
+            Some(scan) => scan.per_core,
+            None => self.plan.get().is_some_and(OperatingPlan::is_per_core),
+        }
+    }
+
+    /// The plan, running the deferred scan of `fleet` under `seed` the
+    /// first time it is asked for.
+    pub fn get(&self, fleet: &Fleet, seed: u64) -> &OperatingPlan {
+        self.plan.get_or_init(|| {
+            let scan = self.scan.expect("a plan without a scan is built");
+            #[cfg(test)]
+            SCANS_RUN.with(|n| n.set(n.get() + 1));
+            if scan.per_core {
+                let report = Scanner::new(ScannerConfig::default()).profile_fleet(fleet, seed);
+                OperatingPlan::from_scanned_per_core(fleet, &report.measured_vmin_per_core)
+            } else {
+                scan.scheme.build_plan(fleet, seed)
+            }
+        })
+    }
+
+    /// [`InputPlan::get`], by value.
+    pub(crate) fn into_plan(self, fleet: &Fleet, seed: u64) -> OperatingPlan {
+        self.get(fleet, seed);
+        self.plan.into_inner().expect("just resolved")
+    }
+}
+
+impl From<OperatingPlan> for InputPlan {
+    fn from(plan: OperatingPlan) -> InputPlan {
+        InputPlan {
+            scan: None,
+            plan: OnceCell::from(plan),
+        }
+    }
 }
 
 /// Switches the run-wide invariant auditor on.
@@ -554,7 +636,7 @@ impl<S: JobSource> Driver<S> {
         for (i, input) in inputs.into_iter().enumerate() {
             let clamp = input.max_gang();
             let floor = widest.map_or(clamp, |w| w.min(clamp));
-            sites.push(SiteState::new(input, i as u32, floor));
+            sites.push(SiteState::new(input, None, i as u32, floor));
             max_gang.push(clamp);
         }
         let fed = Federation::new(sites, max_gang);
@@ -807,9 +889,11 @@ impl SimDriver {
     }
 
     /// What-if branching: rebuilds the snapshotted mid-run state under a
-    /// *different* input — scheme, placement, supply, and knobs come from
-    /// `input`, while admitted jobs, ledgers, wear, RNG streams, and
-    /// pending events continue from the snapshot. As in a resume, the
+    /// *different* input — scheme name, placement, supply, and knobs come
+    /// from `input`, while admitted jobs, ledgers, wear, RNG streams,
+    /// pending events, and the operating plan continue from the snapshot:
+    /// a fork onto a `Bin*` scheme keeps the scanned plan of a `Scan*`
+    /// snapshot, and places by the `Bin*` policy. As in a resume, the
     /// jobs not yet submitted come from `input.workload` past its first
     /// `admitted`. Structural facts (fleet shape, instrument set) must
     /// still match.
@@ -1073,5 +1157,91 @@ mod tests {
         let idx = site.demand.running()[0];
         site.jobs[idx].chain_limit = SimTime::ZERO;
         driver.finish();
+    }
+
+    /// ScanFair on 48 chips and 40 synthetic jobs; with `faults`, under
+    /// fault injection with the default (adaptive) re-profiling.
+    fn scan_fair(faults: bool) -> GreenDatacenterSim {
+        let sim = GreenDatacenterSim::builder()
+            .fleet_size(48)
+            .synthetic_jobs(40)
+            .scheme(Scheme::ScanFair)
+            .seed(7);
+        if !faults {
+            return sim;
+        }
+        sim.fault_injection(super::FaultInjectionConfig {
+            reprofile: Some(super::ReprofileConfig::default()),
+            ..super::FaultInjectionConfig::default()
+        })
+    }
+
+    /// The driver of `sim`'s run, paused halfway through its makespan.
+    fn paused_halfway(sim: &GreenDatacenterSim) -> super::SimDriver {
+        let (whole, _) = sim.clone().build().run_instrumented();
+        let mut driver = super::SimDriver::new(sim.clone().build().into_input());
+        driver.run_until(SimTime::from_millis(whole.makespan.as_millis() / 2));
+        driver
+    }
+
+    /// Deferred fleet scans `f` runs.
+    fn scans(f: impl FnOnce()) -> usize {
+        let count = || super::SCANS_RUN.with(std::cell::Cell::get);
+        let before = count();
+        f();
+        count() - before
+    }
+
+    #[test]
+    fn a_fleet_scan_runs_once_at_a_fresh_start_and_not_on_restore() {
+        let sim = scan_fair(false);
+        let mut input = None;
+        assert_eq!(scans(|| input = Some(sim.clone().build().into_input())), 0);
+        let input = input.expect("built");
+        assert!(!input.plan.is_per_core());
+        assert_eq!(scans(|| drop(super::SimDriver::new(input))), 1);
+
+        let snapshot = paused_halfway(&sim).snapshot().expect("capture");
+        let restores: [fn(super::SimInput, &str) -> _; 2] =
+            [super::SimDriver::resume, super::SimDriver::fork];
+        for restore in restores {
+            let input = sim.clone().build().into_input();
+            let restored = scans(|| drop(restore(input, &snapshot).expect("restore")));
+            assert_eq!(restored, 0, "a restore runs on the snapshot's plan");
+        }
+    }
+
+    #[test]
+    fn an_adaptive_cadence_scans_once_on_resume() {
+        let sim = scan_fair(true);
+        let snapshot = paused_halfway(&sim).snapshot().expect("capture");
+        let input = sim.build().into_input();
+        let resumed = scans(|| drop(super::SimDriver::resume(input, &snapshot).expect("resume")));
+        assert_eq!(resumed, 1, "the cadence derives from the t = 0 plan");
+    }
+
+    #[test]
+    fn per_core_is_known_before_the_scan() {
+        let input = scan_fair(false).per_core_domains(true).build().into_input();
+        assert_eq!(scans(|| assert!(input.plan.is_per_core())), 0);
+    }
+
+    /// A fork restores the snapshot's plan section: a `Bin*` branch of a
+    /// `Scan*` snapshot keeps the scanned rows, not the factory bins.
+    #[test]
+    fn a_fork_onto_a_bin_scheme_keeps_the_snapshots_scanned_plan() {
+        let sim = scan_fair(false);
+        let paused = paused_halfway(&sim);
+        let snapshot = paused.snapshot().expect("capture");
+        let bin = sim.scheme(Scheme::BinRan);
+        let forked = super::SimDriver::fork(bin.clone().build().into_input(), &snapshot);
+        let forked = forked.expect("fork");
+        let rows = |d: &super::SimDriver| {
+            let (voltages, est_power) = d.0.fed.sites[0].plan.rows();
+            (voltages.to_vec(), est_power.to_vec())
+        };
+        assert_eq!(rows(&forked), rows(&paused));
+        let fresh_bin = super::SimDriver::new(bin.build().into_input());
+        assert_ne!(rows(&forked), rows(&fresh_bin), "bins differ from the scan");
     }
 }

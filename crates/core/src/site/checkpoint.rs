@@ -15,7 +15,7 @@ use crate::snapshot::{
 };
 use iscope_dcsim::{SimDuration, SimTime};
 use iscope_energy::Supply;
-use iscope_pvmodel::{ChipId, FreqLevel, OperatingPlan};
+use iscope_pvmodel::{ChipId, Fleet, FreqLevel, OperatingPlan};
 use iscope_sched::CarbonConfig;
 use iscope_workload::{Job, JobId, Urgency};
 use std::borrow::Cow;
@@ -29,6 +29,8 @@ const VERSION_KEY: &str = "version";
 const HEADER: &str = "header";
 const EVENTS: &str = "events";
 const TRACES: &str = "traces";
+/// The plan's section key, as the document list below spells it.
+const PLAN: &str = "plan";
 
 /// The header besides the version and the presence flags.
 #[derive(Default)]
@@ -367,43 +369,37 @@ persist_struct!(PlanRows<'_> {
     "est_power" => est_power,
 });
 
-impl Section for OperatingPlan {
-    fn save_section(&self, w: &mut Writer, what: &str) -> Result<(), SnapshotError> {
-        let (voltages, est_power) = self.rows();
-        PlanRows {
-            voltages: voltages.into(),
-            est_power: est_power.into(),
-        }
-        .write(w, what)
-    }
+/// Writes the plan's rows; [`read_plan`] reads them back.
+fn save_plan(s: &SiteState, w: &mut Writer) -> Result<(), SnapshotError> {
+    let (voltages, est_power) = s.plan.rows();
+    let rows = PlanRows {
+        voltages: voltages.into(),
+        est_power: est_power.into(),
+    };
+    rows.write(w, PLAN)
+}
 
-    fn restore(&mut self, r: &mut Reader<'_>, what: &str) -> Result<(), SnapshotError> {
-        let rows = PlanRows::read(r, what)?;
-        // The input built this plan for the same fleet: every row keeps
-        // its chip's level count.
-        let (voltages, est_power) = self.rows();
-        for (rows_of, got, want) in [
-            ("voltages", &rows.voltages, voltages),
-            ("est_power", &rows.est_power, est_power),
-        ] {
-            if got.len() != want.len() {
-                mismatch!(
-                    "plan {rows_of} cover {} chips, fleet has {}",
-                    got.len(),
-                    want.len()
-                );
-            }
-            if let Some(ci) = (0..got.len()).find(|&ci| got[ci].len() != want[ci].len()) {
-                mismatch!(
-                    "plan {rows_of} for chip {ci} has {} levels, expected {}",
-                    got[ci].len(),
-                    want[ci].len()
-                );
-            }
+/// Reads the plan section, which a restore builds the site from: one
+/// row pair per chip of `fleet`, each with one entry per DVFS level.
+fn read_plan(doc: &Doc<'_>, fleet: &Fleet) -> Result<OperatingPlan, SnapshotError> {
+    let rows = doc.entry(PLAN, |r| PlanRows::read(r, PLAN))?;
+    let (chips, levels) = (fleet.len(), fleet.dvfs.num_levels());
+    for (rows_of, got) in [("voltages", &rows.voltages), ("est_power", &rows.est_power)] {
+        if got.len() != chips {
+            mismatch!(
+                "plan {rows_of} cover {} chips, fleet has {chips}",
+                got.len()
+            );
         }
-        *self = OperatingPlan::from_rows(rows.voltages.into_owned(), rows.est_power.into_owned());
-        Ok(())
+        if let Some(ci) = got.iter().position(|row| row.len() != levels) {
+            mismatch!(
+                "plan {rows_of} for chip {ci} has {} levels, expected {levels}",
+                got[ci].len()
+            );
+        }
     }
+    let (voltages, est_power) = (rows.voltages.into_owned(), rows.est_power.into_owned());
+    Ok(OperatingPlan::from_rows(voltages, est_power))
 }
 
 /// Per-core Min Vdd drifts only under fault injection (the aging model);
@@ -473,7 +469,8 @@ section!(document SiteState, |s| {
     "deferred" => s.deferral.deferred,
     "ledger" => s.ledger,
     "samplers" => s.instruments.samplers,
-    "plan" => s.plan,
+    // Read by `restore_from` before it builds the site.
+    "plan" => [save_plan],
     "wear" => [save_wear, restore_wear],
     "faults" => s.service.faults,
     "audit" => s.instruments.audit,
@@ -551,8 +548,10 @@ impl SiteState {
     /// Rebuilds a site mid-run from a snapshot document, with the
     /// [`ResumePoint`] the driver re-primes the engine from. A resume
     /// (`fork = false`) must match the input's scheme and seed and runs
-    /// on bit-identically; a fork takes scheme, placement, supply and
-    /// knobs from the input and the simulation state from the snapshot.
+    /// on bit-identically; a fork takes scheme name, placement, supply
+    /// and knobs from the input and the simulation state from the
+    /// snapshot. Either way the site runs on the snapshot's plan, so the
+    /// input's deferred scan runs only for an adaptive re-profile cadence.
     /// Fleet shape and the instrument set must match either way.
     pub(crate) fn restore_from(
         input: SimInput,
@@ -620,8 +619,9 @@ impl SiteState {
                 .check(&Traces::of(&input.supply))?;
         }
         let pending: Vec<(SimTime, SiteEv)> = doc.entry(EVENTS, |r| Persist::read(r, EVENTS))?;
+        let plan = read_plan(&doc, &input.fleet)?;
 
-        let mut site = SiteState::new(input, site_id, 0);
+        let mut site = SiteState::new(input, Some(plan), site_id, 0);
         site.restore_document(&doc)?;
         site.restored(header.now, &pending)?;
         Ok((

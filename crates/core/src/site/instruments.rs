@@ -313,7 +313,8 @@ pub(crate) struct Instruments {
 }
 
 impl Instruments {
-    pub(super) fn new(input: &SimInput) -> Instruments {
+    /// `plan` is the one the site runs on.
+    pub(super) fn new(input: &SimInput, plan: &OperatingPlan) -> Instruments {
         let (n, levels) = (input.fleet.len(), input.fleet.dvfs.num_levels());
         let wind0 = input.supply.wind_power_at(SimTime::ZERO);
         let samplers = input.trace_interval.map(|iv| {
@@ -339,7 +340,7 @@ impl Instruments {
                 suppressed: 0,
             };
             for c in &input.fleet.chips {
-                audit.set_row((&input.fleet, &input.plan), c.id);
+                audit.set_row((&input.fleet, plan), c.id);
             }
             audit
         });

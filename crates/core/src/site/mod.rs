@@ -256,15 +256,30 @@ fn min_feasible_level(
 
 impl SiteState {
     /// Builds a site from one run's inputs, with an empty job table: the
-    /// driver admits every job. `widest_gang` is the widest job the site
-    /// can receive (the fault machinery keeps room for it).
-    /// `input.workload` is not read.
-    pub(crate) fn new(input: SimInput, site_id: u32, widest_gang: u32) -> SiteState {
+    /// driver admits every job. The site runs on `restored`, a snapshot's
+    /// plan, when given; otherwise on the input's, whose deferred scan
+    /// then runs first, before the site's own tables are allocated.
+    /// `widest_gang` is the widest job the site can receive (the fault
+    /// machinery keeps room for it). `input.workload` is not read.
+    pub(crate) fn new(
+        input: SimInput,
+        restored: Option<OperatingPlan>,
+        site_id: u32,
+        widest_gang: u32,
+    ) -> SiteState {
+        let (fleet, seed) = (&input.fleet, input.seed);
+        let plan = restored
+            .as_ref()
+            .unwrap_or_else(|| input.plan.get(fleet, seed));
+        let avail = Availability::new(fleet.len(), plan.ranking());
+        let service = Service::new(&input, widest_gang);
+        let instruments = Instruments::new(&input, plan);
+        let plan = restored.unwrap_or_else(|| input.plan.into_plan(&input.fleet, seed));
         SiteState {
             site_id,
             expect_more: false,
             migrated_out: 0,
-            rng: SimRng::derive(input.seed, "simulation"),
+            rng: SimRng::derive(seed, "simulation"),
             jobs: Vec::new(),
             done_count: 0,
             deadline_misses: 0,
@@ -277,14 +292,14 @@ impl SiteState {
             costs: input.supply.cost_meter(),
             battery: input.supply.battery.map(BatteryState::empty),
             phase_ns: PhaseTimers::default(),
-            avail: Availability::new(input.fleet.len(), input.plan.ranking()),
+            avail,
             demand: Demand::new(input.fleet.dvfs.num_levels(), input.dvfs_mode),
-            service: Service::new(&input, widest_gang),
+            service,
             deferral: Deferral::new(input.deferral, input.carbon),
-            instruments: Instruments::new(&input),
+            instruments,
             scheme_name: input.scheme_name,
             fleet: input.fleet,
-            plan: input.plan,
+            plan,
             placement: input.placement,
             supply: input.supply,
             cooling: input.cooling,

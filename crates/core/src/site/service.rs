@@ -11,7 +11,7 @@ use crate::snapshot::{
 };
 use iscope_dcsim::{SimDuration, SimRng, SimTime};
 use iscope_pvmodel::{ChipId, CoolingModel, Fleet, OperatingPlan};
-use iscope_scanner::{with_nominal_fallback, Scanner, VoltageGrid};
+use iscope_scanner::{with_nominal_fallback, ReprofilePolicy, Scanner, VoltageGrid};
 use std::collections::BTreeSet;
 
 /// A set of chips: a flag per chip plus the member count, kept in step
@@ -216,8 +216,14 @@ impl Service {
                 r.policy.validate();
             }
             let aging = &config.model.aging;
-            let stress_interval_hours = reprofile.map_or(f64::INFINITY, |r| {
-                r.policy.stress_interval_hours(fleet, &input.plan, aging)
+            // Only the adaptive cadence reads a plan: the t = 0 one, also
+            // on a restore that runs on the snapshot's.
+            let stress_interval_hours = reprofile.map_or(f64::INFINITY, |r| match r.policy {
+                ReprofilePolicy::Fixed { stress_hours } => stress_hours,
+                ReprofilePolicy::Adaptive { .. } => {
+                    r.policy
+                        .stress_interval_hours(fleet, input.plan.get(fleet, seed), aging)
+                }
             });
             let rescan =
                 reprofile.map(|r| (Scanner::new(r.scanner.clone()), r.scanner.grid(&fleet.dvfs)));

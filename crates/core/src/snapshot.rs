@@ -862,8 +862,9 @@ pub(crate) trait Fields {
 /// and derives [`Fields`] and [`Section`] for it and [`Section`] for
 /// `Option<T>` (see [`optional_section!`]). A value may be a nested
 /// `{ ... }` list (an inline object of the same component) or
-/// `[save_fn, restore_fn]` for a value computed from several fields;
-/// `..place` splices another component's fields into this object.
+/// `[save_fn, restore_fn]` for a value computed from several fields, or
+/// `[save_fn]` for one restored outside the list; `..place` splices
+/// another component's fields into this object.
 ///
 /// The `document` form declares the snapshot document itself: each key
 /// is a section (one JSONL line) and the list derives
@@ -925,7 +926,7 @@ macro_rules! section {
         }))?;
         $crate::snapshot::section!(@save $s $w $($($rest)*)?);
     };
-    (@save $s:ident $w:ident $key:literal => [$save:path, $restore:path]
+    (@save $s:ident $w:ident $key:literal => [$save:path $(, $restore:path)?]
         $(, $($rest:tt)*)?) => {
         $w.entry($key, |w| $save($s, w))?;
         $crate::snapshot::section!(@save $s $w $($($rest)*)?);
@@ -949,6 +950,9 @@ macro_rules! section {
     (@restore $s:ident $r:ident $key:literal => [$save:path, $restore:path]
         $(, $($rest:tt)*)?) => {
         $r.entry($key, |r| $restore($s, r))?;
+        $crate::snapshot::section!(@restore $s $r $($($rest)*)?);
+    };
+    (@restore $s:ident $r:ident $key:literal => [$save:path] $(, $($rest:tt)*)?) => {
         $crate::snapshot::section!(@restore $s $r $($($rest)*)?);
     };
     (@restore $s:ident $r:ident $key:literal => $e:expr $(, $($rest:tt)*)?) => {

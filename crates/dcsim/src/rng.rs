@@ -53,6 +53,7 @@ impl SimRng {
     }
 
     /// Uniform draw in `[0, 1)`.
+    #[inline]
     pub fn uniform(&mut self) -> f64 {
         self.inner.gen::<f64>()
     }
@@ -64,12 +65,14 @@ impl SimRng {
     }
 
     /// Uniform integer in `[0, n)`. Requires `n > 0`.
+    #[inline]
     pub fn index(&mut self, n: usize) -> usize {
         debug_assert!(n > 0, "index requires a non-empty range");
         self.inner.gen_range(0..n)
     }
 
     /// Bernoulli draw with success probability `p` (clamped to `\[0, 1\]`).
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.uniform() < p.clamp(0.0, 1.0)
     }
@@ -186,6 +189,7 @@ impl SimRng {
     }
 
     /// Raw 64-bit draw (for deriving further seeds).
+    #[inline]
     pub fn next_seed(&mut self) -> u64 {
         self.inner.next_u64()
     }

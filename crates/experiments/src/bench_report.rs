@@ -7,9 +7,7 @@
 //! scale, mega-scale and federated runs, and the `scaling` group
 //! (placement cost per placement from 6.25k to 50k processors), and
 //! writes `BENCH_sim.json` with wall-clock, events/second,
-//! ns/placement, and per-phase hot-path timings, next to the recorded
-//! baselines that were measured before the incremental scheduler state
-//! landed.
+//! ns/placement, and per-phase hot-path timings.
 //!
 //! The JSON is rendered through the workspace's one codec
 //! (`iscope::snapshot`), from the field lists below.
@@ -61,67 +59,6 @@ impl From<RunStats> for BenchNumbers {
         }
     }
 }
-
-/// The headline baseline, measured on the replay-based scheduler state
-/// (before incremental availability / cached surplus / partial-selection
-/// placement landed), same scenario and seed, release build. Re-measure
-/// by checking out the commit before the incremental-state change and
-/// running `iscope-exp bench-report`.
-pub const BASELINE_HEADLINE: BenchNumbers = BenchNumbers {
-    wall_s: 10.034,
-    events: 40_291,
-    events_per_sec: 4_015.6,
-    placements: 20_000,
-    ns_per_placement: 501_683.7,
-};
-
-/// Figure-scale baseline companion to [`BASELINE_HEADLINE`].
-pub const BASELINE_FIGURE: BenchNumbers = BenchNumbers {
-    wall_s: 0.012,
-    events: 2_688,
-    events_per_sec: 228_281.1,
-    placements: 1_000,
-    ns_per_placement: 11_775.0,
-};
-
-/// DVFS-stressed baseline, measured on the commit before the incremental
-/// demand aggregates and cached deadline floors landed (same scenario
-/// and seed as [`dvfs_stress_sim`], release build).
-pub const BASELINE_DVFS: BenchNumbers = BenchNumbers {
-    wall_s: 4.308,
-    events: 40_194,
-    events_per_sec: 9_330.9,
-    placements: 20_000,
-    ns_per_placement: 215_380.0,
-};
-
-/// Headline numbers measured on the commit immediately before the
-/// persistent chip indexes landed (linear per-arrival fleet scans over
-/// the incremental availability state), same scenario and seed, release
-/// build. This is the comparable series for the indexed-placement
-/// speedup: [`BASELINE_HEADLINE`] predates the incremental-state work
-/// entirely, so the per-placement win of the indexes alone is
-/// `pre_index.ns_per_placement / headline.ns_per_placement`.
-pub const BASELINE_PREINDEX_HEADLINE: BenchNumbers = BenchNumbers {
-    wall_s: 1.738,
-    events: 40_291,
-    events_per_sec: 23_182.5,
-    placements: 20_000,
-    ns_per_placement: 86_909.7,
-};
-
-/// Fleet-scale numbers measured on the commit before the least-used
-/// index moved to bucketed sorted runs (flat array with an O(fleet)
-/// merge-repair per acquisition) and the availability trees gained
-/// point updates — same scenario and seed as [`scale_sim`], release
-/// build. The comparable series for the O(dirt)-repair speedup.
-pub const BASELINE_PREBUCKET_SCALE: BenchNumbers = BenchNumbers {
-    wall_s: 16.952,
-    events: 400_310,
-    events_per_sec: 23_614.1,
-    placements: 200_000,
-    ns_per_placement: 84_760.9,
-};
 
 /// Times a fixed CPU-bound loop that runs no simulator code: xorshift
 /// hashing with data-dependent branches into an L1-resident table (the
@@ -672,8 +609,9 @@ pub fn smoke() {
     if cfg!(debug_assertions) {
         println!("bench-smoke: skipping scale ns/placement budget (debug build)");
     } else {
-        // `build()` runs the fleet-wide SBFT scan, so its time is mostly the
-        // scan's cost at 50 000 chips; printed only, not gated.
+        // `build()` generates the fleet and the workload; the fleet-wide
+        // SBFT scan runs when the driver is built, before `wall_s` starts.
+        // Printed only, not gated.
         let build_start = std::time::Instant::now();
         let scale = scale_sim().build();
         let build_s = build_start.elapsed().as_secs_f64();
@@ -797,17 +735,6 @@ iscope::to_val!(BenchReport, |r| {
     },
     "federation" => r.federation,
     "federation_phases" => r.federation_phases,
-    "baseline_headline" => BASELINE_HEADLINE,
-    "baseline_figure_scale" => BASELINE_FIGURE,
-    "headline_speedup_wall" => BASELINE_HEADLINE.wall_s / r.headline.wall_s,
-    "baseline_dvfs_stress" => BASELINE_DVFS,
-    "dvfs_stress_speedup_wall" => BASELINE_DVFS.wall_s / r.dvfs_stress.wall_s,
-    "baseline_preindex_headline" => BASELINE_PREINDEX_HEADLINE,
-    "headline_speedup_placement_vs_preindex" =>
-        BASELINE_PREINDEX_HEADLINE.ns_per_placement / r.headline.ns_per_placement,
-    "baseline_prebucket_scale" => BASELINE_PREBUCKET_SCALE,
-    "scale_speedup_placement_vs_prebucket" =>
-        BASELINE_PREBUCKET_SCALE.ns_per_placement / r.scale.ns_per_placement,
     "sweep_speedup" => r.sweep_speedup,
     "scale_gate" => {
         "runs" => SCALE_GATE_RUNS,

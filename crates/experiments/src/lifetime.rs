@@ -166,7 +166,7 @@ fn one_variant(cfg: &ExpConfig, rescan: bool) -> Vec<Round> {
         let report = iscope::run_simulation(iscope::SimInput {
             scheme_name: "ScanEffi".into(),
             fleet: fleet.clone(),
-            plan: plan.clone(),
+            plan: plan.clone().into(),
             placement: Scheme::ScanEffi.placement(),
             supply: iscope_energy::Supply::utility_only(),
             cooling: CoolingModel::default(),

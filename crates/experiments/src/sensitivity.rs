@@ -132,7 +132,7 @@ fn run_with_bins(cfg: &ExpConfig, bins: usize) -> iscope::RunReport {
     iscope::run_simulation(iscope::SimInput {
         scheme_name: format!("Bin{bins}Effi"),
         fleet,
-        plan,
+        plan: plan.into(),
         placement: Scheme::BinEffi.placement(),
         supply: iscope_energy::Supply::utility_only(),
         cooling: CoolingModel::default(),
