@@ -98,7 +98,8 @@ pub struct SimInput {
 /// factory plan, a hand-built plan), or an SBFT fleet scan that runs from
 /// `(fleet, seed)` when a site first needs the plan. A restore takes its
 /// plan from the snapshot, so it runs the scan only when adaptive
-/// re-profiling needs the t = 0 plan for its cadence.
+/// re-profiling needs the t = 0 plan for a cadence the snapshot did not
+/// save: on a fork, or from a version 1 or 2 document.
 #[derive(Debug, Clone)]
 pub struct InputPlan {
     /// The scan still to run; `None` for a plan built up front.
@@ -893,7 +894,9 @@ impl SimDriver {
     /// from `input`, while admitted jobs, ledgers, wear, RNG streams,
     /// pending events, and the operating plan continue from the snapshot:
     /// a fork onto a `Bin*` scheme keeps the scanned plan of a `Scan*`
-    /// snapshot, and places by the `Bin*` policy. As in a resume, the
+    /// snapshot, and places by the `Bin*` policy. An adaptive re-profile
+    /// cadence comes from `input`'s own t = 0 plan, which runs its fleet
+    /// scan, not from the snapshot's saved interval. As in a resume, the
     /// jobs not yet submitted come from `input.workload` past its first
     /// `admitted`. Structural facts (fleet shape, instrument set) must
     /// still match.
@@ -1211,13 +1214,53 @@ mod tests {
         }
     }
 
+    /// A resume of `snapshot` under `sim`, with the scans it ran.
+    fn resume_scans(sim: &GreenDatacenterSim, snapshot: &str) -> (usize, super::SimDriver) {
+        let input = sim.clone().build().into_input();
+        let mut resumed = None;
+        let n = scans(|| resumed = Some(super::SimDriver::resume(input, snapshot)));
+        (n, resumed.expect("ran").expect("resume"))
+    }
+
     #[test]
-    fn an_adaptive_cadence_scans_once_on_resume() {
+    fn an_adaptive_cadence_resumes_without_a_scan() {
+        let sim = scan_fair(true);
+        let snapshot = paused_halfway(&sim).snapshot().expect("capture");
+        assert!(snapshot.contains("\"version\":3,"));
+        assert_eq!(
+            resume_scans(&sim, &snapshot).0,
+            0,
+            "the safe interval is saved"
+        );
+    }
+
+    /// A version-2 document saved no safe interval, so the resume takes it
+    /// from the t = 0 plan, and runs the scan behind it; the interval it
+    /// computes is the one a version-3 capture saves.
+    #[test]
+    fn a_v2_adaptive_document_scans_once_on_resume() {
+        let sim = scan_fair(true);
+        let snapshot = paused_halfway(&sim).snapshot().expect("capture");
+        let key = "\"safe_reprofile_hours\":";
+        let at = snapshot.find(key).expect("a saved safe interval");
+        let end = at + snapshot[at..].find(',').expect("more fault fields") + 1;
+        assert_ne!(&snapshot[at + key.len()..end - 1], "null");
+        let v2 = format!("{}{}", &snapshot[..at], &snapshot[end..]);
+        let v2 = v2.replacen("\"version\":3,", "\"version\":2,", 1);
+        let (n, resumed) = resume_scans(&sim, &v2);
+        assert_eq!(n, 1, "the cadence derives from the t = 0 plan");
+        assert!(resumed.snapshot().expect("re-capture") == snapshot);
+    }
+
+    /// A fork takes its adaptive cadence from its own input's t = 0 plan,
+    /// not from the snapshot's saved interval.
+    #[test]
+    fn a_fork_derives_an_adaptive_cadence_from_its_own_plan() {
         let sim = scan_fair(true);
         let snapshot = paused_halfway(&sim).snapshot().expect("capture");
         let input = sim.build().into_input();
-        let resumed = scans(|| drop(super::SimDriver::resume(input, &snapshot).expect("resume")));
-        assert_eq!(resumed, 1, "the cadence derives from the t = 0 plan");
+        let forked = scans(|| drop(super::SimDriver::fork(input, &snapshot).expect("fork")));
+        assert_eq!(forked, 1);
     }
 
     #[test]

@@ -29,8 +29,14 @@ const VERSION_KEY: &str = "version";
 const HEADER: &str = "header";
 const EVENTS: &str = "events";
 const TRACES: &str = "traces";
-/// The plan's section key, as the document list below spells it.
+/// Section keys, as the document list below spells them.
 const PLAN: &str = "plan";
+const FAULTS: &str = "faults";
+/// The key a `faults` object opens with from [`SAFE_HOURS_SINCE`] on:
+/// the t = 0 plan's safe re-profile interval in hours, `null` unless the
+/// cadence is adaptive.
+const SAFE_HOURS: &str = "safe_reprofile_hours";
+const SAFE_HOURS_SINCE: i64 = 3;
 
 /// The header besides the version and the presence flags.
 #[derive(Default)]
@@ -402,6 +408,54 @@ fn read_plan(doc: &Doc<'_>, fleet: &Fleet) -> Result<OperatingPlan, SnapshotErro
     Ok(OperatingPlan::from_rows(voltages, est_power))
 }
 
+/// Writes the `faults` section: `null` without fault injection, else the
+/// fault state, opened by the safe re-profile interval.
+fn save_faults(s: &SiteState, w: &mut Writer) -> Result<(), SnapshotError> {
+    let Some(f) = &s.service.faults else {
+        w.null();
+        return Ok(());
+    };
+    w.obj(|w| {
+        w.entry(SAFE_HOURS, |w| f.saved_safe_hours().write(w, SAFE_HOURS))?;
+        f.save_fields(w)
+    })
+}
+
+/// Reads the safe re-profile interval before the site is built: `None`
+/// for a document older than [`SAFE_HOURS_SINCE`], a fault-free run or a
+/// saved `null`, and a checked error for a value that is not positive.
+fn read_safe_hours(doc: &Doc<'_>, version: i64) -> Result<Option<f64>, SnapshotError> {
+    if version < SAFE_HOURS_SINCE {
+        return Ok(None);
+    }
+    doc.head(FAULTS, |r| {
+        if r.null() {
+            return Ok(None);
+        }
+        r.open_obj(FAULTS)?;
+        let hours = r.entry(SAFE_HOURS, |r| Option::<f64>::read(r, SAFE_HOURS))?;
+        match hours {
+            Some(h) if h <= 0.0 => mismatch!("safe re-profile interval {h} h is not positive"),
+            _ => Ok(hours),
+        }
+    })
+}
+
+/// Restores the `faults` section into the fault state the input built.
+/// Its safe re-profile interval, read by [`read_safe_hours`], is passed
+/// over: the site's cadence already came from it or from the input.
+fn restore_faults(s: &mut SiteState, doc: &Doc<'_>, version: i64) -> Result<(), SnapshotError> {
+    doc.entry(FAULTS, |r| match &mut s.service.faults {
+        None => r.expect_null(FAULTS),
+        Some(f) => r.obj(FAULTS, |r| {
+            if version >= SAFE_HOURS_SINCE {
+                r.entry(SAFE_HOURS, |r| Option::<f64>::read(r, SAFE_HOURS))?;
+            }
+            f.restore_fields(r)
+        }),
+    })
+}
+
 /// Per-core Min Vdd drifts only under fault injection (the aging model);
 /// a fault-free fleet is its input fleet, so its wear section is `null`.
 fn save_wear(s: &SiteState, w: &mut Writer) -> Result<(), SnapshotError> {
@@ -472,7 +526,8 @@ section!(document SiteState, |s| {
     // Read by `restore_from` before it builds the site.
     "plan" => [save_plan],
     "wear" => [save_wear, restore_wear],
-    "faults" => s.service.faults,
+    // Restored by `restore_from`, whose reads depend on the version.
+    "faults" => [save_faults],
     "audit" => s.instruments.audit,
     "telemetry" => s.instruments.telemetry,
     "costs" => s.costs,
@@ -496,6 +551,13 @@ fn check_supported(in_situ: bool, per_core: bool) -> Result<(), SnapshotError> {
     }
 }
 
+/// What a restored site is built from in place of its input: the
+/// snapshot's plan, and on a resume the safe re-profile interval it saved.
+pub(crate) struct Restored {
+    pub(super) plan: OperatingPlan,
+    pub(super) safe_reprofile_hours: Option<f64>,
+}
+
 /// Where a restored run resumes: the engine state that lives outside the
 /// [`SiteState`] (clock, step counter, admission cursor, pending events).
 pub(crate) struct ResumePoint {
@@ -508,8 +570,7 @@ pub(crate) struct ResumePoint {
 impl SiteState {
     /// Serializes this site's complete mutable state as a snapshot
     /// document (JSONL; see [`crate::snapshot`]). `seed` comes from the
-    /// driver, `now`/`steps`/`pending` from the engine; every job in the
-    /// table counts as admitted.
+    /// driver, `now`/`steps`/`pending` from the engine.
     pub(crate) fn capture(
         &self,
         seed: u64,
@@ -524,7 +585,7 @@ impl SiteState {
             site_id: self.site_id,
             now,
             steps,
-            admitted: self.jobs.len(),
+            admitted: self.admitted,
             fleet_len: self.fleet.len(),
             num_levels: self.fleet.dvfs.num_levels(),
         };
@@ -550,8 +611,11 @@ impl SiteState {
     /// (`fork = false`) must match the input's scheme and seed and runs
     /// on bit-identically; a fork takes scheme name, placement, supply
     /// and knobs from the input and the simulation state from the
-    /// snapshot. Either way the site runs on the snapshot's plan, so the
-    /// input's deferred scan runs only for an adaptive re-profile cadence.
+    /// snapshot. Either way the site runs on the snapshot's plan. A resume
+    /// takes an adaptive re-profile cadence from the saved safe interval,
+    /// and a fork from its input's t = 0 plan, so the input's deferred
+    /// scan runs only for a fork under that cadence, or for a document
+    /// that saved no interval (version 2 and older, or a `null`).
     /// Fleet shape and the instrument set must match either way.
     pub(crate) fn restore_from(
         input: SimInput,
@@ -561,11 +625,12 @@ impl SiteState {
     ) -> Result<(SiteState, ResumePoint), SnapshotError> {
         check_supported(input.in_situ.is_some(), input.plan.is_per_core())?;
         let doc = snapshot::decode_lines(text)?;
-        let (header, presence) = doc.entry(HEADER, |r| {
+        let (version, header, presence) = doc.entry(HEADER, |r| {
             r.obj(HEADER, |r| {
                 let version = r.entry(VERSION_KEY, |r| i64::read(r, "snapshot version"))?;
-                // v1 differs only in writing finished jobs as `"done"`
-                // records, which `restore_jobs` also reads.
+                // v1 writes finished jobs as `"done"` records, which
+                // `restore_jobs` also reads; v1 and v2 save no safe
+                // re-profile interval.
                 if !(1..=SNAPSHOT_VERSION).contains(&version) {
                     mismatch!(
                         "snapshot version {version} (this build reads 1 to {SNAPSHOT_VERSION})"
@@ -577,7 +642,7 @@ impl SiteState {
                 for ((key, ..), got) in PRESENCE.iter().zip(&mut presence) {
                     *got = r.entry(key, |r| bool::read(r, key))?;
                 }
-                Ok((header, presence))
+                Ok((version, header, presence))
             })
         })?;
         if !fork && header.scheme != input.scheme_name {
@@ -620,9 +685,16 @@ impl SiteState {
         }
         let pending: Vec<(SimTime, SiteEv)> = doc.entry(EVENTS, |r| Persist::read(r, EVENTS))?;
         let plan = read_plan(&doc, &input.fleet)?;
+        let safe_hours = read_safe_hours(&doc, version)?;
+        let restored = Restored {
+            plan,
+            safe_reprofile_hours: safe_hours.filter(|_| !fork),
+        };
 
-        let mut site = SiteState::new(input, Some(plan), site_id, 0);
+        let mut site = SiteState::new(input, Some(restored), site_id, 0);
         site.restore_document(&doc)?;
+        restore_faults(&mut site, &doc, version)?;
+        site.admitted = header.admitted;
         site.restored(header.now, &pending)?;
         Ok((
             site,
@@ -671,6 +743,12 @@ impl SiteState {
         self.avail.restored(&self.jobs, self.plan.ranking())?;
         let heads = |i, js: &JobState| self.avail.heads(i, &js.chips);
         self.demand.restored(&self.jobs, num_levels, heads)?;
+        if self.admitted != num_jobs {
+            mismatch!(
+                "header admitted {} jobs, the job table has {num_jobs}",
+                self.admitted
+            );
+        }
         let finished = self.jobs.iter().filter(|js| js.phase == Phase::Done);
         let finished = finished.count();
         if self.done_count != finished {

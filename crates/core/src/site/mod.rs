@@ -36,6 +36,7 @@ mod service;
 use crate::report::RunReport;
 use crate::simulation::{PhaseTimers, SimInput, SurplusSignal};
 use availability::Availability;
+use checkpoint::Restored;
 use deferral::Deferral;
 use demand::Demand;
 use instruments::{Instruments, Observed};
@@ -195,6 +196,8 @@ pub(crate) struct SiteState {
     pub(crate) cooling: CoolingModel,
     pub(crate) rng: SimRng,
     pub(crate) jobs: Vec<JobState>,
+    /// Jobs entered in the job table, counted by [`SiteState::admit`].
+    pub(crate) admitted: usize,
     pub(crate) done_count: usize,
     pub(crate) deadline_misses: usize,
     pub(crate) ledger: EnergyLedger,
@@ -256,23 +259,27 @@ fn min_feasible_level(
 
 impl SiteState {
     /// Builds a site from one run's inputs, with an empty job table: the
-    /// driver admits every job. The site runs on `restored`, a snapshot's
-    /// plan, when given; otherwise on the input's, whose deferred scan
-    /// then runs first, before the site's own tables are allocated.
-    /// `widest_gang` is the widest job the site can receive (the fault
-    /// machinery keeps room for it). `input.workload` is not read.
+    /// driver admits every job. A site `restored` from a snapshot runs on
+    /// the snapshot's plan, and takes an adaptive re-profile cadence from
+    /// its saved safe interval when it has one; otherwise the input's
+    /// deferred scan runs first, before the site's own tables are
+    /// allocated. `widest_gang` is the widest job the site can receive
+    /// (the fault machinery keeps room for it). `input.workload` is not
+    /// read.
     pub(crate) fn new(
         input: SimInput,
-        restored: Option<OperatingPlan>,
+        restored: Option<Restored>,
         site_id: u32,
         widest_gang: u32,
     ) -> SiteState {
         let (fleet, seed) = (&input.fleet, input.seed);
+        let saved_safe_hours = restored.as_ref().and_then(|r| r.safe_reprofile_hours);
+        let restored = restored.map(|r| r.plan);
         let plan = restored
             .as_ref()
             .unwrap_or_else(|| input.plan.get(fleet, seed));
         let avail = Availability::new(fleet.len(), plan.ranking());
-        let service = Service::new(&input, widest_gang);
+        let service = Service::new(&input, saved_safe_hours, widest_gang);
         let instruments = Instruments::new(&input, plan);
         let plan = restored.unwrap_or_else(|| input.plan.into_plan(&input.fleet, seed));
         SiteState {
@@ -281,6 +288,7 @@ impl SiteState {
             migrated_out: 0,
             rng: SimRng::derive(seed, "simulation"),
             jobs: Vec::new(),
+            admitted: 0,
             done_count: 0,
             deadline_misses: 0,
             ledger: EnergyLedger::new(),
@@ -338,6 +346,7 @@ impl SiteState {
             attempt_energy_j: 0.0,
             job,
         });
+        self.admitted += 1;
         self.jobs.len() - 1
     }
 

@@ -11,7 +11,9 @@ use crate::snapshot::{
 };
 use iscope_dcsim::{SimDuration, SimRng, SimTime};
 use iscope_pvmodel::{ChipId, CoolingModel, Fleet, OperatingPlan};
-use iscope_scanner::{with_nominal_fallback, ReprofilePolicy, Scanner, VoltageGrid};
+use iscope_scanner::{
+    safe_reprofile_interval_hours, with_nominal_fallback, ReprofilePolicy, Scanner, VoltageGrid,
+};
 use std::collections::BTreeSet;
 
 /// A set of chips: a flag per chip plus the member count, kept in step
@@ -152,6 +154,9 @@ pub(crate) struct FaultState {
     /// Stress hours after which a chip is due for a re-scan (`INFINITY`
     /// without re-profiling).
     stress_interval_hours: f64,
+    /// The t = 0 plan's safe re-profile interval (hours) the adaptive
+    /// cadence is a fraction of; `None` under a fixed cadence.
+    safe_reprofile_hours: Option<f64>,
     /// Accelerated voltage-stress hours per chip since its last scan.
     stress_hours: Vec<f64>,
     /// Chips quarantined after a failure, awaiting a re-scan.
@@ -198,10 +203,27 @@ pub(crate) struct Service {
     out_of_service: ChipSet,
 }
 
+impl FaultState {
+    /// The safe re-profile interval a snapshot saves: `None` unless the
+    /// cadence is adaptive and the interval finite and positive, so a
+    /// resume from a `null` recomputes it from the t = 0 plan.
+    pub(super) fn saved_safe_hours(&self) -> Option<f64> {
+        self.safe_reprofile_hours
+            .filter(|h| h.is_finite() && *h > 0.0)
+    }
+}
+
 impl Service {
     /// `widest_gang` is the widest job the site can receive; the fault
-    /// machinery's availability floor keeps room for it.
-    pub(super) fn new(input: &SimInput, widest_gang: u32) -> Service {
+    /// machinery's availability floor keeps room for it. An adaptive
+    /// re-profile cadence is a fraction of the t = 0 plan's safe
+    /// interval: `saved_safe_hours` when a resumed snapshot carries it,
+    /// else computed from the input's plan, which runs its deferred scan.
+    pub(super) fn new(
+        input: &SimInput,
+        saved_safe_hours: Option<f64>,
+        widest_gang: u32,
+    ) -> Service {
         let (fleet, n, seed) = (&input.fleet, input.fleet.len(), input.seed);
         let faults = input.fault_injection.clone().map(|config| {
             config.model.validate();
@@ -216,15 +238,19 @@ impl Service {
                 r.policy.validate();
             }
             let aging = &config.model.aging;
-            // Only the adaptive cadence reads a plan: the t = 0 one, also
-            // on a restore that runs on the snapshot's.
-            let stress_interval_hours = reprofile.map_or(f64::INFINITY, |r| match r.policy {
-                ReprofilePolicy::Fixed { stress_hours } => stress_hours,
-                ReprofilePolicy::Adaptive { .. } => {
-                    r.policy
-                        .stress_interval_hours(fleet, input.plan.get(fleet, seed), aging)
+            let (stress_interval_hours, safe_reprofile_hours) = match reprofile.map(|r| r.policy) {
+                None => (f64::INFINITY, None),
+                Some(ReprofilePolicy::Fixed { stress_hours }) => (stress_hours, None),
+                Some(ReprofilePolicy::Adaptive { fraction }) => {
+                    let safe = saved_safe_hours.unwrap_or_else(|| {
+                        let plan = input.plan.get(fleet, seed);
+                        safe_reprofile_interval_hours(fleet, plan, aging)
+                    });
+                    // The product `ReprofilePolicy::stress_interval_hours`
+                    // forms, so a saved interval gives the same cadence.
+                    (fraction * safe, Some(safe))
                 }
-            });
+            };
             let rescan =
                 reprofile.map(|r| (Scanner::new(r.scanner.clone()), r.scanner.grid(&fleet.dvfs)));
             let floor =
@@ -234,6 +260,7 @@ impl Service {
                 bay: ScanBay::new(SimRng::derive(seed, "re-profiling"), n),
                 rescan,
                 stress_interval_hours,
+                safe_reprofile_hours,
                 stress_hours: vec![0.0; n],
                 suspect: ChipSet::new(n),
                 draining: ChipSet::new(n),

@@ -49,10 +49,12 @@ use std::collections::VecDeque;
 use std::fmt::{self, Write as _};
 
 /// Current snapshot document version. Bumped on any schema change; the
-/// decoder rejects versions it does not know. Version 2 writes a finished
-/// job as `null` in the `jobs` array; version 1 wrote its whole record,
-/// and is still read.
-pub const SNAPSHOT_VERSION: i64 = 2;
+/// decoder rejects versions it does not know. Version 3 opens the
+/// `faults` section with the t = 0 plan's safe re-profile interval, so an
+/// adaptive re-profiling run resumes without a fleet scan. Version 2
+/// writes a finished job as `null` in the `jobs` array; version 1 wrote
+/// its whole record. Both are still read.
+pub const SNAPSHOT_VERSION: i64 = 3;
 
 /// Why a snapshot could not be taken, parsed, or restored.
 #[derive(Debug, Clone, PartialEq)]
@@ -1480,15 +1482,26 @@ impl<'a> Doc<'a> {
         name: &str,
         f: impl FnOnce(&mut Reader<'a>) -> Result<T, SnapshotError>,
     ) -> Result<T, SnapshotError> {
+        self.head(name, |r| {
+            let v = f(r)?;
+            r.end()?;
+            Ok(v)
+        })
+    }
+
+    /// Reads the start of the section `name` with `f`, leaving the rest
+    /// unread.
+    pub(crate) fn head<T>(
+        &self,
+        name: &str,
+        f: impl FnOnce(&mut Reader<'a>) -> Result<T, SnapshotError>,
+    ) -> Result<T, SnapshotError> {
         let (_, data) = self
             .sections
             .iter()
             .find(|(n, _)| n == name)
             .ok_or_else(|| SnapshotError::Parse(format!("missing section {name:?}")))?;
-        let mut r = Reader::new(data);
-        let v = f(&mut r)?;
-        r.end()?;
-        Ok(v)
+        f(&mut Reader::new(data))
     }
 }
 

@@ -17,13 +17,16 @@
 //!    set only: at 25% and at 90% of the makespan no job record submits
 //!    after the pause and no arrival is queued (jobs not yet submitted
 //!    stay in the workload, finished jobs are `null`), and both
-//!    snapshots resume byte-identically.
+//!    snapshots resume byte-identically;
+//! 5. under **adaptive re-profiling**, a run paused after a re-scan
+//!    rewrote the plan saves its t = 0 safe re-profile interval and
+//!    resumes byte-identically from it.
 
 use iscope::prelude::*;
 use iscope::snapshot::{parse, Val};
 use iscope::{
-    AuditConfig, FaultInjectionConfig, RunReport, SimDriver, SimInput, StreamDriver,
-    TelemetryConfig,
+    AuditConfig, FaultInjectionConfig, ReprofileConfig, RunReport, SimDriver, SimInput,
+    StreamDriver, TelemetryConfig,
 };
 use iscope_dcsim::SimTime;
 use iscope_workload::{Shaper, SyntheticSource, SyntheticTrace, Workload};
@@ -50,13 +53,19 @@ fn scenario(scheme: Scheme, seed: u64) -> GreenDatacenterSim {
         .audit(AuditConfig::default())
         .telemetry(TelemetryConfig::default())
         .fault_injection(FaultInjectionConfig {
-            model: iscope_pvmodel::FailureModel {
-                time_acceleration: 1500.0,
-                jitter_v_sd: 0.0002,
-                ..iscope_pvmodel::FailureModel::default()
-            },
+            model: fault_model(),
             ..FaultInjectionConfig::default()
         })
+}
+
+/// The fault model of every faulted leg: aggressive enough that timing
+/// failures fire.
+fn fault_model() -> iscope_pvmodel::FailureModel {
+    iscope_pvmodel::FailureModel {
+        time_acceleration: 1500.0,
+        jitter_v_sd: 0.0002,
+        ..iscope_pvmodel::FailureModel::default()
+    }
 }
 
 fn input(sim: &GreenDatacenterSim) -> SimInput {
@@ -141,6 +150,18 @@ fn assert_live_set_only(snapshot: &str, label: &str) {
             _ => {}
         }
     }
+}
+
+/// The data of `snapshot`'s section `name`.
+fn section(snapshot: &str, name: &str) -> Val {
+    let line = snapshot
+        .lines()
+        .map(|line| parse(line).expect("resume-smoke: snapshot line parses"))
+        .find(|v| matches!(v.get("section"), Ok(Val::Str(s)) if s == name));
+    let line = line.unwrap_or_else(|| panic!("resume-smoke: no {name} section"));
+    line.get("data")
+        .expect("resume-smoke: section data")
+        .clone()
 }
 
 fn assert_bytes_identical(unbroken: &RunReport, resumed: &RunReport, label: &str) {
@@ -265,12 +286,55 @@ pub fn smoke() {
         );
     }
 
+    // 5. Adaptive re-profiling: pause at the first 5-minute mark after a
+    // re-scan rewrote the plan; the snapshot carries the cadence's safe
+    // interval, so the resume needs no fleet scan.
+    let sim = scenario(Scheme::ScanFair, 1).fault_injection(FaultInjectionConfig {
+        model: fault_model(),
+        reprofile: Some(ReprofileConfig::default()),
+        ..FaultInjectionConfig::default()
+    });
+    let (unbroken, _) = SimDriver::new(input(&sim)).finish();
+    let mut paused = SimDriver::new(input(&sim));
+    let initial = section(&paused.snapshot().expect("capture at t = 0"), "plan");
+    let mut pause = SimTime::ZERO;
+    let snapshot = loop {
+        pause += SimDuration::from_mins(5);
+        assert!(
+            pause < unbroken.makespan,
+            "resume-smoke: no re-scan rewrote the plan"
+        );
+        paused.run_until(pause);
+        let snapshot = paused.snapshot().expect("capture re-profiling run");
+        if section(&snapshot, "plan") != initial {
+            break snapshot;
+        }
+    };
+    drop(paused);
+    let safe = section(&snapshot, "faults")
+        .get("safe_reprofile_hours")
+        .cloned();
+    assert!(
+        matches!(safe, Ok(Val::Float(h)) if h > 0.0),
+        "resume-smoke: the adaptive snapshot saved no safe re-profile interval: {safe:?}"
+    );
+    let (resumed, _) = SimDriver::resume(input(&sim), &snapshot)
+        .expect("restore re-profiling snapshot")
+        .finish();
+    assert_bytes_identical(&unbroken, &resumed, "adaptive re-profiling");
+    println!(
+        "resume-smoke adaptive re-profiling, plan rewritten at {:.2} h: ok ({} snapshot bytes)",
+        pause.as_hours_f64(),
+        snapshot.len()
+    );
+
     println!(
         "resume-smoke OK: {} schemes x 3 seeds byte-identical across a mid-run \
          restore (faults on, {total_failures} timing failures exercised); \
          streaming pause/resume identical; fork-control equals resume; peak \
          buffered arrivals in the streaming leg: {}; churn snapshots hold the \
-         live set only, jobs section {} -> {} bytes from 25% to 90% of the makespan",
+         live set only, jobs section {} -> {} bytes from 25% to 90% of the makespan; \
+         an adaptive re-profiling run resumes from its saved safe interval",
         Scheme::ALL.len(),
         stream.peak_buffered,
         lens[0],

@@ -604,15 +604,16 @@ fn snapshot_bytes_are_pinned() {
     );
     assert_eq!(
         (snapshot.len(), fnv1a(snapshot.as_bytes())),
-        (29_395, 0x9d57_9270_b750_97a0),
+        (29_423, 0x1c06_2a20_010d_cb2a),
         "snapshot bytes changed"
     );
 }
 
-/// [`snapshot_bytes_are_pinned`]'s fingerprint while the driver still
-/// queued every job of a materialized workload as an `Arrival` event at
-/// t = 0, so the document held the jobs not yet submitted too.
-const QUEUED_ARRIVALS_PIN: (usize, u64) = (32_889, 0xe153_e40c_8343_afa7);
+/// The version-3 capture of [`every_section_sim`] at 14 h while the
+/// driver still queued every job of a materialized workload as an
+/// `Arrival` event at t = 0, so the document held the jobs not yet
+/// submitted too.
+const QUEUED_ARRIVALS_PIN: (usize, u64) = (32_917, 0xf7e8_8701_258d_bbb9);
 
 /// The `jobs` line of a snapshot document.
 fn jobs_line(doc: &str) -> &str {
@@ -626,8 +627,8 @@ const V1_EVERY_SECTION: &str = include_str!("data/snapshot_v1_every_section.json
 
 /// A version-1 document still resumes: its finished jobs' records are
 /// checked and stored as tombstones, the run continues byte-identically,
-/// and a capture right after the resume is the version-2 document the
-/// same instant gave while every job was queued as an arrival
+/// and a capture right after the resume is the document the same instant
+/// gave while every job was queued as an arrival
 /// ([`QUEUED_ARRIVALS_PIN`]): such documents admitted every job, so the
 /// resume takes none from the workload and runs their pending arrivals.
 #[test]
@@ -652,10 +653,33 @@ fn v1_snapshot_resumes_byte_identically() {
     assert_eq!(
         (again.len(), fnv1a(again.as_bytes())),
         QUEUED_ARRIVALS_PIN,
-        "a v1 resume re-captures differently from the version-2 document"
+        "a v1 resume re-captures differently from the queued-arrivals document"
     );
     let (unbroken, _) = SimDriver::new(input(&sim)).finish();
     assert_identical(&unbroken, &resumed.finish().0, "v1 resume");
+}
+
+/// [`every_section_snapshot`] as the version-2 format wrote it, whose
+/// `faults` section saved no safe re-profile interval.
+const V2_EVERY_SECTION: &str = include_str!("data/snapshot_v2_every_section.jsonl");
+
+/// A version-2 document still resumes byte-identically, and a capture
+/// right after the resume is today's document of the same instant.
+#[test]
+fn v2_snapshot_resumes_byte_identically() {
+    assert_eq!(
+        (V2_EVERY_SECTION.len(), fnv1a(V2_EVERY_SECTION.as_bytes())),
+        (29_395, 0x9d57_9270_b750_97a0),
+        "the v2 fixture changed"
+    );
+    let sim = every_section_sim();
+    let resumed = SimDriver::resume(input(&sim), V2_EVERY_SECTION).expect("restore v2");
+    assert!(
+        resumed.snapshot().expect("re-capture") == every_section_snapshot(),
+        "a v2 resume re-captures differently from the current document"
+    );
+    let (unbroken, _) = SimDriver::new(input(&sim)).finish();
+    assert_identical(&unbroken, &resumed.finish().0, "v2 resume");
 }
 
 /// Restore then capture reproduces the document byte for byte: every
@@ -957,6 +981,48 @@ fn hand_edited_snapshots_are_checked_errors() {
             "names chip 0, but snapshots hold no in-situ scan",
         ),
         (
+            "admitted count off",
+            "\"admitted\":37",
+            "\"admitted\":36",
+            "header admitted 36 jobs, the job table has 37",
+        ),
+        (
+            "zero safe re-profile interval",
+            "\"safe_reprofile_hours\":null",
+            "\"safe_reprofile_hours\":0.0",
+            "safe re-profile interval 0 h is not positive",
+        ),
+        (
+            "negative safe re-profile interval",
+            "\"safe_reprofile_hours\":null",
+            "\"safe_reprofile_hours\":-2.5",
+            "safe re-profile interval -2.5 h is not positive",
+        ),
+        (
+            "safe re-profile interval not a number",
+            "\"safe_reprofile_hours\":null",
+            "\"safe_reprofile_hours\":\"x\"",
+            "safe_reprofile_hours: expected float, found string",
+        ),
+        (
+            "safe re-profile interval not a float",
+            "\"safe_reprofile_hours\":null",
+            "\"safe_reprofile_hours\":7",
+            "safe_reprofile_hours: expected float, found int",
+        ),
+        (
+            "safe re-profile interval missing",
+            "\"safe_reprofile_hours\":null,",
+            "",
+            "expected key \"safe_reprofile_hours\", found \"rng\"",
+        ),
+        (
+            "version 2 with a safe re-profile interval",
+            "\"version\":3,",
+            "\"version\":2,",
+            "expected key \"rng\", found \"safe_reprofile_hours\"",
+        ),
+        (
             "keys out of order",
             "\"expect_more\":true,\"migrated_out\":0",
             "\"migrated_out\":0,\"expect_more\":true",
@@ -999,6 +1065,16 @@ fn hand_edited_snapshots_are_checked_errors() {
         let expect = "names chip 0, but the run has no fault injection";
         assert!(err.to_string().contains(expect), "{event}: {err}");
     }
+    // Nor a safe re-profile interval: its header says `has_faults = false`.
+    assert!(doc.contains("\"has_faults\":false"));
+    let faults = "{\"section\":\"faults\",\"data\":null}";
+    let saved = "{\"section\":\"faults\",\"data\":{\"safe_reprofile_hours\":5.0}}";
+    assert!(doc.contains(faults), "a fault-free run saves null faults");
+    let err = SimDriver::resume(input(&plain), &doc.replacen(faults, saved, 1))
+        .err()
+        .expect("a safe interval without fault injection must fail");
+    let expect = "faults: expected null, found object";
+    assert!(err.to_string().contains(expect), "{err}");
 }
 
 /// The jobs a resume or a fork has not admitted yet come from its input's
