@@ -96,10 +96,12 @@ pub struct SimInput {
 
 /// A run's operating plan: built up front (factory bins, in-situ's
 /// factory plan, a hand-built plan), or an SBFT fleet scan that runs from
-/// `(fleet, seed)` when a site first needs the plan. A restore takes its
-/// plan from the snapshot, so it runs the scan only when adaptive
+/// `(fleet, seed)` when a site first needs the plan. A restore takes a
+/// scanned plan from the snapshot, so it runs the scan only when adaptive
 /// re-profiling needs the t = 0 plan for a cadence the snapshot did not
-/// save: on a fork, or from a version 1 or 2 document.
+/// save: on a fork, or from a version 1 or 2 document. A snapshot names a
+/// plan built up front by a digest of its rows and saves only the rows a
+/// re-scan replaced; a restore lays those over this plan.
 #[derive(Debug, Clone)]
 pub struct InputPlan {
     /// The scan still to run; `None` for a plan built up front.
@@ -140,6 +142,14 @@ impl InputPlan {
         match self.scan {
             Some(scan) => scan.per_core,
             None => self.plan.get().is_some_and(OperatingPlan::is_per_core),
+        }
+    }
+
+    /// The plan if it was built up front, not derived by a fleet scan.
+    pub(crate) fn built(&self) -> Option<&OperatingPlan> {
+        match self.scan {
+            None => self.plan.get(),
+            Some(_) => None,
         }
     }
 
@@ -881,7 +891,7 @@ impl SimDriver {
 
     /// Rebuilds a paused run from a snapshot. `input` must describe the
     /// same run the snapshot was taken from (same scheme, seed, fleet,
-    /// workload, and instrument set — mismatches are
+    /// plan, workload, and instrument set — mismatches are
     /// [`SnapshotError::Mismatch`]); the continued run is bit-identical
     /// to never having stopped.
     pub fn resume(mut input: SimInput, snapshot: &str) -> Result<SimDriver, SnapshotError> {
@@ -894,12 +904,18 @@ impl SimDriver {
     /// from `input`, while admitted jobs, ledgers, wear, RNG streams,
     /// pending events, and the operating plan continue from the snapshot:
     /// a fork onto a `Bin*` scheme keeps the scanned plan of a `Scan*`
-    /// snapshot, and places by the `Bin*` policy. An adaptive re-profile
-    /// cadence comes from `input`'s own t = 0 plan, which runs its fleet
-    /// scan, not from the snapshot's saved interval. As in a resume, the
-    /// jobs not yet submitted come from `input.workload` past its first
-    /// `admitted`. Structural facts (fleet shape, instrument set) must
-    /// still match.
+    /// snapshot, and places by the `Bin*` policy. A `Bin*` snapshot saves
+    /// its plan as a digest of the factory-bin rows plus the rows
+    /// re-scans replaced; the fork lays those rows over `input`'s built
+    /// plan or, if `input` would scan, over the snapshot scheme's bin plan
+    /// rebuilt on `input`'s fleet. A digest that does not match that plan
+    /// — a fork onto another seed, and so another fleet, or onto another
+    /// hand-built plan — is a [`SnapshotError::Mismatch`]. An adaptive
+    /// re-profile cadence comes from `input`'s own t = 0 plan, which runs
+    /// its fleet scan, not from the snapshot's saved interval. As in a
+    /// resume, the jobs not yet submitted come from `input.workload` past
+    /// its first `admitted`. Structural facts (fleet shape, instrument
+    /// set) must still match.
     pub fn fork(mut input: SimInput, snapshot: &str) -> Result<SimDriver, SnapshotError> {
         let (source, _) = materialized(&mut input.workload);
         Driver::restore(input, source, snapshot, true).map(SimDriver)
@@ -1226,7 +1242,7 @@ mod tests {
     fn an_adaptive_cadence_resumes_without_a_scan() {
         let sim = scan_fair(true);
         let snapshot = paused_halfway(&sim).snapshot().expect("capture");
-        assert!(snapshot.contains("\"version\":3,"));
+        assert!(snapshot.contains("\"version\":4,"));
         assert_eq!(
             resume_scans(&sim, &snapshot).0,
             0,
@@ -1246,7 +1262,7 @@ mod tests {
         let end = at + snapshot[at..].find(',').expect("more fault fields") + 1;
         assert_ne!(&snapshot[at + key.len()..end - 1], "null");
         let v2 = format!("{}{}", &snapshot[..at], &snapshot[end..]);
-        let v2 = v2.replacen("\"version\":3,", "\"version\":2,", 1);
+        let v2 = v2.replacen("\"version\":4,", "\"version\":2,", 1);
         let (n, resumed) = resume_scans(&sim, &v2);
         assert_eq!(n, 1, "the cadence derives from the t = 0 plan");
         assert!(resumed.snapshot().expect("re-capture") == snapshot);

@@ -7,6 +7,7 @@
 //! restore both expand from it. Derived caches are not serialized: each
 //! component rebuilds its own from the restored ground truth.
 
+use super::service::ChipSet;
 use super::{JobState, Phase, SiteEv, SiteState};
 use crate::simulation::SimInput;
 use crate::snapshot::{
@@ -15,8 +16,8 @@ use crate::snapshot::{
 };
 use iscope_dcsim::{SimDuration, SimTime};
 use iscope_energy::Supply;
-use iscope_pvmodel::{ChipId, Fleet, FreqLevel, OperatingPlan};
-use iscope_sched::CarbonConfig;
+use iscope_pvmodel::{ChipId, FreqLevel, OperatingPlan};
+use iscope_sched::{CarbonConfig, Profiling, Scheme};
 use iscope_workload::{Job, JobId, Urgency};
 use std::borrow::Cow;
 
@@ -37,6 +38,11 @@ const FAULTS: &str = "faults";
 /// cadence is adaptive.
 const SAFE_HOURS: &str = "safe_reprofile_hours";
 const SAFE_HOURS_SINCE: i64 = 3;
+/// The key a `plan` object opens with from [`BUILT_PLAN_SINCE`] on when
+/// the input built the plan up front; a scanned plan's opens with
+/// `voltages`.
+const DIGEST: &str = "digest";
+const BUILT_PLAN_SINCE: i64 = 4;
 
 /// The header besides the version and the presence flags.
 #[derive(Default)]
@@ -363,8 +369,8 @@ fn restore_jobs(s: &mut SiteState, r: &mut Reader<'_>) -> Result<(), SnapshotErr
     Ok(())
 }
 
-/// The operating plan's rows (they carry re-profile refreshes); capture
-/// borrows them from the live plan.
+/// A scanned plan's rows, saved whole: one row pair per chip (they carry
+/// re-profile refreshes). Capture borrows them from the live plan.
 struct PlanRows<'a> {
     voltages: Cow<'a, [Vec<f64>]>,
     est_power: Cow<'a, [Vec<f64>]>,
@@ -375,37 +381,209 @@ persist_struct!(PlanRows<'_> {
     "est_power" => est_power,
 });
 
-/// Writes the plan's rows; [`read_plan`] reads them back.
+/// A plan built up front, saved from [`BUILT_PLAN_SINCE`] on as the digest
+/// of its t = 0 rows, then the chips a re-scan has replaced since, in
+/// ascending order, and their rows.
+struct ReplacedRows<'a> {
+    digest: u64,
+    replaced: Vec<usize>,
+    voltages: Vec<Cow<'a, [f64]>>,
+    est_power: Vec<Cow<'a, [f64]>>,
+}
+
+persist_struct!(ReplacedRows<'_> {
+    "digest" => digest,
+    "replaced" => replaced,
+    "voltages" => voltages,
+    "est_power" => est_power,
+});
+
+/// FNV-1a over a plan's rows, voltages then estimates, one 64-bit word
+/// per value: equal digests mean bit-equal rows, short of a collision.
+fn rows_digest(plan: &OperatingPlan) -> u64 {
+    let (voltages, est_power) = plan.rows();
+    let words = voltages
+        .iter()
+        .chain(est_power)
+        .flatten()
+        .map(|v| v.to_bits());
+    words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A plan the input built up front: the digest of its t = 0 rows, taken
+/// once per site, and the chips whose rows a re-scan has replaced since.
+pub(crate) struct BuiltPlan {
+    digest: u64,
+    pub(super) replaced: ChipSet,
+}
+
+impl BuiltPlan {
+    /// `plan` as built, no row replaced.
+    pub(super) fn new(plan: &OperatingPlan) -> BuiltPlan {
+        BuiltPlan {
+            digest: rows_digest(plan),
+            replaced: ChipSet::new(plan.len()),
+        }
+    }
+
+    /// `t0` with every chip whose rows in `plan` differ from it in any bit
+    /// counted as replaced.
+    fn differing(t0: &OperatingPlan, plan: &OperatingPlan) -> BuiltPlan {
+        fn same(a: &[f64], b: &[f64]) -> bool {
+            a.iter()
+                .map(|x| x.to_bits())
+                .eq(b.iter().map(|y| y.to_bits()))
+        }
+        let mut built = BuiltPlan::new(t0);
+        let ((v, p), (v0, p0)) = (plan.rows(), t0.rows());
+        for c in 0..t0.len() {
+            built
+                .replaced
+                .set(c, !(same(&v[c], &v0[c]) && same(&p[c], &p0[c])));
+        }
+        built
+    }
+}
+
+/// Writes the plan: a built plan's digest and replaced rows, or a scanned
+/// plan's every row. [`read_plan`] reads either back.
 fn save_plan(s: &SiteState, w: &mut Writer) -> Result<(), SnapshotError> {
     let (voltages, est_power) = s.plan.rows();
-    let rows = PlanRows {
-        voltages: voltages.into(),
-        est_power: est_power.into(),
+    let Some(built) = &s.built_plan else {
+        let rows = PlanRows {
+            voltages: voltages.into(),
+            est_power: est_power.into(),
+        };
+        return rows.write(w, PLAN);
+    };
+    let replaced: Vec<usize> = built.replaced.iter().collect();
+    let rows = ReplacedRows {
+        digest: built.digest,
+        voltages: replaced
+            .iter()
+            .map(|&c| voltages[c].as_slice().into())
+            .collect(),
+        est_power: replaced
+            .iter()
+            .map(|&c| est_power[c].as_slice().into())
+            .collect(),
+        replaced,
     };
     rows.write(w, PLAN)
 }
 
-/// Reads the plan section, which a restore builds the site from: one
-/// row pair per chip of `fleet`, each with one entry per DVFS level.
-fn read_plan(doc: &Doc<'_>, fleet: &Fleet) -> Result<OperatingPlan, SnapshotError> {
-    let rows = doc.entry(PLAN, |r| PlanRows::read(r, PLAN))?;
-    let (chips, levels) = (fleet.len(), fleet.dvfs.num_levels());
-    for (rows_of, got) in [("voltages", &rows.voltages), ("est_power", &rows.est_power)] {
-        if got.len() != chips {
-            mismatch!(
-                "plan {rows_of} cover {} chips, fleet has {chips}",
-                got.len()
-            );
-        }
-        if let Some(ci) = got.iter().position(|row| row.len() != levels) {
-            mismatch!(
-                "plan {rows_of} for chip {ci} has {} levels, expected {levels}",
-                got[ci].len()
-            );
-        }
+/// Refuses plan rows that are not `count` rows of one entry per DVFS
+/// level; `chip` names the chip of each row in the message.
+fn check_rows<R: AsRef<[f64]>>(
+    rows_of: &str,
+    rows: &[R],
+    (count, levels): (usize, usize),
+    chip: impl Fn(usize) -> usize,
+) -> Result<(), SnapshotError> {
+    if rows.len() != count {
+        mismatch!("plan {rows_of} hold {} rows for {count} chips", rows.len());
     }
-    let (voltages, est_power) = (rows.voltages.into_owned(), rows.est_power.into_owned());
-    Ok(OperatingPlan::from_rows(voltages, est_power))
+    if let Some(i) = rows.iter().position(|row| row.as_ref().len() != levels) {
+        mismatch!(
+            "plan {rows_of} for chip {} has {} levels, expected {levels}",
+            chip(i),
+            rows[i].as_ref().len()
+        );
+    }
+    Ok(())
+}
+
+/// `t0` with the saved rows of the chips a re-scan replaced laid over it,
+/// and the set of those chips.
+fn overlay(
+    t0: &OperatingPlan,
+    rows: ReplacedRows<'_>,
+    (chips, levels): (usize, usize),
+) -> Result<(OperatingPlan, ChipSet), SnapshotError> {
+    let replaced = &rows.replaced;
+    if let Some(&c) = replaced.iter().find(|&&c| c >= chips) {
+        mismatch!("plan replaced chip {c} out of range (fleet {chips})");
+    }
+    if let Some(w) = replaced.windows(2).find(|w| w[0] >= w[1]) {
+        mismatch!("plan replaced chips {} then {}, not ascending", w[0], w[1]);
+    }
+    let shape = (replaced.len(), levels);
+    check_rows("voltages", &rows.voltages, shape, |i| replaced[i])?;
+    check_rows("est_power", &rows.est_power, shape, |i| replaced[i])?;
+    let (voltages, est_power) = t0.rows();
+    let (mut voltages, mut est_power) = (voltages.to_vec(), est_power.to_vec());
+    let mut set = ChipSet::new(chips);
+    let saved = rows.voltages.into_iter().zip(rows.est_power);
+    for (c, (v, p)) in rows.replaced.into_iter().zip(saved) {
+        voltages[c] = v.into_owned();
+        est_power[c] = p.into_owned();
+        set.set(c, true);
+    }
+    Ok((OperatingPlan::from_rows(voltages, est_power), set))
+}
+
+/// Reads the plan section, which a restore builds the site from, with the
+/// [`BuiltPlan`] its captures save against when `input` built its plan up
+/// front.
+///
+/// A plan saved whole must cover the input's fleet. Where the input built
+/// a plan, the rows that differ from it count as replaced; this is how
+/// version 1 to 3 documents resume. A built plan's replaced rows overlay
+/// the input's built plan or, on a fork whose input would scan, the
+/// snapshot scheme's bin plan rebuilt on the input's fleet, which needs no
+/// scan. Either must match the saved digest, so a fork onto another fleet
+/// is refused rather than run on the old fleet's rows.
+fn read_plan(
+    doc: &Doc<'_>,
+    input: &SimInput,
+    scheme: &str,
+    (version, fork): (i64, bool),
+) -> Result<(OperatingPlan, Option<BuiltPlan>), SnapshotError> {
+    let shape = (input.fleet.len(), input.fleet.dvfs.num_levels());
+    let input_built = input.plan.built();
+    let has_digest = doc.head(PLAN, |r| {
+        r.open_obj(PLAN)?;
+        Ok(r.next_key()?.as_deref() == Some(DIGEST))
+    })?;
+    if !has_digest {
+        let rows = doc.entry(PLAN, |r| PlanRows::read(r, PLAN))?;
+        check_rows("voltages", &rows.voltages, shape, |i| i)?;
+        check_rows("est_power", &rows.est_power, shape, |i| i)?;
+        let (voltages, est_power) = (rows.voltages.into_owned(), rows.est_power.into_owned());
+        let plan = OperatingPlan::from_rows(voltages, est_power);
+        let built = input_built.map(|t0| BuiltPlan::differing(t0, &plan));
+        return Ok((plan, built));
+    }
+    if version < BUILT_PLAN_SINCE {
+        mismatch!("a version {version} document holds a plan digest");
+    }
+    let rows = doc.entry(PLAN, |r| ReplacedRows::read(r, PLAN))?;
+    let rebuilt;
+    let t0 = match input_built {
+        Some(t0) => t0,
+        None if fork => {
+            let bin = Scheme::ALL.into_iter().find(|s| s.name() == scheme);
+            let Some(bin) = bin.filter(|s| s.profiling() == Profiling::Bin) else {
+                mismatch!(
+                    "snapshot plan was built up front, {scheme:?} has no bin plan to rebuild"
+                );
+            };
+            rebuilt = bin.build_plan(&input.fleet, input.seed);
+            &rebuilt
+        }
+        None => mismatch!("snapshot plan was built up front, the input's plan is a fleet scan"),
+    };
+    let digest = rows_digest(t0);
+    if rows.digest != digest {
+        mismatch!(
+            "snapshot plan digest {:#018x} differs from the input's built plan {digest:#018x}",
+            rows.digest
+        );
+    }
+    let (plan, replaced) = overlay(t0, rows, shape)?;
+    Ok((plan, input_built.map(|_| BuiltPlan { digest, replaced })))
 }
 
 /// Writes the `faults` section: `null` without fault injection, else the
@@ -552,9 +730,11 @@ fn check_supported(in_situ: bool, per_core: bool) -> Result<(), SnapshotError> {
 }
 
 /// What a restored site is built from in place of its input: the
-/// snapshot's plan, and on a resume the safe re-profile interval it saved.
+/// snapshot's plan with what its captures save against, and on a resume
+/// the safe re-profile interval it saved.
 pub(crate) struct Restored {
     pub(super) plan: OperatingPlan,
+    pub(super) built_plan: Option<BuiltPlan>,
     pub(super) safe_reprofile_hours: Option<f64>,
 }
 
@@ -611,12 +791,18 @@ impl SiteState {
     /// (`fork = false`) must match the input's scheme and seed and runs
     /// on bit-identically; a fork takes scheme name, placement, supply
     /// and knobs from the input and the simulation state from the
-    /// snapshot. Either way the site runs on the snapshot's plan. A resume
-    /// takes an adaptive re-profile cadence from the saved safe interval,
-    /// and a fork from its input's t = 0 plan, so the input's deferred
-    /// scan runs only for a fork under that cadence, or for a document
-    /// that saved no interval (version 2 and older, or a `null`).
-    /// Fleet shape and the instrument set must match either way.
+    /// snapshot. Either way the site runs on the snapshot's plan: saved
+    /// whole, or a built plan's replaced rows laid over the input's
+    /// built plan, or on a fork whose input would scan, over the snapshot
+    /// scheme's bin plan rebuilt on the input's fleet ([`read_plan`]). A
+    /// built plan whose digest differs from the plan it would overlay —
+    /// a fork onto another seed's fleet, another hand-built plan — is a
+    /// [`SnapshotError::Mismatch`]. A resume takes an adaptive re-profile
+    /// cadence from the saved safe interval, and a fork from its input's
+    /// t = 0 plan, so the input's deferred scan runs only for a fork
+    /// under that cadence, or for a document that saved no interval
+    /// (version 2 and older, or a `null`). Fleet shape and the instrument
+    /// set must match either way.
     pub(crate) fn restore_from(
         input: SimInput,
         site_id: u32,
@@ -630,7 +816,7 @@ impl SiteState {
                 let version = r.entry(VERSION_KEY, |r| i64::read(r, "snapshot version"))?;
                 // v1 writes finished jobs as `"done"` records, which
                 // `restore_jobs` also reads; v1 and v2 save no safe
-                // re-profile interval.
+                // re-profile interval; v1 to v3 save every plan row.
                 if !(1..=SNAPSHOT_VERSION).contains(&version) {
                     mismatch!(
                         "snapshot version {version} (this build reads 1 to {SNAPSHOT_VERSION})"
@@ -684,10 +870,11 @@ impl SiteState {
                 .check(&Traces::of(&input.supply))?;
         }
         let pending: Vec<(SimTime, SiteEv)> = doc.entry(EVENTS, |r| Persist::read(r, EVENTS))?;
-        let plan = read_plan(&doc, &input.fleet)?;
+        let (plan, built_plan) = read_plan(&doc, &input, &header.scheme, (version, fork))?;
         let safe_hours = read_safe_hours(&doc, version)?;
         let restored = Restored {
             plan,
+            built_plan,
             safe_reprofile_hours: safe_hours.filter(|_| !fork),
         };
 

@@ -36,7 +36,7 @@ mod service;
 use crate::report::RunReport;
 use crate::simulation::{PhaseTimers, SimInput, SurplusSignal};
 use availability::Availability;
-use checkpoint::Restored;
+use checkpoint::{BuiltPlan, Restored};
 use deferral::Deferral;
 use demand::Demand;
 use instruments::{Instruments, Observed};
@@ -191,6 +191,10 @@ pub(crate) struct SiteState {
     pub(crate) migrated_out: u64,
     pub(crate) fleet: Fleet,
     pub(crate) plan: OperatingPlan,
+    /// The digest of the plan's t = 0 rows and the chips re-scanned since,
+    /// when the input built the plan up front; a snapshot saves only those
+    /// chips' rows. `None` for a scanned plan, which it saves whole.
+    pub(crate) built_plan: Option<BuiltPlan>,
     pub(crate) placement: Box<dyn Placement>,
     pub(crate) supply: Supply,
     pub(crate) cooling: CoolingModel,
@@ -274,7 +278,10 @@ impl SiteState {
     ) -> SiteState {
         let (fleet, seed) = (&input.fleet, input.seed);
         let saved_safe_hours = restored.as_ref().and_then(|r| r.safe_reprofile_hours);
-        let restored = restored.map(|r| r.plan);
+        let (restored, built_plan) = match restored {
+            Some(r) => (Some(r.plan), r.built_plan),
+            None => (None, input.plan.built().map(BuiltPlan::new)),
+        };
         let plan = restored
             .as_ref()
             .unwrap_or_else(|| input.plan.get(fleet, seed));
@@ -308,6 +315,7 @@ impl SiteState {
             scheme_name: input.scheme_name,
             fleet: input.fleet,
             plan,
+            built_plan,
             placement: input.placement,
             supply: input.supply,
             cooling: input.cooling,
@@ -495,6 +503,9 @@ impl SiteState {
             "chip {chip} finished a scan while a running job held it"
         );
         self.plan.update_chip(ChipId(chip), voltages, est);
+        if let Some(built) = &mut self.built_plan {
+            built.replaced.set(chip as usize, true);
+        }
         self.avail.set_ranking(self.plan.ranking());
         self.instruments
             .plan_updated((&self.fleet, &self.plan), ChipId(chip));

@@ -24,7 +24,7 @@ pub(crate) struct ChipSet {
 }
 
 impl ChipSet {
-    fn new(n: usize) -> ChipSet {
+    pub(super) fn new(n: usize) -> ChipSet {
         ChipSet::from_flags(vec![false; n])
     }
 
@@ -42,14 +42,14 @@ impl ChipSet {
         self.len
     }
 
-    fn set(&mut self, i: usize, on: bool) {
+    pub(super) fn set(&mut self, i: usize, on: bool) {
         if self.on[i] != on {
             self.on[i] = on;
             self.len = if on { self.len + 1 } else { self.len - 1 };
         }
     }
 
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(super) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.on.len()).filter(|&i| self.on[i])
     }
 }
@@ -246,8 +246,8 @@ impl Service {
                         let plan = input.plan.get(fleet, seed);
                         safe_reprofile_interval_hours(fleet, plan, aging)
                     });
-                    // The product `ReprofilePolicy::stress_interval_hours`
-                    // forms, so a saved interval gives the same cadence.
+                    // One product whether `safe` was saved or computed,
+                    // so a resume keeps the cadence bit for bit.
                     (fraction * safe, Some(safe))
                 }
             };
@@ -715,5 +715,46 @@ impl Service {
         }
         self.out_of_service = ChipSet::from_flags((0..n).map(|i| self.holds(i)).collect());
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Service;
+    use crate::prelude::*;
+    use crate::{FaultInjectionConfig, ReprofileConfig};
+    use iscope_scanner::{safe_reprofile_interval_hours, ReprofilePolicy};
+
+    /// A site re-scans a chip after a fixed policy's stress hours, or after
+    /// an adaptive fraction of its t = 0 plan's safe interval.
+    #[test]
+    fn the_site_cadence_follows_the_reprofile_policy() {
+        let adaptive = ReprofilePolicy::Adaptive { fraction: 0.5 };
+        for policy in [ReprofilePolicy::Fixed { stress_hours: 42.0 }, adaptive] {
+            let input = GreenDatacenterSim::builder()
+                .fleet_size(24)
+                .synthetic_jobs(4)
+                .scheme(Scheme::BinEffi)
+                .fault_injection(FaultInjectionConfig {
+                    reprofile: Some(ReprofileConfig {
+                        policy,
+                        ..ReprofileConfig::default()
+                    }),
+                    ..FaultInjectionConfig::default()
+                })
+                .build()
+                .into_input();
+            let faults = Service::new(&input, None, 0).faults.expect("fault state");
+            let want = match policy {
+                ReprofilePolicy::Fixed { stress_hours } => stress_hours,
+                ReprofilePolicy::Adaptive { fraction } => {
+                    let plan = input.plan.get(&input.fleet, input.seed);
+                    let aging = &input.fault_injection.as_ref().expect("faults").model.aging;
+                    fraction * safe_reprofile_interval_hours(&input.fleet, plan, aging)
+                }
+            };
+            assert!(want.is_finite() && want > 0.0, "{policy:?}: {want}");
+            assert_eq!(faults.stress_interval_hours, want, "{policy:?}");
+        }
     }
 }

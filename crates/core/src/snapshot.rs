@@ -49,12 +49,14 @@ use std::collections::VecDeque;
 use std::fmt::{self, Write as _};
 
 /// Current snapshot document version. Bumped on any schema change; the
-/// decoder rejects versions it does not know. Version 3 opens the
-/// `faults` section with the t = 0 plan's safe re-profile interval, so an
-/// adaptive re-profiling run resumes without a fleet scan. Version 2
-/// writes a finished job as `null` in the `jobs` array; version 1 wrote
-/// its whole record. Both are still read.
-pub const SNAPSHOT_VERSION: i64 = 3;
+/// decoder rejects versions it does not know. Version 4 saves a plan the
+/// input built up front as the digest of its t = 0 rows plus the rows a
+/// re-scan replaced, and a scanned plan whole, as before. Version 3 opens
+/// the `faults` section with the t = 0 plan's safe re-profile interval,
+/// so an adaptive re-profiling run resumes without a fleet scan. Version
+/// 2 writes a finished job as `null` in the `jobs` array; version 1 wrote
+/// its whole record. All three are still read.
+pub const SNAPSHOT_VERSION: i64 = 4;
 
 /// Why a snapshot could not be taken, parsed, or restored.
 #[derive(Debug, Clone, PartialEq)]

@@ -20,7 +20,10 @@
 //!    snapshots resume byte-identically;
 //! 5. under **adaptive re-profiling**, a run paused after a re-scan
 //!    rewrote the plan saves its t = 0 safe re-profile interval and
-//!    resumes byte-identically from it.
+//!    resumes byte-identically from it;
+//! 6. a **built plan** (BinEffi's factory bins) paused after a re-scan
+//!    replaced a row saves the digest of its t = 0 rows and only the
+//!    replaced rows, and resumes byte-identically from them.
 
 use iscope::prelude::*;
 use iscope::snapshot::{parse, Val};
@@ -164,6 +167,37 @@ fn section(snapshot: &str, name: &str) -> Val {
         .clone()
 }
 
+/// `scenario(scheme, 1)` with faults and the default (adaptive)
+/// re-profiling.
+fn rescanning(scheme: Scheme) -> GreenDatacenterSim {
+    scenario(scheme, 1).fault_injection(FaultInjectionConfig {
+        model: fault_model(),
+        reprofile: Some(ReprofileConfig::default()),
+        ..FaultInjectionConfig::default()
+    })
+}
+
+/// Pauses `sim` at the first 5-minute mark before `end` whose snapshot
+/// satisfies `caught`; returns the mark and the snapshot.
+fn first_pause(
+    sim: &GreenDatacenterSim,
+    end: SimTime,
+    caught: impl Fn(&str) -> bool,
+    what: &str,
+) -> (SimTime, String) {
+    let mut paused = SimDriver::new(input(sim));
+    let mut pause = SimTime::ZERO;
+    loop {
+        pause += SimDuration::from_mins(5);
+        assert!(pause < end, "resume-smoke: {what} never happened");
+        paused.run_until(pause);
+        let snapshot = paused.snapshot().expect("capture re-profiling run");
+        if caught(&snapshot) {
+            return (pause, snapshot);
+        }
+    }
+}
+
 fn assert_bytes_identical(unbroken: &RunReport, resumed: &RunReport, label: &str) {
     assert_eq!(
         format!("{unbroken:?}"),
@@ -289,28 +323,12 @@ pub fn smoke() {
     // 5. Adaptive re-profiling: pause at the first 5-minute mark after a
     // re-scan rewrote the plan; the snapshot carries the cadence's safe
     // interval, so the resume needs no fleet scan.
-    let sim = scenario(Scheme::ScanFair, 1).fault_injection(FaultInjectionConfig {
-        model: fault_model(),
-        reprofile: Some(ReprofileConfig::default()),
-        ..FaultInjectionConfig::default()
-    });
+    let sim = rescanning(Scheme::ScanFair);
     let (unbroken, _) = SimDriver::new(input(&sim)).finish();
-    let mut paused = SimDriver::new(input(&sim));
-    let initial = section(&paused.snapshot().expect("capture at t = 0"), "plan");
-    let mut pause = SimTime::ZERO;
-    let snapshot = loop {
-        pause += SimDuration::from_mins(5);
-        assert!(
-            pause < unbroken.makespan,
-            "resume-smoke: no re-scan rewrote the plan"
-        );
-        paused.run_until(pause);
-        let snapshot = paused.snapshot().expect("capture re-profiling run");
-        if section(&snapshot, "plan") != initial {
-            break snapshot;
-        }
-    };
-    drop(paused);
+    let t0 = SimDriver::new(input(&sim)).snapshot();
+    let initial = section(&t0.expect("capture at t = 0"), "plan");
+    let rewritten = |snapshot: &str| section(snapshot, "plan") != initial;
+    let (pause, snapshot) = first_pause(&sim, unbroken.makespan, rewritten, "a plan re-scan");
     let safe = section(&snapshot, "faults")
         .get("safe_reprofile_hours")
         .cloned();
@@ -328,13 +346,36 @@ pub fn smoke() {
         snapshot.len()
     );
 
+    // 6. A built plan: pause at the first 5-minute mark after a re-scan
+    // replaced one of the factory-bin rows; the snapshot saves the digest
+    // of the t = 0 rows and only the replaced ones.
+    let sim = rescanning(Scheme::BinEffi);
+    let (unbroken, _) = SimDriver::new(input(&sim)).finish();
+    let replaced = |snapshot: &str| match section(snapshot, "plan").get("replaced") {
+        Ok(Val::Arr(chips)) => chips.len(),
+        other => panic!("resume-smoke: a built plan saved without its replaced chips: {other:?}"),
+    };
+    let refreshed = |snapshot: &str| replaced(snapshot) > 0;
+    let (pause, snapshot) = first_pause(&sim, unbroken.makespan, refreshed, "a bin-row re-scan");
+    let (resumed, _) = SimDriver::resume(input(&sim), &snapshot)
+        .expect("restore built-plan snapshot")
+        .finish();
+    assert_bytes_identical(&unbroken, &resumed, "built plan");
+    println!(
+        "resume-smoke built plan, {} of {FLEET} rows replaced at {:.2} h: ok ({} snapshot bytes)",
+        replaced(&snapshot),
+        pause.as_hours_f64(),
+        snapshot.len()
+    );
+
     println!(
         "resume-smoke OK: {} schemes x 3 seeds byte-identical across a mid-run \
          restore (faults on, {total_failures} timing failures exercised); \
          streaming pause/resume identical; fork-control equals resume; peak \
          buffered arrivals in the streaming leg: {}; churn snapshots hold the \
          live set only, jobs section {} -> {} bytes from 25% to 90% of the makespan; \
-         an adaptive re-profiling run resumes from its saved safe interval",
+         an adaptive re-profiling run resumes from its saved safe interval; a \
+         built plan resumes from its digest and replaced rows",
         Scheme::ALL.len(),
         stream.peak_buffered,
         lens[0],

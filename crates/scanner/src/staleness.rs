@@ -118,23 +118,6 @@ impl ReprofilePolicy {
             }
         }
     }
-
-    /// Stress hours a chip may accumulate before it is due for a re-scan.
-    /// Infinite policies (e.g. `Fixed { stress_hours: INFINITY }`) never
-    /// trigger.
-    pub fn stress_interval_hours(
-        &self,
-        fleet: &Fleet,
-        plan: &OperatingPlan,
-        aging: &AgingModel,
-    ) -> f64 {
-        match *self {
-            ReprofilePolicy::Fixed { stress_hours } => stress_hours,
-            ReprofilePolicy::Adaptive { fraction } => {
-                fraction * safe_reprofile_interval_hours(fleet, plan, aging)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -222,16 +205,16 @@ mod tests {
         let (fleet, plan) = setup();
         let aging = AgingModel::default();
         let safe = safe_reprofile_interval_hours(&fleet, &plan, &aging);
-        let fixed = ReprofilePolicy::Fixed { stress_hours: 42.0 };
-        fixed.validate();
-        assert_eq!(fixed.stress_interval_hours(&fleet, &plan, &aging), 42.0);
+        ReprofilePolicy::Fixed { stress_hours: 42.0 }.validate();
         let adaptive = ReprofilePolicy::Adaptive { fraction: 0.5 };
         adaptive.validate();
-        let interval = adaptive.stress_interval_hours(&fleet, &plan, &aging);
-        assert!((interval - 0.5 * safe).abs() < 1e-9);
-        // An adaptive cadence at or below the safe interval can never let a
-        // chip drift past its guardband between scans.
-        let r = analyse_staleness(&fleet, &plan, &aging, interval);
+        let ReprofilePolicy::Adaptive { fraction } = adaptive else {
+            unreachable!("built adaptive");
+        };
+        // A site re-scans at `fraction × safe` under an adaptive policy. At
+        // or below the safe interval no chip can drift past its guardband
+        // between scans.
+        let r = analyse_staleness(&fleet, &plan, &aging, fraction * safe);
         assert_eq!(r.unsafe_chips, 0);
     }
 }

@@ -161,12 +161,28 @@ fn rescan_in_flight(snapshot: &str) -> (bool, bool) {
     )
 }
 
-/// ScanFair under strict audit with faults and re-profiling.
-fn rescanning() -> GreenDatacenterSim {
-    base(Scheme::ScanFair, 42).fault_injection(FaultInjectionConfig {
+/// `scheme` under strict audit with faults and re-profiling.
+fn rescanning(scheme: Scheme) -> GreenDatacenterSim {
+    base(scheme, 42).fault_injection(FaultInjectionConfig {
         reprofile: Some(ReprofileConfig::default()),
         ..faults()
     })
+}
+
+/// The first 5-minute mark at which `sim`'s snapshot satisfies `caught`,
+/// and that snapshot.
+fn first_snapshot(sim: &GreenDatacenterSim, caught: impl Fn(&str) -> bool) -> (SimTime, String) {
+    let mut paused = SimDriver::new(input(sim));
+    let mut pause = SimTime::ZERO;
+    loop {
+        pause += SimDuration::from_mins(5);
+        assert!(pause < hours(96), "no pause caught it");
+        paused.run_until(pause);
+        let snapshot = paused.snapshot().expect("capture mid-run");
+        if caught(&snapshot) {
+            return (pause, snapshot);
+        }
+    }
 }
 
 /// Pauses `sim` at the first 5-minute mark whose snapshot satisfies
@@ -174,17 +190,8 @@ fn rescanning() -> GreenDatacenterSim {
 /// against the uninterrupted one.
 fn resume_parity_at_first(sim: &GreenDatacenterSim, caught: impl Fn(&str) -> bool, label: &str) {
     let (unbroken, _) = SimDriver::new(input(sim)).finish();
-    let mut paused = SimDriver::new(input(sim));
-    let mut pause = SimTime::ZERO;
-    let snapshot = loop {
-        pause += SimDuration::from_mins(5);
-        assert!(pause < unbroken.makespan, "{label}: no pause caught it");
-        paused.run_until(pause);
-        let snapshot = paused.snapshot().expect("capture mid-run");
-        if caught(&snapshot) {
-            break snapshot;
-        }
-    };
+    let (pause, snapshot) = first_snapshot(sim, caught);
+    assert!(pause < unbroken.makespan, "{label}: caught after the run");
     let (resumed, _) = SimDriver::resume(input(sim), &snapshot)
         .expect("restore")
         .finish();
@@ -195,7 +202,8 @@ fn resume_parity_at_first(sim: &GreenDatacenterSim, caught: impl Fn(&str) -> boo
 #[test]
 fn resume_parity_with_chips_mid_rescan() {
     let in_flight = |snapshot: &str| rescan_in_flight(snapshot) == (true, true);
-    resume_parity_at_first(&rescanning(), in_flight, "ScanFair+faults+re-profiling");
+    let sim = rescanning(Scheme::ScanFair);
+    resume_parity_at_first(&sim, in_flight, "ScanFair+faults+re-profiling");
 }
 
 /// The resumed leg starts from plan rows a re-scan rewrote, so the
@@ -204,7 +212,7 @@ fn resume_parity_with_chips_mid_rescan() {
 /// not the input's.
 #[test]
 fn resume_parity_after_a_rescan_rewrote_the_plan() {
-    let sim = rescanning();
+    let sim = rescanning(Scheme::ScanFair);
     let initial = section(
         &SimDriver::new(input(&sim)).snapshot().expect("capture"),
         "plan",
@@ -604,16 +612,16 @@ fn snapshot_bytes_are_pinned() {
     );
     assert_eq!(
         (snapshot.len(), fnv1a(snapshot.as_bytes())),
-        (29_423, 0x1c06_2a20_010d_cb2a),
+        (29_423, 0x0dce_131f_c25b_5817),
         "snapshot bytes changed"
     );
 }
 
-/// The version-3 capture of [`every_section_sim`] at 14 h while the
+/// The version-4 capture of [`every_section_sim`] at 14 h while the
 /// driver still queued every job of a materialized workload as an
 /// `Arrival` event at t = 0, so the document held the jobs not yet
 /// submitted too.
-const QUEUED_ARRIVALS_PIN: (usize, u64) = (32_917, 0xf7e8_8701_258d_bbb9);
+const QUEUED_ARRIVALS_PIN: (usize, u64) = (32_917, 0xd4bd_afc8_ed42_8f18);
 
 /// The `jobs` line of a snapshot document.
 fn jobs_line(doc: &str) -> &str {
@@ -680,6 +688,159 @@ fn v2_snapshot_resumes_byte_identically() {
     );
     let (unbroken, _) = SimDriver::new(input(&sim)).finish();
     assert_identical(&unbroken, &resumed.finish().0, "v2 resume");
+}
+
+/// [`every_section_snapshot`] as the version-3 format wrote it. Its
+/// ScanFair plan is scanned, which every version saves whole, so it
+/// differs from today's document only in its `"version"`.
+const V3_EVERY_SECTION: &str = include_str!("data/snapshot_v3_every_section.jsonl");
+
+/// A version-3 document still resumes byte-identically, and a capture
+/// right after the resume is today's document of the same instant.
+#[test]
+fn v3_snapshot_resumes_byte_identically() {
+    assert_eq!(
+        (V3_EVERY_SECTION.len(), fnv1a(V3_EVERY_SECTION.as_bytes())),
+        (29_423, 0x1c06_2a20_010d_cb2a),
+        "the v3 fixture changed"
+    );
+    let sim = every_section_sim();
+    let resumed = SimDriver::resume(input(&sim), V3_EVERY_SECTION).expect("restore v3");
+    assert!(
+        resumed.snapshot().expect("re-capture") == every_section_snapshot(),
+        "a v3 resume re-captures differently from the current document"
+    );
+    let (unbroken, _) = SimDriver::new(input(&sim)).finish();
+    assert_identical(&unbroken, &resumed.finish().0, "v3 resume");
+}
+
+/// The chips a snapshot's `plan` section lists as replaced; `None` for a
+/// plan saved whole.
+fn replaced_chips(snapshot: &str) -> Option<Vec<Val>> {
+    match section(snapshot, "plan").get("replaced") {
+        Ok(Val::Arr(chips)) => Some(chips.clone()),
+        _ => None,
+    }
+}
+
+/// BinEffi under faults and adaptive re-profiling: its factory-bin plan
+/// is built up front.
+fn built_plan_sim() -> GreenDatacenterSim {
+    rescanning(Scheme::BinEffi)
+}
+
+/// [`built_plan_sim`] at the first 5-minute mark after a re-scan replaced
+/// a row of its plan, and the snapshot of that mark.
+fn built_plan_snapshot() -> (SimTime, String) {
+    first_snapshot(&built_plan_sim(), |snapshot| {
+        replaced_chips(snapshot).is_some_and(|chips| !chips.is_empty())
+    })
+}
+
+/// The `plan` line of a snapshot document.
+fn plan_line(doc: &str) -> &str {
+    let plan = doc.lines().find(|l| l.starts_with("{\"section\":\"plan\""));
+    plan.expect("a plan section")
+}
+
+/// Golden bytes of a document whose plan was built up front: its `plan`
+/// line holds the digest of the t = 0 rows and only the rows re-scans
+/// replaced, and the document resumes byte-identically.
+#[test]
+fn built_plan_snapshot_bytes_are_pinned() {
+    let sim = built_plan_sim();
+    let (pause, doc) = built_plan_snapshot();
+    // Read off the version-3 capture of the same instant, which saved every
+    // row: two re-scans had completed, and the rows of chips 0 and 1 were
+    // the ones that differed from the factory bins.
+    assert_eq!(pause, SimTime::from_millis(10_200_000));
+    assert_eq!(replaced_chips(&doc), Some(vec![Val::Int(0), Val::Int(1)]));
+    assert_eq!(
+        section(&doc, "faults").get("chips_rescanned"),
+        Ok(&Val::Int(2))
+    );
+    assert_eq!(
+        (doc.len(), fnv1a(doc.as_bytes())),
+        (25_305, 0x12dd_c0e6_cf0d_07ec),
+        "built-plan snapshot bytes changed"
+    );
+    assert_round_trip(&sim, &doc, "built plan");
+    let (unbroken, _) = SimDriver::new(input(&sim)).finish();
+    let (resumed, _) = SimDriver::resume(input(&sim), &doc)
+        .expect("restore")
+        .finish();
+    assert_identical(&unbroken, &resumed, "built plan, rows replaced");
+}
+
+/// A version-3 document saved a built plan's every row. Resumed onto the
+/// input's built plan, the rows that differ from it count as replaced, so
+/// the resume re-captures today's document of the same instant.
+#[test]
+fn a_v3_built_plan_resumes_into_todays_document() {
+    let (_, doc) = built_plan_snapshot();
+    // A fork whose input would scan saves the plan it runs on whole.
+    let forked = SimDriver::fork(input(&rescanning(Scheme::ScanFair)), &doc).expect("fork");
+    let whole = forked.snapshot().expect("capture the fork");
+    assert!(plan_line(&whole).contains("{\"voltages\":[["));
+    let v3 = doc
+        .replacen(plan_line(&doc), plan_line(&whole), 1)
+        .replacen("\"version\":4,", "\"version\":3,", 1);
+    assert_eq!(
+        (v3.len(), fnv1a(v3.as_bytes())),
+        (33_906, 0x7d5a_0541_edbe_d456),
+        "not the document the version-3 writer captured at this instant"
+    );
+    let resumed = SimDriver::resume(input(&built_plan_sim()), &v3).expect("restore v3");
+    assert!(
+        resumed.snapshot().expect("re-capture") == doc,
+        "a v3 built-plan resume re-captures differently from the current document"
+    );
+}
+
+/// A resume checks the saved digest against the input's built plan: a
+/// hand-built plan with other rows is refused, not overlaid.
+#[test]
+fn a_resume_onto_a_different_hand_built_plan_is_a_mismatch() {
+    let (_, doc) = built_plan_snapshot();
+    let mut other = input(&built_plan_sim());
+    other.plan = OperatingPlan::oracle(&other.fleet).into();
+    let err = SimDriver::resume(other, &doc).err();
+    let err = err.expect("another hand-built plan must not resume");
+    assert!(matches!(err, SnapshotError::Mismatch(_)), "{err}");
+    assert!(err.to_string().contains("snapshot plan digest"), "{err}");
+}
+
+/// A fork whose input would scan rebuilds the snapshot scheme's bin plan
+/// on its own fleet, which needs no scan, and lays the saved rows over it:
+/// the branch runs on the plan the snapshot was taken under.
+#[test]
+fn a_bin_snapshot_forked_onto_a_scan_scheme_keeps_the_bin_plan() {
+    let (_, doc) = built_plan_snapshot();
+    let scan = input(&rescanning(Scheme::ScanFair));
+    let (forked, _) = SimDriver::fork(scan, &doc).expect("fork").finish();
+    let report = format!("{forked:?}");
+    // The same fork from the version-3 document of the same instant,
+    // which restored every saved row, measured with that format's reader.
+    assert_eq!(
+        (report.len(), fnv1a(report.as_bytes())),
+        (30_124, 0xcfea_5d34_1fbc_9ca8),
+        "the forked report changed"
+    );
+}
+
+/// A fork onto another seed runs on another fleet, whose factory bins are
+/// not the snapshot's: a checked error, whether its input builds the bin
+/// plan or would scan.
+#[test]
+fn a_built_plan_fork_onto_another_seed_is_a_mismatch() {
+    let (_, doc) = built_plan_snapshot();
+    for scheme in [Scheme::BinEffi, Scheme::ScanFair] {
+        let other = input(&rescanning(scheme).seed(43));
+        let err = SimDriver::fork(other, &doc).err();
+        let err = err.unwrap_or_else(|| panic!("a fork onto seed 43 under {scheme:?} must fail"));
+        assert!(matches!(err, SnapshotError::Mismatch(_)), "{err}");
+        assert!(err.to_string().contains("snapshot plan digest"), "{err}");
+    }
 }
 
 /// Restore then capture reproduces the document byte for byte: every
@@ -830,18 +991,74 @@ fn mutate(doc: &str, kind: u8, a: u64, b: u64) -> String {
     }
 }
 
+/// One of five malformed `plan` sections of a built-plan document, chosen
+/// by `kind` and placed by `a`: a replaced chip past the fleet, a chip
+/// listed twice, a row one level short, a value past f64, or another
+/// digest.
+fn mutate_plan(doc: &str, kind: u8, a: u64) -> String {
+    fn items(v: &mut Val) -> &mut Vec<Val> {
+        match v {
+            Val::Arr(items) => items,
+            other => panic!("expected an array, found {other:?}"),
+        }
+    }
+    // Keys in order: digest, replaced, voltages, est_power.
+    let Val::Obj(mut plan) = section(doc, "plan") else {
+        panic!("the plan section is an object");
+    };
+    let chips = items(&mut plan[1].1).len() as u64;
+    let (i, key) = ((a % chips) as usize, 2 + (a / chips % 2) as usize);
+    let row = items(&mut items(&mut plan[key].1)[i]);
+    match kind {
+        0 => items(&mut plan[1].1)[i] = Val::Int(48 + (a % 1_000) as i128),
+        1 => {
+            for (_, list) in &mut plan[1..] {
+                let list = items(list);
+                list.insert(i, list[i].clone());
+            }
+        }
+        2 => drop(row.pop()),
+        3 => {
+            let at = (a as usize / 2) % row.len();
+            row[at] = Val::Str("past f64".into());
+        }
+        _ => {
+            let Val::Int(digest) = plan[0].1 else {
+                panic!("the digest is an integer");
+            };
+            plan[0].1 = Val::Int(digest ^ (a | 1) as i128);
+        }
+    }
+    let data = iscope::snapshot::render(&Val::Obj(plan), "plan").expect("renders");
+    let data = data.replace("\"past f64\"", "1e999");
+    let line = format!("{{\"section\":\"plan\",\"data\":{data}}}");
+    doc.replacen(plan_line(doc), &line, 1)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(240))]
 
     /// Malformed snapshots are checked errors, never panics: resuming (and
     /// forking) a mutated copy of a document with every section populated
-    /// returns `Ok` or `Err`. A job record swapped for `null` or back is
+    /// (kinds 0 to 6), or of a document whose plan was built up front
+    /// (kinds 7 to 12), returns `Ok` or `Err`. A job record swapped for
+    /// `null` or back, and a built plan's malformed `plan` section, are
     /// always an `Err`.
     #[test]
-    fn mutated_snapshots_never_panic(kind in 0u8..7, a in any::<u64>(), b in any::<u64>()) {
-        static DOC: std::sync::OnceLock<(GreenDatacenterSim, String)> = std::sync::OnceLock::new();
-        let (sim, doc) = DOC.get_or_init(|| (every_section_sim(), every_section_snapshot()));
-        let text = mutate(doc, kind, a, b);
+    fn mutated_snapshots_never_panic(kind in 0u8..13, a in any::<u64>(), b in any::<u64>()) {
+        type Doc = std::sync::OnceLock<(GreenDatacenterSim, String)>;
+        static EVERY: Doc = Doc::new();
+        static BUILT: Doc = Doc::new();
+        let (sim, doc) = if kind < 7 {
+            EVERY.get_or_init(|| (every_section_sim(), every_section_snapshot()))
+        } else {
+            BUILT.get_or_init(|| (built_plan_sim(), built_plan_snapshot().1))
+        };
+        let text = match kind {
+            0..=6 => mutate(doc, kind, a, b),
+            7..=11 => mutate_plan(doc, kind - 7, a),
+            _ => mutate(doc, (b % 5) as u8, a, b / 5),
+        };
         for fork in [false, true] {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let i = input(sim);
@@ -854,7 +1071,7 @@ proptest! {
             let how = if fork { "fork" } else { "resume" };
             prop_assert!(outcome.is_ok(), "{how} panicked on mutation {kind} ({a}, {b})");
             prop_assert!(
-                kind < 5 || matches!(outcome, Ok(Err(_))),
+                !(5..=11).contains(&kind) || matches!(outcome, Ok(Err(_))),
                 "{how} accepted mutation {kind} ({a}, {b})"
             );
         }
@@ -1018,7 +1235,7 @@ fn hand_edited_snapshots_are_checked_errors() {
         ),
         (
             "version 2 with a safe re-profile interval",
-            "\"version\":3,",
+            "\"version\":4,",
             "\"version\":2,",
             "expected key \"rng\", found \"safe_reprofile_hours\"",
         ),
@@ -1075,6 +1292,36 @@ fn hand_edited_snapshots_are_checked_errors() {
         .expect("a safe interval without fault injection must fail");
     let expect = "faults: expected null, found object";
     assert!(err.to_string().contains(expect), "{err}");
+    // A plan digest is a version-4 form. Only a fork may rebuild a built
+    // plan its input does not build, and only a `Bin*` scheme's.
+    let sim = built_plan_sim();
+    let (_, doc) = built_plan_snapshot();
+    let mut deferred = input(&sim);
+    deferred.plan = iscope::InputPlan::scan(Scheme::BinEffi, false);
+    let as_scan = doc.replacen("\"scheme\":\"BinEffi\"", "\"scheme\":\"ScanEffi\"", 1);
+    for (edit, restored, expect) in [
+        (
+            "version 3 with a plan digest",
+            SimDriver::resume(
+                input(&sim),
+                &doc.replacen("\"version\":4,", "\"version\":3,", 1),
+            ),
+            "a version 3 document holds a plan digest",
+        ),
+        (
+            "resume onto a plan to scan",
+            SimDriver::resume(deferred, &doc),
+            "the input's plan is a fleet scan",
+        ),
+        (
+            "built plan of a scan scheme",
+            SimDriver::fork(input(&rescanning(Scheme::ScanFair)), &as_scan),
+            "\"ScanEffi\" has no bin plan to rebuild",
+        ),
+    ] {
+        let err = restored.err().unwrap_or_else(|| panic!("{edit} must fail"));
+        assert!(err.to_string().contains(expect), "{edit}: {err}");
+    }
 }
 
 /// The jobs a resume or a fork has not admitted yet come from its input's
