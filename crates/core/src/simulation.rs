@@ -415,6 +415,12 @@ pub struct StreamStats {
     /// parsed-but-not-yet-emitted jobs ever buffered, bounded by the
     /// reorder horizon. The simulation itself holds only admitted jobs.
     pub peak_buffered: usize,
+    /// The most jobs the sites held live at once (admitted, not yet
+    /// finished, abandoned or migrated away), counted at each admission
+    /// from the driver's construction or resume; a resumed driver starts
+    /// from its restored live set. Observational: the simulation never
+    /// reads it.
+    pub peak_live_jobs: usize,
 }
 
 impl SimInput {
@@ -482,12 +488,15 @@ struct Federation {
     in_flight: VecDeque<(u32, Job, u32)>,
     routed_jobs: u64,
     migrations: u64,
+    /// The most jobs the sites held live at once ([`StreamStats`]).
+    peak_live_jobs: usize,
 }
 
 impl Federation {
     /// `sites` under [`NullRouter`], with nothing in flight.
     fn new(sites: Vec<SiteState>, max_gang: Vec<u32>) -> Self {
         Federation {
+            peak_live_jobs: sites.iter().map(SiteState::live_jobs).sum(),
             sites,
             max_gang,
             router: Box::new(NullRouter),
@@ -503,7 +512,10 @@ impl Federation {
     /// and enters it in that site's job table.
     fn admit(&mut self, to: u32, mut job: Job, starts: u32) -> usize {
         job.cpus = job.cpus.min(self.max_gang[to as usize]);
-        self.sites[to as usize].admit(job, starts)
+        let idx = self.sites[to as usize].admit(job, starts);
+        let live = self.sites.iter().map(SiteState::live_jobs).sum();
+        self.peak_live_jobs = self.peak_live_jobs.max(live);
+        idx
     }
 
     /// Asks the router where `job` goes: an arrival when `from` is
@@ -528,10 +540,10 @@ impl Federation {
     /// here). A lone site's flag is therefore exactly "the source has
     /// more", which is what its snapshot records.
     fn expect(&mut self, more: bool) {
-        let open = |s: &SiteState| s.jobs.len() - s.done_count;
-        let total = self.in_flight.len() + self.sites.iter().map(open).sum::<usize>();
+        let total =
+            self.in_flight.len() + self.sites.iter().map(SiteState::live_jobs).sum::<usize>();
         for s in &mut self.sites {
-            s.expect_more = more || total > open(s);
+            s.expect_more = more || total > s.live_jobs();
         }
     }
 }
@@ -565,7 +577,7 @@ impl Model<Ev> for Federation {
                     self.in_flight.push_back((to, job, starts));
                     ctx.schedule(now + self.wan_delay, Ev::Landing);
                     // The Retry event still goes to the origin below: the
-                    // extracted job is locally Done so placement is
+                    // extracted job has retired there, so placement is
                     // skipped, but the site's books and matcher advance
                     // at this instant.
                 }
@@ -587,8 +599,9 @@ const STEP_BUDGET: u64 = 200_000_000;
 /// admits the source's next job whenever its submit instant is not later
 /// than the next queued event, so arrivals win equal-time ties and the
 /// engine queue never holds one: it is primed only with periodic events
-/// and a restored snapshot's pending events. Memory holds the admitted
-/// jobs plus what the source buffers, never more of the trace.
+/// and a restored snapshot's pending events. Memory holds a row per live
+/// job and a slot per admitted one, plus what the source buffers, never
+/// more of the trace.
 ///
 /// Stepping never perturbs event order, RNG streams, or the ledger:
 /// `run_until` in slices gives the same run as one uninterrupted drain.
@@ -791,6 +804,7 @@ impl<S: JobSource> Driver<S> {
         let stream = StreamStats {
             emitted: self.source.emitted(),
             peak_buffered: self.source.peak_buffered(),
+            peak_live_jobs: self.fed.peak_live_jobs,
         };
         let mut stats = RunStats {
             events: self.engine.steps(),
@@ -801,8 +815,8 @@ impl<S: JobSource> Driver<S> {
         let mut reports = Vec::with_capacity(self.fed.sites.len());
         for s in self.fed.sites {
             assert_eq!(
-                s.done_count,
-                s.jobs.len(),
+                s.live_jobs(),
+                0,
                 "site {} ended with unfinished jobs",
                 s.site_id
             );
@@ -1302,5 +1316,115 @@ mod tests {
         assert_eq!(rows(&forked), rows(&paused));
         let fresh_bin = super::SimDriver::new(bin.build().into_input());
         assert_ne!(rows(&forked), rows(&fresh_bin), "bins differ from the scan");
+    }
+
+    /// The live rows of a site's table, as indexes with what names them.
+    fn live_rows(site: &crate::site::SiteState) -> Vec<(usize, String)> {
+        let rows = site.jobs.iter();
+        rows.map(|(i, js)| {
+            (
+                i,
+                format!("{:?} {:?} {} {}", js.phase, js.chips, js.gen, js.starts),
+            )
+        })
+        .collect()
+    }
+
+    /// A streamed run keeps a row only for each live job: at every slice
+    /// the table's live rows number `admitted − done_count`, and none
+    /// remain once the run drains.
+    #[test]
+    fn retired_jobs_leave_the_table() {
+        let input = scan_fair(true).workload(Workload::new(vec![]));
+        let trace = iscope_workload::SyntheticTrace {
+            num_jobs: 200,
+            max_cpus: 16,
+            ..iscope_workload::SyntheticTrace::default()
+        };
+        let source = iscope_workload::SyntheticSource::new(trace, Default::default(), 7);
+        let mut driver = super::Driver::new(input.build().into_input(), source);
+        let (mut peak, mut retired_while_busy) = (0, false);
+        for half_hours in 1..=96 {
+            driver
+                .run_until(SimTime::from_secs(1800 * half_hours))
+                .expect("synthetic");
+            let site = &driver.fed.sites[0];
+            let live = live_rows(site).len();
+            assert_eq!(live, site.jobs.admitted() - site.done_count);
+            assert_eq!(live, site.live_jobs());
+            peak = peak.max(live);
+            retired_while_busy |= live > 0 && site.done_count > 0;
+        }
+        assert!(retired_while_busy, "no slice held live and retired jobs");
+        driver.run_until(SimTime::MAX).expect("synthetic");
+        let site = &driver.fed.sites[0];
+        assert_eq!((site.jobs.admitted(), site.done_count), (200, 200));
+        assert!(live_rows(site).is_empty());
+        let (report, _, stream) = driver.run().expect("synthetic");
+        assert_eq!(report.jobs, 200);
+        assert!(
+            stream.peak_live_jobs >= peak,
+            "{} < {peak}",
+            stream.peak_live_jobs
+        );
+    }
+
+    /// Schedules into a list instead of an engine.
+    struct Sink(Vec<(SimTime, crate::site::SiteEv)>);
+
+    impl crate::site::SiteCtx for Sink {
+        fn schedule(&mut self, at: SimTime, ev: crate::site::SiteEv) {
+            self.0.push((at, ev));
+        }
+    }
+
+    /// A completion, a timing failure or a retry that names a retired job
+    /// is ignored: the job stays retired and no count moves.
+    #[test]
+    fn events_naming_a_retired_job_are_ignored() {
+        use crate::site::SiteEv::{Completion, Retry, TimingFailure};
+        let mut driver = paused_halfway(&scan_fair(true));
+        let now = driver.now();
+        let site = &mut driver.0.fed.sites[0];
+        let retired = (0..site.jobs.admitted()).find(|&i| site.jobs.get(i).is_none());
+        let job = retired.expect("a job finished by half time");
+        let before = (site.done_count, site.placements, live_rows(site));
+        let mut sink = Sink(Vec::new());
+        for ev in [
+            Completion { job, gen: 1 },
+            TimingFailure {
+                job,
+                attempt: 1,
+                chip: 0,
+            },
+            Retry { job },
+        ] {
+            site.handle_event(&mut sink, now, ev);
+        }
+        assert!(site.jobs.get(job).is_none());
+        assert_eq!((site.done_count, site.placements, live_rows(site)), before);
+    }
+
+    /// A snapshot taken mid-run, while some jobs have retired and others
+    /// are live, restores the same admitted count, retired count and live
+    /// rows.
+    #[test]
+    fn a_resume_restores_the_live_set() {
+        let sim = scan_fair(true);
+        let table = |d: &super::SimDriver| {
+            let site = &d.0.fed.sites[0];
+            (site.jobs.admitted(), site.done_count, live_rows(site))
+        };
+        let mut paused = super::SimDriver::new(sim.clone().build().into_input());
+        for step in 1.. {
+            paused.run_until(SimTime::from_secs(600 * step));
+            let (_, done, live) = table(&paused);
+            if done > 0 && !live.is_empty() {
+                break;
+            }
+        }
+        let snapshot = paused.snapshot().expect("capture");
+        let resumed = super::SimDriver::resume(sim.build().into_input(), &snapshot);
+        assert_eq!(table(&resumed.expect("resume")), table(&paused));
     }
 }

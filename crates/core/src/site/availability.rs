@@ -3,7 +3,7 @@
 //! and the chip indexes over all of them (DESIGN.md §3d).
 
 use super::checkpoint::check_live;
-use super::{JobState, Phase};
+use super::{JobTable, Phase};
 use crate::snapshot::{mismatch, SnapshotError};
 use iscope_dcsim::{SimDuration, SimTime};
 use iscope_pvmodel::{ChipId, DvfsConfig, OperatingPlan};
@@ -93,10 +93,11 @@ impl Availability {
     /// Ground truth for `avail`: replays the queues, running jobs ending
     /// at their scheduled completion (their *current* DVFS level) and
     /// queued gangs starting when all their chips are free and running at
-    /// f_max. Waiting jobs are walked in index (= arrival) order, which is
-    /// queue order only while placement follows arrival order; runs that
-    /// retry or release held jobs replay on every placement instead.
-    fn replay(&self, jobs: &[JobState], running: &[usize], now: SimTime) -> Vec<SimTime> {
+    /// f_max. Waiting jobs are walked in the table's admission order,
+    /// which is queue order only while placement follows arrival order;
+    /// runs that retry or release held jobs replay on every placement
+    /// instead.
+    fn replay(&self, jobs: &JobTable, running: &[usize], now: SimTime) -> Vec<SimTime> {
         let mut avail = vec![now; self.avail.len()];
         for js in running.iter().map(|&i| &jobs[i]) {
             for &c in &js.chips {
@@ -105,6 +106,7 @@ impl Availability {
         }
         let waiting = jobs
             .iter()
+            .map(|(_, js)| js)
             .filter(|js| js.phase == Phase::Waiting && !js.chips.is_empty());
         for js in waiting {
             let start = js.chips.iter().fold(now, |t, c| t.max(avail[c.0 as usize]));
@@ -121,7 +123,7 @@ impl Availability {
     /// `avail` wholesale, so the indexes keyed on it are rebuilt too.
     pub(super) fn refresh(
         &mut self,
-        jobs: &[JobState],
+        jobs: &JobTable,
         running: &[usize],
         now: SimTime,
         incremental: bool,
@@ -172,7 +174,7 @@ impl Availability {
         &mut self,
         idx: usize,
         chips: &[ChipId],
-        jobs: &mut [JobState],
+        jobs: &mut JobTable,
         now: SimTime,
     ) {
         let job = &jobs[idx].job;
@@ -212,7 +214,7 @@ impl Availability {
         idx: usize,
         chips: &[ChipId],
         busy: SimDuration,
-        jobs: &[JobState],
+        jobs: &JobTable,
     ) -> Vec<usize> {
         let mut heads = Vec::with_capacity(chips.len());
         for &c in chips {
@@ -237,7 +239,7 @@ impl Availability {
     /// Ground truth for [`JobState::chain_limit`]: re-walks the job's
     /// queues. Successor k must start by (deadline_k − sum of nominal
     /// runtimes of the chain up to and including k).
-    pub(super) fn chain_limit_replay(&self, idx: usize, jobs: &[JobState]) -> SimTime {
+    pub(super) fn chain_limit_replay(&self, idx: usize, jobs: &JobTable) -> SimTime {
         let mut limit = SimTime::MAX;
         for &c in &jobs[idx].chips {
             let mut chain = SimTime::ZERO;
@@ -255,7 +257,7 @@ impl Availability {
 
     /// A running job's cached successor bound; debug builds check it
     /// against the queue walk.
-    pub(super) fn chain_limit(&self, idx: usize, jobs: &[JobState]) -> SimTime {
+    pub(super) fn chain_limit(&self, idx: usize, jobs: &JobTable) -> SimTime {
         debug_assert_eq!(
             jobs[idx].chain_limit,
             self.chain_limit_replay(idx, jobs),
@@ -270,7 +272,7 @@ impl Availability {
     /// stored busy-queue count.
     pub(super) fn restored(
         &mut self,
-        jobs: &[JobState],
+        jobs: &JobTable,
         ranking: &[ChipId],
     ) -> Result<(), SnapshotError> {
         let n = ranking.len();

@@ -8,7 +8,7 @@
 //! component rebuilds its own from the restored ground truth.
 
 use super::service::ChipSet;
-use super::{JobState, Phase, SiteEv, SiteState};
+use super::{JobState, JobTable, Phase, SiteEv, SiteState};
 use crate::simulation::SimInput;
 use crate::snapshot::{
     self, mismatch, persist_struct, section, Doc, DocWriter, Fields, Persist, Reader, Section,
@@ -262,7 +262,7 @@ impl Persist for iscope_pvmodel::CpuBoundness {
 /// Declares the positional job record once: the [`Job`] fields, then the
 /// [`JobState`] fields, in record order. Positional keeps the document
 /// compact: live jobs' records are most of the jobs section, which is
-/// most of a snapshot. A finished job has no record (`save_jobs`).
+/// most of a snapshot. A retired job has no record (`save_jobs`).
 macro_rules! job_record {
     ($($g:ident),* ; $($f:ident),* $(,)?) => {
         impl ToVal for JobState {
@@ -327,24 +327,26 @@ pub(super) fn check_job(
 
 /// Refuses `holder`'s reference to job `i` unless it names a live row:
 /// queues, the running set, the deferred list and pending arrivals and
-/// retries never hold a finished job's tombstone.
-pub(super) fn check_live(jobs: &[JobState], holder: &str, i: usize) -> Result<(), SnapshotError> {
-    match jobs.get(i).map(|js| js.phase) {
-        None => mismatch!("{holder} names job {i}, table has {}", jobs.len()),
-        Some(Phase::Done) => mismatch!("{holder} names job {i}, which has finished"),
+/// retries never hold a retired job.
+pub(super) fn check_live(jobs: &JobTable, holder: &str, i: usize) -> Result<(), SnapshotError> {
+    match jobs.get(i) {
         Some(_) => Ok(()),
+        None if i >= jobs.admitted() => {
+            mismatch!("{holder} names job {i}, table has {}", jobs.admitted())
+        }
+        None => mismatch!("{holder} names job {i}, which has finished"),
     }
 }
 
 /// The job table, one array entry per admitted job: a live job's record,
-/// or `null` for a finished job's tombstone, so the section's size
-/// follows the live set rather than the run's history.
+/// or `null` for a retired one, so the section's size follows the live
+/// set rather than the run's history.
 fn save_jobs(s: &SiteState, w: &mut Writer) -> Result<(), SnapshotError> {
     w.open_arr();
-    for js in &s.jobs {
-        match js.phase {
-            Phase::Done => w.null(),
-            _ => js.write(w, "jobs")?,
+    for row in (0..s.jobs.admitted()).map(|i| s.jobs.get(i)) {
+        match row {
+            None => w.null(),
+            Some(js) => js.write(w, "jobs")?,
         }
     }
     w.close_arr();
@@ -352,19 +354,17 @@ fn save_jobs(s: &SiteState, w: &mut Writer) -> Result<(), SnapshotError> {
 }
 
 /// Reads the job table back, checking each record against the fleet. A
-/// `null` restores as the tombstone of its index; a v1 document's
-/// `"done"` record is checked like any other, then stored as one too.
+/// `null` restores as a retired slot; a v1 document's `"done"` record is
+/// checked like any other, then retired too.
 fn restore_jobs(s: &mut SiteState, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
     let (fleet_len, num_levels) = (s.fleet.len(), s.fleet.dvfs.num_levels());
     r.open_arr("jobs")?;
     while r.next_item()? {
-        let (idx, row) = (s.jobs.len(), Option::<JobState>::read(r, "jobs")?);
+        let row = Option::<JobState>::read(r, "jobs")?;
         if let Some(js) = &row {
             check_job(js, fleet_len, num_levels)?;
         }
-        let live = row.filter(|js| js.phase != Phase::Done);
-        s.jobs
-            .push(live.unwrap_or_else(|| JobState::tombstone(idx)));
+        s.jobs.push(row.filter(|js| js.phase != Phase::Done));
     }
     Ok(())
 }
@@ -765,7 +765,7 @@ impl SiteState {
             site_id: self.site_id,
             now,
             steps,
-            admitted: self.admitted,
+            admitted: self.jobs.admitted(),
             fleet_len: self.fleet.len(),
             num_levels: self.fleet.dvfs.num_levels(),
         };
@@ -881,8 +881,7 @@ impl SiteState {
         let mut site = SiteState::new(input, Some(restored), site_id, 0);
         site.restore_document(&doc)?;
         restore_faults(&mut site, &doc, version)?;
-        site.admitted = header.admitted;
-        site.restored(header.now, &pending)?;
+        site.restored(header.now, &pending, header.admitted)?;
         Ok((
             site,
             ResumePoint {
@@ -894,24 +893,26 @@ impl SiteState {
         ))
     }
 
-    /// Checks restored state against the fleet and the job table — the
-    /// site's own share here, then each component's, which also rebuilds
-    /// the caches a snapshot does not carry. A snapshot is outside input,
-    /// so every index and length is a checked error, never a panic.
+    /// Checks restored state against the fleet, the job table and the
+    /// header's `admitted` count — the site's own share here, then each
+    /// component's, which also rebuilds the caches a snapshot does not
+    /// carry. A snapshot is outside input, so every index and length is a
+    /// checked error, never a panic.
     fn restored(
         &mut self,
         now: SimTime,
         pending: &[(SimTime, SiteEv)],
+        admitted: usize,
     ) -> Result<(), SnapshotError> {
         let num_levels = self.fleet.dvfs.num_levels();
-        let num_jobs = self.jobs.len();
+        let num_jobs = self.jobs.admitted();
         for (t, ev) in pending {
             let (at, clock) = (t.as_millis(), now.as_millis());
             if at < clock {
                 mismatch!("pending event at {at} precedes the snapshot clock {clock}");
             }
-            // Stale completions and timing failures may name a finished
-            // job (their phase checks skip them); retries, and the queued
+            // Stale completions and timing failures may name a retired
+            // job (their handlers skip it); retries, and the queued
             // arrivals of documents that admitted a whole workload up
             // front, only ever name waiting ones.
             use SiteEv::{Arrival, Completion, Retry, TimingFailure};
@@ -930,14 +931,10 @@ impl SiteState {
         self.avail.restored(&self.jobs, self.plan.ranking())?;
         let heads = |i, js: &JobState| self.avail.heads(i, &js.chips);
         self.demand.restored(&self.jobs, num_levels, heads)?;
-        if self.admitted != num_jobs {
-            mismatch!(
-                "header admitted {} jobs, the job table has {num_jobs}",
-                self.admitted
-            );
+        if admitted != num_jobs {
+            mismatch!("header admitted {admitted} jobs, the job table has {num_jobs}");
         }
-        let finished = self.jobs.iter().filter(|js| js.phase == Phase::Done);
-        let finished = finished.count();
+        let finished = num_jobs - self.jobs.iter().count();
         if self.done_count != finished {
             mismatch!(
                 "done_count {} disagrees with the job table's {finished} finished jobs",

@@ -3,7 +3,7 @@
 //! carbon policy suspends, and the release of both.
 
 use super::checkpoint::check_live;
-use super::{JobState, SiteEv};
+use super::{JobTable, SiteEv};
 use crate::report::CarbonStats;
 use crate::simulation::DeferralConfig;
 use crate::snapshot::{section, Fields, Reader, Section, SnapshotError, Writer};
@@ -129,7 +129,7 @@ impl Deferral {
     pub(super) fn release(
         &mut self,
         now: SimTime,
-        jobs: &[JobState],
+        jobs: &JobTable,
         supply: &Supply,
         demand_w: f64,
     ) -> Vec<usize> {
@@ -149,7 +149,7 @@ impl Deferral {
         now: SimTime,
         supply: &Supply,
         running: &[usize],
-        jobs: &[JobState],
+        jobs: &JobTable,
     ) -> Option<Vec<usize>> {
         let cfg = &self.carbon.as_ref()?.config;
         if !(cfg.suspends() && cfg.should_suspend(supply.intensity_at(now), supply.price_at(now))) {
@@ -184,7 +184,7 @@ impl Deferral {
     }
 
     /// Checks the restored pool against the job table.
-    pub(super) fn check_restored(&self, jobs: &[JobState]) -> Result<(), SnapshotError> {
+    pub(super) fn check_restored(&self, jobs: &JobTable) -> Result<(), SnapshotError> {
         for &i in &self.deferred {
             check_live(jobs, "the deferred list", i)?;
         }

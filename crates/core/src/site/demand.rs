@@ -3,7 +3,7 @@
 //! levels against the renewable budget.
 
 use super::checkpoint::check_live;
-use super::JobState;
+use super::{JobState, JobTable};
 use crate::simulation::DvfsMode;
 use crate::snapshot::{mismatch, SnapshotError};
 use iscope_pvmodel::{microwatts_to_watts, DvfsConfig, FreqLevel};
@@ -95,7 +95,7 @@ impl Demand {
 
     /// Ground truth for the aggregates: the frozen rows summed at `level`
     /// or, for `None`, at each job's own (`None` on overflow).
-    fn replay(&self, jobs: &[JobState], level: Option<usize>) -> Option<i64> {
+    fn replay(&self, jobs: &JobTable, level: Option<usize>) -> Option<i64> {
         self.running.iter().try_fold(0i64, |sum, &i| {
             let js = &jobs[i];
             sum.checked_add(js.power_uw_at[level.unwrap_or(js.level.0 as usize)])
@@ -104,7 +104,7 @@ impl Demand {
 
     /// Rebuilds both aggregates from the running jobs' rows after a
     /// restore; integer sums make that indistinguishable from upkeep.
-    pub(crate) fn rebuild(&mut self, jobs: &[JobState]) -> Result<(), SnapshotError> {
+    pub(crate) fn rebuild(&mut self, jobs: &JobTable) -> Result<(), SnapshotError> {
         let levels = self.demand_uw_at_level.len();
         let sums = (0..=levels).map(|l| self.replay(jobs, (l < levels).then_some(l)));
         let Some(mut sums) = sums.collect::<Option<Vec<i64>>>() else {
@@ -119,7 +119,7 @@ impl Demand {
     /// maintained fixed-point aggregate — O(1) per event — converted to
     /// watts only here, at the ledger / sampler boundary; each scan bay's
     /// draw adds on top, in bay order.
-    pub(super) fn refresh(&mut self, jobs: &[JobState], scans: impl Iterator<Item = f64>) -> f64 {
+    pub(super) fn refresh(&mut self, jobs: &JobTable, scans: impl Iterator<Item = f64>) -> f64 {
         debug_assert_eq!(
             Some(self.running_demand_uw),
             self.replay(jobs, None),
@@ -142,7 +142,7 @@ impl Demand {
         &mut self,
         budget_uw: i64,
         dvfs: &DvfsConfig,
-        jobs: &[JobState],
+        jobs: &JobTable,
         floor: impl Fn(usize) -> FreqLevel,
     ) -> Vec<Move> {
         let mut moves = std::mem::take(&mut self.level_scratch);
@@ -205,7 +205,7 @@ impl Demand {
     /// every level — and rebuilds the aggregates from it.
     pub(super) fn restored(
         &mut self,
-        jobs: &[JobState],
+        jobs: &JobTable,
         num_levels: usize,
         heads: impl Fn(usize, &JobState) -> bool,
     ) -> Result<(), SnapshotError> {

@@ -5,7 +5,7 @@
 use super::availability::Availability;
 use super::demand::Demand;
 use super::service::Service;
-use super::JobState;
+use super::JobTable;
 use crate::report::AuditReport;
 use crate::simulation::{AuditConfig, SimInput};
 use crate::snapshot::{
@@ -23,7 +23,7 @@ use std::borrow::Cow;
 /// The rest of the site as the instruments read it.
 pub(super) struct Observed<'a> {
     pub(super) site_id: u32,
-    pub(super) jobs: &'a [JobState],
+    pub(super) jobs: &'a JobTable,
     pub(super) fleet: &'a Fleet,
     pub(super) plan: &'a OperatingPlan,
     pub(super) cooling: &'a CoolingModel,

@@ -31,6 +31,7 @@ mod checkpoint;
 mod deferral;
 mod demand;
 mod instruments;
+mod jobs;
 mod service;
 
 use crate::report::RunReport;
@@ -43,11 +44,12 @@ use instruments::{Instruments, Observed};
 use iscope_dcsim::{SimDuration, SimRng, SimTime};
 use iscope_energy::{BatteryState, CostMeter, CostSplit, EnergyLedger, Supply};
 use iscope_pvmodel::{
-    microwatts_to_watts, speed_factor, watts_to_microwatts, ChipId, CoolingModel, CpuBoundness,
-    DvfsConfig, Fleet, FreqLevel, OperatingPlan, SCAN_GUARDBAND_V,
+    microwatts_to_watts, speed_factor, watts_to_microwatts, ChipId, CoolingModel, DvfsConfig,
+    Fleet, FreqLevel, OperatingPlan, SCAN_GUARDBAND_V,
 };
 use iscope_sched::Placement;
-use iscope_workload::{Job, JobId, Urgency};
+use iscope_workload::Job;
+use jobs::JobTable;
 use service::Service;
 use std::time::Instant;
 
@@ -106,9 +108,13 @@ pub(crate) trait SiteCtx {
 pub(crate) enum Phase {
     Waiting,
     Running,
+    /// Only a version-1 snapshot's record of a finished job reads as
+    /// `Done`; restore retires it. No row in a [`JobTable`] is `Done`.
     Done,
 }
 
+/// A live job's row in the [`JobTable`], from admission until it
+/// finishes, is abandoned or migrates away.
 pub(crate) struct JobState {
     pub(crate) job: Job,
     pub(crate) chips: Vec<ChipId>,
@@ -139,39 +145,6 @@ pub(crate) struct JobState {
     pub(crate) attempt_energy_j: f64,
 }
 
-impl JobState {
-    /// The row a job leaves in the table once it is `Done` (finished,
-    /// abandoned or migrated away): its index as its id, and every other
-    /// field at a fixed value, so it owns no chips and no power row.
-    /// Snapshots write it as `null` and restore it from its index, so an
-    /// uninterrupted and a resumed run hold equal tables.
-    pub(crate) fn tombstone(idx: usize) -> JobState {
-        JobState {
-            job: Job {
-                id: JobId(idx as u32),
-                submit: SimTime::ZERO,
-                cpus: 0,
-                runtime_at_fmax: SimDuration::ZERO,
-                gamma: CpuBoundness::FULL,
-                deadline: SimTime::ZERO,
-                urgency: Urgency::Low,
-            },
-            chips: Vec::new(),
-            phase: Phase::Done,
-            level: FreqLevel(0),
-            remaining_nominal_s: 0.0,
-            last_progress: SimTime::ZERO,
-            started_at: SimTime::ZERO,
-            gen: 0,
-            sched_end: SimTime::ZERO,
-            power_uw_at: Vec::new(),
-            chain_limit: SimTime::MAX,
-            starts: 0,
-            attempt_energy_j: 0.0,
-        }
-    }
-}
-
 /// What one finalized site hands back: its run report plus the runtime
 /// counters the instrumented entry points aggregate.
 pub(crate) struct SiteOutcome {
@@ -199,9 +172,10 @@ pub(crate) struct SiteState {
     pub(crate) supply: Supply,
     pub(crate) cooling: CoolingModel,
     pub(crate) rng: SimRng,
-    pub(crate) jobs: Vec<JobState>,
-    /// Jobs entered in the job table, counted by [`SiteState::admit`].
-    pub(crate) admitted: usize,
+    /// Every admitted job by admission index: a row while it is live, an
+    /// empty slot once it has finished, been abandoned or migrated away.
+    pub(crate) jobs: JobTable,
+    /// Jobs retired from the table.
     pub(crate) done_count: usize,
     pub(crate) deadline_misses: usize,
     pub(crate) ledger: EnergyLedger,
@@ -294,8 +268,7 @@ impl SiteState {
             expect_more: false,
             migrated_out: 0,
             rng: SimRng::derive(seed, "simulation"),
-            jobs: Vec::new(),
-            admitted: 0,
+            jobs: JobTable::default(),
             done_count: 0,
             deadline_misses: 0,
             ledger: EnergyLedger::new(),
@@ -339,7 +312,7 @@ impl SiteState {
     /// Enters `job` in the job table, waiting, and returns its index.
     /// `starts` is the attempt count a migrating gang brings along.
     pub(crate) fn admit(&mut self, job: Job, starts: u32) -> usize {
-        self.jobs.push(JobState {
+        self.jobs.admit(JobState {
             chips: Vec::new(),
             phase: Phase::Waiting,
             level: self.fleet.dvfs.max_level(),
@@ -353,26 +326,25 @@ impl SiteState {
             starts,
             attempt_energy_j: 0.0,
             job,
-        });
-        self.admitted += 1;
-        self.jobs.len() - 1
+        })
     }
 
     /// Whether a `Retry { job }` would re-place this job: still waiting,
     /// and not already re-placed.
     pub(crate) fn retry_pending(&self, idx: usize) -> bool {
-        self.jobs[idx].phase == Phase::Waiting && self.jobs[idx].chips.is_empty()
+        let pending = |js: &JobState| js.phase == Phase::Waiting && js.chips.is_empty();
+        self.jobs.get(idx).is_some_and(pending)
     }
 
-    /// Hands a waiting, unplaced job to the federation: it leaves this
-    /// site's books as a tombstone without a completion, and its
-    /// description and attempt count travel on.
+    /// Hands a waiting, unplaced job to the federation: it retires from
+    /// this site's table without a completion, and its description and
+    /// attempt count travel on.
     pub(crate) fn extract_for_migration(&mut self, idx: usize) -> (Job, u32) {
         debug_assert!(
             self.retry_pending(idx),
             "only waiting, unplaced jobs can migrate"
         );
-        let js = std::mem::replace(&mut self.jobs[idx], JobState::tombstone(idx));
+        let js = self.jobs.retire(idx);
         self.done_count += 1;
         self.migrated_out += 1;
         self.queued_jobs -= 1;
@@ -389,9 +361,14 @@ impl SiteState {
         self.rebalance(now, ctx);
     }
 
+    /// Admitted jobs that have not retired.
+    pub(crate) fn live_jobs(&self) -> usize {
+        self.jobs.admitted() - self.done_count
+    }
+
     /// Whether work remains that keeps the periodic event chains alive.
     fn live(&self) -> bool {
-        self.done_count < self.jobs.len() || self.expect_more
+        self.live_jobs() > 0 || self.expect_more
     }
 
     /// The instruments, and the rest of the site as they see it.
@@ -606,7 +583,7 @@ impl SiteState {
 
     /// Releases a running job's chips at `now`: settles its progress and
     /// books its demand, busy time and wear. Returns the new queue heads;
-    /// the caller requeues the job or leaves its tombstone.
+    /// the caller requeues or retires the job.
     fn release_chips(&mut self, idx: usize, now: SimTime) -> Vec<usize> {
         self.advance_progress(idx, now);
         self.demand.stop(idx, &self.jobs[idx]);
@@ -641,7 +618,7 @@ impl SiteState {
             ctx.schedule(now + delay, SiteEv::Retry { job: idx });
         } else {
             // An abandoned job can never finish in time.
-            self.jobs[idx] = JobState::tombstone(idx);
+            self.jobs.retire(idx);
             self.deadline_misses += 1;
             self.instruments.missed_deadline();
             self.done_count += 1;
@@ -679,13 +656,12 @@ impl SiteState {
 
     fn finish_job(&mut self, idx: usize, now: SimTime, ctx: &mut impl SiteCtx) {
         let heads = self.release_chips(idx, now);
-        let js = &self.jobs[idx];
+        let js = self.jobs.retire(idx);
         debug_assert!(js.remaining_nominal_s < 1e-3, "completion with work left");
         if now > js.job.deadline {
             self.deadline_misses += 1;
             self.instruments.missed_deadline();
         }
-        self.jobs[idx] = JobState::tombstone(idx);
         self.done_count += 1;
         self.makespan = self.makespan.max(now);
         self.try_start(&heads, now, ctx);
@@ -708,8 +684,9 @@ impl SiteState {
                 self.rebalance(now, ctx);
             }
             SiteEv::Completion { job, gen } => {
-                if self.jobs[job].gen != gen || self.jobs[job].phase != Phase::Running {
-                    return; // stale reschedule
+                let live = |js: &JobState| js.gen == gen && js.phase == Phase::Running;
+                if !self.jobs.get(job).is_some_and(live) {
+                    return; // stale reschedule, or the job has retired
                 }
                 self.finish_job(job, now, ctx);
                 self.rebalance(now, ctx);
@@ -737,7 +714,8 @@ impl SiteState {
                 self.rebalance(now, ctx);
             }
             SiteEv::TimingFailure { job, attempt, chip } => {
-                if self.jobs[job].phase == Phase::Running && self.jobs[job].starts == attempt {
+                let live = |js: &JobState| js.phase == Phase::Running && js.starts == attempt;
+                if self.jobs.get(job).is_some_and(live) {
                     self.kill(job, Some(chip), now, ctx);
                 }
                 self.rebalance(now, ctx);
@@ -810,7 +788,7 @@ impl SiteState {
             ledger: self.ledger,
             prices: self.supply.prices,
             costs,
-            jobs: self.jobs.len(),
+            jobs: self.jobs.admitted(),
             deadline_misses: self.deadline_misses,
             makespan: self.makespan,
             usage_hours: self
@@ -841,6 +819,7 @@ mod snapshot_tests {
     use super::*;
     use crate::snapshot::{self, Persist, Reader, SnapshotError, ToVal};
     use iscope_dcsim::Sampler;
+    use iscope_workload::{JobId, Urgency};
     use proptest::prelude::*;
 
     fn render(v: &impl ToVal) -> String {

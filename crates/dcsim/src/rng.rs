@@ -58,12 +58,6 @@ impl SimRng {
         self.inner.gen::<f64>()
     }
 
-    /// Uniform draw in `[lo, hi)`. Requires `lo < hi`.
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
-        debug_assert!(lo < hi, "uniform_range requires lo < hi");
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// Uniform integer in `[0, n)`. Requires `n > 0`.
     #[inline]
     pub fn index(&mut self, n: usize) -> usize {

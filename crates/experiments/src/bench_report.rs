@@ -806,6 +806,7 @@ mod tests {
             mega_stream: StreamStats {
                 emitted: 2_000_000,
                 peak_buffered: 1,
+                peak_live_jobs: 0,
             },
             federation: numbers,
             federation_phases: phases,

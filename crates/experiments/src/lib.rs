@@ -22,6 +22,7 @@ pub mod fig9;
 pub mod fork;
 pub mod insitu;
 pub mod lifetime;
+pub mod memory;
 pub mod resume;
 pub mod sensitivity;
 pub mod tables;

@@ -8,14 +8,14 @@
 use iscope_experiments::common::{write_json, write_telemetry, ExpConfig, ExpScale};
 use iscope_experiments::{
     ablations, audit, bench_report, carbon, federation, fig10, fig4, fig5, fig6, fig7, fig8, fig9,
-    fork, insitu, lifetime, resume, sensitivity, tables,
+    fork, insitu, lifetime, memory, resume, sensitivity, tables,
 };
 
 const USAGE: &str = "usage: iscope-exp <experiment> [--fast|--paper] [--audit]\n\
 experiments: table1 table2 fig4 fig5 fig6 fig7 fig8 fig9 fig10 overhead \
 insitu ablations sensitivity lifetime workload federation fork carbon \
 bench-report bench-smoke fault-smoke audit-smoke fed-smoke resume-smoke \
-carbon-smoke all (default: all)\n\
+carbon-smoke memory-smoke all (default: all)\n\
 scales: default = 240 CPUs (1/20 of the paper); --fast = bench cell; \
 --paper = the full 4800-CPU testbed\n\
 --audit: run every simulation under the strict energy-conservation \
@@ -266,6 +266,12 @@ fn main() {
         // identical to the unbroken run; streaming and fork legs ride
         // along (not part of "all").
         resume::smoke();
+        ran += 1;
+    }
+    if which == "memory-smoke" {
+        // CI gate: a streamed run four times as long raises the peak
+        // resident memory by at most half (not part of "all").
+        memory::smoke();
         ran += 1;
     }
     if ran == 0 {

@@ -1,6 +1,7 @@
 //! Streaming job ingestion: pull-based sources the simulation engine
 //! drains as its clock advances, instead of materializing a whole trace
-//! as one `Vec` up front (ROADMAP item 5).
+//! as one `Vec` up front (the ROADMAP's "Streaming-scale runs" item,
+//! since done).
 //!
 //! A [`JobSource`] yields fully shaped [`Job`]s in non-decreasing submit
 //! order, one at a time. The driver merges the source against its event
@@ -34,7 +35,7 @@
 use crate::job::{Job, Workload};
 use crate::shaping::Shaper;
 use crate::swf::{parse_swf_line, SwfError, SwfRecord};
-use crate::synthetic::{RawJob, SyntheticTrace};
+use crate::synthetic::{JobDraws, RawJob, SyntheticTrace};
 use iscope_dcsim::{SimDuration, SimRng, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -246,6 +247,7 @@ impl<I: Iterator<Item = String>> JobSource for SwfSource<I> {
 /// random).
 pub struct SyntheticSource {
     cfg: SyntheticTrace,
+    draws: JobDraws,
     shaper: Shaper,
     trace_rng: SimRng,
     shape_rng: SimRng,
@@ -267,6 +269,7 @@ impl SyntheticSource {
         cfg.validate();
         shaper.validate();
         let mut src = SyntheticSource {
+            draws: cfg.draws(),
             cfg,
             shaper,
             trace_rng: SimRng::derive(seed, "streaming-synthetic-trace"),
@@ -298,8 +301,8 @@ impl SyntheticSource {
         }
         let raw = RawJob {
             submit: SimTime::from_millis(self.t_ms as u64),
-            cpus: self.cfg.sample_cpus(&mut self.trace_rng),
-            runtime: self.cfg.sample_runtime(&mut self.trace_rng),
+            cpus: self.draws.cpus(&mut self.trace_rng),
+            runtime: self.draws.runtime(&mut self.trace_rng),
         };
         let id = self.emitted + self.next.is_some() as u64;
         Some(self.shaper.shape_one(&raw, id as u32, &mut self.shape_rng))

@@ -86,11 +86,12 @@ impl SyntheticTrace {
     pub fn generate(&self, seed: u64) -> Vec<RawJob> {
         self.validate();
         let mut rng = SimRng::derive(seed, "synthetic-trace");
+        let draws = self.draws();
         let mut jobs: Vec<RawJob> = (0..self.num_jobs)
             .map(|_| {
                 let submit = self.sample_submit(&mut rng);
-                let cpus = self.sample_cpus(&mut rng);
-                let runtime = self.sample_runtime(&mut rng);
+                let cpus = draws.cpus(&mut rng);
+                let runtime = draws.runtime(&mut rng);
                 RawJob {
                     submit,
                     cpus,
@@ -117,29 +118,54 @@ impl SyntheticTrace {
         }
     }
 
-    /// Samples a power-of-two processor request with geometric decay.
-    pub(crate) fn sample_cpus(&self, rng: &mut SimRng) -> u32 {
+    /// The per-trace constants of the job-attribute draws.
+    pub(crate) fn draws(&self) -> JobDraws {
         let max_k = (31 - self.max_cpus.leading_zeros()) as usize; // floor(log2)
-        let weights: Vec<f64> = (0..=max_k)
+        let size_weights: Vec<f64> = (0..=max_k)
             .map(|k| self.size_decay.powi(k as i32))
             .collect();
-        let total: f64 = weights.iter().sum();
-        let mut u = rng.uniform() * total;
-        for (k, w) in weights.iter().enumerate() {
+        JobDraws {
+            size_total: size_weights.iter().sum(),
+            size_weights,
+            runtime_mu: self.runtime_median_s.ln(),
+            runtime_sigma: self.runtime_sigma,
+            runtime_clamp_s: self.runtime_clamp_s,
+        }
+    }
+}
+
+/// What a trace's per-job attribute draws share, computed once per trace:
+/// every job draws its size and runtime from the same distributions.
+#[derive(Debug, Clone)]
+pub(crate) struct JobDraws {
+    /// `size_decay^k`, the weight of a request of `2^k` processors.
+    size_weights: Vec<f64>,
+    size_total: f64,
+    /// Log-normal location of the runtime, `ln(runtime_median_s)`.
+    runtime_mu: f64,
+    runtime_sigma: f64,
+    runtime_clamp_s: (f64, f64),
+}
+
+impl JobDraws {
+    /// Samples a power-of-two processor request with geometric decay.
+    pub(crate) fn cpus(&self, rng: &mut SimRng) -> u32 {
+        let mut u = rng.uniform() * self.size_total;
+        for (k, w) in self.size_weights.iter().enumerate() {
             if u < *w {
                 return 1 << k;
             }
             u -= w;
         }
-        1 << max_k
+        1 << (self.size_weights.len() - 1)
     }
 
     /// Samples a clamped log-normal runtime.
-    pub(crate) fn sample_runtime(&self, rng: &mut SimRng) -> SimDuration {
-        let mu = self.runtime_median_s.ln();
+    pub(crate) fn runtime(&self, rng: &mut SimRng) -> SimDuration {
+        let (lo, hi) = self.runtime_clamp_s;
         let secs = rng
-            .lognormal(mu, self.runtime_sigma)
-            .clamp(self.runtime_clamp_s.0, self.runtime_clamp_s.1);
+            .lognormal(self.runtime_mu, self.runtime_sigma)
+            .clamp(lo, hi);
         SimDuration::from_secs_f64(secs)
     }
 }
@@ -262,6 +288,61 @@ mod tests {
         assert_eq!(jobs[0].submit, SimTime::ZERO, "rebased to origin");
         assert_eq!(jobs[1].submit, SimTime::from_secs(120));
         assert_eq!(jobs[1].cpus, 4);
+    }
+
+    /// FNV-1a over 64-bit words.
+    fn fnv(words: impl Iterator<Item = u64>) -> u64 {
+        words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The materialized trace and a streamed, shaped prefix keep their
+    /// exact values and draw order: digests of both, one 64-bit word per
+    /// field.
+    #[test]
+    fn synthetic_trace_is_pinned() {
+        let wide = SyntheticTrace {
+            num_jobs: 3000,
+            max_cpus: 512,
+            ..SyntheticTrace::default()
+        };
+        for (cfg, pin) in [
+            (SyntheticTrace::default(), 16877444962507792348),
+            (wide.clone(), 258995622610143858),
+        ] {
+            let raw = cfg.generate(42);
+            let words = raw
+                .iter()
+                .flat_map(|j| [j.submit.as_millis(), j.cpus as u64, j.runtime.as_millis()]);
+            assert_eq!(
+                fnv(words),
+                pin,
+                "generate({} jobs up to {} CPUs)",
+                cfg.num_jobs,
+                cfg.max_cpus
+            );
+        }
+        let mut src = crate::SyntheticSource::new(wide, crate::Shaper::default(), 42);
+        let mut words = Vec::new();
+        while let Some(j) = crate::JobSource::next_job(&mut src).unwrap() {
+            let urgent = j.urgency == crate::Urgency::High;
+            words.extend([
+                j.id.0 as u64,
+                j.submit.as_millis(),
+                j.cpus as u64,
+                j.runtime_at_fmax.as_millis(),
+                j.gamma.value().to_bits(),
+                j.deadline.as_millis(),
+                urgent as u64,
+            ]);
+        }
+        assert_eq!(words.len(), 3000 * 7);
+        assert_eq!(
+            fnv(words.into_iter()),
+            17880759054545857617,
+            "streamed source"
+        );
     }
 
     #[test]

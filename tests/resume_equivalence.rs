@@ -634,7 +634,7 @@ fn jobs_line(doc: &str) -> &str {
 const V1_EVERY_SECTION: &str = include_str!("data/snapshot_v1_every_section.jsonl");
 
 /// A version-1 document still resumes: its finished jobs' records are
-/// checked and stored as tombstones, the run continues byte-identically,
+/// checked and their slots retired, the run continues byte-identically,
 /// and a capture right after the resume is the document the same instant
 /// gave while every job was queued as an arrival
 /// ([`QUEUED_ARRIVALS_PIN`]): such documents admitted every job, so the
@@ -647,7 +647,7 @@ fn v1_snapshot_resumes_byte_identically() {
         "the v1 fixture changed"
     );
     let sim = every_section_sim();
-    // A finished job's record is checked before it becomes a tombstone.
+    // A finished job's record is checked before its slot is retired.
     let bad_done =
         V1_EVERY_SECTION.replacen("\"high\",[0,1],\"done\"", "\"high\",[0,99],\"done\"", 1);
     let err = SimDriver::resume(input(&sim), &bad_done).err();
