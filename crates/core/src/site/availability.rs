@@ -120,7 +120,8 @@ impl Availability {
     /// Refreshes the projection before a placement: `incremental` runs
     /// replay only after a DVFS level change (debug builds check them
     /// against the replay), the others every time. A replay rewrites
-    /// `avail` wholesale, so the indexes keyed on it are rebuilt too.
+    /// `avail` wholesale, so the indexes keyed on it re-record it; only
+    /// the chips whose state changed move.
     pub(super) fn refresh(
         &mut self,
         jobs: &JobTable,

@@ -33,12 +33,13 @@
 //!   state and push the chip onto a dirty list; the next cursor
 //!   acquisition rewrites just those chips' leaves and their root paths,
 //!   O(dirt · log F), falling back to a full O(F) rebuild only when the
-//!   dirt is fleet-sized or an epoch invalidation rewrote every slot.
-//!   Identical leaves produce identical trees, so the point-update path
-//!   is bit-identical to the rebuild it replaces.
-//! * the efficiency ranking — already a precomputed rank array on the
-//!   [`OperatingPlan`](iscope_pvmodel::OperatingPlan); the prefix walk
-//!   over it was never O(fleet) and needs no index.
+//!   dirt is fleet-sized. Identical leaves produce identical trees, so
+//!   the point-update path is bit-identical to the rebuild it replaces.
+//! * the efficiency ranking — a precomputed rank array on the
+//!   [`OperatingPlan`](iscope_pvmodel::OperatingPlan), cut into 64-position
+//!   blocks that each keep their drained ids and their occupied chips'
+//!   raw keys as two ascending lists, so a prefix walk reads only the
+//!   chips that can enter its top-n heap.
 //!
 //! Keys are packed integers (`millis << 24 | id`, 40 bits of
 //! milliseconds and 24 bits of chip id — enough for 34 simulated years
@@ -47,13 +48,13 @@
 //! sorting the linear pool by the same tuple produces — determinism
 //! falls out of the packing, not of any float tolerance. The owner (the
 //! simulator) maintains the indexes at the same transition points that
-//! maintain `avail`/`usage`, and refreshes the availability pair
-//! wholesale whenever the lazy queue replay rewrites `avail` (the
-//! epoch-invalidation rule; see DESIGN.md §3d).
+//! maintain `avail`/`usage`, and re-records the availability state
+//! whenever the lazy queue replay rewrites `avail`; only the chips whose
+//! state changed move (see DESIGN.md §3d).
 
 use iscope_dcsim::{SimDuration, SimTime};
 use iscope_pvmodel::ChipId;
-use std::cell::{RefCell, RefMut};
+use std::cell::{Ref, RefCell, RefMut};
 
 /// Bits reserved for the chip id in a packed key.
 pub(crate) const ID_BITS: u32 = 24;
@@ -345,11 +346,12 @@ struct AvailIndex {
     avail_ms: Vec<u64>,
     /// Whether the chip has queued work.
     is_busy: Vec<bool>,
-    /// Every slot is suspect (epoch invalidation or initial state):
-    /// the next refresh rebuilds both trees wholesale.
+    /// The trees were never built: the first refresh builds both
+    /// wholesale.
     rebuild_all: bool,
-    /// `dirty[c]`: chip `c` transitioned since the last refresh; its
-    /// leaves get point-updated. Subsumed by `rebuild_all`.
+    /// `dirty[c]`: chip `c`'s busy state or busy key changed since the
+    /// last refresh; its leaves get point-updated. Subsumed by
+    /// `rebuild_all`.
     dirty: Vec<bool>,
     dirty_list: Vec<u32>,
     /// Raw `(avail, id)` over busy chips.
@@ -360,8 +362,8 @@ struct AvailIndex {
 
 impl AvailIndex {
     /// Brings the trees current: point updates for recorded transitions
-    /// (O(dirt · log F)), a full rebuild after an epoch invalidation or
-    /// when the dirt is fleet-sized and the rebuild is simply cheaper.
+    /// (O(dirt · log F)), a full rebuild on first use or when the dirt is
+    /// fleet-sized and the rebuild is simply cheaper.
     /// Either path writes the same leaves, hence the same trees.
     fn refresh(&mut self) {
         let n = self.avail_ms.len();
@@ -403,11 +405,26 @@ impl AvailIndex {
         self.dirty_list.clear();
     }
 
-    /// Records a transition on chip `i` for the next refresh.
-    fn mark(&mut self, i: usize) {
-        if !self.rebuild_all && !self.dirty[i] {
-            self.dirty[i] = true;
-            self.dirty_list.push(i as u32);
+    /// Chip `i`'s raw `pack(avail_ms, id)` key while its queue is
+    /// occupied, `None` once it drained.
+    fn busy_key(&self, i: usize) -> Option<u64> {
+        self.is_busy[i].then(|| pack(self.avail_ms[i], i as u32))
+    }
+
+    /// Records chip `i`'s queue state. When its busy state or busy key
+    /// changed, marks its leaves for the next refresh and moves its
+    /// ranking-block entry; otherwise neither structure moves.
+    fn record(&mut self, rank: &mut RankBlocks, i: usize, busy: bool, ms: u64) {
+        let old = self.busy_key(i);
+        self.avail_ms[i] = ms;
+        self.is_busy[i] = busy;
+        let new = self.busy_key(i);
+        if old != new {
+            if !self.rebuild_all && !self.dirty[i] {
+                self.dirty[i] = true;
+                self.dirty_list.push(i as u32);
+            }
+            rank.relocate(i as u32, old, new);
         }
     }
 }
@@ -420,13 +437,8 @@ pub struct LeastUsed<'a>(RefMut<'a, UsageIndex>);
 
 impl LeastUsed<'_> {
     /// Number of chips in the ordering (the fleet size).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.0.usage_ms.len()
-    }
-
-    /// True for an empty fleet.
-    pub fn is_empty(&self) -> bool {
-        self.0.usage_ms.is_empty()
     }
 
     /// The chips at `ranks` in ascending `(usage, id)` order: one
@@ -448,50 +460,25 @@ impl LeastUsed<'_> {
     }
 }
 
-/// Live borrow of the ranking block-min bounds, acquired from
+/// Live borrow of the ranking blocks, acquired from
 /// [`ChipIndexes::ranked_prefix`] for the duration of one prefix walk.
-pub struct RankedPrefix<'a>(RefMut<'a, RankBlocks>);
+pub struct RankedPrefix<'a>(Ref<'a, RankBlocks>);
 
 impl RankedPrefix<'_> {
     /// Ranking positions covered by one block.
     pub const BLOCK: usize = RANK_BLOCK;
 
-    /// The lower bound on block `b`'s minimum **clamped** `(max(avail,
-    /// now), id)` key, given `now_floor = pack(now_ms, 0)`: the min of
-    /// the drained-chip bound `pack(now, idle_lb)` and the occupied-chip
-    /// raw bound (floored at `now_floor`, since an occupied chip never
-    /// drains in the past while the index is current).
-    pub fn block_lb(&self, b: usize, now_floor: u64) -> u64 {
-        let busy = self.0.busy_lb[b].max(now_floor);
-        let idle = self.0.idle_lb[b];
-        let lb = if idle == NO_IDLE {
-            busy
-        } else {
-            busy.min(now_floor | idle as u64)
-        };
-        debug_assert!(
-            self.0.keys[b * RANK_BLOCK..((b + 1) * RANK_BLOCK).min(self.0.keys.len())]
-                .iter()
-                .all(|&raw| lb <= raw.max(now_floor | u64::from(unpack_id(raw)))),
-            "ranking block {b}'s bound is above one of its clamped keys"
-        );
-        lb
+    /// Block `b`'s chips as two ascending lists: the ids of its drained
+    /// chips (each clamps to `pack(now, id)`), and the raw `pack(avail_ms,
+    /// id)` keys of its occupied chips.
+    pub fn block(&self, b: usize) -> (&[u64], &[u64]) {
+        let r = &*self.0;
+        r.slots[r.span(b)].split_at(r.idle[b] as usize)
     }
 
-    /// The current raw `pack(avail_ms, id)` keys, one per ranking
-    /// position — contiguous, so a block scan is a linear pass.
-    pub fn keys(&self) -> &[u64] {
-        &self.0.keys
-    }
-
-    /// Records the exact minima the walk just observed while scanning
-    /// block `b` in full (all chips, blocked included): the min raw key
-    /// over chips draining at or after `now` and the min id over chips
-    /// already drained — tightening stale-low bounds so the next walk
-    /// can skip the block.
-    pub fn note_block(&mut self, b: usize, busy_min: u64, idle_min_id: u32) {
-        self.0.busy_lb[b] = busy_min;
-        self.0.idle_lb[b] = idle_min_id;
+    /// The ranking position of chip `id`.
+    pub fn rank(&self, id: u32) -> usize {
+        self.0.pos[id as usize] as usize
     }
 }
 
@@ -647,79 +634,125 @@ impl Iterator for IndexCursor<'_> {
 /// Ranking positions per block of [`RankBlocks`].
 pub(crate) const RANK_BLOCK: usize = 64;
 
-/// Sentinel for "no chip of this block is known idle".
-pub(crate) const NO_IDLE: u32 = u32::MAX;
-
 /// The registered preference ranking chunked into [`RANK_BLOCK`]-position
-/// blocks, each carrying a **lower bound** on the minimum clamped
-/// `(max(avail, now), id)` key among its chips, split by queue state —
-/// which is what makes the bound usable at any future `now`:
+/// blocks, each holding the exact availability of its chips as two
+/// ascending lists, split by queue state — which is what makes them
+/// usable at any future `now`:
 ///
-/// - an **occupied** chip's clamped key equals its raw `(avail, id)`
-///   key (its drain is in the future), so `busy_lb` bounds it directly;
-/// - a **drained** chip clamps to `pack(now, id)`, so `pack(now,
-///   idle_lb)` bounds it whatever `now` has advanced to;
-/// - a chip that drains *between* refreshes gets `chip_idle`d at its
-///   drain event — before any later placement can observe it idle — so
-///   `idle_lb` already covers it, and until then its raw key (counted
-///   in `busy_lb`) is itself `<=` its clamped key.
+/// - a **drained** chip clamps to `pack(now, id)`, so its id alone
+///   orders it among the block's drained chips whatever `now` is;
+/// - an **occupied** chip's clamped key is its raw `pack(avail_ms, id)`
+///   key (its drain is at or after `now` while the index is current).
 ///
-/// A walk skips block `b` when `min(pack(now, idle_lb[b]),
-/// max(busy_lb[b], pack(now, 0)))` is above the job's latest-start key
-/// (no chip in the block drains in time), or, once its top-n heap is
-/// full, not below the root (no chip in the block can displace a heap
-/// entry). The bounds stay sound with O(1) maintenance because keys
-/// only move one way between refreshes: a placement pushes a chip's
-/// drain later (`chip_busy` still folds the new key in, which also
-/// covers a key that drops), a drain lowers `idle_lb` via `chip_idle`,
-/// an epoch invalidation (`rebuild_avail`) and a re-registered ranking
-/// recompute every bound exactly, and walks refresh the bounds of each
-/// block they actually scan (over all chips in the block — blocked ones
-/// included, since quarantined chips can return — and before the
-/// latest-start filter). A stale-low bound only costs one wasted scan
-/// of that block, which refreshes it.
+/// A walk reads each list from its head and stops at the first key that
+/// cannot enter its top-n heap, so it reads only chips that can. The
+/// lists follow every transition exactly: `chip_busy`, `chip_idle` and
+/// `rebuild_avail` move a chip whose busy state or busy key changed with
+/// two binary searches and one memmove inside its block, and
+/// `set_ranking` rebuilds only the blocks whose membership changed. A
+/// drained chip is kept apart from the occupied ones because an occupied
+/// chip draining exactly at `now` ties the drained chips at `pack(now,
+/// id)`: neither list alone is ordered by clamped key across both.
 #[derive(Debug, Default)]
 struct RankBlocks {
     /// Snapshot of the registered ranking (chip ids in preference order).
     order: Vec<u32>,
     /// Chip id → position in `order` (so transitions find their block).
     pos: Vec<u32>,
-    /// Per block: lower bound on min `pack(avail_ms, id)` over its chips
-    /// whose queues are occupied (their clamped keys equal their raw
-    /// keys, so this bounds their contribution directly).
-    busy_lb: Vec<u64>,
-    /// Per block: lower bound on the min chip id among its **drained**
-    /// chips — those clamp to `pack(now, id)`, so at walk time the
-    /// bound `pack(now, idle_lb)` covers them no matter what `now` is.
-    /// [`NO_IDLE`] when no chip of the block is known drained.
-    idle_lb: Vec<u32>,
-    /// Per position: the current raw `pack(avail_ms, id)` key of the chip
-    /// at that ranking position. Mirrors `AvailIndex::avail_ms` (updated
-    /// in lock-step by `chip_busy` / `rebuild_avail`), laid out in
-    /// ranking order so a block scan is one linear pass over packed
-    /// `u64`s instead of a gather over the fleet-sized avail array.
-    keys: Vec<u64>,
+    /// One slot per ranking position; block `b` owns `span(b)`: the ids
+    /// of its drained chips ascending, then the raw keys of its occupied
+    /// chips ascending.
+    slots: Vec<u64>,
+    /// Per block: how many drained ids lead its slots.
+    idle: Vec<u8>,
 }
 
 impl RankBlocks {
-    fn rebuild_mins(&mut self, avail_ms: &[u64], is_busy: &[bool]) {
-        self.keys.clear();
-        self.keys
-            .extend(self.order.iter().map(|&c| pack(avail_ms[c as usize], c)));
-        self.busy_lb.clear();
-        self.idle_lb.clear();
-        for block in self.order.chunks(RANK_BLOCK) {
-            let mut busy = NONE_KEY;
-            let mut idle = NO_IDLE;
-            for &c in block {
-                if is_busy[c as usize] {
-                    busy = busy.min(pack(avail_ms[c as usize], c));
-                } else {
-                    idle = idle.min(c);
+    /// The slots of block `b` (the last block may be short).
+    fn span(&self, b: usize) -> std::ops::Range<usize> {
+        b * RANK_BLOCK..((b + 1) * RANK_BLOCK).min(self.slots.len())
+    }
+
+    /// Rebuilds block `b`'s lists from the availability state.
+    fn fill(&mut self, b: usize, avail: &AvailIndex) {
+        let span = self.span(b);
+        let slots = &mut self.slots[span.clone()];
+        let (mut idle, mut busy) = (0, slots.len());
+        for &c in &self.order[span] {
+            match avail.busy_key(c as usize) {
+                Some(key) => {
+                    busy -= 1;
+                    slots[busy] = key;
+                }
+                None => {
+                    slots[idle] = u64::from(c);
+                    idle += 1;
                 }
             }
-            self.busy_lb.push(busy);
-            self.idle_lb.push(idle);
+        }
+        slots[..idle].sort_unstable();
+        slots[idle..].sort_unstable();
+        self.idle[b] = idle as u8;
+    }
+
+    /// Moves chip `c` from its old list entry to its new one, where
+    /// `None` is drained and `Some(key)` occupied: one binary search for
+    /// each end and one memmove of the entries between them.
+    fn relocate(&mut self, c: u32, old: Option<u64>, new: Option<u64>) {
+        if self.order.is_empty() {
+            return;
+        }
+        let b = self.pos[c as usize] as usize / RANK_BLOCK;
+        let ni = self.idle[b] as usize;
+        let span = self.span(b);
+        let slots = &mut self.slots[span];
+        let find = |v: Option<u64>| match v {
+            None => slots[..ni].partition_point(|&x| x < u64::from(c)),
+            Some(key) => ni + slots[ni..].partition_point(|&x| x < key),
+        };
+        let from = find(old);
+        debug_assert_eq!(slots[from], old.unwrap_or(u64::from(c)));
+        // Where the new entry goes once the old one is out.
+        let to = find(new);
+        let to = to - usize::from(from < to);
+        if from < to {
+            slots.copy_within(from + 1..=to, from);
+        } else {
+            slots.copy_within(to..from, to + 1);
+        }
+        slots[to] = new.unwrap_or(u64::from(c));
+        self.idle[b] = (ni + usize::from(new.is_none()) - usize::from(old.is_none())) as u8;
+    }
+
+    /// Debug ground truth: every block holds exactly its chips, each in
+    /// the list and under the key its `(is_busy, avail_ms)` state gives,
+    /// both lists strictly ascending.
+    #[cfg(debug_assertions)]
+    fn check(&self, avail: &AvailIndex) {
+        for b in 0..self.idle.len() {
+            let span = self.span(b);
+            let (idle, busy) = self.slots[span.clone()].split_at(self.idle[b] as usize);
+            assert!(
+                idle.windows(2).all(|w| w[0] < w[1]),
+                "block {b}: drained ids out of order"
+            );
+            assert!(
+                busy.windows(2).all(|w| w[0] < w[1]),
+                "block {b}: busy keys out of order"
+            );
+            let entries = idle.iter().map(|&id| (id as usize, None));
+            let entries = entries.chain(busy.iter().map(|&k| (unpack_id(k) as usize, Some(k))));
+            for (c, key) in entries {
+                assert!(
+                    span.contains(&(self.pos[c] as usize)),
+                    "block {b} lists chip {c} of another block"
+                );
+                assert_eq!(
+                    key,
+                    avail.busy_key(c),
+                    "block {b}: chip {c}'s entry is stale"
+                );
+            }
         }
     }
 }
@@ -738,8 +771,8 @@ pub struct ChipIndexes {
     avail: RefCell<AvailIndex>,
     /// Shared cursor heap storage; borrowing enforces one live cursor.
     heap: RefCell<Vec<HeapEntry>>,
-    /// Block-min bounds over the registered preference ranking (empty
-    /// until [`ChipIndexes::set_ranking`]).
+    /// Per-block availability lists over the registered preference
+    /// ranking (empty until [`ChipIndexes::set_ranking`]).
     rank: RefCell<RankBlocks>,
 }
 
@@ -764,32 +797,43 @@ impl ChipIndexes {
     }
 
     /// Registers the preference ranking the prefix walks traverse (the
-    /// plan's efficiency order) and computes exact block minima from the
-    /// current availability state. Call at construction time and again
-    /// whenever the ranking changes (a plan upgrade moves a chip in it) — a
-    /// walk over an unregistered or mismatched ranking falls back to the
-    /// plain unskipped path.
+    /// plan's efficiency order) and fills its blocks from the current
+    /// availability state. Call at construction time and again whenever
+    /// the ranking changes (a plan upgrade moves a chip in it): only the
+    /// blocks whose membership changed are rebuilt. A walk over an
+    /// unregistered or mismatched ranking falls back to the plain
+    /// unskipped path.
     pub fn set_ranking(&mut self, ranking: &[ChipId]) {
         assert_eq!(ranking.len(), self.n, "ranking must cover the fleet");
         let a = self.avail.get_mut();
         let r = self.rank.get_mut();
-        r.order.clear();
-        r.order.extend(ranking.iter().map(|c| c.0));
-        r.pos.resize(self.n, 0);
-        for (p, &c) in r.order.iter().enumerate() {
-            r.pos[c as usize] = p as u32;
+        let fresh = r.order.is_empty();
+        if fresh {
+            r.order.resize(self.n, 0);
+            r.pos.resize(self.n, 0);
+            r.slots.resize(self.n, 0);
+            r.idle.resize(self.n.div_ceil(RANK_BLOCK), 0);
         }
-        r.rebuild_mins(&a.avail_ms, &a.is_busy);
-    }
-
-    /// Number of chips indexed.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True for an empty fleet.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
+        for (b, chunk) in ranking.chunks(RANK_BLOCK).enumerate() {
+            let start = b * RANK_BLOCK;
+            let order = &mut r.order[start..start + chunk.len()];
+            if !fresh && order.iter().zip(chunk).all(|(&o, c)| o == c.0) {
+                continue;
+            }
+            // Every chip of the new chunk already in block `b` means the
+            // block holds the same chips, whose lists do not follow rank.
+            let moved = fresh
+                || chunk
+                    .iter()
+                    .any(|c| r.pos[c.0 as usize] as usize / RANK_BLOCK != b);
+            for (p, (o, c)) in order.iter_mut().zip(chunk).enumerate() {
+                *o = c.0;
+                r.pos[c.0 as usize] = (start + p) as u32;
+            }
+            if moved {
+                r.fill(b, a);
+            }
+        }
     }
 
     /// Records `chip`'s new cumulative busy time (call on job finish).
@@ -806,66 +850,43 @@ impl ChipIndexes {
     }
 
     /// Records that `chip` has queued work draining at `drains_at` (call
-    /// when a placement lands on the chip). O(1): the busy/idle trees
-    /// rebuild on the next [`ChipIndexes::earliest_available`].
+    /// when a placement lands on the chip). O(1) for the trees, which
+    /// repair on the next [`ChipIndexes::earliest_available`]; one move
+    /// inside the chip's ranking block.
     pub fn chip_busy(&mut self, chip: ChipId, drains_at: SimTime) {
-        let a = self.avail.get_mut();
         let i = chip.0 as usize;
-        a.avail_ms[i] = drains_at.as_millis();
-        a.is_busy[i] = true;
-        a.mark(i);
-        // Keep the ranking block's bound a lower bound: drain times
-        // normally only move later (leaving the bound stale-low, which
-        // is sound), but if this key dropped below the bound, follow it.
-        let r = self.rank.get_mut();
-        if !r.order.is_empty() {
-            let p = r.pos[i] as usize;
-            let key = pack(a.avail_ms[i], chip.0);
-            r.keys[p] = key;
-            let b = p / RANK_BLOCK;
-            if key < r.busy_lb[b] {
-                r.busy_lb[b] = key;
-            }
-        }
+        let rank = self.rank.get_mut();
+        self.avail
+            .get_mut()
+            .record(rank, i, true, drains_at.as_millis());
     }
 
-    /// Records that `chip`'s queue drained. O(1), like
+    /// Records that `chip`'s queue drained. Same cost as
     /// [`ChipIndexes::chip_busy`].
     pub fn chip_idle(&mut self, chip: ChipId) {
-        let a = self.avail.get_mut();
         let i = chip.0 as usize;
-        a.is_busy[i] = false;
-        a.mark(i);
-        // The chip's clamped key now tracks `pack(now, id)`: fold its id
-        // into the block's drained-min bound.
-        let r = self.rank.get_mut();
-        if !r.order.is_empty() {
-            let b = r.pos[i] as usize / RANK_BLOCK;
-            if chip.0 < r.idle_lb[b] {
-                r.idle_lb[b] = chip.0;
-            }
-        }
+        let a = self.avail.get_mut();
+        let ms = a.avail_ms[i];
+        a.record(self.rank.get_mut(), i, false, ms);
     }
 
-    /// Epoch invalidation: re-records the whole availability state from
-    /// fresh `avail` values and the queue-occupancy predicate. The owner
-    /// calls this whenever a queue replay rewrote `avail` (DVFS
-    /// rebalance, deferral, faults, or carbon).
+    /// Re-records the whole availability state from fresh `avail` values
+    /// and the queue-occupancy predicate. The owner calls this whenever a
+    /// queue replay rewrote `avail` (DVFS rebalance, deferral, faults, or
+    /// carbon). Only the chips whose busy state or busy key changed are
+    /// marked for the trees and moved in their ranking blocks, so a replay
+    /// that moved nothing costs one pass over the fleet.
     pub fn rebuild_avail(&mut self, avail: &[SimTime], busy: impl Fn(usize) -> bool) {
         let a = self.avail.get_mut();
+        let r = self.rank.get_mut();
         debug_assert_eq!(avail.len(), a.avail_ms.len());
         for (i, &t) in avail.iter().enumerate() {
-            a.avail_ms[i] = t.as_millis();
-            a.is_busy[i] = busy(i);
-        }
-        a.rebuild_all = true;
-        for &c in &a.dirty_list {
-            a.dirty[c as usize] = false;
-        }
-        a.dirty_list.clear();
-        let r = self.rank.get_mut();
-        if !r.order.is_empty() {
-            r.rebuild_mins(&a.avail_ms, &a.is_busy);
+            let (busy, ms) = (busy(i), t.as_millis());
+            // An idle chip's drain time orders nothing: it is rewritten
+            // only when the chip turns busy.
+            if busy != a.is_busy[i] || (busy && ms != a.avail_ms[i]) {
+                a.record(r, i, busy, ms);
+            }
         }
     }
 
@@ -878,12 +899,13 @@ impl ChipIndexes {
         LeastUsed(u)
     }
 
-    /// Acquires the block-min bounds for a prefix walk over `ranking`.
+    /// Acquires the ranking blocks for a prefix walk over `ranking`.
     /// Returns `None` when no ranking is registered or the registered
     /// one has a different length (a foreign ranking — the walk must
-    /// use the plain path). Panics if another acquisition is live.
+    /// use the plain path). Debug builds check every block against the
+    /// availability state first.
     pub fn ranked_prefix(&self, ranking: &[ChipId]) -> Option<RankedPrefix<'_>> {
-        let r = self.rank.borrow_mut();
+        let r = self.rank.borrow();
         if r.order.len() != ranking.len() || r.order.is_empty() {
             return None;
         }
@@ -891,6 +913,8 @@ impl ChipIndexes {
             r.order.iter().zip(ranking).all(|(&a, b)| a == b.0),
             "walked ranking is not the registered one"
         );
+        #[cfg(debug_assertions)]
+        r.check(&self.avail.borrow());
         Some(RankedPrefix(r))
     }
 
@@ -1192,8 +1216,8 @@ mod tests {
     #[test]
     fn epoch_invalidation_overrides_pending_point_updates() {
         let mut idx = ChipIndexes::new(8);
-        // Record transitions, then invalidate the epoch with different
-        // state: the rebuild must win, not the stale point updates.
+        // Record transitions, then re-record the state from a replay
+        // that differs: the replay must win, not the earlier updates.
         idx.chip_busy(ChipId(3), SimTime::from_secs(100));
         idx.chip_busy(ChipId(5), SimTime::from_secs(200));
         let avail = times(&[10, 20, 30, 40, 50, 60, 70, 80]);

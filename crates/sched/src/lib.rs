@@ -29,10 +29,10 @@ pub mod view;
 
 pub use carbon::CarbonConfig;
 pub use dvfs::{match_budget, DvfsCandidate, MatchOutcome};
-pub use index::{validate_key_range, ChipIndexes, IndexCursor, KeyRangeError, LeastUsed};
+pub use index::{validate_key_range, ChipIndexes, KeyRangeError};
 pub use placement::{
     EfficiencyPlacement, FairPlacement, Placement, PlacementDecision, RandomPlacement,
 };
 pub use recovery::RetryPolicy;
 pub use scheme::{Profiling, Scheme};
-pub use view::{PlaceScratch, ProcView, ScratchBufs};
+pub use view::{PlaceScratch, ProcView};

@@ -204,6 +204,47 @@ fn sift_down(v: &mut [u64]) {
     }
 }
 
+/// Whether `key` can enter `top`, the bounded max-heap of the `n`
+/// smallest admissible keys seen so far: it is within the latest-start
+/// `bound` and, once the heap is full, below its root. The check only
+/// tightens as a walk admits keys, so a walk over ascending keys may stop
+/// at the first key it fails.
+fn admissible(top: &[u64], n: usize, bound: u64, key: u64) -> bool {
+    key <= bound && (top.len() < n || (n > 0 && key < top[0]))
+}
+
+/// Puts an [`admissible`] `key` into `top`, evicting the root once the
+/// heap is full.
+fn admit(top: &mut Vec<u64>, n: usize, key: u64) {
+    if top.len() < n {
+        top.push(key);
+        let last = top.len() - 1;
+        sift_up(top, last);
+    } else {
+        top[0] = key;
+        sift_down(top);
+    }
+}
+
+/// Admits ascending `keys` that `wanted` accepts, up to the first key
+/// that is not [`admissible`]: no later key could be either.
+fn admit_ascending(
+    keys: impl Iterator<Item = u64>,
+    n: usize,
+    bound: u64,
+    top: &mut Vec<u64>,
+    wanted: impl Fn(u64) -> bool,
+) {
+    for key in keys {
+        if !admissible(top, n, bound, key) {
+            break;
+        }
+        if wanted(key) {
+            admit(top, n, key);
+        }
+    }
+}
+
 /// One doubling round shared by the prefix walkers: admits `chips` (the
 /// newly widened part of the preference order) into `bufs.top`, a bounded
 /// max-heap holding the `n` earliest-available candidates seen so far
@@ -225,27 +266,30 @@ fn admit_and_try(
     view: &ProcView<'_>,
     bufs: &mut crate::view::ScratchBufs,
 ) -> Option<PlacementDecision> {
+    admit_chips(chips, n, bound, view, &mut bufs.top);
+    try_emit(n, job, view, bufs)
+}
+
+/// The admission half of [`admit_and_try`]: each in-service chip of
+/// `chips` enters `top` under its clamped key if it is [`admissible`].
+fn admit_chips(
+    chips: impl IntoIterator<Item = ChipId>,
+    n: usize,
+    bound: u64,
+    view: &ProcView<'_>,
+    top: &mut Vec<u64>,
+) {
     let now_ms = view.now.as_millis();
-    let top = &mut bufs.top;
     for c in chips {
         if view.is_blocked(c) {
             continue;
         }
         let avail_ms = view.avail[c.0 as usize].as_millis();
         let key = crate::index::pack(avail_ms.max(now_ms), c.0);
-        if key > bound {
-            continue;
-        }
-        if top.len() < n {
-            top.push(key);
-            let last = top.len() - 1;
-            sift_up(top, last);
-        } else if n > 0 && key < top[0] {
-            top[0] = key;
-            sift_down(top);
+        if admissible(top, n, bound, key) {
+            admit(top, n, key);
         }
     }
-    try_emit(n, job, view, bufs)
 }
 
 /// The largest clamped `(max(avail, now), id)` key a chip may carry and
@@ -359,33 +403,35 @@ fn prefix_place_plain(order: &[ChipId], job: &Job, view: &ProcView<'_>) -> Place
 }
 
 /// The block-skipping prefix walk. Identical decisions to
-/// [`prefix_place_plain`]. It reads only chips that can be part of a
-/// feasible set: it admits no chip whose clamped key is above the job's
+/// [`prefix_place_plain`]. It reads only chips that can enter its top-n
+/// heap: it admits no chip whose clamped key is above the job's
 /// [`latest_start_bound`] (which leaves every round's outcome as it was,
 /// see there), and goes straight to best effort when the latest start
-/// is already past. Every clamped key is `>= max(raw key, pack(now,
-/// 0))`, so a whole [`RankedPrefix::BLOCK`]-aligned block is skipped
-/// without reading a single chip when its min-bound is above that bound
-/// or, with the top-n heap full, not below the heap root (then no chip
-/// of it can displace a heap entry). On a loaded fleet, where the front
-/// of the ranking is queued past most deadlines, that leaves the blocks
-/// holding chips that drain in time. Each block scanned in full reports
-/// its exact current minimum back to the index, taken over all its
-/// chips before the bound filter, so bounds left stale-low by
-/// intervening placements cost one wasted scan, not a permanent skip
-/// failure, and never err high.
+/// is already past. Each round walks its new ranking positions one
+/// [`RankedPrefix::BLOCK`]-aligned chunk at a time, through the block's
+/// drained ids and then its occupied keys ([`RankedPrefix::block`]), each
+/// list ascending, and stops a list at its first key that cannot enter
+/// the heap: keys only grow along a list and the admission limit only
+/// tightens, so no later key could either. A block none of whose list
+/// heads can enter is passed over after two reads. A chunk that covers
+/// part of its block filters the lists by ranking position, unless the
+/// lists' admissible heads (found by binary search) are at least as long
+/// as the chunk, which then reads its own positions instead. Each round
+/// therefore ends with the `n` smallest admissible keys of the same
+/// prefix as the plain walk, which decides the same way.
 ///
-/// Measured in the shape of `iscope-exp bench-report`'s `scaling` group
-/// (ScanFair, 4 jobs per chip, gangs up to 512 wide, 2-vCPU Xeon, means
-/// of three runs), the latest-start bound and the sequential least-used
-/// reads took the placement phase from 22.1 to 12.3 µs per placement at
-/// 6.25k chips, 43.4 to 21.7 at 25k and 61.4 to 28.7 at 50k.
+/// Measured with `iscope-exp bench-report`'s `scaling` scenario
+/// (ScanFair, 4 jobs per chip, gangs up to 512 wide, 2-vCPU Xeon,
+/// medians of six alternating runs), reading only the admissible heads
+/// of exact per-block lists instead of whole blocks behind stale-low
+/// bounds took the placement phase from 8.0 to 4.9 µs per placement at
+/// 6.25k chips, 14.4 to 9.4 at 25k and 21.4 to 14.0 at 50k.
 /// `BENCH_sim.json` records the current trajectory.
 fn prefix_place_blocks(
     order: &[ChipId],
     job: &Job,
     view: &ProcView<'_>,
-    mut blocks: crate::index::RankedPrefix<'_>,
+    blocks: crate::index::RankedPrefix<'_>,
 ) -> PlacementDecision {
     const BLOCK: usize = crate::index::RankedPrefix::BLOCK;
     let n = job.cpus as usize;
@@ -400,7 +446,6 @@ fn prefix_place_blocks(
         let mut bufs = view.scratch.borrow_mut();
         bufs.top.clear();
         let now_floor = crate::index::pack(view.now.as_millis(), 0);
-        let id_mask = (1u64 << crate::index::ID_BITS) - 1;
         let mut taken = 0;
         let mut k = n.max(1);
         loop {
@@ -409,58 +454,33 @@ fn prefix_place_blocks(
             while pos < k_now {
                 let b = pos / BLOCK;
                 let block_end = ((b + 1) * BLOCK).min(order.len());
-                let chunk_end = block_end.min(k_now);
-                let whole_block = pos == b * BLOCK && chunk_end == block_end;
-                if whole_block {
-                    let lb = blocks.block_lb(b, now_floor);
-                    if lb > bound || (bufs.top.len() == n && n > 0 && lb >= bufs.top[0]) {
-                        pos = chunk_end;
+                let chunk = pos..block_end.min(k_now);
+                pos = chunk.end;
+                let top = &mut bufs.top;
+                let (mut idle, mut busy) = blocks.block(b);
+                let whole = chunk.start == b * BLOCK && chunk.end == block_end;
+                if !whole {
+                    // Only the lists' admissible heads can be read; when
+                    // they are longer than the chunk, its own positions are
+                    // fewer reads.
+                    idle = &idle
+                        [..idle.partition_point(|&id| admissible(top, n, bound, now_floor | id))];
+                    busy = &busy[..busy.partition_point(|&raw| admissible(top, n, bound, raw))];
+                    if idle.len() + busy.len() >= chunk.len() {
+                        admit_chips(order[chunk].iter().copied(), n, bound, view, top);
                         continue;
                     }
                 }
-                let mut busy_mn = u64::MAX;
-                let mut idle_mn = crate::index::NO_IDLE;
-                {
-                    let keys = blocks.keys();
-                    let top = &mut bufs.top;
-                    for &raw in &keys[pos..chunk_end] {
-                        debug_assert_eq!(
-                            raw,
-                            crate::index::pack(
-                                view.avail[(raw & id_mask) as usize].as_millis(),
-                                (raw & id_mask) as u32
-                            ),
-                            "ranking key array fell out of sync with the avail state"
-                        );
-                        if raw < now_floor {
-                            idle_mn = idle_mn.min((raw & id_mask) as u32);
-                        } else {
-                            busy_mn = busy_mn.min(raw);
-                        }
-                        let key = raw.max(now_floor | (raw & id_mask));
-                        if key > bound {
-                            continue;
-                        }
-                        if top.len() < n {
-                            if view.is_blocked(ChipId((raw & id_mask) as u32)) {
-                                continue;
-                            }
-                            top.push(key);
-                            let last = top.len() - 1;
-                            sift_up(top, last);
-                        } else if n > 0 && key < top[0] {
-                            if view.is_blocked(ChipId((raw & id_mask) as u32)) {
-                                continue;
-                            }
-                            top[0] = key;
-                            sift_down(top);
-                        }
-                    }
-                }
-                if whole_block {
-                    blocks.note_block(b, busy_mn, idle_mn);
-                }
-                pos = chunk_end;
+                let wanted = |key: u64| {
+                    let id = crate::index::unpack_id(key);
+                    (whole || chunk.contains(&blocks.rank(id))) && !view.is_blocked(ChipId(id))
+                };
+                // Drained chips clamp to `now`; occupied ones drain at or
+                // after it while the index is current.
+                debug_assert!(busy.first().is_none_or(|&key| key >= now_floor));
+                let drained = idle.iter().map(|&id| now_floor | id);
+                admit_ascending(drained, n, bound, top, wanted);
+                admit_ascending(busy.iter().copied(), n, bound, top, wanted);
             }
             if let Some(d) = try_emit(n, job, view, &mut bufs) {
                 return d;

@@ -73,7 +73,7 @@ pub struct ProcView<'a> {
 
 impl ProcView<'_> {
     /// Number of processors.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.avail.len()
     }
 
@@ -103,11 +103,6 @@ impl ProcView<'_> {
     /// available selection uses.
     pub fn clamped_avail(&self, chip: ChipId) -> SimTime {
         self.avail[chip.0 as usize].max(self.now)
-    }
-
-    /// True if the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.avail.is_empty()
     }
 
     /// Estimated start time if `chips` are reserved for a gang job now.

@@ -291,15 +291,23 @@ proptest! {
 
     /// The indexed walks against the linear ones over fleets several
     /// 64-position ranking blocks long (the last block partial), at
-    /// `now > 0`, with idle, queued and blocked chips mixed. Each case
-    /// runs sixteen rounds of three arrivals (Effi, Fair in surplus,
-    /// Fair in scarcity), applying one decision and advancing the clock
-    /// (queues that drain go idle and gain usage) between rounds, so the
-    /// block bounds go stale-low as they do in a run. Latest starts fall
-    /// before `now`, exactly on a chip's drain instant, after every
+    /// `now = 0` or later, with idle, queued and blocked chips mixed.
+    /// Each case runs sixteen rounds of three arrivals (Effi, Fair in
+    /// surplus, Fair in scarcity), applying one decision and advancing
+    /// the clock (queues that drain go idle and gain usage) between
+    /// rounds, so the ranking blocks follow placements and drains as they
+    /// do in a run. Between rounds the index also takes a queue replay
+    /// (`rebuild_avail` with a few chips changed and the rest as they
+    /// were) and a re-scan (`set_ranking` with one chip moved across
+    /// several blocks). The clock sometimes stops exactly on a drain
+    /// instant and leaves that chip busy, so an occupied chip ties the
+    /// drained ones at `now`. Widths include zero. Chips at the doubling
+    /// boundaries of each arrival's width are blocked, so blocked chips
+    /// sit inside partial first and last chunks of a round. Latest starts
+    /// fall before `now`, exactly on a chip's drain instant, after every
     /// chip, or in between, so the latest-start bound cuts every way
-    /// through the walks. In debug builds every bound a walk consults is
-    /// also checked against its block's keys.
+    /// through the walks. In debug builds every walk also checks each
+    /// ranking block against the chips' availability state.
     #[test]
     fn multi_block_walks_match_linear(
         chips in 130usize..=400,
@@ -312,15 +320,19 @@ proptest! {
             &VariationParams::default(),
             77,
         );
-        let plan = OperatingPlan::oracle(&f);
+        let mut plan = OperatingPlan::oracle(&f);
         let mut rng = SimRng::new(seed);
-        let mut now_ms = 3_600_000 + rng.index(3_600_000) as u64;
+        let mut now_ms = if rng.chance(0.2) {
+            0
+        } else {
+            3_600_000 + rng.index(3_600_000) as u64
+        };
         // A loaded fleet has whole blocks without an idle chip.
         let idle_share = [0.0, 0.02, 0.3][rng.index(3)];
         let mut avail: Vec<SimTime> = (0..chips)
             .map(|_| {
                 let ms = if rng.chance(idle_share) {
-                    now_ms - rng.index(3_600_000) as u64
+                    now_ms.saturating_sub(rng.index(3_600_000) as u64)
                 } else {
                     now_ms + 1 + rng.index(7_200_000) as u64
                 };
@@ -331,8 +343,7 @@ proptest! {
         let mut usage: Vec<SimDuration> = (0..chips)
             .map(|_| SimDuration::from_millis(rng.index(36_000_000) as u64))
             .collect();
-        let blocked: Vec<bool> = (0..chips).map(|_| rng.chance(0.15)).collect();
-        let in_service = blocked.iter().filter(|&&b| !b).count();
+        let scattered: Vec<bool> = (0..chips).map(|_| rng.chance(0.15)).collect();
         let mut idx = ChipIndexes::new(chips);
         for (i, &u) in usage.iter().enumerate() {
             idx.set_usage(ChipId(i as u32), u);
@@ -342,22 +353,41 @@ proptest! {
         let scratch = PlaceScratch::default();
         for step in 0..16 {
             // One arrival per policy, each with its own width and latest
-            // start, so a walk meets the bounds the walk before it left.
+            // start, so a walk meets the blocks the walk before it left.
+            let mut blocked = scattered.clone();
+            let mut in_service = blocked.iter().filter(|&&b| !b).count();
+            let widths: Vec<usize> = (0..3)
+                .map(|_| if rng.chance(0.1) { 0 } else { 1 + rng.index(48) })
+                .collect();
+            for &w in &widths {
+                // Block the chips on both sides of each doubling
+                // boundary, while enough chips stay in service.
+                let mut k = w.max(1);
+                while k < chips {
+                    for p in [k - 1, k] {
+                        let c = plan.ranking()[p].0 as usize;
+                        if in_service > 64 && !blocked[c] && rng.chance(0.5) {
+                            blocked[c] = true;
+                            in_service -= 1;
+                        }
+                    }
+                    k *= 2;
+                }
+            }
             let mut drains: Vec<u64> = (0..chips)
                 .filter(|&i| !blocked[i])
                 .map(|i| avail[i].as_millis().max(now_ms))
                 .collect();
             drains.sort_unstable();
             let mut arrivals = Vec::new();
-            for _ in 0..3 {
-                let cpus = 1 + rng.index(48.min(in_service)) as u32;
+            for &w in &widths {
                 let runtime_ms = 60_000 + rng.index(3_600_000) as u64;
                 let deadline_ms = match rng.index(4) {
                     // Latest start before `now`, or before time zero.
                     0 => rng.index((now_ms + runtime_ms) as usize) as u64,
                     // Exactly on a chip's (clamped) drain instant, near
-                    // the `cpus`-th earliest so the walk has to go deep.
-                    1 => drains[rng.index(drains.len().min(2 * cpus as usize + 8))] + runtime_ms,
+                    // the `w`-th earliest so the walk has to go deep.
+                    1 => drains[rng.index(drains.len().min(2 * w + 8))] + runtime_ms,
                     // After every chip drains.
                     2 => avail.iter().map(|a| a.as_millis()).max().unwrap_or(0).max(now_ms)
                         + 1 + rng.index(600_000) as u64 + runtime_ms,
@@ -366,7 +396,7 @@ proptest! {
                 arrivals.push(Job {
                     deadline: SimTime::from_millis(deadline_ms),
                     runtime_at_fmax: SimDuration::from_millis(runtime_ms),
-                    ..job(cpus, 0, 0)
+                    ..job(w as u32, 0, 0)
                 });
             }
             let mut decisions = Vec::new();
@@ -416,14 +446,60 @@ proptest! {
                 busy[i] = true;
                 idx.chip_busy(c, avail[i]);
             }
-            now_ms += rng.index(1_800_000) as u64;
+            // Advance the clock, sometimes exactly onto the next drain.
+            let next_drain = (0..chips)
+                .filter(|&i| busy[i])
+                .map(|i| avail[i].as_millis())
+                .filter(|&t| t > now_ms)
+                .min();
+            now_ms = match next_drain {
+                Some(t) if rng.chance(0.3) => t,
+                _ => now_ms + rng.index(1_800_000) as u64,
+            };
             for i in 0..chips {
-                if busy[i] && avail[i].as_millis() <= now_ms {
+                let t = avail[i].as_millis();
+                // A chip draining exactly at `now` may stay busy a while.
+                if busy[i] && (t < now_ms || (t == now_ms && rng.chance(0.5))) {
                     busy[i] = false;
                     usage[i] += SimDuration::from_millis(runtime_ms);
                     idx.chip_idle(ChipId(i as u32));
                     idx.set_usage(ChipId(i as u32), usage[i]);
                 }
+            }
+            match step % 4 {
+                // A queue replay: a few projections move (busy to idle,
+                // idle to busy, a drain later or earlier, never before
+                // `now`), the rest are rewritten unchanged.
+                1 => {
+                    for _ in 0..1 + rng.index(8) {
+                        let i = rng.index(chips);
+                        if busy[i] && rng.chance(0.3) {
+                            busy[i] = false;
+                            avail[i] = SimTime::from_millis(now_ms);
+                        } else {
+                            busy[i] = true;
+                            avail[i] = SimTime::from_millis(now_ms + rng.index(7_200_000) as u64);
+                        }
+                    }
+                    idx.rebuild_avail(&avail, |i| busy[i]);
+                }
+                // A re-scan: one chip takes another's estimates several
+                // blocks away and lands next to it in the ranking.
+                3 => {
+                    let from = rng.index(chips);
+                    let span = 64 * (2 + rng.index(3)) + rng.index(64);
+                    let to = if rng.chance(0.5) {
+                        from.saturating_sub(span)
+                    } else {
+                        (from + span).min(chips - 1)
+                    };
+                    let (chip, target) = (plan.ranking()[from], plan.ranking()[to].0 as usize);
+                    let (voltages, est) = plan.rows();
+                    let (voltages, est) = (voltages[target].clone(), est[target].clone());
+                    plan.update_chip(chip, voltages, est);
+                    idx.set_ranking(plan.ranking());
+                }
+                _ => {}
             }
         }
     }
